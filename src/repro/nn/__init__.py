@@ -7,7 +7,7 @@ temporal 1-D convolution, Adam, and Huber / large-margin losses.
 Gradients are verified against finite differences in the test suite.
 """
 
-from repro.nn.tensor import Tensor, concat, stack, no_grad
+from repro.nn.tensor import Tensor, concat, is_grad_enabled, stack, no_grad
 from repro.nn.modules import (
     LayerNorm,
     Linear,
@@ -35,6 +35,7 @@ __all__ = [
     "concat",
     "stack",
     "no_grad",
+    "is_grad_enabled",
     "Module",
     "Parameter",
     "Linear",

@@ -46,6 +46,27 @@ class MultiHeadSelfAttention(Module):
             result = result.reshape(tokens, self.d_model)
         return result
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain ndarrays (bitwise equal, no graph)."""
+        squeeze = x.ndim == 2
+        if squeeze:
+            x = x.reshape(1, *x.shape)
+        batch, tokens, _ = x.shape
+        qkv = self.qkv.forward_array(x)
+        qkv = qkv.reshape(batch, tokens, 3, self.n_heads, self.d_head)
+        qkv = qkv.transpose(2, 0, 3, 1, 4)
+        q, k, v = qkv[0], qkv[1], qkv[2]
+        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        weights = e / e.sum(axis=-1, keepdims=True)
+        attended = weights @ v
+        merged = attended.transpose(0, 2, 1, 3).reshape(batch, tokens, self.d_model)
+        result = self.out.forward_array(merged)
+        if squeeze:
+            result = result.reshape(tokens, self.d_model)
+        return result
+
 
 class AttentionBlock(Module):
     """Pre-norm transformer block: attention + feed-forward residuals."""
@@ -62,3 +83,7 @@ class AttentionBlock(Module):
     def forward(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.ln1(x))
         return x + self.ff(self.ln2(x))
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        x = x + self.attn.forward_array(self.ln1.forward_array(x))
+        return x + self.ff.forward_array(self.ln2.forward_array(x))

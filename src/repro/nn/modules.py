@@ -1,4 +1,15 @@
-"""Neural-network building blocks on top of the autograd Tensor."""
+"""Neural-network building blocks on top of the autograd Tensor.
+
+Modules on the Q-network's inference path also have a
+``forward_array`` method: the same computation on plain ndarrays, with
+no :class:`Tensor` and no graph. It repeats the graph forward's numpy
+ops in the same order (``mean`` is ``sum * (1/n)``), so its output is
+bitwise equal to ``forward(x).data``. Where it departs from an op, the
+replacement is exact in IEEE arithmetic: ``a - b`` for ``a + (-b)``,
+``maximum(x, alpha * x)`` for leaky ReLU's ``x * where(x > 0, 1,
+alpha)`` (0 < alpha < 1), and a filled buffer for a concatenation of
+products with ones.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +27,7 @@ __all__ = [
     "MLP",
     "LayerNorm",
     "activation",
+    "array_activation",
 ]
 
 
@@ -130,9 +142,28 @@ _ACTIVATIONS = {
 }
 
 
+#: ndarray twins of :data:`_ACTIVATIONS`, bitwise equal to :class:`Tensor`'s
+_ARRAY_ACTIVATIONS = {
+    "relu": lambda x: x * (x > 0),
+    "leaky_relu": lambda x: np.maximum(x, x * 0.01),
+    "tanh": np.tanh,
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
+    "identity": lambda x: x,
+    None: lambda x: x,
+}
+
+
 def activation(name):
     try:
         return _ACTIVATIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown activation {name!r}") from None
+
+
+def array_activation(name):
+    """The ndarray form of :func:`activation` ``(name)``."""
+    try:
+        return _ARRAY_ACTIVATIONS[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}") from None
 
@@ -153,6 +184,12 @@ class Linear(Module):
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias
+        return out
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
         return out
 
 
@@ -179,11 +216,20 @@ class MLP(Module):
         ]
         self._act = activation(act)
         self._final_act = activation(final_act)
+        self._act_array = array_activation(act)
+        self._final_act_array = array_activation(final_act)
 
     def forward(self, x: Tensor) -> Tensor:
         for i, linear in enumerate(self.linears):
             x = linear(x)
             x = self._act(x) if i < len(self.linears) - 1 else self._final_act(x)
+        return x
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        last = len(self.linears) - 1
+        for i, linear in enumerate(self.linears):
+            x = linear.forward_array(x)
+            x = self._act_array(x) if i < last else self._final_act_array(x)
         return x
 
 
@@ -199,3 +245,11 @@ class LayerNorm(Module):
         var = (centered * centered).mean(axis=-1, keepdims=True)
         normed = centered / (var + self.eps).sqrt()
         return normed * self.gamma + self.beta
+
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        scale = 1.0 / float(x.shape[-1])
+        mu = x.sum(axis=-1, keepdims=True) * scale
+        centered = x - mu
+        var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+        normed = centered / np.sqrt(var + self.eps)
+        return normed * self.gamma.data + self.beta.data

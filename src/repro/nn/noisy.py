@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.nn.modules import Module, Parameter, activation
+from repro.nn.modules import MLP, Module, Parameter, activation, array_activation
 from repro.nn.tensor import Tensor
 
 __all__ = ["NoisyLinear", "NoisyMLP"]
@@ -74,19 +74,28 @@ class NoisyLinear(Module):
             weight, bias = self.weight_mu, self.bias_mu
         return x @ weight + bias
 
+    def forward_array(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on plain ndarrays (bitwise equal, no graph)."""
+        if self.noise_enabled:
+            weight = self.weight_mu.data + self.weight_sigma.data * self._eps_w
+            bias = self.bias_mu.data + self.bias_sigma.data * self._eps_b
+        else:
+            weight, bias = self.weight_mu.data, self.bias_mu.data
+        return x @ weight + bias
+
     @property
     def mean_sigma(self) -> float:
         """Average |sigma| across weights; a learned-exploration gauge."""
         return float(np.abs(self.weight_sigma.data).mean())
 
 
-class NoisyMLP(Module):
+class NoisyMLP(MLP):
     """Feed-forward stack of :class:`NoisyLinear` layers.
 
     Drop-in replacement for :class:`repro.nn.MLP` in Q-network heads;
     with noise enabled the greedy policy explores through parameter
     perturbations instead of epsilon-greedy (Rainbow's exploration
-    component).
+    component). The forward passes are :class:`MLP`'s.
     """
 
     def __init__(self, dims, act: str = "leaky_relu", final_act=None,
@@ -100,9 +109,5 @@ class NoisyMLP(Module):
         ]
         self._act = activation(act)
         self._final_act = activation(final_act)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for i, linear in enumerate(self.linears):
-            x = linear(x)
-            x = self._act(x) if i < len(self.linears) - 1 else self._final_act(x)
-        return x
+        self._act_array = array_activation(act)
+        self._final_act_array = array_activation(final_act)

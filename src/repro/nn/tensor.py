@@ -13,7 +13,7 @@ import contextlib
 
 import numpy as np
 
-__all__ = ["Tensor", "concat", "stack", "no_grad"]
+__all__ = ["Tensor", "concat", "stack", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = True
 
@@ -28,6 +28,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+def is_grad_enabled() -> bool:
+    """False inside :func:`no_grad` (inference-only fast paths key on it)."""
+    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -25,7 +25,11 @@ from repro.rl.replay import (
 )
 from repro.rl.schedules import ExponentialDecay, LinearSchedule
 from repro.rl.shaping import PotentialShaper
-from repro.sim.orchestrator import DefenderAction, DEFENDER_ACTION_SPECS
+from repro.sim.orchestrator import (
+    DefenderAction,
+    action_busy_positions,
+    action_mask_from_busy,
+)
 from repro.sim.vec_env import BaseVectorEnv
 
 __all__ = ["DQNConfig", "DQNTrainer", "valid_action_mask"]
@@ -34,17 +38,13 @@ __all__ = ["DQNConfig", "DQNTrainer", "valid_action_mask"]
 def valid_action_mask(action_list: list[DefenderAction], obs) -> np.ndarray:
     """True for actions whose target is currently free (noop is always
     valid); launching an action on a busy target would be rejected by
-    the orchestrator and waste the decision step."""
-    mask = np.ones(len(action_list), dtype=bool)
-    for i, action in enumerate(action_list):
-        if action.is_noop:
-            continue
-        spec = DEFENDER_ACTION_SPECS[action.atype]
-        if spec.targets == "node":
-            mask[i] = not obs.node_busy[action.target]
-        elif spec.targets == "plc":
-            mask[i] = not obs.plc_busy[action.target]
-    return mask
+    the orchestrator and waste the decision step.
+
+    One gather from the observation's busy flags through the list's
+    cached :func:`~repro.sim.orchestrator.action_busy_positions`, as
+    the environment's own ``action_mask`` does."""
+    positions = action_busy_positions(action_list, len(obs.node_busy))
+    return action_mask_from_busy(positions, obs.node_busy, obs.plc_busy)
 
 
 @dataclass
@@ -289,7 +289,8 @@ class DQNTrainer:
         """Batched action selection: one forward pass for all lanes."""
         if self.config.noisy:
             self.qnet.reset_noise()
-        q = self.qnet.forward(*stack_features(features)).data
+        with no_grad():
+            q = self.qnet.forward(*stack_features(features)).data
         q = np.where(masks, q, -np.inf)
         greedy = q.argmax(axis=1)
         out = np.empty(len(features), dtype=np.int64)

@@ -9,6 +9,15 @@ heads. All sub-graphs of a node type share parameters, so the
 parameter count does not grow with the number of nodes -- the paper's
 central scaling argument.
 
+With autograd disabled (:func:`repro.nn.no_grad`) the attention
+network's :meth:`~AttentionQNetwork.forward` runs on plain ndarrays
+through the modules' ``forward_array`` methods: no :class:`Tensor` per
+op and no graph, with Q-values bitwise equal to the graph forward. Every
+no-grad caller (greedy action selection, DQN targets, FQE, OPE
+propensities) takes that path; the graph forward remains the training
+path and the differential oracle. Subclasses that override ``forward``
+(dueling, C51) keep their graph path.
+
 The convolutional baseline flattens the whole network into one vector
 per time step and strides over the history window; its output layer is
 one unit per action, so its size grows linearly with the network (329
@@ -30,6 +39,7 @@ from repro.nn import (
     Parameter,
     Tensor,
     concat,
+    is_grad_enabled,
 )
 from repro.rl.features import (
     GLOBAL_FEATURE_DIM,
@@ -165,13 +175,16 @@ class AttentionQNetwork(Module):
             return NoisyMLP(dims, sigma0=cfg.noisy_sigma0, rng=rng)
         return MLP(dims, rng=rng)
 
+    def _check_bound(self) -> None:
+        if self._n_nodes == 0:
+            raise RuntimeError("bind_topology() must be called before forward()")
+
     def _contextualize(self, node_feats, plc_feats, glob_feats):
         """Encoders + attention; returns (tokens, glob tensor, batch).
 
         Shared by this class and the dueling / distributional variants.
         """
-        if self._n_nodes == 0:
-            raise RuntimeError("bind_topology() must be called before forward()")
+        self._check_bound()
         node_feats = node_feats if isinstance(node_feats, Tensor) else Tensor(node_feats)
         plc_feats = plc_feats if isinstance(plc_feats, Tensor) else Tensor(plc_feats)
         glob_feats = glob_feats if isinstance(glob_feats, Tensor) else Tensor(glob_feats)
@@ -245,11 +258,64 @@ class AttentionQNetwork(Module):
         """(B,N,Fn), (B,M,Fp), (B,G) -> (B, n_actions) Q-values.
 
         Action layout: [noop, host menus (host order), server menus,
-        PLC menus], matching :attr:`action_list`.
+        PLC menus], matching :attr:`action_list`. Under ``no_grad`` the
+        result is a graph-free Tensor computed on ndarrays.
         """
+        if not is_grad_enabled():
+            return Tensor(self._forward_array(node_feats, plc_feats, glob_feats))
         tokens, glob, batch = self._contextualize(node_feats, plc_feats, glob_feats)
         q = self._head_outputs(tokens, glob, batch)
         return self._soft_clip(q)
+
+    # ------------------------------------------------------------------
+    # graph-free inference: the methods above on ndarrays, bit for bit
+    # ------------------------------------------------------------------
+    def _forward_array(self, node_feats, plc_feats, glob_feats) -> np.ndarray:
+        self._check_bound()
+        node, plc, glob = (
+            x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+            for x in (node_feats, plc_feats, glob_feats)
+        )
+        batch = node.shape[0]
+        n, m = node.shape[1], plc.shape[1]
+        # [node tokens | PLC tokens | noop seed] filled in place: the
+        # graph's concat of a ones-product, value for value
+        tokens = np.empty((batch, n + m + 1, self.config.d_model))
+        tokens[:, :n] = self.node_encoder.forward_array(node)
+        tokens[:, n:n + m] = self.plc_encoder.forward_array(plc)
+        tokens[:, n + m] = self.noop_seed.data
+        for block in self.blocks:
+            tokens = block.forward_array(tokens)
+        return self._soft_clip_array(self._head_outputs_array(tokens, glob, batch))
+
+    def _with_global_array(self, ctx: np.ndarray, glob: np.ndarray,
+                           batch: int) -> np.ndarray:
+        d = ctx.shape[-1]
+        out = np.empty((batch, ctx.shape[1], d + GLOBAL_FEATURE_DIM))
+        out[..., :d] = ctx
+        out[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
+        return out
+
+    def _head_outputs_array(self, tokens: np.ndarray, glob: np.ndarray,
+                            batch: int) -> np.ndarray:
+        host_ctx, server_ctx, plc_ctx, noop_ctx = self._split_contexts(tokens)
+        heads = [(self.noop_head, noop_ctx), (self.host_head, host_ctx)]
+        if server_ctx is not None:
+            heads.append((self.server_head, server_ctx))
+        if self._n_plcs:
+            heads.append((self.plc_head, plc_ctx))
+        outputs = [head.forward_array(self._with_global_array(ctx, glob, batch))
+                   for head, ctx in heads]
+        return np.concatenate(
+            [out.reshape(batch, out.shape[1] * out.shape[2]) for out in outputs],
+            axis=1,
+        )
+
+    def _soft_clip_array(self, q: np.ndarray) -> np.ndarray:
+        cfg = self.config
+        if not cfg.final_tanh:
+            return q
+        return np.tanh(q * (1.0 / cfg.q_scale)) * cfg.q_scale
 
     def q_values(self, features: FeatureSet) -> np.ndarray:
         """Inference helper for a single step."""

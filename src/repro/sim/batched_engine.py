@@ -686,11 +686,10 @@ class BatchedVectorEnv(VectorEnv):
     # ------------------------------------------------------------------
     def action_masks(self) -> np.ndarray:
         """Stacked validity masks via one batched busy compare."""
-        first = self.envs[0]
-        masks = np.ones((self.num_envs, self.n_actions), dtype=bool)
         t_col = self._T[:, None]
-        node_free = self._NODE_BUSY <= t_col
-        plc_free = self._PLC_BUSY <= t_col
-        masks[:, first._mask_node_idx] = node_free[:, first._mask_node_tgt]
-        masks[:, first._mask_plc_idx] = plc_free[:, first._mask_plc_tgt]
-        return masks
+        busy = np.concatenate(
+            (self._NODE_BUSY > t_col, self._PLC_BUSY > t_col,
+             np.zeros((self.num_envs, 1), dtype=bool)),
+            axis=1,
+        )
+        return np.logical_not(busy[:, self.envs[0]._mask_positions])

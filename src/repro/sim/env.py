@@ -18,8 +18,9 @@ from repro.config import SimConfig
 from repro.sim.engine import Simulation
 from repro.sim.observations import Observation
 from repro.sim.orchestrator import (
-    DEFENDER_ACTION_SPECS,
     DefenderAction,
+    action_busy_positions,
+    action_mask_from_busy,
 )
 
 __all__ = ["InasimEnv"]
@@ -34,23 +35,8 @@ class InasimEnv:
         self.action_index: dict[DefenderAction, int] = {
             a: i for i, a in enumerate(self.action_list)
         }
-        # index arrays for the vectorized action mask: positions in
-        # action_list that target a node / a PLC, and those targets
-        node_idx, node_tgt, plc_idx, plc_tgt = [], [], [], []
-        for i, action in enumerate(self.action_list):
-            if action.is_noop:
-                continue
-            targets = DEFENDER_ACTION_SPECS[action.atype].targets
-            if targets == "node":
-                node_idx.append(i)
-                node_tgt.append(action.target)
-            elif targets == "plc":
-                plc_idx.append(i)
-                plc_tgt.append(action.target)
-        self._mask_node_idx = np.array(node_idx, dtype=np.intp)
-        self._mask_node_tgt = np.array(node_tgt, dtype=np.intp)
-        self._mask_plc_idx = np.array(plc_idx, dtype=np.intp)
-        self._mask_plc_tgt = np.array(plc_tgt, dtype=np.intp)
+        self._mask_positions = action_busy_positions(self.action_list,
+                                                     self.topology.n_nodes)
 
     # ------------------------------------------------------------------
     @property
@@ -97,11 +83,9 @@ class InasimEnv:
         wastes the decision step.
         """
         state = self.sim.state
-        t = state.t
-        mask = np.ones(len(self.action_list), dtype=bool)
-        mask[self._mask_node_idx] = state.node_busy_until[self._mask_node_tgt] <= t
-        mask[self._mask_plc_idx] = state.plc_busy_until[self._mask_plc_tgt] <= t
-        return mask
+        return action_mask_from_busy(self._mask_positions,
+                                     state.node_busy_until > state.t,
+                                     state.plc_busy_until > state.t)
 
     def sample_action(self, rng) -> int:
         """Uniform random action index (exploration helper)."""

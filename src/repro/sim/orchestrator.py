@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
 
 from repro.net.nodes import Condition, NodeType
 from repro.net.topology import Topology
@@ -38,6 +39,8 @@ __all__ = [
     "SERVER_ACTIONS",
     "PLC_ACTIONS",
     "enumerate_actions",
+    "action_busy_positions",
+    "action_mask_from_busy",
     "scan_detection_prob",
     "apply_mitigation",
 ]
@@ -141,6 +144,57 @@ def enumerate_actions(topology: Topology) -> list[DefenderAction]:
     for plc in topology.plcs:
         actions.extend(DefenderAction(a, plc.plc_id) for a in PLC_ACTIONS)
     return actions
+
+
+#: id(action list) -> (the list, n_nodes, its positions); holding the
+#: list keeps its id from being reused while the entry lives
+_POSITIONS_CACHE: dict[int, tuple[object, int, np.ndarray]] = {}
+_POSITIONS_CACHE_SIZE = 64
+#: the always-free slot noop gathers from
+_FREE_SLOT = np.zeros(1, dtype=bool)
+_FREE_SLOT.flags.writeable = False
+
+
+def action_busy_positions(actions: list[DefenderAction],
+                          n_nodes: int) -> np.ndarray:
+    """Where each action's target sits in ``[node_busy | plc_busy | free]``.
+
+    A node action maps to its node, a PLC action to ``n_nodes + plc``,
+    and noop to the trailing always-free slot (-1), so a validity mask
+    over ``actions`` is one gather (:func:`action_mask_from_busy`).
+    Shared by the environment's own mask and the RL stack's
+    ``valid_action_mask``.
+
+    Built once per action list: the cache is keyed by the list's
+    identity, so action lists must not be mutated once built (none
+    are: the env and ``bind_topology`` each build a fresh list). It
+    holds at most 64 lists and is emptied when full.
+    """
+    entry = _POSITIONS_CACHE.get(id(actions))
+    if entry is not None and entry[1] == n_nodes:
+        return entry[2]
+    positions = np.full(len(actions), -1, dtype=np.intp)
+    for i, action in enumerate(actions):
+        if action.is_noop:
+            continue
+        targets = DEFENDER_ACTION_SPECS[action.atype].targets
+        if targets == "node":
+            positions[i] = action.target
+        elif targets == "plc":
+            positions[i] = n_nodes + action.target
+    positions.flags.writeable = False  # shared by every caller of the list
+    if len(_POSITIONS_CACHE) >= _POSITIONS_CACHE_SIZE:
+        _POSITIONS_CACHE.clear()
+    _POSITIONS_CACHE[id(actions)] = (actions, n_nodes, positions)
+    return positions
+
+
+def action_mask_from_busy(positions: np.ndarray, node_busy: np.ndarray,
+                          plc_busy: np.ndarray) -> np.ndarray:
+    """Validity mask from :func:`action_busy_positions` and busy flags:
+    an action is valid when its target is free (noop always is)."""
+    busy = np.concatenate((node_busy, plc_busy, _FREE_SLOT))
+    return np.logical_not(busy[positions])
 
 
 def scan_detection_prob(

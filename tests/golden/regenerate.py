@@ -17,6 +17,18 @@ distribution (e.g. a reseeding-schedule change) must regenerate the
 fixtures and say so in its PR:
 
     PYTHONPATH=src python tests/golden/regenerate.py
+
+A second family, ``tests/golden/acso/*.json``, pins the learned
+defender on top of the dynamics: a seeded 64-step rollout under an
+ACSO policy built from an untrained seeded ``AttentionQNetwork`` and
+DBN tables fit from two seeded ``SemiRandomPolicy`` episodes (nothing
+is downloaded). It records the chosen action indices, the rewards and
+a hash of every Q-vector the policy computed, so a change to Q-network
+inference, the featurizer, the DBN filter or the action mask fails
+here even when the engine is untouched. Q-vectors are hashed after
+rounding to 1e-9, so the fixture holds across BLAS builds; the bitwise
+contract between the inference path and the autograd path is checked
+on one machine by ``tests/test_rl_qnet.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +40,14 @@ import pathlib
 GOLDEN_DIR = pathlib.Path(__file__).parent
 SEED = 20260401
 STEPS = 32
+
+ACSO_DIR = GOLDEN_DIR / "acso"
+ACSO_SCENARIOS = ("inasim-tiny-v1", "inasim-paper-v1")
+ACSO_STEPS = 64
+#: length of each of the two DBN-fitting episodes
+ACSO_FIT_STEPS = 200
+#: Q-vectors are hashed at this many decimals (see the module docstring)
+Q_DECIMALS = 9
 
 
 def mask_digest(mask) -> str:
@@ -85,20 +105,97 @@ def rollout_digest(scenario_id: str, seed: int = SEED,
     }
 
 
+def q_digest(q_vectors) -> str:
+    """Short stable hash of a sequence of Q-vectors (rounded, -0 folded)."""
+    import numpy as np
+
+    h = hashlib.sha256()
+    for q in q_vectors:
+        h.update((np.round(q, Q_DECIMALS) + 0.0).tobytes())
+    return h.hexdigest()[:16]
+
+
+def acso_policy(scenario_id: str, seed: int = SEED):
+    """Untrained seeded ACSO policy over DBN tables fit from two seeded
+    semi-random episodes on ``scenario_id``."""
+    import repro
+    from repro.dbn import fit_dbn
+    from repro.defenders import SemiRandomPolicy
+    from repro.defenders.acso import ACSOPolicy
+    from repro.rl import AttentionQNetwork, QNetConfig
+
+    tables = fit_dbn(lambda: repro.make(scenario_id),
+                     lambda: SemiRandomPolicy(rate=5.0, seed=seed),
+                     episodes=2, seed=seed, max_steps=ACSO_FIT_STEPS)
+    return ACSOPolicy(AttentionQNetwork(QNetConfig(), seed=seed), tables)
+
+
+def acso_rollout_digest(scenario_id: str, seed: int = SEED,
+                        steps: int = ACSO_STEPS) -> dict:
+    """Seeded ACSO-policy rollout digest for one scenario."""
+    import repro
+
+    policy = acso_policy(scenario_id, seed)
+    env = repro.make(scenario_id)
+    obs = env.reset(seed=seed)
+    policy.reset(env)
+    qnet = policy.qnet
+    q_vectors = []
+    q_values = qnet.q_values
+
+    def recorded(features):
+        q = q_values(features)
+        q_vectors.append(q.copy())
+        return q
+
+    qnet.q_values = recorded  # instance attribute shadows the method
+    actions, rewards, dones = [], [], []
+    try:
+        for _ in range(steps):
+            chosen = policy.act(obs)
+            actions.append(qnet.action_list.index(chosen[0]) if chosen else 0)
+            obs, reward, done, _ = env.step(chosen)
+            rewards.append(reward)
+            dones.append(bool(done))
+            if done:
+                break
+    finally:
+        del qnet.q_values
+    return {
+        "scenario_id": scenario_id,
+        "seed": seed,
+        "steps": len(rewards),
+        "policy": "acso-untrained",
+        "actions": actions,
+        "rewards": rewards,
+        "dones": dones,
+        "q_sha256_16": q_digest(q_vectors),
+    }
+
+
 def fixture_path(scenario_id: str) -> pathlib.Path:
     return GOLDEN_DIR / (scenario_id.replace("/", "__") + ".json")
+
+
+def acso_fixture_path(scenario_id: str) -> pathlib.Path:
+    return ACSO_DIR / (scenario_id.replace("/", "__") + ".json")
+
+
+def _write(path: pathlib.Path, digest: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(digest, handle, indent=2)
+        handle.write("\n")
+    print(f"wrote {path.relative_to(GOLDEN_DIR)}: {digest['steps']} steps")
 
 
 def main() -> None:
     import repro
 
     for spec in repro.scenarios.BUILTIN_SCENARIOS:
-        digest = rollout_digest(spec.scenario_id)
-        path = fixture_path(spec.scenario_id)
-        with open(path, "w") as handle:
-            json.dump(digest, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote {path.name}: {digest['steps']} steps")
+        _write(fixture_path(spec.scenario_id), rollout_digest(spec.scenario_id))
+    ACSO_DIR.mkdir(exist_ok=True)
+    for scenario_id in ACSO_SCENARIOS:
+        _write(acso_fixture_path(scenario_id), acso_rollout_digest(scenario_id))
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ search, so an optimization pass that changes the dynamics — not just
 code shape — must fail loudly here, and an intentional
 trajectory-distribution change must regenerate the fixtures
 (``PYTHONPATH=src python tests/golden/regenerate.py``) and say so.
+
+``tests/golden/acso/*.json`` pins the learned defender the same way: a
+seeded rollout under an untrained seeded ACSO policy, digesting the
+chosen actions, rewards and Q-vectors (see ``regenerate.py``).
 """
 
 import importlib.util
@@ -31,12 +35,14 @@ GOLDEN_DIR = _regen.GOLDEN_DIR
 STEPS = _regen.STEPS
 fixture_path = _regen.fixture_path
 rollout_digest = _regen.rollout_digest
+acso_fixture_path = _regen.acso_fixture_path
+acso_rollout_digest = _regen.acso_rollout_digest
 
 BUILTIN_IDS = [spec.scenario_id for spec in repro.scenarios.BUILTIN_SCENARIOS]
 
 
-def _load(scenario_id: str) -> dict:
-    path = fixture_path(scenario_id)
+def _load(scenario_id: str, path: pathlib.Path | None = None) -> dict:
+    path = path or fixture_path(scenario_id)
     assert path.exists(), (
         f"missing golden fixture {path}; run "
         "`PYTHONPATH=src python tests/golden/regenerate.py`"
@@ -99,3 +105,29 @@ def test_digest_is_seed_sensitive():
     other = rollout_digest("inasim-tiny-v1", seed=golden["seed"] + 1,
                            steps=STEPS)
     assert other["observation_sha256_16"] != golden["observation_sha256_16"]
+
+
+class TestAcsoGolden:
+    """The seeded ACSO policy replays its committed digest exactly:
+    same action indices, same rewards, same (rounded) Q-vectors."""
+
+    def test_no_stale_fixtures(self):
+        known = {acso_fixture_path(sid).name for sid in _regen.ACSO_SCENARIOS}
+        found = {p.name for p in _regen.ACSO_DIR.glob("*.json")}
+        assert found == known
+
+    @pytest.mark.parametrize("scenario_id", _regen.ACSO_SCENARIOS)
+    def test_acso_trajectory(self, scenario_id):
+        golden = _load(scenario_id, acso_fixture_path(scenario_id))
+        fresh = acso_rollout_digest(scenario_id, seed=golden["seed"],
+                                    steps=golden["steps"])
+        assert fresh["actions"] == golden["actions"], (
+            f"{scenario_id}: ACSO action choices diverged from golden fixture"
+        )
+        assert fresh["rewards"] == golden["rewards"], (
+            f"{scenario_id}: ACSO reward stream diverged from golden fixture"
+        )
+        assert fresh["dones"] == golden["dones"]
+        assert fresh["q_sha256_16"] == golden["q_sha256_16"], (
+            f"{scenario_id}: ACSO Q-vectors diverged from golden fixture"
+        )

@@ -4,8 +4,20 @@ import numpy as np
 import pytest
 
 import repro
+import repro.rl.qnetwork as qnetwork_module
 from repro.config import paper_network, small_network, tiny_network
 from repro.net import build_topology
+from repro.nn import (
+    AttentionBlock,
+    LayerNorm,
+    Linear,
+    MLP,
+    MultiHeadSelfAttention,
+    NoisyLinear,
+    NoisyMLP,
+    Tensor,
+    no_grad,
+)
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
@@ -18,6 +30,7 @@ from repro.rl import (
     stack_features,
 )
 from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
+from repro.rl.dqn import DQNConfig, DQNTrainer
 from repro.rl.qnetwork import ConvNetConfig
 from repro.sim.orchestrator import enumerate_actions
 
@@ -112,6 +125,152 @@ class TestAttentionQNetwork:
         small = AttentionQNetwork(QNetConfig(), seed=0)
         paper = AttentionQNetwork(QNetConfig.paper(), seed=0)
         assert paper.n_parameters() > small.n_parameters()
+
+
+#: the Q-network configurations the inference path must reproduce
+PARITY_CONFIGS = {
+    "default": QNetConfig(),
+    "paper": QNetConfig.paper(),
+    "compact": QNetConfig(d_model=16, n_heads=2, encoder_hidden=32,
+                          head_hidden=32),
+    "no-tanh": QNetConfig(final_tanh=False),
+    "noisy-on": QNetConfig(noisy_heads=True),
+    "noisy-off": QNetConfig(noisy_heads=True),
+}
+
+
+def _random_features(topo, batch, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(batch, topo.n_nodes, NODE_FEATURE_DIM)),
+            rng.normal(size=(batch, topo.n_plcs, PLC_FEATURE_DIM)),
+            rng.normal(size=(batch, GLOBAL_FEATURE_DIM)))
+
+
+def _bits(array) -> bytes:
+    array = np.asarray(array)
+    return array.dtype.str.encode() + str(array.shape).encode() + array.tobytes()
+
+
+class TestInferenceParity:
+    """Under ``no_grad`` the Q-network runs on plain ndarrays; its
+    output must equal the autograd graph forward bit for bit."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 32])
+    @pytest.mark.parametrize("network", ["tiny", "paper"])
+    @pytest.mark.parametrize("config", sorted(PARITY_CONFIGS))
+    def test_no_grad_forward_equals_graph_forward(self, config, network,
+                                                  batch, paper_topology):
+        topo = (paper_topology if network == "paper"
+                else build_topology(tiny_network().topology))
+        qnet = AttentionQNetwork(PARITY_CONFIGS[config], seed=5)
+        qnet.bind_topology(topo)
+        if config == "noisy-off":
+            qnet.set_noise_enabled(False)
+        feats = _random_features(topo, batch, seed=batch)
+
+        graph = qnet.forward(*feats)
+        with no_grad():
+            fast = qnet.forward(*feats)
+        assert graph.requires_grad and graph._parents  # the graph path ran
+        assert not fast.requires_grad and not fast._parents
+        assert _bits(fast.data) == _bits(graph.data)
+
+    def test_no_grad_forward_builds_no_graph(self, paper_topology,
+                                             monkeypatch):
+        """The fast path creates one result Tensor and no graph nodes."""
+        qnet = AttentionQNetwork(QNetConfig(), seed=0)
+        qnet.bind_topology(paper_topology)
+        feats = _random_features(paper_topology, 1, seed=0)
+        created = []
+        original = Tensor.__init__
+
+        def counting(self, *args, **kwargs):
+            created.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting)
+        with no_grad():
+            qnet.forward(*feats)
+        assert len(created) == 1
+
+    def test_q_values_equal_graph_forward(self, tiny_tables):
+        env = repro.make_env(tiny_network(tmax=20), seed=0)
+        qnet = AttentionQNetwork(QNetConfig(), seed=2).bind_topology(
+            env.topology)
+        feat = ACSOFeaturizer(env.topology, tiny_tables)
+        features = feat.update(env.reset(seed=0))
+        graph = qnet.forward(*stack_features([features])).data[0]
+        assert _bits(qnet.q_values(features)) == _bits(graph)
+
+    def test_unbound_network_raises_without_grad(self):
+        qnet = AttentionQNetwork(QNetConfig(), seed=0)
+        with no_grad(), pytest.raises(RuntimeError):
+            qnet.forward(np.zeros((1, 2, NODE_FEATURE_DIM)),
+                         np.zeros((1, 1, PLC_FEATURE_DIM)),
+                         np.zeros((1, GLOBAL_FEATURE_DIM)))
+
+    def test_dqn_loss_sequence_unchanged(self, tiny_tables, monkeypatch):
+        """A seeded 20-update training run takes the same actions and
+        losses whether its no-grad passes (action selection, double-DQN
+        targets) run graph-free or through the graph."""
+
+        def run():
+            env = repro.make_env(tiny_network(tmax=60), seed=0)
+            trainer = DQNTrainer(
+                env, AttentionQNetwork(PARITY_CONFIGS["compact"], seed=3),
+                ACSOFeaturizer(env.topology, tiny_tables),
+                DQNConfig(batch_size=8, warmup=8, update_every=1,
+                          target_update=10, eps_start=0.3, seed=0),
+            )
+            losses, actions = [], []
+            update, select = trainer.update, trainer.select_action
+            trainer.update = lambda: losses.append(update()) or losses[-1]
+            trainer.select_action = (
+                lambda *args: actions.append(select(*args)) or actions[-1])
+            trainer.train(episodes=1, seed=4, max_steps=34)
+            return losses, actions
+
+        fast = run()
+        monkeypatch.setattr(qnetwork_module, "is_grad_enabled", lambda: True)
+        graph = run()
+        assert len(fast[0]) == 20
+        assert fast == graph
+
+
+def _module_input(shape, seed):
+    """Random input with exact zeros, a negative zero and subnormals,
+    the edge cases of the activation rewrites."""
+    x = np.random.default_rng(seed).normal(size=shape)
+    flat = x.reshape(-1)
+    flat[:4] = [0.0, -0.0, 5e-324, -5e-324]
+    return x
+
+
+class TestModuleArrayForward:
+    """Each module's ``forward_array`` equals its graph ``forward``."""
+
+    @pytest.mark.parametrize("module, shape", [
+        (Linear(7, 5, rng=np.random.default_rng(0)), (3, 4, 7)),
+        (Linear(7, 5, rng=np.random.default_rng(1), bias=False), (4, 7)),
+        (MLP([6, 9, 4], rng=np.random.default_rng(2)), (2, 5, 6)),
+        (MLP([6, 9, 9, 4], act="relu", final_act="tanh",
+             rng=np.random.default_rng(3)), (2, 5, 6)),
+        (MLP([6, 9, 4], act="sigmoid", final_act="leaky_relu",
+             rng=np.random.default_rng(4)), (5, 6)),
+        (LayerNorm(8), (3, 6, 8)),
+        (MultiHeadSelfAttention(8, 2, rng=np.random.default_rng(5)), (3, 6, 8)),
+        (MultiHeadSelfAttention(8, 4, rng=np.random.default_rng(6)), (6, 8)),
+        (AttentionBlock(8, 2, ff_hidden=16, rng=np.random.default_rng(7)),
+         (3, 6, 8)),
+        (NoisyLinear(7, 5, rng=np.random.default_rng(8)), (3, 4, 7)),
+        (NoisyMLP([6, 9, 4], rng=np.random.default_rng(9)), (2, 5, 6)),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else None)
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_forward_array_equals_forward(self, module, shape, noise):
+        module.set_noise_enabled(noise)
+        x = _module_input(shape, seed=len(shape))
+        graph = module.forward(Tensor(x)).data
+        assert _bits(module.forward_array(x)) == _bits(graph)
 
 
 class TestConvQNetwork:

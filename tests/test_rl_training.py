@@ -18,6 +18,7 @@ from repro.rl import (
     pretrain,
 )
 from repro.rl.dqn import valid_action_mask
+from repro.rl.features import stack_features
 from repro.rl.pretrain import PretrainConfig
 from repro.sim.orchestrator import DefenderActionType
 
@@ -99,6 +100,44 @@ class TestDQNTrainer:
             trainer.qnet.named_parameters(), trainer.target.named_parameters()
         ):
             assert np.allclose(a.data, b.data)
+
+    def test_select_actions_vec_builds_no_graph(self, tiny_tables,
+                                                monkeypatch):
+        """Lockstep action selection is inference: it must record no
+        autograd graph, and still pick the graph forward's greedy
+        actions under the busy masks."""
+        from repro.nn.tensor import Tensor
+
+        venv = repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=20)
+        trainer = DQNTrainer(venv, AttentionQNetwork(QNetConfig(), seed=1),
+                             ACSOFeaturizer(venv.topology, tiny_tables),
+                             DQNConfig(seed=0))
+        qnet = trainer.qnet
+        features, masks = [], []
+        for lane, obs in enumerate(venv.reset(seed=0)):
+            obs.node_busy[lane::2] = True
+            feat = ACSOFeaturizer(venv.topology, tiny_tables)
+            feat.reset()
+            features.append(feat.update(obs))
+            masks.append(valid_action_mask(qnet.action_list, obs))
+        masks = np.stack(masks)
+        q = qnet.forward(*stack_features(features)).data
+        expected = np.where(masks, q, -np.inf).argmax(axis=1)
+
+        graph_tensors = []
+        make = Tensor._make
+
+        def recording(data, parents, backward):
+            out = make(data, parents, backward)
+            if out.requires_grad:
+                graph_tensors.append(out)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(recording))
+        chosen = trainer.select_actions_vec(features, masks, epsilon=0.0)
+        assert len(graph_tensors) == 0
+        np.testing.assert_array_equal(chosen, expected)
+        venv.close()
 
     def test_shaping_weight_defaults_to_value_scale(self, setup):
         env, qnet, feat = setup

@@ -1,11 +1,19 @@
 """Tests for the vectorized environment and batched evaluation."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.defenders import NoopPolicy, PlaybookPolicy
 from repro.eval import evaluate_policy, evaluate_policy_vec
+from repro.rl import AttentionQNetwork
+from repro.rl.dqn import valid_action_mask
+from repro.sim.observations import Observation
+from repro.sim.orchestrator import DEFENDER_ACTION_SPECS
 from repro.sim.vec_env import VectorEnv
 
 
@@ -237,6 +245,29 @@ class TestReseedSchedule:
         assert log[0] == [self.BASE, 4321, self.BASE + self.N]
 
 
+@functools.lru_cache(maxsize=None)
+def _mask_fixture(scenario):
+    """A reset env of ``scenario`` and a Q-network action list for it."""
+    env = repro.make(scenario)
+    env.reset(seed=0)
+    qnet = AttentionQNetwork().bind_topology(env.topology)
+    return env, qnet.action_list
+
+
+def _loop_mask(action_list, obs):
+    """The per-action loop ``valid_action_mask`` used to be (oracle)."""
+    mask = np.ones(len(action_list), dtype=bool)
+    for i, action in enumerate(action_list):
+        if action.is_noop:
+            continue
+        spec = DEFENDER_ACTION_SPECS[action.atype]
+        if spec.targets == "node":
+            mask[i] = not obs.node_busy[action.target]
+        elif spec.targets == "plc":
+            mask[i] = not obs.plc_busy[action.target]
+    return mask
+
+
 class TestActionMasks:
     def test_shape_and_noop_valid(self):
         venv = _tiny_vec(3)
@@ -254,17 +285,32 @@ class TestActionMasks:
         np.testing.assert_array_equal(masks[0], env_mask)
         assert not masks[0].all()
 
-    def test_matches_rl_stack_mask(self):
-        from repro.rl.dqn import valid_action_mask
+    @given(scenario=st.sampled_from(["inasim-tiny-v1", "inasim-small-v1",
+                                     "inasim-paper-v1"]),
+           density=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_rl_stack_mask(self, scenario, density, seed):
+        """The RL stack's gathered mask equals the env's own mask and
+        the per-action loop it replaced, on random busy vectors, for
+        the env's action list and the Q-network's (which orders hosts
+        before servers)."""
+        env, qnet_actions = _mask_fixture(scenario)
+        state = env.sim.state
+        rng = np.random.default_rng(seed)
+        for until in (state.node_busy_until, state.plc_busy_until):
+            busy = rng.random(len(until)) < density
+            until[:] = state.t + busy * rng.integers(1, 24, len(until))
+        obs = Observation(t=state.t, node_busy=state.node_busy_until > state.t,
+                          plc_busy=state.plc_busy_until > state.t)
 
-        venv = _tiny_vec(1)
-        obs = venv.reset(seed=0)
-        venv.step(np.array([2]))
-        env = venv.envs[0]
-        obs = venv._last_obs[0]
-        np.testing.assert_array_equal(
-            env.action_mask(), valid_action_mask(env.action_list, obs)
-        )
+        env_mask = env.action_mask()
+        for actions in (env.action_list, qnet_actions):
+            mask = valid_action_mask(actions, obs)
+            np.testing.assert_array_equal(mask, _loop_mask(actions, obs))
+            np.testing.assert_array_equal(
+                mask, env_mask[[env.action_index[a] for a in actions]]
+            )
 
     def test_sample_actions_are_valid(self):
         venv = _tiny_vec(2)
