@@ -4,7 +4,15 @@ This substrate replaces PyTorch (unavailable in the reproduction
 environment). It provides exactly what the paper's models need:
 linear/MLP blocks, layer normalization, multi-head self-attention,
 temporal 1-D convolution, Adam, and Huber / large-margin losses.
-Gradients are verified against finite differences in the test suite.
+
+The fused modules (linear, MLP, layer norm, attention, noisy linear)
+have one numeric forward on ndarrays that, given a
+:class:`~repro.nn.tape.Tape`, records a hand-written backward step;
+each module call -- or a whole Q-network -- is then one graph node
+(:func:`~repro.nn.tape.array_node`) instead of one node per op. Adam
+updates all parameters in one pass over flat buffers and refuses
+non-finite gradients. Gradients are verified against finite differences
+and against the per-op graph in the test suite.
 """
 
 from repro.nn.tensor import Tensor, concat, is_grad_enabled, stack, no_grad
@@ -15,8 +23,9 @@ from repro.nn.modules import (
     Module,
     Parameter,
     Sequential,
-    activation,
+    array_activation,
 )
+from repro.nn.tape import Tape, array_node
 from repro.nn.attention import AttentionBlock, MultiHeadSelfAttention
 from repro.nn.conv import Conv1d
 from repro.nn.recurrent import GRU, GRUCell
@@ -36,13 +45,15 @@ __all__ = [
     "stack",
     "no_grad",
     "is_grad_enabled",
+    "Tape",
+    "array_node",
     "Module",
     "Parameter",
     "Linear",
     "MLP",
     "LayerNorm",
     "Sequential",
-    "activation",
+    "array_activation",
     "MultiHeadSelfAttention",
     "AttentionBlock",
     "Conv1d",

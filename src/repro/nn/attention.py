@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from repro.nn.modules import LayerNorm, Linear, MLP, Module
-from repro.nn.tensor import Tensor
+from repro.nn.tape import branch
 
 __all__ = ["MultiHeadSelfAttention", "AttentionBlock"]
 
@@ -27,44 +27,48 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.out = Linear(d_model, d_model, rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
         """x: (T, D) or (B, T, D) -> same shape."""
         squeeze = x.ndim == 2
         if squeeze:
             x = x.reshape(1, *x.shape)
+            if tape is not None:
+                tape.record(lambda grad: grad.reshape(grad.shape[1:]))
         batch, tokens, _ = x.shape
-        qkv = self.qkv(x)  # (B, T, 3D)
-        qkv = qkv.reshape(batch, tokens, 3, self.n_heads, self.d_head)
+        heads, d_head = self.n_heads, self.d_head
+        qkv = self.qkv.forward_array(x, tape)
+        qkv = qkv.reshape(batch, tokens, 3, heads, d_head)
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, T, dh)
         q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
-        weights = scores.softmax(axis=-1)
-        attended = weights @ v  # (B, H, T, dh)
-        merged = attended.transpose(0, 2, 1, 3).reshape(batch, tokens, self.d_model)
-        result = self.out(merged)
-        if squeeze:
-            result = result.reshape(tokens, self.d_model)
-        return result
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain ndarrays (bitwise equal, no graph)."""
-        squeeze = x.ndim == 2
-        if squeeze:
-            x = x.reshape(1, *x.shape)
-        batch, tokens, _ = x.shape
-        qkv = self.qkv.forward_array(x)
-        qkv = qkv.reshape(batch, tokens, 3, self.n_heads, self.d_head)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / math.sqrt(self.d_head))
+        scale = 1.0 / math.sqrt(d_head)
+        scores = (q @ k.swapaxes(-1, -2)) * scale
         shifted = scores - scores.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         weights = e / e.sum(axis=-1, keepdims=True)
-        attended = weights @ v
+        attended = weights @ v  # (B, H, T, dh)
         merged = attended.transpose(0, 2, 1, 3).reshape(batch, tokens, self.d_model)
-        result = self.out.forward_array(merged)
+        if tape is not None:
+
+            def backward(grad):
+                # (B, T, D) -> per-head (B, H, T, dh), then back through
+                # weights @ v, the softmax and the scaled q @ k^T
+                grad = grad.reshape(batch, tokens, heads, d_head)
+                grad = grad.transpose(0, 2, 1, 3)
+                grad_w = grad @ v.swapaxes(-1, -2)
+                dot = (grad_w * weights).sum(axis=-1, keepdims=True)
+                grad_s = weights * (grad_w - dot) * scale
+                out = np.empty((batch, tokens, 3, heads, d_head))
+                out[:, :, 0] = (grad_s @ k).transpose(0, 2, 1, 3)
+                out[:, :, 1] = (grad_s.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)
+                out[:, :, 2] = (weights.swapaxes(-1, -2) @ grad).transpose(0, 2, 1, 3)
+                return out.reshape(batch, tokens, 3 * self.d_model)
+
+            tape.record(backward)
+        result = self.out.forward_array(merged, tape)
         if squeeze:
             result = result.reshape(tokens, self.d_model)
+            if tape is not None:
+                tape.record(lambda grad: grad.reshape(1, tokens, self.d_model))
         return result
 
 
@@ -80,10 +84,15 @@ class AttentionBlock(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = MLP([d_model, ff_hidden, d_model], rng=rng)
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        return x + self.ff(self.ln2(x))
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+        attn, ff = branch(tape), branch(tape)
+        x = x + self.attn.forward_array(self.ln1.forward_array(x, attn), attn)
+        out = x + self.ff.forward_array(self.ln2.forward_array(x, ff), ff)
+        if tape is not None:
 
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.attn.forward_array(self.ln1.forward_array(x))
-        return x + self.ff.forward_array(self.ln2.forward_array(x))
+            def backward(grad):
+                grad = grad + ff.backward(grad)
+                return grad + attn.backward(grad)
+
+            tape.record(backward)
+        return out

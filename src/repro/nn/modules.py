@@ -1,22 +1,30 @@
 """Neural-network building blocks on top of the autograd Tensor.
 
-Modules on the Q-network's inference path also have a
-``forward_array`` method: the same computation on plain ndarrays, with
-no :class:`Tensor` and no graph. It repeats the graph forward's numpy
-ops in the same order (``mean`` is ``sum * (1/n)``), so its output is
-bitwise equal to ``forward(x).data``. Where it departs from an op, the
-replacement is exact in IEEE arithmetic: ``a - b`` for ``a + (-b)``,
-``maximum(x, alpha * x)`` for leaky ReLU's ``x * where(x > 0, 1,
-alpha)`` (0 < alpha < 1), and a filled buffer for a concatenation of
-products with ones.
+Each module has one numeric forward, ``forward_array(x, tape=None)``,
+on plain ndarrays. Given a :class:`~repro.nn.tape.Tape` it also records
+a hand-written backward step (input gradient out, parameter gradients
+into the tape). :meth:`Module.forward` wraps it as a single graph node
+(:func:`~repro.nn.tape.array_node`), so a Tensor input that requires
+grad (a GRU gate, a DRQN encoder) still gets its gradient.
+
+The array ops reproduce the per-op :class:`Tensor` arithmetic in the
+same order (``mean`` is ``sum * (1/n)``), so values are bitwise equal to
+a graph built from Tensor ops. Where an op departs, the replacement is
+exact in IEEE arithmetic: ``a - b`` for ``a + (-b)``, ``maximum(x,
+alpha * x)`` for leaky ReLU's ``x * where(x > 0, 1, alpha)`` (0 < alpha
+< 1), and a filled buffer for a concatenation of products with ones.
+Gradients are checked against finite differences and against the
+per-op graph in the test suite.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
+from repro.nn.tape import array_node
 from repro.nn.tensor import Tensor
 
 __all__ = [
@@ -26,8 +34,8 @@ __all__ = [
     "Sequential",
     "MLP",
     "LayerNorm",
-    "activation",
     "array_activation",
+    "affine_grads",
 ]
 
 
@@ -41,8 +49,10 @@ class Parameter(Tensor):
 class Module:
     """Base class with recursive parameter discovery and state dicts."""
 
-    def forward(self, *args, **kwargs):  # pragma: no cover - interface
-        raise NotImplementedError
+    def forward(self, x) -> Tensor:
+        """Graph forward of a one-input module: its ``forward_array`` as
+        one node whose backward replays the recorded steps."""
+        return array_node(self.forward_array, (x,), self)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -132,40 +142,41 @@ class Module:
         self.load_state_dict(other.state_dict())
 
 
-_ACTIVATIONS = {
-    "relu": lambda x: x.relu(),
-    "leaky_relu": lambda x: x.leaky_relu(),
-    "tanh": lambda x: x.tanh(),
-    "sigmoid": lambda x: x.sigmoid(),
-    "identity": lambda x: x,
-    None: lambda x: x,
-}
-
-
-#: ndarray twins of :data:`_ACTIVATIONS`, bitwise equal to :class:`Tensor`'s
+#: activations by name, bitwise equal to the :class:`Tensor` methods of
+#: the same name, as ``(forward(x), backward(x, out, grad_out) ->
+#: grad_in)``; the identity has no backward step
 _ARRAY_ACTIVATIONS = {
-    "relu": lambda x: x * (x > 0),
-    "leaky_relu": lambda x: np.maximum(x, x * 0.01),
-    "tanh": np.tanh,
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "identity": lambda x: x,
-    None: lambda x: x,
+    "relu": (lambda x: x * (x > 0), lambda x, out, grad: grad * (x > 0)),
+    "leaky_relu": (lambda x: np.maximum(x, x * 0.01),
+                   lambda x, out, grad: np.where(x > 0, grad, grad * 0.01)),
+    "tanh": (np.tanh, lambda x, out, grad: grad * (1.0 - out * out)),
+    "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)),
+                lambda x, out, grad: grad * out * (1.0 - out)),
+    "identity": (lambda x: x, None),
+    None: (lambda x: x, None),
 }
-
-
-def activation(name):
-    try:
-        return _ACTIVATIONS[name]
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}") from None
 
 
 def array_activation(name):
-    """The ndarray form of :func:`activation` ``(name)``."""
+    """The ``(forward, backward)`` pair of activation ``name``
+    (backward None for the identity)."""
     try:
         return _ARRAY_ACTIVATIONS[name]
     except KeyError:
         raise ValueError(f"unknown activation {name!r}") from None
+
+
+def _sum_leading(grad: np.ndarray, width: int) -> np.ndarray:
+    """Sum ``grad`` over every axis but the last."""
+    return grad.reshape(-1, width).sum(axis=0)
+
+
+def affine_grads(x: np.ndarray, weight: np.ndarray, grad: np.ndarray):
+    """Gradients of ``x @ weight + bias`` w.r.t. weight, bias and x."""
+    in_features, out_features = weight.shape
+    flat = grad.reshape(-1, out_features)
+    return (x.reshape(-1, in_features).T @ flat, flat.sum(axis=0),
+            grad @ weight.T)
 
 
 class Linear(Module):
@@ -180,16 +191,21 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.weight.data
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+        weight = self.weight.data
+        out = x @ weight
         if self.bias is not None:
             out = out + self.bias.data
+        if tape is not None:
+
+            def backward(grad):
+                grad_w, grad_b, grad_x = affine_grads(x, weight, grad)
+                tape.accumulate(self.weight, grad_w)
+                if self.bias is not None:
+                    tape.accumulate(self.bias, grad_b)
+                return grad_x
+
+            tape.record(backward)
         return out
 
 
@@ -214,22 +230,17 @@ class MLP(Module):
         self.linears = [
             Linear(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)
         ]
-        self._act = activation(act)
-        self._final_act = activation(final_act)
-        self._act_array = array_activation(act)
-        self._final_act_array = array_activation(final_act)
+        self._act = array_activation(act)
+        self._final_act = array_activation(final_act)
 
-    def forward(self, x: Tensor) -> Tensor:
-        for i, linear in enumerate(self.linears):
-            x = linear(x)
-            x = self._act(x) if i < len(self.linears) - 1 else self._final_act(x)
-        return x
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
         last = len(self.linears) - 1
         for i, linear in enumerate(self.linears):
-            x = linear.forward_array(x)
-            x = self._act_array(x) if i < last else self._final_act_array(x)
+            pre = linear.forward_array(x, tape)
+            act, act_backward = self._act if i < last else self._final_act
+            x = act(pre)
+            if tape is not None and act_backward is not None:
+                tape.record(functools.partial(act_backward, pre, x))
         return x
 
 
@@ -239,17 +250,24 @@ class LayerNorm(Module):
         self.beta = Parameter(np.zeros(dim))
         self.eps = eps
 
-    def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normed = centered / (var + self.eps).sqrt()
-        return normed * self.gamma + self.beta
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        scale = 1.0 / float(x.shape[-1])
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+        width = x.shape[-1]
+        scale = 1.0 / float(width)
         mu = x.sum(axis=-1, keepdims=True) * scale
         centered = x - mu
         var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-        normed = centered / np.sqrt(var + self.eps)
-        return normed * self.gamma.data + self.beta.data
+        std = np.sqrt(var + self.eps)
+        normed = centered / std
+        gamma = self.gamma.data
+        if tape is not None:
+
+            def backward(grad):
+                tape.accumulate(self.gamma, _sum_leading(grad * normed, width))
+                tape.accumulate(self.beta, _sum_leading(grad, width))
+                g = grad * gamma
+                mean_g = g.sum(axis=-1, keepdims=True) * scale
+                mean_gn = (g * normed).sum(axis=-1, keepdims=True) * scale
+                return (g - mean_g - normed * mean_gn) / std
+
+            tape.record(backward)
+        return normed * gamma + self.beta.data

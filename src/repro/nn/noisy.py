@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from repro.nn.modules import MLP, Module, Parameter, activation, array_activation
-from repro.nn.tensor import Tensor
+from repro.nn.modules import MLP, Module, Parameter, affine_grads, array_activation
 
 __all__ = ["NoisyLinear", "NoisyMLP"]
 
@@ -65,22 +64,26 @@ class NoisyLinear(Module):
         self._eps_w = np.outer(eps_in, eps_out)
         self._eps_b = eps_out
 
-    def forward(self, x: Tensor) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if self.noise_enabled:
-            weight = self.weight_mu + self.weight_sigma * Tensor(self._eps_w)
-            bias = self.bias_mu + self.bias_sigma * Tensor(self._eps_b)
-        else:
-            weight, bias = self.weight_mu, self.bias_mu
-        return x @ weight + bias
-
-    def forward_array(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`forward` on plain ndarrays (bitwise equal, no graph)."""
-        if self.noise_enabled:
-            weight = self.weight_mu.data + self.weight_sigma.data * self._eps_w
-            bias = self.bias_mu.data + self.bias_sigma.data * self._eps_b
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+        noisy = self.noise_enabled
+        if noisy:
+            eps_w, eps_b = self._eps_w, self._eps_b
+            weight = self.weight_mu.data + self.weight_sigma.data * eps_w
+            bias = self.bias_mu.data + self.bias_sigma.data * eps_b
         else:
             weight, bias = self.weight_mu.data, self.bias_mu.data
+        if tape is not None:
+
+            def backward(grad):
+                grad_w, grad_b, grad_x = affine_grads(x, weight, grad)
+                tape.accumulate(self.weight_mu, grad_w)
+                tape.accumulate(self.bias_mu, grad_b)
+                if noisy:
+                    tape.accumulate(self.weight_sigma, grad_w * eps_w)
+                    tape.accumulate(self.bias_sigma, grad_b * eps_b)
+                return grad_x
+
+            tape.record(backward)
         return x @ weight + bias
 
     @property
@@ -95,7 +98,7 @@ class NoisyMLP(MLP):
     Drop-in replacement for :class:`repro.nn.MLP` in Q-network heads;
     with noise enabled the greedy policy explores through parameter
     perturbations instead of epsilon-greedy (Rainbow's exploration
-    component). The forward passes are :class:`MLP`'s.
+    component). The forward and backward passes are :class:`MLP`'s.
     """
 
     def __init__(self, dims, act: str = "leaky_relu", final_act=None,
@@ -107,7 +110,5 @@ class NoisyMLP(MLP):
             NoisyLinear(dims[i], dims[i + 1], sigma0=sigma0, rng=rng)
             for i in range(len(dims) - 1)
         ]
-        self._act = activation(act)
-        self._final_act = activation(final_act)
-        self._act_array = array_activation(act)
-        self._final_act_array = array_activation(final_act)
+        self._act = array_activation(act)
+        self._final_act = array_activation(final_act)

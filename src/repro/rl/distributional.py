@@ -124,15 +124,14 @@ class DistributionalAttentionQNetwork(AttentionQNetwork):
         return super()._make_head(head_in, out_dim * self.c51.n_atoms, rng)
 
     # ------------------------------------------------------------------
+    def _output_array(self, flat: np.ndarray, tape) -> np.ndarray:
+        return flat  # raw atom logits, no soft clip
+
     def log_probs(self, node_feats, plc_feats, glob_feats) -> Tensor:
         """(B, n_actions, n_atoms) per-atom log-probabilities."""
-        tokens, glob, batch = self._contextualize(
-            node_feats, plc_feats, glob_feats
-        )
-        flat = self._head_outputs(
-            tokens, glob, batch, per_action=self.c51.n_atoms
-        )
-        logits = flat.reshape(batch, self.n_actions, self.c51.n_atoms)
+        # the attention network's one graph node, here yielding logits
+        flat = super().forward(node_feats, plc_feats, glob_feats)
+        logits = flat.reshape(flat.shape[0], self.n_actions, self.c51.n_atoms)
         return logits.log_softmax(axis=-1)
 
     def probs(self, node_feats, plc_feats, glob_feats) -> np.ndarray:

@@ -148,7 +148,7 @@ class DQNTrainer:
         self.target.bind_topology(env.topology)
         self.target.copy_from(self.qnet)
 
-        self.optimizer = Adam(self.qnet.parameters(), lr=cfg.lr,
+        self.optimizer = Adam(self.qnet.named_parameters(), lr=cfg.lr,
                               grad_clip=cfg.grad_clip)
         replay_cls = PrioritizedReplay if cfg.prioritized else UniformReplay
         self.replay = replay_cls(cfg.buffer_size, alpha=cfg.per_alpha,

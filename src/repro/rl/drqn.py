@@ -121,7 +121,7 @@ class WindowedDQNTrainer:
         self.target = type(qnet)(qnet.step_dim, qnet.n_actions,
                                  config=qnet.config, seed=cfg.seed)
         self.target.copy_from(qnet)
-        self.optimizer = Adam(qnet.parameters(), lr=cfg.lr,
+        self.optimizer = Adam(qnet.named_parameters(), lr=cfg.lr,
                               grad_clip=cfg.grad_clip)
         replay_cls = PrioritizedReplay if cfg.prioritized else UniformReplay
         self.replay = replay_cls(cfg.buffer_size, alpha=cfg.per_alpha,

@@ -13,9 +13,11 @@ matters. The ablation bench compares this variant against the paper's
 plain head.
 
 The implementation reuses the attention trunk of
-:class:`~repro.rl.qnetwork.AttentionQNetwork`: the per-type heads now
-produce advantages, and a separate value head reads the attended
-no-action token (the one token that summarizes the whole network).
+:class:`~repro.rl.qnetwork.AttentionQNetwork`, and with it the trunk's
+single graph node: the per-type heads now produce advantages, a
+separate value head reads the attended no-action token (the one token
+that summarizes the whole network), and the value/advantage combination
+is one more array step with its own backward.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from repro.rl.features import GLOBAL_FEATURE_DIM
 from repro.rl.qnetwork import AttentionQNetwork, QNetConfig
-from repro.nn import Tensor
 
 __all__ = ["DuelingAttentionQNetwork"]
 
@@ -38,14 +39,20 @@ class DuelingAttentionQNetwork(AttentionQNetwork):
         head_in = self.config.d_model + GLOBAL_FEATURE_DIM
         self.value_head = self._make_head(head_in, 1, rng)
 
-    def forward(self, node_feats, plc_feats, glob_feats) -> Tensor:
-        tokens, glob, batch = self._contextualize(
-            node_feats, plc_feats, glob_feats
-        )
-        advantages = self._head_outputs(tokens, glob, batch)
-        _, _, _, noop_ctx = self._split_contexts(tokens)
-        value = self.value_head(
-            self._with_global(noop_ctx, glob, batch)
-        ).reshape(batch, 1)
-        centered = advantages - advantages.mean(axis=1, keepdims=True)
-        return self._soft_clip(value + centered)
+    def _head_groups(self):
+        # the value head reads the no-action token, after the advantages
+        return super()._head_groups() + [(self.value_head,
+                                          slice(self._n_nodes + self._n_plcs, None))]
+
+    def _output_array(self, flat: np.ndarray, tape) -> np.ndarray:
+        advantages, value = flat[:, :-1], flat[:, -1:]
+        inv_n = 1.0 / float(advantages.shape[1])
+        centered = advantages - advantages.sum(axis=1, keepdims=True) * inv_n
+        if tape is not None:
+
+            def backward(grad):
+                total = grad.sum(axis=1, keepdims=True)
+                return np.concatenate([grad - total * inv_n, total], axis=1)
+
+            tape.record(backward)
+        return self._soft_clip_array(value + centered, tape)

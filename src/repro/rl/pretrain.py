@@ -128,7 +128,7 @@ def pretrain(
     if any(d.mc_return is None for d in demos):
         raise ValueError("demonstrations must carry mc_return annotations")
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(qnet.parameters(), lr=cfg.lr, grad_clip=cfg.grad_clip)
+    optimizer = Adam(qnet.named_parameters(), lr=cfg.lr, grad_clip=cfg.grad_clip)
     losses: list[float] = []
 
     for _ in range(cfg.iterations):

@@ -9,14 +9,17 @@ heads. All sub-graphs of a node type share parameters, so the
 parameter count does not grow with the number of nodes -- the paper's
 central scaling argument.
 
-With autograd disabled (:func:`repro.nn.no_grad`) the attention
-network's :meth:`~AttentionQNetwork.forward` runs on plain ndarrays
-through the modules' ``forward_array`` methods: no :class:`Tensor` per
-op and no graph, with Q-values bitwise equal to the graph forward. Every
-no-grad caller (greedy action selection, DQN targets, FQE, OPE
-propensities) takes that path; the graph forward remains the training
-path and the differential oracle. Subclasses that override ``forward``
-(dueling, C51) keep their graph path.
+The attention network has one numeric forward, on plain ndarrays
+through the modules' ``forward_array`` methods. Under autograd the whole
+network -- encoders, attention, heads, the dueling combination, the soft
+clip -- is a single graph node: the forward records a hand-written
+backward step per module on a :class:`~repro.nn.tape.Tape`, and the
+node's backward replays it into per-parameter (and, if they require
+grad, per-feature) gradients. Under :func:`repro.nn.no_grad` nothing is
+recorded. Forward values are bitwise equal to the per-op autograd graph
+of the same computation, and gradients agree with it to rounding; the
+test suite keeps that graph as the differential oracle. The dueling and
+C51 variants reuse the same node (extra value head; raw atom logits).
 
 The convolutional baseline flattens the whole network into one vector
 per time step and strides over the history window; its output layer is
@@ -38,9 +41,8 @@ from repro.nn import (
     Module,
     Parameter,
     Tensor,
-    concat,
-    is_grad_enabled,
 )
+from repro.nn.tape import array_node, branch
 from repro.rl.features import (
     GLOBAL_FEATURE_DIM,
     NODE_FEATURE_DIM,
@@ -179,143 +181,108 @@ class AttentionQNetwork(Module):
         if self._n_nodes == 0:
             raise RuntimeError("bind_topology() must be called before forward()")
 
-    def _contextualize(self, node_feats, plc_feats, glob_feats):
-        """Encoders + attention; returns (tokens, glob tensor, batch).
+    def forward(self, node_feats, plc_feats, glob_feats) -> Tensor:
+        """(B,N,Fn), (B,M,Fp), (B,G) -> (B, n_actions) Q-values.
 
-        Shared by this class and the dueling / distributional variants.
+        Action layout: [noop, host menus (host order), server menus,
+        PLC menus], matching :attr:`action_list`. The whole network is
+        one graph node with a hand-written backward; under ``no_grad``
+        the result is a plain Tensor and nothing is recorded.
         """
+        return array_node(self._forward_array,
+                          (node_feats, plc_feats, glob_feats), self)
+
+    # ------------------------------------------------------------------
+    # the one numeric forward (and, given a tape, its backward)
+    # ------------------------------------------------------------------
+    def _forward_array(self, node, plc, glob, tape=None) -> np.ndarray:
         self._check_bound()
-        node_feats = node_feats if isinstance(node_feats, Tensor) else Tensor(node_feats)
-        plc_feats = plc_feats if isinstance(plc_feats, Tensor) else Tensor(plc_feats)
-        glob_feats = glob_feats if isinstance(glob_feats, Tensor) else Tensor(glob_feats)
-        batch = node_feats.shape[0]
-        cfg = self.config
-
-        node_tokens = self.node_encoder(node_feats)
-        plc_tokens = self.plc_encoder(plc_feats)
-        ones = Tensor(np.ones((batch, 1, 1)))
-        noop_token = ones * self.noop_seed.reshape(1, 1, cfg.d_model)
-        tokens = concat([node_tokens, plc_tokens, noop_token], axis=1)
+        batch, n, m = node.shape[0], node.shape[1], plc.shape[1]
+        node_tape, plc_tape, trunk, heads = (branch(tape) for _ in range(4))
+        # [node tokens | PLC tokens | noop seed] filled in place: the
+        # concat of a ones-product with the seed, value for value
+        tokens = np.empty((batch, n + m + 1, self.config.d_model))
+        tokens[:, :n] = self.node_encoder.forward_array(node, node_tape)
+        tokens[:, n:n + m] = self.plc_encoder.forward_array(plc, plc_tape)
+        tokens[:, n + m] = self.noop_seed.data
         for block in self.blocks:
-            tokens = block(tokens)
-        return tokens, glob_feats, batch
+            tokens = block.forward_array(tokens, trunk)
+        out = self._output_array(self._heads_array(tokens, glob, heads), heads)
+        if tape is not None:
 
-    def _with_global(self, ctx: Tensor, glob_feats: Tensor, batch: int) -> Tensor:
-        tiles = Tensor(np.ones((batch, ctx.shape[1], 1)))
-        g = tiles * glob_feats.reshape(batch, 1, GLOBAL_FEATURE_DIM)
-        return concat([ctx, g], axis=-1)
+            def backward(grad):
+                grad_tokens, grad_glob = heads.backward(grad)
+                grad_tokens = trunk.backward(grad_tokens)
+                tape.accumulate(self.noop_seed, grad_tokens[:, n + m].sum(axis=0))
+                return (node_tape.backward(grad_tokens[:, :n]),
+                        plc_tape.backward(grad_tokens[:, n:n + m]), grad_glob)
 
-    def _split_contexts(self, tokens: Tensor):
-        """(host, server-or-None, plc, noop) context token groups."""
-        host_ctx = tokens[:, self._host_ids, :]
-        server_ctx = (
-            tokens[:, self._server_ids, :] if len(self._server_ids) else None
+            tape.record(backward)
+        return out
+
+    def _head_groups(self) -> list[tuple[Module, object]]:
+        """(head, token index) pairs in output order; an index is a
+        slice or an array of node ids."""
+        n, m = self._n_nodes, self._n_plcs
+        groups = [(self.noop_head, slice(n + m, None)),
+                  (self.host_head, self._host_ids)]
+        if len(self._server_ids):
+            groups.append((self.server_head, self._server_ids))
+        if m:
+            groups.append((self.plc_head, slice(n, n + m)))
+        return groups
+
+    def _heads_array(self, tokens: np.ndarray, glob: np.ndarray,
+                     tape) -> np.ndarray:
+        """Each head on its tokens with the global features appended,
+        flattened and concatenated: (B, sum of head widths). Its
+        backward returns (token gradient, global-feature gradient)."""
+        batch, _, d = tokens.shape
+        groups = self._head_groups()
+        head_tapes = [branch(tape) for _ in groups]
+        outputs = []
+        for (head, index), head_tape in zip(groups, head_tapes):
+            ctx = tokens[:, index]
+            x = np.empty((batch, ctx.shape[1], d + GLOBAL_FEATURE_DIM))
+            x[..., :d] = ctx
+            x[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
+            outputs.append(head.forward_array(x, head_tape))
+        flat = np.concatenate(
+            [out.reshape(batch, out.shape[1] * out.shape[2]) for out in outputs],
+            axis=1,
         )
-        plc_ctx = tokens[:, self._n_nodes:self._n_nodes + self._n_plcs, :]
-        noop_ctx = tokens[:, self._n_nodes + self._n_plcs:, :]
-        return host_ctx, server_ctx, plc_ctx, noop_ctx
+        if tape is not None:
+            splits = np.cumsum([out.shape[1] * out.shape[2]
+                                for out in outputs])[:-1]
 
-    def _head_outputs(self, tokens, glob_feats, batch, per_action: int = 1):
-        """Concatenated head outputs in action-list order.
+            def backward(grad):
+                grad_tokens = np.zeros_like(tokens)
+                grad_glob = np.zeros_like(glob)
+                parts = np.split(grad, splits, axis=1)
+                for (_, index), head_tape, part, out in zip(
+                        groups, head_tapes, parts, outputs):
+                    grad_x = head_tape.backward(part.reshape(out.shape))
+                    grad_tokens[:, index] += grad_x[..., :d]
+                    grad_glob += grad_x[..., d:].sum(axis=1)
+                return grad_tokens, grad_glob
 
-        Returns a (B, n_actions * per_action) tensor; ``per_action`` is
-        1 for scalar Q heads and n_atoms for distributional heads.
-        """
-        host_ctx, server_ctx, plc_ctx, noop_ctx = self._split_contexts(tokens)
-        parts = [
-            self.noop_head(self._with_global(noop_ctx, glob_feats, batch))
-            .reshape(batch, per_action)
-        ]
-        host_q = self.host_head(self._with_global(host_ctx, glob_feats, batch))
-        parts.append(
-            host_q.reshape(batch, len(self._host_ids) * len(HOST_ACTIONS) * per_action)
-        )
-        if server_ctx is not None:
-            server_q = self.server_head(
-                self._with_global(server_ctx, glob_feats, batch)
-            )
-            parts.append(
-                server_q.reshape(
-                    batch, len(self._server_ids) * len(SERVER_ACTIONS) * per_action
-                )
-            )
-        if self._n_plcs:
-            plc_q = self.plc_head(self._with_global(plc_ctx, glob_feats, batch))
-            parts.append(
-                plc_q.reshape(batch, self._n_plcs * len(PLC_ACTIONS) * per_action)
-            )
-        return concat(parts, axis=1)
+            tape.record(backward)
+        return flat
 
-    def _soft_clip(self, q: Tensor) -> Tensor:
+    def _output_array(self, flat: np.ndarray, tape) -> np.ndarray:
+        """Head outputs -> Q-values (subclasses combine them otherwise)."""
+        return self._soft_clip_array(flat, tape)
+
+    def _soft_clip_array(self, q: np.ndarray, tape) -> np.ndarray:
         """Near-identity for |q| << q_scale, bounded at +/- q_scale
         (a bare tanh would saturate at initialization)."""
         cfg = self.config
         if not cfg.final_tanh:
             return q
-        return (q * (1.0 / cfg.q_scale)).tanh() * cfg.q_scale
-
-    def forward(self, node_feats, plc_feats, glob_feats) -> Tensor:
-        """(B,N,Fn), (B,M,Fp), (B,G) -> (B, n_actions) Q-values.
-
-        Action layout: [noop, host menus (host order), server menus,
-        PLC menus], matching :attr:`action_list`. Under ``no_grad`` the
-        result is a graph-free Tensor computed on ndarrays.
-        """
-        if not is_grad_enabled():
-            return Tensor(self._forward_array(node_feats, plc_feats, glob_feats))
-        tokens, glob, batch = self._contextualize(node_feats, plc_feats, glob_feats)
-        q = self._head_outputs(tokens, glob, batch)
-        return self._soft_clip(q)
-
-    # ------------------------------------------------------------------
-    # graph-free inference: the methods above on ndarrays, bit for bit
-    # ------------------------------------------------------------------
-    def _forward_array(self, node_feats, plc_feats, glob_feats) -> np.ndarray:
-        self._check_bound()
-        node, plc, glob = (
-            x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-            for x in (node_feats, plc_feats, glob_feats)
-        )
-        batch = node.shape[0]
-        n, m = node.shape[1], plc.shape[1]
-        # [node tokens | PLC tokens | noop seed] filled in place: the
-        # graph's concat of a ones-product, value for value
-        tokens = np.empty((batch, n + m + 1, self.config.d_model))
-        tokens[:, :n] = self.node_encoder.forward_array(node)
-        tokens[:, n:n + m] = self.plc_encoder.forward_array(plc)
-        tokens[:, n + m] = self.noop_seed.data
-        for block in self.blocks:
-            tokens = block.forward_array(tokens)
-        return self._soft_clip_array(self._head_outputs_array(tokens, glob, batch))
-
-    def _with_global_array(self, ctx: np.ndarray, glob: np.ndarray,
-                           batch: int) -> np.ndarray:
-        d = ctx.shape[-1]
-        out = np.empty((batch, ctx.shape[1], d + GLOBAL_FEATURE_DIM))
-        out[..., :d] = ctx
-        out[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
-        return out
-
-    def _head_outputs_array(self, tokens: np.ndarray, glob: np.ndarray,
-                            batch: int) -> np.ndarray:
-        host_ctx, server_ctx, plc_ctx, noop_ctx = self._split_contexts(tokens)
-        heads = [(self.noop_head, noop_ctx), (self.host_head, host_ctx)]
-        if server_ctx is not None:
-            heads.append((self.server_head, server_ctx))
-        if self._n_plcs:
-            heads.append((self.plc_head, plc_ctx))
-        outputs = [head.forward_array(self._with_global_array(ctx, glob, batch))
-                   for head, ctx in heads]
-        return np.concatenate(
-            [out.reshape(batch, out.shape[1] * out.shape[2]) for out in outputs],
-            axis=1,
-        )
-
-    def _soft_clip_array(self, q: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        if not cfg.final_tanh:
-            return q
-        return np.tanh(q * (1.0 / cfg.q_scale)) * cfg.q_scale
+        t = np.tanh(q * (1.0 / cfg.q_scale))
+        if tape is not None:
+            tape.record(lambda grad: grad * (1.0 - t * t))
+        return t * cfg.q_scale
 
     def q_values(self, features: FeatureSet) -> np.ndarray:
         """Inference helper for a single step."""

@@ -175,7 +175,7 @@ def fitted_q_evaluation(
         reward_scale = 1.0 - gamma
     if reward_scale <= 0:
         raise ValueError("reward_scale must be positive")
-    optimizer = Adam(qnet.parameters(), lr=lr)
+    optimizer = Adam(qnet.named_parameters(), lr=lr)
     rng = np.random.default_rng(seed)
     losses: list[float] = []
 

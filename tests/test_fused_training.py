@@ -1,0 +1,532 @@
+"""The fused training path: hand-written backward steps, one graph node
+per network, and the flat Adam.
+
+Three kinds of check:
+
+* finite-difference gradchecks (float64) of every hand-written backward;
+* differential tests against the per-op autograd oracle in
+  ``graph_oracle.py``: forward values and losses bitwise equal,
+  parameter gradients allclose, seeded training runs allclose;
+* the flat Adam bitwise equal to a per-parameter reference Adam, and
+  refusing non-finite gradients.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+import graph_oracle
+import repro
+from repro.config import paper_network, tiny_network
+from repro.net import build_topology
+from repro.nn import (
+    GRU,
+    Adam,
+    AttentionBlock,
+    GRUCell,
+    LayerNorm,
+    Linear,
+    MLP,
+    MultiHeadSelfAttention,
+    NoisyLinear,
+    NoisyMLP,
+    Parameter,
+    Tensor,
+    categorical_cross_entropy,
+    huber_loss,
+    no_grad,
+)
+from repro.rl import (
+    ACSOFeaturizer,
+    AttentionQNetwork,
+    C51Config,
+    DistributionalAttentionQNetwork,
+    DQNConfig,
+    DQNTrainer,
+    DRQNConfig,
+    DuelingAttentionQNetwork,
+    QNetConfig,
+    RecurrentQNetwork,
+)
+from repro.rl.dqn import valid_action_mask
+from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
+from repro.validation import StochasticQPolicy, collect_logged_episodes
+from repro.validation.fqe import fitted_q_evaluation
+
+ACTIVATIONS = ["relu", "leaky_relu", "tanh", "sigmoid", "identity"]
+COMPACT = QNetConfig(d_model=16, n_heads=2, encoder_hidden=32, head_hidden=32)
+NETWORKS = {
+    "plain": AttentionQNetwork,
+    "dueling": DuelingAttentionQNetwork,
+    "c51": lambda config, seed: DistributionalAttentionQNetwork(
+        config, seed=seed, c51=C51Config(n_atoms=5, v_min=-4.0, v_max=4.0)),
+}
+
+
+def _bits(array) -> bytes:
+    array = np.asarray(array)
+    return array.dtype.str.encode() + str(array.shape).encode() + array.tobytes()
+
+
+def _topology(name: str):
+    config = tiny_network() if name == "tiny" else paper_network()
+    return build_topology(config.topology)
+
+
+def _features(topo, batch, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(batch, topo.n_nodes, NODE_FEATURE_DIM)),
+            rng.normal(size=(batch, topo.n_plcs, PLC_FEATURE_DIM)),
+            rng.normal(size=(batch, GLOBAL_FEATURE_DIM)))
+
+
+# ----------------------------------------------------------------------
+# finite-difference gradchecks
+# ----------------------------------------------------------------------
+def gradcheck(forward, leaves, seed=0, entries=6, eps=1e-6):
+    """Check d(sum(w * forward()))/d(leaf) against central differences
+    on up to ``entries`` random entries of each leaf (Parameters or
+    input Tensors that require grad)."""
+    rng = np.random.default_rng(seed)
+    out = forward()
+    weights = rng.normal(size=out.shape)
+    for leaf in leaves:
+        leaf.grad = None
+    (out * Tensor(weights)).sum().backward()
+
+    def objective() -> float:
+        with no_grad():
+            return float((forward().data * weights).sum())
+
+    for index, leaf in enumerate(leaves):
+        analytic = (np.zeros_like(leaf.data) if leaf.grad is None
+                    else leaf.grad)
+        picks = rng.choice(leaf.data.size, size=min(entries, leaf.data.size),
+                           replace=False)
+        for flat in picks:
+            pos = np.unravel_index(flat, leaf.data.shape)
+            original = leaf.data[pos]
+            leaf.data[pos] = original + eps
+            high = objective()
+            leaf.data[pos] = original - eps
+            low = objective()
+            leaf.data[pos] = original
+            numeric = (high - low) / (2.0 * eps)
+            assert analytic[pos] == pytest.approx(numeric, rel=1e-5, abs=1e-6), (
+                f"leaf {index} {leaf.data.shape} at {pos}")
+
+
+def check_module(module, shape, seed=0, input_grad=True):
+    """Gradcheck a one-input module's parameters (and its input)."""
+    x = Tensor(np.random.default_rng(seed + 1).normal(size=shape),
+               requires_grad=input_grad)
+    leaves = module.parameters() + ([x] if input_grad else [])
+    gradcheck(lambda: module(x), leaves, seed=seed)
+
+
+class TestGradcheck:
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("shape", [(5,), (4, 5), (3, 4, 5)])
+    def test_linear(self, bias, shape):
+        check_module(Linear(5, 3, rng=np.random.default_rng(0), bias=bias), shape)
+
+    @pytest.mark.parametrize("final", ACTIVATIONS + [None])
+    @pytest.mark.parametrize("act", ACTIVATIONS)
+    def test_mlp(self, act, final):
+        mlp = MLP([4, 6, 5, 3], act=act, final_act=final,
+                  rng=np.random.default_rng(1))
+        check_module(mlp, (2, 3, 4))
+
+    @pytest.mark.parametrize("shape", [(6,), (4, 6), (2, 3, 6)])
+    def test_layer_norm(self, shape):
+        ln = LayerNorm(6)
+        rng = np.random.default_rng(2)
+        ln.gamma.data = rng.normal(size=6)
+        ln.beta.data = rng.normal(size=6)
+        check_module(ln, shape)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 5, 8)])
+    def test_self_attention(self, heads, shape):
+        attn = MultiHeadSelfAttention(8, heads, rng=np.random.default_rng(3))
+        check_module(attn, shape)
+
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 5, 8)])
+    def test_attention_block(self, shape):
+        block = AttentionBlock(8, 2, ff_hidden=12, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        for ln in (block.ln1, block.ln2):
+            ln.gamma.data = 1.0 + 0.3 * rng.normal(size=8)
+            ln.beta.data = 0.3 * rng.normal(size=8)
+        check_module(block, shape)
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_noisy_linear(self, noise):
+        layer = NoisyLinear(5, 3, rng=np.random.default_rng(6))
+        layer.set_noise_enabled(noise)
+        check_module(layer, (2, 4, 5))
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_noisy_mlp(self, noise):
+        mlp = NoisyMLP([5, 7, 3], final_act="tanh", rng=np.random.default_rng(7))
+        mlp.set_noise_enabled(noise)
+        check_module(mlp, (2, 4, 5))
+
+    @pytest.mark.parametrize("kind", sorted(NETWORKS))
+    @pytest.mark.parametrize("config", ["compact", "paper"])
+    @pytest.mark.parametrize("topology", ["tiny", "paper"])
+    def test_q_network_node(self, kind, config, topology):
+        topo = _topology(topology)
+        net = NETWORKS[kind](COMPACT if config == "compact" else QNetConfig.paper(),
+                             seed=3)
+        net.bind_topology(topo)
+        feats = [Tensor(f) for f in _features(topo, 2, seed=4)]
+        entries = 2 if config == "paper" else 4
+        gradcheck(lambda: net.forward(*feats), net.parameters(), seed=5,
+                  entries=entries)
+
+    def test_q_network_feature_gradients(self):
+        """Features that require grad get theirs from the same node."""
+        topo = _topology("tiny")
+        net = DuelingAttentionQNetwork(COMPACT, seed=3).bind_topology(topo)
+        feats = [Tensor(f, requires_grad=True) for f in _features(topo, 2, seed=6)]
+        gradcheck(lambda: net.forward(*feats), feats, seed=7)
+
+    def test_gru_cell_inputs_require_grad(self):
+        """A GRU cell composes Linear nodes over Tensor inputs that
+        require grad: the input and hidden state gradients flow back."""
+        cell = GRUCell(3, 4, rng=np.random.default_rng(8))
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
+        gradcheck(lambda: cell(x, h), [x, h] + cell.parameters(), seed=10)
+
+    def test_gru_over_encoded_sequence(self):
+        """An MLP node's output feeds a GRU, as in the DRQN."""
+        encoder = MLP([3, 5, 4], rng=np.random.default_rng(11))
+        gru = GRU(4, 3, rng=np.random.default_rng(12))
+        x = Tensor(np.random.default_rng(13).normal(size=(2, 3, 3)),
+                   requires_grad=True)
+        gradcheck(lambda: gru(encoder(x)),
+                  [x] + encoder.parameters() + gru.parameters(), seed=14)
+
+    def test_drqn(self):
+        net = RecurrentQNetwork(5, 4, DRQNConfig(encoder_hidden=6, gru_hidden=5,
+                                                 head_hidden=6), seed=15)
+        history = np.random.default_rng(16).normal(size=(2, 3, 5))
+        gradcheck(lambda: net.forward(history), net.parameters(), seed=17)
+
+
+# ----------------------------------------------------------------------
+# differential tests against the per-op oracle
+# ----------------------------------------------------------------------
+def assert_grads_close(fused: dict, oracle: dict) -> None:
+    """rtol 1e-12, atol 1e-15 in units of the gradient's own scale
+    (an entry that is zero in exact arithmetic, like an attention key
+    bias, is pure rounding noise at that scale)."""
+    assert fused.keys() == oracle.keys()
+    for name, ref in oracle.items():
+        got = fused[name]
+        if ref is None:
+            assert got is None, name
+            continue
+        scale = max(1.0, float(np.abs(ref).max()))
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15 * scale,
+                                   err_msg=name)
+
+
+def _loss(net, q, batch, seed):
+    """A training loss on ``q``: Huber on taken actions, or C51's
+    cross-entropy on the taken actions' atom log-probabilities."""
+    rng = np.random.default_rng(seed)
+    actions = rng.integers(0, net.n_actions, size=batch)
+    weights = rng.uniform(0.5, 1.5, size=batch)
+    if isinstance(net, DistributionalAttentionQNetwork):
+        target = rng.dirichlet(np.ones(net.c51.n_atoms), size=batch)
+        return categorical_cross_entropy(q[np.arange(batch), actions], target,
+                                         weights=weights)
+    return huber_loss(q.gather_rows(actions), rng.normal(size=batch) * 2.0,
+                      weights=weights)
+
+
+def _run(net, feats, seed):
+    """(output, loss, {name: grad}) of one forward + backward."""
+    net.zero_grad()
+    if isinstance(net, DistributionalAttentionQNetwork):
+        out = net.log_probs(*feats)
+    else:
+        out = net.forward(*feats)
+    loss = _loss(net, out, feats[0].shape[0], seed)
+    loss.backward()
+    grads = {name: p.grad for name, p in net.named_parameters()}
+    net.zero_grad()
+    return out.data, loss.data, grads
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("batch", [1, 16, 32])
+    @pytest.mark.parametrize("kind", sorted(NETWORKS))
+    @pytest.mark.parametrize("config", ["compact", "paper", "noisy", "no-tanh"])
+    @pytest.mark.parametrize("topology", ["tiny", "paper"])
+    def test_network_matches_oracle(self, topology, config, kind, batch,
+                                    monkeypatch):
+        cfg = {"compact": COMPACT, "paper": QNetConfig.paper(),
+               "noisy": QNetConfig(noisy_heads=True),
+               "no-tanh": QNetConfig(final_tanh=False)}[config]
+        topo = _topology(topology)
+        net = NETWORKS[kind](cfg, seed=11).bind_topology(topo)
+        feats = _features(topo, batch, seed=batch)
+        fused = _run(net, feats, seed=batch)
+        with monkeypatch.context() as patch:
+            graph_oracle.install(patch)
+            oracle = _run(net, feats, seed=batch)
+        assert _bits(fused[0]) == _bits(oracle[0])
+        assert _bits(fused[1]) == _bits(oracle[1])
+        assert_grads_close(fused[2], oracle[2])
+
+    def test_network_is_one_graph_node(self):
+        topo = _topology("tiny")
+        net = AttentionQNetwork(COMPACT, seed=0).bind_topology(topo)
+        q = net.forward(*_features(topo, 4, seed=0))
+        assert len(q._parents) == len(net.parameters())
+        assert all(isinstance(p, Parameter) for p in q._parents)
+
+    @pytest.mark.parametrize("module, shape", [
+        (Linear(7, 5, rng=np.random.default_rng(0)), (3, 4, 7)),
+        (Linear(7, 5, rng=np.random.default_rng(1), bias=False), (4, 7)),
+        (MLP([6, 9, 9, 4], act="relu", final_act="tanh",
+             rng=np.random.default_rng(3)), (2, 5, 6)),
+        (MLP([6, 9, 4], act="sigmoid", final_act="leaky_relu",
+             rng=np.random.default_rng(4)), (5, 6)),
+        (LayerNorm(8), (3, 6, 8)),
+        (MultiHeadSelfAttention(8, 2, rng=np.random.default_rng(5)), (3, 6, 8)),
+        (MultiHeadSelfAttention(8, 4, rng=np.random.default_rng(6)), (6, 8)),
+        (AttentionBlock(8, 2, ff_hidden=16, rng=np.random.default_rng(7)),
+         (3, 6, 8)),
+        (NoisyLinear(7, 5, rng=np.random.default_rng(8)), (3, 4, 7)),
+        (NoisyMLP([6, 9, 4], rng=np.random.default_rng(9)), (2, 5, 6)),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else None)
+    def test_module_matches_oracle(self, module, shape):
+        x = np.random.default_rng(len(shape)).normal(size=shape)
+        results = []
+        for forward in (module.forward, lambda t: graph_oracle.forward(module, t)):
+            xt = Tensor(x, requires_grad=True)
+            out = forward(xt)
+            weights = np.random.default_rng(0).normal(size=out.shape)
+            module.zero_grad()
+            (out * Tensor(weights)).sum().backward()
+            grads = {n: p.grad for n, p in module.named_parameters()}
+            grads["input"] = xt.grad
+            results.append((out.data, grads))
+        assert _bits(results[0][0]) == _bits(results[1][0])
+        assert_grads_close(results[0][1], results[1][1])
+
+
+def _train_dqn(tables):
+    """A seeded DQN run of three episodes (200+ updates): (losses,
+    actions, top-2 Q gap per action, actions taken before each update)."""
+    env = repro.make_env(tiny_network(tmax=400), seed=0)
+    trainer = DQNTrainer(
+        env, AttentionQNetwork(COMPACT, seed=3),
+        ACSOFeaturizer(env.topology, tables),
+        DQNConfig(batch_size=16, warmup=16, update_every=1, target_update=25,
+                  eps_start=0.3, seed=0),
+    )
+    losses, actions, gaps, update_at = [], [], [], []
+    update, select = trainer.update, trainer.select_action
+
+    def record_update():
+        update_at.append(len(actions))
+        losses.append(update())
+        return losses[-1]
+
+    def record_select(features, obs, epsilon):
+        q = np.where(valid_action_mask(trainer.qnet.action_list, obs),
+                     trainer.qnet.q_values(features), -np.inf)
+        top = np.sort(q[np.isfinite(q)])[-2:]
+        gaps.append(float(top[-1] - top[0]) if top.size == 2 else np.inf)
+        actions.append(select(features, obs, epsilon))
+        return actions[-1]
+
+    trainer.update, trainer.select_action = record_update, record_select
+    trainer.train(episodes=3, seed=4, max_steps=80)
+    return losses, actions, gaps, update_at
+
+
+def _compare_runs(fused, oracle):
+    """Actions identical except near-ties (top-2 Q gap < 1e-9), which
+    are flagged, not compared; a flagged step that does flip ends the
+    comparison, since the two runs then see different states."""
+    losses, actions, gaps, update_at = fused
+    flagged = 0
+    horizon = len(actions)
+    for step, (a, b) in enumerate(zip(actions, oracle[1])):
+        if min(gaps[step], oracle[2][step]) < 1e-9:
+            flagged += 1
+            if a != b:
+                horizon = step
+                break
+            continue
+        assert a == b, f"step {step}: {a} != {b}"
+    compared = sum(1 for taken in update_at if taken <= horizon)
+    np.testing.assert_allclose(losses[:compared], oracle[0][:compared],
+                               rtol=1e-10)
+    return compared, flagged
+
+
+class TestTrainingTrajectories:
+    def test_dqn_200_updates_match_oracle(self, tiny_tables, monkeypatch):
+        fused = _train_dqn(tiny_tables)
+        graph_oracle.install(monkeypatch)
+        oracle = _train_dqn(tiny_tables)
+        assert len(fused[0]) == len(oracle[0]) >= 200
+        compared, _ = _compare_runs(fused, oracle)
+        assert compared >= 200
+
+    def test_fqe_fit_matches_oracle(self, tiny_tables, monkeypatch):
+        env = repro.make_env(tiny_network(tmax=30), seed=0)
+        behaviour_net = AttentionQNetwork(COMPACT, seed=1).bind_topology(
+            env.topology)
+        behavior = StochasticQPolicy(behaviour_net, tiny_tables,
+                                     temperature=1.0, epsilon=0.3, seed=5)
+        episodes = collect_logged_episodes(env, behavior, episodes=3, seed=0,
+                                           max_steps=30)
+
+        def fit():
+            net = AttentionQNetwork(COMPACT, seed=9).bind_topology(env.topology)
+            result = fitted_q_evaluation(episodes, behavior, net, iterations=3,
+                                         epochs_per_iteration=1, batch_size=16)
+            return result.losses, result.value, result.start_values
+
+        fused = fit()
+        graph_oracle.install(monkeypatch)
+        oracle = fit()
+        assert len(fused[0]) == 4
+        np.testing.assert_allclose(fused[0], oracle[0], rtol=1e-10)
+        np.testing.assert_allclose(fused[1], oracle[1], rtol=1e-10)
+        np.testing.assert_allclose(fused[2], oracle[2], rtol=1e-10)
+
+
+# ----------------------------------------------------------------------
+# flat Adam
+# ----------------------------------------------------------------------
+def _problem(seed=0):
+    """An MLP and its parameters plus one free-standing parameter."""
+    net = MLP([4, 6, 3], rng=np.random.default_rng(seed))
+    extra = Parameter(np.random.default_rng(seed + 1).normal(size=(2, 5)))
+    return net, net.parameters() + [extra]
+
+
+def _set_grads(params, rng, scale, skip=None):
+    for i, p in enumerate(params):
+        p.grad = None if i == skip else rng.normal(size=p.data.shape) * scale
+
+
+class TestFlatAdam:
+    @pytest.mark.parametrize("clip, scale", [(None, 1.0), (10.0, 0.1),
+                                             (1.0, 5.0)])
+    def test_bitwise_equal_to_per_parameter_adam(self, clip, scale):
+        """50 steps; the last parameter has no gradient on every third
+        step (its moments must not decay)."""
+        _, flat_params = _problem()
+        _, ref_params = _problem()
+        flat = Adam(flat_params, lr=1e-2, grad_clip=clip)
+        ref = graph_oracle.ReferenceAdam(ref_params, lr=1e-2, grad_clip=clip)
+        rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+        clipped = 0
+        for step in range(50):
+            skip = len(flat_params) - 1 if step % 3 == 0 else None
+            _set_grads(flat_params, rng_a, scale, skip)
+            _set_grads(ref_params, rng_b, scale, skip)
+            if clip is not None:
+                g = np.concatenate([p.grad.ravel() for p in ref_params
+                                    if p.grad is not None])
+                clipped += float(np.sqrt(g @ g)) > clip
+            flat.step()
+            ref.step()
+            for a, b in zip(flat_params, ref_params):
+                assert _bits(a.data) == _bits(b.data)
+        if clip == 1.0:
+            assert clipped == 50
+        if clip == 10.0:
+            assert clipped == 0
+        # moments of the sometimes-skipped parameter equal the reference's
+        last = flat._bounds[-2]
+        assert _bits(flat._m[last:]) == _bits(ref._m[-1].ravel())
+        assert _bits(flat._v[last:]) == _bits(ref._v[-1].ravel())
+
+    def test_state_replacement_mid_run(self):
+        """``load_state_dict``, ``copy_from`` and ``copy.deepcopy`` of an
+        optimizer-owning object between steps (the DQN target sync and
+        the benchmark's trainer copies) keep the two Adams in step."""
+        net_a, params_a = _problem()
+        net_b, params_b = _problem()
+        flat = Adam(params_a, lr=1e-2, grad_clip=1.0)
+        ref = graph_oracle.ReferenceAdam(params_b, lr=1e-2, grad_clip=1.0)
+        other = MLP([4, 6, 3], rng=np.random.default_rng(42))
+        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(1)
+        for step in range(50):
+            if step == 10:
+                net_a.load_state_dict(other.state_dict())
+                net_b.load_state_dict(other.state_dict())
+            if step == 20:
+                other.copy_from(net_a)
+                net_a.copy_from(other)
+                net_b.copy_from(other)
+            if step == 30:
+                # a deep copy of the (module, optimizer) pair carries on
+                # alone; the original must be unaffected by the copy
+                net_a, flat = copy.deepcopy((net_a, flat))
+                params_a = flat.params
+            _set_grads(params_a, rng_a, 3.0)
+            _set_grads(params_b, rng_b, 3.0)
+            flat.step()
+            ref.step()
+            for a, b in zip(params_a, params_b):
+                assert _bits(a.data) == _bits(b.data)
+        # the copied optimizer steps the copied module's parameters
+        assert all(a is b for a, b in zip(params_a, net_a.parameters()))
+
+    def test_deepcopy_leaves_original_untouched(self):
+        _, params = _problem()
+        opt = Adam(params, lr=1e-2)
+        rng = np.random.default_rng(0)
+        _set_grads(params, rng, 1.0)
+        opt.step()
+        twin = copy.deepcopy(opt)
+        before = [p.data.copy() for p in params]
+        _set_grads(twin.params, rng, 1.0)
+        twin.step()
+        for p, b in zip(params, before):
+            assert _bits(p.data) == _bits(b)
+        assert opt.t == 1 and twin.t == 2
+
+    @pytest.mark.parametrize("clip", [None, 1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_raises_and_changes_nothing(self, bad, clip):
+        net = MLP([4, 6, 3], rng=np.random.default_rng(0))
+        opt = Adam(net.named_parameters(), lr=1e-2, grad_clip=clip)
+        rng = np.random.default_rng(1)
+        params = opt.params
+        _set_grads(params, rng, 1.0)
+        opt.step()
+        state = (opt.t, opt._m.copy(), opt._v.copy(),
+                 [p.data.copy() for p in params])
+        _set_grads(params, rng, 1.0)
+        params[2].grad[1, 2] = bad
+        params[3].grad[0] = np.nan  # a later one: the first is named
+        with pytest.raises(FloatingPointError, match=r"linears\.1\.weight"):
+            opt.step()
+        assert opt.t == state[0]
+        assert _bits(opt._m) == _bits(state[1])
+        assert _bits(opt._v) == _bits(state[2])
+        for p, before in zip(params, state[3]):
+            assert _bits(p.data) == _bits(before)
+
+    def test_unnamed_parameters_are_numbered(self):
+        p = Parameter(np.zeros(3))
+        opt = Adam([Parameter(np.zeros(2)), p])
+        p.grad = np.array([0.0, np.inf, 0.0])
+        with pytest.raises(FloatingPointError, match="parameter 1"):
+            opt.step()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graph_oracle
 import repro
 from repro.config import tiny_network
 from repro.rl import (
@@ -86,14 +87,12 @@ class TestDuelingNetwork:
         node, plc, glob = _features_batch(env, featurizer)
         q = net.forward(node, plc, glob).data
         # Q - V must be mean-zero per row by construction
-        value = net.value_head(
-            net._with_global(
-                net._split_contexts(
-                    net._contextualize(node, plc, glob)[0]
-                )[3],
-                net._contextualize(node, plc, glob)[1],
-                2,
-            )
+        # V(s) from the per-op oracle's trunk (the network computes it
+        # inside its single graph node)
+        tokens, glob_t, batch = graph_oracle.contextualize(net, node, plc, glob)
+        noop_ctx = graph_oracle.split_contexts(net, tokens)[3]
+        value = graph_oracle.mlp(
+            net.value_head, graph_oracle.with_global(noop_ctx, glob_t, batch)
         ).data.reshape(2, 1)
         assert np.allclose((q - value).mean(axis=1), 0.0, atol=1e-9)
 

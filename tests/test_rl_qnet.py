@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import graph_oracle
 import repro
-import repro.rl.qnetwork as qnetwork_module
 from repro.config import paper_network, small_network, tiny_network
 from repro.net import build_topology
 from repro.nn import (
@@ -16,6 +16,7 @@ from repro.nn import (
     NoisyLinear,
     NoisyMLP,
     Tensor,
+    is_grad_enabled,
     no_grad,
 )
 from repro.rl import (
@@ -153,7 +154,8 @@ def _bits(array) -> bytes:
 
 class TestInferenceParity:
     """Under ``no_grad`` the Q-network runs on plain ndarrays; its
-    output must equal the autograd graph forward bit for bit."""
+    output must equal the per-op autograd graph (the oracle in
+    ``graph_oracle.py``) bit for bit."""
 
     @pytest.mark.parametrize("batch", [1, 3, 32])
     @pytest.mark.parametrize("network", ["tiny", "paper"])
@@ -168,7 +170,7 @@ class TestInferenceParity:
             qnet.set_noise_enabled(False)
         feats = _random_features(topo, batch, seed=batch)
 
-        graph = qnet.forward(*feats)
+        graph = graph_oracle.q_forward(qnet, *feats)
         with no_grad():
             fast = qnet.forward(*feats)
         assert graph.requires_grad and graph._parents  # the graph path ran
@@ -199,7 +201,7 @@ class TestInferenceParity:
             env.topology)
         feat = ACSOFeaturizer(env.topology, tiny_tables)
         features = feat.update(env.reset(seed=0))
-        graph = qnet.forward(*stack_features([features])).data[0]
+        graph = graph_oracle.q_forward(qnet, *stack_features([features])).data[0]
         assert _bits(qnet.q_values(features)) == _bits(graph)
 
     def test_unbound_network_raises_without_grad(self):
@@ -212,7 +214,7 @@ class TestInferenceParity:
     def test_dqn_loss_sequence_unchanged(self, tiny_tables, monkeypatch):
         """A seeded 20-update training run takes the same actions and
         losses whether its no-grad passes (action selection, double-DQN
-        targets) run graph-free or through the graph."""
+        targets) run graph-free or through the per-op graph."""
 
         def run():
             env = repro.make_env(tiny_network(tmax=60), seed=0)
@@ -231,7 +233,14 @@ class TestInferenceParity:
             return losses, actions
 
         fast = run()
-        monkeypatch.setattr(qnetwork_module, "is_grad_enabled", lambda: True)
+        fused = AttentionQNetwork.forward
+
+        def oracle_without_grad(net, *feats):
+            if is_grad_enabled():
+                return fused(net, *feats)
+            return graph_oracle.q_forward(net, *feats)
+
+        monkeypatch.setattr(AttentionQNetwork, "forward", oracle_without_grad)
         graph = run()
         assert len(fast[0]) == 20
         assert fast == graph
@@ -247,7 +256,7 @@ def _module_input(shape, seed):
 
 
 class TestModuleArrayForward:
-    """Each module's ``forward_array`` equals its graph ``forward``."""
+    """Each module's ``forward_array`` equals its per-op graph forward."""
 
     @pytest.mark.parametrize("module, shape", [
         (Linear(7, 5, rng=np.random.default_rng(0)), (3, 4, 7)),
@@ -269,7 +278,7 @@ class TestModuleArrayForward:
     def test_forward_array_equals_forward(self, module, shape, noise):
         module.set_noise_enabled(noise)
         x = _module_input(shape, seed=len(shape))
-        graph = module.forward(Tensor(x)).data
+        graph = graph_oracle.forward(module, Tensor(x)).data
         assert _bits(module.forward_array(x)) == _bits(graph)
 
 
