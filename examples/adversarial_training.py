@@ -28,6 +28,7 @@ from repro.adversarial import (
 from repro.attacker import apt1, apt2
 from repro.config import small_network
 from repro.defenders import PlaybookPolicy
+from repro.sim.vec_backends import BACKEND_CHOICES
 
 
 def main() -> None:
@@ -48,7 +49,7 @@ def main() -> None:
     parser.add_argument(
         "--backend",
         default="sync",
-        choices=("sync", "process", "shm", "auto"),
+        choices=BACKEND_CHOICES,
         help="vector-env backend for the self-play oracles",
     )
     args = parser.parse_args()

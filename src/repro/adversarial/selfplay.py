@@ -118,8 +118,8 @@ class SelfPlayConfig:
     eval_episodes: int = 2
     eval_max_steps: int | None = None
     seed: int = 0
-    #: vector-env backend for both oracles ("sync", "batched",
-    #: "process", "shm", or "auto")
+    #: vector-env backend for both oracles (one of
+    #: ``repro.sim.vec_backends.BACKEND_CHOICES``)
     backend: str = "sync"
     num_workers: int | None = None
     #: name used in emitted scenario ids ``selfplay/<run_name>-rN-brK``

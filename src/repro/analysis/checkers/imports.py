@@ -2,11 +2,9 @@
 
 Two standing bans ship in the default policy:
 
-* ``pickle``/``dill``/``cloudpickle`` must stay out of the hot-path
-  transport modules -- the zero-pickle wire format is the contract
-  that makes worker replies deterministic bytes (the one sanctioned
-  fallback import carries an inline ``# repro: allow`` with its
-  justification);
+* ``pickle``/``dill``/``cloudpickle`` must stay out of the worker
+  transport modules -- the binary wire format is the only protocol
+  and the contract that makes worker replies deterministic bytes;
 * ``repro.serve`` must never be imported from ``repro.sim`` -- the
   simulation core is the bottom layer and the serving stack depends on
   it, not the other way around.

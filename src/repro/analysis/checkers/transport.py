@@ -1,10 +1,10 @@
 """Transport schema completeness: every field makes it over the wire.
 
-PR 4's zero-pickle wire format reconstructs ``Observation`` /
-``RewardBreakdown`` / step-info records field for field. The silent
+The process backend's binary wire format reconstructs ``Observation``
+/ ``RewardBreakdown`` / step-info records field for field. The silent
 failure mode is *adding* a field: nothing breaks locally, the encoder
-simply never ships it (or raises :class:`EncodeError` at runtime and
-drops to the pickle fallback), and backend parity quietly degrades.
+simply never ships it (or raises :class:`EncodeError` at runtime, which
+fails every step on that backend), and backend parity quietly degrades.
 This checker makes that a lint failure.
 
 Two contract kinds, configured per
@@ -352,9 +352,8 @@ class TransportSchemaChecker:
                     severity=Severity.ERROR,
                     message=(
                         f"step-info key {key!r} produced by {c['producer']} "
-                        f"is missing from {c['keys_const']}: the parallel "
-                        "backends will reject (or pickle-fall-back) every "
-                        "step info"
+                        f"is missing from {c['keys_const']}: the process "
+                        "backend will reject every step info"
                     ),
                     hint=_HINT,
                 )

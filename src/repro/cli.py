@@ -37,6 +37,7 @@ import sys
 
 from repro.config import SimConfig, paper_network, small_network, tiny_network
 from repro.config_io import config_from_dict, config_to_dict
+from repro.sim.vec_backends import BACKEND_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -98,21 +99,19 @@ def _build_vec_env(args, config: SimConfig, num_envs: int, seed: int,
         envs = [_build_env(args, config, seed=seed + i)
                 for i in range(num_envs)]
         return cls(envs, base_seed=seed)
-    from repro.sim.vec_backends import ProcessVectorEnv, ShmVectorEnv
+    from repro.sim.vec_backends import ProcessVectorEnv
 
-    cls = {"process": ProcessVectorEnv, "shm": ShmVectorEnv}[backend]
     num_workers = getattr(args, "num_workers", None)
     spec = _resolve_spec(args)
     if spec is not None:
         # config already folds in --max-steps; pin it via the horizon
-        spec = spec.with_overrides(horizon=config.tmax)
+        specs = [spec.with_overrides(horizon=config.tmax)] * num_envs
         if pool is not None:
-            return pool.acquire([spec] * num_envs, seed=seed,
-                                backend=backend, num_workers=num_workers)
-        return cls.from_spec(spec, num_envs, seed=seed,
-                             num_workers=num_workers)
-    return cls.from_config(config, num_envs, seed=seed,
-                           num_workers=num_workers)
+            return pool.acquire(specs, seed=seed, num_workers=num_workers)
+        return ProcessVectorEnv.from_specs(specs, seed=seed,
+                                           num_workers=num_workers)
+    return ProcessVectorEnv.from_config(config, num_envs, seed=seed,
+                                        num_workers=num_workers)
 
 
 def _make_policy(name: str, config: SimConfig, seed: int,
@@ -883,14 +882,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("noop", "playbook", "random", "expert", "acso"))
     p.add_argument("--num-envs", type=int, default=1,
                    help="fan episodes over N vectorized environments")
-    p.add_argument("--backend", choices=("sync", "batched", "process", "shm", "auto"),
+    p.add_argument("--backend", choices=BACKEND_CHOICES,
                    default="sync",
                    help="vector-env execution backend: in-process lanes "
-                        "(sync), worker processes (process), worker "
-                        "processes with shared-memory batches (shm), or "
-                        "picked from cpu count and batch width (auto)")
+                        "(sync), in-process structure-of-arrays lanes "
+                        "(batched), worker processes (process; shm is its "
+                        "deprecated alias), or picked from cpu count and "
+                        "batch width (auto)")
     p.add_argument("--num-workers", type=int, default=None,
-                   help="worker processes for the process/shm backends "
+                   help="worker processes for the process backend "
                         "(default: min(num-envs, cpu count))")
     p.add_argument("--reuse-pool", action="store_true",
                    help="acquire the parallel backend from a persistent "
@@ -928,11 +928,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "vectorized fan-out (default: 4)")
     p.add_argument("--fitness-episodes", type=int, default=1,
                    help="episodes per CEM fitness evaluation (default: 1)")
-    p.add_argument("--backend", choices=("sync", "batched", "process", "shm", "auto"),
+    p.add_argument("--backend", choices=BACKEND_CHOICES,
                    default="sync",
                    help="vector-env backend for both oracles")
     p.add_argument("--num-workers", type=int, default=None,
-                   help="worker processes for the process/shm backends")
+                   help="worker processes for the process backend")
     p.add_argument("--no-reuse-pool", action="store_true",
                    help="spawn a fresh worker pool per oracle call instead "
                         "of re-laning one persistent pool across rounds "
@@ -981,7 +981,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 picks an ephemeral one; default: 8642)")
     p.add_argument("--db", default="repro_runs.sqlite",
                    help="SQLite run-store path (default: repro_runs.sqlite)")
-    p.add_argument("--pool-backend", choices=("sync", "batched", "process", "shm", "auto"),
+    p.add_argument("--pool-backend", choices=BACKEND_CHOICES,
                    default="sync", dest="pool_backend",
                    help="vector-env backend jobs draw from the shared pool "
                         "(default: sync)")
@@ -1014,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("noop", "playbook", "random", "expert", "acso"))
     p.add_argument("--num-envs", type=int, default=1,
                    help="fan the job's episodes over N pooled lanes")
-    p.add_argument("--backend", choices=("sync", "batched", "process", "shm", "auto"),
+    p.add_argument("--backend", choices=BACKEND_CHOICES,
                    default=None,
                    help="override the server's pool backend for this job")
     p.add_argument("--num-workers", type=int, default=None)
@@ -1072,8 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True,
                    help="trace directory to create (must not exist)")
     q.add_argument("--num-envs", type=int, default=4)
-    q.add_argument("--backend", default="sync",
-                   choices=("sync", "batched", "process", "shm", "auto"))
+    q.add_argument("--backend", default="sync", choices=BACKEND_CHOICES)
     q.add_argument("--num-workers", type=int, default=None)
     q.add_argument("--shard-rows", type=int, default=65536,
                    help="rotate shards at this many records (default 65536)")

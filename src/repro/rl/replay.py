@@ -55,15 +55,19 @@ class SumTree:
         """Index of the leaf where the prefix sum crosses ``value``.
 
         The comparison is strict so zero-mass left subtrees are skipped
-        (value 0.0 must land on the first leaf with positive mass).
+        (value 0.0 must land on the first leaf with positive mass), and
+        a zero-mass right subtree is never entered: rounding can leave
+        ``value`` at or above the left mass even when ``value`` is below
+        the node's total, which would otherwise end on a zero-mass leaf.
         """
+        tree = self.tree
         i = 1
         while i < self.capacity:
             left = 2 * i
-            if value < self.tree[left]:
+            if value < tree[left] or tree[left + 1] <= 0.0:
                 i = left
             else:
-                value -= self.tree[left]
+                value -= tree[left]
                 i = left + 1
         return i - self.capacity
 

@@ -139,61 +139,32 @@ def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
 
     * ``"sync"`` -- every lane stepped in-process
       (:class:`~repro.sim.vec_env.VectorEnv`);
+    * ``"batched"`` -- every lane stepped in-process on the
+      structure-of-arrays engine
+      (:class:`~repro.sim.batched_engine.BatchedVectorEnv`);
     * ``"process"`` -- lanes partitioned over ``num_workers`` worker
       processes (:class:`~repro.sim.vec_backends.ProcessVectorEnv`);
-    * ``"shm"`` -- the process backend with reward/done/mask batches in
-      shared memory (:class:`~repro.sim.vec_backends.ShmVectorEnv`);
+      ``"shm"`` is its deprecated alias;
     * ``"auto"`` -- pick sync or process from ``os.cpu_count()`` and the
       batch width (:func:`~repro.sim.vec_backends.resolve_backend`).
 
     With ``pool`` (a :class:`~repro.sim.vec_backends.VecPool`) or
-    ``reuse_pool=True`` (the process-wide default pool), worker-pool
-    backends are acquired from a persistent pool: a live pool with the
+    ``reuse_pool=True`` (the process-wide default pool), the process
+    backend is acquired from a persistent pool: a live pool with the
     same geometry is re-laned onto this scenario instead of re-spawning
     processes, and ``close()`` on the returned env is a soft release.
-    The sync backend ignores pooling (nothing to keep alive).
+    The in-process backends ignore pooling (nothing to keep alive).
+
+    This is :func:`make_vec_from_specs` over ``num_envs`` copies of the
+    scenario.
     """
     if num_envs < 1:
         raise ValueError("num_envs must be >= 1")
-    spec = _resolve(scenario, overrides)
-    from repro.sim.vec_backends import normalize_backend
-
-    backend = normalize_backend(backend, num_envs, num_workers)
-    if backend in ("sync", "batched"):
-        cls = _in_process_cls(backend)
-        envs = [
-            spec.build_env(
-                seed=None if seed is None else seed + i,
-                record_truth=record_truth,
-            )
-            for i in range(num_envs)
-        ]
-        return cls(envs, auto_reset=auto_reset, base_seed=seed)
-    pool = _resolve_pool(pool, reuse_pool)
-    if pool is not None:
-        return pool.acquire(
-            [spec] * num_envs, seed=seed, backend=backend,
-            num_workers=num_workers, auto_reset=auto_reset,
-            record_truth=record_truth,
-        )
-    from repro.sim.vec_backends import ProcessVectorEnv, ShmVectorEnv
-
-    cls = ProcessVectorEnv if backend == "process" else ShmVectorEnv
-    return cls.from_spec(
-        spec, num_envs, seed=seed, auto_reset=auto_reset,
-        record_truth=record_truth, num_workers=num_workers,
+    return make_vec_from_specs(
+        [_resolve(scenario, overrides)] * num_envs, seed=seed,
+        auto_reset=auto_reset, record_truth=record_truth, backend=backend,
+        num_workers=num_workers, pool=pool, reuse_pool=reuse_pool,
     )
-
-
-def _in_process_cls(backend: str):
-    """The in-process vector-env class for ``sync`` / ``batched``."""
-    if backend == "batched":
-        from repro.sim.batched_engine import BatchedVectorEnv
-
-        return BatchedVectorEnv
-    from repro.sim.vec_env import VectorEnv
-
-    return VectorEnv
 
 
 def _resolve_pool(pool, reuse_pool: bool):
@@ -214,15 +185,15 @@ def make_vec_from_specs(specs, *, seed: int | None = None,
                         reuse_pool: bool = False):
     """Build a lockstep vector env whose lane ``i`` runs ``specs[i]``.
 
-    The heterogeneous sibling of :func:`make_vec`: each entry is a
-    registered scenario id or a (possibly unregistered)
-    :class:`~repro.scenarios.spec.ScenarioSpec`, and all entries must
-    share a topology (same action space). The adversarial loops use
-    this to fan an attacker population or a CEM candidate batch over
-    one vector environment; lane seeding and backends behave exactly
-    as in :func:`make_vec`.
+    The general form behind :func:`make_vec` (which passes ``num_envs``
+    copies of one spec): each entry is a registered scenario id or a
+    (possibly unregistered) :class:`~repro.scenarios.spec.ScenarioSpec`,
+    and all entries must share a topology (same action space). Lane
+    ``i`` is seeded ``seed + i``; backends are as in :func:`make_vec`.
+    The adversarial loops use this to fan an attacker population or a
+    CEM candidate batch over one vector environment.
 
-    ``pool`` / ``reuse_pool`` opt worker-pool backends into persistent
+    ``pool`` / ``reuse_pool`` opt the process backend into persistent
     pooling: an existing live pool of the same geometry is re-laned
     onto ``specs`` (bit-identical to a fresh construction) instead of
     re-spawning worker processes -- this is how the CEM fitness loop
@@ -236,7 +207,10 @@ def make_vec_from_specs(specs, *, seed: int | None = None,
 
     backend = normalize_backend(backend, len(resolved), num_workers)
     if backend in ("sync", "batched"):
-        cls = _in_process_cls(backend)
+        if backend == "batched":
+            from repro.sim.batched_engine import BatchedVectorEnv as cls
+        else:
+            from repro.sim.vec_env import VectorEnv as cls
         envs = [
             spec.build_env(
                 seed=None if seed is None else seed + i,
@@ -248,13 +222,12 @@ def make_vec_from_specs(specs, *, seed: int | None = None,
     pool = _resolve_pool(pool, reuse_pool)
     if pool is not None:
         return pool.acquire(
-            resolved, seed=seed, backend=backend, num_workers=num_workers,
+            resolved, seed=seed, num_workers=num_workers,
             auto_reset=auto_reset, record_truth=record_truth,
         )
-    from repro.sim.vec_backends import ProcessVectorEnv, ShmVectorEnv
+    from repro.sim.vec_backends import ProcessVectorEnv
 
-    cls = ProcessVectorEnv if backend == "process" else ShmVectorEnv
-    return cls.from_specs(
+    return ProcessVectorEnv.from_specs(
         resolved, seed=seed, auto_reset=auto_reset,
         record_truth=record_truth, num_workers=num_workers,
     )

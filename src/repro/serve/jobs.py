@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.vec_backends import BACKEND_CHOICES
+
 __all__ = ["JobRequest", "JobError", "JobCancelled", "parse_job",
            "build_policy", "JOB_KINDS", "SERVE_POLICIES"]
 
@@ -141,7 +143,7 @@ def parse_job(payload: dict) -> JobRequest:
     _require(isinstance(request.num_envs, int) and request.num_envs >= 1,
              "'num_envs' must be a positive integer")
     if request.backend is not None:
-        _require(request.backend in ("sync", "batched", "process", "shm", "auto"),
+        _require(request.backend in BACKEND_CHOICES,
                  f"unknown backend {request.backend!r}")
     _require(isinstance(request.tags, list)
              and all(isinstance(t, str) for t in request.tags),

@@ -123,8 +123,8 @@ class EvalService:
     store:
         A :class:`RunStore` or a path to create one at.
     default_backend:
-        Backend for jobs that do not name one (``sync``, ``process``,
-        ``shm``, or ``auto``).
+        Backend for jobs that do not name one (any of
+        :data:`~repro.sim.vec_backends.BACKEND_CHOICES`).
     max_queue:
         Queue depth bound; submissions beyond it raise
         :class:`QueueFullError` (backpressure, not buffering).
@@ -160,7 +160,7 @@ class EvalService:
                  pool=None, job_retries: int = 2, retry_backoff: float = 0.1,
                  step_timeout: float | None = None, supervise: bool = True,
                  requeue_interrupted: bool = False):
-        from repro.sim.vec_backends import VecPool
+        from repro.sim.vec_backends import BACKEND_CHOICES, VecPool
 
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
@@ -168,7 +168,7 @@ class EvalService:
             raise ValueError("workers must be >= 1")
         if job_retries < 0:
             raise ValueError("job_retries must be >= 0")
-        if default_backend not in ("sync", "batched", "process", "shm", "auto"):
+        if default_backend not in BACKEND_CHOICES:
             raise ValueError(f"unknown backend {default_backend!r}")
         self.store = store if isinstance(store, RunStore) else RunStore(store)
         self.default_backend = default_backend
@@ -465,22 +465,21 @@ class EvalService:
         backend = normalize_backend(request.backend or self.default_backend,
                                     request.num_envs, request.num_workers)
         run_spec = spec.with_overrides(horizon=config.tmax)
-        if backend == "sync":
+        if backend != "process":  # in-process lanes: nothing to pool
             venv = repro.make_vec(run_spec, request.num_envs,
-                                  seed=request.seed)
+                                  seed=request.seed, backend=backend)
             with venv:
                 aggregate, _ = evaluate_policy_vec(
                     venv, policy, request.episodes, seed=request.seed,
                     max_steps=request.max_steps, on_episode=on_episode,
                 )
             return _aggregate_dict(aggregate)
-        # worker-pool backends share the service's VecPool; the pool
+        # the process backend shares the service's VecPool; the pool
         # lock serializes jobs on it (one burst -> one spawned pool)
         with self._pool_lock:
             venv = self.pool.acquire(
                 [run_spec] * request.num_envs, seed=request.seed,
-                backend=backend, num_workers=request.num_workers
-                or self.num_workers,
+                num_workers=request.num_workers or self.num_workers,
             )
             venv.configure_supervision(
                 enabled=self.supervise,
@@ -537,7 +536,7 @@ class EvalService:
                                     request.cem_population,
                                     request.num_workers)
         run_spec = spec.with_overrides(horizon=config.tmax)
-        pooled = backend in ("process", "shm")
+        pooled = backend == "process"
         base_fitness = make_defender_fitness_vec(
             run_spec, defender, episodes=request.fitness_episodes,
             seed=request.seed, max_steps=request.max_steps, backend=backend,

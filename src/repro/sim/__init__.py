@@ -22,7 +22,7 @@ from repro.sim.batched_engine import BatchedVectorEnv
 from repro.sim.reward import RewardModule
 from repro.sim.state import NetworkState
 from repro.sim.trace import EpisodeTrace, TraceStep, record_episode, verify_determinism
-from repro.sim.vec_backends import ProcessVectorEnv, ShmVectorEnv, WorkerDiedError
+from repro.sim.vec_backends import ProcessVectorEnv, WorkerDiedError
 from repro.sim.vec_env import BaseVectorEnv, VecStep, VectorEnv
 from repro.sim.vec_supervisor import SupervisionConfig
 
@@ -57,7 +57,6 @@ __all__ = [
     "BatchedVectorEnv",
     "VectorEnv",
     "ProcessVectorEnv",
-    "ShmVectorEnv",
     "SupervisionConfig",
     "WorkerDiedError",
 ]

@@ -1,12 +1,12 @@
-"""Parallel VectorEnv backends: persistent worker pools, pickle-free.
+"""Parallel VectorEnv backend: persistent worker pools, pickle-free.
 
 :class:`ProcessVectorEnv` partitions the lanes of a logical vector
 environment across worker processes. Each worker hosts a plain
 :class:`~repro.sim.vec_env.VectorEnv` over its lane slice, constructed
 with ``lane_offset``/``total_envs`` so its per-lane seed schedule is
 bit-identical to the single-process layout -- backend choice never
-changes a trajectory. Workers are built from a serialized payload (a
-:class:`~repro.scenarios.spec.ScenarioSpec` dict via
+changes a trajectory. Workers are built from a serialized payload (one
+:class:`~repro.scenarios.spec.ScenarioSpec` dict per lane via
 :mod:`repro.scenarios.serialization`, or a ``SimConfig`` dict via
 :mod:`repro.config_io`), never from pickled environment objects, so any
 registered scenario -- including user-defined ones -- can be shipped to
@@ -14,17 +14,13 @@ a worker pool.
 
 Two properties distinguish this layer from a throwaway fork-join:
 
-* **Zero-pickle steady state.** Commands and replies on the per-step
-  path (actions, observations, rewards, dones, step infos, masks)
-  travel as explicit binary records (:mod:`repro.sim.vec_transport`)
-  over ``Connection.send_bytes`` -- pickle runs only at pool
-  construction. :class:`ShmVectorEnv` goes one step further and parks
-  each worker's reply record in a preallocated
-  ``multiprocessing.shared_memory`` slab, so the pipes carry one
-  acknowledgement byte per worker per step. Payloads the wire format
-  cannot express (exotic custom actions) fall back to the legacy
-  pickled protocol for that one message; correctness never depends on
-  the fast path.
+* **One binary transport.** Every frame after the process start --
+  the worker's handshake, commands, replies, errors -- is an explicit
+  binary record (:mod:`repro.sim.vec_transport`) over
+  ``Connection.send_bytes``. An action the wire format cannot express
+  is one ``InasimEnv`` would reject too: it raises :class:`TypeError`
+  before any worker receives a command, so the lanes never fall out of
+  lockstep.
 * **Persistent pools.** A live pool can be re-laned onto new scenario
   specs (:meth:`ProcessVectorEnv.relane` / ``rebuild_lane``) instead of
   being torn down and re-spawned: workers rebuild their lane slice from
@@ -34,12 +30,11 @@ Two properties distinguish this layer from a throwaway fork-join:
   self-play rounds (``repro.make_vec_from_specs(...,
   reuse_pool=True)``).
 
-On a single-core host both backends lose to ``sync`` (IPC overhead with
-no parallelism to buy back); they pay off when workers can spread over
+On a single-core host the backend loses to ``sync`` (IPC overhead with
+no parallelism to buy back); it pays off when workers can spread over
 cores. ``repro.make_vec(id, n, backend="process")`` is the front door.
-Shared-memory segments are released from every exit path -- happy-path
-``close()``, constructor failures, worker crashes mid-command, and the
-finalizer -- so a dying pool cannot leave ``/dev/shm`` residue.
+The retired ``"shm"`` backend name is accepted as a deprecated alias of
+``"process"`` (:func:`normalize_backend`).
 
 **Fault tolerance.** Worker death is supervised, not fatal: the parent
 keeps a per-lane action journal (:mod:`repro.sim.vec_supervisor`),
@@ -63,9 +58,9 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
-import pickle  # repro: allow[forbidden-import] -- control-channel fallback only: per-step hot-path replies use the binary wire format; pickle carries rare error/legacy frames
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from typing import Sequence
 
@@ -80,8 +75,8 @@ from repro.sim.vec_supervisor import (
 )
 
 __all__ = [
+    "BACKEND_CHOICES",
     "ProcessVectorEnv",
-    "ShmVectorEnv",
     "VecPool",
     "WorkerDiedError",
     "SupervisionConfig",
@@ -94,13 +89,13 @@ __all__ = [
 #: the IPC cost of a worker pool only amortizes over a wide batch
 AUTO_MIN_ENVS = 4
 
-#: shared-memory reply slot per worker (spillover goes through the pipe)
-DEFAULT_SLOT_BYTES = 1 << 20
+#: every backend name a caller may pass; ``"shm"`` is the deprecated
+#: alias of ``"process"`` that :func:`normalize_backend` maps
+BACKEND_CHOICES = ("sync", "batched", "process", "shm", "auto")
 
 _MASKS_CMD = bytes((vt.OP_MASKS,))
 _CLOSE_CMD = bytes((vt.OP_CLOSE,))
 _OK_REPLY = bytes((vt.ST_OK,))
-_SHM_ACK = bytes((vt.ST_SHM,))
 
 
 class WorkerDiedError(RuntimeError):
@@ -136,19 +131,28 @@ def resolve_backend(num_envs: int, num_workers: int | None = None,
 
 def normalize_backend(backend: str, num_envs: int,
                       num_workers: int | None = None) -> str:
-    """Resolve ``"auto"`` and validate a backend name.
+    """Resolve ``"auto"``, map the deprecated ``"shm"``, and validate
+    a backend name.
 
     The single dispatch gate shared by ``repro.make_vec``,
-    ``repro.make_vec_from_specs``, and the CLI, so the auto heuristic
-    and the error message cannot drift apart.
+    ``repro.make_vec_from_specs``, the CLI and the serve layer, so the
+    auto heuristic and the error message cannot drift apart. ``"shm"``
+    is a deprecated alias: it runs as ``"process"`` (same trajectories)
+    with a :class:`DeprecationWarning`, so stored jobs and scripts keep
+    working.
     """
-    if backend == "auto":
-        backend = resolve_backend(num_envs, num_workers=num_workers)
-    if backend not in ("sync", "batched", "process", "shm"):
+    if backend not in BACKEND_CHOICES:
         raise ValueError(
-            f"unknown backend {backend!r}; choose from "
-            "('sync', 'batched', 'process', 'shm', 'auto')"
+            f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
         )
+    if backend == "shm":
+        warnings.warn(
+            'backend "shm" is deprecated and runs as "process"',
+            DeprecationWarning, stacklevel=2,
+        )
+        return "process"
+    if backend == "auto":
+        return resolve_backend(num_envs, num_workers=num_workers)
     return backend
 
 
@@ -158,8 +162,8 @@ def normalize_backend(backend: str, num_envs: int,
 def _build_envs(payload: dict, seeds: list[int | None], record_truth: bool,
                 lane_lo: int = 0):
     if "specs" in payload:
-        # heterogeneous lanes: one spec per global lane (attacker
-        # populations, CEM candidate fan-outs); this worker builds the
+        # one spec per global lane (a scenario repeated, an attacker
+        # population, a CEM candidate fan-out); this worker builds the
         # slice starting at its lane offset
         from repro.scenarios.serialization import spec_from_dict
 
@@ -167,11 +171,6 @@ def _build_envs(payload: dict, seeds: list[int | None], record_truth: bool,
                  for entry in payload["specs"][lane_lo:lane_lo + len(seeds)]]
         return [spec.build_env(seed=s, record_truth=record_truth)
                 for spec, s in zip(specs, seeds)]
-    if "spec" in payload:
-        from repro.scenarios.serialization import spec_from_dict
-
-        spec = spec_from_dict(payload["spec"])
-        return [spec.build_env(seed=s, record_truth=record_truth) for s in seeds]
     import repro
     from repro.config_io import config_from_dict
 
@@ -184,10 +183,9 @@ class _LaneGroupExecutor:
     """Command executor over one lane slice of the logical vector env.
 
     Pure compute: decodes a command, drives the worker-local
-    :class:`VectorEnv`, returns the encoded reply record (or a legacy
-    tuple for payloads the wire format cannot express). It runs in two
+    :class:`VectorEnv`, returns the encoded reply record. It runs in two
     places: inside every worker process (wrapped by :class:`_Worker`,
-    which owns the pipe/shm transport), and inside the *parent* when a
+    which owns the pipe transport), and inside the *parent* when a
     repeatedly-failing worker is degraded to in-process execution —
     identical semantics either way, which is what makes the degrade
     path bit-exact. The optional ``injector``
@@ -245,10 +243,10 @@ class _LaneGroupExecutor:
                 seed = venv._base_seed + self.lane_lo + local_i
             env = spec.build_env(seed=seed, record_truth=self.record_truth)
             venv.replace_env(local_i, env)
-            if "specs" in self.payload:
-                specs = list(self.payload["specs"])
-                specs[self.lane_lo + local_i] = msg["spec"]
-                self.payload = {**self.payload, "specs": specs}
+            # the parent only rebuilds lanes of spec-built envs
+            specs = list(self.payload["specs"])
+            specs[self.lane_lo + local_i] = msg["spec"]
+            self.payload = {**self.payload, "specs": specs}
         else:
             self.payload = msg["payload"]
             self.venv = self._build_group(
@@ -287,28 +285,14 @@ class _LaneGroupExecutor:
                 for i in range(venv.num_envs)
                 if step.dones[i] and (mask is None or mask[i])
             ]
-        infos = step.infos
-        if not venv.auto_reset:
-            # only an auto-reset produces a legitimate final; strip any
-            # stale one here so the legacy pickled fallback below can't
-            # leak what the binary encoder already refuses to ship
-            infos = [
-                {k: v for k, v in info.items() if k != "final_observation"}
-                if "final_observation" in info else info
-                for info in infos
-            ]
-        try:
-            return vt.encode_step_reply(step.observations, step.rewards,
-                                        step.dones, infos, changed,
-                                        auto_reset=venv.auto_reset)
-        except vt.EncodeError:
-            # un-encodable payload (e.g. a custom env wrapper smuggling
-            # objects into info): legacy pickled reply for this step
-            return ("ok", step.observations, step.rewards,
-                    step.dones, infos, list(venv.reset_infos))
+        # an unencodable payload (e.g. a wrapper smuggling objects into
+        # info) raises EncodeError, which handle() turns into ST_ERR
+        return vt.encode_step_reply(step.observations, step.rewards,
+                                    step.dones, step.infos, changed,
+                                    auto_reset=venv.auto_reset)
 
     def handle(self, raw):
-        """One binary command -> one reply (record bytes or legacy tuple)."""
+        """One binary command -> one binary reply record."""
         try:
             op = raw[0]
             if op == vt.OP_STEP:
@@ -339,80 +323,33 @@ class _LaneGroupExecutor:
             if op == vt.OP_CLOSE:
                 self.closed = True
                 return _OK_REPLY
-            if op == vt.PICKLE_PROTO:
-                return self.handle_legacy(pickle.loads(raw))
             return vt.encode_error(f"unknown opcode 0x{op:02x}")
-        except Exception as exc:
-            return vt.encode_error(f"{type(exc).__name__}: {exc}")
-
-    def handle_legacy(self, command):
-        """A pickled-tuple command (the fallback for unencodable payloads)."""
-        try:
-            if command[0] == "step":
-                return self.do_step(command[1], command[2])
-            if command[0] == "restore":
-                return self.restore(command[1])
-            if command[0] == "close":
-                self.closed = True
-                return _OK_REPLY
-            return vt.encode_error(f"unknown legacy command {command[0]!r}")
         except Exception as exc:
             return vt.encode_error(f"{type(exc).__name__}: {exc}")
 
 
 class _Worker:
     """Transport shell around a :class:`_LaneGroupExecutor` in a worker
-    process: pipe command loop, shared-memory reply slot, optional CRC
-    frame sealing (and the chaos harness's post-seal byte corruption).
+    process: pipe command loop, optional CRC frame sealing (and the
+    chaos harness's post-seal byte corruption).
     """
 
-    def __init__(self, conn, executor: _LaneGroupExecutor,
-                 shm_spec: dict | None, frame_check: bool):
+    def __init__(self, conn, frame_check: bool):
         self.conn = conn
-        self.executor = executor
         self.frame_check = frame_check
-        self.shm = None
-        self.slot_lo = 0
-        self.slot_bytes = 0
-        if shm_spec is not None:
-            from multiprocessing import shared_memory
-
-            # Workers (forked or spawned) share the parent's resource
-            # tracker, where attaching re-registers the name as a set
-            # dedup no-op; the parent's teardown is the single owner of
-            # the segment, so workers only attach and close.
-            self.shm = shared_memory.SharedMemory(name=shm_spec["name"])
-            self.slot_bytes = shm_spec["slot_bytes"]
-            self.slot_lo = shm_spec["worker_index"] * self.slot_bytes
-        self._ack = (vt.seal_frame(bytearray(_SHM_ACK)) if frame_check
-                     else _SHM_ACK)
-
-    @property
-    def dims(self) -> vt.Dims:
-        return self.executor.dims
+        self.executor: _LaneGroupExecutor | None = None
 
     def reply(self, record) -> None:
-        # errors and one-byte acks go straight down the pipe even on the
-        # shm backend, so the parent never mistakes a slab ack for a
-        # successful restore/close acknowledgement
-        direct = len(record) <= 1 or record[0] == vt.ST_ERR
         if self.frame_check:
             record = vt.seal_frame(record)
-        if self.executor.corrupt_reply:
+        executor = self.executor
+        if executor is not None and executor.corrupt_reply:
             # chaos harness: flip one byte *after* sealing so the parent
             # sees a CRC mismatch on a really-delivered frame
-            self.executor.corrupt_reply = False
+            executor.corrupt_reply = False
             record = bytearray(record)
             record[len(record) // 2] ^= 0xFF
-        if (not direct and self.shm is not None
-                and len(record) + 4 <= self.slot_bytes):
-            buf = self.shm.buf
-            lo = self.slot_lo
-            vt._U32.pack_into(buf, lo, len(record))
-            buf[lo + 4:lo + 4 + len(record)] = record
-            self.conn.send_bytes(self._ack)
-        else:
-            self.conn.send_bytes(record)
+        self.conn.send_bytes(record)
 
     def run(self) -> None:
         conn = self.conn
@@ -422,32 +359,23 @@ class _Worker:
                 raw = conn.recv_bytes()
             except (EOFError, OSError):
                 break
-            result = executor.handle(raw)
             try:
-                if isinstance(result, tuple):
-                    if self.frame_check:
-                        # the parent unseals every frame, so even the
-                        # pickled fallback must carry a CRC trailer
-                        self.reply(bytearray(pickle.dumps(result)))
-                    else:
-                        conn.send(result)
-                else:
-                    self.reply(result)
+                self.reply(executor.handle(raw))
             except (BrokenPipeError, OSError):
                 break
             if executor.closed:
                 break
-        if self.shm is not None:
-            self.shm.close()
         conn.close()
 
 
 def _worker_main(conn, payload: dict, lane_lo: int, lane_hi: int,
                  total_envs: int, base_seed: int | None, auto_reset: bool,
-                 record_truth: bool, shm_spec: dict | None,
-                 worker_index: int = 0, num_workers: int = 1,
-                 frame_check: bool = False) -> None:
-    """Process entry point: build the lane group, then serve commands."""
+                 record_truth: bool, worker_index: int = 0,
+                 num_workers: int = 1, frame_check: bool = False) -> None:
+    """Process entry point: build the lane group, send the hello (the
+    slice's geometry and reset infos, as a relane reply), then serve
+    commands."""
+    worker = _Worker(conn, frame_check)
     try:
         injector = None
         try:
@@ -461,12 +389,14 @@ def _worker_main(conn, payload: dict, lane_lo: int, lane_hi: int,
         executor = _LaneGroupExecutor(payload, lane_lo, lane_hi, total_envs,
                                       base_seed, auto_reset, record_truth,
                                       injector=injector)
-        worker = _Worker(conn, executor, shm_spec, frame_check)
-        conn.send(("ready", tuple(worker.dims), executor.venv.reset_infos))
+        hello = vt.encode_relane_reply(executor.dims,
+                                       executor.venv.reset_infos)
     except Exception as exc:  # construction failure: report, bail out
-        conn.send(("error", f"{type(exc).__name__}: {exc}"))
+        worker.reply(vt.encode_error(f"{type(exc).__name__}: {exc}"))
         conn.close()
         return
+    worker.executor = executor
+    worker.reply(hello)
     worker.run()
 
 
@@ -488,13 +418,12 @@ class ProcessVectorEnv(BaseVectorEnv):
     """Lockstep vector env with lanes spread over worker processes.
 
     ``payload`` describes how workers rebuild their environments:
-    ``{"spec": <ScenarioSpec dict>}``, ``{"specs": [...]}`` (one per
-    lane), or ``{"config": <SimConfig dict>}`` (the latter uses the
-    default FSM attacker, matching ``repro.make_env``). Prefer the
-    :meth:`from_spec` / :meth:`from_specs` / :meth:`from_config`
-    constructors.
+    ``{"specs": [<ScenarioSpec dict>, ...]}`` (one per lane) or
+    ``{"config": <SimConfig dict>}`` (the default FSM attacker, matching
+    ``repro.make_env``). Prefer the :meth:`from_specs` /
+    :meth:`from_config` constructors.
 
-    The per-step protocol is pickle-free (see
+    Every frame is a binary record (see
     :mod:`repro.sim.vec_transport`); a live instance can be re-laned
     onto new specs with :meth:`relane` / :meth:`rebuild_lane` instead
     of being re-spawned. The instance is also a context manager;
@@ -504,19 +433,16 @@ class ProcessVectorEnv(BaseVectorEnv):
     performs the real teardown.
     """
 
-    _uses_shm = False
-
     def __init__(self, payload: dict, num_envs: int, *, seed: int | None = None,
                  auto_reset: bool = True, record_truth: bool = True,
                  num_workers: int | None = None,
                  start_method: str | None = None,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES,
                  supervision: "SupervisionConfig | bool | None" = None,
                  frame_check: bool | None = None):
         if num_envs < 1:
             raise ValueError("num_envs must be >= 1")
-        if not ("spec" in payload or "config" in payload or "specs" in payload):
-            raise ValueError("payload needs a 'spec', 'specs', or 'config' entry")
+        if not ("config" in payload or "specs" in payload):
+            raise ValueError("payload needs a 'specs' or 'config' entry")
         if "specs" in payload and len(payload["specs"]) != num_envs:
             raise ValueError(
                 f"per-lane payload has {len(payload['specs'])} specs "
@@ -536,7 +462,6 @@ class ProcessVectorEnv(BaseVectorEnv):
         self._closed = False
         self._pool: "VecPool | None" = None
         self._pool_leased = False
-        self._slab = None
         self._dims: vt.Dims | None = None
 
         if num_workers is None:
@@ -569,33 +494,24 @@ class ProcessVectorEnv(BaseVectorEnv):
         self._ctx = mp.get_context(start_method)
 
         try:
-            self._shm_base = self._setup_shm(slot_bytes)
             for w in range(num_workers):
                 self._launch_worker(w)
             self.reset_infos = []
-            for conn in self._conns:
-                _, dims, reset_infos = self._recv_handshake(conn)
-                self._check_dims(vt.Dims(*dims))
-                self.reset_infos.extend(reset_infos)
+            for w in range(num_workers):
+                self.reset_infos.extend(self._recv_handshake(w))
         except BaseException:
             self._hard_close()
             raise
 
     # -- constructors --------------------------------------------------
     @classmethod
-    def from_spec(cls, spec, num_envs: int, **kwargs) -> "ProcessVectorEnv":
-        from repro.scenarios.serialization import spec_to_dict
-
-        return cls({"spec": spec_to_dict(spec)}, num_envs, **kwargs)
-
-    @classmethod
     def from_specs(cls, specs, **kwargs) -> "ProcessVectorEnv":
-        """Heterogeneous lanes: lane ``i`` runs ``specs[i]``.
+        """Lane ``i`` runs ``specs[i]``.
 
         All specs must share a topology (same action space; the workers'
-        handshake enforces it). This is how the adversarial loops fan an
-        attacker population or a CEM candidate batch over one lockstep
-        vector environment.
+        handshake enforces it). ``[spec] * n`` is ``n`` copies of one
+        scenario; the adversarial loops fan an attacker population or a
+        CEM candidate batch over one lockstep vector environment.
         """
         from repro.scenarios.serialization import spec_to_dict
 
@@ -610,16 +526,6 @@ class ProcessVectorEnv(BaseVectorEnv):
         from repro.config_io import config_to_dict
 
         return cls({"config": config_to_dict(config)}, num_envs, **kwargs)
-
-    # -- shm hooks (overridden by ShmVectorEnv) ------------------------
-    def _setup_shm(self, slot_bytes: int) -> dict | None:
-        return None
-
-    def _teardown_shm(self) -> None:
-        pass
-
-    def _read_slot(self, worker_index: int):
-        raise RuntimeError("no shared-memory slab on this backend")
 
     # -- metadata ------------------------------------------------------
     def _template(self):
@@ -712,7 +618,7 @@ class ProcessVectorEnv(BaseVectorEnv):
         return self
 
     # -- plumbing ------------------------------------------------------
-    def _dispatch(self, w: int, cmd, legacy: bool = False) -> None:
+    def _dispatch(self, w: int, cmd) -> None:
         """Deliver one command to worker ``w``, tracking it in flight.
 
         The in-flight command is what a respawned worker re-executes
@@ -725,14 +631,11 @@ class ProcessVectorEnv(BaseVectorEnv):
                 "a VectorEnv worker process died unexpectedly "
                 "(env already torn down)"
             )
-        self._inflight[w] = (cmd, legacy)
+        self._inflight[w] = cmd
         if self._local[w] is not None:
             return
         try:
-            if legacy:
-                self._conns[w].send(cmd)
-            else:
-                self._conns[w].send_bytes(cmd)
+            self._conns[w].send_bytes(cmd)
         except (BrokenPipeError, OSError) as exc:
             self._recover_worker(w, f"send failed ({type(exc).__name__})")
 
@@ -762,20 +665,30 @@ class ProcessVectorEnv(BaseVectorEnv):
             raise first_error
         return replies
 
-    def _recv_handshake(self, conn):
+    def _recv_direct(self, w: int, what: str):
+        """One reply from worker ``w`` outside supervision (its hello, a
+        respawn's restore ack); any failure raises :class:`RuntimeError`."""
         try:
-            reply = conn.recv()
-        except (EOFError, OSError) as exc:
+            raw = self._conns[w].recv_bytes()
+            if self._frame_check:
+                raw = vt.open_frame(raw)
+        except (EOFError, OSError, vt.FrameError) as exc:
             raise RuntimeError(
-                "a VectorEnv worker process died during construction"
-            ) from exc
-        if reply[0] == "error":
-            raise RuntimeError(f"VectorEnv worker failed: {reply[1]}")
-        return reply
+                f"a VectorEnv worker process died during {what} "
+                f"({type(exc).__name__}: {exc})") from exc
+        return self._finish_reply(raw)
+
+    def _recv_handshake(self, w: int) -> list:
+        """Worker ``w``'s hello: check its geometry, return the slice's
+        reset infos."""
+        lo, hi = self._bounds[w]
+        dims, reset_infos = vt.decode_relane_reply(
+            self._recv_direct(w, "construction"), hi - lo)
+        self._check_dims(dims)
+        return reset_infos
 
     def _recv_worker(self, w: int):
-        """One reply from worker ``w``: binary record, shm-slot view,
-        or legacy tuple.
+        """One binary reply record from worker ``w``.
 
         Every fault signal lands here — pipe EOF, step timeout, CRC
         mismatch — and flows into :meth:`_recover_worker`, which either
@@ -785,11 +698,8 @@ class ProcessVectorEnv(BaseVectorEnv):
         """
         while True:
             if self._local[w] is not None:
-                cmd, legacy = self._inflight[w]
-                executor = self._local[w]
-                body = (executor.handle_legacy(cmd) if legacy
-                        else executor.handle(cmd))
-                return self._finish_reply(body)
+                return self._finish_reply(
+                    self._local[w].handle(self._inflight[w]))
             conn = self._conns[w]
             config = self._sup.config
             timeout = config.step_timeout if config.enabled else None
@@ -809,35 +719,14 @@ class ProcessVectorEnv(BaseVectorEnv):
                     self._sup.stats["corrupt_frames"] += 1
                     self._recover_worker(w, str(exc))
                     continue
-            if raw[0] == vt.ST_SHM and len(raw) == 1:
-                body = self._read_slot(w)
-                if self._frame_check:
-                    try:
-                        body = vt.open_frame(body)
-                    except vt.FrameError as exc:
-                        self._sup.stats["corrupt_frames"] += 1
-                        self._recover_worker(w, str(exc))
-                        continue
-            else:
-                body = raw
-            return self._finish_reply(body)
+            return self._finish_reply(raw)
 
     @staticmethod
     def _finish_reply(body):
-        """Shared reply postprocessing: application errors and the
-        legacy pickled fallback (which, under frame checking, may even
-        arrive through the shm slab)."""
-        if isinstance(body, tuple):  # a degraded executor's legacy reply
-            return body
-        first = body[0]
-        if first == vt.ST_ERR:
+        """Raise an application error (ST_ERR) reply; pass others on."""
+        if body[0] == vt.ST_ERR:
             raise RuntimeError(
                 f"VectorEnv worker failed: {vt.decode_error(body)}")
-        if first == vt.PICKLE_PROTO:
-            reply = pickle.loads(body)
-            if reply[0] == "error":
-                raise RuntimeError(f"VectorEnv worker failed: {reply[1]}")
-            return reply
         return body
 
     # -- fault recovery ------------------------------------------------
@@ -912,46 +801,17 @@ class ProcessVectorEnv(BaseVectorEnv):
         re-sent in-flight command. Any failure raises
         :class:`_RespawnError` and burns a restart budget unit."""
         lo, hi = self._bounds[w]
+        # every journaled action already passed the encoder in step()
+        restore_cmd = vt.encode_restore_cmd(self._sup.restore_states(lo, hi))
         try:
             self._launch_worker(w)
-            _, dims, _ = self._recv_handshake(self._conns[w])
-            self._check_dims(vt.Dims(*dims))
-        except RuntimeError as exc:
-            raise _RespawnError(str(exc)) from exc
-        states = self._sup.restore_states(lo, hi)
-        try:
-            restore_cmd, legacy = vt.encode_restore_cmd(states), False
-        except vt.EncodeError:
-            # journaled actions the wire format cannot express: pickle
-            restore_cmd, legacy = ("restore", states), True
-        conn = self._conns[w]
-        try:
-            if legacy:
-                conn.send(restore_cmd)
-            else:
-                conn.send_bytes(restore_cmd)
-            raw = conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            raise _RespawnError(
-                f"died during restore ({type(exc).__name__})") from exc
-        if self._frame_check:
-            try:
-                raw = vt.open_frame(raw)
-            except vt.FrameError as exc:
-                raise _RespawnError(str(exc)) from exc
-        if raw[0] == vt.ST_ERR:
-            raise _RespawnError(f"restore failed: {vt.decode_error(raw)}")
-        if self._inflight[w] is not None:
-            cmd, cmd_legacy = self._inflight[w]
-            try:
-                if cmd_legacy:
-                    conn.send(cmd)
-                else:
-                    conn.send_bytes(cmd)
-            except (BrokenPipeError, OSError) as exc:
-                raise _RespawnError(
-                    f"died re-sending command ({type(exc).__name__})"
-                ) from exc
+            self._recv_handshake(w)
+            self._conns[w].send_bytes(restore_cmd)
+            self._recv_direct(w, "restore")
+            if self._inflight[w] is not None:
+                self._conns[w].send_bytes(self._inflight[w])
+        except (RuntimeError, OSError) as exc:
+            raise _RespawnError(f"{type(exc).__name__}: {exc}") from exc
 
     def _degrade_worker(self, w: int) -> None:
         """Last resort: fold the slice into the parent process.
@@ -981,13 +841,11 @@ class ProcessVectorEnv(BaseVectorEnv):
         respawn)."""
         lo, hi = self._bounds[w]
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        worker_spec = (None if self._shm_base is None
-                       else {**self._shm_base, "worker_index": w})
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self._payload, lo, hi, self.num_envs,
                   self._sup.base_seed, self._auto_reset, self._record_truth,
-                  worker_spec, w, len(self._bounds), self._frame_check),
+                  w, len(self._bounds), self._frame_check),
             daemon=True,
         )
         proc.start()
@@ -1036,15 +894,16 @@ class ProcessVectorEnv(BaseVectorEnv):
                 raise ValueError(
                     f"expected {self.num_envs} mask entries, got {len(mask)}"
                 )
-        for w, (lo, hi) in enumerate(self._bounds):
-            group_mask = None if mask is None else mask[lo:hi]
-            try:
-                self._dispatch(w, vt.encode_step_cmd(actions[lo:hi],
-                                                     group_mask))
-            except vt.EncodeError:
-                # exotic action payload: pickle this one command
-                self._dispatch(w, ("step", actions[lo:hi], group_mask),
-                               legacy=True)
+        # encode every group before sending any: an unencodable action
+        # raises EncodeError (a TypeError) with no worker commanded, so
+        # the lanes stay in lockstep
+        cmds = [
+            vt.encode_step_cmd(actions[lo:hi],
+                               None if mask is None else mask[lo:hi])
+            for lo, hi in self._bounds
+        ]
+        for w, cmd in enumerate(cmds):
+            self._dispatch(w, cmd)
         result = self._collect_step()
         self._sup.note_step(actions, mask, result.dones, self._auto_reset)
         return result
@@ -1056,14 +915,10 @@ class ProcessVectorEnv(BaseVectorEnv):
         rewards = np.empty(self.num_envs)
         dones = np.empty(self.num_envs, dtype=bool)
         for reply, (lo, hi) in zip(replies, self._bounds):
-            if isinstance(reply, tuple):  # legacy pickled fallback
-                _, obs, rew, done, info, reset_infos = reply
-                self.reset_infos[lo:hi] = reset_infos
-            else:
-                obs, rew, done, info, changed = vt.decode_step_reply(
-                    reply, hi - lo, self._dims)
-                for local_i, reset_info in changed:
-                    self.reset_infos[lo + local_i] = reset_info
+            obs, rew, done, info, changed = vt.decode_step_reply(
+                reply, hi - lo, self._dims)
+            for local_i, reset_info in changed:
+                self.reset_infos[lo + local_i] = reset_info
             observations.extend(obs)
             infos.extend(info)
             rewards[lo:hi] = rew
@@ -1073,12 +928,10 @@ class ProcessVectorEnv(BaseVectorEnv):
     def action_masks(self) -> np.ndarray:
         for w in range(len(self._bounds)):
             self._dispatch(w, _MASKS_CMD)
-        rows = []
-        for reply, (lo, hi) in zip(self._recv_group(), self._bounds):
-            if isinstance(reply, tuple):
-                rows.append(reply[1])
-            else:
-                rows.append(vt.decode_masks_reply(reply, hi - lo, self._dims))
+        rows = [
+            vt.decode_masks_reply(reply, hi - lo, self._dims)
+            for reply, (lo, hi) in zip(self._recv_group(), self._bounds)
+        ]
         return np.concatenate(rows, axis=0)
 
     # -- persistent-pool interface -------------------------------------
@@ -1129,7 +982,7 @@ class ProcessVectorEnv(BaseVectorEnv):
         if self._lane_specs is None:
             raise ValueError(
                 "rebuild_lane needs a spec-built vector env "
-                "(from_spec/from_specs); this one was built from a raw config"
+                "(from_specs); this one was built from a raw config"
             )
         w, local = self._worker_of(i)
         body = json.dumps(
@@ -1176,8 +1029,7 @@ class ProcessVectorEnv(BaseVectorEnv):
     def close(self) -> None:
         """Release the env; a pool-owned env is only *released*.
 
-        For a standalone env this terminates the workers and unlinks
-        any shared-memory segments. For an env handed out by a
+        For a standalone env this terminates the workers. For an env handed out by a
         :class:`VecPool` it is a soft release -- the lease returns to
         the pool, the workers stay alive for the next ``acquire``, and
         the pool's own ``close()`` performs the real teardown.
@@ -1232,7 +1084,6 @@ class ProcessVectorEnv(BaseVectorEnv):
                         proc.kill()
                         proc.join(timeout=1.0)
         finally:
-            self._teardown_shm()
             self._local = [None] * len(self._bounds)
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
@@ -1242,57 +1093,6 @@ class ProcessVectorEnv(BaseVectorEnv):
             pass
 
 
-class ShmVectorEnv(ProcessVectorEnv):
-    """Process backend whose replies travel through shared memory.
-
-    Every worker owns a fixed slot in one preallocated
-    ``multiprocessing.shared_memory`` slab and parks its encoded reply
-    record there (observations, rewards, dones, structured infos,
-    masks); the pipe then carries a single acknowledgement byte, which
-    doubles as the write barrier. The parent decodes straight out of
-    the slab into fresh objects, so callers may hold onto results
-    across steps. Records larger than the slot (pathological alert
-    floods) spill over to the pipe transparently.
-
-    The parent is the single owner of the slab: it is unlinked from
-    every teardown path (``close()``, constructor failure, worker
-    crash, finalizer), so no ``/dev/shm`` residue survives the env.
-    """
-
-    _uses_shm = True
-
-    def _setup_shm(self, slot_bytes: int) -> dict:
-        from multiprocessing import shared_memory
-
-        if slot_bytes < 4096:
-            raise ValueError("slot_bytes must be at least 4096")
-        self._slot_bytes = slot_bytes
-        self._slab = shared_memory.SharedMemory(
-            create=True, size=len(self._bounds) * slot_bytes)
-        return {"name": self._slab.name, "slot_bytes": slot_bytes}
-
-    def _teardown_shm(self) -> None:
-        slab = getattr(self, "_slab", None)
-        if slab is None:
-            return
-        self._slab = None
-        try:
-            slab.close()
-        finally:
-            try:
-                slab.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-
-    def _read_slot(self, worker_index: int):
-        buf = self._slab.buf
-        lo = worker_index * self._slot_bytes
-        (length,) = vt._U32.unpack_from(buf, lo)
-        # decoding copies every field out of the slab (frombuffer +
-        # astype/copy), so handing out a transient view is safe
-        return memoryview(buf)[lo + 4:lo + 4 + length]
-
-
 # ----------------------------------------------------------------------
 # persistent pools
 # ----------------------------------------------------------------------
@@ -1300,9 +1100,9 @@ class VecPool:
     """A cache of live worker-pool vector envs, re-laned instead of
     re-spawned.
 
-    :meth:`acquire` hands out a :class:`ProcessVectorEnv` /
-    :class:`ShmVectorEnv` for a batch of scenario specs. When a live
-    pool with the same geometry (backend, lane count, worker count)
+    :meth:`acquire` hands out a :class:`ProcessVectorEnv` for a batch
+    of scenario specs. When a live pool with the same geometry (lane
+    count, worker count)
     already exists, its workers are re-laned onto the new specs --
     bit-identical to a fresh construction, without paying process
     startup -- otherwise a new pool is spawned and cached. Envs handed
@@ -1341,22 +1141,17 @@ class VecPool:
         self.reuses = 0
 
     def acquire(self, specs, *, seed: int | None = None,
-                backend: str = "process", num_workers: int | None = None,
+                num_workers: int | None = None,
                 auto_reset: bool = True, record_truth: bool = True,
                 start_method: str | None = None) -> ProcessVectorEnv:
         """A ready vector env over ``specs``, reusing live workers."""
-        if backend not in ("process", "shm"):
-            raise ValueError(
-                f"VecPool backs worker-pool backends, not {backend!r}"
-            )
         specs = list(specs)
         if not specs:
             raise ValueError("acquire needs at least one spec")
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot acquire from a closed VecPool")
-            key = (backend, len(specs), num_workers, record_truth,
-                   start_method)
+            key = (len(specs), num_workers, record_truth, start_method)
             venv = self._pools.get(key)
             if venv is not None and not venv._closed:
                 try:
@@ -1368,8 +1163,7 @@ class VecPool:
                 except RuntimeError:
                     # dead or wedged pool; fall through and respawn
                     venv.shutdown()
-            cls = ProcessVectorEnv if backend == "process" else ShmVectorEnv
-            venv = cls.from_specs(
+            venv = ProcessVectorEnv.from_specs(
                 specs, seed=seed, auto_reset=auto_reset,
                 record_truth=record_truth, num_workers=num_workers,
                 start_method=start_method,

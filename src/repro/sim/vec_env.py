@@ -10,11 +10,11 @@ Three backends implement one contract (:class:`BaseVectorEnv`):
 
 * ``sync`` -- :class:`VectorEnv`, every lane stepped in-process (this
   module);
+* ``batched`` -- :class:`~repro.sim.batched_engine.BatchedVectorEnv`,
+  every lane stepped in-process on one structure-of-arrays engine;
 * ``process`` -- :class:`~repro.sim.vec_backends.ProcessVectorEnv`,
-  lanes partitioned across worker processes talking over pipes;
-* ``shm`` -- :class:`~repro.sim.vec_backends.ShmVectorEnv`, the process
-  backend with reward/done/action-mask batches exchanged through
-  ``multiprocessing.shared_memory`` instead of pickle.
+  lanes partitioned across worker processes exchanging binary records
+  over pipes (:mod:`repro.sim.vec_transport`).
 
 Semantics follow the Gym ``VectorEnv`` contract:
 

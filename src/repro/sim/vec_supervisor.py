@@ -1,6 +1,6 @@
 """Parent-side worker supervision for the parallel VectorEnv backends.
 
-The process/shm backends keep one child process per contiguous lane
+The process backend keeps one child process per contiguous lane
 slice. A dead child used to be fatal: the parent tore the whole pool
 down and raised. This module holds the state that makes worker death
 *recoverable* instead — a per-lane **journal** mirroring just enough of

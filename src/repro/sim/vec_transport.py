@@ -1,18 +1,18 @@
-"""Zero-pickle wire format for the parallel VectorEnv backends.
+"""Zero-pickle wire format for the process VectorEnv backend.
 
-The process/shm backends move four kinds of payload between the parent
-and its worker processes every lockstep round: action batches going
-down, and observation/reward/done/info batches coming back. Shipping
-those through ``Connection.send`` pickles every ``Alert``, ``Observation``
-and info dict per lane per step — measurable pure overhead on the
-training hot path. This module replaces pickle with an explicit binary
-record format (``struct``-packed, little-endian) that both sides encode
-and decode directly:
+The process backend moves four kinds of payload between the parent and
+its worker processes every lockstep round: action batches going down,
+and observation/reward/done/info batches coming back. Shipping those
+through ``Connection.send`` would pickle every ``Alert``,
+``Observation`` and info dict per lane per step — measurable pure
+overhead on the training hot path. This module is the one protocol
+instead: an explicit binary record format (``struct``-packed,
+little-endian) that both sides encode and decode directly, for every
+frame from the worker's hello to its last reply:
 
 * commands (parent -> worker): one opcode byte, then a fixed layout per
-  command; actions are encoded as ``None`` / integer indices /
-  ``DefenderAction`` lists (the three forms every policy in the repo
-  emits);
+  command; an action is ``None``, an integer index, or a list of
+  ``DefenderAction``s — exactly what ``InasimEnv.step`` accepts;
 * replies (worker -> parent): a status byte, then per-lane observation
   blocks and a *structured info record* — step tallies, reward
   breakdown, launched/completed action lists, attacker phase, optional
@@ -23,18 +23,19 @@ Records reconstruct the exact objects the sync backend returns
 (``Observation`` / ``Alert`` / ``ScanResult`` / ``DefenderAction`` /
 ``RewardBreakdown``), field for field, so backend parity stays
 bit-exact; floats round-trip through fixed-width IEEE doubles, never
-text. Anything the format cannot express raises :class:`EncodeError`,
-and the backends fall back to the legacy pickled pipe protocol for that
-one message — correctness never depends on the fast path.
+text. Anything the format cannot express raises :class:`EncodeError`
+(a :class:`TypeError`): on the parent side before any command is sent,
+on the worker side as an ``ST_ERR`` reply naming the offending value.
 
 The byte layout is deliberately self-contained: the only shared context
-is a :class:`Dims` tuple (action/node/PLC/condition counts) exchanged
-at pool construction and after every ``rebuild_lane``, so a live pool
-can even be re-laned onto a different network preset.
+is a :class:`Dims` tuple (action/node/PLC/condition counts) carried by
+the worker's hello and by every relane reply, so a live pool can even
+be re-laned onto a different network preset.
 """
 
 from __future__ import annotations
 
+import numbers
 import struct
 import zlib
 from typing import Any, NamedTuple
@@ -59,8 +60,6 @@ __all__ = [
     "OP_RESTORE",
     "ST_OK",
     "ST_ERR",
-    "ST_SHM",
-    "PICKLE_PROTO",
     "RESTORE_VIRGIN",
     "RESTORE_RESET",
     "RESTORE_REBUILT",
@@ -91,9 +90,7 @@ __all__ = [
     "decode_error",
 ]
 
-# command opcodes (parent -> worker). Pickled streams always begin with
-# the PROTO opcode 0x80, so any first byte >= 0x90 unambiguously marks a
-# binary message and lets the worker keep a pickle fallback path.
+# command opcodes (parent -> worker)
 OP_STEP = 0x90
 OP_MASKS = 0x91
 OP_RESET = 0x92
@@ -106,10 +103,6 @@ OP_RESTORE = 0x97  # deterministic lane recovery after a worker respawn
 # reply status bytes (worker -> parent)
 ST_OK = 0xA0  # payload follows inline
 ST_ERR = 0xA1  # utf-8 error message follows
-ST_SHM = 0xA2  # payload is in the worker's shared-memory slot
-
-#: first byte of every pickle stream (protocol >= 2)
-PICKLE_PROTO = 0x80
 
 _SOURCES = tuple(AlertSource)
 _SOURCE_INDEX = {source: i for i, source in enumerate(_SOURCES)}
@@ -167,12 +160,13 @@ _INFO_KEYS = frozenset(
 )
 
 
-class EncodeError(Exception):
+class EncodeError(TypeError):
     """The payload cannot be expressed in the binary wire format.
 
-    Callers fall back to the legacy pickled pipe protocol for the one
-    message that raised; the fast path stays pickle-free for everything
-    the repo's policies and engine actually produce.
+    The format covers everything the engine produces and every action
+    ``InasimEnv`` accepts, so this marks a caller error (a float or a
+    list of ints as an action) or a wrapper smuggling foreign objects
+    into step infos.
     """
 
 
@@ -346,7 +340,7 @@ def _encode_info(out: bytearray, info: dict[str, Any],
     if extra:
         raise EncodeError(f"info carries unknown keys {sorted(extra)}")
     missing = _REQUIRED_INFO_KEYS - info.keys()
-    if missing:  # e.g. a wrapper that rebuilds infos: take the fallback
+    if missing:  # e.g. a wrapper that rebuilds infos
         raise EncodeError(f"info is missing keys {sorted(missing)}")
     out.append(1)
     try:
@@ -478,25 +472,28 @@ _ACT_LIST = 2
 
 
 def _encode_action_entry(out: bytearray, action) -> None:
-    """Pack one per-lane action: ``None``, an integer action index
-    (python or numpy), a single :class:`DefenderAction`, or an iterable
-    of them — exactly the forms :meth:`InasimEnv.step` accepts from the
-    repo's policies. Anything else raises :class:`EncodeError`."""
+    """Pack one per-lane action: ``None``, an integer action index (any
+    :class:`numbers.Integral`, numpy scalars included), a single
+    :class:`DefenderAction`, or an iterable of them — exactly the forms
+    ``InasimEnv._coerce`` accepts. Anything else raises
+    :class:`EncodeError`."""
     if action is None:
         out.append(_ACT_NONE)
-    elif isinstance(action, (int, np.integer)):
+    elif isinstance(action, (int, np.integer, numbers.Integral)):
         out.append(_ACT_INT)
         out += _I64.pack(int(action))
     elif isinstance(action, DefenderAction):
         out.append(_ACT_LIST)
         _encode_actions_list(out, (action,))
-    elif isinstance(action, (list, tuple)):
-        out.append(_ACT_LIST)
-        _encode_actions_list(out, action)
     else:
-        raise EncodeError(
-            f"unencodable action of type {type(action).__name__}"
-        )
+        try:
+            actions = list(action)
+        except TypeError:
+            raise EncodeError(
+                f"unencodable action of type {type(action).__name__}"
+            ) from None
+        out.append(_ACT_LIST)
+        _encode_actions_list(out, actions)
 
 
 def _decode_action_entry(buf, pos: int):
@@ -513,8 +510,7 @@ def _decode_action_entry(buf, pos: int):
 def encode_step_cmd(actions, mask) -> bytearray:
     """Pack a lane group's actions (+ optional step mask) for a worker.
 
-    On an unencodable action this raises :class:`EncodeError` and the
-    caller falls back to the pickled protocol for this step.
+    An unencodable action raises :class:`EncodeError`.
     """
     out = bytearray((OP_STEP,))
     if mask is None:
@@ -774,9 +770,9 @@ def decode_reset_env_reply(buf, dims: Dims):
 
 
 def encode_relane_reply(dims: Dims, reset_infos) -> bytearray:
-    """Worker acknowledgement of a ``rebuild_lane``/relane command:
-    the (possibly changed) codec geometry plus the slice's fresh
-    per-lane reset infos."""
+    """The worker's hello, and its acknowledgement of a
+    ``rebuild_lane``/relane command: the (possibly changed) codec
+    geometry plus the slice's fresh per-lane reset infos."""
     out = bytearray((ST_OK,))
     out += dims.pack()
     for info in reset_infos:

@@ -449,12 +449,19 @@ class TestCleanTree:
         result = run_check(root=PACKAGE_ROOT)
         assert result.ok, "\n" + render("text", result.findings)
 
-    def test_the_one_sanctioned_pickle_import_is_inline_suppressed(self):
+    def test_tree_has_zero_suppressions(self):
         result = run_check(root=PACKAGE_ROOT)
-        suppressed = {
-            (f.rule, f.path) for f, _ in result.suppressed
+        assert not result.suppressed, [
+            (f.rule, f.path, f.line) for f, _ in result.suppressed
+        ]
+
+    def test_pickle_ban_covers_the_worker_backend(self, tmp_path):
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "vec_backends.py").write_text("import pickle\n")
+        result = run_check(root=tmp_path, baseline=Baseline.empty())
+        assert rule_lines(result) == {
+            ("forbidden-import", "sim/vec_backends.py", 1),
         }
-        assert ("forbidden-import", "sim/vec_backends.py") in suppressed
 
     def test_policy_default_covers_all_catalog_rules(self):
         from repro.analysis.policy import RULE_CATALOG

@@ -119,7 +119,7 @@ class TestHarness:
 class TestRecoveryParity:
     """Killed, wedged, and corrupted workers recover bit-exactly."""
 
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_kill_recovery_is_bit_identical(self, backend):
         clean = _sync_rewards()
         chaotic, stats = _chaos_rewards(
@@ -130,7 +130,7 @@ class TestRecoveryParity:
         assert stats["restarts"] >= 1
         assert stats["last_fault"]
 
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_corrupt_frame_detected_and_recovered(self, backend):
         clean = _sync_rewards()
         chaotic, stats = _chaos_rewards(
@@ -199,13 +199,11 @@ class TestRelaneFaults:
         with inject_faults(FaultPlan(seed=0, fail_relane=1)):
             pool = VecPool()
             try:
-                venv = pool.acquire(_specs(4), seed=0, backend="process",
-                                    num_workers=2)
+                venv = pool.acquire(_specs(4), seed=0, num_workers=2)
                 venv.configure_supervision(max_restarts=2, backoff_base=0.0)
                 venv.reset(seed=0)
                 venv.step(None)
-                venv = pool.acquire(lineup, seed=3, backend="process",
-                                    num_workers=2)
+                venv = pool.acquire(lineup, seed=3, num_workers=2)
                 assert venv.fault_stats["faults"] >= 1
                 venv.reset(seed=5)
                 for _ in range(8):
@@ -244,7 +242,7 @@ def _metric_tuple(m):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["process", "shm"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_chaos_parity_on_paper_network(backend):
     """The issue's acceptance criterion: a 16-lane paper-network
     evaluation with a worker killed every 50 steps produces metrics

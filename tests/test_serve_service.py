@@ -175,6 +175,21 @@ class TestServeEndToEnd:
                                   "backend": "sync"})["job_id"], timeout=120)
         assert single["metrics"] == vec["metrics"]
 
+    @pytest.mark.parametrize("backend", ["batched", "shm"])
+    def test_vectorized_job_backend_matches_sync(self, server, backend):
+        """In-process batched lanes and the deprecated shm name (run as
+        process) serve the same metrics as sync lanes."""
+        argv = {"kind": "evaluate", "scenario": TINY, "policy": "playbook",
+                "episodes": 3, "seed": 5, "max_steps": 30, "num_envs": 2}
+        sync = server.client.wait(
+            server.client.submit({**argv, "backend": "sync"})["job_id"],
+            timeout=120)
+        other = server.client.wait(
+            server.client.submit({**argv, "backend": backend})["job_id"],
+            timeout=120)
+        assert other["status"] == "done", other
+        assert other["metrics"] == sync["metrics"]
+
     def test_selfplay_job(self, server):
         job = server.client.submit({
             "kind": "selfplay", "scenario": TINY, "policy": "playbook",

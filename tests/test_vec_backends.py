@@ -2,7 +2,8 @@
 
 The core guarantee of the backend abstraction: the same scenario and
 seed produce bit-identical observation/reward/done trajectories on
-every backend (``sync`` / ``process`` / ``shm``). Plus round-trip tests
+every backend (``sync`` / ``process``; ``shm`` is a deprecated alias of
+``process``). Plus round-trip tests
 for ScenarioSpec JSON (the worker shipping format) and regression tests
 for the vectorized ``sample_actions`` and the ``reset_env`` episode
 accounting.
@@ -73,12 +74,15 @@ class TestBackendParity:
         np.testing.assert_array_equal(rew_s, rew_p)
         np.testing.assert_array_equal(done_s, done_p)
 
-    @pytest.mark.slow
     def test_shm_matches_sync(self):
+        """The retired shm backend name still runs, as process."""
         sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15)
         trace_s, rew_s, done_s = _rollout(sync, 25, seed=1)
-        with repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15,
-                            backend="shm", num_workers=2) as venv:
+        with pytest.warns(DeprecationWarning, match="shm"):
+            venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15,
+                                  backend="shm", num_workers=2)
+        with venv:
+            assert type(venv) is ProcessVectorEnv
             trace_h, rew_h, done_h = _rollout(venv, 25, seed=1)
         assert trace_s == trace_h
         np.testing.assert_array_equal(rew_s, rew_h)
@@ -248,12 +252,13 @@ class TestFinalObservationWireGuard:
             assert "final_observation" not in info
             assert info["t"] == 5  # the rest of the info is intact
 
-    def test_worker_group_strips_stale_final_in_legacy_fallback(self):
+    def test_unencodable_info_key_is_an_error_reply(self):
+        from repro.sim import vec_transport as vt
         from repro.sim.vec_backends import _LaneGroupExecutor
 
         class _LeakyEnv:
             """Terminal lane whose info echoes a stale final and an
-            unencodable extra key, forcing the legacy pickled reply."""
+            unencodable extra key."""
 
             def __init__(self, env):
                 self._env = env
@@ -275,13 +280,11 @@ class TestFinalObservationWireGuard:
         group.injector = None
         group.venv = venv
         venv.reset(seed=0)
-        reply = group.do_step(None, None)
-        # the unencodable key forced the pickled tuple path...
-        assert isinstance(reply, tuple) and reply[0] == "ok"
-        infos = reply[4]
-        # ...which must have dropped the stale final all the same
-        assert all("final_observation" not in info for info in infos)
-        assert all("unencodable" in info for info in infos)
+        reply = group.handle(vt.encode_step_cmd([None], None))
+        # no fallback protocol: the worker answers with an error record
+        # that tells the caller which key the wire format cannot carry
+        assert reply[0] == vt.ST_ERR
+        assert "unencodable" in vt.decode_error(reply)
 
 
 class TestSampleActionsVectorized:

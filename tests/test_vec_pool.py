@@ -2,13 +2,13 @@
 
 Four guarantees pinned here:
 
-* the per-step path of the process/shm backends never pickles — a
+* the process backend never pickles on the per-step path — a
   monkeypatched ``pickle.dumps`` / ``ForkingPickler.dumps`` would
-  explode if a step, mask query, or reset touched it;
-* pool lifecycle hygiene: no orphaned worker processes and no leaked
-  ``shared_memory`` segments after ``close()``, after an exception
-  mid-generation, after a worker crash, and after repeated
-  ``rebuild_lane`` cycles;
+  explode if a step, mask query, or reset touched it — and, under the
+  fork start method, not at construction or close either;
+* pool lifecycle hygiene: no orphaned worker processes after
+  ``close()``, after an exception mid-generation, after a worker crash,
+  and after repeated ``rebuild_lane`` cycles;
 * re-laning a live pool is bit-identical to constructing a fresh
   vector env over the same specs and seed;
 * a multi-generation CEM run on ``backend="process"`` spawns exactly
@@ -17,7 +17,6 @@ Four guarantees pinned here:
 
 import multiprocessing as mp
 import pickle
-from multiprocessing import shared_memory
 from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
@@ -31,7 +30,7 @@ from repro.adversarial import (
 )
 from repro.defenders import PlaybookPolicy
 from repro.sim.orchestrator import DefenderAction, DefenderActionType
-from repro.sim.vec_backends import ProcessVectorEnv, ShmVectorEnv, VecPool
+from repro.sim.vec_backends import ProcessVectorEnv, VecPool
 
 
 def _specs(n, horizon=10, **apt_overrides):
@@ -58,20 +57,18 @@ def _obs_fingerprint(obs):
 
 
 class _WeirdAction:
-    """Not binary-encodable; InasimEnv._coerce treats it as an iterable
-    of zero defender actions (module-level so pickle can reach it)."""
+    """Neither a list nor a DefenderAction; InasimEnv._coerce treats it
+    as an iterable of zero defender actions."""
 
     def __iter__(self):
         return iter(())
 
 
-def _no_segment(name):
-    try:
-        handle = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    handle.close()
-    return False
+def _assert_steps_equal(step_a, step_b):
+    assert ([_obs_fingerprint(o) for o in step_a.observations]
+            == [_obs_fingerprint(o) for o in step_b.observations])
+    np.testing.assert_array_equal(step_a.rewards, step_b.rewards)
+    np.testing.assert_array_equal(step_a.dones, step_b.dones)
 
 
 def _workers_reaped(venv):
@@ -86,7 +83,7 @@ class _NoPickle:
 
     def __enter__(self):
         def boom(*args, **kwargs):
-            raise AssertionError("pickle on the per-step path")
+            raise AssertionError("pickle on the transport path")
 
         self.monkeypatch.setattr(pickle, "dumps", boom)
         self.monkeypatch.setattr(ForkingPickler, "dumps", boom)
@@ -97,7 +94,7 @@ class _NoPickle:
 
 
 class TestZeroPicklePerStep:
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_step_path_never_pickles(self, monkeypatch, backend):
         """Steps, masks, and resets cross the worker boundary without a
         single parent-side pickle call — for every action form the
@@ -119,19 +116,56 @@ class TestZeroPicklePerStep:
                 venv.auto_reset = False
                 venv.step(None, mask=[True, False, True, True])
 
-    def test_exotic_action_falls_back_to_pickle(self):
-        """The legacy pickled protocol still carries what the binary
-        format cannot, with identical results."""
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_construction_and_close_never_pickle_under_fork(self,
+                                                            monkeypatch):
+        """A forked pool's whole life is pickle-free: the payload rides
+        the fork, and the hello, every command and the close are binary
+        records."""
+        with _NoPickle(monkeypatch):
+            venv = ProcessVectorEnv.from_specs(
+                _specs(4, horizon=5), seed=0, num_workers=2,
+                start_method="fork")
+            try:
+                venv.reset(seed=0)
+                venv.step(None)
+            finally:
+                venv.close()
+        assert _workers_reaped(venv)
+
+    def test_iterable_action_travels_binary(self, monkeypatch):
+        """Any iterable of defender actions is a valid lane action; it
+        crosses the wire as a binary action list, with sync's results."""
         sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10)
         sync.reset(seed=0)
         with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
                             backend="process", num_workers=1) as venv:
             venv.reset(seed=0)
+            with _NoPickle(monkeypatch):
+                step_p = venv.step([_WeirdAction(), _WeirdAction()])
             step_s = sync.step([_WeirdAction(), _WeirdAction()])
-            step_p = venv.step([_WeirdAction(), _WeirdAction()])
-            np.testing.assert_array_equal(step_s.rewards, step_p.rewards)
+            _assert_steps_equal(step_s, step_p)
 
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("bad", [1.5, [1, 2]], ids=["float", "int-list"])
+    def test_invalid_action_raises_before_any_worker_is_commanded(self, bad):
+        """An action InasimEnv would reject raises TypeError in the
+        parent before any worker gets a command (the bad lane sits in
+        the last worker's slice), so the env keeps stepping in lockstep
+        with sync afterwards."""
+        sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=6)
+        sync.reset(seed=0)
+        with repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=6,
+                            backend="process", num_workers=2) as venv:
+            venv.reset(seed=0)
+            inflight = list(venv._inflight)
+            with pytest.raises(TypeError):
+                venv.step([0, 0, 0, bad])
+            assert all(a is b for a, b in zip(venv._inflight, inflight))
+            for action in ([1, 0, 2, 0], None, [0, 1, 0, 1]) * 3:
+                _assert_steps_equal(sync.step(action), venv.step(action))
+
+    @pytest.mark.parametrize("backend", ["process"])
     def test_step_infos_match_sync_exactly(self, backend):
         """The structured info record reconstructs every field the sync
         backend reports: tallies, reward breakdown, launched/completed
@@ -162,24 +196,21 @@ class TestZeroPicklePerStep:
 
 
 class TestPoolLifecycle:
-    def test_close_reaps_workers_and_segments(self):
+    def test_close_reaps_workers(self):
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="shm", num_workers=2)
-        name = venv._slab.name
+                              backend="process", num_workers=2)
         venv.reset(seed=0)
         venv.step(None)
         venv.close()
         venv.close()  # idempotent
         assert _workers_reaped(venv)
-        assert _no_segment(name)
 
     def test_worker_crash_during_reset_recovers_in_place(self):
         """With supervision (the default), a worker killed mid-reset is
-        respawned and the reset completes; close() still unlinks the
-        slab and reaps every worker, respawned ones included."""
+        respawned and the reset completes; close() still reaps every
+        worker, respawned ones included."""
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="shm", num_workers=2)
-        name = venv._slab.name
+                              backend="process", num_workers=2)
         try:
             venv._procs[0].kill()
             venv._procs[0].join(timeout=5.0)
@@ -191,16 +222,14 @@ class TestPoolLifecycle:
             venv.close()
         assert venv._closed
         assert _workers_reaped(venv)
-        assert _no_segment(name)
 
     def test_worker_crash_without_supervision_leaves_no_residue(self):
         """Supervision off restores the fail-fast contract: a killed
         worker surfaces as RuntimeError("...died...") and the teardown
-        still unlinks the slab and reaps the remaining workers."""
+        still reaps the remaining workers."""
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="shm", num_workers=2)
+                              backend="process", num_workers=2)
         venv.configure_supervision(enabled=False)
-        name = venv._slab.name
         venv._procs[0].kill()
         venv._procs[0].join(timeout=5.0)
         with pytest.raises(RuntimeError, match="died"):
@@ -208,16 +237,15 @@ class TestPoolLifecycle:
                 venv.reset(seed=0)
         assert venv._closed
         assert _workers_reaped(venv)
-        assert _no_segment(name)
 
     def test_constructor_failure_leaves_no_residue(self):
         before = {c.pid for c in mp.active_children()}
         # mixed topologies in one worker slice fail inside the worker,
-        # after the parent already allocated the slab
+        # which reports the failure as an error record instead of a hello
         mixed = [repro.get_scenario("inasim-tiny-v1"),
                  repro.get_scenario("inasim-small-v1")]
         with pytest.raises(RuntimeError, match="worker failed"):
-            ShmVectorEnv.from_specs(mixed, num_workers=1)
+            ProcessVectorEnv.from_specs(mixed, num_workers=1)
         leftover = [c for c in mp.active_children() if c.pid not in before]
         for child in leftover:
             child.join(timeout=5.0)
@@ -225,22 +253,19 @@ class TestPoolLifecycle:
 
     def test_pool_close_after_exception_mid_generation(self):
         """An exception inside a pooled evaluation must not orphan
-        workers or leak segments once the pool is closed."""
+        workers once the pool is closed."""
         pool = VecPool()
         before = {c.pid for c in mp.active_children()}
         try:
             with pytest.raises(ValueError, match="boom"):
-                venv = pool.acquire(_specs(3), seed=0, backend="shm",
-                                    num_workers=2)
+                venv = pool.acquire(_specs(3), seed=0, num_workers=2)
                 with venv:
                     venv.reset(seed=0)
                     raise ValueError("boom")
             # the soft release kept the pool alive for the next acquire
             assert pool.stats["live_pools"] == 1
-            name = next(iter(pool._pools.values()))._slab.name
         finally:
             pool.close()
-        assert _no_segment(name)
         leftover = [c for c in mp.active_children() if c.pid not in before]
         assert not leftover
 
@@ -250,13 +275,11 @@ class TestPoolLifecycle:
         pool stays protocol-synced and the next acquire re-lanes it."""
         pool = VecPool()
         try:
-            venv = pool.acquire(_specs(4), seed=0, backend="process",
-                                num_workers=2)
+            venv = pool.acquire(_specs(4), seed=0, num_workers=2)
             venv.reset(seed=0)
             with pytest.raises(RuntimeError, match="worker failed"):
                 venv.step(np.array([999_999, 0, 0, 0]))
-            again = pool.acquire(_specs(4), seed=0, backend="process",
-                                 num_workers=2)
+            again = pool.acquire(_specs(4), seed=0, num_workers=2)
             assert again is venv and pool.spawns == 1
             again.reset(seed=0)
             ref = repro.make_vec_from_specs(_specs(4), seed=0)
@@ -272,16 +295,14 @@ class TestPoolLifecycle:
         being dropped from the pool — the next acquire reuses it."""
         pool = VecPool()
         try:
-            venv = pool.acquire(_specs(2), seed=0, backend="process",
-                                num_workers=1)
+            venv = pool.acquire(_specs(2), seed=0, num_workers=1)
             venv._procs[0].kill()
             venv._procs[0].join(timeout=5.0)
             venv.reset(seed=0)
             venv.step(None)
             assert venv.fault_stats["restarts"] == 1
             venv.close()  # soft release back to the pool
-            again = pool.acquire(_specs(2), seed=0, backend="process",
-                                 num_workers=1)
+            again = pool.acquire(_specs(2), seed=0, num_workers=1)
             assert again is venv and pool.spawns == 1
         finally:
             pool.close()
@@ -292,15 +313,13 @@ class TestPoolLifecycle:
         the poisoned env, and the next acquire spawns a fresh one."""
         pool = VecPool()
         try:
-            venv = pool.acquire(_specs(2), seed=0, backend="process",
-                                num_workers=1)
+            venv = pool.acquire(_specs(2), seed=0, num_workers=1)
             venv.configure_supervision(enabled=False)
             venv._procs[0].kill()
             venv._procs[0].join(timeout=5.0)
             with pytest.raises(RuntimeError):
                 venv.reset(seed=0)
-            fresh = pool.acquire(_specs(2), seed=0, backend="process",
-                                 num_workers=1)
+            fresh = pool.acquire(_specs(2), seed=0, num_workers=1)
             assert fresh is not venv
             fresh.reset(seed=0)
             fresh.step(None)
@@ -311,33 +330,28 @@ class TestPoolLifecycle:
 
     def test_repeated_rebuild_cycles_leak_nothing(self):
         """50 rebuild_lane calls + 5 relanes on one live pool: same
-        worker pids, same slab, no segment or process accumulation."""
+        worker pids, no process accumulation."""
         pool = VecPool()
         try:
-            venv = pool.acquire(_specs(4), seed=0, backend="shm",
-                                num_workers=2)
+            venv = pool.acquire(_specs(4), seed=0, num_workers=2)
             pids = [p.pid for p in venv._procs]
-            name = venv._slab.name
             variant = _specs(1, lateral_threshold=1)[0]
             for cycle in range(5):
                 for lane in range(4):
                     venv.rebuild_lane(lane, variant, seed=cycle)
                     venv.rebuild_lane(lane, _specs(1)[0])
-                again = pool.acquire(_specs(4), seed=cycle, backend="shm",
-                                     num_workers=2)
+                again = pool.acquire(_specs(4), seed=cycle, num_workers=2)
                 assert again is venv
                 assert [p.pid for p in venv._procs] == pids
-                assert venv._slab.name == name
             assert pool.stats == {"spawns": 1, "reuses": 5, "live_pools": 1}
             children = mp.active_children()
             assert len([c for c in children if c.pid in pids]) == 2
         finally:
             pool.close()
-        assert _no_segment(name)
 
 
 class TestRelaneParity:
-    @pytest.mark.parametrize("backend", ["process", "shm"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_relane_matches_fresh_construction(self, backend):
         base = repro.get_scenario("inasim-tiny-v1").with_overrides(horizon=8)
         variant = base.with_overrides(
@@ -349,13 +363,15 @@ class TestRelaneParity:
         fresh.reset(seed=5)
         pool = VecPool()
         try:
-            venv = pool.acquire(_specs(3), seed=0, backend=backend,
-                                num_workers=2)
+            venv = repro.make_vec_from_specs(_specs(3), seed=0,
+                                             backend=backend, num_workers=2,
+                                             pool=pool)
             venv.reset(seed=0)
             for _ in range(4):
                 venv.step(None)  # advance state; relane must wipe it
-            venv = pool.acquire(lineup, seed=3, backend=backend,
-                                num_workers=2)
+            venv = repro.make_vec_from_specs(lineup, seed=3,
+                                             backend=backend, num_workers=2,
+                                             pool=pool)
             assert venv.lane_config(1).apt.labor_rate == 3
             assert venv.lane_config(0).apt.labor_rate != 3
             venv.reset(seed=5)
@@ -381,11 +397,9 @@ class TestRelaneParity:
         small = repro.get_scenario("inasim-small-v1").with_overrides(horizon=6)
         pool = VecPool()
         try:
-            venv = pool.acquire(_specs(2), seed=0, backend="process",
-                                num_workers=2)
+            venv = pool.acquire(_specs(2), seed=0, num_workers=2)
             tiny_actions = venv.n_actions
-            venv = pool.acquire([small, small], seed=0, backend="process",
-                                num_workers=2)
+            venv = pool.acquire([small, small], seed=0, num_workers=2)
             assert venv.n_actions != tiny_actions
             assert venv.config.tmax == 6
             reference = repro.make_vec(small, 2, seed=0)
@@ -441,6 +455,27 @@ class TestRelaneParity:
                 step_f = fresh.step(None)
                 step_v = venv.step(None)
                 np.testing.assert_array_equal(step_f.rewards, step_v.rewards)
+
+
+    def test_rebuild_lane_on_make_vec_env_matches_sync(self):
+        """make_vec's process env is spec-built lane by lane, so
+        rebuild_lane works on it; the rebuilt trajectory equals the same
+        rebuild (replace_env with the lane's scheduled seed) on sync."""
+        variant = _specs(1, horizon=12, lateral_threshold=1)[0]
+        sync = repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=12)
+        with repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=12,
+                            backend="process", num_workers=2) as venv:
+            for env in (sync, venv):
+                env.reset(seed=0)
+                for _ in range(4):
+                    env.step(None)
+            venv.rebuild_lane(2, variant)
+            sync.replace_env(2, variant.build_env(seed=0 + 2))
+            assert venv.reset_infos == sync.reset_infos
+            rng_s, rng_p = (np.random.default_rng(3) for _ in range(2))
+            for _ in range(20):
+                _assert_steps_equal(sync.step(sync.sample_actions(rng_s)),
+                                    venv.step(venv.sample_actions(rng_p)))
 
 
 class TestPooledCEM:
@@ -510,10 +545,8 @@ class TestPoolThreadSafety:
 
     def test_eviction_never_touches_leased_envs(self):
         pool = VecPool(max_pools=1)
-        a = pool.acquire(_specs(2, horizon=5), seed=0,
-                         backend="process", num_workers=2)
-        b = pool.acquire(_specs(3, horizon=5), seed=0,
-                         backend="process", num_workers=2)
+        a = pool.acquire(_specs(2, horizon=5), seed=0, num_workers=2)
+        b = pool.acquire(_specs(3, horizon=5), seed=0, num_workers=2)
         try:
             # both checked out: over budget, but neither may be evicted
             assert len(pool) == 2
@@ -541,7 +574,7 @@ class TestPoolThreadSafety:
             try:
                 for i in range(3):
                     venv = pool.acquire(_specs(2 + k, horizon=5), seed=i,
-                                        backend="process", num_workers=2)
+                                        num_workers=2)
                     try:
                         assert not venv._closed
                         venv.reset(seed=i)
