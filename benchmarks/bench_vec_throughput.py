@@ -2,10 +2,11 @@
 
 Companion to ``bench_sim_throughput.py``: the same three network
 presets, stepping a lockstep vector environment of N ∈ {1, 4, 16}
-lanes through each backend (``sync`` in-process lanes, ``batched``
-structure-of-arrays lanes, ``process`` worker pools). The committed
-``BENCH_vec_throughput.json`` still carries rows for the retired
-``shm`` backend, within noise of ``process``. The benchmark reports
+lanes through each backend (``sync`` lanes stepped in turn, ``batched``
+structure-of-arrays lanes). The committed ``BENCH_vec_throughput.json``
+still carries rows for the retired worker-pool backends (``process``,
+and ``shm`` within noise of it), kept as the evidence for retiring
+them: ``batched`` beats ``process`` in every cell. The benchmark reports
 *aggregate* environment steps per second (lanes × lockstep rounds /
 wall time) — the number tracked against the repo's perf trajectory.
 
@@ -112,28 +113,6 @@ def test_vec_steps_noop_batched(benchmark, num_envs):
     benchmark.extra_info["backend"] = "batched"
 
 
-@pytest.mark.slow
-def test_vec_steps_noop_process_backend(benchmark):
-    """The worker-pool backend on the paper net (startup cost amortized)."""
-    with repro.make_vec(_SCENARIOS["paper"], 16, seed=0, backend="process") as venv:
-        venv.reset(seed=0)
-        venv.step(None)  # warm the pipes
-
-        def run_chunk():
-            for _ in range(_STEPS):
-                venv.step(None)
-
-        benchmark.pedantic(
-            run_chunk,
-            rounds=3,
-            iterations=1,
-            setup=lambda: (venv.reset(seed=0), None)[1],
-        )
-    rate = _STEPS * 16 / benchmark.stats.stats.mean
-    benchmark.extra_info["aggregate_steps_per_s"] = rate
-    benchmark.extra_info["backend"] = "process"
-
-
 def test_vec_matches_single_env_throughput(benchmark):
     """Sanity anchor: N=16 aggregate steps/s >= the single-env rate.
 
@@ -176,30 +155,19 @@ def test_vec_matches_single_env_throughput(benchmark):
 # ----------------------------------------------------------------------
 # machine-readable sweep
 # ----------------------------------------------------------------------
-def run_sweep(networks, backends, env_counts, rounds, seed=0, num_workers=None) -> dict:
+def run_sweep(networks, backends, env_counts, rounds, seed=0) -> dict:
     results = []
     for network in networks:
         scenario = _SCENARIOS[network]
         for backend in backends:
             for num_envs in env_counts:
-                venv = repro.make_vec(
-                    scenario,
-                    num_envs,
-                    seed=seed,
-                    backend=backend,
-                    num_workers=num_workers,
-                )
-                try:
-                    rate = _measure(venv, rounds, seed)
-                    workers = getattr(venv, "num_workers", None)
-                finally:
-                    venv.close()
+                venv = repro.make_vec(scenario, num_envs, seed=seed, backend=backend)
+                rate = _measure(venv, rounds, seed)
                 results.append(
                     {
                         "network": network,
                         "backend": backend,
                         "num_envs": num_envs,
-                        "num_workers": workers,
                         "aggregate_steps_per_s": round(rate, 1),
                     }
                 )
@@ -218,10 +186,8 @@ def run_sweep(networks, backends, env_counts, rounds, seed=0, num_workers=None) 
             "python": platform.python_version(),
             "note": (
                 "aggregate_steps_per_s = num_envs * lockstep rounds / "
-                "wall time, best of 3. Worker-pool backends need spare "
-                "cores to pay off; on a single-CPU host they trail sync "
-                "(pure IPC overhead) and the engine hot-path speedup "
-                "carries the trajectory."
+                "wall time, best of 3. Both backends run in-process; "
+                "batched amortizes the per-step work over all lanes."
             ),
             "pr1_baseline": {
                 "network": "paper",
@@ -242,11 +208,6 @@ def summarize(report: dict) -> dict:
     if not cells:
         return {}
     best = max(cells, key=lambda r: r["aggregate_steps_per_s"])
-    # batched is in-process: only the worker-pool backends are "parallel"
-    parallel = [r for r in cells if r["backend"] == "process"]
-    best_parallel = (
-        max(parallel, key=lambda r: r["aggregate_steps_per_s"]) if parallel else None
-    )
     sync = next((r for r in cells if r["backend"] == "sync"), None)
     baseline = report["meta"]["pr1_baseline"]["aggregate_steps_per_s"]
     summary = {
@@ -278,21 +239,13 @@ def summarize(report: dict) -> dict:
                 batched["aggregate_steps_per_s"]
                 / sync["aggregate_steps_per_s"], 2
             )
-    if best_parallel is not None:
-        summary["paper_vec16_best_parallel_backend"] = best_parallel["backend"]
-        summary["paper_vec16_best_parallel_steps_per_s"] = best_parallel[
-            "aggregate_steps_per_s"
-        ]
-        summary["parallel_speedup_vs_pr1_sync_baseline"] = round(
-            best_parallel["aggregate_steps_per_s"] / baseline, 2
-        )
     return summary
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--networks", default="tiny,small,paper")
-    parser.add_argument("--backends", default="sync,batched,process")
+    parser.add_argument("--backends", default="sync,batched")
     parser.add_argument("--num-envs", default="1,4,16")
     parser.add_argument(
         "--quick",
@@ -307,7 +260,6 @@ def main(argv=None) -> int:
         default=200,
         help="lockstep rounds per cell (default: 200)",
     )
-    parser.add_argument("--num-workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--baseline",
@@ -335,7 +287,6 @@ def main(argv=None) -> int:
         [int(n) for n in args.num_envs.split(",")],
         args.rounds,
         seed=args.seed,
-        num_workers=args.num_workers,
     )
     report["meta"]["pr1_baseline"]["aggregate_steps_per_s"] = args.baseline
     report["summary"] = summarize(report)

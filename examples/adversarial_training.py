@@ -28,7 +28,7 @@ from repro.adversarial import (
 from repro.attacker import apt1, apt2
 from repro.config import small_network
 from repro.defenders import PlaybookPolicy
-from repro.sim.vec_backends import BACKEND_CHOICES
+from repro.sim.vec_env import BACKEND_CHOICES
 
 
 def main() -> None:

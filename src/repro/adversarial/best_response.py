@@ -96,27 +96,20 @@ def evaluate_attackers_vec(
     seed: int = 0,
     max_steps: int | None = None,
     backend: str = "sync",
-    num_workers: int | None = None,
-    pool=None,
 ):
     """Score a batch of attacker configs in one vectorized pass.
 
     Lane ``i`` runs ``attackers[i]`` bridged onto ``scenario``; every
     lane evaluates ``episodes`` seeded episodes of ``defender``
     (:func:`~repro.eval.runner.evaluate_policy_per_lane`). Returns the
-    per-attacker ``(aggregate, per-episode metrics)`` list. With
-    ``pool`` (a :class:`~repro.sim.vec_backends.VecPool`), worker-pool
-    backends re-lane a persistent pool instead of spawning one per
-    call; the ``with venv:`` release is then soft and the pool owns
-    the teardown.
+    per-attacker ``(aggregate, per-episode metrics)`` list.
     """
     base = as_base_spec(scenario)
     specs = [
         scenario_for_attacker(base, apt, f"{base.scenario_id}#candidate-{i}")
         for i, apt in enumerate(attackers)
     ]
-    venv = repro.make_vec_from_specs(specs, seed=seed, backend=backend,
-                                     num_workers=num_workers, pool=pool)
+    venv = repro.make_vec_from_specs(specs, seed=seed, backend=backend)
     with venv:
         return evaluate_policy_per_lane(venv, defender, episodes, seed=seed,
                                         max_steps=max_steps)
@@ -129,9 +122,6 @@ def make_defender_fitness_vec(
     seed: int = 0,
     max_steps: int | None = None,
     backend: str = "sync",
-    num_workers: int | None = None,
-    pool=None,
-    reuse_pool: bool = True,
 ) -> Callable[[Sequence[APTConfig]], np.ndarray]:
     """Batched :func:`make_defender_fitness`: list[APTConfig] -> utilities.
 
@@ -139,30 +129,15 @@ def make_defender_fitness_vec(
     every CEM generation is evaluated as one fan-out over a vector
     environment (one candidate per lane, any backend) instead of
     sequential episode loops.
-
-    On the worker-pool backends, consecutive generations reuse one
-    persistent worker pool (``reuse_pool=True``, the default): each
-    generation re-lanes the live pool onto its candidate specs instead
-    of re-spawning processes. Pass an explicit ``pool`` to share it
-    with other consumers (the self-play loop does); otherwise the
-    fitness function owns a private one, exposed as
-    ``batch_fitness.pool`` so callers can ``close()`` it
-    deterministically.
     """
-    from repro.sim.vec_backends import VecPool
-
-    if pool is None and reuse_pool:
-        pool = VecPool()
 
     def batch_fitness(attackers: Sequence[APTConfig]) -> np.ndarray:
         per_lane = evaluate_attackers_vec(
             scenario, attackers, defender, episodes=episodes, seed=seed,
-            max_steps=max_steps, backend=backend, num_workers=num_workers,
-            pool=pool,
+            max_steps=max_steps, backend=backend,
         )
         return np.array([attack_utility(agg) for agg, _ in per_lane])
 
-    batch_fitness.pool = pool
     return batch_fitness
 
 

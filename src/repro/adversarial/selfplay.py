@@ -119,9 +119,8 @@ class SelfPlayConfig:
     eval_max_steps: int | None = None
     seed: int = 0
     #: vector-env backend for both oracles (one of
-    #: ``repro.sim.vec_backends.BACKEND_CHOICES``)
+    #: ``repro.sim.vec_env.BACKEND_CHOICES``)
     backend: str = "sync"
-    num_workers: int | None = None
     #: name used in emitted scenario ids ``selfplay/<run_name>-rN-brK``
     #: (default: the base scenario id); vary it to keep several runs'
     #: emissions side by side in the registry
@@ -169,13 +168,6 @@ class SelfPlayLoop:
     (the default) every best response is registered under the
     ``selfplay/`` namespace (existing ids from earlier runs with the
     same ``run_name`` are overwritten — the loop owns that namespace).
-
-    With ``reuse_pool`` (the default) the loop owns one
-    :class:`~repro.sim.vec_backends.VecPool` shared by both oracles:
-    on the worker-pool backends every defender-oracle collection pass,
-    population evaluation, and CEM generation re-lanes a live worker
-    pool instead of spawning a fresh one per call. The loop is a
-    context manager; :meth:`close` tears the pool down.
     """
 
     def __init__(
@@ -187,17 +179,13 @@ class SelfPlayLoop:
         selfplay: SelfPlayConfig | None = None,
         initial_population: AttackerPopulation | None = None,
         register_responses: bool = True,
-        reuse_pool: bool = True,
     ):
-        from repro.sim.vec_backends import VecPool
-
         self.base_spec = as_base_spec(scenario)
         self.config = self.base_spec.build_config()
         self.trainer = trainer
         self.defender_policy = defender_policy
         self.space = space or AttackerParameterSpace(base=self.config.apt)
         self.selfplay = selfplay or SelfPlayConfig()
-        self.pool = VecPool() if reuse_pool else None
         self.register_responses = register_responses
         self.run_name = self.selfplay.run_name or self.base_spec.scenario_id
         if initial_population is None:
@@ -243,7 +231,6 @@ class SelfPlayLoop:
                    for _ in range(sp.train_episodes)]
         venv = repro.make_vec_from_specs(
             sampled, seed=seed, backend=sp.backend,
-            num_workers=sp.num_workers, pool=self.pool,
         )
         try:
             self.trainer.set_env(venv)
@@ -262,7 +249,6 @@ class SelfPlayLoop:
         sp = self.selfplay
         venv = repro.make_vec_from_specs(
             list(self.population.members), seed=seed, backend=sp.backend,
-            num_workers=sp.num_workers, pool=self.pool,
         )
         with venv:
             per_lane = evaluate_policy_per_lane(
@@ -280,8 +266,6 @@ class SelfPlayLoop:
             self.base_spec, self.defender_policy,
             episodes=sp.fitness_episodes, seed=seed,
             max_steps=sp.eval_max_steps, backend=sp.backend,
-            num_workers=sp.num_workers, pool=self.pool,
-            reuse_pool=self.pool is not None,
         )
         search = CrossEntropySearch(
             self.space, batch_fitness_fn=batch_fitness,
@@ -376,18 +360,6 @@ class SelfPlayLoop:
         """Persist the population (+ round records) as JSON."""
         save_population(path, self.population, base=self.base_spec,
                         rounds=self.rounds)
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Tear down the loop's persistent worker pool (idempotent)."""
-        if self.pool is not None:
-            self.pool.close()
-
-    def __enter__(self) -> "SelfPlayLoop":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """``repro check``: AST-based static enforcement of repro invariants.
 
 The platform's reproducibility story rests on contracts that no type
-checker sees: RNG streams must be injected, the binary wire format must
-cover every transported field, worker resources must be released on
-every path, and the hot transport modules must stay pickle-free. This
-package proves those contracts at lint time, before a parity test has
-to catch them dynamically.
+checker sees: RNG streams must be injected, the on-disk trace store must
+stay pickle-free, and the simulation core must not import the serving
+layer. This package proves those contracts at lint time, before a
+parity test has to catch them dynamically.
 
 The framework is deliberately stdlib-only (``ast`` + ``json``): it runs
 in the CI lint job without installing the simulator's dependencies.

@@ -1,22 +1,16 @@
 """Checker registry: every rule implementation the runner dispatches."""
 
 from repro.analysis.checkers.imports import ForbiddenImportsChecker
-from repro.analysis.checkers.lifecycle import ResourceLifecycleChecker
 from repro.analysis.checkers.rng import RngDisciplineChecker
-from repro.analysis.checkers.transport import TransportSchemaChecker
 
 #: instantiation order == reporting precedence for equal locations
 ALL_CHECKERS = (
     RngDisciplineChecker,
-    TransportSchemaChecker,
-    ResourceLifecycleChecker,
     ForbiddenImportsChecker,
 )
 
 __all__ = [
     "ALL_CHECKERS",
     "ForbiddenImportsChecker",
-    "ResourceLifecycleChecker",
     "RngDisciplineChecker",
-    "TransportSchemaChecker",
 ]

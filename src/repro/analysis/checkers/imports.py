@@ -2,9 +2,9 @@
 
 Two standing bans ship in the default policy:
 
-* ``pickle``/``dill``/``cloudpickle`` must stay out of the worker
-  transport modules -- the binary wire format is the only protocol
-  and the contract that makes worker replies deterministic bytes;
+* ``pickle``/``dill``/``cloudpickle`` (and ``marshal``/``shelve``)
+  must stay out of the columnar OPE trace store -- a trace must be
+  safe to read from any producer and portable across python versions;
 * ``repro.serve`` must never be imported from ``repro.sim`` -- the
   simulation core is the bottom layer and the serving stack depends on
   it, not the other way around.

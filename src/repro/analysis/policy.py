@@ -7,14 +7,8 @@ The default policy encodes the repo's actual contracts:
   ``defenders/``, ``adversarial/``) -- randomness there must flow in as
   a ``numpy.random.Generator`` parameter, and ``utils/rng.py`` is the
   only sanctioned generator factory;
-* ``transport-schema`` pins the dataclasses of ``sim/observations.py``
-  / ``sim/reward.py`` and the engine's step-info keys to the
-  encode/decode sites in ``sim/vec_transport.py``;
-* ``resource-lifecycle`` watches ``SharedMemory``/``Process``/``Pipe``
-  construction in the worker-pool modules;
-* ``forbidden-imports`` bans pickle/dill from the hot-path transport
-  modules and the columnar OPE trace store, and ``repro.serve`` from
-  ``repro.sim`` (layering).
+* ``forbidden-imports`` bans pickle/dill from the columnar OPE trace
+  store, and ``repro.serve`` from ``repro.sim`` (layering).
 
 A JSON policy file (``repro check --policy FILE``) deep-merges over the
 defaults: per rule, ``enabled``, ``include``, ``exclude``, and
@@ -47,16 +41,8 @@ RULE_CATALOG = {
         "sanctioned factory module: accept a Generator parameter or use "
         "repro.utils.rng.ensure_rng/RngFactory"
     ),
-    "transport-schema": (
-        "a transported dataclass field or step-info key is not covered "
-        "by the binary wire format's encode/decode sites"
-    ),
-    "resource-lifecycle": (
-        "SharedMemory/Process/Pipe constructed with no reachable "
-        "close/unlink/terminate/finalizer path"
-    ),
     "forbidden-import": (
-        "an import banned by policy (pickle/dill in transport modules; "
+        "an import banned by policy (pickle/dill in the trace store; "
         "repro.serve from repro.sim)"
     ),
     "suppression-syntax": (
@@ -117,39 +103,6 @@ _NP_RANDOM_SANCTIONED = (
     "default_rng",
 )
 
-#: transport contracts: every dataclass shipped over the wire, plus the
-#: engine-info key set, pinned to their codec functions
-_TRANSPORT_CONTRACTS = (
-    {
-        "kind": "dataclass",
-        "name": "Observation",
-        "schema": "sim/observations.py",
-        "transport": "sim/vec_transport.py",
-        "encoder": "_encode_observation",
-        "decoder": "_decode_observation",
-    },
-    {
-        "kind": "dataclass",
-        "name": "RewardBreakdown",
-        "schema": "sim/reward.py",
-        "transport": "sim/vec_transport.py",
-        "encoder": "_encode_info",
-        "decoder": "_decode_info",
-    },
-    {
-        "kind": "info-keys",
-        "producer": "sim/engine.py",
-        "producer_dict": "info",
-        "transport": "sim/vec_transport.py",
-        "keys_const": "_INFO_KEYS",
-        "encoder": "_encode_info",
-        "decoder": "_decode_info",
-        # produced only by the VectorEnv auto-reset wrapper, not the
-        # engine, but still part of the wire contract
-        "wrapper_keys": ["final_observation"],
-    },
-)
-
 _DEFAULT_RULES: dict[str, RuleConfig] = {
     "rng-global-state": RuleConfig(
         include=_RNG_JURISDICTION,
@@ -160,28 +113,9 @@ _DEFAULT_RULES: dict[str, RuleConfig] = {
         include=_RNG_JURISDICTION,
         options={"sanctioned_modules": ["utils/rng.py"]},
     ),
-    "transport-schema": RuleConfig(
-        options={"contracts": list(_TRANSPORT_CONTRACTS)},
-    ),
-    "resource-lifecycle": RuleConfig(
-        include=("sim/vec_backends.py", "sim/vec_supervisor.py"),
-        options={"resources": ["SharedMemory", "Process", "Pipe"]},
-    ),
     "forbidden-imports": RuleConfig(
         options={
             "bans": [
-                {
-                    "modules": [
-                        "sim/vec_transport.py",
-                        "sim/vec_backends.py",
-                        "sim/vec_supervisor.py",
-                    ],
-                    "banned": ["pickle", "dill", "cloudpickle"],
-                    "reason": (
-                        "the per-step transport path is contractually "
-                        "pickle-free (PR 4's zero-pickle wire format)"
-                    ),
-                },
                 {
                     "modules": [
                         "validation/tracestore.py",

@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
         description=(
-            "AST-based static enforcement of the repo's determinism, "
-            "transport-schema, and resource-lifecycle contracts."
+            "AST-based static enforcement of the repo's determinism "
+            "and import-layering contracts."
         ),
     )
     parser.add_argument(

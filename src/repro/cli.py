@@ -14,8 +14,8 @@ Commands cover the full reproduction workflow without writing Python:
 * ``repro trace`` -- record an episode trace to JSONL;
 * ``repro config`` -- dump a preset's JSON (edit, then pass anywhere
   via ``--config``);
-* ``repro serve`` -- the long-lived evaluation service (HTTP/JSON jobs
-  over a shared worker pool, SQLite run store);
+* ``repro serve`` -- the long-lived evaluation service (HTTP/JSON jobs,
+  SQLite run store);
 * ``repro submit`` -- send an evaluation/simulation/self-play job to a
   running server (optionally waiting for the result);
 * ``repro runs list`` / ``repro runs show`` -- query the run store
@@ -37,7 +37,7 @@ import sys
 
 from repro.config import SimConfig, paper_network, small_network, tiny_network
 from repro.config_io import config_from_dict, config_to_dict
-from repro.sim.vec_backends import BACKEND_CHOICES
+from repro.sim.vec_env import BACKEND_CHOICES
 
 __all__ = ["main", "build_parser"]
 
@@ -84,34 +84,15 @@ def _build_env(args, config: SimConfig, seed: int | None = None):
     return repro.make_env(config, seed=seed)
 
 
-def _build_vec_env(args, config: SimConfig, num_envs: int, seed: int,
-                   pool=None):
-    from repro.sim.vec_backends import normalize_backend
+def _build_vec_env(args, config: SimConfig, num_envs: int, seed: int):
+    from repro.sim.vec_env import VectorEnv, normalize_backend
 
-    backend = normalize_backend(getattr(args, "backend", "sync"), num_envs,
-                                getattr(args, "num_workers", None))
-    if backend in ("sync", "batched"):
-        if backend == "batched":
-            from repro.sim.batched_engine import BatchedVectorEnv as cls
-        else:
-            from repro.sim.vec_env import VectorEnv as cls
-
-        envs = [_build_env(args, config, seed=seed + i)
-                for i in range(num_envs)]
-        return cls(envs, base_seed=seed)
-    from repro.sim.vec_backends import ProcessVectorEnv
-
-    num_workers = getattr(args, "num_workers", None)
-    spec = _resolve_spec(args)
-    if spec is not None:
-        # config already folds in --max-steps; pin it via the horizon
-        specs = [spec.with_overrides(horizon=config.tmax)] * num_envs
-        if pool is not None:
-            return pool.acquire(specs, seed=seed, num_workers=num_workers)
-        return ProcessVectorEnv.from_specs(specs, seed=seed,
-                                           num_workers=num_workers)
-    return ProcessVectorEnv.from_config(config, num_envs, seed=seed,
-                                        num_workers=num_workers)
+    if normalize_backend(getattr(args, "backend", "sync")) == "batched":
+        from repro.sim.batched_engine import BatchedVectorEnv as cls
+    else:
+        cls = VectorEnv
+    envs = [_build_env(args, config, seed=seed + i) for i in range(num_envs)]
+    return cls(envs, base_seed=seed)
 
 
 def _make_policy(name: str, config: SimConfig, seed: int,
@@ -193,22 +174,11 @@ def cmd_simulate(args) -> int:
     policy = _make_policy(args.policy, config, args.seed, args.dbn, args.qnet)
     num_envs = max(1, args.num_envs)
     if num_envs > 1:
-        pool = None
-        if getattr(args, "reuse_pool", False) and _resolve_spec(args):
-            from repro.sim.vec_backends import VecPool
-
-            pool = VecPool()
-        try:
-            with _build_vec_env(args, config, num_envs, args.seed,
-                                pool=pool) as venv:
-                aggregate, episodes = evaluate_policy_vec(
-                    venv, policy, args.episodes, seed=args.seed,
-                    max_steps=args.max_steps,
-                )
-        finally:
-            if pool is not None:
-                print(f"worker pool: {pool.stats}", file=sys.stderr)
-                pool.close()
+        with _build_vec_env(args, config, num_envs, args.seed) as venv:
+            aggregate, episodes = evaluate_policy_vec(
+                venv, policy, args.episodes, seed=args.seed,
+                max_steps=args.max_steps,
+            )
         title = f"{args.episodes} episode(s), {num_envs} envs"
     else:
         env = _build_env(args, config, seed=args.seed)
@@ -364,7 +334,6 @@ def cmd_selfplay(args) -> int:
               f"{args.load_population}")
     loop = SelfPlayLoop(
         base, trainer, ACSOPolicy(qnet, tables),
-        reuse_pool=not args.no_reuse_pool,
         selfplay=SelfPlayConfig(
             rounds=args.rounds,
             train_episodes=args.train_episodes,
@@ -376,27 +345,20 @@ def cmd_selfplay(args) -> int:
             eval_max_steps=args.max_steps,
             seed=args.seed,
             backend=args.backend,
-            num_workers=args.num_workers,
             run_name=args.run_name,
         ),
         initial_population=initial,
     )
 
     print(f"self-play on {base.scenario_id} ({args.rounds} round(s), "
-          f"backend={args.backend}, "
-          f"pool={'off' if loop.pool is None else 'persistent'})")
-    try:
-        for _ in range(args.rounds):
-            record = loop.run_round()
-            print(f"round {record.round_index + 1}: "
-                  f"population utility {record.population_utility:>10.2f}  "
-                  f"best response {record.best_response_utility:>10.2f}  "
-                  f"exploitability {record.exploitability:>8.2f}  "
-                  f"-> {record.best_response_id}")
-    finally:
-        if loop.pool is not None:
-            print(f"worker pool: {loop.pool.stats}", file=sys.stderr)
-        loop.close()
+          f"backend={args.backend})")
+    for _ in range(args.rounds):
+        record = loop.run_round()
+        print(f"round {record.round_index + 1}: "
+              f"population utility {record.population_utility:>10.2f}  "
+              f"best response {record.best_response_utility:>10.2f}  "
+              f"exploitability {record.exploitability:>8.2f}  "
+              f"-> {record.best_response_id}")
 
     print("\nexploitability report")
     print(f"{'round':>5} {'population':>12} {'best resp.':>12} "
@@ -438,9 +400,6 @@ def cmd_serve(args) -> int:
             default_backend=args.pool_backend,
             max_queue=args.max_queue,
             workers=args.workers,
-            num_workers=args.num_workers,
-            job_retries=args.job_retries,
-            step_timeout=args.step_timeout,
             requeue_interrupted=args.requeue_interrupted,
         )
         server = ServeServer(service, host=args.host, port=args.port)
@@ -494,18 +453,12 @@ def _submit_payload(args) -> dict:
         payload["num_envs"] = args.num_envs
     if args.backend:
         payload["backend"] = args.backend
-    if args.num_workers:
-        payload["num_workers"] = args.num_workers
     if args.tag:
         payload["tags"] = list(args.tag)
     if args.dbn:
         payload["dbn"] = args.dbn
     if args.qnet:
         payload["qnet"] = args.qnet
-    if args.retries is not None:
-        payload["retries"] = args.retries
-    if args.step_timeout is not None:
-        payload["step_timeout"] = args.step_timeout
     if args.kind == "selfplay":
         payload["cem_iterations"] = args.cem_iterations
         payload["cem_population"] = args.cem_population
@@ -884,18 +837,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fan episodes over N vectorized environments")
     p.add_argument("--backend", choices=BACKEND_CHOICES,
                    default="sync",
-                   help="vector-env execution backend: in-process lanes "
-                        "(sync), in-process structure-of-arrays lanes "
-                        "(batched), worker processes (process; shm is its "
-                        "deprecated alias), or picked from cpu count and "
-                        "batch width (auto)")
-    p.add_argument("--num-workers", type=int, default=None,
-                   help="worker processes for the process backend "
-                        "(default: min(num-envs, cpu count))")
-    p.add_argument("--reuse-pool", action="store_true",
-                   help="acquire the parallel backend from a persistent "
-                        "worker pool (scenario runs only; pool stats are "
-                        "reported on stderr)")
+                   help="vector-env execution backend: lanes stepped in "
+                        "turn (sync) or as structure-of-arrays lanes "
+                        "(batched; auto picks it, and process/shm are its "
+                        "deprecated aliases)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
@@ -931,12 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=BACKEND_CHOICES,
                    default="sync",
                    help="vector-env backend for both oracles")
-    p.add_argument("--num-workers", type=int, default=None,
-                   help="worker processes for the process backend")
-    p.add_argument("--no-reuse-pool", action="store_true",
-                   help="spawn a fresh worker pool per oracle call instead "
-                        "of re-laning one persistent pool across rounds "
-                        "and CEM generations")
     p.add_argument("--run-name", default=None,
                    help="name used in emitted selfplay/<run>-rN-brK ids "
                         "(default: the base scenario id)")
@@ -983,23 +922,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SQLite run-store path (default: repro_runs.sqlite)")
     p.add_argument("--pool-backend", choices=BACKEND_CHOICES,
                    default="sync", dest="pool_backend",
-                   help="vector-env backend jobs draw from the shared pool "
-                        "(default: sync)")
+                   help="vector-env backend for jobs that do not name "
+                        "one (default: sync)")
     p.add_argument("--max-queue", type=int, default=64,
                    help="queued-job limit before submissions get 429 "
                         "(default: 64)")
     p.add_argument("--workers", type=int, default=1,
-                   help="concurrent job executors (default: 1; episode "
-                        "parallelism comes from the pool, not from here)")
-    p.add_argument("--num-workers", type=int, default=None,
-                   help="worker processes per pooled vector env")
-    p.add_argument("--job-retries", type=int, default=2, dest="job_retries",
-                   help="re-runs granted to a job that dies to a worker "
-                        "fault (default: 2)")
-    p.add_argument("--step-timeout", type=float, default=None,
-                   dest="step_timeout", metavar="SECONDS",
-                   help="per-step watchdog on pooled jobs; a wedged worker "
-                        "is killed and its lanes recovered (default: off)")
+                   help="concurrent job executors (default: 1)")
     p.add_argument("--requeue-interrupted", action="store_true",
                    dest="requeue_interrupted",
                    help="resubmit runs a crashed server left 'running' "
@@ -1013,20 +942,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="playbook",
                    choices=("noop", "playbook", "random", "expert", "acso"))
     p.add_argument("--num-envs", type=int, default=1,
-                   help="fan the job's episodes over N pooled lanes")
+                   help="fan the job's episodes over N vector-env lanes")
     p.add_argument("--backend", choices=BACKEND_CHOICES,
                    default=None,
-                   help="override the server's pool backend for this job")
-    p.add_argument("--num-workers", type=int, default=None)
+                   help="override the server's default backend for this job")
     p.add_argument("--tag", action="append", default=None, metavar="TAG",
                    help="attach a tag to the recorded run (repeatable)")
-    p.add_argument("--retries", type=int, default=None,
-                   help="re-runs if the job dies to a worker fault "
-                        "(default: the server's --job-retries)")
-    p.add_argument("--step-timeout", type=float, default=None,
-                   dest="step_timeout", metavar="SECONDS",
-                   help="per-step watchdog for this job's pooled env "
-                        "(default: the server's --step-timeout)")
     p.add_argument("--cem-iterations", type=int, default=2)
     p.add_argument("--cem-population", type=int, default=4)
     p.add_argument("--fitness-episodes", type=int, default=1)
@@ -1040,8 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "check",
-        help="static-analysis gates (RNG discipline, transport schema, "
-             "resource lifecycle, forbidden imports)",
+        help="static-analysis gates (RNG discipline, forbidden imports)",
     )
     p.add_argument("root", nargs="?", default=None,
                    help="directory to analyze (default: the repro package)")
@@ -1073,7 +993,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace directory to create (must not exist)")
     q.add_argument("--num-envs", type=int, default=4)
     q.add_argument("--backend", default="sync", choices=BACKEND_CHOICES)
-    q.add_argument("--num-workers", type=int, default=None)
     q.add_argument("--shard-rows", type=int, default=65536,
                    help="rotate shards at this many records (default 65536)")
     q.add_argument("--temperature", type=float, default=1.0,

@@ -129,31 +129,22 @@ def make(scenario: str | ScenarioSpec, *, seed: int | None = None,
 def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
              seed: int | None = None, auto_reset: bool = True,
              record_truth: bool = True, backend: str = "sync",
-             num_workers: int | None = None, pool=None,
-             reuse_pool: bool = False, **overrides):
+             **overrides):
     """Build a lockstep vector environment of ``num_envs`` independent
     copies of a scenario, seeded ``seed + i`` per lane.
 
-    ``backend`` selects the execution engine behind the identical
-    lockstep API (trajectories do not depend on it):
+    ``backend`` selects the in-process execution engine behind the
+    identical lockstep API (trajectories do not depend on it):
 
-    * ``"sync"`` -- every lane stepped in-process
+    * ``"sync"`` -- every lane stepped in turn
       (:class:`~repro.sim.vec_env.VectorEnv`);
-    * ``"batched"`` -- every lane stepped in-process on the
-      structure-of-arrays engine
-      (:class:`~repro.sim.batched_engine.BatchedVectorEnv`);
-    * ``"process"`` -- lanes partitioned over ``num_workers`` worker
-      processes (:class:`~repro.sim.vec_backends.ProcessVectorEnv`);
-      ``"shm"`` is its deprecated alias;
-    * ``"auto"`` -- pick sync or process from ``os.cpu_count()`` and the
-      batch width (:func:`~repro.sim.vec_backends.resolve_backend`).
+    * ``"batched"`` -- every lane stepped on the structure-of-arrays
+      engine (:class:`~repro.sim.batched_engine.BatchedVectorEnv`);
+    * ``"auto"`` -- ``"batched"``.
 
-    With ``pool`` (a :class:`~repro.sim.vec_backends.VecPool`) or
-    ``reuse_pool=True`` (the process-wide default pool), the process
-    backend is acquired from a persistent pool: a live pool with the
-    same geometry is re-laned onto this scenario instead of re-spawning
-    processes, and ``close()`` on the returned env is a soft release.
-    The in-process backends ignore pooling (nothing to keep alive).
+    ``"process"`` and ``"shm"``, the retired worker-pool backends, are
+    deprecated aliases of ``"batched"``
+    (:func:`~repro.sim.vec_env.normalize_backend`).
 
     This is :func:`make_vec_from_specs` over ``num_envs`` copies of the
     scenario.
@@ -163,26 +154,12 @@ def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
     return make_vec_from_specs(
         [_resolve(scenario, overrides)] * num_envs, seed=seed,
         auto_reset=auto_reset, record_truth=record_truth, backend=backend,
-        num_workers=num_workers, pool=pool, reuse_pool=reuse_pool,
     )
-
-
-def _resolve_pool(pool, reuse_pool: bool):
-    """The :class:`~repro.sim.vec_backends.VecPool` to acquire from."""
-    if pool is not None:
-        return pool
-    if reuse_pool:
-        from repro.sim.vec_backends import default_pool
-
-        return default_pool()
-    return None
 
 
 def make_vec_from_specs(specs, *, seed: int | None = None,
                         auto_reset: bool = True, record_truth: bool = True,
-                        backend: str = "sync",
-                        num_workers: int | None = None, pool=None,
-                        reuse_pool: bool = False):
+                        backend: str = "sync"):
     """Build a lockstep vector env whose lane ``i`` runs ``specs[i]``.
 
     The general form behind :func:`make_vec` (which passes ``num_envs``
@@ -192,42 +169,21 @@ def make_vec_from_specs(specs, *, seed: int | None = None,
     ``i`` is seeded ``seed + i``; backends are as in :func:`make_vec`.
     The adversarial loops use this to fan an attacker population or a
     CEM candidate batch over one vector environment.
-
-    ``pool`` / ``reuse_pool`` opt the process backend into persistent
-    pooling: an existing live pool of the same geometry is re-laned
-    onto ``specs`` (bit-identical to a fresh construction) instead of
-    re-spawning worker processes -- this is how the CEM fitness loop
-    evaluates every generation on one pool. Pooled envs treat
-    ``close()`` as a soft release; the pool owns the real teardown.
     """
     resolved = [_resolve(s, {}) for s in specs]
     if not resolved:
         raise ValueError("make_vec_from_specs needs at least one spec")
-    from repro.sim.vec_backends import normalize_backend
+    from repro.sim.vec_env import VectorEnv, normalize_backend
 
-    backend = normalize_backend(backend, len(resolved), num_workers)
-    if backend in ("sync", "batched"):
-        if backend == "batched":
-            from repro.sim.batched_engine import BatchedVectorEnv as cls
-        else:
-            from repro.sim.vec_env import VectorEnv as cls
-        envs = [
-            spec.build_env(
-                seed=None if seed is None else seed + i,
-                record_truth=record_truth,
-            )
-            for i, spec in enumerate(resolved)
-        ]
-        return cls(envs, auto_reset=auto_reset, base_seed=seed)
-    pool = _resolve_pool(pool, reuse_pool)
-    if pool is not None:
-        return pool.acquire(
-            resolved, seed=seed, num_workers=num_workers,
-            auto_reset=auto_reset, record_truth=record_truth,
+    if normalize_backend(backend) == "batched":
+        from repro.sim.batched_engine import BatchedVectorEnv as cls
+    else:
+        cls = VectorEnv
+    envs = [
+        spec.build_env(
+            seed=None if seed is None else seed + i,
+            record_truth=record_truth,
         )
-    from repro.sim.vec_backends import ProcessVectorEnv
-
-    return ProcessVectorEnv.from_specs(
-        resolved, seed=seed, auto_reset=auto_reset,
-        record_truth=record_truth, num_workers=num_workers,
-    )
+        for i, spec in enumerate(resolved)
+    ]
+    return cls(envs, auto_reset=auto_reset, base_seed=seed)

@@ -4,7 +4,7 @@ The companion of :mod:`repro.config_io`, one layer up: where a
 ``SimConfig`` JSON file reproduces a single environment, a
 :class:`~repro.scenarios.spec.ScenarioSpec` JSON document reproduces a
 *named* experiment (network preset, attacker, reward variant, horizon)
-and can be shipped to worker processes, checkpoints, or other machines
+and can be shipped in serve job payloads, checkpoints, or to other machines
 and re-registered there. Every spec field is a JSON-native type, so the
 round trip is exact.
 """

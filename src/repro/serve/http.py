@@ -7,7 +7,7 @@ JSON-only:
 ====== ========================== ===========================================
 Method Path                       Meaning
 ====== ========================== ===========================================
-GET    /health                    liveness + queue depth + pool + fault stats
+GET    /health                    liveness, queue depth, stranded-run counts
 GET    /healthz                   alias of /health (probe convention)
 POST   /jobs                      submit a job (202; 400/429/503 on reject)
 GET    /jobs                      live job table (this process's lifetime)
@@ -162,7 +162,6 @@ class ServeServer:
                 "version": repro.__version__,
                 "queue_depth": service.queue_depth(),
                 "max_queue": service.max_queue,
-                "pool": service.pool.stats,
                 "faults": service.fault_summary(),
                 "jobs": len(service.jobs()),
             }

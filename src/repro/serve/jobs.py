@@ -18,15 +18,15 @@ Three kinds are served:
 
 The scenario is named either by registry id (``{"scenario": "..."}``)
 or shipped inline as a ScenarioSpec dict (``{"spec": {...}}`` — the
-same JSON form :mod:`repro.scenarios.serialization` uses on the worker
-wire), so a client can submit scenarios the server never registered.
+same JSON form :mod:`repro.scenarios.serialization` writes to disk), so
+a client can submit scenarios the server never registered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.vec_backends import BACKEND_CHOICES
+from repro.sim.vec_env import BACKEND_CHOICES
 
 __all__ = ["JobRequest", "JobError", "JobCancelled", "parse_job",
            "build_policy", "JOB_KINDS", "SERVE_POLICIES"]
@@ -60,13 +60,9 @@ class JobRequest:
     max_steps: int | None = None
     num_envs: int = 1
     backend: str | None = None        # None -> the service default
-    num_workers: int | None = None
     tags: list[str] = field(default_factory=list)
     dbn: str | None = None            # DBN tables artifact (expert/acso)
     qnet: str | None = None           # Q-network artifact (acso)
-    # fault-tolerance knobs (None -> the service defaults)
-    step_timeout: float | None = None  # per-step worker watchdog, seconds
-    retries: int | None = None         # re-runs granted after worker faults
     # selfplay knobs
     cem_iterations: int = 2
     cem_population: int = 4
@@ -92,9 +88,9 @@ class JobRequest:
         """The JSON object a client posts (omits default-valued fields)."""
         payload: dict = {"kind": self.kind}
         for key in ("scenario", "spec", "policy", "episodes", "seed",
-                    "max_steps", "num_envs", "backend", "num_workers",
-                    "tags", "dbn", "qnet", "step_timeout", "retries",
-                    "cem_iterations", "cem_population", "fitness_episodes"):
+                    "max_steps", "num_envs", "backend", "tags", "dbn",
+                    "qnet", "cem_iterations", "cem_population",
+                    "fitness_episodes"):
             value = getattr(self, key)
             if value not in (None, [], JobRequest.__dataclass_fields__[key].default):
                 payload[key] = value
@@ -148,13 +144,6 @@ def parse_job(payload: dict) -> JobRequest:
     _require(isinstance(request.tags, list)
              and all(isinstance(t, str) for t in request.tags),
              "'tags' must be a list of strings")
-    _require(request.step_timeout is None
-             or (isinstance(request.step_timeout, (int, float))
-                 and request.step_timeout > 0),
-             "'step_timeout' must be a positive number of seconds")
-    _require(request.retries is None
-             or (isinstance(request.retries, int) and request.retries >= 0),
-             "'retries' must be a non-negative integer")
     if request.kind == "selfplay":
         for knob in ("cem_iterations", "cem_population", "fitness_episodes"):
             _require(isinstance(getattr(request, knob), int)

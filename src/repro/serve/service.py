@@ -4,45 +4,37 @@
 :class:`asyncio.Queue` (overflow is *rejected*, not buffered — the
 HTTP layer turns :class:`QueueFullError` into a 429), a fixed group of
 worker tasks drains it, and each job executes on a thread-pool executor
-so the event loop stays responsive while episodes run. All jobs share
-one :class:`~repro.sim.vec_backends.VecPool`: worker-pool backends are
-acquired from it under the service's pool lock, so a burst of queued
-jobs re-lanes one persistent set of worker processes instead of
-spawning a pool per job.
+so the event loop stays responsive while episodes run. A vectorized
+job builds its own in-process vector env (``repro.make_vec``) on the
+job's backend, or on the service default.
 
 Every job is recorded in the :class:`~repro.serve.store.RunStore` from
 the moment it is accepted: the run row is created at submit time
 (status ``queued``), episodes append as they complete (progress is
 readable mid-run), and the terminal status (``done`` / ``error`` /
-``cancelled``) lands with aggregate metrics and wall time. Results are
+``cancelled``) lands with aggregate metrics and wall time. A job
+publishes its terminal status only after that row is written, so a
+client whose ``wait()`` returns reads the same status from ``/runs``.
+Results are
 produced by the same :mod:`repro.eval.runner` functions the one-shot
 CLI uses, so a served evaluation is bit-identical to ``repro
 simulate``/``repro evaluate`` for the same scenario, seed, and policy.
 
 Graceful shutdown (:meth:`EvalService.shutdown`) stops accepting
 submissions, cancels still-queued jobs, drains the jobs already
-in flight, then closes the pool and the store — no orphaned worker
-processes or shared-memory segments survive the service.
+in flight, then closes the store.
 
-**Fault tolerance.** Pooled jobs run under the vector backends' worker
-supervision (deterministic in-place recovery; see
-:mod:`repro.sim.vec_supervisor`), so most worker deaths never surface —
-they are counted per job and in the service-wide totals
-(:meth:`EvalService.fault_summary`, exposed on ``/healthz``). A job
-that still dies to a :class:`~repro.sim.vec_backends.WorkerDiedError`
-is retried from scratch with exponential backoff and jitter, up to the
-job's ``retries`` (or the service's ``job_retries``) budget; retried
-episodes simply re-record over the aborted attempt's rows. At startup
-the store is reconciled: runs a crashed server stranded ``running``
-become ``interrupted`` and — with ``requeue_interrupted`` — are
-resubmitted from their recorded request payloads.
+**Crash recovery.** At startup the store is reconciled: runs a crashed
+server stranded ``running`` become ``interrupted`` and — with
+``requeue_interrupted`` — are resubmitted from their recorded request
+payloads. Both counts are reported by :meth:`EvalService.fault_summary`
+(the ``faults`` block of ``/health``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import random
 import threading
 import time
 import traceback
@@ -73,7 +65,7 @@ class Job:
 
     __slots__ = ("id", "request", "status", "created_at", "started_at",
                  "finished_at", "error", "metrics", "completed", "total",
-                 "cancel_event", "worker_faults", "retries_used")
+                 "cancel_event")
 
     def __init__(self, job_id: str, request: JobRequest, total: int):
         self.id = job_id
@@ -87,8 +79,6 @@ class Job:
         self.completed = 0
         self.total = total
         self.cancel_event = threading.Event()
-        self.worker_faults = 0   # worker deaths this job rode through
-        self.retries_used = 0    # whole-job re-runs after fatal faults
 
     def snapshot(self) -> dict:
         """A JSON-compatible view for the HTTP API."""
@@ -103,8 +93,6 @@ class Job:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
             "progress": {"completed": self.completed, "total": self.total},
-            "faults": {"worker_faults": self.worker_faults,
-                       "retries_used": self.retries_used},
             "metrics": self.metrics,
             "error": self.error,
             "tags": list(self.request.tags),
@@ -116,39 +104,21 @@ def _aggregate_dict(aggregate) -> dict:
 
 
 class EvalService:
-    """Asyncio job service over a shared worker pool and a run store.
+    """Asyncio job service over a run store.
 
     Parameters
     ----------
     store:
         A :class:`RunStore` or a path to create one at.
     default_backend:
-        Backend for jobs that do not name one (any of
-        :data:`~repro.sim.vec_backends.BACKEND_CHOICES`).
+        Backend for vectorized jobs that do not name one (any of
+        :data:`~repro.sim.vec_env.BACKEND_CHOICES`).
     max_queue:
         Queue depth bound; submissions beyond it raise
         :class:`QueueFullError` (backpressure, not buffering).
     workers:
-        Concurrent job executors. The default of 1 serializes episode
-        work through the shared pool — parallelism comes from the
-        pool's worker *processes*, and exactly one pool serves any
-        burst of same-geometry jobs. Raising it lets sync-backend jobs
-        overlap; pooled jobs still serialize on the pool lock.
-    pool:
-        A shared :class:`~repro.sim.vec_backends.VecPool`; the service
-        creates (and owns) one when omitted.
-    job_retries:
-        Whole-job re-runs granted when a job dies to a worker fault
-        (a job's own ``retries`` field overrides this).
-    retry_backoff:
-        Base delay before the first retry; doubles per attempt
-        (capped at 5s) with up to 25% jitter.
-    step_timeout:
-        Default per-step watchdog for pooled jobs, in seconds (a job's
-        ``step_timeout`` overrides it; ``None`` disables).
-    supervise:
-        Arm worker supervision on pooled jobs (on by default; turning
-        it off restores fail-fast workers, leaving only job retries).
+        Concurrent job executors. The default of 1 runs one job at a
+        time; raising it lets jobs overlap on the thread pool.
     requeue_interrupted:
         At startup, resubmit runs a crashed server stranded
         ``running``, from their recorded request payloads.
@@ -156,27 +126,18 @@ class EvalService:
 
     def __init__(self, store: RunStore | str, *,
                  default_backend: str = "sync", max_queue: int = 64,
-                 workers: int = 1, num_workers: int | None = None,
-                 pool=None, job_retries: int = 2, retry_backoff: float = 0.1,
-                 step_timeout: float | None = None, supervise: bool = True,
-                 requeue_interrupted: bool = False):
-        from repro.sim.vec_backends import BACKEND_CHOICES, VecPool
+                 workers: int = 1, requeue_interrupted: bool = False):
+        from repro.sim.vec_env import BACKEND_CHOICES
 
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if job_retries < 0:
-            raise ValueError("job_retries must be >= 0")
         if default_backend not in BACKEND_CHOICES:
             raise ValueError(f"unknown backend {default_backend!r}")
         self.store = store if isinstance(store, RunStore) else RunStore(store)
         self.default_backend = default_backend
         self.max_queue = max_queue
-        self.num_workers = num_workers
-        self._owns_pool = pool is None
-        self.pool = VecPool() if pool is None else pool
-        self._pool_lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._queue: asyncio.Queue | None = None
         self._worker_tasks: list[asyncio.Task] = []
@@ -186,14 +147,9 @@ class EvalService:
         self._n_workers = workers
         self._closing = False
         self._closed = False
-        self.job_retries = job_retries
-        self.retry_backoff = retry_backoff
-        self.step_timeout = step_timeout
-        self.supervise = supervise
         self.requeue_interrupted = requeue_interrupted
         self._fault_lock = threading.Lock()
-        self._fault_totals = {"worker_faults": 0, "job_retries": 0,
-                              "jobs_interrupted": 0, "jobs_requeued": 0}
+        self._fault_totals = {"jobs_interrupted": 0, "jobs_requeued": 0}
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
@@ -240,8 +196,6 @@ class EvalService:
             await asyncio.gather(*self._worker_tasks)
         self._closed = True
         self._executor.shutdown(wait=True)
-        if self._owns_pool:
-            self.pool.close()
         self.store.close()
 
     @property
@@ -249,16 +203,10 @@ class EvalService:
         return self._closing
 
     def fault_summary(self) -> dict:
-        """Service-lifetime fault counters (the ``/healthz`` payload)."""
+        """Runs stranded by a crashed server, and how many were
+        requeued (the ``faults`` block of ``/health``)."""
         with self._fault_lock:
             return dict(self._fault_totals)
-
-    def _note_faults(self, job: Job, count: int) -> None:
-        if count <= 0:
-            return
-        job.worker_faults += count
-        with self._fault_lock:
-            self._fault_totals["worker_faults"] += count
 
     # -- submission / queries -----------------------------------------
     def queue_depth(self) -> int:
@@ -356,9 +304,9 @@ class EvalService:
             if job is None:
                 return
             if job.cancel_event.is_set():
-                job.status = "cancelled"
-                job.finished_at = time.time()
                 self.store.cancel_run(job.id)
+                job.finished_at = time.time()
+                job.status = "cancelled"
                 continue
             await loop.run_in_executor(self._executor, self._run_job, job)
 
@@ -368,60 +316,26 @@ class EvalService:
         job.started_at = time.time()
         self.store.mark_running(job.id)
         try:
-            metrics = self._execute_with_retries(job)
+            if job.request.kind == "selfplay":
+                metrics = self._execute_selfplay(job)
+            else:
+                metrics = self._execute_evaluation(job)
         except JobCancelled:
-            job.status = "cancelled"
             self.store.cancel_run(job.id)
+            status = "cancelled"
         except Exception as exc:
-            job.status = "error"
             job.error = f"{type(exc).__name__}: {exc}"
             traceback.print_exc()
-            self.store.fail_run(job.id, job.error,
-                                faults=job.worker_faults)
+            self.store.fail_run(job.id, job.error)
+            status = "error"
         else:
-            job.status = "done"
             job.metrics = metrics
-            self.store.finish_run(job.id, metrics,
-                                  faults=job.worker_faults)
-        finally:
-            job.finished_at = time.time()
-
-    def _execute_with_retries(self, job: Job) -> dict:
-        """Run a job, re-running it from scratch on fatal worker faults.
-
-        Supervision recovers most worker deaths in place (they only
-        show up in the fault counters); this loop is the backstop for
-        the unrecoverable ones — each attempt restarts the episode
-        sequence from episode 0, which is safe because episode records
-        are keyed writes and the final metrics replace the aborted
-        attempt's entirely.
-        """
-        from repro.sim.vec_backends import WorkerDiedError
-
-        budget = (job.request.retries if job.request.retries is not None
-                  else self.job_retries)
-        attempt = 0
-        while True:
-            try:
-                if job.request.kind == "selfplay":
-                    return self._execute_selfplay(job)
-                return self._execute_evaluation(job)
-            except WorkerDiedError:
-                if job.request.kind == "selfplay":
-                    # pooled evaluations count faults at the venv; the
-                    # selfplay fitness pool is internal, so count here
-                    self._note_faults(job, 1)
-                if job.cancel_event.is_set():
-                    raise JobCancelled(job.id) from None
-                if attempt >= budget:
-                    raise
-                attempt += 1
-                job.retries_used = attempt
-                job.completed = 0  # the re-run restarts the count
-                with self._fault_lock:
-                    self._fault_totals["job_retries"] += 1
-                delay = min(5.0, self.retry_backoff * 2 ** (attempt - 1))
-                time.sleep(delay * (1.0 + random.random() * 0.25))
+            self.store.finish_run(job.id, metrics)
+            status = "done"
+        # publish only once the run row is terminal: a client whose
+        # wait() returns must read the same status from /runs
+        job.finished_at = time.time()
+        job.status = status
 
     def _resolve_run(self, request: JobRequest):
         """(spec, config) with ``max_steps`` folded into the horizon,
@@ -447,7 +361,6 @@ class EvalService:
     def _execute_evaluation(self, job: Job) -> dict:
         import repro
         from repro.eval.runner import evaluate_policy, evaluate_policy_vec
-        from repro.sim.vec_backends import normalize_backend
 
         request = job.request
         spec, config = self._resolve_run(request)
@@ -462,42 +375,15 @@ class EvalService:
             )
             return _aggregate_dict(aggregate)
 
-        backend = normalize_backend(request.backend or self.default_backend,
-                                    request.num_envs, request.num_workers)
-        run_spec = spec.with_overrides(horizon=config.tmax)
-        if backend != "process":  # in-process lanes: nothing to pool
-            venv = repro.make_vec(run_spec, request.num_envs,
-                                  seed=request.seed, backend=backend)
-            with venv:
-                aggregate, _ = evaluate_policy_vec(
-                    venv, policy, request.episodes, seed=request.seed,
-                    max_steps=request.max_steps, on_episode=on_episode,
-                )
-            return _aggregate_dict(aggregate)
-        # the process backend shares the service's VecPool; the pool
-        # lock serializes jobs on it (one burst -> one spawned pool)
-        with self._pool_lock:
-            venv = self.pool.acquire(
-                [run_spec] * request.num_envs, seed=request.seed,
-                num_workers=request.num_workers or self.num_workers,
+        venv = repro.make_vec(
+            spec.with_overrides(horizon=config.tmax), request.num_envs,
+            seed=request.seed, backend=request.backend or self.default_backend,
+        )
+        with venv:
+            aggregate, _ = evaluate_policy_vec(
+                venv, policy, request.episodes, seed=request.seed,
+                max_steps=request.max_steps, on_episode=on_episode,
             )
-            venv.configure_supervision(
-                enabled=self.supervise,
-                step_timeout=(request.step_timeout
-                              if request.step_timeout is not None
-                              else self.step_timeout),
-            )
-            faults_before = venv.fault_stats["faults"]
-            try:
-                aggregate, _ = evaluate_policy_vec(
-                    venv, policy, request.episodes, seed=request.seed,
-                    max_steps=request.max_steps, on_episode=on_episode,
-                )
-            finally:
-                # worker deaths supervision absorbed are still faults
-                self._note_faults(
-                    job, venv.fault_stats["faults"] - faults_before)
-                venv.close()  # soft release back to the pool
         return _aggregate_dict(aggregate)
 
     def _execute_selfplay(self, job: Job) -> dict:
@@ -519,7 +405,7 @@ class EvalService:
             make_defender_fitness_vec,
         )
         from repro.eval.runner import evaluate_policy
-        from repro.sim.vec_backends import normalize_backend
+        from repro.sim.vec_env import normalize_backend
 
         request = job.request
         spec, config = self._resolve_run(request)
@@ -532,16 +418,14 @@ class EvalService:
         )
         baseline_utility = attack_utility(baseline_agg)
 
-        backend = normalize_backend(request.backend or self.default_backend,
-                                    request.cem_population,
-                                    request.num_workers)
-        run_spec = spec.with_overrides(horizon=config.tmax)
-        pooled = backend == "process"
+        # normalized once, so a deprecated alias warns once per job
+        # rather than once per CEM generation
         base_fitness = make_defender_fitness_vec(
-            run_spec, defender, episodes=request.fitness_episodes,
-            seed=request.seed, max_steps=request.max_steps, backend=backend,
-            num_workers=request.num_workers or self.num_workers,
-            pool=self.pool if pooled else None, reuse_pool=False,
+            spec.with_overrides(horizon=config.tmax), defender,
+            episodes=request.fitness_episodes, seed=request.seed,
+            max_steps=request.max_steps,
+            backend=normalize_backend(request.backend
+                                      or self.default_backend),
         )
         generation = 0
 
@@ -566,11 +450,7 @@ class EvalService:
             population=request.cem_population, seed=request.seed,
             batch_fitness_fn=fitness,
         )
-        if pooled:
-            with self._pool_lock:
-                result = search.run(iterations=request.cem_iterations)
-        else:
-            result = search.run(iterations=request.cem_iterations)
+        result = search.run(iterations=request.cem_iterations)
         return {
             "baseline_utility": baseline_utility,
             "best_response_utility": result.best_fitness,

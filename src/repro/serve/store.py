@@ -22,10 +22,11 @@ Design points:
   when a reopening store finds rows a crashed server left ``running``)
   and its closing timestamps/metrics. Free-form detail travels in JSON
   columns, so the schema does not chase every new job field.
-* **Crash accounting.** Since v2 every run carries a ``faults``
-  column — the number of worker-process faults the job survived — and
-  :meth:`RunStore.reconcile_interrupted` runs at service startup so a
-  killed server never leaves phantom ``running`` rows behind.
+* **Crash accounting.** :meth:`RunStore.reconcile_interrupted` runs at
+  service startup so a killed server never leaves phantom ``running``
+  rows behind. The v2 ``faults`` column counted the worker-process
+  faults a job survived; the service no longer runs worker processes,
+  so new runs keep its default of 0 and older rows read as before.
 
 The store is thread-safe: one connection guarded by a lock, with a
 busy timeout so independent handles on the same file (WAL) retry
@@ -196,9 +197,8 @@ class RunStore:
                        wall_time: float | None = None) -> None:
         """Append one completed episode (or self-play round) record.
 
-        ``INSERT OR REPLACE``: a job retried after a worker fault
-        re-runs its episodes from scratch, and the fresh record simply
-        supersedes the one from the aborted attempt."""
+        ``INSERT OR REPLACE``: re-recording an episode index simply
+        supersedes the earlier record."""
         with self._lock, self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO episodes (run_id, lane,"

@@ -22,9 +22,7 @@ from repro.sim.batched_engine import BatchedVectorEnv
 from repro.sim.reward import RewardModule
 from repro.sim.state import NetworkState
 from repro.sim.trace import EpisodeTrace, TraceStep, record_episode, verify_determinism
-from repro.sim.vec_backends import ProcessVectorEnv, WorkerDiedError
 from repro.sim.vec_env import BaseVectorEnv, VecStep, VectorEnv
-from repro.sim.vec_supervisor import SupervisionConfig
 
 __all__ = [
     "APT_ACTION_SPECS",
@@ -56,7 +54,4 @@ __all__ = [
     "BaseVectorEnv",
     "BatchedVectorEnv",
     "VectorEnv",
-    "ProcessVectorEnv",
-    "SupervisionConfig",
-    "WorkerDiedError",
 ]

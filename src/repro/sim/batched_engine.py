@@ -60,8 +60,8 @@ _FAR_FUTURE = 2**62
 class BatchedVectorEnv(VectorEnv):
     """Lockstep vector env advancing all lanes through one array program.
 
-    Construction, lane seeding, auto-reset semantics, worker-recovery
-    hooks, and the step/reset return contract are inherited from
+    Construction, lane seeding, auto-reset semantics, and the
+    step/reset return contract are inherited from
     :class:`VectorEnv`; only the per-step execution strategy differs.
     All lanes must share the network geometry (same node/PLC counts and
     action list) — heterogeneous *configs* (reward weights, horizons,
@@ -69,10 +69,8 @@ class BatchedVectorEnv(VectorEnv):
     """
 
     def __init__(self, envs: Sequence[InasimEnv], *, auto_reset: bool = True,
-                 base_seed: int | None = None, lane_offset: int = 0,
-                 total_envs: int | None = None):
-        super().__init__(envs, auto_reset=auto_reset, base_seed=base_seed,
-                         lane_offset=lane_offset, total_envs=total_envs)
+                 base_seed: int | None = None):
+        super().__init__(envs, auto_reset=auto_reset, base_seed=base_seed)
         first = self.envs[0]
         n_nodes = first.topology.n_nodes
         n_plcs = first.topology.n_plcs
@@ -304,7 +302,7 @@ class BatchedVectorEnv(VectorEnv):
         return info
 
     def _refresh_lane_params(self) -> None:
-        """Per-lane scalars hoisted into arrays (re-done on re-laning)."""
+        """Per-lane scalars hoisted into arrays."""
         sims = self._sims
         self._record_truth = [sim.record_truth for sim in sims]
         self._any_truth = any(self._record_truth)
@@ -367,39 +365,10 @@ class BatchedVectorEnv(VectorEnv):
             self._adopt(i)
         return obs
 
-    def replace_env(self, i: int, env: InasimEnv) -> None:
-        if (env.topology.n_nodes != self._n_nodes
-                or env.topology.n_plcs != self._n_plcs
-                or env.action_list != self.action_list):
-            raise ValueError(
-                "replacement environment changes the network geometry; "
-                "rebuild the whole vector env instead"
-            )
-        super().replace_env(i, env)
-        self._sims[i] = env.sim
-        self._refresh_lane_params()
-        self._adopt(i)
-
     def reset_env(self, i: int, seed: int | None = None) -> Observation:
         obs = super().reset_env(i, seed)
         self._adopt(i)
         return obs
-
-    def restore_reset(self, i: int, seed: int | None) -> Observation:
-        obs = super().restore_reset(i, seed)
-        self._adopt(i)
-        return obs
-
-    def replay_action(self, i: int, action) -> None:
-        # the oracle step mutates the adopted row views in place; only
-        # the lane clock and event-queue mirrors need a refresh
-        super().replay_action(i, action)
-        sim = self.envs[i].sim
-        self._T[i] = sim.state.t
-        heap = sim.queue._heap
-        self._next_event[i] = heap[0].time if heap else _FAR_FUTURE
-        self._phase_names[i] = getattr(sim.attacker, "phase_name", None)
-        self._refresh_lane_snapshots(i)
 
     # ------------------------------------------------------------------
     def step(self, actions=None, mask: Sequence[bool] | None = None) -> VecStep:

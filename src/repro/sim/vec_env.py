@@ -6,15 +6,17 @@ fan-out, the DQN collector, the CLI) drives a vector environment
 instead and amortizes per-step Python overhead over ``num_envs``
 simulations.
 
-Three backends implement one contract (:class:`BaseVectorEnv`):
+Two in-process backends implement one contract (:class:`BaseVectorEnv`):
 
-* ``sync`` -- :class:`VectorEnv`, every lane stepped in-process (this
+* ``sync`` -- :class:`VectorEnv`, every lane stepped in turn (this
   module);
 * ``batched`` -- :class:`~repro.sim.batched_engine.BatchedVectorEnv`,
-  every lane stepped in-process on one structure-of-arrays engine;
-* ``process`` -- :class:`~repro.sim.vec_backends.ProcessVectorEnv`,
-  lanes partitioned across worker processes exchanging binary records
-  over pipes (:mod:`repro.sim.vec_transport`).
+  every lane stepped on one structure-of-arrays engine.
+
+:func:`normalize_backend` is the single dispatch gate over the backend
+names: ``"auto"`` resolves to ``"batched"``, and the retired worker-pool
+names ``"process"`` and ``"shm"`` are deprecated aliases of
+``"batched"``.
 
 Semantics follow the Gym ``VectorEnv`` contract:
 
@@ -34,11 +36,13 @@ Semantics follow the Gym ``VectorEnv`` contract:
 Episodes are deterministic given (config, seed): two vector envs built
 from the same scenario and reset with the same seed produce identical
 batched trajectories **regardless of backend** -- the parity tests in
-``tests/test_vec_backends.py`` pin this down.
+``tests/test_vec_backends.py`` and ``tests/test_batched_engine.py`` pin
+this down.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
@@ -47,9 +51,45 @@ import numpy as np
 from repro.sim.env import InasimEnv
 from repro.sim.observations import Observation
 
-__all__ = ["BaseVectorEnv", "VectorEnv", "VecStep"]
+__all__ = [
+    "BACKEND_CHOICES",
+    "BaseVectorEnv",
+    "VectorEnv",
+    "VecStep",
+    "normalize_backend",
+]
 
 _UNSET = object()
+
+#: every backend name a caller may pass; ``"process"`` and ``"shm"``
+#: name the retired worker-pool backend and run as ``"batched"``
+BACKEND_CHOICES = ("sync", "batched", "process", "shm", "auto")
+
+
+def normalize_backend(backend: str) -> str:
+    """Validate a backend name and map it to ``"sync"`` or ``"batched"``.
+
+    The single dispatch gate shared by ``repro.make_vec``,
+    ``repro.make_vec_from_specs``, the CLI and the serve layer, so the
+    accepted names and the error message cannot drift apart.
+    ``"auto"`` is ``"batched"``, which wins every committed throughput
+    cell. ``"process"`` and ``"shm"`` are deprecated aliases of
+    ``"batched"``: they run the same trajectories with a
+    :class:`DeprecationWarning`, so stored jobs and scripts keep working.
+    """
+    if backend not in BACKEND_CHOICES:
+        raise ValueError(
+            f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
+        )
+    if backend in ("process", "shm"):
+        warnings.warn(
+            f'backend "{backend}" is deprecated and runs as "batched"',
+            DeprecationWarning, stacklevel=2,
+        )
+        return "batched"
+    if backend == "auto":
+        return "batched"
+    return backend
 
 
 @dataclass
@@ -156,7 +196,7 @@ class BaseVectorEnv:
 
     # -- lifecycle ----------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (workers, shared buffers)."""
+        """Release backend resources (none for the in-process backends)."""
 
     def __enter__(self):
         return self
@@ -187,18 +227,10 @@ class VectorEnv(BaseVectorEnv):
 
     All environments must share a topology (same action space); build
     them from one scenario via :func:`repro.make_vec`.
-
-    ``lane_offset`` / ``total_envs`` place this instance inside a larger
-    logical vector environment: lane ``i`` here is global lane
-    ``lane_offset + i`` of ``total_envs``, and the auto-reset reseeding
-    schedule uses the *global* geometry. The parallel backends use this
-    to run worker-local ``VectorEnv`` groups whose per-lane seed
-    schedules are bit-identical to the single-process layout.
     """
 
     def __init__(self, envs: Sequence[InasimEnv], *, auto_reset: bool = True,
-                 base_seed: int | None = None, lane_offset: int = 0,
-                 total_envs: int | None = None):
+                 base_seed: int | None = None):
         envs = list(envs)
         if not envs:
             raise ValueError("VectorEnv needs at least one environment")
@@ -214,8 +246,6 @@ class VectorEnv(BaseVectorEnv):
         self.num_envs = len(envs)
         self.auto_reset = auto_reset
         self._base_seed = base_seed
-        self._lane_offset = lane_offset
-        self._total_envs = total_envs if total_envs is not None else len(envs)
         self._episode_counts = [0] * self.num_envs
         self._last_obs: list[Observation | None] = [None] * self.num_envs
         self.reset_infos = [_reset_info(env) for env in envs]
@@ -247,8 +277,7 @@ class VectorEnv(BaseVectorEnv):
     def _seed_for(self, i: int) -> int | None:
         if self._base_seed is None:
             return None
-        return (self._base_seed + self._lane_offset + i
-                + self._total_envs * self._episode_counts[i])
+        return self._base_seed + i + self.num_envs * self._episode_counts[i]
 
     def reset(self, seed: int | None | object = _UNSET) -> list[Observation]:
         """Reset every environment; env ``i`` gets ``seed + i``."""
@@ -260,25 +289,6 @@ class VectorEnv(BaseVectorEnv):
         self._last_obs = list(obs)
         self.reset_infos = [_reset_info(env) for env in self.envs]
         return obs
-
-    def replace_env(self, i: int, env: InasimEnv) -> None:
-        """Swap lane ``i``'s environment for a freshly built one.
-
-        The persistent worker pools use this to re-lane a live group
-        (``rebuild_lane``): the lane's episode count restarts at zero so
-        its reseed schedule matches a freshly constructed vector env,
-        and its reset info reflects the new environment's initial state.
-        """
-        if env.n_actions != self.n_actions:
-            raise ValueError(
-                "replacement environment changes the action space "
-                f"({env.n_actions} != {self.n_actions}); rebuild the whole "
-                "vector env instead"
-            )
-        self.envs[i] = env
-        self._episode_counts[i] = 0
-        self._last_obs[i] = None
-        self.reset_infos[i] = _reset_info(env)
 
     def reset_env(self, i: int, seed: int | None = None) -> Observation:
         """Reset one lane explicitly (manual episode scheduling).
@@ -296,31 +306,6 @@ class VectorEnv(BaseVectorEnv):
         self._last_obs[i] = obs
         self.reset_infos[i] = _reset_info(self.envs[i])
         return obs
-
-    # -- deterministic lane recovery -----------------------------------
-    def restore_reset(self, i: int, seed: int | None) -> Observation:
-        """Reset lane ``i`` to ``seed`` without touching the episode
-        schedule.
-
-        Worker recovery replays a lane's journaled history against a
-        fresh group: the supervisor already knows the exact seed and
-        episode count, so unlike :meth:`reset_env` nothing is derived or
-        advanced here.
-        """
-        obs = self.envs[i].reset(seed=seed)
-        self._last_obs[i] = obs
-        self.reset_infos[i] = _reset_info(self.envs[i])
-        return obs
-
-    def replay_action(self, i: int, action) -> None:
-        """Re-apply one journaled action to lane ``i``.
-
-        No auto-reset and no reward/done bookkeeping: the journal never
-        spans an auto-reset boundary (it is cleared when a lane rolls
-        over), so replay always lands exactly on the pre-fault state.
-        """
-        obs, _, _, _ = self.envs[i].step(action)
-        self._last_obs[i] = obs
 
     # ------------------------------------------------------------------
     def step(self, actions=None, mask: Sequence[bool] | None = None) -> VecStep:

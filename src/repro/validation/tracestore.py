@@ -21,12 +21,13 @@ Layout on disk (a directory):
   shard file the manifest does not list is a partial flush and is
   ignored by the reader.
 
-The record field names reuse :mod:`repro.sim.vec_transport`'s wire
-layout (``INFO_SCALAR_FIELDS`` / ``BREAKDOWN_FIELDS``), so the
-analyzer's transport-schema checker — which pins the engine's info
-keys to that module — transitively covers the trace schema: an engine
-info field cannot be added without the lint gate forcing the wire
-format, and with it this record layout, to follow.
+The record's info columns are named by ``INFO_SCALAR_FIELDS`` and
+``BREAKDOWN_FIELDS``, and ``ENGINE_INFO_KEYS`` lists every key an
+engine step info carries. ``tests/test_tracestore.py`` checks all three
+against a real step of the sync and batched engines and against
+:class:`~repro.sim.reward.RewardBreakdown`, so an engine info field
+cannot be added without a failing test pointing here: decide whether
+the record stores it, then list it.
 
 The format is deliberately pickle-free (structured scalars and
 subarrays only): a trace file is safe to read from an untrusted
@@ -45,10 +46,12 @@ import numpy as np
 
 from repro.eval.runner import drive_vec_episodes
 from repro.rl.features import FeatureSet
-from repro.sim.vec_transport import BREAKDOWN_FIELDS, INFO_SCALAR_FIELDS
 from repro.validation.logging import LoggedEpisode
 
 __all__ = [
+    "BREAKDOWN_FIELDS",
+    "ENGINE_INFO_KEYS",
+    "INFO_SCALAR_FIELDS",
     "TRACE_FORMAT",
     "TRACE_SCHEMA_VERSION",
     "KIND_STEP",
@@ -71,6 +74,34 @@ TRACE_SCHEMA_VERSION = 1
 #: bootstrap anchor, ``LoggedEpisode.final_features``)
 KIND_STEP = 0
 KIND_FINAL = 1
+
+#: the numeric step-info fields the record stores, in column order
+#: (``it_cost`` is ``<f8``, the rest ``<i8``)
+INFO_SCALAR_FIELDS = (
+    "t",
+    "it_cost",
+    "n_compromised",
+    "n_ws_compromised",
+    "n_srv_compromised",
+    "n_plcs_offline",
+    "n_plcs_disrupted",
+    "n_plcs_destroyed",
+)
+
+#: :class:`~repro.sim.reward.RewardBreakdown` fields, in column order
+#: (stored as ``rb_<name>`` doubles)
+BREAKDOWN_FIELDS = ("r_plc", "r_it", "r_term", "total", "it_cost")
+
+#: every key of an engine step info (``conditions`` only with
+#: ``record_truth``); the keys outside ``INFO_SCALAR_FIELDS`` and
+#: ``reward_breakdown`` are not stored in the record
+ENGINE_INFO_KEYS = frozenset(INFO_SCALAR_FIELDS) | {
+    "reward_breakdown",
+    "launched",
+    "completed",
+    "apt_phase",
+    "conditions",
+}
 
 MANIFEST_NAME = "manifest.json"
 _SHARD_PATTERN = "shard-{:05d}.bin"
@@ -116,10 +147,10 @@ class TraceDims(NamedTuple):
 def trace_record_dtype(dims: TraceDims) -> np.dtype:
     """The explicit little-endian record layout for ``dims``.
 
-    Scalar info fields carry the exact names of the binary wire
-    format's fixed info block; the five :class:`RewardBreakdown`
-    doubles are prefixed ``rb_`` (``it_cost`` appears in both field
-    sets and record names must be unique).
+    Scalar info fields carry the exact names of the engine's step-info
+    keys; the five :class:`RewardBreakdown` doubles are prefixed
+    ``rb_`` (``it_cost`` appears in both field sets and record names
+    must be unique).
     """
     fields: list[tuple] = [
         ("episode", "<u4"),

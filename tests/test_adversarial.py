@@ -368,17 +368,17 @@ class TestVectorizedFitness:
         sequential = np.array([seq(apt) for apt in candidates])
         np.testing.assert_array_equal(batch(candidates), sequential)
 
-    def test_process_backend_matches_too(self):
+    def test_batched_backend_matches_too(self):
         cfg = tiny_network(tmax=30)
         space = AttackerParameterSpace(base=cfg.apt)
         rng = np.random.default_rng(1)
         candidates = [space.sample(rng) for _ in range(2)]
         sync = make_defender_fitness_vec(cfg, NoopPolicy(), episodes=1,
                                          seed=2, max_steps=30)
-        proc = make_defender_fitness_vec(cfg, NoopPolicy(), episodes=1,
-                                         seed=2, max_steps=30,
-                                         backend="process", num_workers=2)
-        np.testing.assert_array_equal(sync(candidates), proc(candidates))
+        batched = make_defender_fitness_vec(cfg, NoopPolicy(), episodes=1,
+                                            seed=2, max_steps=30,
+                                            backend="batched")
+        np.testing.assert_array_equal(sync(candidates), batched(candidates))
 
     def test_evaluate_attackers_vec_returns_per_attacker_aggregates(self):
         cfg = tiny_network(tmax=30)
@@ -507,16 +507,15 @@ class TestSelfPlayLoop:
         finally:
             _unregister_selfplay("t-roundtrip")
 
-    def test_process_backend_round(self, tiny_tables):
-        """A full oracle round also runs on the process backend."""
-        loop = _tiny_loop(tiny_tables, "t-process", backend="process",
-                          num_workers=2)
+    def test_batched_backend_round(self, tiny_tables):
+        """A full oracle round also runs on the batched backend."""
+        loop = _tiny_loop(tiny_tables, "t-batched", backend="batched")
         try:
             record = loop.run_round()
             assert np.isfinite(record.best_response_utility)
             assert record.verified_utility == record.best_response_utility
         finally:
-            _unregister_selfplay("t-process")
+            _unregister_selfplay("t-batched")
 
     def test_accepts_scenario_id_base(self, tiny_tables):
         loop = _tiny_loop(tiny_tables, "unused")

@@ -9,7 +9,6 @@ gate: the real package must stay analysis-clean.
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -81,32 +80,6 @@ class TestRngDiscipline:
 
 
 # ---------------------------------------------------------------------------
-# Resource lifecycle
-
-
-class TestResourceLifecycle:
-    def test_bad_fixture_findings(self):
-        result = fixture_check("lifecycle_bad")
-        assert rule_lines(result) == {
-            ("resource-lifecycle", "sim/vec_backends.py", 12),  # leaked local
-            ("resource-lifecycle", "sim/vec_backends.py", 18),  # bare drop
-            ("resource-lifecycle", "sim/vec_backends.py", 23),  # self.proc
-        }
-
-    def test_leak_messages_name_the_resource(self):
-        result = fixture_check("lifecycle_bad")
-        messages = " ".join(f.message for f in result.findings)
-        assert "SharedMemory" in messages
-        assert "Process" in messages
-
-    def test_clean_fixture(self):
-        # with-block, try/finally release, ownership transfer, finalizer
-        # and class-level release must all be accepted
-        result = fixture_check("lifecycle_clean")
-        assert result.ok, [f.message for f in result.findings]
-
-
-# ---------------------------------------------------------------------------
 # Forbidden imports
 
 
@@ -114,8 +87,8 @@ class TestForbiddenImports:
     def test_bad_fixture_findings(self):
         result = fixture_check("imports_bad")
         assert rule_lines(result) == {
-            ("forbidden-import", "sim/vec_transport.py", 3),  # pickle
-            ("forbidden-import", "sim/vec_transport.py", 5),  # repro.serve
+            ("forbidden-import", "sim/engine.py", 3),  # repro.serve
+            ("forbidden-import", "validation/tracestore.py", 3),  # pickle
         }
 
     def test_messages_name_the_banned_module(self):
@@ -174,64 +147,6 @@ class TestSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# Transport schema drift (regression pin for the wire-format contract)
-
-
-def _copy_transport_tree(tmp_path: Path) -> Path:
-    root = tmp_path / "pkg"
-    (root / "sim").mkdir(parents=True)
-    for name in ("observations.py", "reward.py", "engine.py",
-                 "vec_transport.py"):
-        shutil.copy(PACKAGE_ROOT / "sim" / name, root / "sim" / name)
-    return root
-
-
-class TestTransportSchemaDrift:
-    def test_unmodified_copy_is_clean(self, tmp_path):
-        root = _copy_transport_tree(tmp_path)
-        result = run_check(root=root, baseline=Baseline.empty())
-        schema = [f for f in result.findings if f.rule == "transport-schema"]
-        assert schema == []
-
-    def test_new_observation_field_flags_encode_and_decode(self, tmp_path):
-        # an Observation copy with a throwaway field must trip the
-        # checker at BOTH wire-format sites -- this is the drift the
-        # rule exists to catch
-        root = _copy_transport_tree(tmp_path)
-        obs = root / "sim" / "observations.py"
-        text = obs.read_text()
-        marker = "    completed_actions: "
-        assert marker in text
-        obs.write_text(
-            text.replace(marker, "    drift_probe: int = 0\n" + marker, 1)
-        )
-        result = run_check(root=root, baseline=Baseline.empty())
-        schema = [f for f in result.findings if f.rule == "transport-schema"]
-        messages = [f.message for f in schema]
-        assert len(schema) == 2, messages
-        assert any("_encode_observation" in m and "drift_probe" in m
-                   for m in messages)
-        assert any("_decode_observation" in m and "drift_probe" in m
-                   for m in messages)
-        assert all(f.path == "sim/vec_transport.py" for f in schema)
-
-    def test_new_info_key_flags_wire_format(self, tmp_path):
-        root = _copy_transport_tree(tmp_path)
-        engine = root / "sim" / "engine.py"
-        text = engine.read_text()
-        marker = '            "t": t1,'
-        assert marker in text
-        engine.write_text(
-            text.replace(marker, '            "drift_key": 0,\n' + marker, 1)
-        )
-        result = run_check(root=root, baseline=Baseline.empty())
-        schema = [f for f in result.findings if f.rule == "transport-schema"]
-        assert any("drift_key" in f.message for f in schema), [
-            f.message for f in result.findings
-        ]
-
-
-# ---------------------------------------------------------------------------
 # Baseline
 
 
@@ -263,7 +178,7 @@ class TestBaseline:
             "version": 1,
             "entries": [{
                 "rule": "forbidden-import",
-                "path": "sim/vec_transport.py",
+                "path": "validation/tracestore.py",
                 "code": "import this_code_no_longer_exists",
                 "justification": "stale on purpose",
             }],
@@ -359,7 +274,7 @@ class TestReportFormats:
         out = render("github", self._findings())
         lines = out.splitlines()
         assert lines[0].startswith(
-            "::error file=sim/vec_transport.py,line=3,"
+            "::error file=sim/engine.py,line=3,"
         )
         assert "title=repro check [forbidden-import]" in lines[0]
         assert lines[-1].startswith("repro check: 2 error(s)")
@@ -390,8 +305,8 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("rng-global-state", "transport-schema",
-                     "resource-lifecycle", "forbidden-import"):
+        for rule in ("rng-global-state", "rng-wall-clock",
+                     "forbidden-import"):
             assert rule in out
 
     def test_exit_one_on_findings(self, capsys):
@@ -455,12 +370,13 @@ class TestCleanTree:
             (f.rule, f.path, f.line) for f, _ in result.suppressed
         ]
 
-    def test_pickle_ban_covers_the_worker_backend(self, tmp_path):
-        (tmp_path / "sim").mkdir()
-        (tmp_path / "sim" / "vec_backends.py").write_text("import pickle\n")
+    def test_pickle_ban_covers_the_trace_datasets(self, tmp_path):
+        (tmp_path / "validation").mkdir()
+        (tmp_path / "validation" / "datasets.py").write_text(
+            "import pickle\n")
         result = run_check(root=tmp_path, baseline=Baseline.empty())
         assert rule_lines(result) == {
-            ("forbidden-import", "sim/vec_backends.py", 1),
+            ("forbidden-import", "validation/datasets.py", 1),
         }
 
     def test_policy_default_covers_all_catalog_rules(self):
@@ -468,8 +384,7 @@ class TestCleanTree:
 
         policy = Policy.default()
         for rule in ("rng-global-state", "rng-wall-clock",
-                     "rng-unsanctioned-factory", "transport-schema",
-                     "resource-lifecycle", "forbidden-imports"):
+                     "rng-unsanctioned-factory", "forbidden-imports"):
             assert policy.enabled(rule)
         assert "baseline-unused" in RULE_CATALOG
         assert "suppression-syntax" in RULE_CATALOG

@@ -191,18 +191,6 @@ class TestBatchedParity:
         fp_b = [_step_fp(batched.step(None)) for _ in range(20)]
         assert fp_s == fp_b
 
-    def test_replace_env_readopts(self):
-        sync, batched = _pair("inasim-tiny-v1", 2, seed=0)
-        sync.reset(seed=1)
-        batched.reset(seed=1)
-        for venv in (sync, batched):
-            venv.step(None)
-            venv.replace_env(0, repro.make("inasim-tiny-v1", seed=77))
-            venv.reset_env(0, seed=77)
-        fp_s = [_step_fp(sync.step(None)) for _ in range(10)]
-        fp_b = [_step_fp(batched.step(None)) for _ in range(10)]
-        assert fp_s == fp_b
-
 
 # ----------------------------------------------------------------------
 # property fuzz: batched == sync, key for key, under random drive
@@ -336,12 +324,6 @@ class TestAdoptionContract:
         with pytest.raises(ValueError,
                            match="geometry|action space"):
             BatchedVectorEnv(envs)
-
-    def test_replace_env_geometry_rejected(self):
-        venv = repro.make_vec("inasim-tiny-v1", 2, backend="batched", seed=0)
-        venv.reset(seed=0)
-        with pytest.raises(ValueError, match="geometry"):
-            venv.replace_env(0, repro.make("inasim-small-v1", seed=0))
 
     def test_observations_are_snapshots(self):
         """Returned observation arrays never alias the live batch rows

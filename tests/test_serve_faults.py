@@ -1,26 +1,18 @@
-"""Fault tolerance at the service layer: job retries, fault accounting,
-store reconciliation after an unclean shutdown, and client-side retry.
+"""Fault tolerance at the service layer: store migration and
+reconciliation after an unclean shutdown, requeueing stranded runs,
+and client-side retry.
 
-The end-to-end tests run a real server (ephemeral port, its own event
-loop thread) and inject real worker faults through
-:mod:`repro.testing.faults` — the pool workers a served job spawns
-inherit the armed plan from the environment, exactly as the chaos CI
-job arms them.
+The end-to-end test runs a real server (ephemeral port, its own event
+loop thread) over a store a "killed" server left behind.
 """
-
-import time
 
 import pytest
 
-from repro.serve import EvalService, RunStore, ServeClient, ServeQueueFullError
+from repro.serve import RunStore, ServeClient, ServeQueueFullError
 from repro.serve.store import SCHEMA_VERSION, _MIGRATIONS
-from repro.sim.vec_backends import WorkerDiedError
-from repro.testing import FaultPlan, inject_faults
 from test_serve_service import ServerHandle
 
 TINY = "inasim-tiny-v1"
-
-pytestmark = pytest.mark.chaos
 
 
 # ----------------------------------------------------------------------
@@ -80,131 +72,10 @@ class TestStoreFaults:
 
 
 # ----------------------------------------------------------------------
-# the retry loop (stubbed execution: exact attempt semantics)
-# ----------------------------------------------------------------------
-class TestJobRetries:
-    def _service(self, tmp_path, **kwargs):
-        kwargs.setdefault("retry_backoff", 0.001)
-        return EvalService(str(tmp_path / "runs.sqlite"), **kwargs)
-
-    def _submitted_job(self, service):
-        import asyncio
-
-        async def submit():
-            await service.start()
-            job = service.submit({"scenario": TINY, "episodes": 1,
-                                  "max_steps": 5})
-            # pull it off the queue so shutdown won't cancel it
-            service._queue.get_nowait()
-            return job
-
-        return asyncio.run(submit())
-
-    def test_job_survives_fatal_fault_via_retry(self, tmp_path):
-        service = self._service(tmp_path, job_retries=2)
-        job = self._submitted_job(service)
-        attempts = []
-
-        def flaky(j):
-            attempts.append(j.completed)
-            j.completed = 1  # pretend an episode landed pre-crash
-            if len(attempts) < 3:
-                raise WorkerDiedError("a worker died (test)")
-            return {"ok": True}
-
-        service._execute_evaluation = flaky
-        service._run_job(job)
-        assert job.status == "done"
-        assert job.retries_used == 2
-        assert attempts == [0, 0, 0]  # completed reset before each re-run
-        run = service.store.get_run(job.id)
-        assert run["status"] == "done"
-        assert service.fault_summary()["job_retries"] == 2
-        service.store.close()
-
-    def test_budget_exhaustion_fails_the_job(self, tmp_path):
-        service = self._service(tmp_path, job_retries=1)
-        job = self._submitted_job(service)
-
-        def doomed(j):
-            raise WorkerDiedError("a worker died (test)")
-
-        service._execute_evaluation = doomed
-        service._run_job(job)
-        assert job.status == "error"
-        assert "died" in job.error
-        assert job.retries_used == 1
-        assert service.store.get_run(job.id)["status"] == "error"
-        service.store.close()
-
-    def test_job_retries_field_overrides_service_budget(self, tmp_path):
-        service = self._service(tmp_path, job_retries=5)
-        job = self._submitted_job(service)
-        job.request.retries = 0  # this job opts out of retrying
-
-        calls = []
-
-        def doomed(j):
-            calls.append(1)
-            raise WorkerDiedError("a worker died (test)")
-
-        service._execute_evaluation = doomed
-        service._run_job(job)
-        assert job.status == "error" and len(calls) == 1
-        service.store.close()
-
-
-# ----------------------------------------------------------------------
-# end-to-end: served jobs under real injected worker faults
+# end-to-end: a served store across an unclean server exit
 # ----------------------------------------------------------------------
 class TestServedChaos:
-    def test_pooled_job_survives_worker_crash(self, tmp_path):
-        """The issue's acceptance criterion: an evaluate job whose pool
-        worker is killed mid-job completes anyway — supervision (and,
-        past the restart budget, in-parent degradation) rides through
-        the crashes — and the run row records the fault count."""
-        argv = {"kind": "evaluate", "scenario": TINY, "policy": "playbook",
-                "episodes": 4, "seed": 3, "max_steps": 20}
-        with ServerHandle(tmp_path / "runs.sqlite", max_queue=8) as server:
-            clean = server.client.wait(
-                server.client.submit({**argv, "num_envs": 4,
-                                      "backend": "sync"})["job_id"],
-                timeout=120)
-            with inject_faults(FaultPlan(seed=0, kill_on_steps=(3,))):
-                job = server.client.submit({**argv, "num_envs": 4,
-                                            "backend": "process",
-                                            "num_workers": 2})
-                done = server.client.wait(job["job_id"], timeout=120)
-            assert done["status"] == "done"
-            assert done["faults"]["worker_faults"] >= 1
-            assert done["metrics"] == clean["metrics"]  # still bit-exact
-            run = server.client.run(job["job_id"])
-            assert run["faults"] >= 1
-            health = server.client.health()
-            assert health["faults"]["worker_faults"] >= 1
-
-    def test_unsupervised_job_exhausts_retries_to_error(self, tmp_path):
-        """supervise=False restores fail-fast workers: every attempt
-        dies to the armed kill plan, the retry budget burns down, and
-        the job lands as an error with its fault count recorded."""
-        with ServerHandle(tmp_path / "runs.sqlite", max_queue=8,
-                          supervise=False, job_retries=1,
-                          retry_backoff=0.01) as server:
-            with inject_faults(FaultPlan(seed=0, kill_on_steps=(2,),
-                                         kill_worker=0)):
-                job = server.client.submit({
-                    "kind": "evaluate", "scenario": TINY,
-                    "policy": "playbook", "episodes": 2, "seed": 0,
-                    "max_steps": 20, "num_envs": 2, "backend": "process",
-                    "num_workers": 1,
-                })
-                done = server.client.wait(job["job_id"], timeout=120,
-                                          raise_on_failure=False)
-            assert done["status"] == "error"
-            assert "died" in done["error"]
-            assert done["faults"]["retries_used"] == 1
-            assert done["faults"]["worker_faults"] >= 2  # one per attempt
-            assert server.client.run(job["job_id"])["faults"] >= 2
+    """A server killed mid-run, then restarted on the same store."""
 
     def test_restart_reconciles_and_requeues_stranded_runs(self, tmp_path):
         """A run left ``running`` by a killed server is marked

@@ -1,5 +1,6 @@
 """Tests for the evaluation service: job validation, the HTTP surface,
-the shared pool, backpressure, cancellation, and graceful shutdown."""
+backpressure, cancellation, terminal-status ordering, and graceful
+shutdown."""
 
 import asyncio
 import queue
@@ -128,7 +129,9 @@ class TestServeEndToEnd:
         health = server.client.health()
         assert health["status"] == "ok"
         assert health["max_queue"] == 8
-        assert health["pool"] == {"spawns": 0, "reuses": 0, "live_pools": 0}
+        assert "pool" not in health
+        assert health["faults"] == {"jobs_interrupted": 0,
+                                    "jobs_requeued": 0}
 
     def test_served_evaluation_matches_one_shot(self, server):
         """The acceptance bar: served == one-shot, bit for bit."""
@@ -175,10 +178,10 @@ class TestServeEndToEnd:
                                   "backend": "sync"})["job_id"], timeout=120)
         assert single["metrics"] == vec["metrics"]
 
-    @pytest.mark.parametrize("backend", ["batched", "shm"])
+    @pytest.mark.parametrize("backend", ["batched", "shm", "process"])
     def test_vectorized_job_backend_matches_sync(self, server, backend):
-        """In-process batched lanes and the deprecated shm name (run as
-        process) serve the same metrics as sync lanes."""
+        """Batched lanes, and the deprecated shm/process names that run
+        as batched, serve the same metrics as sync lanes."""
         argv = {"kind": "evaluate", "scenario": TINY, "policy": "playbook",
                 "episodes": 3, "seed": 5, "max_steps": 30, "num_envs": 2}
         sync = server.client.wait(
@@ -307,39 +310,110 @@ class TestBackpressureAndCancel:
             server.__exit__()
         with pytest.raises(ServiceClosedError):
             service.submit({"scenario": TINY})
-        # graceful shutdown closed the owned pool and the store
-        assert service.pool.stats["live_pools"] == 0
+        # graceful shutdown closed the executor and the store
         assert service._executor._shutdown
 
 
-class TestSharedPool:
-    def test_eight_jobs_one_pool(self, tmp_path):
-        """Acceptance bar: >= 8 simultaneous pooled jobs, ONE pool."""
-        import multiprocessing
-
-        before = {p.pid for p in multiprocessing.active_children()}
+class TestJobBurst:
+    def test_eight_vectorized_jobs_all_land(self, tmp_path):
+        """Eight simultaneous vectorized jobs all complete and land in
+        the store, one run per seed."""
         with ServerHandle(tmp_path / "runs.sqlite", max_queue=16,
-                          default_backend="process") as server:
+                          default_backend="batched") as server:
             client = server.client
             jobs = [client.submit({
                 "kind": "evaluate", "scenario": TINY, "policy": "playbook",
-                "episodes": 1, "seed": s, "max_steps": 15,
-                "num_envs": 2, "num_workers": 2,
+                "episodes": 1, "seed": s, "max_steps": 15, "num_envs": 2,
             }) for s in range(8)]
             for job in jobs:
                 done = client.wait(job["job_id"], timeout=300)
                 assert done["status"] == "done"
-            pool = client.health()["pool"]
-            assert pool["spawns"] == 1, pool
-            assert pool["reuses"] == 7, pool
-            assert pool["live_pools"] == 1, pool
-
-            # all eight runs landed in the store with distinct seeds
             runs = client.runs(kind="evaluate", limit=20)
             assert sorted(r["seed"] for r in runs) == list(range(8))
-        # drain left no orphaned worker processes behind
-        leaked = {p.pid for p in multiprocessing.active_children()} - before
-        assert not leaked
+
+
+TERMINAL = ("done", "error", "cancelled")
+
+
+def _finishes(job):
+    return {"ok": True}
+
+
+def _fails(job):
+    raise RuntimeError("boom")
+
+
+def _is_cancelled(job):
+    from repro.serve.jobs import JobCancelled
+
+    raise JobCancelled(job.id)
+
+
+class TestTerminalStatusOrder:
+    """A job publishes its terminal status only after the run row holds
+    it, so a client whose ``wait()`` returns never reads a ``running``
+    row from ``/runs``."""
+
+    def _service(self, tmp_path, monkeypatch):
+        """A started service whose terminal store writes are slow and
+        record what a polling client would see while each is in flight:
+        (job status, run-row status)."""
+        service = EvalService(str(tmp_path / "runs.sqlite"))
+        asyncio.run(service.start())
+        seen = []
+        for name in ("finish_run", "fail_run", "cancel_run"):
+            write = getattr(service.store, name)
+
+            def slow(run_id, *args, _write=write, **kwargs):
+                seen.append((service.job(run_id).status,
+                             service.store.get_run(run_id)["status"]))
+                time.sleep(0.05)
+                _write(run_id, *args, **kwargs)
+
+            monkeypatch.setattr(service.store, name, slow)
+        return service, seen
+
+    def _job(self, service):
+        job = service.submit({"scenario": TINY, "episodes": 1,
+                              "max_steps": 5})
+        service._queue.get_nowait()  # run it by hand, not by a worker
+        return job
+
+    @pytest.mark.parametrize("outcome,status", [
+        (_finishes, "done"),
+        (_fails, "error"),
+        (_is_cancelled, "cancelled"),
+    ], ids=TERMINAL)
+    def test_run_row_lands_before_job_status(self, tmp_path, monkeypatch,
+                                             outcome, status):
+        service, seen = self._service(tmp_path, monkeypatch)
+        job = self._job(service)
+        monkeypatch.setattr(service, "_execute_evaluation", outcome)
+        service._run_job(job)
+        assert job.status == status
+        assert service.store.get_run(job.id)["status"] == status
+        assert seen, "the terminal store write never ran"
+        for job_status, row_status in seen:
+            assert job_status not in TERMINAL or row_status in TERMINAL
+        service.store.close()
+
+    def test_queued_cancel_lands_before_job_status(self, tmp_path,
+                                                   monkeypatch):
+        service, seen = self._service(tmp_path, monkeypatch)
+
+        async def cancel_queued():
+            job = service.submit({"scenario": TINY, "episodes": 1,
+                                  "max_steps": 5})
+            service.cancel(job.id)
+            await service._queue.put(None)  # stop after this job
+            await service._worker()
+            return job
+
+        job = asyncio.run(cancel_queued())
+        assert job.status == "cancelled"
+        assert service.store.get_run(job.id)["status"] == "cancelled"
+        assert seen == [("queued", "queued")]
+        service.store.close()
 
 
 class TestServeSmoke:

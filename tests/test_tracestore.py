@@ -7,7 +7,9 @@ Round-trip and durability properties use hand-built synthetic logs
 recorder is integration-tested on the tiny network.
 """
 
+import dataclasses
 import json
+import numbers
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import repro
 from repro.rl import AttentionQNetwork, QNetConfig
 from repro.rl.features import FeatureSet
-from repro.sim.vec_transport import BREAKDOWN_FIELDS, INFO_SCALAR_FIELDS
+from repro.sim.reward import RewardBreakdown
 from repro.validation import (
     LoggedEpisode,
     LoggedStep,
@@ -31,7 +33,14 @@ from repro.validation import (
     trace_record_dtype,
     write_episodes,
 )
-from repro.validation.tracestore import KIND_FINAL, KIND_STEP, MANIFEST_NAME
+from repro.validation.tracestore import (
+    BREAKDOWN_FIELDS,
+    ENGINE_INFO_KEYS,
+    INFO_SCALAR_FIELDS,
+    KIND_FINAL,
+    KIND_STEP,
+    MANIFEST_NAME,
+)
 
 DIMS = TraceDims(n_nodes=3, node_dim=4, n_plcs=2, plc_dim=3,
                  glob_dim=3, n_actions=5)
@@ -98,7 +107,7 @@ def assert_episodes_identical(a: LoggedEpisode, b: LoggedEpisode) -> None:
 # record layout
 # ----------------------------------------------------------------------
 class TestRecordDtype:
-    def test_fields_cover_wire_format(self):
+    def test_fields_cover_info_schema(self):
         dtype = trace_record_dtype(DIMS)
         names = set(dtype.names)
         assert set(INFO_SCALAR_FIELDS) <= names
@@ -121,6 +130,40 @@ class TestRecordDtype:
         rng = np.random.default_rng(0)
         dims = TraceDims.from_step(make_features(rng), make_mask(rng))
         assert dims == DIMS
+
+
+def _step_infos(backend):
+    """Non-terminal step infos of two tiny-network lanes."""
+    venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, backend=backend)
+    venv.reset(seed=0)
+    rng = np.random.default_rng(0)
+    infos = []
+    for _ in range(6):
+        infos += venv.step(venv.sample_actions(rng)).infos
+    return infos
+
+
+class TestRecordSchema:
+    """The record's info columns against the engine that fills them.
+
+    Adding an engine step-info field fails here until it is classified
+    next to the record layout in :mod:`repro.validation.tracestore`."""
+
+    def test_breakdown_fields_match_reward_breakdown(self):
+        assert BREAKDOWN_FIELDS == tuple(
+            f.name for f in dataclasses.fields(RewardBreakdown))
+
+    @pytest.mark.parametrize("backend", ["sync", "batched"])
+    def test_scalar_fields_are_numeric_step_info_keys(self, backend):
+        for info in _step_infos(backend):
+            for name in INFO_SCALAR_FIELDS:
+                assert isinstance(info[name], numbers.Real), name
+                assert not isinstance(info[name], bool), name
+
+    @pytest.mark.parametrize("backend", ["sync", "batched"])
+    def test_engine_info_keys_match_record_constant(self, backend):
+        for info in _step_infos(backend):
+            assert set(info) == ENGINE_INFO_KEYS
 
 
 # ----------------------------------------------------------------------

@@ -2,11 +2,10 @@
 
 The core guarantee of the backend abstraction: the same scenario and
 seed produce bit-identical observation/reward/done trajectories on
-every backend (``sync`` / ``process``; ``shm`` is a deprecated alias of
-``process``). Plus round-trip tests
-for ScenarioSpec JSON (the worker shipping format) and regression tests
-for the vectorized ``sample_actions`` and the ``reset_env`` episode
-accounting.
+every backend (``sync`` / ``batched``; ``auto`` is ``batched``, and the
+retired ``process`` / ``shm`` names are its deprecated aliases). Plus
+round-trip tests for ScenarioSpec JSON and regression tests for the
+vectorized ``sample_actions`` and the ``reset_env`` episode accounting.
 """
 
 import json
@@ -27,12 +26,7 @@ from repro.scenarios import (
     spec_to_json,
 )
 from repro.scenarios.registry import REGISTRY
-from repro.sim.vec_backends import (
-    AUTO_MIN_ENVS,
-    ProcessVectorEnv,
-    resolve_backend,
-)
-from repro.sim.vec_env import VectorEnv
+from repro.sim.batched_engine import BatchedVectorEnv
 
 
 def _obs_fingerprint(obs):
@@ -63,228 +57,93 @@ def _rollout(venv, steps, seed, action_seed=7):
 
 
 class TestBackendParity:
-    def test_process_matches_sync(self):
-        """Same scenario + seed => identical trajectories, pipes or not."""
-        sync = repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=15)
-        trace_s, rew_s, done_s = _rollout(sync, 25, seed=4)
-        with repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=15,
-                            backend="process", num_workers=2) as venv:
-            trace_p, rew_p, done_p = _rollout(venv, 25, seed=4)
-        assert trace_s == trace_p
-        np.testing.assert_array_equal(rew_s, rew_p)
-        np.testing.assert_array_equal(done_s, done_p)
+    """Batched-vs-sync cells for the cases the batched suites in
+    ``tests/test_batched_engine.py`` do not spell out."""
 
-    def test_shm_matches_sync(self):
-        """The retired shm backend name still runs, as process."""
-        sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15)
-        trace_s, rew_s, done_s = _rollout(sync, 25, seed=1)
-        with pytest.warns(DeprecationWarning, match="shm"):
-            venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15,
-                                  backend="shm", num_workers=2)
-        with venv:
-            assert type(venv) is ProcessVectorEnv
-            trace_h, rew_h, done_h = _rollout(venv, 25, seed=1)
-        assert trace_s == trace_h
-        np.testing.assert_array_equal(rew_s, rew_h)
-        np.testing.assert_array_equal(done_s, done_h)
-
-    @pytest.mark.slow
     def test_parity_spans_auto_reset_boundaries(self):
-        """The seed+i+N*episode schedule survives worker partitioning."""
+        """The seed+i+N*episode schedule survives lane rollover."""
         sync = repro.make_vec("inasim-tiny-v1", 5, seed=0, horizon=8)
         _, rew_s, done_s = _rollout(sync, 30, seed=2)
         assert done_s.any()  # episodes rolled over mid-run
-        with repro.make_vec("inasim-tiny-v1", 5, seed=0, horizon=8,
-                            backend="process", num_workers=3) as venv:
-            _, rew_p, done_p = _rollout(venv, 30, seed=2)
-        np.testing.assert_array_equal(rew_s, rew_p)
-        np.testing.assert_array_equal(done_s, done_p)
+        venv = repro.make_vec("inasim-tiny-v1", 5, seed=0, horizon=8,
+                              backend="batched")
+        _, rew_b, done_b = _rollout(venv, 30, seed=2)
+        np.testing.assert_array_equal(rew_s, rew_b)
+        np.testing.assert_array_equal(done_s, done_b)
 
     def test_action_masks_match(self):
         sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=20)
         sync.reset(seed=0)
-        with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=20,
-                            backend="process", num_workers=1) as venv:
-            venv.reset(seed=0)
-            for _ in range(5):
-                np.testing.assert_array_equal(
-                    sync.action_masks(), venv.action_masks()
-                )
-                sync.step(np.array([1, 2]))
-                venv.step(np.array([1, 2]))
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=20,
+                              backend="batched")
+        venv.reset(seed=0)
+        for _ in range(5):
+            np.testing.assert_array_equal(
+                sync.action_masks(), venv.action_masks()
+            )
+            sync.step(np.array([1, 2]))
+            venv.step(np.array([1, 2]))
 
-    def test_custom_registered_scenario_ships_to_workers(self):
+    def test_custom_registered_scenario_matches_sync(self):
         spec = ScenarioSpec(
-            scenario_id="test-worker-ship", network="tiny",
+            scenario_id="test-custom-batched", network="tiny",
             reward_variant="availability", horizon=12, tags=("test",),
         )
         repro.register(spec, overwrite=True)
         try:
-            sync = repro.make_vec("test-worker-ship", 2, seed=0)
+            sync = repro.make_vec("test-custom-batched", 2, seed=0)
             _, rew_s, _ = _rollout(sync, 12, seed=0)
-            with repro.make_vec("test-worker-ship", 2, seed=0,
-                                backend="process",
-                                num_workers=2) as venv:
-                assert venv.config.tmax == 12
-                _, rew_p, _ = _rollout(venv, 12, seed=0)
-            np.testing.assert_array_equal(rew_s, rew_p)
+            venv = repro.make_vec("test-custom-batched", 2, seed=0,
+                                  backend="batched")
+            assert venv.config.tmax == 12
+            _, rew_b, _ = _rollout(venv, 12, seed=0)
+            np.testing.assert_array_equal(rew_s, rew_b)
         finally:
-            REGISTRY.unregister("test-worker-ship")
+            REGISTRY.unregister("test-custom-batched")
 
 
 class TestBackendLifecycle:
     def test_metadata_and_policy_env(self):
-        with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                            backend="process", num_workers=1) as venv:
-            sync = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=10)
-            assert venv.n_actions == sync.n_actions
-            assert venv.action_list == sync.action_list
-            assert venv.config.tmax == 10
-            assert venv.topology.n_nodes == sync.topology.n_nodes
-            assert venv.policy_env(0).n_actions == venv.n_actions
-            assert len(venv) == 2
-
-    def test_close_is_idempotent_and_kills_workers(self):
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="process", num_workers=2)
-        venv.reset(seed=0)
-        venv.step(None)
-        procs = list(venv._procs)
-        venv.close()
-        venv.close()  # second close is a no-op
-        assert all(not p.is_alive() for p in procs)
-        with pytest.raises(Exception):
-            venv.step(None)
-
-    def test_auto_reset_toggle_reaches_workers(self):
-        with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=5,
-                            backend="process", num_workers=1) as venv:
-            venv.auto_reset = False
-            venv.reset(seed=0)
-            step = None
-            for _ in range(5):
-                step = venv.step(None)
-            assert step.dones.all()
-            # terminal observation survives: no auto reset happened
-            assert all(obs.t == 5 for obs in step.observations)
-            assert all("final_observation" not in info for info in step.infos)
+                              backend="batched")
+        sync = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=10)
+        assert venv.n_actions == sync.n_actions
+        assert venv.action_list == sync.action_list
+        assert venv.config.tmax == 10
+        assert venv.topology.n_nodes == sync.topology.n_nodes
+        assert venv.policy_env(0).n_actions == venv.n_actions
+        assert len(venv) == 2
 
     def test_reset_infos_populated(self):
-        with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                            backend="process", num_workers=2) as venv:
-            # populated at construction, before any explicit reset
-            assert len(venv.reset_infos) == 2
-            venv.reset(seed=0)
-            for info in venv.reset_infos:
-                # exactly the beachhead workstation is compromised
-                assert info["n_compromised"] == 1
-                assert info["n_ws_compromised"] == 1
-                assert info["n_srv_compromised"] == 0
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
+                              backend="batched")
+        # populated at construction, before any explicit reset
+        assert len(venv.reset_infos) == 2
+        venv.reset(seed=0)
+        for info in venv.reset_infos:
+            # exactly the beachhead workstation is compromised
+            assert info["n_compromised"] == 1
+            assert info["n_ws_compromised"] == 1
+            assert info["n_srv_compromised"] == 0
 
     def test_reset_infos_track_auto_resets(self):
-        """Auto-resets inside workers refresh the parent's reset_infos."""
+        """Auto-resets refresh reset_infos exactly as on sync."""
         sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=4)
-        with repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=4,
-                            backend="process", num_workers=2) as venv:
-            sync.reset(seed=0)
-            venv.reset(seed=0)
-            for _ in range(4):
-                step_s = sync.step(None)
-                step_p = venv.step(None)
-            assert step_s.dones.all() and step_p.dones.all()
-            assert venv.reset_infos == sync.reset_infos
-            for info in venv.reset_infos:
-                assert info["n_compromised"] == 1
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=4,
+                              backend="batched")
+        sync.reset(seed=0)
+        venv.reset(seed=0)
+        for _ in range(4):
+            step_s = sync.step(None)
+            step_b = venv.step(None)
+        assert step_s.dones.all() and step_b.dones.all()
+        assert venv.reset_infos == sync.reset_infos
+        for info in venv.reset_infos:
+            assert info["n_compromised"] == 1
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             repro.make_vec("inasim-tiny-v1", 2, backend="threads")
-
-    def test_payload_requires_spec_or_config(self):
-        with pytest.raises(ValueError, match="spec.*config"):
-            ProcessVectorEnv({}, 2)
-
-
-class TestFinalObservationWireGuard:
-    """``final_observation`` must never cross the wire with auto-reset
-    off: only an auto-reset produces a legitimate final, so anything
-    else in that slot is a stale leak (e.g. a wrapper echoing a previous
-    episode's info)."""
-
-    def _terminal_step(self):
-        """A real terminal step whose infos carry final observations."""
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=5)
-        venv.reset(seed=0)
-        for _ in range(5):
-            step = venv.step(None)
-        assert step.dones.all()
-        assert all("final_observation" in info for info in step.infos)
-        return venv, step
-
-    def test_round_trip_with_auto_reset_ships_final(self):
-        from repro.sim import vec_transport as vt
-
-        venv, step = self._terminal_step()
-        dims = vt.dims_of(venv.envs[0])
-        buf = vt.encode_step_reply(step.observations, step.rewards,
-                                   step.dones, step.infos, [],
-                                   auto_reset=True)
-        _, _, dones, infos, _ = vt.decode_step_reply(buf, 2, dims)
-        assert dones.all()
-        for info, orig in zip(infos, step.infos):
-            assert info["final_observation"].t == \
-                orig["final_observation"].t == 5
-
-    def test_round_trip_without_auto_reset_strips_final(self):
-        from repro.sim import vec_transport as vt
-
-        venv, step = self._terminal_step()
-        dims = vt.dims_of(venv.envs[0])
-        # same infos, but the group reports auto_reset disabled: the
-        # encoder must refuse to ship the (necessarily stale) finals
-        buf = vt.encode_step_reply(step.observations, step.rewards,
-                                   step.dones, step.infos, [],
-                                   auto_reset=False)
-        _, rewards, dones, infos, _ = vt.decode_step_reply(buf, 2, dims)
-        assert dones.all()
-        np.testing.assert_array_equal(rewards, step.rewards)
-        for info in infos:
-            assert "final_observation" not in info
-            assert info["t"] == 5  # the rest of the info is intact
-
-    def test_unencodable_info_key_is_an_error_reply(self):
-        from repro.sim import vec_transport as vt
-        from repro.sim.vec_backends import _LaneGroupExecutor
-
-        class _LeakyEnv:
-            """Terminal lane whose info echoes a stale final and an
-            unencodable extra key."""
-
-            def __init__(self, env):
-                self._env = env
-                self.n_actions = env.n_actions
-
-            def __getattr__(self, name):
-                return getattr(self._env, name)
-
-            def step(self, action):
-                obs, reward, done, info = self._env.step(action)
-                info = dict(info)
-                info["final_observation"] = obs
-                info["unencodable"] = object()
-                return obs, reward, True, info
-
-        env = repro.make("inasim-tiny-v1", seed=0, horizon=10)
-        venv = VectorEnv([_LeakyEnv(env)], auto_reset=False, base_seed=0)
-        group = _LaneGroupExecutor.__new__(_LaneGroupExecutor)
-        group.injector = None
-        group.venv = venv
-        venv.reset(seed=0)
-        reply = group.handle(vt.encode_step_cmd([None], None))
-        # no fallback protocol: the worker answers with an error record
-        # that tells the caller which key the wire format cannot carry
-        assert reply[0] == vt.ST_ERR
-        assert "unencodable" in vt.decode_error(reply)
 
 
 class TestSampleActionsVectorized:
@@ -426,74 +285,35 @@ class TestScenarioSpecSerialization:
 
 
 class TestAutoBackend:
-    """backend="auto" selection logic and trajectory parity."""
+    """``auto`` is ``batched``; the retired worker-pool names alias it."""
 
-    def test_single_core_always_sync(self):
-        for n in (1, 4, 64):
-            assert resolve_backend(n, cpu_count=1) == "sync"
+    @pytest.mark.parametrize("cpus", [1, 8, None])
+    @pytest.mark.parametrize("num_envs", [1, 4])
+    def test_auto_is_batched_whatever_the_cpu_count(self, monkeypatch,
+                                                     num_envs, cpus):
+        import os
 
-    def test_narrow_batches_stay_sync(self):
-        for n in range(1, AUTO_MIN_ENVS):
-            assert resolve_backend(n, cpu_count=16) == "sync"
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        venv = repro.make_vec("inasim-tiny-v1", num_envs, seed=0,
+                              backend="auto")
+        assert type(venv) is BatchedVectorEnv
 
-    def test_wide_batch_on_multicore_goes_process(self):
-        assert resolve_backend(AUTO_MIN_ENVS, cpu_count=2) == "process"
-        assert resolve_backend(16, cpu_count=8) == "process"
-
-    def test_single_worker_request_stays_sync(self):
-        assert resolve_backend(16, num_workers=1, cpu_count=8) == "sync"
-
-    def test_rejects_empty_batch(self):
-        with pytest.raises(ValueError):
-            resolve_backend(0, cpu_count=4)
-
-    def test_defaults_to_os_cpu_count(self, monkeypatch):
-        import repro.sim.vec_backends as vb
-
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 1)
-        assert resolve_backend(16) == "sync"
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 8)
-        assert resolve_backend(16) == "process"
-        # os.cpu_count may return None on exotic platforms
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: None)
-        assert resolve_backend(16) == "sync"
-
-    def test_make_vec_auto_picks_sync_on_one_core(self, monkeypatch):
-        import repro.sim.vec_backends as vb
-
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 1)
-        venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, backend="auto")
-        with venv:
-            assert isinstance(venv, VectorEnv)
-
-    def test_make_vec_auto_picks_process_on_multicore(self, monkeypatch):
-        import repro.sim.vec_backends as vb
-
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 4)
-        venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=12,
-                              backend="auto", num_workers=2)
-        with venv:
-            assert isinstance(venv, ProcessVectorEnv)
-
-    def test_auto_trajectories_match_sync_bit_exactly(self, monkeypatch):
-        """Whatever auto picks, the trajectories are the sync ones."""
-        import repro.sim.vec_backends as vb
-
-        sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=12)
-        trace_s, rew_s, done_s = _rollout(sync, 18, seed=2)
-        # force the interesting branch: auto resolves to process
-        monkeypatch.setattr(vb.os, "cpu_count", lambda: 4)
-        with repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=12,
-                            backend="auto", num_workers=2) as venv:
-            assert isinstance(venv, ProcessVectorEnv)
-            trace_a, rew_a, done_a = _rollout(venv, 18, seed=2)
+    @pytest.mark.parametrize("alias", ["process", "shm"])
+    def test_deprecated_alias_matches_sync(self, alias):
+        sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15)
+        trace_s, rew_s, done_s = _rollout(sync, 25, seed=1)
+        with pytest.warns(DeprecationWarning, match=alias):
+            venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15,
+                                  backend=alias)
+        assert type(venv) is BatchedVectorEnv
+        trace_a, rew_a, done_a = _rollout(venv, 25, seed=1)
         assert trace_s == trace_a
         np.testing.assert_array_equal(rew_s, rew_a)
         np.testing.assert_array_equal(done_s, done_a)
 
 
 class TestHeterogeneousLanes:
-    """make_vec_from_specs: one scenario per lane, all backends."""
+    """make_vec_from_specs: one scenario per lane, both backends."""
 
     def _specs(self):
         base = repro.get_scenario("inasim-tiny-v1").with_overrides(horizon=15)
@@ -510,17 +330,17 @@ class TestHeterogeneousLanes:
         assert venv.lane_config(1).apt.labor_rate == 3
         assert venv.config == venv.lane_config(0)
 
-    def test_process_matches_sync(self):
+    def test_batched_matches_sync(self):
+        """Per-lane attackers run the same on the batched engine."""
         sync = repro.make_vec_from_specs(self._specs(), seed=0)
         trace_s, rew_s, done_s = _rollout(sync, 20, seed=3)
-        with repro.make_vec_from_specs(self._specs(), seed=0,
-                                       backend="process",
-                                       num_workers=2) as venv:
-            assert venv.lane_config(1).apt.labor_rate == 3
-            trace_p, rew_p, done_p = _rollout(venv, 20, seed=3)
-        assert trace_s == trace_p
-        np.testing.assert_array_equal(rew_s, rew_p)
-        np.testing.assert_array_equal(done_s, done_p)
+        venv = repro.make_vec_from_specs(self._specs(), seed=0,
+                                         backend="batched")
+        assert venv.lane_config(1).apt.labor_rate == 3
+        trace_b, rew_b, done_b = _rollout(venv, 20, seed=3)
+        assert trace_s == trace_b
+        np.testing.assert_array_equal(rew_s, rew_b)
+        np.testing.assert_array_equal(done_s, done_b)
 
     def test_lanes_actually_diverge(self):
         """The variant lane runs a different attacker than the base

@@ -170,13 +170,12 @@ def _record_reset_seeds(venv):
 
 
 class TestReseedSchedule:
-    """Pin the ``seed + lane_offset + i + total_envs * episode`` schedule.
+    """Pin the ``seed + i + num_envs * episode`` schedule.
 
     Regression tests for the reseed bookkeeping: the initial reset,
-    auto-resets, manual ``reset_env`` calls, and worker-local groups
-    (``lane_offset``/``total_envs``) must all draw from one
-    collision-free global schedule, with manual resets advancing the
-    same counter as auto-resets so the stream stays uninterrupted.
+    auto-resets and manual ``reset_env`` calls must all draw from one
+    collision-free schedule, with manual resets advancing the same
+    counter as auto-resets so the stream stays uninterrupted.
     """
 
     BASE, N, HORIZON = 100, 3, 10
@@ -213,36 +212,6 @@ class TestReseedSchedule:
         venv.reset_env(0, seed=9999)           # consumes episode slot 1
         venv.reset_env(0, seed=None)           # so this draws slot 2
         assert log[0] == [self.BASE, 9999, self.BASE + 2 * self.N]
-
-    def test_lane_offset_matches_global_layout(self):
-        # a worker-local 2-lane group covering global lanes 1..2 of a
-        # 4-lane layout must reproduce the monolithic env's seeds
-        envs = [repro.make("inasim-tiny-v1", seed=0, horizon=self.HORIZON)
-                for _ in range(2)]
-        venv = VectorEnv(envs, base_seed=self.BASE, lane_offset=1,
-                         total_envs=4)
-        log = _record_reset_seeds(venv)
-        venv.reset(seed=self.BASE)
-        for _ in range(12):
-            venv.step(None)
-        for i in range(2):
-            assert log[i] == [self.BASE + 1 + i + 4 * k for k in range(2)]
-
-    def test_replace_env_restarts_lane_schedule(self):
-        venv, log = self._run(12)              # lane episode counts now 1
-        venv.replace_env(0, repro.make("inasim-tiny-v1", seed=0,
-                                       horizon=self.HORIZON))
-        log[0] = _record_reset_seeds(venv)[0]  # re-wrap the new lane env
-        venv.reset_env(0, seed=None)
-        # fresh lane: its next manual reset is episode 1 of a restarted
-        # schedule, exactly as on a newly constructed vector env
-        assert log[0] == [self.BASE + 0 + self.N * 1]
-
-    def test_restore_reset_does_not_advance_schedule(self):
-        venv, log = self._run(0)
-        venv.restore_reset(0, seed=4321)       # recovery replay: verbatim
-        venv.reset_env(0, seed=None)           # schedule untouched above
-        assert log[0] == [self.BASE, 4321, self.BASE + self.N]
 
 
 @functools.lru_cache(maxsize=None)
