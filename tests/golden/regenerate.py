@@ -29,6 +29,18 @@ here even when the engine is untouched. Q-vectors are hashed after
 rounding to 1e-9, so the fixture holds across BLAS builds; the bitwise
 contract between the inference path and the autograd path is checked
 on one machine by ``tests/test_rl_qnet.py``.
+
+A third family, ``tests/golden/loops/*.json``, pins every episode loop
+of the library on the tiny network: the DQN trainer on a plain
+environment (epsilon-greedy with prioritized replay, noisy heads,
+uniform replay) and on a two-lane vector environment, the C51 trainer,
+the conv and DRQN baselines, seeded evaluation, logged-episode
+collection for OPE, trace recording, DBN fitting and validation, and
+demonstration collection. Training cells digest every episode's
+statistics and the final weights; the others digest what the loop
+returns. Floats are hashed at ``Q_DECIMALS`` like the Q-vectors above,
+so reordering a loop's resets, seeds, RNG draws or horizon checks fails
+here.
 """
 
 from __future__ import annotations
@@ -48,6 +60,10 @@ ACSO_STEPS = 64
 ACSO_FIT_STEPS = 200
 #: Q-vectors are hashed at this many decimals (see the module docstring)
 Q_DECIMALS = 9
+
+LOOPS_DIR = GOLDEN_DIR / "loops"
+#: horizon of every loop cell's episodes
+LOOP_STEPS = 30
 
 
 def mask_digest(mask) -> str:
@@ -173,6 +189,272 @@ def acso_rollout_digest(scenario_id: str, seed: int = SEED,
     }
 
 
+def float_digest(values) -> str:
+    """:func:`q_digest` of a flat sequence of floats."""
+    import numpy as np
+
+    return q_digest([np.asarray(values, dtype=float)])
+
+
+def _loop_config():
+    from repro.config import tiny_network
+
+    return tiny_network(tmax=LOOP_STEPS + 10)
+
+
+def _loop_env(seed: int = SEED):
+    import repro
+
+    return repro.make_env(_loop_config(), seed=seed)
+
+
+def _loop_tables():
+    from repro.dbn import fit_dbn
+    from repro.defenders import SemiRandomPolicy
+
+    return fit_dbn(_loop_env, lambda: SemiRandomPolicy(rate=3.0, seed=SEED),
+                   episodes=2, seed=SEED, max_steps=LOOP_STEPS)
+
+
+def _compact_qnet_config(**overrides):
+    from repro.rl import QNetConfig
+
+    return QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
+                      head_hidden=16, **overrides)
+
+
+def _loop_dqn_config(**overrides):
+    from repro.rl import DQNConfig
+
+    settings = dict(batch_size=8, warmup=16, update_every=2,
+                    target_update=25, eps_decay=0.99, buffer_size=500,
+                    n_step=3, seed=SEED)
+    settings.update(overrides)
+    return DQNConfig(**settings)
+
+
+def _training_digest(trainer, max_steps: int | None = LOOP_STEPS) -> dict:
+    history = trainer.train(3, seed=SEED, max_steps=max_steps)
+    return {
+        "episodes": [
+            {"episode": s.episode, "steps": s.steps,
+             "plcs_offline": s.plcs_offline,
+             "floats_sha256_16": float_digest(
+                 [s.env_return, s.shaped_return, s.mean_loss, s.epsilon])}
+            for s in history
+        ],
+        "total_steps": trainer.total_steps,
+        "weights_sha256_16": q_digest(
+            [p.data.ravel() for _, p in trainer.qnet.named_parameters()]),
+    }
+
+
+def _attention_trainer(env, qnet_overrides=None, dqn_overrides=None):
+    from repro.rl import ACSOFeaturizer, AttentionQNetwork, DQNTrainer
+
+    qnet = AttentionQNetwork(_compact_qnet_config(**(qnet_overrides or {})),
+                             seed=SEED)
+    return DQNTrainer(env, qnet, ACSOFeaturizer(env.topology, _loop_tables()),
+                      _loop_dqn_config(**(dqn_overrides or {})))
+
+
+def _windowed_trainer(env, qnet):
+    from repro.rl import WindowedDQNTrainer
+
+    return WindowedDQNTrainer(env, qnet, _loop_dqn_config())
+
+
+def _loop_dqn_per() -> dict:
+    return _training_digest(_attention_trainer(_loop_env()))
+
+
+def _loop_dqn_noisy() -> dict:
+    return _training_digest(_attention_trainer(
+        _loop_env(), {"noisy_heads": True}, {"noisy": True}))
+
+
+def _loop_dqn_uniform() -> dict:
+    return _training_digest(_attention_trainer(
+        _loop_env(), dqn_overrides={"prioritized": False}))
+
+
+def _loop_dqn_vec2() -> dict:
+    from repro.sim.vec_env import VectorEnv
+
+    # no step cap: episodes end on the environment's own horizon
+    venv = VectorEnv([_loop_env(SEED), _loop_env(SEED + 1)])
+    return _training_digest(_attention_trainer(venv), max_steps=None)
+
+
+def _loop_c51() -> dict:
+    from repro.rl import (
+        ACSOFeaturizer,
+        C51Config,
+        C51Trainer,
+        DistributionalAttentionQNetwork,
+    )
+
+    env = _loop_env()
+    qnet = DistributionalAttentionQNetwork(
+        _compact_qnet_config(), seed=SEED, c51=C51Config(n_atoms=11))
+    return _training_digest(C51Trainer(
+        env, qnet, ACSOFeaturizer(env.topology, _loop_tables()),
+        _loop_dqn_config()))
+
+
+def _loop_conv() -> dict:
+    from repro.rl import ConvQNetwork, RawHistoryEncoder
+    from repro.rl.qnetwork import ConvNetConfig
+
+    env = _loop_env()
+    step_dim = RawHistoryEncoder(env.topology).step_dim
+    qnet = ConvQNetwork(step_dim, env.n_actions,
+                        ConvNetConfig(window=8, channels=(8,), kernel=4,
+                                      stride=4, mlp_hidden=16), seed=SEED)
+    return _training_digest(_windowed_trainer(env, qnet))
+
+
+def _loop_drqn() -> dict:
+    from repro.rl import DRQNConfig, RawHistoryEncoder, RecurrentQNetwork
+
+    env = _loop_env()
+    step_dim = RawHistoryEncoder(env.topology).step_dim
+    qnet = RecurrentQNetwork(step_dim, env.n_actions,
+                             DRQNConfig(window=6, encoder_hidden=8,
+                                        gru_hidden=8, head_hidden=16),
+                             seed=SEED)
+    return _training_digest(_windowed_trainer(env, qnet))
+
+
+def _metrics_digest(metrics) -> dict:
+    return {"steps": metrics.steps, "seed": metrics.seed,
+            "final_plcs_offline": metrics.final_plcs_offline,
+            "floats_sha256_16": float_digest(
+                [metrics.discounted_return, metrics.avg_it_cost,
+                 metrics.avg_nodes_compromised])}
+
+
+def _loop_evaluate() -> dict:
+    from repro.defenders import SemiRandomPolicy
+    from repro.eval.runner import evaluate_policy
+
+    aggregate, episodes = evaluate_policy(
+        _loop_env(), SemiRandomPolicy(rate=3.0, seed=SEED), 3, seed=SEED,
+        max_steps=LOOP_STEPS)
+    return {"episodes": [_metrics_digest(m) for m in episodes]}
+
+
+def _features_digest(features) -> list:
+    return [features.node.ravel(), features.plc.ravel(), features.glob]
+
+
+def _loop_logged() -> dict:
+    from repro.rl import AttentionQNetwork
+    from repro.validation import StochasticQPolicy, collect_logged_episodes
+
+    behavior = StochasticQPolicy(
+        AttentionQNetwork(_compact_qnet_config(), seed=SEED), _loop_tables(),
+        temperature=1.0, epsilon=0.2, seed=SEED)
+    logs = collect_logged_episodes(_loop_env(), behavior, 3, seed=SEED,
+                                   max_steps=LOOP_STEPS)
+    out = []
+    for log in logs:
+        arrays = []
+        for step in log.steps:
+            arrays += _features_digest(step.features)
+            arrays.append(step.mask.astype(float))
+        arrays += _features_digest(log.final_features)
+        arrays.append(log.final_mask.astype(float))
+        out.append({
+            "seed": log.seed, "steps": len(log), "gamma": log.gamma,
+            "actions": log.actions.tolist(),
+            "floats_sha256_16": float_digest(
+                list(log.rewards) + list(log.behavior_probs)),
+            "states_sha256_16": q_digest(arrays),
+        })
+    return {"episodes": out}
+
+
+def _loop_trace() -> dict:
+    from repro.defenders import PlaybookPolicy
+    from repro.sim.trace import record_episode
+
+    trace = record_episode(_loop_env(), PlaybookPolicy(), seed=SEED,
+                           max_steps=LOOP_STEPS)
+    h = hashlib.sha256()
+    for step in trace.steps:
+        h.update(repr(step).encode())
+    return {"seed": trace.seed, "policy": trace.policy,
+            "steps": len(trace), "steps_sha256_16": h.hexdigest()[:16]}
+
+
+def _loop_fit_dbn() -> dict:
+    tables = _loop_tables()
+    return {"tables_sha256_16": q_digest(
+        [tables.transition.ravel(), tables.alert_lik.ravel(),
+         tables.scan_lik.ravel()])}
+
+
+def _loop_validate_dbn() -> dict:
+    from repro.dbn import validate_dbn
+    from repro.defenders import SemiRandomPolicy
+
+    result = validate_dbn(_loop_env, lambda: SemiRandomPolicy(rate=3.0),
+                          _loop_tables(), episodes=2, seed=SEED,
+                          max_steps=LOOP_STEPS)
+    return {"steps": result.steps, "floats_sha256_16": float_digest(
+        [result.max_kl, result.mean_kl, result.accuracy])}
+
+
+def _loop_demonstrations() -> dict:
+    from repro.defenders import DBNExpertPolicy
+    from repro.rl import ACSOFeaturizer, AttentionQNetwork
+    from repro.rl.pretrain import collect_demonstrations
+
+    env = _loop_env()
+    tables = _loop_tables()
+    demos = collect_demonstrations(
+        env, DBNExpertPolicy(tables, max_actions=1, seed=SEED),
+        ACSOFeaturizer(env.topology, tables),
+        AttentionQNetwork(_compact_qnet_config(), seed=SEED),
+        episodes=2, seed=SEED, max_steps=LOOP_STEPS,
+        dqn_config=_loop_dqn_config())
+    arrays = []
+    for tr in demos:
+        arrays += _features_digest(tr.state) + _features_digest(tr.next_state)
+    return {
+        "transitions": len(demos),
+        "actions": [tr.action for tr in demos],
+        "dones": [bool(tr.done) for tr in demos],
+        "floats_sha256_16": float_digest(
+            [v for tr in demos for v in (tr.reward, tr.discount,
+                                         tr.mc_return)]),
+        "states_sha256_16": q_digest(arrays),
+    }
+
+
+#: loop cell name -> digest builder (one fixture each)
+LOOP_CELLS = {
+    "dqn-egreedy-per": _loop_dqn_per,
+    "dqn-noisy": _loop_dqn_noisy,
+    "dqn-uniform": _loop_dqn_uniform,
+    "dqn-vec2": _loop_dqn_vec2,
+    "c51": _loop_c51,
+    "conv": _loop_conv,
+    "drqn": _loop_drqn,
+    "evaluate-policy": _loop_evaluate,
+    "logged-episodes": _loop_logged,
+    "record-episode": _loop_trace,
+    "fit-dbn": _loop_fit_dbn,
+    "validate-dbn": _loop_validate_dbn,
+    "demonstrations": _loop_demonstrations,
+}
+
+
+def loop_fixture_path(cell: str) -> pathlib.Path:
+    return LOOPS_DIR / f"{cell}.json"
+
+
 def fixture_path(scenario_id: str) -> pathlib.Path:
     return GOLDEN_DIR / (scenario_id.replace("/", "__") + ".json")
 
@@ -185,7 +467,7 @@ def _write(path: pathlib.Path, digest: dict) -> None:
     with open(path, "w") as handle:
         json.dump(digest, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {path.relative_to(GOLDEN_DIR)}: {digest['steps']} steps")
+    print(f"wrote {path.relative_to(GOLDEN_DIR)}")
 
 
 def main() -> None:
@@ -196,6 +478,9 @@ def main() -> None:
     ACSO_DIR.mkdir(exist_ok=True)
     for scenario_id in ACSO_SCENARIOS:
         _write(acso_fixture_path(scenario_id), acso_rollout_digest(scenario_id))
+    LOOPS_DIR.mkdir(exist_ok=True)
+    for cell, build in LOOP_CELLS.items():
+        _write(loop_fixture_path(cell), build())
 
 
 if __name__ == "__main__":

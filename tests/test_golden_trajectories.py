@@ -12,6 +12,10 @@ trajectory-distribution change must regenerate the fixtures
 ``tests/golden/acso/*.json`` pins the learned defender the same way: a
 seeded rollout under an untrained seeded ACSO policy, digesting the
 chosen actions, rewards and Q-vectors (see ``regenerate.py``).
+
+``tests/golden/loops/*.json`` pins the library's episode loops: DQN,
+C51, conv and DRQN training, evaluation, OPE logging, trace recording,
+DBN fitting and validation, and demonstration collection.
 """
 
 import importlib.util
@@ -130,4 +134,22 @@ class TestAcsoGolden:
         assert fresh["dones"] == golden["dones"]
         assert fresh["q_sha256_16"] == golden["q_sha256_16"], (
             f"{scenario_id}: ACSO Q-vectors diverged from golden fixture"
+        )
+
+
+class TestLoopGolden:
+    """Every episode loop replays its committed digest exactly: training
+    statistics and final weights, evaluation metrics, logs and tables."""
+
+    def test_no_stale_fixtures(self):
+        known = {_regen.loop_fixture_path(cell).name
+                 for cell in _regen.LOOP_CELLS}
+        found = {p.name for p in _regen.LOOPS_DIR.glob("*.json")}
+        assert found == known
+
+    @pytest.mark.parametrize("cell", list(_regen.LOOP_CELLS))
+    def test_loop(self, cell):
+        golden = _load(cell, _regen.loop_fixture_path(cell))
+        assert _regen.LOOP_CELLS[cell]() == golden, (
+            f"{cell}: loop output diverged from golden fixture"
         )
