@@ -5,9 +5,11 @@ Two standing bans ship in the default policy:
 * ``pickle``/``dill``/``cloudpickle`` (and ``marshal``/``shelve``)
   must stay out of the columnar OPE trace store -- a trace must be
   safe to read from any producer and portable across python versions;
-* ``repro.serve`` must never be imported from ``repro.sim`` -- the
-  simulation core is the bottom layer and the serving stack depends on
-  it, not the other way around.
+* ``repro.sim`` must never import the layers built on it
+  (``repro.serve``, ``eval``, ``rl``, ``dbn``, ``validation``,
+  ``defenders``, ``adversarial``) -- the simulation core and its
+  episode driver are the bottom layer, and every training, evaluation
+  and serving loop depends on them, not the other way around.
 
 Bans are configured as ``{"modules": [globs], "banned": [prefixes],
 "reason": ...}`` records, so new layering edges are one policy entry.

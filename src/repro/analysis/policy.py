@@ -8,7 +8,8 @@ The default policy encodes the repo's actual contracts:
   a ``numpy.random.Generator`` parameter, and ``utils/rng.py`` is the
   only sanctioned generator factory;
 * ``forbidden-imports`` bans pickle/dill from the columnar OPE trace
-  store, and ``repro.serve`` from ``repro.sim`` (layering).
+  store, and every layer above the simulation core (serve, eval, rl,
+  dbn, validation, defenders, adversarial) from ``repro.sim``.
 
 A JSON policy file (``repro check --policy FILE``) deep-merges over the
 defaults: per rule, ``enabled``, ``include``, ``exclude``, and
@@ -43,7 +44,7 @@ RULE_CATALOG = {
     ),
     "forbidden-import": (
         "an import banned by policy (pickle/dill in the trace store; "
-        "repro.serve from repro.sim)"
+        "an upper layer such as repro.serve or repro.rl from repro.sim)"
     ),
     "suppression-syntax": (
         "malformed inline suppression: '# repro: allow[rule]' requires "
@@ -131,10 +132,13 @@ _DEFAULT_RULES: dict[str, RuleConfig] = {
                 },
                 {
                     "modules": ["sim/**"],
-                    "banned": ["repro.serve"],
+                    "banned": ["repro.serve", "repro.eval", "repro.rl",
+                               "repro.dbn", "repro.validation",
+                               "repro.defenders", "repro.adversarial"],
                     "reason": (
-                        "layering: the simulation core must not depend "
-                        "on the serving layer"
+                        "layering: the simulation core and its episode "
+                        "driver are the bottom layer; the agent, "
+                        "evaluation and serving layers build on them"
                     ),
                 },
             ],

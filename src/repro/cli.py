@@ -164,29 +164,19 @@ def cmd_topology(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from repro.eval import (
-        evaluate_policy,
-        evaluate_policy_vec,
-        format_aggregate_table,
-    )
+    from repro.eval import evaluate_policy_vec, format_aggregate_table
 
     config = _resolve_config(args)
     policy = _make_policy(args.policy, config, args.seed, args.dbn, args.qnet)
     num_envs = max(1, args.num_envs)
-    if num_envs > 1:
-        with _build_vec_env(args, config, num_envs, args.seed) as venv:
-            aggregate, episodes = evaluate_policy_vec(
-                venv, policy, args.episodes, seed=args.seed,
-                max_steps=args.max_steps,
-            )
-        title = f"{args.episodes} episode(s), {num_envs} envs"
-    else:
-        env = _build_env(args, config, seed=args.seed)
-        aggregate, episodes = evaluate_policy(
-            env, policy, args.episodes, seed=args.seed,
+    with _build_vec_env(args, config, num_envs, args.seed) as venv:
+        aggregate, episodes = evaluate_policy_vec(
+            venv, policy, args.episodes, seed=args.seed,
             max_steps=args.max_steps,
         )
-        title = f"{args.episodes} episode(s)"
+    title = f"{args.episodes} episode(s)"
+    if num_envs > 1:
+        title += f", {num_envs} envs"
     print(format_aggregate_table({args.policy: aggregate}, title=title))
     if args.verbose:
         for metrics in episodes:

@@ -24,6 +24,7 @@ from repro.dbn.states import (
     canonical_states,
     mu_bucket,
 )
+from repro.sim.vec_env import VectorEnv, drive_policies, fan_out
 
 __all__ = ["EpisodeLog", "collect_episode", "fit_tables", "fit_dbn"]
 
@@ -49,23 +50,17 @@ def collect_episode(env, policy, seed: int | None = None,
     ``env`` must have been built with ``record_truth=True`` so the
     ground-truth condition matrix is present in the step info.
     """
-    obs = env.reset(seed=seed)
-    policy.reset(env)
     n = env.topology.n_nodes
-    horizon = env.config.tmax if max_steps is None else min(max_steps, env.config.tmax)
-
-    states = [canonical_states(env.sim.state.conditions)]
+    states: list[np.ndarray] = []
     action_cats, alert_levels = [], []
     scans: list[tuple[int, int, int, bool]] = []
 
-    done = False
-    t = 0
-    while not done and t < horizon:
-        actions = policy.act(obs)
-        obs, _, done, info = env.step(actions)
+    def on_episode_start(slot: int, ep: int, obs) -> None:
+        states.append(canonical_states(env.sim.state.conditions))
+
+    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
         t = info["t"]
         states.append(canonical_states(info["conditions"]))
-
         cats = np.zeros(n, dtype=np.int64)
         for action in obs.completed_actions:
             cat = action_category(action.atype)
@@ -79,6 +74,9 @@ def collect_episode(env, policy, seed: int | None = None,
             if idx is not None:
                 scans.append((t, result.node_id, idx, result.detected))
 
+    drive_policies(VectorEnv([env], auto_reset=False), [policy], fan_out(1),
+                   seed=seed, max_steps=max_steps,
+                   on_episode_start=on_episode_start, on_step=on_step)
     return EpisodeLog(
         states=np.array(states),
         action_cats=np.array(action_cats),

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.dbn.filter import DBNFilter, DBNTables
 from repro.dbn.states import canonical_states
+from repro.sim.vec_env import VectorEnv, drive_policies, fan_out
 
 __all__ = ["DBNValidationResult", "validate_dbn"]
 
@@ -35,7 +36,11 @@ def validate_dbn(
     max_steps: int | None = None,
     clip: float = 1e-6,
 ) -> DBNValidationResult:
-    """Track beliefs alongside ground truth and score them."""
+    """Track beliefs alongside ground truth and score them.
+
+    Episode ``i`` runs seeded ``seed + i`` on a fresh environment and
+    policy from the factories.
+    """
     max_kl = 0.0
     total_kl = 0.0
     correct = 0
@@ -43,16 +48,10 @@ def validate_dbn(
 
     for i in range(episodes):
         env = env_factory()
-        policy = policy_factory()
-        obs = env.reset(seed=seed + i)
-        policy.reset(env)
         dbn = DBNFilter(tables, env.topology)
-        horizon = env.config.tmax if max_steps is None else max_steps
-        done, t = False, 0
-        while not done and t < horizon:
-            actions = policy.act(obs)
-            obs, _, done, info = env.step(actions)
-            t = info["t"]
+
+        def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
+            nonlocal max_kl, total_kl, correct, count
             beliefs = dbn.update(obs)
             truth = canonical_states(info["conditions"])
             p_true = np.clip(beliefs[np.arange(len(truth)), truth], clip, 1.0)
@@ -61,6 +60,10 @@ def validate_dbn(
             total_kl += float(kls.sum())
             correct += int((beliefs.argmax(axis=1) == truth).sum())
             count += len(truth)
+
+        drive_policies(VectorEnv([env], auto_reset=False), [policy_factory()],
+                       fan_out(1), seed=seed + i, max_steps=max_steps,
+                       on_step=on_step)
 
     return DBNValidationResult(
         max_kl=max_kl,

@@ -1,7 +1,11 @@
 """Episode runner used by all experiments.
 
-:func:`run_episode` / :func:`evaluate_policy` drive one environment at
-a time; :func:`evaluate_policy_vec` fans the same seeded episodes out
+Every function here is a set of callbacks on
+:func:`~repro.sim.vec_env.drive_policies`, the library's one episode
+loop with one policy per lane. :func:`run_episode` and
+:func:`evaluate_policy` drive a plain environment as a one-lane vector
+env with the caller's policy object itself, so a stochastic policy
+keeps its RNG stream across episodes. :func:`evaluate_policy_vec` fans the same seeded episodes out
 over a :class:`~repro.sim.vec_env.VectorEnv` and produces identical
 metrics for deterministic policies (episode ``i`` always runs with
 seed ``seed + i`` against a freshly reset policy).
@@ -10,7 +14,8 @@ lane — typically one attacker variant each, built with
 ``repro.make_vec_from_specs`` — runs its *own* ``episodes`` seeded
 episodes, so one lockstep pass scores a whole population or candidate
 batch and each lane's aggregate equals the single-env
-:func:`evaluate_policy` result for deterministic policies.
+:func:`evaluate_policy` result for deterministic policies. Each lane
+keeps its own horizon and discount (``lane_config(i)``).
 """
 
 from __future__ import annotations
@@ -19,78 +24,24 @@ import copy
 import time
 
 from repro.eval.metrics import EpisodeMetrics, aggregate
+from repro.sim.vec_env import VectorEnv, drive_policies, fan_out
 
 __all__ = [
     "run_episode",
     "evaluate_policy",
     "evaluate_policy_vec",
     "evaluate_policy_per_lane",
-    "drive_vec_episodes",
 ]
 
 
-def run_episode(env, policy, seed: int | None = None,
-                max_steps: int | None = None) -> EpisodeMetrics:
-    """Run one full episode and compute the paper's metrics."""
-    started = time.perf_counter()
-    obs = env.reset(seed=seed)
-    policy.reset(env)
-    gamma = env.config.reward.gamma
-    horizon = env.config.tmax if max_steps is None else min(max_steps, env.config.tmax)
-
-    discounted, discount = 0.0, 1.0
-    total_cost = 0.0
-    total_compromised = 0
-    done, t = False, 0
-    info: dict = {}
-    while not done and t < horizon:
-        actions = policy.act(obs)
-        obs, reward, done, info = env.step(actions)
-        t = info["t"]
-        discounted += discount * reward
-        discount *= gamma
-        total_cost += info["it_cost"]
-        total_compromised += info["n_compromised"]
-
-    steps = max(t, 1)
-    return EpisodeMetrics(
-        discounted_return=discounted,
-        final_plcs_offline=int(info.get("n_plcs_offline", 0)),
-        avg_it_cost=total_cost / steps,
-        avg_nodes_compromised=total_compromised / steps,
-        steps=t,
-        seed=seed,
-        wall_time=time.perf_counter() - started,
-    )
-
-
-def evaluate_policy(env, policy, episodes: int, seed: int = 0,
-                    max_steps: int | None = None, on_episode=None):
-    """Run ``episodes`` seeded episodes; returns (aggregate, per-episode).
-
-    ``on_episode(index, metrics)`` — when given — fires as each episode
-    completes; the evaluation service uses it for progress reporting,
-    incremental run-store writes, and cooperative cancellation (an
-    exception raised inside the callback aborts the loop).
-    """
-    results = []
-    for i in range(episodes):
-        metrics = run_episode(env, policy, seed=seed + i, max_steps=max_steps)
-        results.append(metrics)
-        if on_episode is not None:
-            on_episode(i, metrics)
-    return aggregate(results), results
-
-
 class _Lane:
-    """Bookkeeping for one VectorEnv slot running episode ``ep``."""
+    """Running tallies of one episode on one lane."""
 
-    __slots__ = ("ep", "obs", "discounted", "discount", "cost",
-                 "compromised", "t", "info", "started")
+    __slots__ = ("gamma", "discounted", "discount", "cost", "compromised",
+                 "t", "info", "started")
 
-    def __init__(self, ep: int, obs):
-        self.ep = ep
-        self.obs = obs
+    def __init__(self, gamma: float):
+        self.gamma = gamma
         self.discounted = 0.0
         self.discount = 1.0
         self.cost = 0.0
@@ -99,7 +50,15 @@ class _Lane:
         self.info: dict = {}
         self.started = time.perf_counter()
 
-    def metrics(self, seed: int) -> EpisodeMetrics:
+    def record(self, reward: float, info: dict) -> None:
+        self.t = info["t"]
+        self.discounted += self.discount * reward
+        self.discount *= self.gamma
+        self.cost += info["it_cost"]
+        self.compromised += info["n_compromised"]
+        self.info = info
+
+    def metrics(self, seed: int | None) -> EpisodeMetrics:
         steps = max(self.t, 1)
         return EpisodeMetrics(
             discounted_return=self.discounted,
@@ -112,13 +71,63 @@ class _Lane:
         )
 
 
-def _policy_factory(policy):
+def _drive_metrics(venv, policies, assign, seed, max_steps, on_done) -> None:
+    """Drive ``policies[i]`` on lane ``i``; ``on_done(slot, ep,
+    metrics)`` fires as each episode completes."""
+    lanes: list[_Lane | None] = [None] * venv.num_envs
+
+    def on_episode_start(slot: int, ep: int, obs) -> None:
+        lanes[slot] = _Lane(venv.lane_config(slot).reward.gamma)
+
+    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
+        lanes[slot].record(reward, info)
+
+    def on_episode_end(slot: int, ep: int, obs) -> None:
+        on_done(slot, ep, lanes[slot].metrics(
+            None if seed is None else seed + ep))
+
+    drive_policies(venv, policies, assign, seed=seed, max_steps=max_steps,
+                   on_episode_start=on_episode_start, on_step=on_step,
+                   on_episode_end=on_episode_end)
+
+
+def run_episode(env, policy, seed: int | None = None,
+                max_steps: int | None = None) -> EpisodeMetrics:
+    """Run one full episode and compute the paper's metrics."""
+    _, (metrics,) = evaluate_policy(env, policy, 1, seed=seed,
+                                    max_steps=max_steps)
+    return metrics
+
+
+def evaluate_policy(env, policy, episodes: int, seed: int | None = 0,
+                    max_steps: int | None = None, on_episode=None):
+    """Run ``episodes`` seeded episodes; returns (aggregate, per-episode).
+
+    ``on_episode(index, metrics)`` — when given — fires as each episode
+    completes; the evaluation service uses it for progress reporting,
+    incremental run-store writes, and cooperative cancellation (an
+    exception raised inside the callback aborts the loop).
+    """
+    results: list[EpisodeMetrics] = []
+
+    def on_done(slot: int, ep: int, metrics: EpisodeMetrics) -> None:
+        results.append(metrics)
+        if on_episode is not None:
+            on_episode(ep, metrics)
+
+    _drive_metrics(VectorEnv([env], auto_reset=False), [policy],
+                   fan_out(episodes), seed, max_steps, on_done)
+    return aggregate(results), results
+
+
+def _lane_policies(policy, n: int) -> list:
+    """A clone of ``policy`` per lane, or an instance from a factory."""
     from repro.defenders.base import DefenderPolicy
 
     if isinstance(policy, DefenderPolicy):
-        return lambda: copy.deepcopy(policy)
+        return [copy.deepcopy(policy) for _ in range(n)]
     if callable(policy):
-        return policy
+        return [policy() for _ in range(n)]
     raise TypeError("policy must be a DefenderPolicy or a factory")
 
 
@@ -143,182 +152,42 @@ def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
     the run store read them off the record instead of re-deriving
     them. ``on_episode(lane, index, metrics)`` fires per completion.
     """
-    make_policy = _policy_factory(policy)
     n = venv.num_envs
-    gammas, horizons = [], []
-    for i in range(n):
-        config = venv.lane_config(i)
-        gammas.append(config.reward.gamma)
-        horizons.append(config.tmax if max_steps is None
-                        else min(max_steps, config.tmax))
+    results: list[list] = [[None] * episodes for _ in range(n)]
+    counters = [iter(range(episodes)) for _ in range(n)]
 
-    results: list[list[EpisodeMetrics | None]] = [
-        [None] * episodes for _ in range(n)
-    ]
-    policies = [make_policy() for _ in range(n)]
-    lanes: list[_Lane | None] = [None] * n
-    next_ep = [0] * n
+    def on_done(slot: int, ep: int, metrics: EpisodeMetrics) -> None:
+        results[slot][ep] = metrics
+        if on_episode is not None:
+            on_episode(slot, ep, metrics)
 
-    def start(slot: int) -> None:
-        ep = next_ep[slot]
-        if ep >= episodes:
-            lanes[slot] = None
-            return
-        next_ep[slot] = ep + 1
-        obs = venv.reset_env(slot, seed=seed + ep)
-        policies[slot].reset(venv.policy_env(slot))
-        lanes[slot] = _Lane(ep, obs)
-
-    was_auto_reset = venv.auto_reset
-    venv.auto_reset = False  # episode boundaries are scheduled here
-    try:
-        for slot in range(n):
-            start(slot)
-        while any(lane is not None for lane in lanes):
-            active = [lane is not None for lane in lanes]
-            actions = [
-                policies[i].act(lane.obs) if (lane := lanes[i]) else None
-                for i in range(n)
-            ]
-            step = venv.step(actions, mask=active)
-            for i, lane in enumerate(lanes):
-                if lane is None:
-                    continue
-                lane.obs = step.observations[i]
-                info = step.infos[i]
-                lane.t = info["t"]
-                lane.discounted += lane.discount * step.rewards[i]
-                lane.discount *= gammas[i]
-                lane.cost += info["it_cost"]
-                lane.compromised += info["n_compromised"]
-                lane.info = info
-                if step.dones[i] or lane.t >= horizons[i]:
-                    results[i][lane.ep] = lane.metrics(seed + lane.ep)
-                    if on_episode is not None:
-                        on_episode(i, lane.ep, results[i][lane.ep])
-                    start(i)
-    finally:
-        venv.auto_reset = was_auto_reset
-
-    assert all(r is not None for row in results for r in row)
+    _drive_metrics(venv, _lane_policies(policy, n),
+                   lambda slot: next(counters[slot], None), seed, max_steps,
+                   on_done)
     return [(aggregate(row), row) for row in results]
-
-
-def drive_vec_episodes(venv, episodes: int, seed: int = 0, *,
-                       horizon: int,
-                       on_episode_start, act, on_step=None,
-                       on_episode_end) -> None:
-    """Lockstep episode scheduler shared by evaluation and trace recording.
-
-    Fans ``episodes`` seeded episodes over the lanes of ``venv``:
-    episode ``ep`` always runs with seed ``seed + ep``, lanes pick up
-    the next pending episode as they finish (so results are independent
-    of lane count for per-episode-deterministic agents), and auto-reset
-    is suspended because episode boundaries are scheduled here. The
-    agent side is supplied via callbacks:
-
-    * ``on_episode_start(slot, ep, obs)`` — fired after
-      ``reset_env(slot, seed + ep)``; bind/reset per-episode agent
-      state here (``venv.policy_env(slot)`` gives the lane view);
-    * ``act(slot, ep, obs) -> action`` — one action for ``venv.step``;
-    * ``on_step(slot, ep, obs, reward, done, info)`` — every
-      transition, with the post-step observation (optional);
-    * ``on_episode_end(slot, ep, obs)`` — when the lane reports done
-      or ``info["t"]`` reaches ``horizon``; ``obs`` is the final
-      observation of the episode.
-    """
-    n = venv.num_envs
-    current: list[int | None] = [None] * n
-    latest_obs: list = [None] * n
-    next_ep = 0
-
-    def start(slot: int) -> None:
-        nonlocal next_ep
-        if next_ep >= episodes:
-            current[slot] = None
-            return
-        ep = next_ep
-        next_ep += 1
-        obs = venv.reset_env(slot, seed=seed + ep)
-        current[slot] = ep
-        latest_obs[slot] = obs
-        on_episode_start(slot, ep, obs)
-
-    was_auto_reset = venv.auto_reset
-    venv.auto_reset = False  # episode boundaries are scheduled here
-    try:
-        for slot in range(n):
-            start(slot)
-        while any(ep is not None for ep in current):
-            active = [ep is not None for ep in current]
-            actions = [
-                act(i, ep, latest_obs[i]) if (ep := current[i]) is not None
-                else None
-                for i in range(n)
-            ]
-            step = venv.step(actions, mask=active)
-            for i, ep in enumerate(current):
-                if ep is None:
-                    continue
-                latest_obs[i] = step.observations[i]
-                info = step.infos[i]
-                if on_step is not None:
-                    on_step(i, ep, step.observations[i], step.rewards[i],
-                            step.dones[i], info)
-                if step.dones[i] or info["t"] >= horizon:
-                    on_episode_end(i, ep, latest_obs[i])
-                    start(i)
-    finally:
-        venv.auto_reset = was_auto_reset
 
 
 def evaluate_policy_vec(venv, policy, episodes: int, seed: int = 0,
                         max_steps: int | None = None, on_episode=None):
     """Batched :func:`evaluate_policy`: fan episodes over a VectorEnv.
 
-    Episode ``i`` runs with seed ``seed + i`` against its own clone of
-    ``policy`` (or a fresh instance, when ``policy`` is a zero-argument
-    factory), so for deterministic policies the (aggregate, per-episode)
-    result matches the single-env path exactly. Lanes are stepped in
-    lockstep via :func:`drive_vec_episodes`; each picks up the next
-    pending episode as it finishes. ``on_episode(index, metrics)``
-    fires as episodes complete (in completion order, not index order).
+    Episode ``i`` runs with seed ``seed + i`` against its lane's clone
+    of ``policy`` (or a fresh instance, when ``policy`` is a
+    zero-argument factory), reset per episode, so for deterministic
+    policies the (aggregate, per-episode) result matches the single-env
+    path exactly. Lanes are stepped in lockstep; each picks up the next
+    pending episode as it finishes, and each honours its own
+    ``lane_config(i)`` horizon and discount. ``on_episode(index,
+    metrics)`` fires as episodes complete (in completion order, not
+    index order).
     """
-    make_policy = _policy_factory(policy)
-    n = venv.num_envs
-    gamma = venv.config.reward.gamma
-    tmax = venv.config.tmax
-    horizon = tmax if max_steps is None else min(max_steps, tmax)
-
     results: list[EpisodeMetrics | None] = [None] * episodes
-    policies = [make_policy() for _ in range(n)]
-    lanes: list[_Lane | None] = [None] * n
 
-    def on_episode_start(slot: int, ep: int, obs) -> None:
-        policies[slot].reset(venv.policy_env(slot))
-        lanes[slot] = _Lane(ep, obs)
-
-    def act(slot: int, ep: int, obs):
-        return policies[slot].act(obs)
-
-    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
-        lane = lanes[slot]
-        lane.obs = obs
-        lane.t = info["t"]
-        lane.discounted += lane.discount * reward
-        lane.discount *= gamma
-        lane.cost += info["it_cost"]
-        lane.compromised += info["n_compromised"]
-        lane.info = info
-
-    def on_episode_end(slot: int, ep: int, obs) -> None:
-        results[ep] = lanes[slot].metrics(seed + ep)
+    def on_done(slot: int, ep: int, metrics: EpisodeMetrics) -> None:
+        results[ep] = metrics
         if on_episode is not None:
-            on_episode(ep, results[ep])
+            on_episode(ep, metrics)
 
-    drive_vec_episodes(venv, episodes, seed=seed, horizon=horizon,
-                       on_episode_start=on_episode_start, act=act,
-                       on_step=on_step, on_episode_end=on_episode_end)
-
-    assert all(r is not None for r in results)
+    _drive_metrics(venv, _lane_policies(policy, venv.num_envs),
+                   fan_out(episodes), seed, max_steps, on_done)
     return aggregate(results), results

@@ -25,7 +25,7 @@ from repro.rl.distributional import (
     DistributionalAttentionQNetwork,
     project_distribution,
 )
-from repro.rl.drqn import DRQNConfig, RecurrentQNetwork, WindowedDQNTrainer
+from repro.rl.drqn import DRQNConfig, RecurrentQNetwork
 from repro.rl.pretrain import collect_demonstrations, pretrain
 
 __all__ = [
@@ -53,7 +53,6 @@ __all__ = [
     "project_distribution",
     "DRQNConfig",
     "RecurrentQNetwork",
-    "WindowedDQNTrainer",
     "collect_demonstrations",
     "pretrain",
 ]

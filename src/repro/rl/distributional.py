@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.nn import Tensor, categorical_cross_entropy, no_grad
 from repro.rl.dqn import DQNTrainer
-from repro.rl.features import stack_features
 from repro.rl.qnetwork import AttentionQNetwork, QNetConfig
 
 __all__ = [
@@ -172,15 +171,9 @@ class C51Trainer(DQNTrainer):
     def update(self) -> float:
         cfg = self.config
         c51 = self.qnet.c51
-        beta = self.beta_schedule(self.total_steps)
-        indices, transitions, weights = self.replay.sample(cfg.batch_size, beta)
-        states = stack_features([tr.state for tr in transitions])
-        next_states = stack_features([tr.next_state for tr in transitions])
-        actions = np.array([tr.action for tr in transitions], np.int64)
-        rewards = np.array([tr.reward for tr in transitions])
-        done = np.array([tr.done for tr in transitions], float)
-        discount = np.array([tr.discount for tr in transitions])
-        batch = len(transitions)
+        (indices, weights, states, actions, rewards, done, discount,
+         next_states) = self._sample_batch()
+        batch = len(actions)
 
         with no_grad():
             target_probs_all = np.exp(self.target.log_probs(*next_states).data)

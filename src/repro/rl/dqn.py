@@ -5,6 +5,13 @@ double-DQN action selection (online net picks, target net evaluates),
 importance-weighted by prioritized-replay probabilities. A potential-
 based shaping reward (eq 6) is added during training only; rewards are
 normalized by (1 - gamma) so the tanh value heads regress O(1) returns.
+
+One trainer serves every Q-network: the attention network over DBN
+features and the conv and DRQN baselines over raw observation windows
+(Table 7). Collection runs on the library's one episode loop,
+:func:`~repro.sim.vec_env.drive_vec_episodes`, with a plain
+environment as one lane; action selection is one batched forward pass
+per lockstep round (:meth:`DQNTrainer.select_actions_vec`).
 """
 
 from __future__ import annotations
@@ -16,8 +23,6 @@ from typing import Callable
 import numpy as np
 
 from repro.nn import Adam, huber_loss, no_grad
-from repro.rl.features import ACSOFeaturizer, FeatureSet, stack_features
-from repro.rl.qnetwork import AttentionQNetwork
 from repro.rl.replay import (
     NStepAssembler,
     PrioritizedReplay,
@@ -30,7 +35,12 @@ from repro.sim.orchestrator import (
     action_busy_positions,
     action_mask_from_busy,
 )
-from repro.sim.vec_env import BaseVectorEnv
+from repro.sim.vec_env import (
+    BaseVectorEnv,
+    VectorEnv,
+    drive_vec_episodes,
+    fan_out,
+)
 
 __all__ = ["DQNConfig", "DQNTrainer", "valid_action_mask"]
 
@@ -91,12 +101,11 @@ class EpisodeStats:
 
 
 @dataclass
-class _VecLane:
-    """Per-lane collection state for :meth:`DQNTrainer.train_vec`."""
+class _Lane:
+    """Collection state of the episode one lane is running."""
 
     episode: int
-    obs: object
-    features: FeatureSet
+    features: object
     nstep: NStepAssembler
     phi: float
     action_idx: int = 0
@@ -120,26 +129,33 @@ class _VecLane:
 
 
 class DQNTrainer:
-    """Double-DQN trainer over one environment or a :class:`VectorEnv`.
+    """Double-DQN trainer over one environment or a vector env.
 
-    With a ``VectorEnv``, transitions are collected from all lanes per
-    iteration and action selection runs as one batched forward pass;
-    replay, schedules, and update cadence are shared across lanes
+    ``featurizer`` turns observations into the states ``qnet`` reads:
+    an :class:`~repro.rl.features.ACSOFeaturizer` for the attention
+    networks, a :class:`~repro.rl.features.RawHistoryEncoder` for the
+    conv and DRQN baselines. The network owns the rest of the contract:
+    ``bind_topology`` (its action list), ``clone`` (the target net) and
+    ``stack_states`` (a batch of states as ``forward`` arguments).
+
+    :meth:`train` runs on :func:`~repro.sim.vec_env.drive_vec_episodes`,
+    a plain environment as one lane. Each lockstep round selects the
+    actions of every lane with one batched forward pass; replay,
+    schedules and update cadence are shared across lanes
     (``total_steps`` counts environment steps, not lockstep rounds).
     """
 
     def __init__(
         self,
         env,
-        qnet: AttentionQNetwork,
-        featurizer: ACSOFeaturizer,
+        qnet,
+        featurizer,
         config: DQNConfig | None = None,
     ):
         self.env = env
-        self.vec = isinstance(env, BaseVectorEnv)
         self.qnet = qnet.bind_topology(env.topology)
         self.featurizer = featurizer
-        self._featurizers: list[ACSOFeaturizer] | None = None
+        self._featurizers: list | None = None
         self.config = config or DQNConfig()
         self.gamma = env.config.reward.gamma
         cfg = self.config
@@ -153,7 +169,6 @@ class DQNTrainer:
         replay_cls = PrioritizedReplay if cfg.prioritized else UniformReplay
         self.replay = replay_cls(cfg.buffer_size, alpha=cfg.per_alpha,
                                  seed=cfg.seed)
-        self.nstep = NStepAssembler(cfg.n_step, self.gamma)
         self.eps_schedule = ExponentialDecay(cfg.eps_start, cfg.eps_end,
                                              cfg.eps_decay)
         self.beta_schedule = LinearSchedule(cfg.per_beta_start, 1.0,
@@ -192,242 +207,152 @@ class DQNTrainer:
                 f"{self.gamma}"
             )
         self.env = env
-        self.vec = isinstance(env, BaseVectorEnv)
-        # lane featurizers are per-lane-count; rebuilt lazily by train_vec
+        # lane featurizers are per-lane-count; rebuilt lazily by train()
         self._featurizers = None
 
     # ------------------------------------------------------------------
-    def select_action(self, features: FeatureSet, obs, epsilon: float) -> int:
-        mask = valid_action_mask(self.qnet.action_list, obs)
-        if self.config.noisy:
-            # parameter noise supplies the exploration; act greedily
-            # under a fresh noise draw
-            self.qnet.reset_noise()
-        elif self.rng.random() < epsilon:
-            choices = np.flatnonzero(mask)
-            return int(self.rng.choice(choices))
-        q = self.qnet.q_values(features)
-        q = np.where(mask, q, -np.inf)
-        return int(np.argmax(q))
+    def select_actions_vec(self, features: list, masks: np.ndarray,
+                           epsilon: float) -> np.ndarray:
+        """One action index per lane; one forward pass for the greedy ones.
 
-    # ------------------------------------------------------------------
+        Each lane's epsilon draw (and its uniform ``choice`` over valid
+        actions) is taken first, in lane order. The forward runs over
+        every lane, and only if some lane acts greedily: the network
+        draws nothing from the trainer's RNG, so skipping it leaves the
+        stream unchanged.
+        """
+        n = len(features)
+        out = np.empty(n, dtype=np.int64)
+        greedy = []
+        for i in range(n):
+            if not self.config.noisy and self.rng.random() < epsilon:
+                out[i] = int(self.rng.choice(np.flatnonzero(masks[i])))
+            else:
+                greedy.append(i)
+        if greedy:
+            if self.config.noisy:
+                # parameter noise supplies the exploration; act greedily
+                # under a fresh noise draw
+                self.qnet.reset_noise()
+            with no_grad():
+                q = self.qnet.forward(*self.qnet.stack_states(features)).data
+            best = np.where(masks, q, -np.inf).argmax(axis=1)
+            out[greedy] = best[greedy]
+        return out
+
     def train(self, episodes: int, seed: int = 0, max_steps: int | None = None,
               callback: Callable | None = None) -> list[EpisodeStats]:
-        if self.vec:
-            return self.train_vec(episodes, seed=seed, max_steps=max_steps,
-                                  callback=callback)
-        for episode in range(episodes):
-            stats = self.train_episode(seed + episode, episode, max_steps)
-            self.history.append(stats)
-            if callback is not None:
-                callback(stats)
-        return self.history
+        """Train for ``episodes`` episodes; returns the whole history.
 
-    def train_episode(self, seed: int, episode: int = 0,
-                      max_steps: int | None = None) -> EpisodeStats:
+        Episode ``i`` runs with seed ``seed + i``; lanes pick up the
+        next pending episode as theirs finishes, so any ``episodes``
+        count works with any lane count. Update losses are shared
+        diagnostics: each gradient step's loss is credited to every
+        episode in flight when it happened. ``callback(stats)`` fires
+        as each episode ends.
+        """
         cfg = self.config
-        obs = self.env.reset(seed=seed)
-        self.featurizer.reset()
-        self.nstep.reset()
-        features = self.featurizer.update(obs)
-        state = self.env.sim.state
-        phi = self.shaper.potential(
-            state.n_workstations_compromised(), state.n_servers_compromised()
-        )
-        env_return, shaped_return, discount_t = 0.0, 0.0, 1.0
-        losses: list[float] = []
-        horizon = self.env.config.tmax if max_steps is None else max_steps
-        done, t = False, 0
+        venv = self.env
+        if not isinstance(venv, BaseVectorEnv):
+            venv = VectorEnv([venv], auto_reset=False)
+        n = venv.num_envs
+        gammas = {venv.lane_config(i).reward.gamma for i in range(n)}
+        if gammas != {self.gamma}:
+            raise ValueError(f"lane gammas {sorted(gammas)} != trainer gamma "
+                             f"{self.gamma}")
+        if self._featurizers is None:
+            self._featurizers = [self.featurizer] + [
+                copy.deepcopy(self.featurizer) for _ in range(n - 1)
+            ]
+        lanes: list[_Lane | None] = [None] * n
         epsilon = self.eps_schedule(self.total_steps)
-        info: dict = {}
 
-        while not done and t < horizon:
+        def on_episode_start(slot: int, ep: int, obs) -> None:
+            featurizer = self._featurizers[slot]
+            featurizer.reset()
+            lanes[slot] = _Lane(
+                episode=ep,
+                features=featurizer.update(obs),
+                nstep=NStepAssembler(cfg.n_step, self.gamma),
+                phi=self.shaper.potential_from_info(venv.reset_infos[slot]),
+            )
+
+        def act(slots, observations):
+            nonlocal epsilon
             epsilon = self.eps_schedule(self.total_steps)
-            action_idx = self.select_action(features, obs, epsilon)
-            action = self.qnet.action_list[action_idx]
-            obs, reward, env_done, info = self.env.step(action)
-            t = info["t"]
-            done = env_done or t >= horizon
+            masks = np.stack([valid_action_mask(self.qnet.action_list, obs)
+                              for obs in observations])
+            chosen = self.select_actions_vec(
+                [lanes[i].features for i in slots], masks, epsilon)
+            for i, index in zip(slots, chosen):
+                lanes[i].action_idx = int(index)
+            return [self.qnet.action_list[lanes[i].action_idx] for i in slots]
 
+        def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
+            lane = lanes[slot]
             phi_next = self.shaper.potential_from_info(info)
-            shaping = self.shaper.shape(phi, phi_next, done=done)
-            phi = phi_next
+            shaping = self.shaper.shape(lane.phi, phi_next, done=done)
+            lane.phi = phi_next
             r_train = (reward + self.shaping_weight * shaping) * self.reward_scale
 
-            env_return += discount_t * reward
-            discount_t *= self.gamma
-            shaped_return += r_train
-            next_features = self.featurizer.update(obs)
-            for transition in self.nstep.push(
-                features, action_idx, r_train, next_features, done
+            lane.env_return += lane.discount * reward
+            lane.discount *= self.gamma
+            lane.shaped_return += r_train
+            next_features = self._featurizers[slot].update(obs)
+            for transition in lane.nstep.push(
+                lane.features, lane.action_idx, r_train, next_features, done
             ):
                 self.replay.add(transition)
-            features = next_features
+            lane.features = next_features
+            lane.steps = info["t"]
+            lane.info = info
             self.total_steps += 1
 
             if (
                 len(self.replay) >= max(cfg.warmup, cfg.batch_size)
                 and self.total_steps % cfg.update_every == 0
             ):
-                losses.append(self.update())
+                loss = self.update()
+                for other in lanes:
+                    if other is not None:
+                        other.losses.append(loss)
             if self.total_steps % cfg.target_update == 0:
                 self.target.copy_from(self.qnet)
 
-        return EpisodeStats(
-            episode=episode,
-            env_return=env_return,
-            shaped_return=shaped_return,
-            steps=t,
-            mean_loss=float(np.mean(losses)) if losses else 0.0,
-            epsilon=epsilon,
-            plcs_offline=int(info.get("n_plcs_offline", 0)),
-        )
+        def on_episode_end(slot: int, ep: int, obs) -> None:
+            stats = lanes[slot].stats(epsilon)
+            lanes[slot] = None
+            self.history.append(stats)
+            if callback is not None:
+                callback(stats)
 
-    # ------------------------------------------------------------------
-    def select_actions_vec(self, features: list[FeatureSet],
-                           masks: np.ndarray, epsilon: float) -> np.ndarray:
-        """Batched action selection: one forward pass for all lanes."""
-        if self.config.noisy:
-            self.qnet.reset_noise()
-        with no_grad():
-            q = self.qnet.forward(*stack_features(features)).data
-        q = np.where(masks, q, -np.inf)
-        greedy = q.argmax(axis=1)
-        out = np.empty(len(features), dtype=np.int64)
-        for i in range(len(features)):
-            if not self.config.noisy and self.rng.random() < epsilon:
-                out[i] = int(self.rng.choice(np.flatnonzero(masks[i])))
-            else:
-                out[i] = int(greedy[i])
-        return out
-
-    def train_vec(self, episodes: int, seed: int = 0,
-                  max_steps: int | None = None,
-                  callback: Callable | None = None) -> list[EpisodeStats]:
-        """Collect transitions from all VectorEnv lanes per iteration.
-
-        Episode ``i`` runs with seed ``seed + i``; lanes pick up the
-        next pending episode as theirs finishes, so any ``episodes``
-        count works with any ``num_envs``. Update losses are shared
-        diagnostics: each gradient step's loss is credited to every
-        episode in flight when it happened.
-        """
-        if not self.vec:
-            raise RuntimeError("train_vec requires a VectorEnv")
-        cfg = self.config
-        venv: BaseVectorEnv = self.env
-        n = venv.num_envs
-        horizon = venv.config.tmax if max_steps is None else max_steps
-        if self._featurizers is None:
-            self._featurizers = [self.featurizer] + [
-                copy.deepcopy(self.featurizer) for _ in range(n - 1)
-            ]
-
-        lanes: list[_VecLane | None] = [None] * n
-        next_ep = 0
-
-        def start(slot: int) -> None:
-            nonlocal next_ep
-            if next_ep >= episodes:
-                lanes[slot] = None
-                return
-            ep, next_ep = next_ep, next_ep + 1
-            obs = venv.reset_env(slot, seed=seed + ep)
-            featurizer = self._featurizers[slot]
-            featurizer.reset()
-            lanes[slot] = _VecLane(
-                episode=ep,
-                obs=obs,
-                features=featurizer.update(obs),
-                nstep=NStepAssembler(cfg.n_step, self.gamma),
-                phi=self.shaper.potential_from_info(venv.reset_infos[slot]),
-            )
-
-        was_auto_reset = venv.auto_reset
-        venv.auto_reset = False  # episode boundaries are scheduled here
-        epsilon = self.eps_schedule(self.total_steps)
-        try:
-            for slot in range(n):
-                start(slot)
-            while any(lane is not None for lane in lanes):
-                epsilon = self.eps_schedule(self.total_steps)
-                active = [i for i, lane in enumerate(lanes) if lane is not None]
-                masks = np.stack([
-                    valid_action_mask(self.qnet.action_list, lanes[i].obs)
-                    for i in active
-                ])
-                chosen = self.select_actions_vec(
-                    [lanes[i].features for i in active], masks, epsilon
-                )
-                actions: list = [None] * n
-                for idx, i in enumerate(active):
-                    lanes[i].action_idx = int(chosen[idx])
-                    actions[i] = self.qnet.action_list[lanes[i].action_idx]
-                step = venv.step(
-                    actions, mask=[lane is not None for lane in lanes]
-                )
-
-                for i in active:
-                    lane = lanes[i]
-                    obs, reward = step.observations[i], float(step.rewards[i])
-                    info = step.infos[i]
-                    t = info["t"]
-                    done = bool(step.dones[i]) or t >= horizon
-
-                    phi_next = self.shaper.potential_from_info(info)
-                    shaping = self.shaper.shape(lane.phi, phi_next, done=done)
-                    lane.phi = phi_next
-                    r_train = (
-                        reward + self.shaping_weight * shaping
-                    ) * self.reward_scale
-
-                    lane.env_return += lane.discount * reward
-                    lane.discount *= self.gamma
-                    lane.shaped_return += r_train
-                    next_features = self._featurizers[i].update(obs)
-                    for transition in lane.nstep.push(
-                        lane.features, lane.action_idx, r_train,
-                        next_features, done
-                    ):
-                        self.replay.add(transition)
-                    lane.obs, lane.features = obs, next_features
-                    lane.steps = t
-                    lane.info = info
-                    self.total_steps += 1
-
-                    if (
-                        len(self.replay) >= max(cfg.warmup, cfg.batch_size)
-                        and self.total_steps % cfg.update_every == 0
-                    ):
-                        loss = self.update()
-                        for other in lanes:
-                            if other is not None:
-                                other.losses.append(loss)
-                    if self.total_steps % cfg.target_update == 0:
-                        self.target.copy_from(self.qnet)
-
-                    if done:
-                        stats = lane.stats(epsilon)
-                        self.history.append(stats)
-                        if callback is not None:
-                            callback(stats)
-                        start(i)
-        finally:
-            venv.auto_reset = was_auto_reset
+        drive_vec_episodes(venv, fan_out(episodes), seed=seed,
+                           max_steps=max_steps,
+                           on_episode_start=on_episode_start, act=act,
+                           on_step=on_step, on_episode_end=on_episode_end)
         return self.history
 
     # ------------------------------------------------------------------
+    def _sample_batch(self) -> tuple:
+        """One replay batch: (indices, importance weights, states,
+        actions, rewards, done, discount, next states), with states
+        stacked as ``forward`` arguments."""
+        beta = self.beta_schedule(self.total_steps)
+        indices, transitions, weights = self.replay.sample(
+            self.config.batch_size, beta)
+        stack = self.qnet.stack_states
+        return (indices, weights, stack([tr.state for tr in transitions]),
+                np.array([tr.action for tr in transitions], np.int64),
+                np.array([tr.reward for tr in transitions]),
+                np.array([tr.done for tr in transitions], float),
+                np.array([tr.discount for tr in transitions]),
+                stack([tr.next_state for tr in transitions]))
+
     def update(self) -> float:
         """One gradient step on a prioritized batch; returns the loss."""
         cfg = self.config
-        beta = self.beta_schedule(self.total_steps)
-        indices, transitions, weights = self.replay.sample(cfg.batch_size, beta)
-        states = stack_features([tr.state for tr in transitions])
-        next_states = stack_features([tr.next_state for tr in transitions])
-        actions = np.array([tr.action for tr in transitions], np.int64)
-        rewards = np.array([tr.reward for tr in transitions])
-        done = np.array([tr.done for tr in transitions], float)
-        discount = np.array([tr.discount for tr in transitions])
+        (indices, weights, states, actions, rewards, done, discount,
+         next_states) = self._sample_batch()
 
         if self.config.noisy:
             self.qnet.reset_noise()
@@ -439,7 +364,7 @@ class DQNTrainer:
                 best_next = online_next.argmax(axis=1)
             else:
                 best_next = target_next.argmax(axis=1)
-            bootstrap = target_next[np.arange(len(transitions)), best_next]
+            bootstrap = target_next[np.arange(len(actions)), best_next]
         targets = rewards + discount * (1.0 - done) * bootstrap
 
         self.optimizer.zero_grad()

@@ -118,8 +118,13 @@ class RawHistoryEncoder:
     def __init__(self, topology: Topology, window: int = 64):
         self.topology = topology
         self.window = window
-        self.step_dim = 6 * topology.n_nodes + 2 * topology.n_plcs + 2
+        self.step_dim = self.step_dim_for(topology)
         self._history = np.zeros((self.step_dim, window))
+
+    @staticmethod
+    def step_dim_for(topology: Topology) -> int:
+        """Length of one step's encoding on ``topology``."""
+        return 6 * topology.n_nodes + 2 * topology.n_plcs + 2
 
     def reset(self) -> None:
         self._history[:] = 0.0

@@ -20,7 +20,7 @@ policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.rl.features import ACSOFeaturizer, stack_features
 from repro.rl.qnetwork import AttentionQNetwork
 from repro.rl.replay import Transition
 from repro.rl.shaping import PotentialShaper
+from repro.sim.vec_env import VectorEnv, drive_vec_episodes, fan_out
 
 __all__ = ["collect_demonstrations", "pretrain", "PretrainConfig"]
 
@@ -71,48 +72,44 @@ def collect_demonstrations(
     )
     qnet.bind_topology(env.topology)
     action_index = {a: i for i, a in enumerate(qnet.action_list)}
-    noop_idx = 0
     demos: list[Transition] = []
+    venv = VectorEnv([env], auto_reset=False)
+    lane: dict = {}
 
-    for episode in range(episodes):
-        obs = env.reset(seed=seed + episode)
+    def on_episode_start(slot: int, ep: int, obs) -> None:
         expert.reset(env)
         featurizer.reset()
-        features = featurizer.update(obs)
-        state = env.sim.state
-        phi = shaper.potential(
-            state.n_workstations_compromised(), state.n_servers_compromised()
-        )
-        horizon = env.config.tmax if max_steps is None else max_steps
-        done, t = False, 0
-        episode_transitions: list[Transition] = []
-        while not done and t < horizon:
-            actions = expert.act(obs)
-            action = actions[0] if actions else None
-            action_idx = action_index.get(action, noop_idx)
-            obs, reward, env_done, info = env.step(actions[:1])
-            t = info["t"]
-            done = env_done or t >= horizon
-            phi_next = shaper.potential_from_info(info)
-            r = (reward + shaping_weight * shaper.shape(phi, phi_next, done)) * scale
-            phi = phi_next
-            next_features = featurizer.update(obs)
-            episode_transitions.append(
-                Transition(features, action_idx, r, next_features, done,
-                           gamma, expert=True)
-            )
-            features = next_features
+        lane["start"] = len(demos)
+        lane["features"] = featurizer.update(obs)
+        lane["phi"] = shaper.potential_from_info(venv.reset_infos[slot])
 
+    def act(slots, observations):
+        actions = expert.act(observations[0])
+        # an empty decision is the noop, index 0
+        lane["action"] = action_index.get(actions[0], 0) if actions else 0
+        return [actions[:1]]
+
+    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
+        phi_next = shaper.potential_from_info(info)
+        r = (reward + shaping_weight
+             * shaper.shape(lane["phi"], phi_next, done)) * scale
+        lane["phi"] = phi_next
+        next_features = featurizer.update(obs)
+        demos.append(Transition(lane["features"], lane["action"], r,
+                                next_features, done, gamma, expert=True))
+        lane["features"] = next_features
+
+    def on_episode_end(slot: int, ep: int, obs) -> None:
         # annotate Monte-Carlo return-to-go for value anchoring
         g = 0.0
-        with_returns: list[Transition] = []
-        for tr in reversed(episode_transitions):
-            g = tr.reward + gamma * g
-            with_returns.append(
-                Transition(tr.state, tr.action, tr.reward, tr.next_state,
-                           tr.done, tr.discount, expert=True, mc_return=g)
-            )
-        demos.extend(reversed(with_returns))
+        for i in reversed(range(lane["start"], len(demos))):
+            g = demos[i].reward + gamma * g
+            demos[i] = replace(demos[i], mc_return=g)
+
+    drive_vec_episodes(venv, fan_out(episodes), seed=seed,
+                       max_steps=max_steps,
+                       on_episode_start=on_episode_start, act=act,
+                       on_step=on_step, on_episode_end=on_episode_end)
     return demos
 
 

@@ -48,6 +48,7 @@ from repro.rl.features import (
     NODE_FEATURE_DIM,
     PLC_FEATURE_DIM,
     FeatureSet,
+    RawHistoryEncoder,
     stack_features,
 )
 from repro.sim.orchestrator import (
@@ -56,9 +57,10 @@ from repro.sim.orchestrator import (
     SERVER_ACTIONS,
     DefenderAction,
     DefenderActionType,
+    enumerate_actions,
 )
 
-__all__ = ["QNetConfig", "AttentionQNetwork", "ConvQNetwork"]
+__all__ = ["QNetConfig", "AttentionQNetwork", "ConvQNetwork", "WindowedQNetwork"]
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,11 @@ class AttentionQNetwork(Module):
     def clone(self, seed: int = 0) -> "AttentionQNetwork":
         """Fresh network of the same class and config (target nets)."""
         return type(self)(self.config, seed=seed)
+
+    @staticmethod
+    def stack_states(states: list[FeatureSet]) -> tuple:
+        """Batch per-step feature sets into :meth:`forward` arguments."""
+        return stack_features(states)
 
     # ------------------------------------------------------------------
     def _make_head(self, head_in: int, out_dim: int, rng) -> Module:
@@ -309,16 +316,54 @@ class ConvNetConfig:
         return ConvNetConfig(window=64, channels=(256, 128, 64), mlp_hidden=256)
 
 
-class ConvQNetwork(Module):
+class WindowedQNetwork(Module):
+    """A flat-output network over raw observation windows.
+
+    The conv baseline and the DRQN read the
+    :class:`~repro.rl.features.RawHistoryEncoder`'s ``(step_dim,
+    window)`` history and output one value per entry of
+    :func:`~repro.sim.orchestrator.enumerate_actions` -- the
+    environment's own action order, not the attention network's.
+    Subclasses take ``(step_dim, n_actions, config=..., seed=...)``.
+    """
+
+    step_dim: int
+    n_actions: int
+
+    def bind_topology(self, topology: Topology) -> "WindowedQNetwork":
+        """Check the network fits ``topology`` and take its action list."""
+        step_dim = RawHistoryEncoder.step_dim_for(topology)
+        if self.step_dim != step_dim:
+            raise ValueError(
+                f"network step_dim {self.step_dim} != encoder step_dim "
+                f"{step_dim} of this topology"
+            )
+        actions = enumerate_actions(topology)
+        if self.n_actions != len(actions):
+            raise ValueError(
+                f"network n_actions {self.n_actions} != env {len(actions)}"
+            )
+        self.action_list = actions
+        return self
+
+    def clone(self, seed: int = 0) -> "WindowedQNetwork":
+        """Fresh network of the same class, shape and config."""
+        return type(self)(self.step_dim, self.n_actions, config=self.config,
+                          seed=seed)
+
+    @staticmethod
+    def stack_states(states: list[np.ndarray]) -> tuple:
+        """Batch ``(step_dim, window)`` histories for :meth:`forward`."""
+        return (np.stack(states),)
+
+
+class ConvQNetwork(WindowedQNetwork):
     """Baseline temporal convolution network (Table 7).
 
     The output layer enumerates every action, so parameters grow with
     the protected network -- the scaling failure the attention
     architecture avoids.
     """
-
-    #: history array layout for WindowedDQNTrainer: (step_dim, window)
-    history_layout = "fw"
 
     def __init__(self, step_dim: int, n_actions: int,
                  config: ConvNetConfig | None = None, seed: int = 0):

@@ -360,21 +360,12 @@ class EvalService:
 
     def _execute_evaluation(self, job: Job) -> dict:
         import repro
-        from repro.eval.runner import evaluate_policy, evaluate_policy_vec
+        from repro.eval.runner import evaluate_policy_vec
 
         request = job.request
         spec, config = self._resolve_run(request)
         policy = build_policy(request, config)
         on_episode = self._on_episode(job)
-
-        if request.num_envs == 1:
-            env = spec.build_env(config=config, seed=request.seed)
-            aggregate, _ = evaluate_policy(
-                env, policy, request.episodes, seed=request.seed,
-                max_steps=request.max_steps, on_episode=on_episode,
-            )
-            return _aggregate_dict(aggregate)
-
         venv = repro.make_vec(
             spec.with_overrides(horizon=config.tmax), request.num_envs,
             seed=request.seed, backend=request.backend or self.default_backend,

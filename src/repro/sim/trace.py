@@ -19,6 +19,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from repro.sim.orchestrator import DefenderAction, DefenderActionType
+from repro.sim.vec_env import VectorEnv, drive_policies, fan_out
 
 __all__ = ["TraceStep", "EpisodeTrace", "record_episode", "verify_determinism"]
 
@@ -121,23 +122,15 @@ class EpisodeTrace:
 def record_episode(env, policy, seed: int | None = None,
                    max_steps: int | None = None) -> EpisodeTrace:
     """Run one episode and capture its trace."""
-    obs = env.reset(seed=seed)
-    policy.reset(env)
-    horizon = env.config.tmax if max_steps is None else min(
-        max_steps, env.config.tmax
-    )
     trace = EpisodeTrace(seed=seed, policy=getattr(policy, "name", "?"))
-    done, t = False, 0
-    while not done and t < horizon:
-        actions = policy.act(obs)
-        obs, reward, done, info = env.step(actions)
-        t = info["t"]
+
+    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
         severities = [0, 0, 0]
         for alert in obs.alerts:
             severities[alert.severity - 1] += 1
         trace.steps.append(
             TraceStep(
-                t=t,
+                t=info["t"],
                 actions=tuple(
                     (a.atype.value, a.target) for a in info["launched"]
                 ),
@@ -150,6 +143,9 @@ def record_episode(env, policy, seed: int | None = None,
                 apt_phase=info.get("apt_phase"),
             )
         )
+
+    drive_policies(VectorEnv([env], auto_reset=False), [policy], fan_out(1),
+                   seed=seed, max_steps=max_steps, on_step=on_step)
     return trace
 
 

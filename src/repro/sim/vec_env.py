@@ -1,10 +1,10 @@
 """Lockstep vectorized environments: N independent simulations per step.
 
-The ROADMAP's scale story starts here: every consumer that previously
-stepped one :class:`~repro.sim.env.InasimEnv` at a time (the evaluation
-fan-out, the DQN collector, the CLI) drives a vector environment
-instead and amortizes per-step Python overhead over ``num_envs``
-simulations.
+Every episode loop of the library (training, evaluation, logging,
+DBN fitting) runs on :func:`drive_vec_episodes` or its per-lane-policy
+form :func:`drive_policies`, a plain :class:`~repro.sim.env.InasimEnv`
+as the one lane of ``VectorEnv([env], auto_reset=False)``. The driver
+owns reset order, seeding, each lane's horizon and the episode end.
 
 Two in-process backends implement one contract (:class:`BaseVectorEnv`):
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,6 +56,9 @@ __all__ = [
     "BaseVectorEnv",
     "VectorEnv",
     "VecStep",
+    "drive_policies",
+    "drive_vec_episodes",
+    "fan_out",
     "normalize_backend",
 ]
 
@@ -348,3 +351,106 @@ class VectorEnv(BaseVectorEnv):
     def action_masks(self) -> np.ndarray:
         """Stacked validity masks, shape ``(num_envs, n_actions)``."""
         return np.stack([env.action_mask() for env in self.envs])
+
+
+def fan_out(episodes: int) -> Callable[[int], int | None]:
+    """Episode assignment sharing ``episodes`` over all lanes: a lane
+    that finishes takes the next pending episode, whichever lane it is."""
+    pending = iter(range(episodes))
+    return lambda slot: next(pending, None)
+
+
+def drive_vec_episodes(venv: BaseVectorEnv, assign, *,
+                       seed: int | None = 0, max_steps: int | None = None,
+                       on_episode_start, act, on_step,
+                       on_episode_end=None) -> None:
+    """Run seeded episodes over the lanes of ``venv`` in lockstep.
+
+    The one episode loop of the library: training, evaluation, OPE
+    logging, trace recording, DBN fitting and demonstration collection
+    all run on it, a plain environment as the one lane of
+    ``VectorEnv([env], auto_reset=False)``. ``assign(slot)`` names the next episode
+    lane ``slot`` runs, or ``None`` when it is done (:func:`fan_out`
+    shares one counter over the lanes; a counter per lane runs every
+    lane's own episodes). Episode ``ep`` is reset with seed
+    ``seed + ep``, or unseeded when ``seed`` is ``None``. Lane ``i``'s
+    episode ends when the lane reports done or ``info["t"]`` reaches
+    ``min(max_steps, lane_config(i).tmax)``. Auto-reset is suspended
+    because episode boundaries are scheduled here.
+
+    Callbacks, in the order they fire for one lane:
+
+    * ``on_episode_start(slot, ep, obs)`` -- after the lane's reset;
+      bind per-episode agent state (``venv.policy_env(slot)`` is the
+      lane view);
+    * ``act(slots, observations)`` -- once per lockstep round, with the
+      active lanes in order and their current observations; returns one
+      action per listed lane;
+    * ``on_step(slot, ep, obs, reward, done, info)`` -- every
+      transition; ``done`` is true when this step ended the episode;
+    * ``on_episode_end(slot, ep, obs)`` -- after the ending step, with
+      the episode's final observation, before the lane's next reset.
+    """
+    n = venv.num_envs
+    horizons = [venv.lane_config(i).tmax for i in range(n)]
+    if max_steps is not None:
+        horizons = [min(max_steps, tmax) for tmax in horizons]
+    current: list[int | None] = [None] * n
+    latest_obs: list = [None] * n
+
+    def start(slot: int) -> None:
+        ep = current[slot] = assign(slot)
+        if ep is None:
+            return
+        obs = latest_obs[slot] = venv.reset_env(
+            slot, seed=None if seed is None else seed + ep)
+        on_episode_start(slot, ep, obs)
+
+    was_auto_reset = venv.auto_reset
+    venv.auto_reset = False
+    try:
+        for slot in range(n):
+            start(slot)
+        while True:
+            slots = [i for i in range(n) if current[i] is not None]
+            if not slots:
+                break
+            actions: list = [None] * n
+            for i, action in zip(slots, act(slots,
+                                            [latest_obs[i] for i in slots])):
+                actions[i] = action
+            step = venv.step(actions,
+                             mask=[ep is not None for ep in current])
+            for i in slots:
+                ep = current[i]
+                obs = latest_obs[i] = step.observations[i]
+                info = step.infos[i]
+                done = bool(step.dones[i]) or info["t"] >= horizons[i]
+                on_step(i, ep, obs, float(step.rewards[i]), done, info)
+                if done:
+                    if on_episode_end is not None:
+                        on_episode_end(i, ep, obs)
+                    start(i)
+    finally:
+        venv.auto_reset = was_auto_reset
+
+
+def drive_policies(venv: BaseVectorEnv, policies, assign, *,
+                   seed: int | None = 0, max_steps: int | None = None,
+                   on_step, on_episode_start=None,
+                   on_episode_end=None) -> None:
+    """:func:`drive_vec_episodes` with ``policies[i]`` acting on lane
+    ``i``: each policy is reset on its lane view at every episode start
+    (before ``on_episode_start``) and answers ``act(obs)``."""
+
+    def start(slot: int, ep: int, obs) -> None:
+        policies[slot].reset(venv.policy_env(slot))
+        if on_episode_start is not None:
+            on_episode_start(slot, ep, obs)
+
+    def act(slots, observations):
+        return [policies[i].act(obs) for i, obs in zip(slots, observations)]
+
+    drive_vec_episodes(venv, assign, seed=seed, max_steps=max_steps,
+                       on_episode_start=start, act=act, on_step=on_step,
+                       on_episode_end=on_episode_end)

@@ -8,7 +8,8 @@ epsilon-greedy over masked Q-values) or :class:`UniformRandomPolicy`.
 
 Each logged step stores the featurized state and valid-action mask so
 target-policy probabilities, FQE regressions, and doubly-robust
-corrections can all be computed offline from the same log.
+corrections can all be computed offline from the same log. Logging
+runs on :func:`~repro.sim.vec_env.drive_vec_episodes`, one lane.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.dbn.filter import DBNTables
 from repro.nn import no_grad
 from repro.rl.dqn import valid_action_mask
 from repro.rl.features import ACSOFeaturizer, FeatureSet, stack_features
+from repro.sim.vec_env import VectorEnv, drive_vec_episodes, fan_out
 from repro.utils.stats import discounted_return
 
 __all__ = [
@@ -189,31 +191,33 @@ def collect_logged_episodes(
 
     One environment action index is taken per step (the DQN decision
     model); the resulting log supports every estimator in this package.
+    The episodes run on a one-lane
+    :func:`~repro.sim.vec_env.drive_vec_episodes` with ``behavior``
+    itself, so its RNG stream runs on across episodes.
     """
-    gamma = env.config.reward.gamma
-    horizon = env.config.tmax if max_steps is None else min(
-        max_steps, env.config.tmax
-    )
     logs: list[LoggedEpisode] = []
-    for i in range(episodes):
-        obs = env.reset(seed=seed + i)
+    pending: list = []
+
+    def on_episode_start(slot: int, ep: int, obs) -> None:
         behavior.reset(env)
-        steps: list[LoggedStep] = []
-        done, t = False, 0
-        while not done and t < horizon:
-            action, prob, features, mask = behavior.decide(obs)
-            obs, reward, done, info = env.step(action)
-            t = info["t"]
-            steps.append(LoggedStep(action, prob, reward, features, mask))
-        final_action, _, final_features, final_mask = behavior.decide(obs)
-        del final_action  # only the state snapshot is needed
-        logs.append(
-            LoggedEpisode(
-                steps=steps,
-                gamma=gamma,
-                final_features=final_features,
-                final_mask=final_mask,
-                seed=seed + i,
-            )
-        )
+        logs.append(LoggedEpisode(steps=[], gamma=env.config.reward.gamma,
+                                  seed=seed + ep))
+
+    def act(slots, observations):
+        pending[:] = behavior.decide(observations[0])
+        return [pending[0]]
+
+    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
+        action, prob, features, mask = pending
+        logs[-1].steps.append(LoggedStep(action, prob, reward, features, mask))
+
+    def on_episode_end(slot: int, ep: int, obs) -> None:
+        # only the state snapshot of the final decision is needed
+        _, _, features, mask = behavior.decide(obs)
+        logs[-1].final_features, logs[-1].final_mask = features, mask
+
+    drive_vec_episodes(VectorEnv([env], auto_reset=False), fan_out(episodes),
+                       seed=seed, max_steps=max_steps,
+                       on_episode_start=on_episode_start, act=act,
+                       on_step=on_step, on_episode_end=on_episode_end)
     return logs

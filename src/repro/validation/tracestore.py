@@ -44,8 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.eval.runner import drive_vec_episodes
 from repro.rl.features import FeatureSet
+from repro.sim.vec_env import drive_vec_episodes, fan_out
 from repro.validation.logging import LoggedEpisode
 
 __all__ = [
@@ -478,12 +478,12 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
     bit-identical no matter how many lanes record it. Each transition
     is appended as it happens; memory holds at most one in-flight
     episode per lane plus the writer's reorder window, never the log.
+    Each episode stores its own lane's discount, and a step's ``done``
+    marks the step that ended the episode (the lane reported done or
+    reached its horizon).
 
     Returns the number of transitions recorded.
     """
-    gamma = venv.config.reward.gamma
-    tmax = venv.config.tmax
-    horizon = tmax if max_steps is None else min(max_steps, tmax)
     n = venv.num_envs
     behaviors: list = [None] * n
     pending: list = [None] * n
@@ -493,12 +493,13 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
         behavior = behavior_factory(ep)
         behavior.reset(venv.policy_env(slot))
         behaviors[slot] = behavior
-        writer.begin_episode(ep, lane=slot, seed=seed + ep, gamma=gamma)
+        writer.begin_episode(ep, lane=slot, seed=seed + ep,
+                             gamma=venv.lane_config(slot).reward.gamma)
 
-    def act(slot: int, ep: int, obs):
-        action, prob, features, mask = behaviors[slot].decide(obs)
-        pending[slot] = (action, prob, features, mask)
-        return action
+    def act(slots, observations):
+        for slot, obs in zip(slots, observations):
+            pending[slot] = behaviors[slot].decide(obs)
+        return [pending[slot][0] for slot in slots]
 
     def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
         nonlocal recorded
@@ -514,7 +515,8 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
         _, _, features, mask = behaviors[slot].decide(obs)
         writer.finish_episode(ep, final_features=features, final_mask=mask)
 
-    drive_vec_episodes(venv, episodes, seed=seed, horizon=horizon,
+    drive_vec_episodes(venv, fan_out(episodes), seed=seed,
+                       max_steps=max_steps,
                        on_episode_start=on_episode_start, act=act,
                        on_step=on_step, on_episode_end=on_episode_end)
     return recorded

@@ -259,9 +259,10 @@ def _attention_trainer(env, qnet_overrides=None, dqn_overrides=None):
 
 
 def _windowed_trainer(env, qnet):
-    from repro.rl import WindowedDQNTrainer
+    from repro.rl import DQNTrainer, RawHistoryEncoder
 
-    return WindowedDQNTrainer(env, qnet, _loop_dqn_config())
+    encoder = RawHistoryEncoder(env.topology, window=qnet.config.window)
+    return DQNTrainer(env, qnet, encoder, _loop_dqn_config())
 
 
 def _loop_dqn_per() -> dict:
@@ -433,7 +434,7 @@ def _loop_demonstrations() -> dict:
     }
 
 
-#: loop cell name -> digest builder (one fixture each)
+#: loop cell name -> its digest function (one fixture each)
 LOOP_CELLS = {
     "dqn-egreedy-per": _loop_dqn_per,
     "dqn-noisy": _loop_dqn_noisy,

@@ -96,6 +96,19 @@ class TestForbiddenImports:
         hits = {f.message.split("'")[1] for f in result.findings}
         assert hits == {"pickle", "repro.serve"}
 
+    def test_sim_layer_bans_every_upper_layer(self):
+        """The episode driver lives in repro.sim, so the simulation core
+        may import neither the agents nor the loops built on it."""
+        result = fixture_check("layering_bad")
+        assert rule_lines(result) == {
+            ("forbidden-import", "sim/vec_env.py", line)
+            for line in range(4, 10)
+        }
+        hits = {f.message.split("'")[1] for f in result.findings}
+        assert hits == {"repro.eval", "repro.rl", "repro.dbn",
+                        "repro.validation", "repro.defenders",
+                        "repro.adversarial"}
+
 
 # ---------------------------------------------------------------------------
 # Inline suppressions

@@ -71,7 +71,7 @@ class TestPretrainedVariantPipelines:
         trainer = C51Trainer(env, net,
                              ACSOFeaturizer(env.topology, tiny_tables),
                              FAST_DQN)
-        trainer.train_episode(seed=0, max_steps=20)
+        trainer.train(1, seed=0, max_steps=20)
         from repro.eval import run_episode
 
         metrics = run_episode(env, ACSOPolicy(net, tiny_tables), seed=1,

@@ -49,7 +49,6 @@ from repro.rl import (
     QNetConfig,
     RecurrentQNetwork,
 )
-from repro.rl.dqn import valid_action_mask
 from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
 from repro.validation import StochasticQPolicy, collect_logged_episodes
 from repro.validation.fqe import fitted_q_evaluation
@@ -334,22 +333,23 @@ def _train_dqn(tables):
                   eps_start=0.3, seed=0),
     )
     losses, actions, gaps, update_at = [], [], [], []
-    update, select = trainer.update, trainer.select_action
+    update, select = trainer.update, trainer.select_actions_vec
 
     def record_update():
         update_at.append(len(actions))
         losses.append(update())
         return losses[-1]
 
-    def record_select(features, obs, epsilon):
-        q = np.where(valid_action_mask(trainer.qnet.action_list, obs),
-                     trainer.qnet.q_values(features), -np.inf)
+    def record_select(features, masks, epsilon):
+        (state,), (mask,) = features, masks
+        q = np.where(mask, trainer.qnet.q_values(state), -np.inf)
         top = np.sort(q[np.isfinite(q)])[-2:]
         gaps.append(float(top[-1] - top[0]) if top.size == 2 else np.inf)
-        actions.append(select(features, obs, epsilon))
-        return actions[-1]
+        chosen = select(features, masks, epsilon)
+        actions.append(int(chosen[0]))
+        return chosen
 
-    trainer.update, trainer.select_action = record_update, record_select
+    trainer.update, trainer.select_actions_vec = record_update, record_select
     trainer.train(episodes=3, seed=4, max_steps=80)
     return losses, actions, gaps, update_at
 

@@ -1,6 +1,6 @@
 """Tests for the RL extensions: dueling heads, distributional (C51)
-learning, the DRQN baseline, the windowed trainer, uniform replay, and
-the trainer ablation flags."""
+learning, the DRQN baseline, windowed networks under the DQN trainer,
+uniform replay, and the trainer ablation flags."""
 
 import numpy as np
 import pytest
@@ -24,7 +24,6 @@ from repro.rl import (
     QNetConfig,
     RecurrentQNetwork,
     UniformReplay,
-    WindowedDQNTrainer,
     project_distribution,
     stack_features,
 )
@@ -108,7 +107,7 @@ class TestDuelingNetwork:
     def test_trains_with_standard_trainer(self, env, featurizer):
         net = DuelingAttentionQNetwork(SMALL_QNET, seed=0)
         trainer = DQNTrainer(env, net, featurizer, FAST_DQN)
-        stats = trainer.train_episode(seed=0, max_steps=30)
+        stats = trainer.train(1, seed=0, max_steps=30)[-1]
         assert stats.steps == 30
         assert np.isfinite(stats.mean_loss)
 
@@ -224,7 +223,7 @@ class TestDistributionalNetwork:
         c51 = C51Config(n_atoms=11, v_min=-24, v_max=24)
         net = DistributionalAttentionQNetwork(SMALL_QNET, seed=0, c51=c51)
         trainer = C51Trainer(env, net, featurizer, FAST_DQN)
-        stats = trainer.train_episode(seed=0, max_steps=30)
+        stats = trainer.train(1, seed=0, max_steps=30)[-1]
         assert stats.steps == 30
         assert np.isfinite(stats.mean_loss)
         assert stats.mean_loss > 0  # cross-entropy is positive
@@ -260,15 +259,22 @@ class TestRecurrentQNetwork:
 
 
 class TestWindowedTrainer:
+    """The conv and DRQN baselines train under ``DQNTrainer`` with a
+    ``RawHistoryEncoder`` featurizer."""
+
     def _drqn(self, env, window=4):
         encoder = RawHistoryEncoder(env.topology, window=window)
         cfg = DRQNConfig(window=window, encoder_hidden=8, gru_hidden=8,
                          head_hidden=16)
         return RecurrentQNetwork(encoder.step_dim, env.n_actions, cfg)
 
+    def _trainer(self, env, net, window=4):
+        return DQNTrainer(env, net, RawHistoryEncoder(env.topology, window),
+                          FAST_DQN)
+
     def test_drqn_episode_runs(self, env):
-        trainer = WindowedDQNTrainer(env, self._drqn(env), FAST_DQN)
-        stats = trainer.train_episode(seed=0, max_steps=25)
+        trainer = self._trainer(env, self._drqn(env))
+        stats = trainer.train(1, seed=0, max_steps=25)[-1]
         assert stats.steps == 25
         assert np.isfinite(stats.mean_loss)
 
@@ -280,26 +286,35 @@ class TestWindowedTrainer:
             encoder.step_dim, env.n_actions,
             ConvNetConfig(window=16, channels=(8, 8), mlp_hidden=16),
         )
-        trainer = WindowedDQNTrainer(env, net, FAST_DQN)
-        stats = trainer.train_episode(seed=0, max_steps=25)
+        trainer = self._trainer(env, net, window=16)
+        stats = trainer.train(1, seed=0, max_steps=25)[-1]
         assert stats.steps == 25
         assert np.isfinite(stats.mean_loss)
 
     def test_rejects_step_dim_mismatch(self, env):
         net = RecurrentQNetwork(3, env.n_actions, DRQNConfig(window=4))
-        with pytest.raises(ValueError):
-            WindowedDQNTrainer(env, net, FAST_DQN)
+        with pytest.raises(ValueError, match="step_dim"):
+            self._trainer(env, net)
 
     def test_rejects_action_count_mismatch(self, env):
         encoder = RawHistoryEncoder(env.topology, window=4)
         net = RecurrentQNetwork(encoder.step_dim, 3,
                                 DRQNConfig(window=4))
-        with pytest.raises(ValueError):
-            WindowedDQNTrainer(env, net, FAST_DQN)
+        with pytest.raises(ValueError, match="n_actions"):
+            self._trainer(env, net)
 
-    def test_window_comes_from_network_config(self, env):
-        trainer = WindowedDQNTrainer(env, self._drqn(env, window=7), FAST_DQN)
-        assert trainer.encoder.window == 7
+    def test_windowed_nets_use_the_env_action_order(self, env):
+        trainer = self._trainer(env, self._drqn(env))
+        assert trainer.qnet.action_list == env.action_list
+        assert trainer.target.action_list == env.action_list
+
+    def test_drqn_batches_time_first(self, env):
+        net = self._drqn(env)
+        windows = [np.arange(net.step_dim * 4, dtype=float).reshape(
+            net.step_dim, 4) + k for k in range(2)]
+        (batch,) = net.stack_states(windows)
+        assert batch.shape == (2, 4, net.step_dim)
+        assert np.array_equal(batch[1], windows[1].T)
 
 
 class TestUniformReplay:
@@ -337,7 +352,7 @@ class TestAblationFlags:
         net = AttentionQNetwork(SMALL_QNET, seed=0)
         trainer = DQNTrainer(env, net, featurizer, cfg)
         assert isinstance(trainer.replay, UniformReplay)
-        stats = trainer.train_episode(seed=0, max_steps=25)
+        stats = trainer.train(1, seed=0, max_steps=25)[-1]
         assert np.isfinite(stats.mean_loss)
 
     def test_noisy_exploration_episode(self, env, featurizer):
@@ -346,7 +361,7 @@ class TestAblationFlags:
         cfg = DQNConfig(batch_size=8, warmup=8, update_every=2, noisy=True)
         net = AttentionQNetwork(qcfg, seed=0)
         trainer = DQNTrainer(env, net, featurizer, cfg)
-        stats = trainer.train_episode(seed=0, max_steps=20)
+        stats = trainer.train(1, seed=0, max_steps=20)[-1]
         assert np.isfinite(stats.mean_loss)
 
     def test_noisy_heads_have_sigma_parameters(self):

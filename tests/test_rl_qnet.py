@@ -225,10 +225,15 @@ class TestInferenceParity:
                           target_update=10, eps_start=0.3, seed=0),
             )
             losses, actions = [], []
-            update, select = trainer.update, trainer.select_action
+            update, select = trainer.update, trainer.select_actions_vec
             trainer.update = lambda: losses.append(update()) or losses[-1]
-            trainer.select_action = (
-                lambda *args: actions.append(select(*args)) or actions[-1])
+
+            def record_select(*args):
+                chosen = select(*args)
+                actions.append(int(chosen[0]))
+                return chosen
+
+            trainer.select_actions_vec = record_select
             trainer.train(episodes=1, seed=4, max_steps=34)
             return losses, actions
 

@@ -21,6 +21,7 @@ from repro.rl.dqn import valid_action_mask
 from repro.rl.features import stack_features
 from repro.rl.pretrain import PretrainConfig
 from repro.sim.orchestrator import DefenderActionType
+from repro.sim.vec_env import VectorEnv
 
 _T = DefenderActionType
 
@@ -70,8 +71,33 @@ class TestDQNTrainer:
         features = feat.update(obs)
         obs.node_busy[:] = True
         obs.plc_busy[:] = True
+        masks = valid_action_mask(trainer.qnet.action_list, obs)[None]
         for eps in (0.0, 1.0):
-            assert trainer.select_action(features, obs, eps) == 0
+            assert trainer.select_actions_vec([features], masks, eps) == [0]
+
+    @pytest.mark.parametrize("lanes", [1, 3])
+    def test_full_exploration_runs_no_forward(self, setup, monkeypatch,
+                                              lanes):
+        """With epsilon 1 every lane explores, so collecting episodes
+        never runs the Q-network (warm-up holds off the updates)."""
+        env, qnet, feat = setup
+        if lanes > 1:
+            env = VectorEnv([env] + [repro.make_env(env.config, seed=i)
+                                     for i in range(1, lanes)])
+        trainer = DQNTrainer(env, qnet, feat,
+                             DQNConfig(eps_start=1.0, eps_end=1.0,
+                                       warmup=10_000, seed=0))
+        calls = []
+        forward = AttentionQNetwork.forward
+
+        def counting(net, *args):
+            calls.append(len(args[0]))
+            return forward(net, *args)
+
+        monkeypatch.setattr(AttentionQNetwork, "forward", counting)
+        trainer.train(2, seed=0, max_steps=10)
+        assert trainer.total_steps == 20
+        assert calls == []
 
     def test_training_runs_and_records(self, setup):
         env, qnet, feat = setup
@@ -218,17 +244,20 @@ class TestSetEnv:
         trainer = DQNTrainer(env, qnet, feat,
                              DQNConfig(batch_size=8, warmup=8,
                                        update_every=4, buffer_size=200))
-        trainer.train_episode(seed=0, max_steps=5)
+        trainer.train(1, seed=0, max_steps=5)
         steps_before = trainer.total_steps
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0)
         trainer.set_env(venv)
-        assert trainer.vec
+        assert trainer.env is venv
         trainer.train(2, seed=1, max_steps=5)
         assert trainer.total_steps == steps_before + 10
+        assert len(trainer._featurizers) == 2
         # and back to a single env
         trainer.set_env(env)
-        assert not trainer.vec
-        trainer.train_episode(seed=2, max_steps=5)
+        assert trainer.env is env
+        trainer.train(1, seed=2, max_steps=5)
+        assert trainer.total_steps == steps_before + 15
+        assert trainer._featurizers == [feat]
 
     def test_rejects_mismatched_action_space(self, setup):
         env, qnet, feat = setup
