@@ -1,8 +1,10 @@
 """Temporal 1-D convolution for the paper's baseline network (Table 7).
 
-Implemented as an unfold (sliding windows with a scatter-add backward)
-followed by a matmul, which keeps the whole op differentiable through
-the existing Tensor primitives plus one custom unfold node.
+Implemented as an unfold (sliding windows, with a scatter-add
+backward) followed by a batched matmul. The backward copies the
+expression order of the same computation built op by op (unfold,
+``windows @ W + b``, swap of the channel and time axes), so its
+gradients are bitwise equal to that graph's.
 """
 
 from __future__ import annotations
@@ -12,28 +14,8 @@ import math
 import numpy as np
 
 from repro.nn.modules import Module, Parameter
-from repro.nn.tensor import Tensor
 
-__all__ = ["unfold1d", "Conv1d"]
-
-
-def unfold1d(x: Tensor, kernel: int, stride: int) -> Tensor:
-    """(B, C, L) -> (B, L_out, C*kernel) sliding windows."""
-    batch, channels, length = x.shape
-    l_out = (length - kernel) // stride + 1
-    if l_out <= 0:
-        raise ValueError(f"kernel {kernel} too large for length {length}")
-    idx = (np.arange(l_out)[:, None] * stride + np.arange(kernel)[None, :])
-    windows = x.data[:, :, idx]  # (B, C, L_out, K)
-    data = windows.transpose(0, 2, 1, 3).reshape(batch, l_out, channels * kernel)
-
-    def backward(grad):
-        g = grad.reshape(batch, l_out, channels, kernel).transpose(0, 2, 1, 3)
-        out = np.zeros_like(x.data)
-        np.add.at(out, (slice(None), slice(None), idx), g)
-        return (out,)
-
-    return Tensor._make(data, (x,), backward)
+__all__ = ["Conv1d"]
 
 
 class Conv1d(Module):
@@ -51,8 +33,31 @@ class Conv1d(Module):
         self.kernel = kernel
         self.stride = stride
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
         """(B, C_in, L) -> (B, C_out, L_out)."""
-        windows = unfold1d(x, self.kernel, self.stride)  # (B, L_out, C_in*K)
-        out = windows @ self.weight + self.bias  # (B, L_out, C_out)
-        return out.swapaxes(1, 2)
+        batch, channels, length = x.shape
+        kernel = self.kernel
+        l_out = (length - kernel) // self.stride + 1
+        if l_out <= 0:
+            raise ValueError(f"kernel {kernel} too large for length {length}")
+        idx = np.arange(l_out)[:, None] * self.stride + np.arange(kernel)[None, :]
+        # (B, C, L_out, K) windows -> (B, L_out, C*K)
+        windows = x[:, :, idx].transpose(0, 2, 1, 3).reshape(
+            batch, l_out, channels * kernel)
+        weight = self.weight.data
+        out = windows @ weight + self.bias.data  # (B, L_out, C_out)
+        if tape is not None:
+
+            def backward(grad):
+                grad = grad.transpose(0, 2, 1)
+                tape.accumulate(self.bias, grad.sum(axis=(0, 1)))
+                tape.accumulate(self.weight,
+                                (np.swapaxes(windows, -1, -2) @ grad).sum(axis=0))
+                grad_windows = (grad @ weight.T).reshape(
+                    batch, l_out, channels, kernel).transpose(0, 2, 1, 3)
+                grad_x = np.zeros_like(x)
+                np.add.at(grad_x, (slice(None), slice(None), idx), grad_windows)
+                return grad_x
+
+            tape.record(backward)
+        return out.transpose(0, 2, 1)

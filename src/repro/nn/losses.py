@@ -1,7 +1,14 @@
-"""Loss functions: Huber (TD loss norm, eq 5), MSE, the DQfD-style
-large-margin classification loss used for pretraining (appendix:
-target margin delta = 0.05, margin weighting lambda = 0.1), and the
-categorical cross-entropy used by the distributional (C51) trainer.
+"""Loss functions: Huber (TD loss norm, eq 5), the DQfD-style
+demonstration loss used for pretraining (Huber value regression plus
+the large-margin classification term; appendix: target margin
+delta = 0.05, margin weighting lambda = 0.1), and the categorical
+cross-entropy used by the distributional (C51) trainer.
+
+Each loss reads its rows out of a network's output and is one graph
+node over that output, with a hand-written backward. The backward
+follows the expression order of the same loss built op by op (the
+differential oracle in the test suite), so the gradient it hands the
+network is bitwise equal to that graph's.
 """
 
 from __future__ import annotations
@@ -10,67 +17,124 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["huber_loss", "mse_loss", "margin_loss", "categorical_cross_entropy"]
+__all__ = ["huber_loss", "margin_loss", "categorical_cross_entropy"]
 
 
-def _weighted_mean(loss: Tensor, weights) -> Tensor:
+def _mean(values: np.ndarray, weights):
+    """``values.mean()`` (``weights``: the importance-weighted mean) and
+    its backward, the gradient of each entry of ``values``."""
     if weights is None:
-        return loss.mean()
+        scale = 1.0 / float(values.size)
+        total = values.sum() * scale
+        return total, lambda grad: np.broadcast_to(grad * scale, values.shape).copy()
     weights = np.asarray(weights, dtype=np.float64)
-    return (loss * Tensor(weights)).sum() * (1.0 / float(weights.size))
+    scale = 1.0 / float(weights.size)
+    total = (values * weights).sum() * scale
+    return total, lambda grad: (
+        np.broadcast_to(grad * scale, values.shape).copy() * weights)
 
 
-def huber_loss(pred: Tensor, target, delta: float = 1.0, weights=None) -> Tensor:
-    """Huber norm of (pred - target); ``weights`` are IS weights."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    err = pred - target.detach()
-    abs_err = err.abs()
-    quadratic = err * err * 0.5
-    linear = abs_err * delta - 0.5 * delta * delta
-    mask = (abs_err.data <= delta).astype(np.float64)
-    loss = quadratic * Tensor(mask) + linear * Tensor(1.0 - mask)
-    return _weighted_mean(loss, weights)
+def _huber(err: np.ndarray, delta: float):
+    """Per-row Huber norm of ``err`` and its backward (row gradients of
+    the loss -> gradient of ``err``)."""
+    abs_err = np.abs(err)
+    mask = (abs_err <= delta).astype(np.float64)
+    rest = 1.0 - mask
+    loss = err * err * 0.5 * mask + (abs_err * delta - 0.5 * delta * delta) * rest
+    sign = np.sign(err)
+
+    def backward(grad):
+        # quadratic and linear branches are masked, so at most one of
+        # the two terms below is nonzero per row
+        square = grad * mask * 0.5 * err
+        return square + square + grad * rest * delta * sign
+
+    return loss, backward
 
 
-def mse_loss(pred: Tensor, target, weights=None) -> Tensor:
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    err = pred - target.detach()
-    return _weighted_mean(err * err, weights)
+def _scatter_rows(shape, rows, columns, grad) -> np.ndarray:
+    """Gradient of ``x[rows, columns]`` w.r.t. an ``x`` of ``shape``."""
+    out = np.zeros(shape)
+    np.add.at(out, (rows, columns), grad)
+    return out
 
 
-def margin_loss(q_values: Tensor, expert_actions, margin: float = 0.05) -> Tensor:
-    """Large-margin loss: max_a[Q(s,a) + m(a, a_E)] - Q(s, a_E).
+def huber_loss(q: Tensor, actions, target, delta: float = 1.0,
+               weights=None) -> Tensor:
+    """Huber norm of ``q[i, actions[i]] - target[i]``, averaged over the
+    batch; ``weights`` are importance weights."""
+    rows = np.arange(q.shape[0])
+    actions = np.asarray(actions, dtype=np.int64)
+    err = q.data[rows, actions] - np.asarray(target, dtype=np.float64)
+    loss, huber_backward = _huber(err, delta)
+    total, mean_backward = _mean(loss, weights)
 
-    Zero when the expert action's value exceeds all others by at least
-    ``margin``; pushes the greedy policy toward the demonstrations.
+    def backward(grad):
+        grad_err = huber_backward(mean_backward(grad))
+        return (_scatter_rows(q.shape, rows, actions, grad_err),)
+
+    return Tensor._make(total, (q,), backward)
+
+
+def margin_loss(q: Tensor, expert_actions, returns, margin: float = 0.05,
+                margin_weight: float = 0.1) -> Tensor:
+    """Demonstration loss: the Huber regression of ``Q(s, a_E)`` on the
+    returns ``G(s)`` plus ``margin_weight`` times the large-margin term
+    ``max_a[Q(s,a) + m(a, a_E)] - Q(s, a_E)``.
+
+    The margin term is zero when the expert action's value exceeds all
+    others by at least ``margin``; it pushes the greedy policy toward
+    the demonstrations.
     """
+    rows = np.arange(q.shape[0])
     expert_actions = np.asarray(expert_actions, dtype=np.int64)
-    batch, n_actions = q_values.shape
-    bonus = np.full((batch, n_actions), margin)
-    bonus[np.arange(batch), expert_actions] = 0.0
-    augmented = q_values + Tensor(bonus)
-    best = augmented.max(axis=1)
-    expert_q = q_values.gather_rows(expert_actions)
-    return (best - expert_q).mean()
+    expert_q = q.data[rows, expert_actions]
+    loss, huber_backward = _huber(
+        expert_q - np.asarray(returns, dtype=np.float64), 1.0)
+    value, value_backward = _mean(loss, None)
+    bonus = np.full(q.shape, margin)
+    bonus[rows, expert_actions] = 0.0
+    augmented = q.data + bonus
+    gap, gap_backward = _mean(augmented.max(axis=1) - expert_q, None)
+
+    def backward(grad):
+        grad_value = _scatter_rows(q.shape, rows, expert_actions,
+                                   huber_backward(value_backward(grad)))
+        grad_gap = gap_backward(grad * margin_weight)
+        # the max's subgradient is split evenly between tied actions
+        best = augmented == augmented.max(axis=1, keepdims=True)
+        best = best / best.sum(axis=1, keepdims=True)
+        return (grad_value + best * grad_gap[:, None]
+                + _scatter_rows(q.shape, rows, expert_actions, -grad_gap),)
+
+    return Tensor._make(value + gap * margin_weight, (q,), backward)
 
 
-def categorical_cross_entropy(
-    log_probs: Tensor, target_probs, weights=None, eps: float = 1e-12
-) -> Tensor:
+def categorical_cross_entropy(log_probs: Tensor, actions, target_probs,
+                              weights=None) -> tuple[Tensor, np.ndarray]:
     """Cross-entropy -sum_z m(z) log p(z) between a projected target
-    distribution and predicted log-probabilities, per batch row.
+    distribution and the taken actions' predicted atom log-probabilities.
 
-    Used as the C51 training loss: ``target_probs`` is the Bellman-
-    projected distribution (no gradient), ``log_probs`` the online
-    network's per-atom log-probabilities for the taken actions.
+    ``log_probs`` is (B, n_actions, n_atoms), ``target_probs`` the
+    (B, n_atoms) Bellman-projected distribution (no gradient). Returns
+    the (weighted) batch mean and the per-row cross-entropy, which the
+    C51 trainer uses as priorities.
     """
-    target = np.asarray(
-        target_probs.data if isinstance(target_probs, Tensor) else target_probs,
-        dtype=np.float64,
-    )
-    if target.shape != log_probs.shape:
+    rows = np.arange(log_probs.shape[0])
+    actions = np.asarray(actions, dtype=np.int64)
+    chosen = log_probs.data[rows, actions]
+    target = np.asarray(target_probs, dtype=np.float64)
+    if target.shape != chosen.shape:
         raise ValueError(
-            f"shape mismatch: target {target.shape} vs log_probs {log_probs.shape}"
+            f"shape mismatch: target {target.shape} vs log_probs {chosen.shape}"
         )
-    per_row = -(log_probs * Tensor(target)).sum(axis=-1)
-    return _weighted_mean(per_row, weights)
+    per_row = -(chosen * target).sum(axis=-1)
+    total, mean_backward = _mean(per_row, weights)
+
+    def backward(grad):
+        grad_rows = -mean_backward(grad)
+        grad_chosen = np.broadcast_to(grad_rows[:, None], chosen.shape).copy()
+        return (_scatter_rows(log_probs.shape, rows, actions,
+                              grad_chosen * target),)
+
+    return Tensor._make(total, (log_probs,), backward), per_row

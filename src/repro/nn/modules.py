@@ -4,17 +4,17 @@ Each module has one numeric forward, ``forward_array(x, tape=None)``,
 on plain ndarrays. Given a :class:`~repro.nn.tape.Tape` it also records
 a hand-written backward step (input gradient out, parameter gradients
 into the tape). :meth:`Module.forward` wraps it as a single graph node
-(:func:`~repro.nn.tape.array_node`), so a Tensor input that requires
-grad (a GRU gate, a DRQN encoder) still gets its gradient.
+(:func:`~repro.nn.tape.array_node`); a network composes its modules'
+array forwards on one tape and is one node too.
 
-The array ops reproduce the per-op :class:`Tensor` arithmetic in the
-same order (``mean`` is ``sum * (1/n)``), so values are bitwise equal to
-a graph built from Tensor ops. Where an op departs, the replacement is
-exact in IEEE arithmetic: ``a - b`` for ``a + (-b)``, ``maximum(x,
-alpha * x)`` for leaky ReLU's ``x * where(x > 0, 1, alpha)`` (0 < alpha
-< 1), and a filled buffer for a concatenation of products with ones.
-Gradients are checked against finite differences and against the
-per-op graph in the test suite.
+The array ops reproduce the per-op graph of the same computation (the
+differential oracle in the test suite) in the same order (``mean`` is
+``sum * (1/n)``), so values are bitwise equal to it. Where an op
+departs, the replacement is exact in IEEE arithmetic: ``a - b`` for
+``a + (-b)``, ``maximum(x, alpha * x)`` for leaky ReLU's ``x *
+where(x > 0, 1, alpha)`` (0 < alpha < 1), and a filled buffer for a
+concatenation of products with ones. Gradients are checked against
+finite differences and against the per-op graph in the test suite.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "Parameter",
     "Module",
     "Linear",
-    "Sequential",
     "MLP",
     "LayerNorm",
     "array_activation",
@@ -142,8 +141,8 @@ class Module:
         self.load_state_dict(other.state_dict())
 
 
-#: activations by name, bitwise equal to the :class:`Tensor` methods of
-#: the same name, as ``(forward(x), backward(x, out, grad_out) ->
+#: activations by name, bitwise equal to the per-op graph's activations
+#: of the same name, as ``(forward(x), backward(x, out, grad_out) ->
 #: grad_in)``; the identity has no backward step
 _ARRAY_ACTIVATIONS = {
     "relu": (lambda x: x * (x > 0), lambda x, out, grad: grad * (x > 0)),
@@ -207,16 +206,6 @@ class Linear(Module):
 
             tape.record(backward)
         return out
-
-
-class Sequential(Module):
-    def __init__(self, *layers):
-        self.layers = list(layers)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x) if isinstance(layer, Module) else layer(x)
-        return x
 
 
 class MLP(Module):

@@ -6,49 +6,10 @@ import math
 
 import numpy as np
 
-__all__ = ["SGD", "Adam"]
+__all__ = ["Adam"]
 
 
-class _Optimizer:
-    """``params`` are Parameters or ``(name, Parameter)`` pairs (as from
-    :meth:`Module.named_parameters`); names appear in error messages."""
-
-    def __init__(self, params, lr: float):
-        items = list(params)
-        if not items:
-            raise ValueError("optimizer received no parameters")
-        if isinstance(items[0], tuple):
-            self.names = [name for name, _ in items]
-            self.params = [p for _, p in items]
-        else:
-            self.names = [f"parameter {i}" for i in range(len(items))]
-            self.params = items
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class SGD(_Optimizer):
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data = p.data + v
-
-
-class Adam(_Optimizer):
+class Adam:
     """Adam with optional global-norm gradient clipping.
 
     The elementwise update runs once over flat buffers: the gradients
@@ -63,11 +24,22 @@ class Adam(_Optimizer):
 
     A non-finite gradient raises :class:`FloatingPointError` naming the
     parameter, before the step counter, moments or any parameter change.
+    ``params`` are Parameters or ``(name, Parameter)`` pairs (as from
+    :meth:`Module.named_parameters`); names appear in error messages.
     """
 
     def __init__(self, params, lr: float = 1e-4, betas=(0.9, 0.999),
                  eps: float = 1e-8, grad_clip: float | None = None):
-        super().__init__(params, lr)
+        items = list(params)
+        if not items:
+            raise ValueError("optimizer received no parameters")
+        if isinstance(items[0], tuple):
+            self.names = [name for name, _ in items]
+            self.params = [p for _, p in items]
+        else:
+            self.names = [f"parameter {i}" for i in range(len(items))]
+            self.params = items
+        self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.grad_clip = grad_clip
@@ -75,6 +47,10 @@ class Adam(_Optimizer):
         self._bounds = np.cumsum([0] + [p.data.size for p in self.params])
         self._m = np.zeros(self._bounds[-1])
         self._v = np.zeros(self._bounds[-1])
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.grad = None
 
     def _check_finite(self, present: list[int]) -> None:
         for i in present:

@@ -8,7 +8,9 @@ its parameters' gradients into the tape. Replaying the steps in reverse
 
 :func:`array_node` turns such a forward into a single :class:`Tensor`
 graph node whose parents are the inputs that require grad plus the
-parameters, so a whole network costs one node, not one per op.
+parameters, so a whole network costs one node. This is the library's
+only way to build a differentiable computation; the losses are single
+nodes of the same kind (:meth:`Tensor._make`).
 """
 
 from __future__ import annotations

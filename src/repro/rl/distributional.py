@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.nn import Tensor, categorical_cross_entropy, no_grad
+from repro.nn.tape import array_node
 from repro.rl.dqn import DQNTrainer
 from repro.rl.qnetwork import AttentionQNetwork, QNetConfig
 
@@ -124,19 +125,39 @@ class DistributionalAttentionQNetwork(AttentionQNetwork):
 
     # ------------------------------------------------------------------
     def _output_array(self, flat: np.ndarray, tape) -> np.ndarray:
-        return flat  # raw atom logits, no soft clip
+        """Flat atom logits -> (B, n_actions, n_atoms) log-probabilities
+        (a log-softmax over each action's atoms)."""
+        logits = flat.reshape(flat.shape[0], self.n_actions, self.c51.n_atoms)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        log_p = shifted - log_z
+        if tape is not None:
+            probs = np.exp(log_p)
+
+            def backward(grad):
+                total = grad.sum(axis=-1, keepdims=True)
+                return (grad - probs * total).reshape(flat.shape)
+
+            tape.record(backward)
+        return log_p
+
+    def _expected_array(self, node, plc, glob, tape=None) -> np.ndarray:
+        """Distribution mean per action: (B, n_actions)."""
+        probs = np.exp(self._forward_array(node, plc, glob, tape))
+        support = self.c51.support.reshape(1, 1, self.c51.n_atoms)
+        if tape is not None:
+            tape.record(lambda grad: np.broadcast_to(
+                grad[..., None], probs.shape).copy() * support * probs)
+        return (probs * support).sum(axis=-1)
 
     def log_probs(self, node_feats, plc_feats, glob_feats) -> Tensor:
-        """(B, n_actions, n_atoms) per-atom log-probabilities."""
-        # the attention network's one graph node, here yielding logits
-        flat = super().forward(node_feats, plc_feats, glob_feats)
-        logits = flat.reshape(flat.shape[0], self.n_actions, self.c51.n_atoms)
-        return logits.log_softmax(axis=-1)
+        """(B, n_actions, n_atoms) per-atom log-probabilities, one graph
+        node."""
+        return array_node(self._forward_array,
+                          (node_feats, plc_feats, glob_feats), self)
 
     def probs(self, node_feats, plc_feats, glob_feats) -> np.ndarray:
         """Inference-only atom probabilities."""
-        from repro.nn import no_grad
-
         with no_grad():
             return np.exp(self.log_probs(node_feats, plc_feats, glob_feats).data)
 
@@ -145,11 +166,11 @@ class DistributionalAttentionQNetwork(AttentionQNetwork):
 
         Keeping ``forward`` scalar-valued makes this network a drop-in
         policy for every consumer of the plain Q-network (greedy
-        argmax, action masking, evaluation).
+        argmax, action masking, evaluation). Like :meth:`log_probs`, it
+        is one graph node.
         """
-        log_p = self.log_probs(node_feats, plc_feats, glob_feats)
-        support = Tensor(self.c51.support.reshape(1, 1, self.c51.n_atoms))
-        return (log_p.exp() * support).sum(axis=-1)
+        return array_node(self._expected_array,
+                          (node_feats, plc_feats, glob_feats), self)
 
 
 class C51Trainer(DQNTrainer):
@@ -188,12 +209,10 @@ class C51Trainer(DQNTrainer):
         )
 
         self.optimizer.zero_grad()
-        log_p = self.qnet.log_probs(*states)
-        chosen = log_p[np.arange(batch), actions]
-        loss = categorical_cross_entropy(chosen, target_dist, weights=weights)
+        loss, per_row = categorical_cross_entropy(
+            self.qnet.log_probs(*states), actions, target_dist, weights=weights)
         loss.backward()
         self.optimizer.step()
 
-        per_row = -(target_dist * chosen.data).sum(axis=-1)
         self.replay.update_priorities(indices, per_row)
         return loss.item()

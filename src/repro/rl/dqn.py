@@ -336,10 +336,18 @@ class DQNTrainer:
     def _sample_batch(self) -> tuple:
         """One replay batch: (indices, importance weights, states,
         actions, rewards, done, discount, next states), with states
-        stacked as ``forward`` arguments."""
+        stacked as ``forward`` arguments.
+
+        Under parameter-noise exploration the online and target noise
+        is resampled after the draw, so every update (DQN or C51) sees
+        fresh noise.
+        """
         beta = self.beta_schedule(self.total_steps)
         indices, transitions, weights = self.replay.sample(
             self.config.batch_size, beta)
+        if self.config.noisy:
+            self.qnet.reset_noise()
+            self.target.reset_noise()
         stack = self.qnet.stack_states
         return (indices, weights, stack([tr.state for tr in transitions]),
                 np.array([tr.action for tr in transitions], np.int64),
@@ -354,9 +362,6 @@ class DQNTrainer:
         (indices, weights, states, actions, rewards, done, discount,
          next_states) = self._sample_batch()
 
-        if self.config.noisy:
-            self.qnet.reset_noise()
-            self.target.reset_noise()
         with no_grad():
             target_next = self.target.forward(*next_states).data
             if self.config.double_dqn:
@@ -369,12 +374,11 @@ class DQNTrainer:
 
         self.optimizer.zero_grad()
         q = self.qnet.forward(*states)
-        predicted = q.gather_rows(actions)
-        loss = huber_loss(predicted, targets, delta=cfg.huber_delta,
+        loss = huber_loss(q, actions, targets, delta=cfg.huber_delta,
                           weights=weights)
         loss.backward()
         self.optimizer.step()
 
-        td_errors = predicted.data - targets
+        td_errors = q.data[np.arange(len(actions)), actions] - targets
         self.replay.update_priorities(indices, td_errors)
         return loss.item()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn import GRU, MLP, Tensor
+from repro.nn import GRU, MLP
 from repro.rl.qnetwork import WindowedQNetwork
 
 __all__ = ["DRQNConfig", "RecurrentQNetwork"]
@@ -61,15 +61,10 @@ class RecurrentQNetwork(WindowedQNetwork):
         step_dim)``, the time-first layout :meth:`forward` reads."""
         return (np.stack([state.T for state in states]),)
 
-    def forward(self, history) -> Tensor:
+    def forward_array(self, history: np.ndarray, tape=None) -> np.ndarray:
         """(B, window, step_dim) -> (B, n_actions)."""
-        x = history if isinstance(history, Tensor) else Tensor(history)
-        if x.ndim != 3:
-            raise ValueError(f"expected (B, W, F), got {x.shape}")
-        encoded = self.encoder(x)
-        final = self.gru(encoded)
-        q = self.head(final)
-        cfg = self.config
-        if cfg.final_tanh:
-            q = (q * (1.0 / cfg.q_scale)).tanh() * cfg.q_scale
-        return q
+        if history.ndim != 3:
+            raise ValueError(f"expected (B, W, F), got {history.shape}")
+        encoded = self.encoder.forward_array(history, tape)
+        final = self.gru.forward_array(encoded, tape)
+        return self._soft_clip_array(self.head.forward_array(final, tape), tape)

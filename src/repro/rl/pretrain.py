@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.nn import Adam, huber_loss, margin_loss
+from repro.nn import Adam, margin_loss
 from repro.rl.dqn import DQNConfig
 from repro.rl.features import ACSOFeaturizer, stack_features
 from repro.rl.qnetwork import AttentionQNetwork
@@ -136,10 +136,8 @@ def pretrain(
         returns = np.array([tr.mc_return for tr in batch])
 
         optimizer.zero_grad()
-        q = qnet.forward(*states)
-        value = huber_loss(q.gather_rows(actions), returns)
-        supervised = margin_loss(q, actions, margin=cfg.margin)
-        loss = value + supervised * cfg.margin_weight
+        loss = margin_loss(qnet.forward(*states), actions, returns,
+                           margin=cfg.margin, margin_weight=cfg.margin_weight)
         loss.backward()
         optimizer.step()
         losses.append(loss.item())

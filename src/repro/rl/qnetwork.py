@@ -19,16 +19,20 @@ grad, per-feature) gradients. Under :func:`repro.nn.no_grad` nothing is
 recorded. Forward values are bitwise equal to the per-op autograd graph
 of the same computation, and gradients agree with it to rounding; the
 test suite keeps that graph as the differential oracle. The dueling and
-C51 variants reuse the same node (extra value head; raw atom logits).
+C51 variants reuse the same node (extra value head; a log-softmax over
+atom logits).
 
 The convolutional baseline flattens the whole network into one vector
 per time step and strides over the history window; its output layer is
 one unit per action, so its size grows linearly with the network (329
-outputs on the paper topology).
+outputs on the paper topology). It is one graph node too, as is the
+DRQN baseline (:mod:`repro.rl.drqn`); their backwards are bitwise equal
+to the per-op graph of the same computation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,7 @@ from repro.nn import (
     Module,
     Parameter,
     Tensor,
+    array_activation,
 )
 from repro.nn.tape import array_node, branch
 from repro.rl.features import (
@@ -356,6 +361,23 @@ class WindowedQNetwork(Module):
         """Batch ``(step_dim, window)`` histories for :meth:`forward`."""
         return (np.stack(states),)
 
+    def _soft_clip_array(self, q: np.ndarray, tape) -> np.ndarray:
+        """``tanh(q / q_scale) * q_scale`` when ``config.final_tanh``.
+
+        The backward scales by ``q_scale`` and ``1 / q_scale`` in turn,
+        as the per-op chain of the three ops does (the attention
+        network's clip folds them away, which differs by rounding).
+        """
+        cfg = self.config
+        if not cfg.final_tanh:
+            return q
+        inv_scale = 1.0 / cfg.q_scale
+        t = np.tanh(q * inv_scale)
+        if tape is not None:
+            tape.record(
+                lambda grad: grad * cfg.q_scale * (1.0 - t ** 2) * inv_scale)
+        return t * cfg.q_scale
+
 
 class ConvQNetwork(WindowedQNetwork):
     """Baseline temporal convolution network (Table 7).
@@ -385,13 +407,23 @@ class ConvQNetwork(WindowedQNetwork):
         self.n_actions = n_actions
         self.step_dim = step_dim
 
-    def forward(self, history) -> Tensor:
+    def forward_array(self, history: np.ndarray, tape=None) -> np.ndarray:
         """(B, step_dim, window) -> (B, n_actions)."""
-        x = history if isinstance(history, Tensor) else Tensor(history)
+        if history.shape[-1] != self.config.window:
+            raise ValueError(
+                f"history window {history.shape[-1]} != network window "
+                f"{self.config.window}; build the RawHistoryEncoder with "
+                f"window={self.config.window}"
+            )
+        leaky_relu, leaky_relu_backward = array_activation("leaky_relu")
+        x = history
         for conv in self.convs:
-            x = conv(x).leaky_relu()
-        x = x.reshape(x.shape[0], self.flat_dim)
-        q = self.mlp(x)
-        if self.config.final_tanh:
-            q = (q * (1.0 / self.config.q_scale)).tanh() * self.config.q_scale
-        return q
+            pre = conv.forward_array(x, tape)
+            x = leaky_relu(pre)
+            if tape is not None:
+                tape.record(functools.partial(leaky_relu_backward, pre, x))
+        shape = x.shape
+        x = x.reshape(shape[0], self.flat_dim)
+        if tape is not None:
+            tape.record(lambda grad: grad.reshape(shape))
+        return self._soft_clip_array(self.mlp.forward_array(x, tape), tape)

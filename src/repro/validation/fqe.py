@@ -189,9 +189,8 @@ def fitted_q_evaluation(
                 batch = order[start:start + batch_size]
                 states = stack_features([feats[i] for i in batch])
                 optimizer.zero_grad()
-                q = qnet.forward(*states)
-                predicted = q.gather_rows(actions[batch])
-                loss = huber_loss(predicted, targets_all[batch])
+                loss = huber_loss(qnet.forward(*states), actions[batch],
+                                  targets_all[batch])
                 loss.backward()
                 optimizer.step()
                 epoch_losses.append(loss.item())

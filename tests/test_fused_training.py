@@ -1,12 +1,17 @@
 """The fused training path: hand-written backward steps, one graph node
-per network, and the flat Adam.
+per network or loss, and the flat Adam.
 
 Three kinds of check:
 
 * finite-difference gradchecks (float64) of every hand-written backward;
 * differential tests against the per-op autograd oracle in
-  ``graph_oracle.py``: forward values and losses bitwise equal,
-  parameter gradients allclose, seeded training runs allclose;
+  ``graph_oracle.py``. For the attention networks, forward values and
+  losses are bitwise equal and parameter gradients and seeded training
+  runs allclose. For the GRU, the 1-D convolution, the conv and
+  recurrent Q-networks, C51's log-softmax and expected-value steps and
+  the Huber, margin and cross-entropy losses, gradients are bitwise
+  equal too, and so are seeded pretraining, FQE and windowed-network
+  training runs;
 * the flat Adam bitwise equal to a per-parameter reference Adam, and
   refusing non-finite gradients.
 """
@@ -19,11 +24,13 @@ import pytest
 import graph_oracle
 import repro
 from repro.config import paper_network, tiny_network
+from repro.defenders import DBNExpertPolicy
 from repro.net import build_topology
 from repro.nn import (
     GRU,
     Adam,
     AttentionBlock,
+    Conv1d,
     GRUCell,
     LayerNorm,
     Linear,
@@ -35,21 +42,27 @@ from repro.nn import (
     Tensor,
     categorical_cross_entropy,
     huber_loss,
+    margin_loss,
     no_grad,
 )
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
     C51Config,
+    C51Trainer,
+    ConvQNetwork,
     DistributionalAttentionQNetwork,
     DQNConfig,
     DQNTrainer,
     DRQNConfig,
     DuelingAttentionQNetwork,
     QNetConfig,
+    RawHistoryEncoder,
     RecurrentQNetwork,
 )
 from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
+from repro.rl.pretrain import PretrainConfig, collect_demonstrations, pretrain
+from repro.rl.qnetwork import ConvNetConfig
 from repro.validation import StochasticQPolicy, collect_logged_episodes
 from repro.validation.fqe import fitted_q_evaluation
 
@@ -92,7 +105,7 @@ def gradcheck(forward, leaves, seed=0, entries=6, eps=1e-6):
     weights = rng.normal(size=out.shape)
     for leaf in leaves:
         leaf.grad = None
-    (out * Tensor(weights)).sum().backward()
+    out.backward(weights)  # d/d(leaf) of sum(weights * out)
 
     def objective() -> float:
         with no_grad():
@@ -216,6 +229,57 @@ class TestGradcheck:
         history = np.random.default_rng(16).normal(size=(2, 3, 5))
         gradcheck(lambda: net.forward(history), net.parameters(), seed=17)
 
+    @pytest.mark.parametrize("kernel, stride", [(4, 4), (3, 1), (3, 2)])
+    def test_conv1d(self, kernel, stride):
+        conv = Conv1d(3, 4, kernel, stride, rng=np.random.default_rng(18))
+        conv.bias.data = np.random.default_rng(19).normal(size=4)
+        check_module(conv, (2, 3, 9))
+
+    def test_conv_q_network(self):
+        net = ConvQNetwork(5, 4, ConvNetConfig(window=16, channels=(6, 3),
+                                               kernel=3, stride=2, mlp_hidden=7),
+                           seed=20)
+        history = np.random.default_rng(21).normal(size=(2, 5, 16))
+        gradcheck(lambda: net.forward(history), net.parameters(), seed=22)
+
+    def test_c51_log_probs(self):
+        topo = _topology("tiny")
+        net = NETWORKS["c51"](COMPACT, seed=3).bind_topology(topo)
+        feats = [Tensor(f) for f in _features(topo, 2, seed=23)]
+        gradcheck(lambda: net.log_probs(*feats), net.parameters(), seed=24,
+                  entries=4)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    def test_huber_loss(self, delta, weighted):
+        rng = np.random.default_rng(25)
+        q = Tensor(rng.normal(size=(6, 4)) * 2.0, requires_grad=True)
+        actions = rng.integers(0, 4, size=6)
+        target = rng.normal(size=6)
+        weights = rng.uniform(0.5, 1.5, size=6) if weighted else None
+        gradcheck(lambda: huber_loss(q, actions, target, delta, weights), [q],
+                  seed=26, entries=q.data.size)
+
+    def test_margin_loss(self):
+        rng = np.random.default_rng(27)
+        q = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        actions = rng.integers(0, 4, size=6)
+        returns = rng.normal(size=6) * 2.0
+        gradcheck(lambda: margin_loss(q, actions, returns, margin=0.05,
+                                      margin_weight=0.5),
+                  [q], seed=28, entries=q.data.size)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_categorical_cross_entropy(self, weighted):
+        rng = np.random.default_rng(29)
+        log_p = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
+        actions = rng.integers(0, 3, size=4)
+        target = rng.dirichlet(np.ones(5), size=4)
+        weights = rng.uniform(0.5, 1.5, size=4) if weighted else None
+        gradcheck(lambda: categorical_cross_entropy(log_p, actions, target,
+                                                    weights)[0],
+                  [log_p], seed=30, entries=log_p.data.size)
+
 
 # ----------------------------------------------------------------------
 # differential tests against the per-op oracle
@@ -243,10 +307,8 @@ def _loss(net, q, batch, seed):
     weights = rng.uniform(0.5, 1.5, size=batch)
     if isinstance(net, DistributionalAttentionQNetwork):
         target = rng.dirichlet(np.ones(net.c51.n_atoms), size=batch)
-        return categorical_cross_entropy(q[np.arange(batch), actions], target,
-                                         weights=weights)
-    return huber_loss(q.gather_rows(actions), rng.normal(size=batch) * 2.0,
-                      weights=weights)
+        return categorical_cross_entropy(q, actions, target, weights=weights)[0]
+    return huber_loss(q, actions, rng.normal(size=batch) * 2.0, weights=weights)
 
 
 def _run(net, feats, seed):
@@ -291,6 +353,22 @@ class TestDifferential:
         assert len(q._parents) == len(net.parameters())
         assert all(isinstance(p, Parameter) for p in q._parents)
 
+    @pytest.mark.parametrize("kind", ["c51", "c51-log-probs", "conv", "drqn"])
+    def test_c51_and_windowed_networks_are_one_graph_node(self, kind):
+        topo = _topology("tiny")
+        if kind in ("conv", "drqn"):
+            step_dim = RawHistoryEncoder.step_dim_for(topo)
+            net = _windowed_net(kind, step_dim, 9)
+            history = net.stack_states(
+                [np.ones((step_dim, net.config.window))] * 4)[0]
+            q = net.forward(history)
+        else:
+            net = NETWORKS["c51"](COMPACT, seed=0).bind_topology(topo)
+            forward = net.log_probs if kind == "c51-log-probs" else net.forward
+            q = forward(*_features(topo, 4, seed=0))
+        assert len(q._parents) == len(net.parameters())
+        assert all(isinstance(p, Parameter) for p in q._parents)
+
     @pytest.mark.parametrize("module, shape", [
         (Linear(7, 5, rng=np.random.default_rng(0)), (3, 4, 7)),
         (Linear(7, 5, rng=np.random.default_rng(1), bias=False), (4, 7)),
@@ -314,12 +392,174 @@ class TestDifferential:
             out = forward(xt)
             weights = np.random.default_rng(0).normal(size=out.shape)
             module.zero_grad()
-            (out * Tensor(weights)).sum().backward()
+            out.backward(weights)
             grads = {n: p.grad for n, p in module.named_parameters()}
             grads["input"] = xt.grad
             results.append((out.data, grads))
         assert _bits(results[0][0]) == _bits(results[1][0])
         assert_grads_close(results[0][1], results[1][1])
+
+
+def _windowed_net(kind, step_dim, n_actions, **overrides):
+    """The loop goldens' conv (overlapping windows here) or DRQN net."""
+    if kind == "conv":
+        config = dict(window=8, channels=(8,), kernel=4, stride=2, mlp_hidden=16)
+        config.update(overrides)
+        return ConvQNetwork(step_dim, n_actions, ConvNetConfig(**config), seed=1)
+    config = dict(window=6, encoder_hidden=8, gru_hidden=8, head_hidden=16)
+    config.update(overrides)
+    return RecurrentQNetwork(step_dim, n_actions, DRQNConfig(**config), seed=1)
+
+
+def assert_bitwise(fused, oracle, params, inputs=(), seed=0):
+    """``fused(*inputs)`` and the oracle's ``oracle(*inputs)``: outputs
+    and the gradients of ``sum(w * output)`` w.r.t. every parameter and
+    input, bit for bit."""
+    results = []
+    for forward in (fused, oracle):
+        leaves = [Tensor(x, requires_grad=True) for x in inputs]
+        out = forward(*leaves)
+        weights = np.random.default_rng(seed).normal(size=out.shape)
+        for p in params:
+            p.grad = None
+        out.backward(weights)
+        results.append([out.data] + [p.grad for p in params]
+                       + [x.grad for x in leaves])
+    assert len(results[0]) == 1 + len(params) + len(inputs)
+    for index, (got, want) in enumerate(zip(*results)):
+        assert got is not None, f"entry {index} has no gradient"
+        assert _bits(got) == _bits(want), f"entry {index}"
+
+
+BATCHES = [1, 16]
+
+
+class TestBitwiseOracle:
+    """The hand-written backwards that replaced per-op graphs equal
+    those graphs bit for bit, at batch sizes 1 and 16."""
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_gru(self, batch):
+        gru = GRU(4, 5, rng=np.random.default_rng(30))
+        x = np.random.default_rng(batch).normal(size=(batch, 6, 4))
+        assert_bitwise(gru, lambda t: graph_oracle.gru(gru, t),
+                       gru.parameters(), [x], seed=batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_gru_cell(self, batch):
+        cell = GRUCell(3, 4, rng=np.random.default_rng(31))
+        rng = np.random.default_rng(batch)
+        x, h = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 4))
+        assert_bitwise(cell, lambda a, b: graph_oracle.gru_cell(cell, a, b),
+                       cell.parameters(), [x, h], seed=batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("kernel, stride", [(4, 4), (3, 1), (3, 2)])
+    def test_conv1d(self, batch, kernel, stride):
+        conv = Conv1d(3, 5, kernel, stride, rng=np.random.default_rng(32))
+        conv.bias.data = np.random.default_rng(33).normal(size=5)
+        x = np.random.default_rng(batch).normal(size=(batch, 3, 12))
+        assert_bitwise(conv, lambda t: graph_oracle.conv1d(conv, t),
+                       conv.parameters(), [x], seed=batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("overrides", [
+        {}, dict(window=16, channels=(6, 5), kernel=3, stride=2, mlp_hidden=7),
+        dict(kernel=4, stride=4, final_tanh=False)])
+    def test_conv_q_network(self, batch, overrides):
+        net = _windowed_net("conv", 7, 9, **overrides)
+        history = np.random.default_rng(batch).normal(
+            size=(batch, 7, net.config.window))
+        assert_bitwise(lambda: net.forward(history),
+                       lambda: graph_oracle.conv_q_forward(net, history),
+                       net.parameters(), seed=batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("final_tanh", [True, False])
+    def test_drqn(self, batch, final_tanh):
+        net = _windowed_net("drqn", 7, 9, final_tanh=final_tanh)
+        history = np.random.default_rng(batch).normal(size=(batch, 6, 7))
+        assert_bitwise(lambda: net.forward(history),
+                       lambda: graph_oracle.drqn_q_forward(net, history),
+                       net.parameters(), seed=batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("output", ["log_probs", "forward"])
+    def test_c51(self, batch, output):
+        """The log-softmax and expected-value tape steps against the
+        per-op ops on the same fused trunk node."""
+        topo = _topology("tiny")
+        net = NETWORKS["c51"](COMPACT, seed=11).bind_topology(topo)
+        feats = _features(topo, batch, seed=batch)
+        oracle = (graph_oracle.c51_log_probs if output == "log_probs"
+                  else graph_oracle.c51_forward)
+        assert_bitwise(lambda: getattr(net, output)(*feats),
+                       lambda: oracle(net, *feats), net.parameters(),
+                       seed=batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    def test_huber_loss(self, batch, delta, weighted):
+        rng = np.random.default_rng(batch)
+        q = rng.normal(size=(batch, 7)) * 2.0
+        actions = rng.integers(0, 7, size=batch)
+        target = rng.normal(size=batch)
+        weights = rng.uniform(0.5, 1.5, size=batch) if weighted else None
+        assert_bitwise(
+            lambda t: huber_loss(t, actions, target, delta, weights),
+            lambda t: graph_oracle.huber_loss(t, actions, target, delta, weights),
+            [], [q], seed=batch)
+
+    def test_huber_loss_200_batches(self):
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            batch = int(rng.integers(1, 33))
+            q = rng.normal(size=(batch, 5)) * rng.uniform(0.1, 4.0)
+            actions = rng.integers(0, 5, size=batch)
+            target = rng.normal(size=batch)
+            weights = rng.uniform(0.0, 2.0, size=batch)
+            assert_bitwise(
+                lambda t: huber_loss(t, actions, target, weights=weights),
+                lambda t: graph_oracle.huber_loss(t, actions, target,
+                                                  weights=weights),
+                [], [q])
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_margin_loss(self, batch, ties):
+        """Integer Q-values make the max tie, splitting its subgradient."""
+        rng = np.random.default_rng(batch)
+        q = (rng.integers(-2, 3, size=(batch, 6)).astype(float) if ties
+             else rng.normal(size=(batch, 6)))
+        actions = rng.integers(0, 6, size=batch)
+        returns = rng.normal(size=batch) * 2.0
+        assert_bitwise(
+            lambda t: margin_loss(t, actions, returns, 0.5, 0.1),
+            lambda t: graph_oracle.margin_loss(t, actions, returns, 0.5, 0.1),
+            [], [q], seed=batch)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_categorical_cross_entropy(self, batch, weighted):
+        rng = np.random.default_rng(batch)
+        log_p = rng.normal(size=(batch, 4, 5))
+        actions = rng.integers(0, 4, size=batch)
+        target = rng.dirichlet(np.ones(5), size=batch)
+        weights = rng.uniform(0.5, 1.5, size=batch) if weighted else None
+        per_rows = []
+
+        def run(loss):
+            def forward(t):
+                total, per_row = loss(t, actions, target, weights)
+                per_rows.append(per_row)
+                return total
+            return forward
+
+        assert_bitwise(run(categorical_cross_entropy),
+                       run(graph_oracle.categorical_cross_entropy),
+                       [], [log_p], seed=batch)
+        assert _bits(per_rows[0]) == _bits(per_rows[1])
 
 
 def _train_dqn(tables):
@@ -406,6 +646,95 @@ class TestTrainingTrajectories:
         np.testing.assert_allclose(fused[0], oracle[0], rtol=1e-10)
         np.testing.assert_allclose(fused[1], oracle[1], rtol=1e-10)
         np.testing.assert_allclose(fused[2], oracle[2], rtol=1e-10)
+
+
+class TestBitwiseTraining:
+    """Seeded runs whose every backward is now hand-written equal the
+    same runs through the per-op oracle bit for bit: losses and final
+    weights."""
+
+    @staticmethod
+    def _assert_runs_equal(fused, oracle):
+        losses, weights = fused
+        assert len(losses) > 0
+        assert _bits(losses) == _bits(oracle[0])
+        assert len(weights) == len(oracle[1])
+        for got, want in zip(weights, oracle[1]):
+            assert _bits(got) == _bits(want)
+
+    def test_pretrain(self, tiny_tables, monkeypatch):
+        env = repro.make_env(tiny_network(tmax=40), seed=0)
+        feat = ACSOFeaturizer(env.topology, tiny_tables)
+        expert = DBNExpertPolicy(tiny_tables, max_actions=1, seed=0)
+        demos = collect_demonstrations(
+            env, expert, feat, AttentionQNetwork(COMPACT, seed=1), episodes=1,
+            seed=0, max_steps=30)
+
+        def run():
+            net = AttentionQNetwork(COMPACT, seed=2).bind_topology(env.topology)
+            losses = pretrain(net, demos, PretrainConfig(
+                iterations=20, batch_size=16, margin_weight=0.5, seed=0))
+            return losses, [p.data for p in net.parameters()]
+
+        fused = run()
+        graph_oracle.install(monkeypatch, networks=False)
+        self._assert_runs_equal(fused, run())
+
+    def test_fqe(self, tiny_tables, monkeypatch):
+        env = repro.make_env(tiny_network(tmax=30), seed=0)
+        behaviour_net = AttentionQNetwork(COMPACT, seed=1).bind_topology(
+            env.topology)
+        behavior = StochasticQPolicy(behaviour_net, tiny_tables,
+                                     temperature=1.0, epsilon=0.3, seed=5)
+        episodes = collect_logged_episodes(env, behavior, episodes=3, seed=0,
+                                           max_steps=30)
+
+        def run():
+            net = AttentionQNetwork(COMPACT, seed=9).bind_topology(env.topology)
+            result = fitted_q_evaluation(episodes, behavior, net, iterations=3,
+                                         epochs_per_iteration=1, batch_size=16)
+            return ([*result.losses, result.value],
+                    [p.data for p in net.parameters()])
+
+        fused = run()
+        graph_oracle.install(monkeypatch, networks=False)
+        self._assert_runs_equal(fused, run())
+
+    @pytest.mark.parametrize("kind", ["conv", "drqn", "c51"])
+    def test_trainer(self, kind, tiny_tables, monkeypatch):
+        """DQN training of the windowed baselines (conv with overlapping
+        windows) and C51 training on the fused attention trunk."""
+
+        def run():
+            env = repro.make_env(tiny_network(tmax=60), seed=0)
+            if kind == "c51":
+                net = NETWORKS["c51"](COMPACT, seed=1)
+                encoder = ACSOFeaturizer(env.topology, tiny_tables)
+                trainer_cls = C51Trainer
+            else:
+                net = _windowed_net(kind, RawHistoryEncoder.step_dim_for(
+                    env.topology), env.n_actions)
+                encoder = RawHistoryEncoder(env.topology, net.config.window)
+                trainer_cls = DQNTrainer
+            trainer = trainer_cls(env, net, encoder, DQNConfig(
+                batch_size=8, warmup=8, update_every=1, target_update=10,
+                eps_start=0.3, seed=0))
+            losses = []
+            update = trainer.update
+            trainer.update = lambda: losses.append(update()) or losses[-1]
+            trainer.train(1, seed=0, max_steps=40)
+            return losses, [p.data for p in net.parameters()]
+
+        fused = run()
+        if kind == "c51":
+            graph_oracle.install(monkeypatch, networks=False)
+            monkeypatch.setattr(DistributionalAttentionQNetwork, "forward",
+                                graph_oracle.c51_forward)
+            monkeypatch.setattr(DistributionalAttentionQNetwork, "log_probs",
+                                graph_oracle.c51_log_probs)
+        else:
+            graph_oracle.install(monkeypatch)
+        self._assert_runs_equal(fused, run())
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Tests for the nn extensions: GRU recurrence, noisy linear layers,
-log-softmax, and the categorical cross-entropy loss."""
+the per-op oracle's log-softmax, and the categorical cross-entropy
+loss."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import OpTensor, op
 from repro.nn import (
     Adam,
     GRU,
@@ -35,16 +37,16 @@ def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 class TestLogSoftmax:
     def test_matches_log_of_softmax(self):
-        x = Tensor(rng.normal(size=(4, 9)))
+        x = OpTensor(rng.normal(size=(4, 9)))
         assert np.allclose(x.log_softmax().data, np.log(x.softmax().data))
 
     def test_rows_normalize(self):
-        x = Tensor(rng.normal(size=(6, 5)) * 10)
+        x = OpTensor(rng.normal(size=(6, 5)) * 10)
         probs = np.exp(x.log_softmax().data)
         assert np.allclose(probs.sum(axis=-1), 1.0)
 
     def test_numerically_stable_for_large_logits(self):
-        x = Tensor(np.array([[1e4, 0.0, -1e4]]))
+        x = OpTensor(np.array([[1e4, 0.0, -1e4]]))
         out = x.log_softmax().data
         assert np.isfinite(out).all()
         assert out[0, 0] == pytest.approx(0.0, abs=1e-6)
@@ -53,84 +55,93 @@ class TestLogSoftmax:
         x = rng.normal(size=(3, 5))
 
         def analytic():
-            t = Tensor(x, requires_grad=True)
+            t = OpTensor(x, requires_grad=True)
             loss = (t.log_softmax() * t.log_softmax()).sum()
             loss.backward()
             return t.grad
 
         def f():
-            val = Tensor(x).log_softmax().data
+            val = OpTensor(x).log_softmax().data
             return float((val * val).sum())
 
         assert np.allclose(analytic(), numeric_grad(f, x), atol=1e-5)
 
 
 class TestCategoricalCrossEntropy:
+    """The loss reads the taken action's (B, n_atoms) row out of
+    (B, n_actions, n_atoms) log-probabilities."""
+
     def test_zero_when_prediction_matches_onehot_target(self):
-        logits = Tensor(np.array([[100.0, 0.0, 0.0]]))
+        logits = OpTensor(np.array([[[100.0, 0.0, 0.0]]]))
         target = np.array([[1.0, 0.0, 0.0]])
-        loss = categorical_cross_entropy(logits.log_softmax(), target)
+        loss, _ = categorical_cross_entropy(logits.log_softmax(), [0], target)
         assert loss.item() == pytest.approx(0.0, abs=1e-6)
 
     def test_equals_entropy_for_matching_distributions(self):
         p = np.array([[0.2, 0.3, 0.5]])
-        loss = categorical_cross_entropy(Tensor(np.log(p)), p)
+        loss, per_row = categorical_cross_entropy(
+            Tensor(np.log(p)[:, None]), [0], p)
         entropy = -(p * np.log(p)).sum()
         assert loss.item() == pytest.approx(entropy)
+        assert per_row == pytest.approx([entropy])
+
+    def test_reads_the_taken_actions_rows(self):
+        log_p = np.log(np.array([[[0.5, 0.5], [0.9, 0.1]],
+                                 [[0.2, 0.8], [0.5, 0.5]]]))
+        target = np.array([[1.0, 0.0], [0.0, 1.0]])
+        _, per_row = categorical_cross_entropy(Tensor(log_p), [1, 0], target)
+        assert per_row == pytest.approx([-np.log(0.9), -np.log(0.8)])
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             categorical_cross_entropy(
-                Tensor(np.zeros((2, 3))), np.zeros((2, 4))
+                Tensor(np.zeros((2, 1, 3))), [0, 0], np.zeros((2, 4))
             )
 
     def test_importance_weights_scale_rows(self):
-        log_p = Tensor(np.log(np.full((2, 4), 0.25)))
+        log_p = Tensor(np.log(np.full((2, 1, 4), 0.25)))
         target = np.full((2, 4), 0.25)
-        unweighted = categorical_cross_entropy(log_p, target).item()
+        unweighted = categorical_cross_entropy(log_p, [0, 0], target)[0].item()
         weighted = categorical_cross_entropy(
-            log_p, target, weights=np.array([2.0, 0.0])
-        ).item()
+            log_p, [0, 0], target, weights=np.array([2.0, 0.0])
+        )[0].item()
         assert weighted == pytest.approx(unweighted)
 
     def test_gradient_flows_to_logits(self):
-        logits = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+        logits = OpTensor(rng.normal(size=(3, 1, 5)), requires_grad=True)
         target = rng.dirichlet(np.ones(5), size=3)
-        loss = categorical_cross_entropy(logits.log_softmax(), target)
+        loss, _ = categorical_cross_entropy(logits.log_softmax(), [0, 0, 0],
+                                            target)
         loss.backward()
         assert logits.grad is not None
         # gradient of CE wrt logits is (softmax - target) / batch
         expected = (
-            np.exp(Tensor(logits.data).log_softmax().data) - target
+            np.exp(OpTensor(logits.data[:, 0]).log_softmax().data) - target
         ) / 3.0
-        assert np.allclose(logits.grad, expected, atol=1e-8)
+        assert np.allclose(logits.grad[:, 0], expected, atol=1e-8)
 
 
 class TestGRUCell:
     def test_output_shape(self):
         cell = GRUCell(6, 11, rng=rng)
-        h = cell(Tensor(rng.normal(size=(4, 6))), cell.initial_state(4))
+        h = cell(Tensor(rng.normal(size=(4, 6))), np.zeros((4, 11)))
         assert h.shape == (4, 11)
-
-    def test_initial_state_is_zero(self):
-        cell = GRUCell(3, 5, rng=rng)
-        assert not cell.initial_state(2).data.any()
 
     def test_hidden_state_bounded(self):
         # h is a convex combination of tanh outputs, so |h| <= 1 from h0=0
         cell = GRUCell(4, 8, rng=rng)
-        h = cell.initial_state(5)
+        h = np.zeros((5, 8))
         for _ in range(20):
             h = cell(Tensor(rng.normal(size=(5, 4)) * 10), h)
         assert (np.abs(h.data) <= 1.0 + 1e-9).all()
 
     def test_gradients_flow_through_time(self):
         cell = GRUCell(3, 4, rng=rng)
-        h = cell.initial_state(2)
+        h = np.zeros((2, 4))
         xs = [Tensor(rng.normal(size=(2, 3))) for _ in range(5)]
         for x in xs:
             h = cell(x, h)
-        (h * h).sum().backward()
+        h.backward(2.0 * h.data)  # d/dh of sum(h * h)
         for _, p in cell.named_parameters():
             assert p.grad is not None
             assert np.isfinite(p.grad).all()
@@ -141,12 +152,12 @@ class TestGRUCell:
         weight = cell.candidate.weight
 
         def forward_loss() -> float:
-            h = cell(Tensor(x), cell.initial_state(2))
+            h = cell(Tensor(x), np.zeros((2, 4)))
             return float((h.data * h.data).sum())
 
         cell.zero_grad()
-        h = cell(Tensor(x, requires_grad=True), cell.initial_state(2))
-        (h * h).sum().backward()
+        h = cell(Tensor(x, requires_grad=True), np.zeros((2, 4)))
+        h.backward(2.0 * h.data)
         numeric = numeric_grad(lambda: forward_loss(), weight.data)
         assert np.allclose(weight.grad, numeric, atol=1e-5)
 
@@ -156,18 +167,6 @@ class TestGRU:
         gru = GRU(5, 7, rng=rng)
         out = gru(Tensor(rng.normal(size=(3, 6, 5))))
         assert out.shape == (3, 7)
-
-    def test_sequence_output_shape(self):
-        gru = GRU(5, 7, rng=rng)
-        out = gru(Tensor(rng.normal(size=(3, 6, 5))), return_sequence=True)
-        assert out.shape == (3, 6, 7)
-
-    def test_sequence_final_matches_final_state(self):
-        gru = GRU(4, 6, rng=rng)
-        x = Tensor(rng.normal(size=(2, 5, 4)))
-        seq = gru(x, return_sequence=True)
-        final = gru(x)
-        assert np.allclose(seq.data[:, -1, :], final.data)
 
     def test_rejects_non_sequence_input(self):
         gru = GRU(4, 6, rng=rng)
@@ -196,8 +195,8 @@ class TestGRU:
             x = data_rng.choice([-1.0, 1.0], size=(16, 4, 1))
             target = x[:, 0, 0]
             opt.zero_grad()
-            pred = head(gru(Tensor(x))).reshape(16)
-            loss = ((pred - Tensor(target)) ** 2).mean()
+            pred = op(head(gru(Tensor(x)))).reshape(16)
+            loss = ((pred - target) ** 2).mean()
             loss.backward()
             opt.step()
             losses.append(loss.item())
@@ -231,7 +230,7 @@ class TestNoisyLinear:
     def test_sigma_parameters_receive_gradient(self):
         layer = NoisyLinear(4, 6, rng=rng)
         out = layer(Tensor(rng.normal(size=(3, 4))))
-        (out * out).sum().backward()
+        out.backward(2.0 * out.data)
         assert layer.weight_sigma.grad is not None
         assert np.abs(layer.weight_sigma.grad).sum() > 0
 

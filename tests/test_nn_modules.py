@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graph_oracle import op, unfold1d
 from repro.nn import (
     Adam,
     AttentionBlock,
@@ -11,15 +12,12 @@ from repro.nn import (
     Linear,
     MLP,
     MultiHeadSelfAttention,
-    SGD,
     Tensor,
     huber_loss,
     load_state,
     margin_loss,
-    mse_loss,
     save_state,
 )
-from repro.nn.conv import unfold1d
 
 rng = np.random.default_rng(5)
 
@@ -133,25 +131,6 @@ class TestConv1d:
 
 
 class TestOptimizers:
-    def _quadratic_problem(self):
-        target = np.array([1.0, -2.0, 3.0])
-        w = Tensor(np.zeros(3), requires_grad=True)
-        w.__class__ = __import__("repro.nn.modules", fromlist=["Parameter"]).Parameter
-        return w, target
-
-    def test_sgd_converges_on_quadratic(self):
-        from repro.nn.modules import Parameter
-
-        w = Parameter(np.zeros(3))
-        target = np.array([1.0, -2.0, 3.0])
-        opt = SGD([w], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            loss = ((w - Tensor(target)) ** 2).sum()
-            loss.backward()
-            opt.step()
-        assert np.allclose(w.data, target, atol=1e-3)
-
     def test_adam_converges_on_quadratic(self):
         from repro.nn.modules import Parameter
 
@@ -160,7 +139,7 @@ class TestOptimizers:
         opt = Adam([w], lr=0.05)
         for _ in range(500):
             opt.zero_grad()
-            ((w - Tensor(target)) ** 2).sum().backward()
+            ((op(w) - target) ** 2).sum().backward()
             opt.step()
         assert np.allclose(w.data, target, atol=1e-2)
 
@@ -182,31 +161,41 @@ class TestOptimizers:
 
 class TestLosses:
     def test_huber_quadratic_region(self):
-        pred = Tensor(np.array([0.5]), requires_grad=True)
-        loss = huber_loss(pred, np.array([0.0]), delta=1.0)
+        q = Tensor(np.array([[9.0, 0.5]]), requires_grad=True)
+        loss = huber_loss(q, [1], np.array([0.0]), delta=1.0)
         assert loss.item() == pytest.approx(0.5 * 0.25)
 
     def test_huber_linear_region(self):
-        pred = Tensor(np.array([3.0]), requires_grad=True)
-        loss = huber_loss(pred, np.array([0.0]), delta=1.0)
+        q = Tensor(np.array([[3.0]]), requires_grad=True)
+        loss = huber_loss(q, [0], np.array([0.0]), delta=1.0)
         assert loss.item() == pytest.approx(3.0 - 0.5)
 
     def test_huber_importance_weights(self):
-        pred = Tensor(np.array([1.0, 1.0]), requires_grad=True)
-        unweighted = huber_loss(pred, np.zeros(2))
-        weighted = huber_loss(pred, np.zeros(2), weights=np.array([2.0, 0.0]))
+        q = Tensor(np.array([[1.0], [1.0]]), requires_grad=True)
+        unweighted = huber_loss(q, [0, 0], np.zeros(2))
+        weighted = huber_loss(q, [0, 0], np.zeros(2), weights=np.array([2.0, 0.0]))
         assert weighted.item() == pytest.approx(unweighted.item() * 2 / 2)
 
-    def test_mse(self):
-        pred = Tensor(np.array([2.0, 0.0]), requires_grad=True)
-        assert mse_loss(pred, np.zeros(2)).item() == pytest.approx(2.0)
+    def test_huber_gradient_reaches_taken_actions_only(self):
+        q = Tensor(np.array([[0.5, 7.0], [3.0, -2.0]]), requires_grad=True)
+        huber_loss(q, [0, 1], np.zeros(2)).backward()
+        # d/dq of mean(huber): err / B inside delta, sign(err) / B outside
+        np.testing.assert_array_equal(q.grad, [[0.25, 0.0], [0.0, -0.5]])
 
     def test_margin_loss_zero_when_expert_dominates(self):
         q = np.array([[2.0, 0.0, 0.0]])
-        loss = margin_loss(Tensor(q, requires_grad=True), [0], margin=0.05)
+        loss = margin_loss(Tensor(q, requires_grad=True), [0], [2.0],
+                           margin=0.05, margin_weight=1.0)
         assert loss.item() == pytest.approx(0.0)
 
     def test_margin_loss_penalizes_wrong_argmax(self):
         q = np.array([[0.0, 1.0, 0.0]])
-        loss = margin_loss(Tensor(q, requires_grad=True), [0], margin=0.05)
+        loss = margin_loss(Tensor(q, requires_grad=True), [0], [0.0],
+                           margin=0.05, margin_weight=1.0)
         assert loss.item() == pytest.approx(1.05)
+
+    def test_margin_loss_adds_weighted_margin_to_value_regression(self):
+        q = np.array([[0.0, 1.0, 0.0]])
+        loss = margin_loss(Tensor(q, requires_grad=True), [0], [0.5],
+                           margin=0.05, margin_weight=0.1)
+        assert loss.item() == pytest.approx(0.5 * 0.25 + 0.1 * 1.05)

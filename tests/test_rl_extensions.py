@@ -100,7 +100,7 @@ class TestDuelingNetwork:
         net.bind_topology(env.topology)
         node, plc, glob = _features_batch(env, featurizer)
         q = net.forward(node, plc, glob)
-        (q * q).sum().backward()
+        q.backward(2.0 * q.data)  # d/dq of sum(q * q)
         assert net.value_head.linears[0].weight.grad is not None
         assert net.host_head.linears[0].weight.grad is not None
 
@@ -393,6 +393,25 @@ class TestAblationFlags:
         net.reset_noise()
         q2 = net.forward(node, plc, glob).data.copy()
         assert np.allclose(q1, q2)
+
+    @pytest.mark.parametrize("trainer_cls", [DQNTrainer, C51Trainer])
+    def test_update_resamples_online_and_target_noise(self, trainer_cls, env,
+                                                      featurizer):
+        """Every update draws fresh parameter noise for both networks,
+        in the C51 trainer as in the DQN trainer."""
+        qcfg = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
+                          head_hidden=16, noisy_heads=True)
+        net_cls = (DistributionalAttentionQNetwork if trainer_cls is C51Trainer
+                   else AttentionQNetwork)
+        cfg = DQNConfig(batch_size=8, warmup=8, update_every=1000, noisy=True)
+        trainer = trainer_cls(env, net_cls(qcfg, seed=0), featurizer, cfg)
+        trainer.train(1, seed=0, max_steps=12)
+        layers = [trainer.qnet.host_head.linears[0],
+                  trainer.target.host_head.linears[0]]
+        before = [layer._eps_w.copy() for layer in layers]
+        trainer.update()
+        for layer, eps in zip(layers, before):
+            assert not np.array_equal(layer._eps_w, eps)
 
     def test_target_net_clones_subclass(self, env, featurizer):
         net = DuelingAttentionQNetwork(SMALL_QNET, seed=0)

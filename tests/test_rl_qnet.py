@@ -294,6 +294,13 @@ class TestConvQNetwork:
         out = net.forward(np.zeros((2, 30, 64)))
         assert out.shape == (2, 49)
 
+    def test_rejects_history_of_another_window(self):
+        """A window mismatch is named, not a reshape error."""
+        net = ConvQNetwork(step_dim=30, n_actions=49,
+                           config=ConvNetConfig(window=16, channels=(8,)), seed=0)
+        with pytest.raises(ValueError, match=r"window 32 != network window 16"):
+            net.forward(np.zeros((2, 30, 32)))
+
     def test_parameters_grow_with_action_space(self):
         small = ConvQNetwork(step_dim=30, n_actions=49, seed=0)
         big = ConvQNetwork(step_dim=30, n_actions=329, seed=0)
