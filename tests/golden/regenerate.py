@@ -38,7 +38,10 @@ the conv and DRQN baselines, seeded evaluation, logged-episode
 collection for OPE, trace recording, DBN fitting and validation, and
 demonstration collection. Training cells digest every episode's
 statistics and the final weights; the others digest what the loop
-returns. Floats are hashed at ``Q_DECIMALS`` like the Q-vectors above,
+returns. Two OPE cells pin the offline-scoring path: ``ope-trace``
+digests every record column and the manifest's episode table of a
+two-lane on-disk trace, and ``ope-suite`` every estimate of the OPE
+suite over that trace. Floats are hashed at ``Q_DECIMALS`` like the Q-vectors above,
 so reordering a loop's resets, seeds, RNG draws or horizon checks fails
 here.
 """
@@ -376,6 +379,98 @@ def _loop_logged() -> dict:
     return {"episodes": out}
 
 
+def _ope_record(path):
+    """Record 3 seeded episodes over two lanes into a trace at ``path``;
+    returns the DBN tables the behaviour policy used."""
+    from repro.rl import AttentionQNetwork
+    from repro.sim.vec_env import VectorEnv
+    from repro.validation import (
+        StochasticQPolicy,
+        TraceWriter,
+        record_episodes_vec,
+    )
+
+    tables = _loop_tables()
+    qnet = AttentionQNetwork(_compact_qnet_config(), seed=SEED)
+
+    def behavior(ep: int):
+        return StochasticQPolicy(qnet, tables, temperature=1.0, epsilon=0.2,
+                                 seed=SEED + ep)
+
+    venv = VectorEnv([_loop_env(SEED), _loop_env(SEED + 1)])
+    # 40-row shards: two episodes land in the first shard, one in the second
+    with TraceWriter(path, shard_rows=40, meta={"seed": SEED}) as writer:
+        record_episodes_vec(venv, behavior, 3, writer, seed=SEED,
+                            max_steps=LOOP_STEPS)
+    return tables
+
+
+def _loop_ope_trace() -> dict:
+    import tempfile
+
+    import numpy as np
+
+    from repro.validation import TraceDataset
+    from repro.validation.tracestore import (
+        BREAKDOWN_FIELDS,
+        INFO_SCALAR_FIELDS,
+    )
+
+    with tempfile.TemporaryDirectory() as tmp:
+        _ope_record(tmp)
+        dataset = TraceDataset(tmp)
+        records = np.concatenate(list(dataset.iter_shards()))
+        shards = [{"rows": s["rows"], "nbytes": s["nbytes"],
+                   "episodes": s["episodes"]} for s in dataset.shards]
+    # integer columns exactly, float columns through the rounded digests
+    ints = ("episode", "lane", "kind", "done", "action") + tuple(
+        name for name in INFO_SCALAR_FIELDS if name != "it_cost")
+    out = {name: records[name].tolist() for name in ints}
+    out["shards"] = shards
+    out["floats_sha256_16"] = float_digest(
+        np.concatenate([records["reward"], records["behavior_prob"]]))
+    out["info_sha256_16"] = float_digest(np.concatenate(
+        [records["it_cost"]]
+        + [records[f"rb_{name}"] for name in BREAKDOWN_FIELDS]))
+    out["states_sha256_16"] = q_digest(
+        [records[name].ravel() for name in ("node", "plc", "glob")]
+        + [records["mask"].ravel().astype(float)])
+    return out
+
+
+def _loop_ope_suite() -> dict:
+    import tempfile
+
+    from repro.rl import AttentionQNetwork
+    from repro.validation import StochasticQPolicy, TraceDataset, run_ope_suite
+
+    topology = _loop_env().topology
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = _ope_record(tmp)
+        target_qnet = AttentionQNetwork(_compact_qnet_config(), seed=SEED + 1)
+        target = StochasticQPolicy(target_qnet.bind_topology(topology),
+                                   tables, temperature=0.5, epsilon=0.05,
+                                   seed=SEED)
+        eval_qnet = AttentionQNetwork(_compact_qnet_config(), seed=SEED + 2)
+        report = run_ope_suite(
+            TraceDataset(tmp), target, eval_qnet.bind_topology(topology),
+            n_boot=200, bootstrap_seed=SEED,
+            fqe_options={"iterations": 2, "epochs_per_iteration": 1,
+                         "batch_size": 16, "chunk_episodes": 2,
+                         "seed": SEED})
+    return {
+        "episodes": report.episodes,
+        "transitions": report.transitions,
+        "estimates_sha256_16": {
+            name: float_digest([e.estimate, e.lower, e.upper, e.stderr,
+                                e.ess])
+            for name, e in report.estimates.items()
+        },
+        "fqe_losses_sha256_16": float_digest(report.fqe_losses),
+        "fqe_reward_scale": report.fqe_reward_scale,
+    }
+
+
 def _loop_trace() -> dict:
     from repro.defenders import PlaybookPolicy
     from repro.sim.trace import record_episode
@@ -449,6 +544,8 @@ LOOP_CELLS = {
     "fit-dbn": _loop_fit_dbn,
     "validate-dbn": _loop_validate_dbn,
     "demonstrations": _loop_demonstrations,
+    "ope-trace": _loop_ope_trace,
+    "ope-suite": _loop_ope_suite,
 }
 
 
