@@ -62,6 +62,7 @@ from repro.rl.features import (
 )
 from repro.sim.orchestrator import enumerate_actions
 from repro.validation import (
+    LoggedEpisode,
     StochasticQPolicy,
     TraceDataset,
     TraceDims,
@@ -171,7 +172,7 @@ class _LinearSoftmaxPolicy:
 
     A stand-in target policy for the throughput sweep: one matmul per
     episode via ``action_probs_batch`` — the same batched-propensity
-    fast path the real :class:`StochasticQPolicy` exercises, without
+    path the real :class:`StochasticQPolicy` exercises, without
     attention-network inference swamping the trace-store measurement.
     """
 
@@ -181,29 +182,16 @@ class _LinearSoftmaxPolicy:
         self._weights = rng.standard_normal((flat, dims.n_actions))
         self._temperature = float(temperature)
 
-    def _flatten(self, features: FeatureSet) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.asarray(features.node, dtype=np.float64).ravel(),
-                np.asarray(features.plc, dtype=np.float64).ravel(),
-                np.asarray(features.glob, dtype=np.float64),
-            ]
+    def action_probs_batch(self, features: FeatureSet, masks) -> np.ndarray:
+        n = len(masks)
+        flats = np.concatenate(
+            [features.node.reshape(n, -1), features.plc.reshape(n, -1), features.glob],
+            axis=1,
         )
-
-    def _probs(self, scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        valid = np.asarray(mask, dtype=bool)
-        z = np.where(valid, scores / self._temperature, -np.inf)
-        z -= z.max()
+        z = np.where(masks, flats @ self._weights / self._temperature, -np.inf)
+        z -= z.max(axis=1, keepdims=True)
         exp = np.exp(z)
-        return exp / exp.sum()
-
-    def action_probs(self, features: FeatureSet, mask) -> np.ndarray:
-        return self._probs(self._flatten(features) @ self._weights, mask)
-
-    def action_probs_batch(self, features_list, masks) -> list[np.ndarray]:
-        flats = np.stack([self._flatten(f) for f in features_list])
-        scores = flats @ self._weights
-        return [self._probs(s, m) for s, m in zip(scores, masks)]
+        return exp / exp.sum(axis=1, keepdims=True)
 
 
 def _small_net_dims(horizon: int) -> TraceDims:
@@ -219,30 +207,34 @@ def _small_net_dims(horizon: int) -> TraceDims:
     )
 
 
-def _synthetic_pool(dims: TraceDims, seed: int) -> list[tuple]:
-    """Pre-drawn (features, mask, action, behavior_prob) records."""
+def _synthetic_pool(dims: TraceDims, seed: int) -> tuple:
+    """Pre-drawn states, masks, actions and behaviour probabilities,
+    stacked along a leading pool axis."""
     rng = np.random.default_rng(seed)
-    pool = []
-    for _ in range(_POOL_SIZE):
-        features = FeatureSet(
-            node=rng.random((dims.n_nodes, dims.node_dim)),
-            plc=rng.random((dims.n_plcs, dims.plc_dim)),
-            glob=rng.random(dims.glob_dim),
-        )
-        mask = rng.random(dims.n_actions) < 0.5
-        if not mask.any():
-            mask[0] = True
+    features = FeatureSet(
+        node=rng.random((_POOL_SIZE, dims.n_nodes, dims.node_dim)),
+        plc=rng.random((_POOL_SIZE, dims.n_plcs, dims.plc_dim)),
+        glob=rng.random((_POOL_SIZE, dims.glob_dim)),
+    )
+    masks = rng.random((_POOL_SIZE, dims.n_actions)) < 0.5
+    masks[~masks.any(axis=1), 0] = True
+    actions = np.empty(_POOL_SIZE, dtype=np.int64)
+    for i, mask in enumerate(masks):
         valid = np.flatnonzero(mask)
-        action = int(valid[rng.integers(len(valid))])
-        pool.append((features, mask, action, 1.0 / len(valid)))
-    return pool
+        actions[i] = valid[rng.integers(len(valid))]
+    return features, masks, actions, 1.0 / masks.sum(axis=1)
+
+
+def _pool_rows(features: FeatureSet, rows) -> FeatureSet:
+    return FeatureSet(
+        node=features.node[rows], plc=features.plc[rows], glob=features.glob[rows]
+    )
 
 
 def _bench_write(trace_dir, dims, episodes, horizon, shard_rows, seed):
-    pool = _synthetic_pool(dims, seed)
+    features, masks, actions, probs = _synthetic_pool(dims, seed)
     rng = np.random.default_rng(seed + 1)
     rewards = rng.standard_normal(episodes * horizon)
-    index = 0
     start = time.perf_counter()
     with TraceWriter(
         trace_dir,
@@ -250,28 +242,28 @@ def _bench_write(trace_dir, dims, episodes, horizon, shard_rows, seed):
         meta={"generator": "bench_ope-synthetic", "horizon": horizon},
     ) as writer:
         for episode in range(episodes):
-            writer.begin_episode(episode, lane=0, seed=seed + episode, gamma=0.99)
-            for t in range(horizon):
-                features, mask, action, prob = pool[index % _POOL_SIZE]
-                writer.append_step(
-                    episode,
-                    action=action,
-                    behavior_prob=prob,
-                    reward=float(rewards[index]),
-                    done=t == horizon - 1,
-                    features=features,
-                    mask=mask,
-                )
-                index += 1
-            final = pool[(index + episode) % _POOL_SIZE]
-            writer.finish_episode(episode, final_features=final[0], final_mask=final[1])
+            index = episode * horizon
+            rows = np.arange(index, index + horizon) % _POOL_SIZE
+            final = (index + horizon + episode) % _POOL_SIZE
+            logged = LoggedEpisode(
+                actions=actions[rows],
+                behavior_probs=probs[rows],
+                rewards=rewards[index : index + horizon],
+                gamma=0.99,
+                features=_pool_rows(features, rows),
+                masks=masks[rows],
+                final_features=_pool_rows(features, final),
+                final_mask=masks[final],
+                seed=seed + episode,
+            )
+            writer.write(episode, logged)
     return time.perf_counter() - start
 
 
 def _bench_read(trace_dir, expected_transitions):
     start = time.perf_counter()
     dataset = TraceDataset(trace_dir)
-    transitions = sum(len(episode.steps) for episode in dataset)
+    transitions = sum(len(episode) for episode in dataset)
     elapsed = time.perf_counter() - start
     if transitions != expected_transitions:
         raise RuntimeError(

@@ -7,7 +7,9 @@ network. This package implements the standard OPE toolchain on logged
 INASIM episodes:
 
 * :mod:`repro.validation.logging` -- behaviour policies with recorded
-  action probabilities, and logged-episode collection;
+  action probabilities, and logged-episode recording into
+  :class:`LoggedEpisode` column batches, the one shape every estimator
+  reads;
 * :mod:`repro.validation.ope` -- ordinary, weighted, and per-decision
   importance sampling estimators with effective-sample-size
   diagnostics;
@@ -27,7 +29,6 @@ INASIM episodes:
 
 from repro.validation.logging import (
     LoggedEpisode,
-    LoggedStep,
     StochasticQPolicy,
     UniformRandomPolicy,
     collect_logged_episodes,
@@ -63,7 +64,6 @@ from repro.validation.suite import OPESuiteReport, SuiteEstimate, run_ope_suite
 
 __all__ = [
     "LoggedEpisode",
-    "LoggedStep",
     "StochasticQPolicy",
     "UniformRandomPolicy",
     "collect_logged_episodes",

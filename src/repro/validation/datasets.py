@@ -4,11 +4,11 @@
 :class:`~repro.validation.tracestore.TraceWriter`, validates the
 manifest against this code's record schema, and streams the log back
 out — shard by shard as raw record arrays, or episode by episode as
-reconstructed :class:`~repro.validation.logging.LoggedEpisode` objects
-that are **bit-identical** to the in-memory episodes that produced
-them (every numeric field round-trips through fixed-width
-little-endian storage losslessly). Memory is bounded by one shard,
-never the log.
+:class:`~repro.validation.logging.LoggedEpisode` column batches sliced
+from a shard's records (one contiguous copy per column) that are
+**bit-identical** to the in-memory episodes that produced them (every
+numeric field round-trips through fixed-width little-endian storage
+losslessly). Memory is bounded by one shard, never the log.
 
 Crash tolerance mirrors the writer's durability contract: shard files
 absent from the manifest are a partial flush and are ignored; a listed
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.rl.features import FeatureSet
-from repro.validation.logging import LoggedEpisode, LoggedStep
+from repro.validation.logging import LoggedEpisode
 from repro.validation.tracestore import (
     KIND_FINAL,
     KIND_STEP,
@@ -88,6 +88,13 @@ class TraceDataset:
     def _validate_shards(self, listed: list[dict]) -> list[dict]:
         shards: list[dict] = []
         for index, shard in enumerate(listed):
+            rows = sum(entry["steps"] + (1 if entry["final"] else 0)
+                       for entry in shard["episodes"])
+            if rows != shard["rows"]:
+                raise TraceIntegrityError(
+                    f"manifest lists {rows} episode rows in "
+                    f"{shard['file']}, which holds {shard['rows']}"
+                )
             shard_path = self.path / shard["file"]
             nbytes = shard_path.stat().st_size if shard_path.exists() else -1
             if self.dtype is not None \
@@ -148,38 +155,38 @@ class TraceDataset:
 
 
 def _decode_episode(records: np.ndarray, entry: dict) -> LoggedEpisode:
-    steps: list[LoggedStep] = []
-    final_features = final_mask = None
-    for row in records:
-        features = FeatureSet(
-            node=np.array(row["node"]),
-            plc=np.array(row["plc"]),
-            glob=np.array(row["glob"]),
-        )
-        mask = np.array(row["mask"], dtype=bool)
-        if int(row["kind"]) == KIND_FINAL:
-            final_features, final_mask = features, mask
-        elif int(row["kind"]) == KIND_STEP:
-            steps.append(LoggedStep(
-                action=int(row["action"]),
-                behavior_prob=float(row["behavior_prob"]),
-                reward=float(row["reward"]),
-                features=features,
-                mask=mask,
-            ))
-        else:
-            raise TraceSchemaError(f"unknown record kind {int(row['kind'])}")
-    if len(steps) != entry["steps"]:
+    n = entry["steps"]
+    kinds = [KIND_STEP] * n + [KIND_FINAL] * entry["final"]
+    if not np.array_equal(records["kind"], kinds):
         raise TraceIntegrityError(
-            f"episode {entry['episode']} decoded {len(steps)} steps, "
-            f"manifest says {entry['steps']}"
+            f"episode {entry['episode']}: record kinds do not match the "
+            f"manifest's {n} steps (final={entry['final']})"
         )
+    steps = records[:n]
+    final_features = final_mask = None
+    if entry["final"]:
+        final_features, final_mask = _states(records[n])
+    features, masks = _states(steps)
     return LoggedEpisode(
-        steps=steps,
+        actions=steps["action"].astype(np.int64),
+        behavior_probs=steps["behavior_prob"].astype(np.float64),
+        rewards=steps["reward"].astype(np.float64),
         gamma=float(entry["gamma"]),
+        features=features,
+        masks=masks,
         final_features=final_features,
         final_mask=final_mask,
         seed=entry["seed"],
+    )
+
+
+def _states(records) -> tuple[FeatureSet, np.ndarray]:
+    """Feature blocks and masks of a record row or rows, copied out."""
+    return (
+        FeatureSet(node=records["node"].astype(np.float64),
+                   plc=records["plc"].astype(np.float64),
+                   glob=records["glob"].astype(np.float64)),
+        records["mask"].astype(bool),
     )
 
 

@@ -22,9 +22,10 @@ correction terms vanish; with broken importance weights the Q model
 anchors the estimate.
 
 Both estimators stream their episode source in fixed-size **episode
-chunks** (:func:`~repro.validation.datasets.iter_episode_chunks`):
-features for one chunk are materialized, regressed or scored, and
-dropped before the next chunk loads, so a million-transition
+chunks** (:func:`~repro.validation.datasets.iter_episode_chunks`): a
+chunk's :class:`~repro.validation.logging.LoggedEpisode` columns are
+joined into one transition batch, regressed or scored by indexing its
+rows, and dropped before the next chunk loads, so a million-transition
 :class:`~repro.validation.datasets.TraceDataset` trains in bounded
 memory. Chunk boundaries depend only on episode count — never on shard
 layout — which makes the on-disk and in-memory paths numerically
@@ -38,15 +39,19 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.nn import Adam, huber_loss, no_grad
-from repro.rl.features import stack_features
+from repro.nn import Adam, huber_loss
+from repro.rl.features import FeatureSet
 from repro.validation.datasets import iter_episode_chunks
-from repro.validation.logging import LoggedEpisode
+from repro.validation.logging import (
+    LoggedEpisode,
+    concat_rows,
+    q_batch,
+    take_rows,
+)
 from repro.validation.ope import (
     OPEResult,
+    _ratios_from_probs,
     effective_sample_size,
-    step_ratios,
-    target_action_probs,
 )
 
 __all__ = ["FQEResult", "fitted_q_evaluation", "doubly_robust",
@@ -75,59 +80,67 @@ class FQEResult:
     start_values: np.ndarray = field(default=None, repr=False)
 
 
-def _transitions(episodes: list[LoggedEpisode]):
-    """Flatten logs into (features, mask, action, reward, next, done,
-    return-to-go)."""
-    feats, masks, actions, rewards, next_feats, next_masks, dones = (
-        [], [], [], [], [], [], []
-    )
-    returns_to_go: list[float] = []
+@dataclass
+class _TransitionBatch:
+    """One chunk's episodes joined into a batch of transitions."""
+
+    states: FeatureSet  # (n, ...) blocks
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: FeatureSet
+    next_masks: np.ndarray
+    dones: np.ndarray
+    returns_to_go: np.ndarray
+
+
+def _transition_batch(episodes: list[LoggedEpisode],
+                      gamma: float) -> _TransitionBatch:
+    """Join a chunk's columns; each episode's last step bootstraps from
+    its final state (itself when none was logged)."""
+    next_states, next_masks, dones, returns_to_go = [], [], [], []
     for episode in episodes:
-        steps = episode.steps
+        if episode.gamma != gamma:
+            raise ValueError(
+                f"FQE fits one discount: episode gamma {episode.gamma} != "
+                f"first episode gamma {gamma}"
+            )
+        n = len(episode)
         tail = 0.0
-        rtg = np.empty(len(steps))
-        for t in reversed(range(len(steps))):
-            tail = steps[t].reward + episode.gamma * tail
+        rtg = np.empty(n)
+        for t in reversed(range(n)):
+            tail = episode.rewards[t] + gamma * tail
             rtg[t] = tail
-        returns_to_go.extend(rtg)
-        for t, step in enumerate(steps):
-            feats.append(step.features)
-            masks.append(step.mask)
-            actions.append(step.action)
-            rewards.append(step.reward)
-            if t + 1 < len(steps):
-                next_feats.append(steps[t + 1].features)
-                next_masks.append(steps[t + 1].mask)
-                dones.append(False)
-            else:
-                next_feats.append(episode.final_features or step.features)
-                next_masks.append(
-                    episode.final_mask if episode.final_mask is not None
-                    else step.mask
-                )
-                dones.append(True)
-    return (
-        feats, masks, np.array(actions, np.int64), np.array(rewards),
-        next_feats, next_masks, np.array(dones, float),
-        np.array(returns_to_go),
+        returns_to_go.append(rtg)
+        next_states.append(take_rows(episode.features, slice(1, None)))
+        next_masks.append(episode.masks[1:])
+        if episode.final_features is not None:
+            next_states.append(take_rows(episode.final_features, np.newaxis))
+            next_masks.append(episode.final_mask[np.newaxis])
+        else:
+            next_states.append(take_rows(episode.features, slice(-1, None)))
+            next_masks.append(episode.masks[-1:])
+        done = np.zeros(n)
+        done[-1] = 1.0
+        dones.append(done)
+    return _TransitionBatch(
+        states=concat_rows(episode.features for episode in episodes),
+        actions=np.concatenate([episode.actions for episode in episodes]),
+        rewards=np.concatenate([episode.rewards for episode in episodes]),
+        next_states=concat_rows(next_states),
+        next_masks=np.concatenate(next_masks),
+        dones=np.concatenate(dones),
+        returns_to_go=np.concatenate(returns_to_go),
     )
 
 
-def _policy_values(qnet, target_policy, features_list, masks) -> np.ndarray:
-    """V(s) = sum_a pi(a|s) Q(s, a) for a batch of states."""
-    with no_grad():
-        q = qnet.forward(*stack_features(features_list)).data
-    probs_list = target_action_probs(target_policy, features_list, masks)
-    values = np.empty(len(features_list))
-    for i, probs in enumerate(probs_list):
-        values[i] = float(probs @ q[i])
+def _policy_values(qnet, target_policy, features, masks) -> np.ndarray:
+    """V(s) = sum_a pi(a|s) Q(s, a) for a stacked batch of states."""
+    q = q_batch(qnet, features)
+    probs = target_policy.action_probs_batch(features, masks)
+    values = np.empty(len(masks))
+    for i in range(len(masks)):
+        values[i] = float(probs[i] @ q[i])
     return values
-
-
-def _first_gamma(episodes) -> float:
-    for episode in episodes:
-        return episode.gamma
-    raise ValueError("need at least one logged episode")
 
 
 def fitted_q_evaluation(
@@ -147,7 +160,7 @@ def fitted_q_evaluation(
 
     ``qnet`` must already be bound to the logging topology; it is
     trained in place (pass a fresh network to keep the control policy
-    untouched). ``target_policy.action_probs`` supplies pi(a|s).
+    untouched). ``target_policy.action_probs_batch`` supplies pi(a|s).
 
     ``episodes`` is any re-iterable episode source — a list or a
     :class:`~repro.validation.datasets.TraceDataset`. Each pass
@@ -167,10 +180,13 @@ def fitted_q_evaluation(
     would keep its initialization bias for hundreds of iterations; the
     Monte-Carlo anchor fixes the value scale immediately and the
     Bellman iterations then bend the estimate toward the target policy.
+
+    Every episode must share one discount: a log recorded over lanes
+    with different discounts raises ``ValueError``.
     """
     if len(episodes) == 0:
         raise ValueError("need at least one logged episode")
-    gamma = _first_gamma(episodes)
+    gamma = next(iter(episodes)).gamma
     if reward_scale is None:
         reward_scale = 1.0 - gamma
     if reward_scale <= 0:
@@ -179,18 +195,19 @@ def fitted_q_evaluation(
     rng = np.random.default_rng(seed)
     losses: list[float] = []
 
-    def _regress(feats, actions, targets_all: np.ndarray,
+    def _regress(batch: _TransitionBatch, targets_all: np.ndarray,
                  epochs: int) -> list[float]:
-        n = len(actions)
+        n = len(batch.actions)
         epoch_losses = []
         for _ in range(epochs):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
-                batch = order[start:start + batch_size]
-                states = stack_features([feats[i] for i in batch])
+                rows = order[start:start + batch_size]
+                states = take_rows(batch.states, rows)
                 optimizer.zero_grad()
-                loss = huber_loss(qnet.forward(*states), actions[batch],
-                                  targets_all[batch])
+                loss = huber_loss(
+                    qnet.forward(states.node, states.plc, states.glob),
+                    batch.actions[rows], targets_all[rows])
                 loss.backward()
                 optimizer.step()
                 epoch_losses.append(loss.item())
@@ -199,32 +216,29 @@ def fitted_q_evaluation(
     if mc_epochs > 0:
         pass_losses: list[float] = []
         for chunk in iter_episode_chunks(episodes, chunk_episodes):
-            feats, _, actions, _, _, _, _, returns_to_go = _transitions(chunk)
-            pass_losses += _regress(feats, actions,
-                                    returns_to_go * reward_scale, mc_epochs)
+            batch = _transition_batch(chunk, gamma)
+            pass_losses += _regress(batch, batch.returns_to_go * reward_scale,
+                                    mc_epochs)
         losses.append(float(np.mean(pass_losses)))
 
     for _ in range(iterations):
         pass_losses = []
         for chunk in iter_episode_chunks(episodes, chunk_episodes):
-            (feats, _, actions, rewards, next_feats, next_masks, dones,
-             _) = _transitions(chunk)
+            batch = _transition_batch(chunk, gamma)
             # freeze the bootstrap values for this chunk
-            next_values = _policy_values(qnet, target_policy, next_feats,
-                                         next_masks)
-            targets_all = (rewards * reward_scale
-                           + gamma * (1.0 - dones) * next_values)
-            pass_losses += _regress(feats, actions, targets_all,
-                                    epochs_per_iteration)
+            next_values = _policy_values(qnet, target_policy,
+                                         batch.next_states, batch.next_masks)
+            targets_all = (batch.rewards * reward_scale
+                           + gamma * (1.0 - batch.dones) * next_values)
+            pass_losses += _regress(batch, targets_all, epochs_per_iteration)
         losses.append(float(np.mean(pass_losses)))
 
     start_chunks: list[np.ndarray] = []
     for chunk in iter_episode_chunks(episodes, chunk_episodes):
-        start_feats = [ep.steps[0].features for ep in chunk]
-        start_masks = [ep.steps[0].mask for ep in chunk]
-        start_chunks.append(
-            _policy_values(qnet, target_policy, start_feats, start_masks)
-        )
+        start_chunks.append(_policy_values(
+            qnet, target_policy,
+            concat_rows(take_rows(ep.features, slice(0, 1)) for ep in chunk),
+            np.stack([ep.masks[0] for ep in chunk])))
     start_values = np.concatenate(start_chunks)
     return FQEResult(value=float(start_values.mean()) / reward_scale,
                      losses=losses, qnet=qnet, reward_scale=reward_scale,
@@ -240,21 +254,18 @@ def episode_dr_value(
     label: int | str | None = None,
 ) -> tuple[float, float]:
     """One episode's doubly-robust value and its trajectory weight."""
-    steps = episode.steps
-    feats = [s.features for s in steps]
-    masks = [s.mask for s in steps]
-    with no_grad():
-        q_all = qnet.forward(*stack_features(feats)).data / reward_scale
-    q_taken = q_all[np.arange(len(steps)), episode.actions]
-    probs_list = target_action_probs(target_policy, feats, masks)
-    state_values = np.empty(len(steps))
-    for t, probs in enumerate(probs_list):
-        state_values[t] = float(probs @ q_all[t])
+    n = len(episode)
+    q_all = q_batch(qnet, episode.features) / reward_scale
+    q_taken = q_all[np.arange(n), episode.actions]
+    probs = target_policy.action_probs_batch(episode.features, episode.masks)
+    state_values = np.empty(n)
+    for t in range(n):
+        state_values[t] = float(probs[t] @ q_all[t])
     next_values = np.append(state_values[1:], 0.0)  # terminal V = 0
 
-    ratios = step_ratios(episode, target_policy, clip, label=label)
+    ratios = _ratios_from_probs(episode, probs, clip, label=label)
     cumulative = np.cumprod(ratios)
-    discounts = episode.gamma ** np.arange(len(steps))
+    discounts = episode.gamma ** np.arange(n)
     corrections = cumulative * (
         episode.rewards + episode.gamma * next_values - q_taken
     )

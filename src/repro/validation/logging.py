@@ -1,4 +1,4 @@
-"""Behaviour policies and logged-episode collection for OPE.
+"""Behaviour policies and logged-episode recording for OPE.
 
 Off-policy evaluation requires the probability the *behaviour* policy
 assigned to every logged action. Deterministic policies (greedy ACSO,
@@ -6,10 +6,18 @@ playbook) have degenerate importance ratios, so logging is done with
 stochastic wrappers: :class:`StochasticQPolicy` (softmax and/or
 epsilon-greedy over masked Q-values) or :class:`UniformRandomPolicy`.
 
-Each logged step stores the featurized state and valid-action mask so
-target-policy probabilities, FQE regressions, and doubly-robust
-corrections can all be computed offline from the same log. Logging
-runs on :func:`~repro.sim.vec_env.drive_vec_episodes`, one lane.
+A logged episode is one column batch, :class:`LoggedEpisode`: the
+actions, behaviour probabilities and rewards ``(T,)``, the featurized
+states stacked into ``(T, N, d)`` / ``(T, M, d)`` / ``(T, G)`` blocks,
+the valid-action masks ``(T, A)`` and the state after the final step.
+The same shape runs from the recorder through the on-disk trace store
+(:mod:`repro.validation.tracestore`, whose record columns it mirrors)
+to every estimator, which index the columns directly: target-policy
+probabilities, FQE regressions and doubly-robust corrections are all
+computed offline from it. Recording runs on
+:func:`~repro.sim.vec_env.drive_vec_episodes`; :func:`recorder` builds
+its callbacks, and :func:`collect_logged_episodes` is the one-lane
+call of them that keeps the episodes in a list.
 """
 
 from __future__ import annotations
@@ -21,55 +29,76 @@ import numpy as np
 from repro.dbn.filter import DBNTables
 from repro.nn import no_grad
 from repro.rl.dqn import valid_action_mask
-from repro.rl.features import ACSOFeaturizer, FeatureSet, stack_features
+from repro.rl.features import ACSOFeaturizer, FeatureSet
 from repro.sim.vec_env import VectorEnv, drive_vec_episodes, fan_out
 from repro.utils.stats import discounted_return
 
 __all__ = [
-    "LoggedStep",
     "LoggedEpisode",
     "StochasticQPolicy",
     "UniformRandomPolicy",
     "collect_logged_episodes",
+    "recorder",
 ]
 
+def take_rows(features: FeatureSet, index) -> FeatureSet:
+    """Rows ``index`` of a stacked feature batch (one copy per block)."""
+    return FeatureSet(node=features.node[index], plc=features.plc[index],
+                      glob=features.glob[index])
 
-@dataclass(frozen=True)
-class LoggedStep:
-    """One decision in a logged episode."""
 
-    action: int
-    behavior_prob: float
-    reward: float
-    features: FeatureSet | None = None
-    mask: np.ndarray | None = None
+def concat_rows(batches) -> FeatureSet:
+    """Stacked feature batches joined along their leading axis."""
+    batches = list(batches)
+    return FeatureSet(*(np.concatenate([getattr(b, name) for b in batches])
+                        for name in ("node", "plc", "glob")))
+
+
+def q_batch(qnet, features: FeatureSet) -> np.ndarray:
+    """Q-values ``(B, A)`` of a stacked feature batch, without a graph."""
+    with no_grad():
+        return qnet.forward(features.node, features.plc, features.glob).data
 
 
 @dataclass
 class LoggedEpisode:
-    """A trajectory logged under a known behaviour policy."""
+    """A trajectory logged under a known behaviour policy, as columns.
 
-    steps: list[LoggedStep]
+    ``features`` holds the states stacked along a leading step axis and
+    ``masks`` the ``(T, A)`` valid-action masks; both may be ``None``
+    for hand-built logs scored by policies that ignore the state.
+    ``final_features``/``final_mask`` are the single state after the
+    final step (FQE's bootstrap anchor), ``None`` when not logged.
+    """
+
+    actions: np.ndarray
+    behavior_probs: np.ndarray
+    rewards: np.ndarray
     gamma: float
-    #: features/mask of the state after the final step (for bootstraps)
+    features: FeatureSet | None = None
+    masks: np.ndarray | None = None
     final_features: FeatureSet | None = None
     final_mask: np.ndarray | None = None
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        self.actions = np.asarray(self.actions, dtype=np.int64)
+        self.behavior_probs = np.asarray(self.behavior_probs,
+                                         dtype=np.float64)
+        self.rewards = np.asarray(self.rewards, dtype=np.float64)
+
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.actions)
 
     @property
-    def rewards(self) -> np.ndarray:
-        return np.array([s.reward for s in self.steps])
-
-    @property
-    def behavior_probs(self) -> np.ndarray:
-        return np.array([s.behavior_prob for s in self.steps])
-
-    @property
-    def actions(self) -> np.ndarray:
-        return np.array([s.action for s in self.steps], dtype=np.int64)
+    def steps(self) -> np.recarray:
+        """Read-only per-step view: ``steps[t].action``,
+        ``.behavior_prob`` and ``.reward``."""
+        steps = np.rec.fromarrays(
+            [self.actions, self.behavior_probs, self.rewards],
+            names="action,behavior_prob,reward")
+        steps.flags.writeable = False
+        return steps
 
     def discounted_return(self) -> float:
         return discounted_return(self.rewards, self.gamma)
@@ -108,28 +137,24 @@ class StochasticQPolicy:
         self.featurizer.reset()
 
     def action_probs(self, features: FeatureSet, mask: np.ndarray) -> np.ndarray:
-        """Full action distribution at a (featurized) state.
+        """Full action distribution at one (featurized) state: the batch
+        of one of :meth:`action_probs_batch`."""
+        return self.action_probs_batch(take_rows(features, np.newaxis),
+                                       np.asarray(mask)[np.newaxis])[0]
 
-        Works offline on logged features, which is how target-policy
+    def action_probs_batch(self, features: FeatureSet,
+                           masks: np.ndarray) -> np.ndarray:
+        """Distributions ``(B, A)`` for a stacked batch of states in one
+        network forward.
+
+        Works offline on logged columns, which is how target-policy
         probabilities are recovered during estimation.
         """
-        q = self.qnet.q_values(features)
-        return self._probs_from_q(q, mask)
-
-    def action_probs_batch(self, features_list, masks) -> list[np.ndarray]:
-        """Distributions for many logged states in one network forward.
-
-        The estimators' fast path (see
-        :func:`repro.validation.ope.target_action_probs`): one stacked
-        forward replaces a forward per step.
-        """
-        features_list = list(features_list)
-        if not features_list:
-            return []
-        with no_grad():
-            q = self.qnet.forward(*stack_features(features_list)).data
-        return [self._probs_from_q(q[i], mask)
-                for i, mask in enumerate(masks)]
+        if len(masks) == 0:
+            return np.zeros(np.shape(masks))
+        q = q_batch(self.qnet, features)
+        return np.stack([self._probs_from_q(q[i], mask)
+                         for i, mask in enumerate(masks)])
 
     def _probs_from_q(self, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
         valid = np.asarray(mask, dtype=bool)
@@ -170,14 +195,59 @@ class UniformRandomPolicy:
         self._inner.reset(env)
 
     def action_probs(self, features: FeatureSet, mask: np.ndarray) -> np.ndarray:
-        valid = np.asarray(mask, dtype=bool)
-        return valid / valid.sum()
+        return self.action_probs_batch(None, np.asarray(mask)[np.newaxis])[0]
 
-    def action_probs_batch(self, features_list, masks) -> list[np.ndarray]:
-        return [self.action_probs(None, mask) for mask in masks]
+    def action_probs_batch(self, features: FeatureSet | None,
+                           masks: np.ndarray) -> np.ndarray:
+        valid = np.asarray(masks, dtype=bool)
+        return valid / valid.sum(axis=1, keepdims=True)
 
     def decide(self, obs):
         return self._inner.decide(obs)
+
+
+def recorder(venv, behavior_for, sink, *, seed: int = 0) -> dict:
+    """:func:`~repro.sim.vec_env.drive_vec_episodes` callbacks that log
+    every lane's episodes under a behaviour policy.
+
+    Episode ``ep`` runs under ``behavior_for(ep)``, reset on its lane,
+    and is logged with its lane's discount and seed ``seed + ep``. When
+    it ends, the post-episode state is featurized as FQE's bootstrap
+    anchor and the finished :class:`LoggedEpisode` goes to
+    ``sink(ep, lane, episode, infos)`` with the engine's step infos.
+    Memory holds one in-flight episode per lane.
+    """
+    behaviors: list = [None] * venv.num_envs
+    pending: list = [None] * venv.num_envs
+    logs: list = [None] * venv.num_envs
+
+    def on_episode_start(slot: int, ep: int, obs) -> None:
+        behaviors[slot] = behavior_for(ep)
+        behaviors[slot].reset(venv.policy_env(slot))
+        logs[slot] = []
+
+    def act(slots, observations):
+        for slot, obs in zip(slots, observations):
+            pending[slot] = behaviors[slot].decide(obs)
+        return [pending[slot][0] for slot in slots]
+
+    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
+        logs[slot].append((*pending[slot], reward, info))
+
+    def on_episode_end(slot: int, ep: int, obs) -> None:
+        _, _, final_features, final_mask = behaviors[slot].decide(obs)
+        actions, probs, features, masks, rewards, infos = zip(*logs[slot])
+        logs[slot] = None
+        episode = LoggedEpisode(
+            actions=actions, behavior_probs=probs, rewards=rewards,
+            gamma=venv.lane_config(slot).reward.gamma,
+            features=concat_rows(take_rows(f, np.newaxis) for f in features),
+            masks=np.stack(masks), final_features=final_features,
+            final_mask=final_mask, seed=seed + ep)
+        sink(ep, slot, episode, list(infos))
+
+    return {"on_episode_start": on_episode_start, "act": act,
+            "on_step": on_step, "on_episode_end": on_episode_end}
 
 
 def collect_logged_episodes(
@@ -191,33 +261,15 @@ def collect_logged_episodes(
 
     One environment action index is taken per step (the DQN decision
     model); the resulting log supports every estimator in this package.
-    The episodes run on a one-lane
+    The episodes run through :func:`recorder` on a one-lane
     :func:`~repro.sim.vec_env.drive_vec_episodes` with ``behavior``
     itself, so its RNG stream runs on across episodes.
     """
     logs: list[LoggedEpisode] = []
-    pending: list = []
-
-    def on_episode_start(slot: int, ep: int, obs) -> None:
-        behavior.reset(env)
-        logs.append(LoggedEpisode(steps=[], gamma=env.config.reward.gamma,
-                                  seed=seed + ep))
-
-    def act(slots, observations):
-        pending[:] = behavior.decide(observations[0])
-        return [pending[0]]
-
-    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
-        action, prob, features, mask = pending
-        logs[-1].steps.append(LoggedStep(action, prob, reward, features, mask))
-
-    def on_episode_end(slot: int, ep: int, obs) -> None:
-        # only the state snapshot of the final decision is needed
-        _, _, features, mask = behavior.decide(obs)
-        logs[-1].final_features, logs[-1].final_mask = features, mask
-
-    drive_vec_episodes(VectorEnv([env], auto_reset=False), fan_out(episodes),
-                       seed=seed, max_steps=max_steps,
-                       on_episode_start=on_episode_start, act=act,
-                       on_step=on_step, on_episode_end=on_episode_end)
+    venv = VectorEnv([env], auto_reset=False)
+    drive_vec_episodes(venv, fan_out(episodes), seed=seed,
+                       max_steps=max_steps,
+                       **recorder(venv, lambda ep: behavior,
+                                  lambda ep, lane, episode, infos:
+                                  logs.append(episode), seed=seed))
     return logs

@@ -21,7 +21,9 @@ horizons, and the reason the doubly-robust estimator of
 Every estimator takes any *iterable* of logged episodes — an in-memory
 list or a :class:`~repro.validation.datasets.TraceDataset` streaming
 shards off disk — and makes exactly one pass, keeping only three
-scalars per episode (:class:`EpisodeOPEStats`). Those per-episode
+scalars per episode (:class:`EpisodeOPEStats`). Target probabilities
+come from one ``target_policy.action_probs_batch(features, masks)``
+call over an episode's columns. Those per-episode
 reductions are shared with :func:`~repro.validation.suite.run_ope_suite`
 so the suite's numbers equal the standalone estimators bit for bit.
 """
@@ -43,7 +45,6 @@ __all__ = [
     "episode_ope_stats",
     "collect_ope_stats",
     "wis_point_estimate",
-    "target_action_probs",
     "effective_sample_size",
     "ordinary_importance_sampling",
     "weighted_importance_sampling",
@@ -78,63 +79,48 @@ class BehaviorSupportError(ValueError):
     """
 
 
-def target_action_probs(target_policy, features_list, masks) -> list:
-    """Target-policy distributions for a batch of logged states.
-
-    Uses the policy's vectorized ``action_probs_batch`` when it has one
-    (one stacked network forward instead of a forward per step) and
-    falls back to per-state ``action_probs``. Every estimator in this
-    package resolves propensities through here, so a given policy
-    always takes the same numerical path — which is what keeps the
-    suite, the standalone estimators, and the on-disk replay of a log
-    bit-identical to each other.
-    """
-    batch = getattr(target_policy, "action_probs_batch", None)
-    if batch is not None:
-        return list(batch(features_list, masks))
-    return [
-        target_policy.action_probs(features, mask)
-        for features, mask in zip(features_list, masks)
-    ]
-
-
 def step_ratios(episode: LoggedEpisode, target_policy,
                 clip: float | None = None,
                 label: int | str | None = None) -> np.ndarray:
     """Per-step importance ratios pi(a_t|s_t) / b(a_t|s_t).
 
-    ``target_policy`` must expose ``action_probs(features, mask)``;
-    ``clip`` truncates each ratio from above (weight clipping trades a
-    small bias for bounded variance). A zero behaviour probability or a
-    non-finite raw ratio raises :class:`BehaviorSupportError` naming
-    the episode (``label``, or the episode's seed) and step — clipping
-    happens *after* this check, so ``clip`` can never paper over a
-    broken log by truncating an infinite ratio.
+    ``target_policy`` must expose ``action_probs_batch(features,
+    masks)`` over the episode's columns; ``clip`` truncates each ratio
+    from above (weight clipping trades a small bias for bounded
+    variance). A zero behaviour probability or a non-finite raw ratio
+    raises :class:`BehaviorSupportError` naming the episode (``label``,
+    or the episode's seed) and step — clipping happens *after* this
+    check, so ``clip`` can never paper over a broken log by truncating
+    an infinite ratio.
     """
+    probs = target_policy.action_probs_batch(episode.features, episode.masks)
+    return _ratios_from_probs(episode, probs, clip, label)
+
+
+def _ratios_from_probs(episode: LoggedEpisode, probs: np.ndarray,
+                      clip: float | None = None,
+                      label: int | str | None = None) -> np.ndarray:
+    """:func:`step_ratios` from the target's ``(T, A)`` distributions."""
     if label is None and episode.seed is not None:
         label = f"seed={episode.seed}"
     where = "episode" if label is None else f"episode {label}"
-    probs_list = target_action_probs(
-        target_policy,
-        [step.features for step in episode.steps],
-        [step.mask for step in episode.steps],
-    )
-    ratios = np.empty(len(episode))
-    for t, (step, target_probs) in enumerate(zip(episode.steps, probs_list)):
-        if step.behavior_prob <= 0:
+    behavior = episode.behavior_probs
+    target = np.asarray(probs)[np.arange(len(episode)), episode.actions]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = target / behavior
+    bad = (behavior <= 0) | ~np.isfinite(ratios)
+    if bad.any():
+        t = int(np.flatnonzero(bad)[0])
+        if behavior[t] <= 0:
             raise BehaviorSupportError(
                 f"{where} step {t}: behaviour probability is zero; the "
                 "behaviour policy must have full support over logged "
                 "actions"
             )
-        ratio = target_probs[step.action] / step.behavior_prob
-        if not np.isfinite(ratio):
-            raise BehaviorSupportError(
-                f"{where} step {t}: importance ratio is not finite "
-                f"(target {target_probs[step.action]!r} / behaviour "
-                f"{step.behavior_prob!r})"
-            )
-        ratios[t] = ratio
+        raise BehaviorSupportError(
+            f"{where} step {t}: importance ratio is not finite "
+            f"(target {target[t]!r} / behaviour {behavior[t]!r})"
+        )
     if clip is not None:
         np.clip(ratios, 0.0, clip, out=ratios)
     return ratios

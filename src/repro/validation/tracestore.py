@@ -1,13 +1,14 @@
 """Columnar on-disk episode log for off-policy evaluation.
 
-OPE at production scale cannot hold its logged transitions in python
-object lists: a million-step log of :class:`LoggedStep` dataclasses is
-gigabytes of pointers. This module stores logged episodes as
-**structured numpy record arrays** — one fixed-width, little-endian
-record per transition, holding the action/propensity/reward triple the
-estimators need, the engine's step-info tallies, and the featurized
-state (node/PLC/global feature blocks plus the valid-action mask) that
-FQE and doubly-robust corrections regress on.
+This module stores logged episodes as **structured numpy record
+arrays** — one fixed-width, little-endian record per transition,
+holding the action/propensity/reward triple the estimators need, the
+engine's step-info tallies, and the featurized state (node/PLC/global
+feature blocks plus the valid-action mask) that FQE and doubly-robust
+corrections regress on. The record columns are those of the in-memory
+:class:`~repro.validation.logging.LoggedEpisode` column batch, so
+:class:`TraceWriter` fills a finished episode's records by one array
+assignment per column, and the reader slices them back the same way.
 
 Layout on disk (a directory):
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.rl.features import FeatureSet
 from repro.sim.vec_env import drive_vec_episodes, fan_out
-from repro.validation.logging import LoggedEpisode
+from repro.validation.logging import LoggedEpisode, recorder
 
 __all__ = [
     "BREAKDOWN_FIELDS",
@@ -131,16 +131,17 @@ class TraceDims(NamedTuple):
 
     @classmethod
     def from_step(cls, features: FeatureSet, mask) -> "TraceDims":
-        node = np.asarray(features.node)
-        plc = np.asarray(features.plc)
-        glob = np.asarray(features.glob)
+        """The geometry of one state, or of a column batch of states
+        (read from the trailing axes)."""
+        node = np.shape(features.node)
+        plc = np.shape(features.plc)
         return cls(
-            n_nodes=int(node.shape[0]),
-            node_dim=int(node.shape[1]),
-            n_plcs=int(plc.shape[0]),
-            plc_dim=int(plc.shape[1]),
-            glob_dim=int(glob.shape[0]),
-            n_actions=int(len(mask)),
+            n_nodes=int(node[-2]),
+            node_dim=int(node[-1]),
+            n_plcs=int(plc[-2]),
+            plc_dim=int(plc[-1]),
+            glob_dim=int(np.shape(features.glob)[-1]),
+            n_actions=int(np.shape(mask)[-1]),
         )
 
 
@@ -179,27 +180,14 @@ def _descr_json(dtype: np.dtype) -> list:
     return json.loads(json.dumps(dtype.descr))
 
 
-@dataclass
-class _EpisodeBuffer:
-    """One in-flight episode: bounded by the horizon, never the log."""
-
-    lane: int
-    seed: int | None
-    gamma: float
-    steps: list[dict] = field(default_factory=list)
-    final: tuple | None = None  # (features, mask)
-
-
 class TraceWriter:
     """Streaming, shard-rotating writer of the columnar episode log.
 
-    Episodes may *finish* out of order (vectorized lanes complete at
-    their own pace) but are always *written* in episode-index order, so
-    the on-disk log — and every estimate computed from it — is
-    independent of how many lanes recorded it. Call order per episode:
-    :meth:`begin_episode`, ``append_step`` per transition, then
-    :meth:`finish_episode`; :meth:`close` seals the final shard and
-    manifest.
+    :meth:`write` takes whole finished episodes. They may arrive out of
+    order (vectorized lanes complete at their own pace) but are always
+    *stored* in episode-index order, so the on-disk log — and every
+    estimate computed from it — is independent of how many lanes
+    recorded it. :meth:`close` seals the final shard and manifest.
     """
 
     def __init__(self, path, *, shard_rows: int = 65536,
@@ -217,131 +205,102 @@ class TraceWriter:
         self.meta = dict(meta or {})
         self.dims: TraceDims | None = None
         self.dtype: np.dtype | None = None
-        self._open: dict[int, _EpisodeBuffer] = {}
-        self._finished: dict[int, _EpisodeBuffer] = {}
-        self._next_flush = 0  # next episode index to serialize
+        #: encoded episodes waiting for an earlier index (reorder window)
+        self._finished: dict[int, tuple[np.ndarray, dict]] = {}
+        self._next_flush = 0  # next episode index to store
         self._pending_arrays: list[np.ndarray] = []
         self._pending_episodes: list[dict] = []
         self._pending_rows = 0
         self._shards: list[dict] = []
         self._episodes_total = 0
-        self._transitions_total = 0
         self._closed = False
 
-    # -- recording -----------------------------------------------------
-    def begin_episode(self, episode: int, *, lane: int = 0,
-                      seed: int | None = None, gamma: float = 1.0) -> None:
-        self._check_open()
-        if episode in self._open or episode in self._finished \
-                or episode < self._next_flush:
-            raise TraceError(f"episode {episode} already recorded")
-        self._open[episode] = _EpisodeBuffer(lane=lane, seed=seed,
-                                             gamma=float(gamma))
+    def write(self, index: int, episode: LoggedEpisode, *, lane: int = 0,
+              infos: list[dict] | None = None) -> None:
+        """Record finished episode ``index``, logged on ``lane``.
 
-    def append_step(self, episode: int, *, action: int,
-                    behavior_prob: float, reward: float, done: bool,
-                    features: FeatureSet, mask, info: dict | None = None) -> None:
+        ``infos`` are the engine's per-step infos; without them the
+        info columns are zero except ``t``, the 1-based step index.
+        """
         self._check_open()
-        buffer = self._episode_buffer(episode)
-        if self.dims is None:
-            self.dims = TraceDims.from_step(features, mask)
-            self.dtype = trace_record_dtype(self.dims)
-        buffer.steps.append({
-            "action": int(action),
-            "behavior_prob": float(behavior_prob),
-            "reward": float(reward),
-            "done": bool(done),
-            "features": features,
-            "mask": mask,
-            "info": info,
-        })
-
-    def finish_episode(self, episode: int, *, final_features=None,
-                       final_mask=None) -> None:
-        self._check_open()
-        buffer = self._episode_buffer(episode)
-        if (final_features is None) != (final_mask is None):
-            raise TraceError("final features and mask come together")
-        if final_features is not None:
-            buffer.final = (final_features, final_mask)
-        del self._open[episode]
-        self._finished[episode] = buffer
+        if index < self._next_flush or index in self._finished:
+            raise TraceError(f"episode {index} already recorded")
+        self._finished[index] = self._encode(index, episode, lane, infos)
         while self._next_flush in self._finished:
-            self._serialize(self._next_flush,
-                            self._finished.pop(self._next_flush))
+            records, entry = self._finished.pop(self._next_flush)
+            self._pending_arrays.append(records)
+            self._pending_episodes.append(entry)
+            self._pending_rows += len(records)
+            self._episodes_total += 1
             self._next_flush += 1
+            if self._pending_rows >= self.shard_rows:
+                self._flush_shard()
 
-    def _episode_buffer(self, episode: int) -> _EpisodeBuffer:
-        try:
-            return self._open[episode]
-        except KeyError:
-            raise TraceError(f"episode {episode} is not open") from None
-
-    # -- serialization -------------------------------------------------
-    def _serialize(self, episode: int, buffer: _EpisodeBuffer) -> None:
-        if self.dtype is None:
-            raise TraceError("cannot serialize an episode with no steps "
-                             "before the record schema is known")
-        n = len(buffer.steps) + (1 if buffer.final is not None else 0)
-        records = np.zeros(n, dtype=self.dtype)
-        for row, step in zip(records, buffer.steps):
-            row["episode"] = episode
-            row["lane"] = buffer.lane
-            row["kind"] = KIND_STEP
-            row["done"] = step["done"]
-            row["action"] = step["action"]
-            row["behavior_prob"] = step["behavior_prob"]
-            row["reward"] = step["reward"]
-            info = step["info"]
-            if info is not None:
-                for name in INFO_SCALAR_FIELDS:
-                    row[name] = info[name]
-                breakdown = info["reward_breakdown"]
-                for name in BREAKDOWN_FIELDS:
-                    row[f"rb_{name}"] = getattr(breakdown, name)
-            self._fill_state(row, step["features"], step["mask"])
-        if buffer.final is not None:
-            row = records[-1]
-            row["episode"] = episode
-            row["lane"] = buffer.lane
-            row["kind"] = KIND_FINAL
-            row["action"] = -1
-            self._fill_state(row, *buffer.final)
-        self._pending_arrays.append(records)
-        self._pending_episodes.append({
-            "episode": episode,
-            "lane": buffer.lane,
-            "seed": buffer.seed,
-            "gamma": buffer.gamma,
-            "steps": len(buffer.steps),
-            "final": buffer.final is not None,
-        })
-        self._pending_rows += n
-        self._episodes_total += 1
-        self._transitions_total += len(buffer.steps)
-        if self._pending_rows >= self.shard_rows:
-            self._flush_shard()
-
-    def _fill_state(self, row, features: FeatureSet, mask) -> None:
-        node = np.asarray(features.node, dtype=np.float64)
-        plc = np.asarray(features.plc, dtype=np.float64)
-        glob = np.asarray(features.glob, dtype=np.float64)
-        mask = np.asarray(mask, dtype=bool)
-        dims = self.dims
-        if (node.shape != (dims.n_nodes, dims.node_dim)
-                or plc.shape != (dims.n_plcs, dims.plc_dim)
-                or glob.shape != (dims.glob_dim,)
-                or mask.shape != (dims.n_actions,)):
+    def _encode(self, index: int, episode: LoggedEpisode, lane: int,
+                infos) -> tuple[np.ndarray, dict]:
+        """The episode's records, filled column by column, and its
+        manifest entry."""
+        if episode.features is None or episode.masks is None:
+            raise TraceError(
+                f"episode {index} has no features/mask: the columnar "
+                "store only holds fully featurized logs"
+            )
+        dims = TraceDims.from_step(episode.features, episode.masks)
+        if self.dims is None:
+            self.dims = dims
+            self.dtype = trace_record_dtype(dims)
+        final = episode.final_features is not None
+        if final != (episode.final_mask is not None):
+            raise TraceError("final features and mask come together")
+        if dims != self.dims or (final and TraceDims.from_step(
+                episode.final_features, episode.final_mask) != self.dims):
             raise TraceSchemaError(
                 "feature shapes changed mid-recording: a trace store "
-                "holds one topology's geometry "
-                f"({dims}); got node{node.shape} plc{plc.shape} "
-                f"glob{glob.shape} mask{mask.shape}"
+                f"holds one topology's geometry ({self.dims}); episode "
+                f"{index} has {dims}"
             )
-        row["node"] = node
-        row["plc"] = plc
-        row["glob"] = glob
-        row["mask"] = mask
+        n = len(episode)
+        records = np.zeros(n + final, dtype=self.dtype)
+        records["episode"] = index
+        records["lane"] = lane
+        steps = records[:n]
+        steps["kind"] = KIND_STEP
+        steps["done"][-1:] = True
+        steps["action"] = episode.actions
+        steps["behavior_prob"] = episode.behavior_probs
+        steps["reward"] = episode.rewards
+        if infos is None:
+            steps["t"] = np.arange(1, n + 1)
+        else:
+            for name in INFO_SCALAR_FIELDS:
+                steps[name] = [info[name] for info in infos]
+            for name in BREAKDOWN_FIELDS:
+                steps[f"rb_{name}"] = [getattr(info["reward_breakdown"], name)
+                                       for info in infos]
+        self._fill_states(steps, episode.features, episode.masks)
+        if final:
+            records["kind"][n] = KIND_FINAL
+            records["action"][n] = -1
+            self._fill_states(records[n:], episode.final_features,
+                              episode.final_mask)
+        entry = {
+            "episode": index,
+            "lane": lane,
+            "seed": episode.seed,
+            "gamma": float(episode.gamma),
+            "steps": n,
+            "final": final,
+        }
+        return records, entry
+
+    @staticmethod
+    def _fill_states(records: np.ndarray, features: FeatureSet,
+                     masks) -> None:
+        # one state (final row) broadcasts over its one record
+        records["node"] = features.node
+        records["plc"] = features.plc
+        records["glob"] = features.glob
+        records["mask"] = np.asarray(masks, dtype=bool)
 
     def _flush_shard(self) -> None:
         if not self._pending_arrays:
@@ -391,15 +350,11 @@ class TraceWriter:
     def episodes_written(self) -> int:
         return self._episodes_total
 
-    @property
-    def transitions_written(self) -> int:
-        return self._transitions_total
-
     def close(self) -> None:
         if self._closed:
             return
-        if self._open or self._finished:
-            stuck = sorted(self._open) + sorted(self._finished)
+        if self._finished:
+            stuck = sorted(self._finished)
             raise TraceError(
                 f"cannot close with unflushed episodes {stuck}: episode "
                 f"{self._next_flush} never finished"
@@ -424,46 +379,14 @@ class TraceWriter:
 
 def write_episodes(episodes, path, *, lane: int = 0,
                    shard_rows: int = 65536, meta: dict | None = None) -> Path:
-    """Persist in-memory :class:`LoggedEpisode` objects as a trace store.
-
-    The bridge from the legacy list-of-episodes world (and the unit
-    tests' hand-built logs) into the columnar format; step-info tallies
-    are zero because :class:`LoggedStep` does not carry them (``t`` is
-    filled with the 1-based step index).
-    """
+    """Persist in-memory :class:`LoggedEpisode` column batches as a
+    trace store, episode ``i`` at index ``i``; the info columns hold
+    only the step index ``t`` (the episodes carry no engine infos)."""
     path = Path(path)
     with TraceWriter(path, shard_rows=shard_rows, meta=meta) as writer:
         for index, episode in enumerate(episodes):
-            writer.begin_episode(index, lane=lane, seed=episode.seed,
-                                 gamma=episode.gamma)
-            for t, step in enumerate(episode.steps):
-                if step.features is None or step.mask is None:
-                    raise TraceError(
-                        f"episode {index} step {t} has no features/mask: "
-                        "the columnar store only holds fully featurized logs"
-                    )
-                writer.append_step(
-                    index, action=step.action,
-                    behavior_prob=step.behavior_prob, reward=step.reward,
-                    done=t == len(episode.steps) - 1,
-                    features=step.features, mask=step.mask,
-                    info={**{name: 0 for name in INFO_SCALAR_FIELDS},
-                          "t": t + 1, "it_cost": 0.0,
-                          "reward_breakdown": _ZERO_BREAKDOWN},
-                )
-            writer.finish_episode(index,
-                                  final_features=episode.final_features,
-                                  final_mask=episode.final_mask)
+            writer.write(index, episode, lane=lane)
     return path
-
-
-class _ZeroBreakdown:
-    """Stand-in breakdown for logs that never saw the engine."""
-
-    r_plc = r_it = r_term = total = it_cost = 0.0
-
-
-_ZERO_BREAKDOWN = _ZeroBreakdown()
 
 
 def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
@@ -475,8 +398,10 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
     **fresh** behaviour policy ``behavior_factory(ep)`` (per-episode
     policy state and RNG), so the recorded log — like
     :func:`~repro.eval.runner.evaluate_policy_vec` metrics — is
-    bit-identical no matter how many lanes record it. Each transition
-    is appended as it happens; memory holds at most one in-flight
+    bit-identical no matter how many lanes record it. The
+    :func:`~repro.validation.logging.recorder` callbacks hand each
+    finished episode, with its engine step infos, to
+    :meth:`TraceWriter.write`; memory holds at most one in-flight
     episode per lane plus the writer's reorder window, never the log.
     Each episode stores its own lane's discount, and a step's ``done``
     marks the step that ended the episode (the lane reported done or
@@ -484,39 +409,14 @@ def record_episodes_vec(venv, behavior_factory, episodes: int, writer:
 
     Returns the number of transitions recorded.
     """
-    n = venv.num_envs
-    behaviors: list = [None] * n
-    pending: list = [None] * n
     recorded = 0
 
-    def on_episode_start(slot: int, ep: int, obs) -> None:
-        behavior = behavior_factory(ep)
-        behavior.reset(venv.policy_env(slot))
-        behaviors[slot] = behavior
-        writer.begin_episode(ep, lane=slot, seed=seed + ep,
-                             gamma=venv.lane_config(slot).reward.gamma)
-
-    def act(slots, observations):
-        for slot, obs in zip(slots, observations):
-            pending[slot] = behaviors[slot].decide(obs)
-        return [pending[slot][0] for slot in slots]
-
-    def on_step(slot: int, ep: int, obs, reward, done, info) -> None:
+    def sink(ep: int, lane: int, episode: LoggedEpisode, infos) -> None:
         nonlocal recorded
-        action, prob, features, mask = pending[slot]
-        writer.append_step(ep, action=action, behavior_prob=prob,
-                           reward=reward, done=done,
-                           features=features, mask=mask, info=info)
-        recorded += 1
-
-    def on_episode_end(slot: int, ep: int, obs) -> None:
-        # snapshot the post-episode state for FQE's bootstrap anchor,
-        # mirroring collect_logged_episodes' trailing decide()
-        _, _, features, mask = behaviors[slot].decide(obs)
-        writer.finish_episode(ep, final_features=features, final_mask=mask)
+        writer.write(ep, episode, lane=lane, infos=infos)
+        recorded += len(episode)
 
     drive_vec_episodes(venv, fan_out(episodes), seed=seed,
                        max_steps=max_steps,
-                       on_episode_start=on_episode_start, act=act,
-                       on_step=on_step, on_episode_end=on_episode_end)
+                       **recorder(venv, behavior_factory, sink, seed=seed))
     return recorded

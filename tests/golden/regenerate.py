@@ -364,9 +364,10 @@ def _loop_logged() -> dict:
     out = []
     for log in logs:
         arrays = []
-        for step in log.steps:
-            arrays += _features_digest(step.features)
-            arrays.append(step.mask.astype(float))
+        for t in range(len(log)):
+            arrays += [log.features.node[t].ravel(),
+                       log.features.plc[t].ravel(), log.features.glob[t]]
+            arrays.append(log.masks[t].astype(float))
         arrays += _features_digest(log.final_features)
         arrays.append(log.final_mask.astype(float))
         out.append({

@@ -21,6 +21,7 @@ from repro.validation import (
     StochasticQPolicy,
     TraceDataset,
     TraceWriter,
+    fitted_q_evaluation,
     record_episodes_vec,
 )
 
@@ -75,16 +76,29 @@ class TestLaneHorizons:
                 seed=SEED + ep)
             assert episodes[ep] == alone
 
-    def test_trace_stores_each_lanes_discount(self, lanes, tiny_tables,
-                                              tmp_path):
+    def _record(self, lanes, tables, path):
         qnet = AttentionQNetwork(QNET, seed=1)
 
         def behavior(ep: int):
-            return StochasticQPolicy(qnet, tiny_tables, epsilon=0.3,
-                                     seed=ep)
+            return StochasticQPolicy(qnet, tables, epsilon=0.3, seed=ep)
 
-        with TraceWriter(tmp_path / "trace") as writer:
+        with TraceWriter(path) as writer:
             record_episodes_vec(_venv(lanes), behavior, 2, writer, seed=SEED)
-        episodes = list(TraceDataset(tmp_path / "trace"))
+        return qnet, TraceDataset(path)
+
+    def test_trace_stores_each_lanes_discount(self, lanes, tiny_tables,
+                                              tmp_path):
+        _, dataset = self._record(lanes, tiny_tables, tmp_path / "trace")
+        episodes = list(dataset)
         assert [len(e) for e in episodes] == [tmax for tmax, _ in lanes]
         assert [e.gamma for e in episodes] == [gamma for _, gamma in lanes]
+
+    def test_fqe_rejects_mixed_discounts(self, lanes, tiny_tables, tmp_path):
+        qnet, dataset = self._record(lanes, tiny_tables, tmp_path / "trace")
+        target = StochasticQPolicy(qnet, tiny_tables, epsilon=0.3)
+        eval_qnet = AttentionQNetwork(QNET, seed=2)
+        eval_qnet.bind_topology(_venv(lanes).topology)
+        first, second = (str(gamma) for _, gamma in lanes)
+        with pytest.raises(ValueError, match=f"{second}.*{first}"):
+            fitted_q_evaluation(dataset, target, eval_qnet, iterations=1,
+                                epochs_per_iteration=1)

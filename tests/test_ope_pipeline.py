@@ -27,7 +27,6 @@ from repro.rl.features import FeatureSet
 from repro.validation import (
     BehaviorSupportError,
     LoggedEpisode,
-    LoggedStep,
     StochasticQPolicy,
     TraceDataset,
     bootstrap_ratio_ci,
@@ -155,18 +154,16 @@ class TestEstimatorEquivalence:
 # behaviour-support diagnostics
 # ----------------------------------------------------------------------
 def bandit_episode(action, behavior_prob, reward, seed=None):
-    features = FeatureSet(node=np.zeros((1, 1)), plc=np.zeros((1, 1)),
-                          glob=np.zeros(1))
-    return LoggedEpisode(
-        steps=[LoggedStep(action, behavior_prob, reward, features=features,
-                          mask=np.ones(2, dtype=bool))],
-        gamma=1.0, seed=seed,
-    )
+    features = FeatureSet(node=np.zeros((1, 1, 1)), plc=np.zeros((1, 1, 1)),
+                          glob=np.zeros((1, 1)))
+    return LoggedEpisode(actions=[action], behavior_probs=[behavior_prob],
+                         rewards=[reward], gamma=1.0, features=features,
+                         masks=np.ones((1, 2), dtype=bool), seed=seed)
 
 
 class UniformTarget:
-    def action_probs(self, features, mask):
-        return np.full(2, 0.5)
+    def action_probs_batch(self, features, masks):
+        return np.full((len(masks), 2), 0.5)
 
 
 class TestSupportDiagnostics:

@@ -20,7 +20,6 @@ from repro.rl.features import FeatureSet
 from repro.sim.reward import RewardBreakdown
 from repro.validation import (
     LoggedEpisode,
-    LoggedStep,
     StochasticQPolicy,
     TraceDataset,
     TraceDims,
@@ -63,21 +62,18 @@ def make_mask(rng) -> np.ndarray:
 
 def make_episode(rng, steps: int, seed: int, gamma: float = 0.97,
                  with_final: bool = True) -> LoggedEpisode:
-    logged = [
-        LoggedStep(
-            action=int(rng.integers(DIMS.n_actions)),
-            behavior_prob=float(rng.uniform(0.05, 1.0)),
-            reward=float(rng.normal()),
-            features=make_features(rng),
-            mask=make_mask(rng),
-        )
-        for _ in range(steps)
-    ]
-    final = make_features(rng) if with_final else None
+    actions = rng.integers(DIMS.n_actions, size=steps)
+    probs = rng.uniform(0.05, 1.0, size=steps)
+    rewards = rng.normal(size=steps)
+    states = [make_features(rng) for _ in range(steps)]
     return LoggedEpisode(
-        steps=logged, gamma=gamma, seed=seed,
-        final_features=final,
+        actions=actions, behavior_probs=probs, rewards=rewards, gamma=gamma,
+        features=FeatureSet(*(np.stack([getattr(f, name) for f in states])
+                              for name in ("node", "plc", "glob"))),
+        masks=np.stack([make_mask(rng) for _ in range(steps)]),
+        final_features=make_features(rng) if with_final else None,
         final_mask=make_mask(rng) if with_final else None,
+        seed=seed,
     )
 
 
@@ -87,16 +83,15 @@ def make_log(n_episodes: int = 4, steps: int = 10, seed: int = 0):
 
 
 def assert_episodes_identical(a: LoggedEpisode, b: LoggedEpisode) -> None:
-    assert len(a.steps) == len(b.steps)
+    assert len(a) == len(b)
     assert a.gamma == b.gamma and a.seed == b.seed
-    for sa, sb in zip(a.steps, b.steps):
-        assert sa.action == sb.action
-        assert sa.behavior_prob == sb.behavior_prob  # f8 round-trip: exact
-        assert sa.reward == sb.reward
-        assert np.array_equal(sa.features.node, sb.features.node)
-        assert np.array_equal(sa.features.plc, sb.features.plc)
-        assert np.array_equal(sa.features.glob, sb.features.glob)
-        assert np.array_equal(sa.mask, sb.mask)
+    # f8 round-trip: exact
+    for name in ("actions", "behavior_probs", "rewards", "masks"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert getattr(a, name).dtype == getattr(b, name).dtype, name
+    for name in ("node", "plc", "glob"):
+        assert np.array_equal(getattr(a.features, name),
+                              getattr(b.features, name)), name
     assert (a.final_features is None) == (b.final_features is None)
     if a.final_features is not None:
         assert np.array_equal(a.final_features.node, b.final_features.node)
@@ -130,6 +125,8 @@ class TestRecordDtype:
         rng = np.random.default_rng(0)
         dims = TraceDims.from_step(make_features(rng), make_mask(rng))
         assert dims == DIMS
+        episode = make_episode(rng, 4, seed=0)
+        assert TraceDims.from_step(episode.features, episode.masks) == DIMS
 
 
 def _step_infos(backend):
@@ -211,10 +208,8 @@ class TestRoundTrip:
         assert dataset.num_rows == 3 * 8  # 7 steps + 1 final snapshot
 
     def test_unfeaturized_log_is_rejected(self, tmp_path):
-        episode = LoggedEpisode(
-            steps=[LoggedStep(action=0, behavior_prob=0.5, reward=1.0)],
-            gamma=1.0,
-        )
+        episode = LoggedEpisode(actions=[0], behavior_probs=[0.5],
+                                rewards=[1.0], gamma=1.0)
         with pytest.raises(TraceError, match="no features"):
             write_episodes([episode], tmp_path / "trace")
 
@@ -280,24 +275,14 @@ class TestCrashTolerance:
         rng = np.random.default_rng(9)
         writer = TraceWriter(path, shard_rows=16)
         for index in range(5):
-            episode = make_episode(rng, 10, seed=index)
-            writer.begin_episode(index, seed=index, gamma=episode.gamma)
-            for t, step in enumerate(episode.steps):
-                writer.append_step(index, action=step.action,
-                                   behavior_prob=step.behavior_prob,
-                                   reward=step.reward,
-                                   done=t == len(episode.steps) - 1,
-                                   features=step.features, mask=step.mask)
-            writer.finish_episode(index,
-                                  final_features=episode.final_features,
-                                  final_mask=episode.final_mask)
+            writer.write(index, make_episode(rng, 10, seed=index))
         # no close(): the process "dies" here with rows still pending
         flushed = writer.episodes_written - (
             sum(1 for _ in writer._pending_episodes))
         dataset = TraceDataset(path)
         assert len(dataset) == flushed < 5
         for episode in dataset:  # everything listed actually decodes
-            assert len(episode.steps) == 10
+            assert len(episode) == 10
 
     def test_not_a_trace_dir(self, tmp_path):
         with pytest.raises(TraceIntegrityError, match=MANIFEST_NAME):
@@ -341,36 +326,42 @@ class TestSchemaGuards:
         with pytest.raises(TraceError, match="non-empty"):
             TraceWriter(path)
 
+    def test_manifest_missing_episode_rows_is_rejected(self, tmp_path):
+        """A shard's episode entries must account for all of its rows."""
+        path = tmp_path / "trace"
+        write_episodes(make_log(3, 5), path)
+        self._tamper(path,
+                     lambda m: m["shards"][0].update(
+                         episodes=m["shards"][0]["episodes"][:1]))
+        with pytest.raises(TraceIntegrityError, match="6 episode rows"):
+            TraceDataset(path)
+
     def test_shape_drift_mid_recording_is_rejected(self, tmp_path):
         rng = np.random.default_rng(0)
         writer = TraceWriter(tmp_path / "trace")
-        writer.begin_episode(0)
-        writer.append_step(0, action=0, behavior_prob=0.5, reward=0.0,
-                           done=False, features=make_features(rng),
-                           mask=make_mask(rng))
-        writer.append_step(
-            0, action=0, behavior_prob=0.5, reward=0.0, done=True,
-            features=FeatureSet(node=np.zeros((7, 2)),
-                                plc=np.zeros((1, 3)), glob=np.zeros(3)),
-            mask=np.ones(4, dtype=bool))
-        # steps buffer raw; the drift surfaces when the episode serializes
+        writer.write(0, make_episode(rng, 2, seed=0))
+        drifted = dataclasses.replace(
+            make_episode(rng, 2, seed=1, with_final=False),
+            features=FeatureSet(node=np.zeros((2, 7, 2)),
+                                plc=np.zeros((2, 1, 3)), glob=np.zeros((2, 3))),
+            masks=np.ones((2, 4), dtype=bool))
         with pytest.raises(TraceSchemaError, match="geometry"):
-            writer.finish_episode(0)
+            writer.write(1, drifted)
 
     def test_writer_misuse(self, tmp_path):
         rng = np.random.default_rng(0)
         writer = TraceWriter(tmp_path / "trace")
-        writer.begin_episode(0)
+        writer.write(0, make_episode(rng, 2, seed=0))
         with pytest.raises(TraceError, match="already recorded"):
-            writer.begin_episode(0)
-        with pytest.raises(TraceError, match="not open"):
-            writer.append_step(5, action=0, behavior_prob=0.5, reward=0.0,
-                               done=True, features=make_features(rng),
-                               mask=make_mask(rng))
+            writer.write(0, make_episode(rng, 2, seed=0))
+        writer.write(2, make_episode(rng, 2, seed=2))  # waits for episode 1
+        with pytest.raises(TraceError, match="already recorded"):
+            writer.write(2, make_episode(rng, 2, seed=2))
         with pytest.raises(TraceError, match="never finished"):
             writer.close()
         with pytest.raises(TraceError, match="come together"):
-            writer.finish_episode(0, final_features=make_features(rng))
+            writer.write(1, dataclasses.replace(make_episode(rng, 2, seed=1),
+                                                final_mask=None))
 
 
 # ----------------------------------------------------------------------

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 import repro
 from repro.config import tiny_network
 from repro.rl import AttentionQNetwork, QNetConfig
+from repro.rl.features import FeatureSet
 from repro.validation import (
     LoggedEpisode,
-    LoggedStep,
     StochasticQPolicy,
     UniformRandomPolicy,
     bootstrap_ci,
@@ -40,15 +40,21 @@ class FixedPolicy:
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=float)
 
-    def action_probs(self, features, mask):
-        return self.probs
+    def action_probs_batch(self, features, masks):
+        return np.tile(self.probs, (len(masks), 1))
+
+
+def hand_log(actions, behavior_probs, rewards, gamma: float = 1.0,
+             features=None) -> LoggedEpisode:
+    """A hand-built log over two actions, both always valid."""
+    return LoggedEpisode(actions=actions, behavior_probs=behavior_probs,
+                         rewards=rewards, gamma=gamma, features=features,
+                         masks=np.ones((len(actions), 2), dtype=bool))
 
 
 def bandit_episode(action: int, behavior_prob: float, reward: float,
                    gamma: float = 1.0) -> LoggedEpisode:
-    return LoggedEpisode(
-        steps=[LoggedStep(action, behavior_prob, reward)], gamma=gamma
-    )
+    return hand_log([action], [behavior_prob], [reward], gamma)
 
 
 class TestStepRatios:
@@ -131,13 +137,8 @@ class TestPerDecisionIS:
     def test_two_step_hand_computation(self):
         """gamma=0.5, ratios (2, 0.5), rewards (1, 4):
         PDIS = 1*2*1 + 0.5*(2*0.5)*4 = 2 + 2 = 4."""
-        episode = LoggedEpisode(
-            steps=[
-                LoggedStep(action=0, behavior_prob=0.5, reward=1.0),
-                LoggedStep(action=1, behavior_prob=0.8, reward=4.0),
-            ],
-            gamma=0.5,
-        )
+        episode = hand_log(actions=[0, 1], behavior_probs=[0.5, 0.8],
+                           rewards=[1.0, 4.0], gamma=0.5)
         target = FixedPolicy([1.0, 0.4])
         result = per_decision_importance_sampling([episode], target)
         assert result.estimate == pytest.approx(4.0)
@@ -153,13 +154,7 @@ class TestPerDecisionIS:
         """Unlike OIS, PDIS does not punish reward at t=0 with the
         ratio at t=1."""
         def make(behavior_second):
-            return LoggedEpisode(
-                steps=[
-                    LoggedStep(0, 0.5, reward=10.0),
-                    LoggedStep(1, behavior_second, reward=0.0),
-                ],
-                gamma=1.0,
-            )
+            return hand_log([0, 1], [0.5, behavior_second], [10.0, 0.0])
 
         target = FixedPolicy([0.5, 0.5])
         a = per_decision_importance_sampling([make(0.9)], target)
@@ -244,6 +239,14 @@ def logged_setup(tiny_tables):
     return env, qnet, behavior, episodes, tiny_tables
 
 
+def first_state(episode: LoggedEpisode):
+    """The first logged state and its mask, unstacked."""
+    return (FeatureSet(node=episode.features.node[0],
+                       plc=episode.features.plc[0],
+                       glob=episode.features.glob[0]),
+            episode.masks[0])
+
+
 class TestLogging:
     def test_episode_structure(self, logged_setup):
         _, _, _, episodes, _ = logged_setup
@@ -254,36 +257,52 @@ class TestLogging:
             assert (episode.behavior_probs > 0).all()
             assert (episode.behavior_probs <= 1.0 + 1e-12).all()
 
+    def test_logged_prob_is_the_policys_probability(self, logged_setup):
+        _, _, behavior, episodes, _ = logged_setup
+        features, mask = first_state(episodes[0])
+        action = episodes[0].actions[0]
+        assert behavior.action_probs(features, mask)[action] \
+            == episodes[0].behavior_probs[0]
+
+    def test_steps_is_a_read_only_view_of_the_columns(self, logged_setup):
+        _, _, _, episodes, _ = logged_setup
+        steps = episodes[0].steps
+        assert [(s.action, s.behavior_prob, s.reward) for s in steps] \
+            == list(zip(episodes[0].actions, episodes[0].behavior_probs,
+                        episodes[0].rewards))
+        with pytest.raises(ValueError):
+            steps[0].reward = 0.0
+
     def test_probs_are_normalized_distributions(self, logged_setup):
         _, _, behavior, episodes, _ = logged_setup
-        step = episodes[0].steps[0]
-        probs = behavior.action_probs(step.features, step.mask)
+        features, mask = first_state(episodes[0])
+        probs = behavior.action_probs(features, mask)
         assert probs.sum() == pytest.approx(1.0)
-        assert (probs[~step.mask] == pytest.approx(0.0, abs=1e-12))
+        assert (probs[~mask] == pytest.approx(0.0, abs=1e-12))
 
     def test_epsilon_guarantees_support(self, logged_setup):
         _, _, behavior, episodes, _ = logged_setup
-        step = episodes[0].steps[0]
-        probs = behavior.action_probs(step.features, step.mask)
-        n_valid = int(step.mask.sum())
+        features, mask = first_state(episodes[0])
+        probs = behavior.action_probs(features, mask)
+        n_valid = int(mask.sum())
         floor = behavior.epsilon / n_valid
-        assert (probs[step.mask] >= floor - 1e-12).all()
+        assert (probs[mask] >= floor - 1e-12).all()
 
     def test_greedy_policy_without_epsilon_is_degenerate(self, logged_setup):
         env, qnet, _, episodes, tables = logged_setup
         greedy = StochasticQPolicy(qnet, tables, temperature=None, epsilon=0.0)
-        step = episodes[0].steps[0]
-        probs = greedy.action_probs(step.features, step.mask)
+        features, mask = first_state(episodes[0])
+        probs = greedy.action_probs(features, mask)
         assert probs.max() == pytest.approx(1.0)
         assert (probs > 0).sum() == 1
 
     def test_uniform_policy_probs(self, logged_setup):
         env, qnet, _, episodes, tables = logged_setup
         uniform = UniformRandomPolicy(qnet, tables)
-        step = episodes[0].steps[0]
-        probs = uniform.action_probs(step.features, step.mask)
-        n_valid = int(step.mask.sum())
-        assert probs[step.mask] == pytest.approx(1.0 / n_valid)
+        features, mask = first_state(episodes[0])
+        probs = uniform.action_probs(features, mask)
+        n_valid = int(mask.sum())
+        assert probs[mask] == pytest.approx(1.0 / n_valid)
 
     def test_rejects_bad_temperature(self, logged_setup):
         _, qnet, _, _, tables = logged_setup
@@ -372,27 +391,11 @@ class TestFQE:
                 return Tensor(np.array([[1.0, 1.0], [0.0, 0.0]][:batch]))
 
         target = FixedPolicy([0.5, 0.5])
-        episode = LoggedEpisode(
-            steps=[
-                LoggedStep(0, 0.5, reward=1.0,
-                           features=_fake_features(0), mask=np.ones(2, bool)),
-                LoggedStep(1, 0.5, reward=0.0,
-                           features=_fake_features(1), mask=np.ones(2, bool)),
-            ],
-            gamma=0.5,
-        )
+        episode = hand_log([0, 1], [0.5, 0.5], [1.0, 0.0], gamma=0.5,
+                           features=FeatureSet(
+                               node=np.arange(2.0).reshape(2, 1, 1),
+                               plc=np.zeros((2, 1, 1)), glob=np.zeros((2, 1))))
         result = doubly_robust([episode], target, PerfectQNet())
         # V(s0) = 1, corrections: t=0: 1*(1 + 0.5*0 - 1) = 0;
         # t=1: 1*(0 + 0 - 0) = 0
         assert result.estimate == pytest.approx(1.0)
-
-
-def _fake_features(index: int):
-    """Minimal FeatureSet stand-in for the hand-built DR test."""
-    from repro.rl.features import FeatureSet
-
-    return FeatureSet(
-        node=np.full((1, 1), float(index)),
-        plc=np.zeros((1, 1)),
-        glob=np.zeros(1),
-    )
