@@ -83,6 +83,8 @@ class DBNFilter:
         self.tables = tables
         self.topology = topology
         self.n_nodes = topology.n_nodes
+        #: P(alert level | state) as contiguous rows, one per level
+        self._alert_lik_rows = np.ascontiguousarray(tables.alert_lik.T)
         self.beliefs = np.zeros((self.n_nodes, N_STATES))
         self.reset()
 
@@ -101,12 +103,15 @@ class DBNFilter:
         return self.beliefs[:, CanonicalState.COMP:].sum(axis=1)
 
     # ------------------------------------------------------------------
-    def update(self, obs: Observation) -> np.ndarray:
+    def update(self, obs: Observation,
+               severities: np.ndarray | None = None) -> np.ndarray:
         """Advance beliefs by one step given an observation.
 
         Uses ``obs.completed_actions`` (the defender's own completing
         actions) for the transition conditioning and the alerts / scan
-        results for the likelihood update. Returns the belief matrix.
+        results for the likelihood update. ``severities`` is
+        ``obs.alert_severity_per_node(n_nodes)`` if the caller has it.
+        Returns the belief matrix.
         """
         mu = mu_bucket(self.expected_compromised)
 
@@ -124,8 +129,9 @@ class DBNFilter:
             new_beliefs[mask] = self.beliefs[mask] @ self.tables.transition[mu, cat]
 
         # likelihood: max alert severity per node (0 = no alert)
-        severities = obs.alert_severity_per_node(self.n_nodes)
-        new_beliefs *= self.tables.alert_lik[:, severities].T
+        if severities is None:
+            severities = obs.alert_severity_per_node(self.n_nodes)
+        new_beliefs *= self._alert_lik_rows[severities]
 
         # likelihood: completed scans
         for result in obs.scan_results:

@@ -14,6 +14,7 @@ compromised nodes, approximating the intractable full joint update
 
 from __future__ import annotations
 
+import bisect
 import enum
 
 import numpy as np
@@ -84,7 +85,7 @@ SCAN_TYPE_INDEX = {
 N_SCAN_TYPES = len(SCAN_TYPE_INDEX)
 
 #: mu (network compromise summary) bucket edges: 0, 1-2, 3-5, 6+
-_MU_EDGES = np.array([1, 3, 6])
+_MU_EDGES = (1, 3, 6)
 N_MU_BUCKETS = len(_MU_EDGES) + 1
 
 
@@ -94,7 +95,7 @@ def action_category(atype: DefenderActionType) -> ActionCategory:
 
 def mu_bucket(n_compromised: float) -> int:
     """Bucket the (possibly expected) count of compromised nodes."""
-    return int(np.digitize(n_compromised, _MU_EDGES))
+    return bisect.bisect_right(_MU_EDGES, n_compromised)
 
 
 def canonical_states(conditions: np.ndarray) -> np.ndarray:

@@ -41,10 +41,12 @@ class MultiHeadSelfAttention(Module):
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, T, dh)
         q, k, v = qkv[0], qkv[1], qkv[2]
         scale = 1.0 / math.sqrt(d_head)
-        scores = (q @ k.swapaxes(-1, -2)) * scale
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        weights = e / e.sum(axis=-1, keepdims=True)
+        # softmax(q k^T * scale) on the one score buffer
+        weights = q @ k.swapaxes(-1, -2)
+        weights *= scale
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
         attended = weights @ v  # (B, H, T, dh)
         merged = attended.transpose(0, 2, 1, 3).reshape(batch, tokens, self.d_model)
         if tape is not None:
@@ -54,9 +56,13 @@ class MultiHeadSelfAttention(Module):
                 # weights @ v, the softmax and the scaled q @ k^T
                 grad = grad.reshape(batch, tokens, heads, d_head)
                 grad = grad.transpose(0, 2, 1, 3)
-                grad_w = grad @ v.swapaxes(-1, -2)
-                dot = (grad_w * weights).sum(axis=-1, keepdims=True)
-                grad_s = weights * (grad_w - dot) * scale
+                # the weights' gradient grad_w, then in place the
+                # scores' gradient weights * (grad_w - dot) * scale
+                grad_s = grad @ v.swapaxes(-1, -2)
+                dot = (grad_s * weights).sum(axis=-1, keepdims=True)
+                grad_s -= dot
+                grad_s *= weights
+                grad_s *= scale
                 out = np.empty((batch, tokens, 3, heads, d_head))
                 out[:, :, 0] = (grad_s @ k).transpose(0, 2, 1, 3)
                 out[:, :, 1] = (grad_s.swapaxes(-1, -2) @ q).transpose(0, 2, 1, 3)

@@ -15,6 +15,14 @@ departs, the replacement is exact in IEEE arithmetic: ``a - b`` for
 where(x > 0, 1, alpha)`` (0 < alpha < 1), and a filled buffer for a
 concatenation of products with ones. Gradients are checked against
 finite differences and against the per-op graph in the test suite.
+
+Forwards and backward steps write in place where that keeps every value
+bit for bit: ``out += bias`` for ``out + bias`` (IEEE ``+`` and ``*``
+commute), a softmax on its one score buffer. Sums and matmuls are never
+reordered. Only an array created in the same call may be overwritten:
+inputs, incoming gradients, parameters and anything a backward step
+saved stay as they are. The one exception is an activation, which may
+overwrite its argument, so callers pass it a fresh pre-activation.
 """
 
 from __future__ import annotations
@@ -45,8 +53,27 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
+class _ParameterCache:
+    """A module's parameters in ``named_parameters`` order. Not a list,
+    tuple or dict, so the parameter walk does not count them twice; a
+    ``copy.deepcopy`` of the module maps them to the copy's own
+    Parameters through its memo. Two threads filling it at once store
+    the same Parameters."""
+
+    __slots__ = ("params",)
+
+    def __init__(self, params: tuple):
+        self.params = params
+
+
 class Module:
     """Base class with recursive parameter discovery and state dicts."""
+
+    def __setattr__(self, name, value):
+        if isinstance(value, (Module, Parameter, list, tuple, dict)):
+            # the attribute may add or replace parameters
+            vars(self).pop("_parameter_cache", None)
+        object.__setattr__(self, name, value)
 
     def forward(self, x) -> Tensor:
         """Graph forward of a one-input module: its ``forward_array`` as
@@ -80,7 +107,13 @@ class Module:
         return out
 
     def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters()]
+        """The parameters in ``named_parameters`` order, walked once per
+        module (every graph forward asks for them)."""
+        cache = vars(self).get("_parameter_cache")
+        if cache is None:
+            cache = _ParameterCache(tuple(p for _, p in self.named_parameters()))
+            self._parameter_cache = cache
+        return list(cache.params)
 
     def child_modules(self):
         """Yield direct sub-modules (attributes, list/dict elements)."""
@@ -143,10 +176,12 @@ class Module:
 
 #: activations by name, bitwise equal to the per-op graph's activations
 #: of the same name, as ``(forward(x), backward(x, out, grad_out) ->
-#: grad_in)``; the identity has no backward step
+#: grad_in)``; the identity has no backward step. A forward may
+#: overwrite ``x`` (leaky ReLU does: its output is positive exactly
+#: where ``x`` is, so the backward's mask reads the same on either)
 _ARRAY_ACTIVATIONS = {
     "relu": (lambda x: x * (x > 0), lambda x, out, grad: grad * (x > 0)),
-    "leaky_relu": (lambda x: np.maximum(x, x * 0.01),
+    "leaky_relu": (lambda x: np.maximum(x, x * 0.01, out=x),
                    lambda x, out, grad: np.where(x > 0, grad, grad * 0.01)),
     "tanh": (np.tanh, lambda x, out, grad: grad * (1.0 - out * out)),
     "sigmoid": (lambda x: 1.0 / (1.0 + np.exp(-x)),
@@ -194,7 +229,7 @@ class Linear(Module):
         weight = self.weight.data
         out = x @ weight
         if self.bias is not None:
-            out = out + self.bias.data
+            out += self.bias.data
         if tape is not None:
 
             def backward(grad):
@@ -243,20 +278,30 @@ class LayerNorm(Module):
         width = x.shape[-1]
         scale = 1.0 / float(width)
         mu = x.sum(axis=-1, keepdims=True) * scale
-        centered = x - mu
-        var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-        std = np.sqrt(var + self.eps)
-        normed = centered / std
+        normed = x - mu  # centered, then scaled in place
+        out = normed * normed  # squares, then the output
+        var = out.sum(axis=-1, keepdims=True) * scale
+        var += self.eps
+        std = np.sqrt(var, out=var)
+        normed /= std
         gamma = self.gamma.data
         if tape is not None:
 
             def backward(grad):
-                tape.accumulate(self.gamma, _sum_leading(grad * normed, width))
+                product = grad * normed
+                tape.accumulate(self.gamma, _sum_leading(product, width))
                 tape.accumulate(self.beta, _sum_leading(grad, width))
                 g = grad * gamma
                 mean_g = g.sum(axis=-1, keepdims=True) * scale
-                mean_gn = (g * normed).sum(axis=-1, keepdims=True) * scale
-                return (g - mean_g - normed * mean_gn) / std
+                mean_gn = np.multiply(g, normed, out=product).sum(
+                    axis=-1, keepdims=True) * scale
+                # (g - mean_g - normed * mean_gn) / std, on g
+                g -= mean_g
+                g -= np.multiply(normed, mean_gn, out=product)
+                g /= std
+                return g
 
             tape.record(backward)
-        return normed * gamma + self.beta.data
+        np.multiply(normed, gamma, out=out)
+        out += self.beta.data
+        return out

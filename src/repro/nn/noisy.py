@@ -68,8 +68,10 @@ class NoisyLinear(Module):
         noisy = self.noise_enabled
         if noisy:
             eps_w, eps_b = self._eps_w, self._eps_b
-            weight = self.weight_mu.data + self.weight_sigma.data * eps_w
-            bias = self.bias_mu.data + self.bias_sigma.data * eps_b
+            weight = self.weight_sigma.data * eps_w
+            weight += self.weight_mu.data
+            bias = self.bias_sigma.data * eps_b
+            bias += self.bias_mu.data
         else:
             weight, bias = self.weight_mu.data, self.bias_mu.data
         if tape is not None:
@@ -84,7 +86,9 @@ class NoisyLinear(Module):
                 return grad_x
 
             tape.record(backward)
-        return x @ weight + bias
+        out = x @ weight
+        out += bias
+        return out
 
     @property
     def mean_sigma(self) -> float:

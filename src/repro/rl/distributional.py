@@ -128,11 +128,11 @@ class DistributionalAttentionQNetwork(AttentionQNetwork):
         """Flat atom logits -> (B, n_actions, n_atoms) log-probabilities
         (a log-softmax over each action's atoms)."""
         logits = flat.reshape(flat.shape[0], self.n_actions, self.c51.n_atoms)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        log_p = shifted - log_z
+        log_p = logits - logits.max(axis=-1, keepdims=True)  # shifted
+        e = np.exp(log_p)
+        log_p -= np.log(e.sum(axis=-1, keepdims=True))
         if tape is not None:
-            probs = np.exp(log_p)
+            probs = np.exp(log_p, out=e)
 
             def backward(grad):
                 total = grad.sum(axis=-1, keepdims=True)

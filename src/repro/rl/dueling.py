@@ -55,4 +55,5 @@ class DuelingAttentionQNetwork(AttentionQNetwork):
                 return np.concatenate([grad - total * inv_n, total], axis=1)
 
             tape.record(backward)
-        return self._soft_clip_array(value + centered, tape)
+        centered += value
+        return self._soft_clip_array(centered, tape)

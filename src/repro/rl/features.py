@@ -75,16 +75,16 @@ class ACSOFeaturizer:
 
     def update(self, obs: Observation) -> FeatureSet:
         """Advance the DBN with ``obs`` and return model features."""
-        beliefs = self.dbn.update(obs)
         n = self.topology.n_nodes
-        severities = obs.alert_severity_per_node(n) / 3.0
+        severities = obs.alert_severity_per_node(n)
+        beliefs = self.dbn.update(obs, severities)
         node = np.concatenate(
             [
                 beliefs,
                 self._static,
                 obs.quarantined[:, None].astype(float),
                 obs.node_busy[:, None].astype(float),
-                severities[:, None],
+                (severities / 3.0)[:, None],
             ],
             axis=1,
         )

@@ -249,16 +249,16 @@ class AttentionQNetwork(Module):
         """Each head on its tokens with the global features appended,
         flattened and concatenated: (B, sum of head widths). Its
         backward returns (token gradient, global-feature gradient)."""
-        batch, _, d = tokens.shape
+        batch, n_tokens, d = tokens.shape
         groups = self._head_groups()
         head_tapes = [branch(tape) for _ in groups]
-        outputs = []
-        for (head, index), head_tape in zip(groups, head_tapes):
-            ctx = tokens[:, index]
-            x = np.empty((batch, ctx.shape[1], d + GLOBAL_FEATURE_DIM))
-            x[..., :d] = ctx
-            x[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
-            outputs.append(head.forward_array(x, head_tape))
+        # every token with the global features appended, filled once;
+        # each head reads its rows of it
+        x_all = np.empty((batch, n_tokens, d + GLOBAL_FEATURE_DIM))
+        x_all[..., :d] = tokens
+        x_all[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
+        outputs = [head.forward_array(x_all[:, index], head_tape)
+                   for (head, index), head_tape in zip(groups, head_tapes)]
         flat = np.concatenate(
             [out.reshape(batch, out.shape[1] * out.shape[2]) for out in outputs],
             axis=1,
@@ -291,18 +291,20 @@ class AttentionQNetwork(Module):
         cfg = self.config
         if not cfg.final_tanh:
             return q
-        t = np.tanh(q * (1.0 / cfg.q_scale))
+        t = q * (1.0 / cfg.q_scale)
+        np.tanh(t, out=t)
         if tape is not None:
             tape.record(lambda grad: grad * (1.0 - t * t))
         return t * cfg.q_scale
 
     def q_values(self, features: FeatureSet) -> np.ndarray:
-        """Inference helper for a single step."""
+        """Inference helper for a single step (a batch of one, as views
+        of ``features``' arrays)."""
         from repro.nn import no_grad
 
         with no_grad():
-            node, plc, glob = stack_features([features])
-            return self.forward(node, plc, glob).data[0]
+            return self.forward(features.node[None], features.plc[None],
+                                features.glob[None]).data[0]
 
 
 @dataclass(frozen=True)

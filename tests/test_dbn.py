@@ -76,6 +76,14 @@ class TestBuckets:
         assert mu_bucket(50) == 3
         assert mu_bucket(50) == N_MU_BUCKETS - 1
 
+    def test_mu_buckets_of_expected_counts(self):
+        """Fractional expected counts bucket as ``np.digitize`` over the
+        edges 1, 3, 6 does."""
+        counts = [0.0, 0.999, 1.0, 1.5, 2.999, 3.0, 5.999, 6.0, 6.5, 40.25,
+                  np.nextafter(3.0, 0.0), np.float64(3.0), np.nan]
+        assert [mu_bucket(c) for c in counts] \
+            == [int(np.digitize(c, [1, 3, 6])) for c in counts]
+
     def test_action_categories(self):
         assert action_category(_T.SIMPLE_SCAN) is ActionCategory.INVESTIGATE
         assert action_category(_T.ADVANCED_SCAN) is ActionCategory.INVESTIGATE
@@ -161,6 +169,19 @@ class TestDBNFilter:
             dbn.update(self._obs(topo.n_nodes, alerts=alerts))
             assert np.allclose(dbn.beliefs.sum(axis=1), 1.0)
             assert (dbn.beliefs >= 0).all()
+
+    def test_given_severities_match_computed_ones(self, topo):
+        tables = _informative_tables()
+        computed, given = DBNFilter(tables, topo), DBNFilter(tables, topo)
+        rng = np.random.default_rng(1)
+        for t in range(30):
+            alerts = [Alert(t, int(rng.integers(1, 4)),
+                            int(rng.integers(topo.n_nodes)))
+                      for _ in range(int(rng.integers(0, 4)))]
+            obs = self._obs(topo.n_nodes, alerts=alerts)
+            computed.update(obs)
+            given.update(obs, obs.alert_severity_per_node(topo.n_nodes))
+            assert computed.beliefs.tobytes() == given.beliefs.tobytes()
 
     def test_alerts_raise_suspicion(self, topo):
         dbn = DBNFilter(_informative_tables(), topo)

@@ -1,5 +1,7 @@
 """Tests for Q-networks, features, shaping, and schedules."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ from repro.nn import (
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
+    C51Config,
     ConvQNetwork,
+    DistributionalAttentionQNetwork,
+    DuelingAttentionQNetwork,
     PotentialShaper,
     QNetConfig,
     RawHistoryEncoder,
@@ -30,7 +35,12 @@ from repro.rl import (
     LinearSchedule,
     stack_features,
 )
-from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
+from repro.rl.features import (
+    GLOBAL_FEATURE_DIM,
+    NODE_FEATURE_DIM,
+    PLC_FEATURE_DIM,
+    FeatureSet,
+)
 from repro.rl.dqn import DQNConfig, DQNTrainer
 from repro.rl.qnetwork import ConvNetConfig
 from repro.sim.orchestrator import enumerate_actions
@@ -249,6 +259,150 @@ class TestInferenceParity:
         graph = run()
         assert len(fast[0]) == 20
         assert fast == graph
+
+
+#: the attention networks whose forwards and backward steps write in place
+IN_PLACE_NETWORKS = {
+    "plain": lambda: AttentionQNetwork(PARITY_CONFIGS["compact"], seed=4),
+    "dueling": lambda: DuelingAttentionQNetwork(PARITY_CONFIGS["compact"],
+                                                seed=4),
+    "noisy": lambda: AttentionQNetwork(
+        QNetConfig(d_model=16, encoder_hidden=32, head_hidden=32,
+                   noisy_heads=True), seed=4),
+    "c51": lambda: DistributionalAttentionQNetwork(
+        PARITY_CONFIGS["compact"], seed=4,
+        c51=C51Config(n_atoms=5, v_min=-4.0, v_max=4.0)),
+}
+
+
+def _backward(net, feats, seed):
+    """Forward with gradients on the parameters and the inputs, then
+    backward of sum(w * q); returns every gradient, parameters first."""
+    inputs = [Tensor(x, requires_grad=True) for x in feats]
+    net.zero_grad()
+    q = net.forward(*inputs)
+    q.backward(np.random.default_rng(seed).normal(size=q.shape))
+    grads = [p.grad for p in net.parameters()] + [x.grad for x in inputs]
+    net.zero_grad()
+    return grads
+
+
+class TestInPlaceSafety:
+    """The forwards and backward steps overwrite only arrays made in the
+    same call: inputs, parameters and a graph taped earlier survive."""
+
+    @pytest.fixture(params=sorted(IN_PLACE_NETWORKS))
+    def net(self, request, tiny_topology):
+        return IN_PLACE_NETWORKS[request.param]().bind_topology(tiny_topology)
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_inputs_and_parameters_unchanged(self, net, tiny_topology, batch):
+        feats = _random_features(tiny_topology, batch, seed=batch)
+        one = FeatureSet(*(x[0].copy() for x in feats))
+        before = [_bits(x) for x in (*feats, one.node, one.plc, one.glob)]
+        params = [_bits(p.data) for p in net.parameters()]
+        inputs = [Tensor(x, requires_grad=True) for x in feats]
+        q = net.forward(*inputs)
+        grad_out = np.random.default_rng(0).normal(size=q.shape)
+        grad_bits = _bits(grad_out)
+        q.backward(grad_out)
+        with no_grad():
+            net.forward(*feats)
+        net.q_values(one)
+        assert [_bits(x) for x in (*feats, one.node, one.plc, one.glob)] \
+            == before
+        assert [_bits(p.data) for p in net.parameters()] == params
+        assert _bits(grad_out) == grad_bits
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_repeated_no_grad_calls_agree(self, net, tiny_topology, batch):
+        feats = _random_features(tiny_topology, batch, seed=batch)
+        other = _random_features(tiny_topology, batch, seed=batch + 100)
+        with no_grad():
+            first = net.forward(*feats).data
+            kept = _bits(first)
+            net.forward(*other)
+            assert _bits(first) == kept
+            second = net.forward(*feats).data
+        assert _bits(second) == kept
+        one = FeatureSet(*(x[0] for x in feats))
+        assert _bits(net.q_values(one)) == _bits(net.q_values(one)) \
+            == _bits(first[0])
+
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_taped_graph_survives_a_second_forward(self, net, tiny_topology,
+                                                   batch):
+        feats = _random_features(tiny_topology, batch, seed=batch)
+        alone = _backward(net, feats, seed=batch)
+
+        inputs = [Tensor(x, requires_grad=True) for x in feats]
+        net.zero_grad()
+        q = net.forward(*inputs)
+        other = _random_features(tiny_topology, batch, seed=batch + 100)
+        net.forward(*other)  # a second taped call
+        with no_grad():
+            net.forward(*other)
+        q.backward(np.random.default_rng(batch).normal(size=q.shape))
+        interleaved = ([p.grad for p in net.parameters()]
+                       + [x.grad for x in inputs])
+        assert [_bits(g) for g in interleaved] == [_bits(g) for g in alone]
+
+        inputs = [Tensor(x, requires_grad=True) for x in feats]
+        net.zero_grad()
+        oracle_q = graph_oracle.q_forward(net, *inputs)
+        assert _bits(oracle_q.data) == _bits(q.data)
+        oracle_q.backward(np.random.default_rng(batch).normal(size=q.shape))
+        oracle = [p.grad for p in net.parameters()] + [x.grad for x in inputs]
+        net.zero_grad()
+        for index, (got, want) in enumerate(zip(interleaved, oracle)):
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-15 * scale,
+                                       err_msg=f"gradient {index}")
+
+
+class TestParameterCache:
+    """``Module.parameters`` walks the module tree once; the list follows
+    the module through copies, restores and new attributes."""
+
+    @staticmethod
+    def _net(topo, seed):
+        return AttentionQNetwork(PARITY_CONFIGS["compact"], seed=seed) \
+            .bind_topology(topo)
+
+    def test_walk_sees_each_parameter_once(self, tiny_topology):
+        net = self._net(tiny_topology, 0)
+        names = [name for name, _ in net.named_parameters()]
+        assert net.parameters() == [p for _, p in net.named_parameters()]
+        assert [name for name, _ in net.named_parameters()] == names
+        assert list(net.state_dict()) == names
+
+    def test_copies_put_gradients_on_their_own_parameters(self, tiny_topology):
+        net = self._net(tiny_topology, 0)
+        feats = _random_features(tiny_topology, 4, seed=0)
+        want = _backward(net, feats, seed=0)  # fills the cache
+
+        copied = copy.deepcopy(net)
+        restored = self._net(tiny_topology, 9)
+        _backward(restored, feats, seed=0)  # cache filled before the load
+        restored.load_state_dict(net.state_dict())
+        for other in (copied, restored):
+            params = other.parameters()
+            assert params == [p for _, p in other.named_parameters()]
+            assert not {id(p) for p in params} & {id(p) for p in net.parameters()}
+            got = _backward(other, feats, seed=0)
+            assert [_bits(g) for g in got] == [_bits(g) for g in want]
+            other.forward(*feats).backward(np.ones((4, other.n_actions)))
+            assert all(p.grad is not None for p in params)
+            assert all(p.grad is None for p in net.parameters())
+            other.zero_grad()
+
+    def test_new_attribute_refreshes_the_list(self, tiny_topology):
+        net = self._net(tiny_topology, 0)
+        count = len(net.parameters())
+        net.extra = Linear(3, 2)
+        assert len(net.parameters()) == count + 2
+        assert net.parameters()[-2:] == [net.extra.weight, net.extra.bias]
 
 
 def _module_input(shape, seed):
