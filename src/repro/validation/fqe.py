@@ -19,7 +19,8 @@ low variance with per-decision IS's unbiasedness:
 
 where w_t is the cumulative ratio product. With a perfect Q model the
 correction terms vanish; with broken importance weights the Q model
-anchors the estimate.
+anchors the estimate. Both weight a ``(B, A)`` Q block by the target's
+distributions in one batched row-dot (:func:`row_dot`).
 
 Both estimators stream their episode source in fixed-size **episode
 chunks** (:func:`~repro.validation.datasets.iter_episode_chunks`): a
@@ -133,14 +134,16 @@ def _transition_batch(episodes: list[LoggedEpisode],
     )
 
 
+def row_dot(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``probs[i] @ q[i]`` for every row as one batched matmul, bitwise the
+    per-row dot (``einsum`` and ``(probs * q).sum(1)`` are not)."""
+    return (np.asarray(probs)[:, None, :] @ q[:, :, None])[:, 0, 0]
+
+
 def _policy_values(qnet, target_policy, features, masks) -> np.ndarray:
     """V(s) = sum_a pi(a|s) Q(s, a) for a stacked batch of states."""
     q = q_batch(qnet, features)
-    probs = target_policy.action_probs_batch(features, masks)
-    values = np.empty(len(masks))
-    for i in range(len(masks)):
-        values[i] = float(probs[i] @ q[i])
-    return values
+    return row_dot(target_policy.action_probs_batch(features, masks), q)
 
 
 def fitted_q_evaluation(
@@ -258,9 +261,7 @@ def episode_dr_value(
     q_all = q_batch(qnet, episode.features) / reward_scale
     q_taken = q_all[np.arange(n), episode.actions]
     probs = target_policy.action_probs_batch(episode.features, episode.masks)
-    state_values = np.empty(n)
-    for t in range(n):
-        state_values[t] = float(probs[t] @ q_all[t])
+    state_values = row_dot(probs, q_all)
     next_values = np.append(state_values[1:], 0.0)  # terminal V = 0
 
     ratios = _ratios_from_probs(episode, probs, clip, label=label)

@@ -13,11 +13,11 @@ the valid-action masks ``(T, A)`` and the state after the final step.
 The same shape runs from the recorder through the on-disk trace store
 (:mod:`repro.validation.tracestore`, whose record columns it mirrors)
 to every estimator, which index the columns directly: target-policy
-probabilities, FQE regressions and doubly-robust corrections are all
-computed offline from it. Recording runs on
-:func:`~repro.sim.vec_env.drive_vec_episodes`; :func:`recorder` builds
-its callbacks, and :func:`collect_logged_episodes` is the one-lane
-call of them that keeps the episodes in a list.
+probabilities (one masked softmax per ``(T, A)`` block), FQE regressions
+and doubly-robust corrections are all computed offline from it.
+Recording runs on :func:`~repro.sim.vec_env.drive_vec_episodes`;
+:func:`recorder` builds its callbacks, and :func:`collect_logged_episodes`
+is the one-lane call of them that keeps the episodes in a list.
 """
 
 from __future__ import annotations
@@ -52,6 +52,15 @@ def concat_rows(batches) -> FeatureSet:
     batches = list(batches)
     return FeatureSet(*(np.concatenate([getattr(b, name) for b in batches])
                         for name in ("node", "plc", "glob")))
+
+
+def valid_rows(masks) -> np.ndarray:
+    """Boolean masks; a row with no valid action raises ``ValueError``."""
+    valid = np.asarray(masks, dtype=bool)
+    empty = np.flatnonzero(~valid.any(axis=-1))
+    if len(empty):
+        raise ValueError(f"mask row {empty[0]} allows no action")
+    return valid
 
 
 def q_batch(qnet, features: FeatureSet) -> np.ndarray:
@@ -148,27 +157,25 @@ class StochasticQPolicy:
         network forward.
 
         Works offline on logged columns, which is how target-policy
-        probabilities are recovered during estimation.
+        probabilities are recovered during estimation. Each op runs once
+        over the ``(B, A)`` block, reducing rows along the contiguous last
+        axis, so every row is bitwise what it would be alone. A row with
+        no valid action raises ``ValueError``.
         """
-        if len(masks) == 0:
-            return np.zeros(np.shape(masks))
+        valid = valid_rows(masks)
+        if len(valid) == 0:
+            return np.zeros(valid.shape)
         q = q_batch(self.qnet, features)
-        return np.stack([self._probs_from_q(q[i], mask)
-                         for i, mask in enumerate(masks)])
-
-    def _probs_from_q(self, q: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        valid = np.asarray(mask, dtype=bool)
-        probs = np.zeros(len(q))
         if self.temperature is None:
-            best = int(np.argmax(np.where(valid, q, -np.inf)))
-            probs[best] = 1.0
+            best = np.where(valid, q, -np.inf).argmax(axis=1, keepdims=True)
+            probs = (np.arange(q.shape[1]) == best) * 1.0
         else:
             logits = np.where(valid, q / self.temperature, -np.inf)
-            logits -= logits.max()
+            logits -= logits.max(axis=1, keepdims=True)
             exp = np.where(valid, np.exp(logits), 0.0)
-            probs = exp / exp.sum()
+            probs = exp / exp.sum(axis=1, keepdims=True)
         if self.epsilon > 0:
-            uniform = valid / valid.sum()
+            uniform = valid / valid.sum(axis=1, keepdims=True)
             probs = (1.0 - self.epsilon) * probs + self.epsilon * uniform
         return probs
 
@@ -181,29 +188,20 @@ class StochasticQPolicy:
         return action, float(probs[action]), features, mask
 
 
-class UniformRandomPolicy:
-    """Uniform over valid actions; the maximum-coverage behaviour."""
+class UniformRandomPolicy(StochasticQPolicy):
+    """Uniform over valid actions; the maximum-coverage behaviour: the
+    epsilon = 1 :class:`StochasticQPolicy` without a network forward
+    (the Q-network only supplies the action list and featurizer)."""
 
     name = "uniform-random"
 
     def __init__(self, qnet, tables: DBNTables, seed: int = 0):
-        # the Q-network is only used for its action list / featurizer
-        # plumbing, so logs stay compatible with Q-based targets
-        self._inner = StochasticQPolicy(qnet, tables, epsilon=1.0, seed=seed)
-
-    def reset(self, env) -> None:
-        self._inner.reset(env)
-
-    def action_probs(self, features: FeatureSet, mask: np.ndarray) -> np.ndarray:
-        return self.action_probs_batch(None, np.asarray(mask)[np.newaxis])[0]
+        super().__init__(qnet, tables, epsilon=1.0, seed=seed)
 
     def action_probs_batch(self, features: FeatureSet | None,
                            masks: np.ndarray) -> np.ndarray:
-        valid = np.asarray(masks, dtype=bool)
+        valid = valid_rows(masks)
         return valid / valid.sum(axis=1, keepdims=True)
-
-    def decide(self, obs):
-        return self._inner.decide(obs)
 
 
 def recorder(venv, behavior_for, sink, *, seed: int = 0) -> dict:
