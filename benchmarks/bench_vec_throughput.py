@@ -3,12 +3,9 @@
 Companion to ``bench_sim_throughput.py``: the same three network
 presets, stepping a lockstep vector environment of N ∈ {1, 4, 16}
 lanes through each backend (``sync`` lanes stepped in turn, ``batched``
-structure-of-arrays lanes). The committed ``BENCH_vec_throughput.json``
-still carries rows for the retired worker-pool backends (``process``,
-and ``shm`` within noise of it), kept as the evidence for retiring
-them: ``batched`` beats ``process`` in every cell. The benchmark reports
-*aggregate* environment steps per second (lanes × lockstep rounds /
-wall time) — the number tracked against the repo's perf trajectory.
+structure-of-arrays lanes). The benchmark reports *aggregate*
+environment steps per second (lanes × lockstep rounds / wall time) —
+the number tracked against the repo's perf trajectory.
 
 Two entry points:
 

@@ -34,7 +34,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.22"],
+    install_requires=["numpy>=1.22", "networkx"],
     extras_require={
         "tests": ["pytest>=7", "pytest-cov>=4"],
         "benchmarks": ["pytest>=7", "pytest-benchmark>=4"],

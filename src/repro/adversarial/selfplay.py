@@ -118,8 +118,8 @@ class SelfPlayConfig:
     eval_episodes: int = 2
     eval_max_steps: int | None = None
     seed: int = 0
-    #: vector-env backend for both oracles (one of
-    #: ``repro.sim.vec_env.BACKEND_CHOICES``)
+    #: vector-env backend for both oracles: ``"sync"``, ``"batched"``
+    #: or ``"auto"`` (``repro.sim.vec_env.BACKEND_CHOICES``)
     backend: str = "sync"
     #: name used in emitted scenario ids ``selfplay/<run_name>-rN-brK``
     #: (default: the base scenario id); vary it to keep several runs'

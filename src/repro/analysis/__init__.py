@@ -6,19 +6,20 @@ stay pickle-free, and the simulation core must not import the serving
 layer. This package proves those contracts at lint time, before a
 parity test has to catch them dynamically.
 
-The framework is deliberately stdlib-only (``ast`` + ``json``): it runs
-in the CI lint job without installing the simulator's dependencies.
+The analyzer itself uses only the stdlib (``ast`` + ``json``), but
+importing it runs ``repro/__init__``, which needs the simulator's
+import-time dependencies (numpy and networkx): the CI lint job installs
+those two, and pytest for ``tests/test_analysis.py``.
 
 Entry points:
 
 * ``repro check`` (CLI verb) and ``python -m repro.analysis``;
 * :func:`run_check` for tests and embedding.
 
-See ``README.md`` ("Static analysis gates") for the rule catalog,
-suppression syntax, and baseline file format.
+See ``README.md`` ("Static analysis gates") for the rule catalog and
+the suppression syntax.
 """
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.core import (
     AnalysisError,
     Finding,
@@ -32,8 +33,6 @@ from repro.analysis.runner import main, run_check
 
 __all__ = [
     "AnalysisError",
-    "Baseline",
-    "BaselineError",
     "Finding",
     "Policy",
     "Project",

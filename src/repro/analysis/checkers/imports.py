@@ -13,6 +13,9 @@ Two standing bans ship in the default policy:
 
 Bans are configured as ``{"modules": [globs], "banned": [prefixes],
 "reason": ...}`` records, so new layering edges are one policy entry.
+Relative imports are resolved against the analyzed root taken as the
+``repro`` package, so ``from ..rl import dqn`` in ``sim/`` is
+``repro.rl.dqn``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,24 @@ from repro.analysis.core import Finding, Project, Severity
 from repro.analysis.policy import Policy
 
 __all__ = ["ForbiddenImportsChecker"]
+
+
+def _imported_names(node: ast.AST, relpath: str) -> list[str]:
+    """Dotted names an import statement binds: the module and, for a
+    ``from`` import, each ``module.name`` (a submodule or an attribute,
+    the AST cannot tell)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module
+    if node.level:
+        package = ["repro", *relpath.split("/")[:-1]]
+        if node.level > len(package):
+            return []  # climbs above the analyzed root
+        base = package[:len(package) - node.level + 1]
+        module = ".".join(base + ([module] if module else []))
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
 
 
 def _banned_by(name: str, prefixes: list[str]) -> str | None:
@@ -36,27 +57,16 @@ class ForbiddenImportsChecker:
     rules = ("forbidden-import",)
 
     def run(self, project: Project, policy: Policy) -> list[Finding]:
-        if not policy.enabled("forbidden-imports"):
-            return []
-        config = policy.rule("forbidden-imports")
+        config = policy.rule("forbidden-import")
         findings: list[Finding] = []
         for ban in config.options.get("bans", []):
             modules = tuple(ban.get("modules", ("**",)))
             banned = list(ban.get("banned", ()))
             reason = ban.get("reason", "banned by policy")
-            for relpath in project.select(modules, config.exclude):
+            for relpath in project.select(modules):
                 source = project.file(relpath)
                 for node in ast.walk(source.tree):
-                    names: list[str] = []
-                    if isinstance(node, ast.Import):
-                        names = [alias.name for alias in node.names]
-                    elif isinstance(node, ast.ImportFrom) and node.module \
-                            and not node.level:
-                        names = [node.module] + [
-                            f"{node.module}.{alias.name}"
-                            for alias in node.names
-                        ]
-                    for name in names:
+                    for name in _imported_names(node, relpath):
                         hit = _banned_by(name, banned)
                         if hit is None:
                             continue

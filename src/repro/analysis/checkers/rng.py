@@ -89,10 +89,7 @@ class RngDisciplineChecker:
     def run(self, project: Project, policy: Policy) -> list[Finding]:
         findings: list[Finding] = []
         self._juris = {
-            rule: (
-                set(policy.jurisdiction(project, rule))
-                if policy.enabled(rule) else set()
-            )
+            rule: set(policy.jurisdiction(project, rule))
             for rule in self.rules
         }
         jurisdiction: set[str] = set()

@@ -3,8 +3,7 @@
 A :class:`Project` is a set of parsed source files rooted at a package
 directory; checkers receive it together with a
 :class:`~repro.analysis.policy.Policy` and return :class:`Finding`
-records. Everything here is stdlib-only so the analyzer can run in
-environments (the CI lint job) that never install numpy.
+records.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import ast
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -67,12 +66,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    def fingerprint(self, source_line: str) -> tuple[str, str, str]:
-        """Identity used by the baseline file: rule + path + the
-        stripped source text of the offending line, so findings survive
-        unrelated renumbering but die when the code itself changes."""
-        return (self.rule, self.path, source_line.strip())
 
 
 #: ``# repro: allow[rule-id] -- justification`` (the justification is
@@ -140,11 +133,6 @@ class SourceFile:
             self.lines
         )
 
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
-
     def suppression_for(self, finding: Finding) -> Suppression | None:
         supp = self.suppressions.get(finding.line)
         if supp is not None and supp.covers(finding.rule):
@@ -189,13 +177,12 @@ class Project:
     def has(self, relpath: str) -> bool:
         return relpath in self._paths
 
-    def select(self, include: tuple[str, ...],
-               exclude: tuple[str, ...] = ()) -> list[str]:
-        """Relpaths matched by any include glob and no exclude glob."""
+    def select(self, include: tuple[str, ...]) -> list[str]:
+        """Relpaths matched by any include glob."""
         from fnmatch import fnmatch
 
-        def matches(rel: str, patterns: tuple[str, ...]) -> bool:
-            for pattern in patterns:
+        def matches(rel: str) -> bool:
+            for pattern in include:
                 if fnmatch(rel, pattern):
                     return True
                 # "pkg/**" should also match direct children ("pkg/a.py"),
@@ -207,10 +194,7 @@ class Project:
                     return True
             return False
 
-        return [
-            rel for rel in self.relpaths
-            if matches(rel, include) and not matches(rel, exclude)
-        ]
+        return [rel for rel in self.relpaths if matches(rel)]
 
 
 def sort_findings(findings: list[Finding]) -> list[Finding]:

@@ -1,4 +1,4 @@
-"""Per-package policy: which rules police which files, with what knobs.
+"""The rule table: which rules police which files, with what knobs.
 
 The default policy encodes the repo's actual contracts:
 
@@ -7,23 +7,17 @@ The default policy encodes the repo's actual contracts:
   ``defenders/``, ``adversarial/``) -- randomness there must flow in as
   a ``numpy.random.Generator`` parameter, and ``utils/rng.py`` is the
   only sanctioned generator factory;
-* ``forbidden-imports`` bans pickle/dill from the columnar OPE trace
+* ``forbidden-import`` bans pickle/dill from the columnar OPE trace
   store, and every layer above the simulation core (serve, eval, rl,
   dbn, validation, defenders, adversarial) from ``repro.sim``.
 
-A JSON policy file (``repro check --policy FILE``) deep-merges over the
-defaults: per rule, ``enabled``, ``include``, ``exclude``, and
-``options`` may be overridden. Tests use the same mechanism to point
-checkers at fixture trees.
+The table is keyed by the rule ids that findings carry; the one way to
+accept a finding is an inline ``# repro: allow[rule] -- why``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-
-from repro.analysis.core import AnalysisError
 
 __all__ = ["RuleConfig", "Policy", "RULE_CATALOG"]
 
@@ -50,14 +44,6 @@ RULE_CATALOG = {
         "malformed inline suppression: '# repro: allow[rule]' requires "
         "a '-- justification' clause"
     ),
-    "baseline-unused": (
-        "a baseline entry no longer matches any finding: delete it"
-    ),
-    "baseline-parked": (
-        "a baseline entry still carries the 'baseline-parked' machine "
-        "tag (or a TODO placeholder) instead of a real justification: "
-        "edit it"
-    ),
 }
 
 
@@ -65,26 +51,8 @@ RULE_CATALOG = {
 class RuleConfig:
     """Jurisdiction + knobs for one rule."""
 
-    enabled: bool = True
     include: tuple[str, ...] = ("**",)
-    exclude: tuple[str, ...] = ()
     options: dict = field(default_factory=dict)
-
-    def merged(self, override: dict) -> "RuleConfig":
-        unknown = set(override) - {"enabled", "include", "exclude", "options"}
-        if unknown:
-            raise AnalysisError(
-                f"unknown rule-config keys {sorted(unknown)} "
-                "(expected enabled/include/exclude/options)"
-            )
-        options = dict(self.options)
-        options.update(override.get("options", {}))
-        return RuleConfig(
-            enabled=override.get("enabled", self.enabled),
-            include=tuple(override.get("include", self.include)),
-            exclude=tuple(override.get("exclude", self.exclude)),
-            options=options,
-        )
 
 
 _RNG_JURISDICTION = (
@@ -114,7 +82,7 @@ _DEFAULT_RULES: dict[str, RuleConfig] = {
         include=_RNG_JURISDICTION,
         options={"sanctioned_modules": ["utils/rng.py"]},
     ),
-    "forbidden-imports": RuleConfig(
+    "forbidden-import": RuleConfig(
         options={
             "bans": [
                 {
@@ -148,7 +116,7 @@ _DEFAULT_RULES: dict[str, RuleConfig] = {
 
 
 class Policy:
-    """The resolved rule set the runner hands to each checker."""
+    """The rule table the runner hands to each checker."""
 
     def __init__(self, rules: dict[str, RuleConfig]):
         self.rules = dict(rules)
@@ -157,37 +125,9 @@ class Policy:
     def default(cls) -> "Policy":
         return cls(dict(_DEFAULT_RULES))
 
-    @classmethod
-    def load(cls, path: str | Path) -> "Policy":
-        """The default policy with a JSON override file deep-merged in."""
-        try:
-            overrides = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise AnalysisError(f"cannot load policy {path}: {exc}") from exc
-        return cls.default().merge(overrides)
-
-    def merge(self, overrides: dict) -> "Policy":
-        if not isinstance(overrides, dict) or "rules" not in overrides:
-            raise AnalysisError('a policy file must be {"rules": {...}}')
-        rules = dict(self.rules)
-        for rule_id, override in overrides["rules"].items():
-            base = rules.get(rule_id)
-            if base is None:
-                raise AnalysisError(
-                    f"policy overrides unknown rule {rule_id!r} "
-                    f"(known: {', '.join(sorted(rules))})"
-                )
-            rules[rule_id] = base.merged(override)
-        return Policy(rules)
-
     def rule(self, rule_id: str) -> RuleConfig:
         return self.rules[rule_id]
 
-    def enabled(self, rule_id: str) -> bool:
-        config = self.rules.get(rule_id)
-        return config is not None and config.enabled
-
     def jurisdiction(self, project, rule_id: str) -> list[str]:
         """The project files a rule has authority over."""
-        config = self.rules[rule_id]
-        return project.select(config.include, config.exclude)
+        return project.select(self.rules[rule_id].include)

@@ -11,8 +11,7 @@ __all__ = ["render", "FORMATS"]
 FORMATS = ("text", "json", "github")
 
 
-def _render_text(findings: list[Finding], suppressed: int,
-                 baselined: int) -> str:
+def _render_text(findings: list[Finding], suppressed: int) -> str:
     lines = []
     for finding in findings:
         lines.append(
@@ -26,19 +25,13 @@ def _render_text(findings: list[Finding], suppressed: int,
     summary = (
         f"repro check: {errors} error(s), {warnings} warning(s)"
     )
-    extras = []
-    if baselined:
-        extras.append(f"{baselined} baselined")
     if suppressed:
-        extras.append(f"{suppressed} suppressed inline")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({suppressed} suppressed inline)"
     lines.append(summary)
     return "\n".join(lines)
 
 
-def _render_json(findings: list[Finding], suppressed: int,
-                 baselined: int) -> str:
+def _render_json(findings: list[Finding], suppressed: int) -> str:
     payload = {
         "findings": [f.to_dict() for f in findings],
         "errors": sum(1 for f in findings if f.severity is Severity.ERROR),
@@ -46,13 +39,11 @@ def _render_json(findings: list[Finding], suppressed: int,
             1 for f in findings if f.severity is Severity.WARNING
         ),
         "suppressed": suppressed,
-        "baselined": baselined,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _render_github(findings: list[Finding], suppressed: int,
-                   baselined: int) -> str:
+def _render_github(findings: list[Finding], suppressed: int) -> str:
     """GitHub workflow commands: findings annotate the PR diff."""
     lines = []
     for finding in findings:
@@ -72,17 +63,14 @@ def _render_github(findings: list[Finding], suppressed: int,
             f"::{level} file={finding.path},line={max(finding.line, 1)},"
             f"title=repro check [{finding.rule}]::{message}"
         )
-    lines.append(
-        _render_text(findings, suppressed, baselined).splitlines()[-1]
-    )
+    lines.append(_render_text(findings, suppressed).splitlines()[-1])
     return "\n".join(lines)
 
 
-def render(fmt: str, findings: list[Finding], suppressed: int = 0,
-           baselined: int = 0) -> str:
+def render(fmt: str, findings: list[Finding], suppressed: int = 0) -> str:
     renderer = {
         "text": _render_text,
         "json": _render_json,
         "github": _render_github,
     }[fmt]
-    return renderer(findings, suppressed, baselined)
+    return renderer(findings, suppressed)

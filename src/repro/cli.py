@@ -741,26 +741,13 @@ def cmd_ope_promote(args) -> int:
     return 0 if decision["verdict"] == "promote" else 1
 
 
-def cmd_check(args) -> int:
-    """Static-analysis gates: AST enforcement of the determinism,
-    transport-schema, and resource-lifecycle contracts (see README
-    "Static analysis gates")."""
+def cmd_check(argv: list[str]) -> int:
+    """Static-analysis gates: AST enforcement of RNG discipline and
+    import layering (see README "Static analysis gates"). The analyzer
+    owns its flags, so ``repro check`` hands its arguments over
+    unparsed."""
     from repro.analysis.runner import main as analysis_main
 
-    argv = []
-    if args.root:
-        argv.append(args.root)
-    argv += ["--format", args.format]
-    if args.policy:
-        argv += ["--policy", args.policy]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.list_rules:
-        argv.append("--list-rules")
     return analysis_main(argv)
 
 
@@ -829,8 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="sync",
                    help="vector-env execution backend: lanes stepped in "
                         "turn (sync) or as structure-of-arrays lanes "
-                        "(batched; auto picks it, and process/shm are its "
-                        "deprecated aliases)")
+                        "(batched; auto picks it)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
@@ -949,26 +935,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--wait limit in seconds (default: 300)")
     p.set_defaults(func=cmd_submit)
 
-    p = sub.add_parser(
+    # listed here for `repro --help`; main() routes `check` to the
+    # analyzer's own parser before this one runs
+    sub.add_parser(
         "check",
         help="static-analysis gates (RNG discipline, forbidden imports)",
+        add_help=False,
     )
-    p.add_argument("root", nargs="?", default=None,
-                   help="directory to analyze (default: the repro package)")
-    p.add_argument("--format", choices=("text", "json", "github"),
-                   default="text")
-    p.add_argument("--policy", default=None, metavar="FILE",
-                   help="JSON policy overrides (see repro.analysis.policy)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="baseline of grandfathered findings")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="write current findings as the new baseline "
-                        "(justifications must then be edited)")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalog and exit")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
         "ope", help="offline policy evaluation over recorded traces"
@@ -1058,6 +1031,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["check"]:
+        return cmd_check(argv[1:])
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -142,8 +142,7 @@ def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
       engine (:class:`~repro.sim.batched_engine.BatchedVectorEnv`);
     * ``"auto"`` -- ``"batched"``.
 
-    ``"process"`` and ``"shm"``, the retired worker-pool backends, are
-    deprecated aliases of ``"batched"``
+    Any other name raises :class:`ValueError`
     (:func:`~repro.sim.vec_env.normalize_backend`).
 
     This is :func:`make_vec_from_specs` over ``num_envs`` copies of the

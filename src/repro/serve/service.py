@@ -396,7 +396,6 @@ class EvalService:
             make_defender_fitness_vec,
         )
         from repro.eval.runner import evaluate_policy
-        from repro.sim.vec_env import normalize_backend
 
         request = job.request
         spec, config = self._resolve_run(request)
@@ -409,14 +408,11 @@ class EvalService:
         )
         baseline_utility = attack_utility(baseline_agg)
 
-        # normalized once, so a deprecated alias warns once per job
-        # rather than once per CEM generation
         base_fitness = make_defender_fitness_vec(
             spec.with_overrides(horizon=config.tmax), defender,
             episodes=request.fitness_episodes, seed=request.seed,
             max_steps=request.max_steps,
-            backend=normalize_backend(request.backend
-                                      or self.default_backend),
+            backend=request.backend or self.default_backend,
         )
         generation = 0
 

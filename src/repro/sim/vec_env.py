@@ -14,9 +14,7 @@ Two in-process backends implement one contract (:class:`BaseVectorEnv`):
   every lane stepped on one structure-of-arrays engine.
 
 :func:`normalize_backend` is the single dispatch gate over the backend
-names: ``"auto"`` resolves to ``"batched"``, and the retired worker-pool
-names ``"process"`` and ``"shm"`` are deprecated aliases of
-``"batched"``.
+names: ``"auto"`` resolves to ``"batched"``.
 
 Semantics follow the Gym ``VectorEnv`` contract:
 
@@ -42,7 +40,6 @@ this down.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -64,9 +61,8 @@ __all__ = [
 
 _UNSET = object()
 
-#: every backend name a caller may pass; ``"process"`` and ``"shm"``
-#: name the retired worker-pool backend and run as ``"batched"``
-BACKEND_CHOICES = ("sync", "batched", "process", "shm", "auto")
+#: every backend name a caller may pass
+BACKEND_CHOICES = ("sync", "batched", "auto")
 
 
 def normalize_backend(backend: str) -> str:
@@ -76,20 +72,12 @@ def normalize_backend(backend: str) -> str:
     ``repro.make_vec_from_specs``, the CLI and the serve layer, so the
     accepted names and the error message cannot drift apart.
     ``"auto"`` is ``"batched"``, which wins every committed throughput
-    cell. ``"process"`` and ``"shm"`` are deprecated aliases of
-    ``"batched"``: they run the same trajectories with a
-    :class:`DeprecationWarning`, so stored jobs and scripts keep working.
+    cell.
     """
     if backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
         )
-    if backend in ("process", "shm"):
-        warnings.warn(
-            f'backend "{backend}" is deprecated and runs as "batched"',
-            DeprecationWarning, stacklevel=2,
-        )
-        return "batched"
     if backend == "auto":
         return "batched"
     return backend

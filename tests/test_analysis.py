@@ -9,19 +9,16 @@ gate: the real package must stay analysis-clean.
 from __future__ import annotations
 
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Baseline,
-    BaselineError,
-    Policy,
-    Severity,
-    run_check,
-)
-from repro.analysis.baseline import PARKED_JUSTIFICATION
+from repro.analysis import Policy, Severity, run_check
+from repro.analysis.checkers import ALL_CHECKERS
 from repro.analysis.core import scan_suppressions
+from repro.analysis.policy import RULE_CATALOG
 from repro.analysis.report import render
 from repro.analysis.runner import main
 
@@ -30,7 +27,7 @@ PACKAGE_ROOT = Path(__file__).parent.parent / "src" / "repro"
 
 
 def fixture_check(name: str):
-    return run_check(root=FIXTURES / name, baseline=Baseline.empty())
+    return run_check(root=FIXTURES / name)
 
 
 def rule_lines(result) -> set[tuple[str, str, int]]:
@@ -160,110 +157,6 @@ class TestSuppressions:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-
-
-class TestBaseline:
-    def _bad_root(self):
-        return FIXTURES / "imports_bad"
-
-    def test_baselined_findings_do_not_fail(self, tmp_path):
-        raw = run_check(root=self._bad_root(), baseline=Baseline.empty())
-        lines = {
-            f: (self._bad_root() / f.path).read_text().splitlines()[f.line - 1]
-            for f in raw.findings
-        }
-        path = tmp_path / "baseline.json"
-        count = Baseline.write(
-            path, raw.findings, lambda f: lines[f],
-            justification="grandfathered for the test",
-        )
-        assert count == 2
-        result = run_check(
-            root=self._bad_root(), baseline=Baseline.load(path)
-        )
-        assert result.ok
-        assert len(result.baselined) == 2
-
-    def test_stale_entry_warns(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "rule": "forbidden-import",
-                "path": "validation/tracestore.py",
-                "code": "import this_code_no_longer_exists",
-                "justification": "stale on purpose",
-            }],
-        }))
-        result = run_check(
-            root=self._bad_root(), baseline=Baseline.load(path)
-        )
-        stale = [f for f in result.findings if f.rule == "baseline-unused"]
-        assert len(stale) == 1
-        assert stale[0].severity is Severity.WARNING
-
-    def test_empty_justification_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({
-            "version": 1,
-            "entries": [{
-                "rule": "forbidden-import", "path": "x.py",
-                "code": "import pickle", "justification": "   ",
-            }],
-        }))
-        with pytest.raises(BaselineError, match="justification"):
-            Baseline.load(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(BaselineError, match="version"):
-            Baseline.load(path)
-
-    @pytest.mark.parametrize("placeholder", [
-        PARKED_JUSTIFICATION,
-        "TODO: justify or fix, then rerun repro check",
-        "  todo -- will get to it",
-    ])
-    def test_parked_justification_flagged(self, tmp_path, placeholder):
-        raw = run_check(root=self._bad_root(), baseline=Baseline.empty())
-        lines = {
-            f: (self._bad_root() / f.path).read_text().splitlines()[f.line - 1]
-            for f in raw.findings
-        }
-        path = tmp_path / "baseline.json"
-        Baseline.write(path, raw.findings, lambda f: lines[f],
-                       justification=placeholder)
-        result = run_check(
-            root=self._bad_root(), baseline=Baseline.load(path)
-        )
-        # the entries still park their findings (they are matched) ...
-        assert len(result.baselined) == 2
-        # ... but each unedited placeholder is itself a finding
-        parked = [f for f in result.findings if f.rule == "baseline-parked"]
-        assert len(parked) == 2
-        assert all(f.severity is Severity.WARNING for f in parked)
-        assert not result.ok
-
-    def test_real_justification_not_flagged(self, tmp_path):
-        raw = run_check(root=self._bad_root(), baseline=Baseline.empty())
-        lines = {
-            f: (self._bad_root() / f.path).read_text().splitlines()[f.line - 1]
-            for f in raw.findings
-        }
-        path = tmp_path / "baseline.json"
-        Baseline.write(path, raw.findings, lambda f: lines[f],
-                       justification="legacy shim, tracked in ROADMAP")
-        result = run_check(
-            root=self._bad_root(), baseline=Baseline.load(path)
-        )
-        assert result.ok
-        assert not [f for f in result.findings
-                    if f.rule == "baseline-parked"]
-
-
-# ---------------------------------------------------------------------------
 # Report formats
 
 
@@ -303,10 +196,9 @@ class TestReportFormats:
         assert "multi%0Aline 100%25" in out.splitlines()[0]
 
     def test_text_summary_counts(self):
-        out = render("text", self._findings(), suppressed=3, baselined=1)
+        out = render("text", self._findings(), suppressed=3)
         assert out.splitlines()[-1] == (
-            "repro check: 2 error(s), 0 warning(s) "
-            "(1 baselined, 3 suppressed inline)"
+            "repro check: 2 error(s), 0 warning(s) (3 suppressed inline)"
         )
 
 
@@ -323,49 +215,56 @@ class TestCli:
             assert rule in out
 
     def test_exit_one_on_findings(self, capsys):
-        code = main([str(FIXTURES / "imports_bad"), "--no-baseline"])
+        code = main([str(FIXTURES / "imports_bad")])
         assert code == 1
 
     def test_exit_two_on_bad_root(self, capsys):
-        assert main(["/nonexistent/path", "--no-baseline"]) == 2
+        assert main(["/nonexistent/path"]) == 2
 
     def test_json_format_end_to_end(self, capsys):
-        main([str(FIXTURES / "imports_bad"), "--no-baseline",
-              "--format=json"])
+        main([str(FIXTURES / "imports_bad"), "--format=json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["errors"] == 2
-
-    def test_write_baseline_then_edit_then_clean(self, tmp_path, capsys):
-        baseline = tmp_path / "b.json"
-        assert main([
-            str(FIXTURES / "imports_bad"), "--write-baseline",
-            "--baseline", str(baseline),
-        ]) == 0
-        # the machine tag parks the findings but is itself reported
-        # until a human writes a real justification
-        assert main([
-            str(FIXTURES / "imports_bad"), "--baseline", str(baseline),
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "baseline-parked" in out
-        data = json.loads(baseline.read_text())
-        for entry in data["entries"]:
-            assert entry["justification"] == PARKED_JUSTIFICATION
-            entry["justification"] = "grandfathered for the test"
-        baseline.write_text(json.dumps(data))
-        assert main([
-            str(FIXTURES / "imports_bad"), "--baseline", str(baseline),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "2 baselined" in out
 
     def test_repro_cli_check_subcommand(self, capsys):
         from repro.cli import main as cli_main
 
-        code = cli_main([
-            "check", str(FIXTURES / "rng_clean"), "--no-baseline",
-        ])
+        code = cli_main(["check", str(FIXTURES / "rng_clean")])
         assert code == 0
+
+    def test_both_entry_points_share_one_parser(self, capsys):
+        from repro.cli import main as cli_main
+
+        def options(entry, argv):
+            with pytest.raises(SystemExit) as exc:
+                entry(argv)
+            assert exc.value.code == 0
+            return sorted(set(re.findall(r"--[a-z-]+",
+                                         capsys.readouterr().out)))
+
+        assert options(cli_main, ["check", "--help"]) == options(
+            main, ["--help"]
+        ) == ["--format", "--help", "--list-rules"]
+
+    def test_ancestor_file_does_not_change_the_result(self, tmp_path,
+                                                       capsys):
+        """Nothing outside the analyzed tree (or the argv) feeds a run:
+        a stray ledger file in an ancestor directory is ignored."""
+        root = tmp_path / "checkout" / "imports_bad"
+        shutil.copytree(FIXTURES / "imports_bad", root)
+        assert main([str(root), "--format=json"]) == 1
+        clean = capsys.readouterr().out
+        ledger = {"version": 1, "entries": [
+            {"rule": f.rule, "path": f.path,
+             "code": (root / f.path).read_text().splitlines()[f.line - 1],
+             "justification": "grandfathered"}
+            for f in run_check(root=root).findings
+        ]}
+        for ancestor in (root.parent, tmp_path):
+            (ancestor / ".repro-check-baseline.json").write_text(
+                json.dumps(ledger))
+        assert main([str(root), "--format=json"]) == 1
+        assert capsys.readouterr().out == clean
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +286,29 @@ class TestCleanTree:
         (tmp_path / "validation").mkdir()
         (tmp_path / "validation" / "datasets.py").write_text(
             "import pickle\n")
-        result = run_check(root=tmp_path, baseline=Baseline.empty())
+        result = run_check(root=tmp_path)
         assert rule_lines(result) == {
             ("forbidden-import", "validation/datasets.py", 1),
         }
 
-    def test_policy_default_covers_all_catalog_rules(self):
-        from repro.analysis.policy import RULE_CATALOG
+    def test_layering_ban_covers_relative_imports(self, tmp_path):
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "vec_env.py").write_text(
+            "from ..rl import dqn\n"
+            "from .. import serve\n"
+            "from . import env\n"
+        )
+        result = run_check(root=tmp_path)
+        assert rule_lines(result) == {
+            ("forbidden-import", "sim/vec_env.py", 1),
+            ("forbidden-import", "sim/vec_env.py", 2),
+        }
+        hits = [f.message.split("'")[1] for f in result.findings]
+        assert hits == ["repro.rl", "repro.serve"]
 
-        policy = Policy.default()
-        for rule in ("rng-global-state", "rng-wall-clock",
-                     "rng-unsanctioned-factory", "forbidden-imports"):
-            assert policy.enabled(rule)
-        assert "baseline-unused" in RULE_CATALOG
-        assert "suppression-syntax" in RULE_CATALOG
+    def test_policy_default_covers_all_catalog_rules(self):
+        """One rule table: the catalog lists exactly the ids findings
+        can carry, and the policy is keyed by the checkers' ids."""
+        checker_ids = {rule for c in ALL_CHECKERS for rule in c.rules}
+        assert set(RULE_CATALOG) == checker_ids | {"suppression-syntax"}
+        assert set(Policy.default().rules) == checker_ids

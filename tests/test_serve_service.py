@@ -178,10 +178,9 @@ class TestServeEndToEnd:
                                   "backend": "sync"})["job_id"], timeout=120)
         assert single["metrics"] == vec["metrics"]
 
-    @pytest.mark.parametrize("backend", ["batched", "shm", "process"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_vectorized_job_backend_matches_sync(self, server, backend):
-        """Batched lanes, and the deprecated shm/process names that run
-        as batched, serve the same metrics as sync lanes."""
+        """Batched lanes serve the same metrics as sync lanes."""
         argv = {"kind": "evaluate", "scenario": TINY, "policy": "playbook",
                 "episodes": 3, "seed": 5, "max_steps": 30, "num_envs": 2}
         sync = server.client.wait(

@@ -2,8 +2,8 @@
 
 The core guarantee of the backend abstraction: the same scenario and
 seed produce bit-identical observation/reward/done trajectories on
-every backend (``sync`` / ``batched``; ``auto`` is ``batched``, and the
-retired ``process`` / ``shm`` names are its deprecated aliases). Plus
+every backend (``sync`` / ``batched``; ``auto`` is ``batched``; the
+retired ``process`` / ``shm`` names are rejected). Plus
 round-trip tests for ScenarioSpec JSON and regression tests for the
 vectorized ``sample_actions`` and the ``reset_env`` episode accounting.
 """
@@ -285,7 +285,7 @@ class TestScenarioSpecSerialization:
 
 
 class TestAutoBackend:
-    """``auto`` is ``batched``; the retired worker-pool names alias it."""
+    """``auto`` is ``batched``; the retired worker-pool names are gone."""
 
     @pytest.mark.parametrize("cpus", [1, 8, None])
     @pytest.mark.parametrize("num_envs", [1, 4])
@@ -298,18 +298,21 @@ class TestAutoBackend:
                               backend="auto")
         assert type(venv) is BatchedVectorEnv
 
-    @pytest.mark.parametrize("alias", ["process", "shm"])
-    def test_deprecated_alias_matches_sync(self, alias):
-        sync = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15)
-        trace_s, rew_s, done_s = _rollout(sync, 25, seed=1)
-        with pytest.warns(DeprecationWarning, match=alias):
-            venv = repro.make_vec("inasim-tiny-v1", 4, seed=0, horizon=15,
-                                  backend=alias)
-        assert type(venv) is BatchedVectorEnv
-        trace_a, rew_a, done_a = _rollout(venv, 25, seed=1)
-        assert trace_s == trace_a
-        np.testing.assert_array_equal(rew_s, rew_a)
-        np.testing.assert_array_equal(done_s, done_a)
+    @pytest.mark.parametrize("name", ["process", "shm"])
+    def test_retired_backend_name_rejected(self, name, capsys):
+        from repro.cli import main as cli_main
+        from repro.serve import parse_job
+        from repro.serve.jobs import JobError
+
+        with pytest.raises(ValueError, match="unknown backend"):
+            repro.make_vec("inasim-tiny-v1", 2, seed=0, backend=name)
+        with pytest.raises(JobError, match="unknown backend"):
+            parse_job({"scenario": "inasim-tiny-v1", "backend": name})
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--scenario", "inasim-tiny-v1",
+                      "--backend", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestHeterogeneousLanes:
