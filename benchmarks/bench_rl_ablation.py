@@ -91,7 +91,7 @@ def _variants():
             "+noisy nets",
             lambda: AttentionQNetwork(replace(_QNET, noisy_heads=True), seed=0),
             DQNTrainer,
-            DQNConfig(**{**_BASE, "noisy": True}),
+            DQNConfig(**_BASE),
         ),
         (
             "+C51",

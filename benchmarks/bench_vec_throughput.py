@@ -76,7 +76,7 @@ def _measure(venv, rounds: int, seed: int, warmup: int = 10) -> float:
 @pytest.mark.parametrize("preset", list(_SCENARIOS))
 @pytest.mark.parametrize("num_envs", [1, 4, 16])
 def test_vec_steps_noop(benchmark, preset, num_envs):
-    venv = repro.make_vec(_SCENARIOS[preset], num_envs, seed=0)
+    venv = repro.make_vec(_SCENARIOS[preset], num_envs, seed=0, backend="sync")
 
     def run_chunk():
         for _ in range(_STEPS):

@@ -28,7 +28,6 @@ from repro.adversarial import (
 from repro.attacker import apt1, apt2
 from repro.config import small_network
 from repro.defenders import PlaybookPolicy
-from repro.sim.vec_env import BACKEND_CHOICES
 
 
 def main() -> None:
@@ -45,12 +44,6 @@ def main() -> None:
         action="store_true",
         help="also run one defender/attacker self-play "
         "round with a learned ACSO (slower)",
-    )
-    parser.add_argument(
-        "--backend",
-        default="sync",
-        choices=BACKEND_CHOICES,
-        help="vector-env backend for the self-play oracles",
     )
     args = parser.parse_args()
 
@@ -172,7 +165,6 @@ def run_selfplay_round(config, args) -> None:
             eval_episodes=1,
             eval_max_steps=args.max_steps,
             seed=args.seed,
-            backend=args.backend,
             run_name="example",
         ),
     )

@@ -16,7 +16,8 @@ Candidate evaluation has two engines sharing one definition of
 fitness: :func:`make_defender_fitness` scores one candidate at a time
 through ``repro.make``, and :func:`make_defender_fitness_vec` fans a
 whole CEM generation over the lanes of a vector environment
-(``repro.make_vec_from_specs``; any backend), one candidate per lane.
+(``repro.make_vec_from_specs``, on the engine it picks for the lane
+count), one candidate per lane.
 For deterministic defenders the two are numerically identical — the
 batch is a wall-clock optimization, not a different experiment.
 """
@@ -95,7 +96,6 @@ def evaluate_attackers_vec(
     episodes: int = 2,
     seed: int = 0,
     max_steps: int | None = None,
-    backend: str = "sync",
 ):
     """Score a batch of attacker configs in one vectorized pass.
 
@@ -109,7 +109,7 @@ def evaluate_attackers_vec(
         scenario_for_attacker(base, apt, f"{base.scenario_id}#candidate-{i}")
         for i, apt in enumerate(attackers)
     ]
-    venv = repro.make_vec_from_specs(specs, seed=seed, backend=backend)
+    venv = repro.make_vec_from_specs(specs, seed=seed)
     with venv:
         return evaluate_policy_per_lane(venv, defender, episodes, seed=seed,
                                         max_steps=max_steps)
@@ -121,20 +121,19 @@ def make_defender_fitness_vec(
     episodes: int = 2,
     seed: int = 0,
     max_steps: int | None = None,
-    backend: str = "sync",
 ) -> Callable[[Sequence[APTConfig]], np.ndarray]:
     """Batched :func:`make_defender_fitness`: list[APTConfig] -> utilities.
 
     Feed it to :class:`CrossEntropySearch` as ``batch_fitness_fn`` and
     every CEM generation is evaluated as one fan-out over a vector
-    environment (one candidate per lane, any backend) instead of
+    environment (one candidate per lane) instead of
     sequential episode loops.
     """
 
     def batch_fitness(attackers: Sequence[APTConfig]) -> np.ndarray:
         per_lane = evaluate_attackers_vec(
             scenario, attackers, defender, episodes=episodes, seed=seed,
-            max_steps=max_steps, backend=backend,
+            max_steps=max_steps,
         )
         return np.array([attack_utility(agg) for agg, _ in per_lane])
 

@@ -6,8 +6,9 @@ scenario infrastructure:
 1. **Defender oracle** -- continue DQN training against the current
    attacker population. The population is fanned over the lanes of a
    ``repro.make_vec_from_specs`` vector environment (one sampled
-   attacker per lane; any backend), so what used to be a round-robin of
-   sequential episodes is one lockstep collection pass.
+   attacker per lane, on the engine it picks for the lane count), so
+   what used to be a round-robin of sequential episodes is one lockstep
+   collection pass.
 2. **Attacker oracle** -- a CEM best-response search against the frozen
    defender. Each CEM generation is evaluated as a batched fan-out over
    a vector environment (one candidate per lane,
@@ -118,9 +119,6 @@ class SelfPlayConfig:
     eval_episodes: int = 2
     eval_max_steps: int | None = None
     seed: int = 0
-    #: vector-env backend for both oracles: ``"sync"``, ``"batched"``
-    #: or ``"auto"`` (``repro.sim.vec_env.BACKEND_CHOICES``)
-    backend: str = "sync"
     #: name used in emitted scenario ids ``selfplay/<run_name>-rN-brK``
     #: (default: the base scenario id); vary it to keep several runs'
     #: emissions side by side in the registry
@@ -229,9 +227,7 @@ class SelfPlayLoop:
         sp = self.selfplay
         sampled = [self.population.sample(self.rng)
                    for _ in range(sp.train_episodes)]
-        venv = repro.make_vec_from_specs(
-            sampled, seed=seed, backend=sp.backend,
-        )
+        venv = repro.make_vec_from_specs(sampled, seed=seed)
         try:
             self.trainer.set_env(venv)
             self.trainer.train(sp.train_episodes, seed=seed,
@@ -247,9 +243,8 @@ class SelfPlayLoop:
         defender.
         """
         sp = self.selfplay
-        venv = repro.make_vec_from_specs(
-            list(self.population.members), seed=seed, backend=sp.backend,
-        )
+        venv = repro.make_vec_from_specs(list(self.population.members),
+                                         seed=seed)
         with venv:
             per_lane = evaluate_policy_per_lane(
                 venv, self.defender_policy, sp.eval_episodes, seed=seed,
@@ -265,7 +260,7 @@ class SelfPlayLoop:
         batch_fitness = make_defender_fitness_vec(
             self.base_spec, self.defender_policy,
             episodes=sp.fitness_episodes, seed=seed,
-            max_steps=sp.eval_max_steps, backend=sp.backend,
+            max_steps=sp.eval_max_steps,
         )
         search = CrossEntropySearch(
             self.space, batch_fitness_fn=batch_fitness,

@@ -25,8 +25,11 @@ Every command accepts ``--scenario <id>`` (a registry entry, see
 ``repro scenarios``), ``--preset {paper,small,tiny}``, or ``--config
 file.json``, plus ``--episodes``, ``--seed``, and ``--max-steps``;
 ``repro simulate --num-envs N`` fans episodes out over a vectorized
-environment. Quick CPU-budget runs and full paper-scale runs use the
-same entry points.
+environment. Every vectorized command (``simulate``, ``selfplay``,
+``ope record``, and the jobs ``serve`` runs) lets the lane count pick
+the engine (sync for one lane, batched for more); trajectories do not
+depend on the engine, so there is no option to pick one. Quick
+CPU-budget runs and full paper-scale runs use the same entry points.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import sys
 
 from repro.config import SimConfig, paper_network, small_network, tiny_network
 from repro.config_io import config_from_dict, config_to_dict
-from repro.sim.vec_env import BACKEND_CHOICES
+from repro.defenders.catalogue import POLICY_NAMES, make_policy
 
 __all__ = ["main", "build_parser"]
 
@@ -85,45 +88,16 @@ def _build_env(args, config: SimConfig, seed: int | None = None):
 
 
 def _build_vec_env(args, config: SimConfig, num_envs: int, seed: int):
-    from repro.sim.vec_env import VectorEnv, normalize_backend
+    from repro.sim.vec_env import lockstep_env
 
-    if normalize_backend(getattr(args, "backend", "sync")) == "batched":
-        from repro.sim.batched_engine import BatchedVectorEnv as cls
-    else:
-        cls = VectorEnv
     envs = [_build_env(args, config, seed=seed + i) for i in range(num_envs)]
-    return cls(envs, base_seed=seed)
+    return lockstep_env(envs, base_seed=seed)
 
 
 def _make_policy(name: str, config: SimConfig, seed: int,
                  dbn_path: str | None, qnet_path: str | None):
-    from repro.defenders import (
-        DBNExpertPolicy,
-        NoopPolicy,
-        PlaybookPolicy,
-        SemiRandomPolicy,
-    )
-
-    if name == "noop":
-        return NoopPolicy()
-    if name == "playbook":
-        return PlaybookPolicy()
-    if name == "random":
-        return SemiRandomPolicy(seed=seed)
-    if name == "expert":
-        return DBNExpertPolicy(_load_tables(config, dbn_path, seed), seed=seed)
-    if name == "acso":
-        from repro.defenders.acso import ACSOPolicy
-        from repro.rl import AttentionQNetwork, QNetConfig
-
-        tables = _load_tables(config, dbn_path, seed)
-        qnet = AttentionQNetwork(QNetConfig(), seed=seed)
-        if qnet_path:
-            from repro.nn import load_state
-
-            load_state(qnet, qnet_path)
-        return ACSOPolicy(qnet, tables)
-    raise SystemExit(f"unknown policy {name!r}")
+    return make_policy(name, seed, lambda: _load_tables(config, dbn_path, seed),
+                       qnet_path)
 
 
 def _load_tables(config: SimConfig, path: str | None, seed: int):
@@ -334,14 +308,12 @@ def cmd_selfplay(args) -> int:
             eval_episodes=args.episodes,
             eval_max_steps=args.max_steps,
             seed=args.seed,
-            backend=args.backend,
             run_name=args.run_name,
         ),
         initial_population=initial,
     )
 
-    print(f"self-play on {base.scenario_id} ({args.rounds} round(s), "
-          f"backend={args.backend})")
+    print(f"self-play on {base.scenario_id} ({args.rounds} round(s))")
     for _ in range(args.rounds):
         record = loop.run_round()
         print(f"round {record.round_index + 1}: "
@@ -387,7 +359,6 @@ def cmd_serve(args) -> int:
     async def _main() -> None:
         service = EvalService(
             args.db,
-            default_backend=args.pool_backend,
             max_queue=args.max_queue,
             workers=args.workers,
             requeue_interrupted=args.requeue_interrupted,
@@ -395,7 +366,7 @@ def cmd_serve(args) -> int:
         server = ServeServer(service, host=args.host, port=args.port)
         await server.start()
         print(f"repro serve listening on http://{server.host}:{server.port}")
-        print(f"  run store: {args.db}  backend: {args.pool_backend}  "
+        print(f"  run store: {args.db}  "
               f"max queue: {args.max_queue}  job workers: {args.workers}",
               file=sys.stderr)
         loop = asyncio.get_running_loop()
@@ -441,8 +412,6 @@ def _submit_payload(args) -> dict:
         payload["max_steps"] = args.max_steps
     if args.num_envs > 1:
         payload["num_envs"] = args.num_envs
-    if args.backend:
-        payload["backend"] = args.backend
     if args.tag:
         payload["tags"] = list(args.tag)
     if args.dbn:
@@ -809,14 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one defender policy")
     _add_common(p)
     p.add_argument("--policy", default="playbook",
-                   choices=("noop", "playbook", "random", "expert", "acso"))
+                   choices=POLICY_NAMES)
     p.add_argument("--num-envs", type=int, default=1,
                    help="fan episodes over N vectorized environments")
-    p.add_argument("--backend", choices=BACKEND_CHOICES,
-                   default="sync",
-                   help="vector-env execution backend: lanes stepped in "
-                        "turn (sync) or as structure-of-arrays lanes "
-                        "(batched; auto picks it)")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
@@ -849,9 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "vectorized fan-out (default: 4)")
     p.add_argument("--fitness-episodes", type=int, default=1,
                    help="episodes per CEM fitness evaluation (default: 1)")
-    p.add_argument("--backend", choices=BACKEND_CHOICES,
-                   default="sync",
-                   help="vector-env backend for both oracles")
     p.add_argument("--run-name", default=None,
                    help="name used in emitted selfplay/<run>-rN-brK ids "
                         "(default: the base scenario id)")
@@ -879,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="record an episode trace to JSONL")
     _add_common(p, episodes_default=1)
     p.add_argument("--policy", default="playbook",
-                   choices=("noop", "playbook", "random", "expert", "acso"))
+                   choices=POLICY_NAMES)
     p.add_argument("--out", default="episode_trace.jsonl")
     p.set_defaults(func=cmd_trace)
 
@@ -896,10 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="listen port (0 picks an ephemeral one; default: 8642)")
     p.add_argument("--db", default="repro_runs.sqlite",
                    help="SQLite run-store path (default: repro_runs.sqlite)")
-    p.add_argument("--pool-backend", choices=BACKEND_CHOICES,
-                   default="sync", dest="pool_backend",
-                   help="vector-env backend for jobs that do not name "
-                        "one (default: sync)")
     p.add_argument("--max-queue", type=int, default=64,
                    help="queued-job limit before submissions get 429 "
                         "(default: 64)")
@@ -916,12 +873,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default="evaluate",
                    choices=("evaluate", "simulate", "selfplay"))
     p.add_argument("--policy", default="playbook",
-                   choices=("noop", "playbook", "random", "expert", "acso"))
+                   choices=POLICY_NAMES)
     p.add_argument("--num-envs", type=int, default=1,
                    help="fan the job's episodes over N vector-env lanes")
-    p.add_argument("--backend", choices=BACKEND_CHOICES,
-                   default=None,
-                   help="override the server's default backend for this job")
     p.add_argument("--tag", action="append", default=None, metavar="TAG",
                    help="attach a tag to the recorded run (repeatable)")
     p.add_argument("--cem-iterations", type=int, default=2)
@@ -955,7 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", required=True,
                    help="trace directory to create (must not exist)")
     q.add_argument("--num-envs", type=int, default=4)
-    q.add_argument("--backend", default="sync", choices=BACKEND_CHOICES)
     q.add_argument("--shard-rows", type=int, default=65536,
                    help="rotate shards at this many records (default 65536)")
     q.add_argument("--temperature", type=float, default=1.0,

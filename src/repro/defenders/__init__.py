@@ -7,6 +7,7 @@ from repro.defenders.dbn_expert import DBNExpertPolicy
 from repro.defenders.hybrid import GuardedPolicy
 from repro.defenders.scheduled import ScheduledSweepPolicy
 from repro.defenders.threshold import ThresholdPolicy
+from repro.defenders.catalogue import POLICY_NAMES, TABLE_POLICIES, make_policy
 
 __all__ = [
     "DefenderPolicy",
@@ -18,6 +19,9 @@ __all__ = [
     "ScheduledSweepPolicy",
     "ThresholdPolicy",
     "ACSOPolicy",
+    "POLICY_NAMES",
+    "TABLE_POLICIES",
+    "make_policy",
 ]
 
 

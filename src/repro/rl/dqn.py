@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn import Adam, huber_loss, no_grad
+from repro.nn import Adam, NoisyLinear, huber_loss, no_grad
 from repro.rl.replay import (
     NStepAssembler,
     PrioritizedReplay,
@@ -74,6 +74,7 @@ class DQNConfig:
     eps_decay: float = 0.999
     #: None selects the paper's 1/(1-gamma) grid value, which puts the
     #: per-event shaping signal on the same scale as the value function
+    #: (see :meth:`reward_terms`)
     shaping_weight: float | None = None
     shaping_a: float = 0.5
     shaping_b: float = 1.0
@@ -81,12 +82,32 @@ class DQNConfig:
     huber_delta: float = 1.0
     normalize_rewards: bool = True
     seed: int = 0
-    #: ablation switches (paper defaults: double DQN + PER, eps-greedy)
+    #: ablation switches (paper defaults: double DQN + PER); exploration
+    #: is epsilon-greedy unless the Q-network has noisy heads
     double_dqn: bool = True
     prioritized: bool = True
-    #: explore through NoisyLinear heads instead of epsilon-greedy;
-    #: requires a Q-network built with ``QNetConfig(noisy_heads=True)``
-    noisy: bool = False
+
+    def reward_terms(self, gamma: float) -> tuple[float, float]:
+        """``(shaping_weight, reward_scale)`` of the training reward
+        ``(r + shaping_weight * F) * reward_scale``, where ``F`` is the
+        potential-based shaping term.
+
+        The one definition shared by :class:`DQNTrainer` and the
+        demonstrations of :func:`~repro.rl.pretrain.collect_demonstrations`,
+        so pretraining and fine-tuning regress the same value scale:
+        ``reward_scale`` is ``1 - gamma`` under ``normalize_rewards``.
+        """
+        weight = (self.shaping_weight if self.shaping_weight is not None
+                  else 1.0 / (1.0 - gamma))
+        scale = (1.0 - gamma) if self.normalize_rewards else 1.0
+        return weight, scale
+
+
+def _holds_noisy_layer(module) -> bool:
+    """True if ``module`` or any of its sub-modules is a NoisyLinear."""
+    return isinstance(module, NoisyLinear) or any(
+        _holds_noisy_layer(child) for child in module.child_modules()
+    )
 
 
 @dataclass
@@ -176,11 +197,10 @@ class DQNTrainer:
         self.shaper = PotentialShaper(self.gamma, cfg.shaping_a, cfg.shaping_b)
         self.rng = np.random.default_rng(cfg.seed)
         self.total_steps = 0
-        self.reward_scale = (1.0 - self.gamma) if cfg.normalize_rewards else 1.0
-        self.shaping_weight = (
-            cfg.shaping_weight if cfg.shaping_weight is not None
-            else 1.0 / (1.0 - self.gamma)
-        )
+        self.shaping_weight, self.reward_scale = cfg.reward_terms(self.gamma)
+        #: a network with NoisyLinear layers explores through parameter
+        #: noise (Rainbow) instead of epsilon-greedy
+        self.noisy = _holds_noisy_layer(self.qnet)
         self.history: list[EpisodeStats] = []
 
     # ------------------------------------------------------------------
@@ -225,12 +245,12 @@ class DQNTrainer:
         out = np.empty(n, dtype=np.int64)
         greedy = []
         for i in range(n):
-            if not self.config.noisy and self.rng.random() < epsilon:
+            if not self.noisy and self.rng.random() < epsilon:
                 out[i] = int(self.rng.choice(np.flatnonzero(masks[i])))
             else:
                 greedy.append(i)
         if greedy:
-            if self.config.noisy:
+            if self.noisy:
                 # parameter noise supplies the exploration; act greedily
                 # under a fresh noise draw
                 self.qnet.reset_noise()
@@ -345,7 +365,7 @@ class DQNTrainer:
         beta = self.beta_schedule(self.total_steps)
         indices, transitions, weights = self.replay.sample(
             self.config.batch_size, beta)
-        if self.config.noisy:
+        if self.noisy:
             self.qnet.reset_noise()
             self.target.reset_noise()
         stack = self.qnet.stack_states

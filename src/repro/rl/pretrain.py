@@ -58,18 +58,15 @@ def collect_demonstrations(
 ) -> list[Transition]:
     """Run the (single-action) expert and record 1-step transitions.
 
-    Rewards are shaped and normalized exactly as in the DQN trainer, and
-    each transition carries its Monte-Carlo return-to-go, so pretraining
-    and fine-tuning regress the same value scale.
+    Rewards are shaped and normalized exactly as in the DQN trainer
+    (:meth:`DQNConfig.reward_terms`), and each transition carries its
+    Monte-Carlo return-to-go, so pretraining and fine-tuning regress the
+    same value scale.
     """
     cfg = dqn_config or DQNConfig()
     gamma = env.config.reward.gamma
     shaper = PotentialShaper(gamma, cfg.shaping_a, cfg.shaping_b)
-    scale = (1.0 - gamma) if cfg.normalize_rewards else 1.0
-    shaping_weight = (
-        cfg.shaping_weight if cfg.shaping_weight is not None
-        else 1.0 / (1.0 - gamma)
-    )
+    shaping_weight, scale = cfg.reward_terms(gamma)
     qnet.bind_topology(env.topology)
     action_index = {a: i for i, a in enumerate(qnet.action_list)}
     demos: list[Transition] = []
@@ -96,7 +93,7 @@ def collect_demonstrations(
         lane["phi"] = phi_next
         next_features = featurizer.update(obs)
         demos.append(Transition(lane["features"], lane["action"], r,
-                                next_features, done, gamma, expert=True))
+                                next_features, done, gamma))
         lane["features"] = next_features
 
     def on_episode_end(slot: int, ep: int, obs) -> None:

@@ -82,7 +82,6 @@ class Transition:
     next_state: Any
     done: bool
     discount: float  # gamma ** n for bootstrapping
-    expert: bool = False  # demonstration flag (DQfD-style pretraining)
     #: Monte-Carlo return-to-go (demonstrations only); anchors the
     #: pretraining value scale without a bootstrap runaway
     mc_return: float | None = None

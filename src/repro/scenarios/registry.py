@@ -4,6 +4,10 @@
 and environment in every consumer. User code extends the catalogue with
 :func:`register`; experiment sweeps discover it with
 :func:`list_scenarios`.
+
+:func:`make_vec` / :func:`make_vec_from_specs` build lockstep vector
+envs; :func:`~repro.sim.vec_env.lockstep_env` picks their engine by
+lane count unless the caller names one.
 """
 
 from __future__ import annotations
@@ -128,22 +132,20 @@ def make(scenario: str | ScenarioSpec, *, seed: int | None = None,
 
 def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
              seed: int | None = None, auto_reset: bool = True,
-             record_truth: bool = True, backend: str = "sync",
+             record_truth: bool = True, backend: str | None = None,
              **overrides):
     """Build a lockstep vector environment of ``num_envs`` independent
     copies of a scenario, seeded ``seed + i`` per lane.
 
-    ``backend`` selects the in-process execution engine behind the
-    identical lockstep API (trajectories do not depend on it):
-
-    * ``"sync"`` -- every lane stepped in turn
-      (:class:`~repro.sim.vec_env.VectorEnv`);
-    * ``"batched"`` -- every lane stepped on the structure-of-arrays
-      engine (:class:`~repro.sim.batched_engine.BatchedVectorEnv`);
-    * ``"auto"`` -- ``"batched"``.
-
-    Any other name raises :class:`ValueError`
-    (:func:`~repro.sim.vec_env.normalize_backend`).
+    ``backend`` names the execution engine behind the identical
+    lockstep API (trajectories do not depend on it). ``None``, the
+    default the CLI, the evaluation service and the self-play loops
+    take, lets :func:`~repro.sim.vec_env.lockstep_env` pick by lane
+    count: the sync :class:`~repro.sim.vec_env.VectorEnv` (the parity
+    oracle) for one lane, the structure-of-arrays
+    :class:`~repro.sim.batched_engine.BatchedVectorEnv` for more.
+    ``"sync"`` or ``"batched"`` forces one; any other name raises
+    :class:`ValueError`.
 
     This is :func:`make_vec_from_specs` over ``num_envs`` copies of the
     scenario.
@@ -158,26 +160,22 @@ def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
 
 def make_vec_from_specs(specs, *, seed: int | None = None,
                         auto_reset: bool = True, record_truth: bool = True,
-                        backend: str = "sync"):
+                        backend: str | None = None):
     """Build a lockstep vector env whose lane ``i`` runs ``specs[i]``.
 
     The general form behind :func:`make_vec` (which passes ``num_envs``
     copies of one spec): each entry is a registered scenario id or a
     (possibly unregistered) :class:`~repro.scenarios.spec.ScenarioSpec`,
     and all entries must share a topology (same action space). Lane
-    ``i`` is seeded ``seed + i``; backends are as in :func:`make_vec`.
+    ``i`` is seeded ``seed + i``; ``backend`` is as in :func:`make_vec`.
     The adversarial loops use this to fan an attacker population or a
     CEM candidate batch over one vector environment.
     """
     resolved = [_resolve(s, {}) for s in specs]
     if not resolved:
         raise ValueError("make_vec_from_specs needs at least one spec")
-    from repro.sim.vec_env import VectorEnv, normalize_backend
+    from repro.sim.vec_env import lockstep_env
 
-    if normalize_backend(backend) == "batched":
-        from repro.sim.batched_engine import BatchedVectorEnv as cls
-    else:
-        cls = VectorEnv
     envs = [
         spec.build_env(
             seed=None if seed is None else seed + i,
@@ -185,4 +183,5 @@ def make_vec_from_specs(specs, *, seed: int | None = None,
         )
         for i, spec in enumerate(resolved)
     ]
-    return cls(envs, auto_reset=auto_reset, base_seed=seed)
+    return lockstep_env(envs, auto_reset=auto_reset, base_seed=seed,
+                        backend=backend)

@@ -20,23 +20,25 @@ The scenario is named either by registry id (``{"scenario": "..."}``)
 or shipped inline as a ScenarioSpec dict (``{"spec": {...}}`` — the
 same JSON form :mod:`repro.scenarios.serialization` writes to disk), so
 a client can submit scenarios the server never registered.
+
+The ``policy`` names the CLI's catalogue
+(:data:`~repro.defenders.POLICY_NAMES`); ``expert`` and ``acso`` read
+artifact paths (``dbn`` / ``qnet``) on the server's filesystem. A job
+does not name a vector-env engine: ``repro.make_vec`` picks it by lane
+count, and a payload carrying a ``backend`` field is rejected as an
+unknown field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.vec_env import BACKEND_CHOICES
+from repro.defenders.catalogue import POLICY_NAMES, TABLE_POLICIES, make_policy
 
 __all__ = ["JobRequest", "JobError", "JobCancelled", "parse_job",
-           "build_policy", "JOB_KINDS", "SERVE_POLICIES"]
+           "build_policy", "JOB_KINDS"]
 
 JOB_KINDS = ("evaluate", "simulate", "selfplay")
-
-#: policies constructible from a payload alone; ``expert``/``acso``
-#: additionally need artifact paths (``dbn`` / ``qnet``) on the server's
-#: filesystem
-SERVE_POLICIES = ("noop", "playbook", "random", "expert", "acso")
 
 
 class JobError(ValueError):
@@ -59,7 +61,6 @@ class JobRequest:
     seed: int = 0
     max_steps: int | None = None
     num_envs: int = 1
-    backend: str | None = None        # None -> the service default
     tags: list[str] = field(default_factory=list)
     dbn: str | None = None            # DBN tables artifact (expert/acso)
     qnet: str | None = None           # Q-network artifact (acso)
@@ -88,7 +89,7 @@ class JobRequest:
         """The JSON object a client posts (omits default-valued fields)."""
         payload: dict = {"kind": self.kind}
         for key in ("scenario", "spec", "policy", "episodes", "seed",
-                    "max_steps", "num_envs", "backend", "tags", "dbn",
+                    "max_steps", "num_envs", "tags", "dbn",
                     "qnet", "cem_iterations", "cem_population",
                     "fitness_episodes"):
             value = getattr(self, key)
@@ -125,10 +126,10 @@ def parse_job(payload: dict) -> JobRequest:
             request.resolve_spec()
         except Exception as exc:
             raise JobError(f"invalid inline spec: {exc}") from None
-    _require(request.policy in SERVE_POLICIES,
+    _require(request.policy in POLICY_NAMES,
              f"unknown policy {request.policy!r}; "
-             f"choose from {SERVE_POLICIES}")
-    _require(request.policy not in ("expert", "acso") or request.dbn,
+             f"choose from {POLICY_NAMES}")
+    _require(request.policy not in TABLE_POLICIES or request.dbn,
              f"policy {request.policy!r} needs a 'dbn' artifact path")
     _require(isinstance(request.episodes, int) and request.episodes >= 1,
              "'episodes' must be a positive integer")
@@ -138,9 +139,6 @@ def parse_job(payload: dict) -> JobRequest:
              "'max_steps' must be a positive integer")
     _require(isinstance(request.num_envs, int) and request.num_envs >= 1,
              "'num_envs' must be a positive integer")
-    if request.backend is not None:
-        _require(request.backend in BACKEND_CHOICES,
-                 f"unknown backend {request.backend!r}")
     _require(isinstance(request.tags, list)
              and all(isinstance(t, str) for t in request.tags),
              "'tags' must be a list of strings")
@@ -154,33 +152,14 @@ def parse_job(payload: dict) -> JobRequest:
     return request
 
 
-def build_policy(request: JobRequest, config):
+def build_policy(request: JobRequest):
     """Construct the defender policy a job names.
 
-    The same catalogue as the CLI's ``--policy``, minus the CLI's
-    fit-tables-on-the-fly fallback: a service job must name its
-    artifacts explicitly so every run row is reproducible.
+    The CLI's catalogue (:func:`~repro.defenders.make_policy`), minus
+    its fit-tables-on-the-fly fallback: ``expert`` and ``acso`` jobs
+    must name a ``dbn`` artifact so every run row is reproducible.
     """
-    from repro.defenders import NoopPolicy, PlaybookPolicy, SemiRandomPolicy
-
-    if request.policy == "noop":
-        return NoopPolicy()
-    if request.policy == "playbook":
-        return PlaybookPolicy()
-    if request.policy == "random":
-        return SemiRandomPolicy(seed=request.seed)
     from repro.dbn import DBNTables
-    from repro.defenders import DBNExpertPolicy
 
-    tables = DBNTables.load(request.dbn)
-    if request.policy == "expert":
-        return DBNExpertPolicy(tables, seed=request.seed)
-    from repro.defenders.acso import ACSOPolicy
-    from repro.rl import AttentionQNetwork, QNetConfig
-
-    qnet = AttentionQNetwork(QNetConfig(), seed=request.seed)
-    if request.qnet:
-        from repro.nn import load_state
-
-        load_state(qnet, request.qnet)
-    return ACSOPolicy(qnet, tables)
+    return make_policy(request.policy, request.seed,
+                       lambda: DBNTables.load(request.dbn), request.qnet)

@@ -5,8 +5,8 @@
 HTTP layer turns :class:`QueueFullError` into a 429), a fixed group of
 worker tasks drains it, and each job executes on a thread-pool executor
 so the event loop stays responsive while episodes run. A vectorized
-job builds its own in-process vector env (``repro.make_vec``) on the
-job's backend, or on the service default.
+job builds its own in-process vector env with ``repro.make_vec``, on
+the engine that function picks for the job's lane count.
 
 Every job is recorded in the :class:`~repro.serve.store.RunStore` from
 the moment it is accepted: the run row is created at submit time
@@ -110,9 +110,6 @@ class EvalService:
     ----------
     store:
         A :class:`RunStore` or a path to create one at.
-    default_backend:
-        Backend for vectorized jobs that do not name one (any of
-        :data:`~repro.sim.vec_env.BACKEND_CHOICES`).
     max_queue:
         Queue depth bound; submissions beyond it raise
         :class:`QueueFullError` (backpressure, not buffering).
@@ -125,18 +122,13 @@ class EvalService:
     """
 
     def __init__(self, store: RunStore | str, *,
-                 default_backend: str = "sync", max_queue: int = 64,
-                 workers: int = 1, requeue_interrupted: bool = False):
-        from repro.sim.vec_env import BACKEND_CHOICES
-
+                 max_queue: int = 64, workers: int = 1,
+                 requeue_interrupted: bool = False):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if default_backend not in BACKEND_CHOICES:
-            raise ValueError(f"unknown backend {default_backend!r}")
         self.store = store if isinstance(store, RunStore) else RunStore(store)
-        self.default_backend = default_backend
         self.max_queue = max_queue
         self._jobs: dict[str, Job] = {}
         self._queue: asyncio.Queue | None = None
@@ -364,11 +356,11 @@ class EvalService:
 
         request = job.request
         spec, config = self._resolve_run(request)
-        policy = build_policy(request, config)
+        policy = build_policy(request)
         on_episode = self._on_episode(job)
         venv = repro.make_vec(
             spec.with_overrides(horizon=config.tmax), request.num_envs,
-            seed=request.seed, backend=request.backend or self.default_backend,
+            seed=request.seed,
         )
         with venv:
             aggregate, _ = evaluate_policy_vec(
@@ -399,7 +391,7 @@ class EvalService:
 
         request = job.request
         spec, config = self._resolve_run(request)
-        defender = build_policy(request, config)
+        defender = build_policy(request)
 
         env = spec.build_env(config=config, seed=request.seed)
         baseline_agg, _ = evaluate_policy(
@@ -412,7 +404,6 @@ class EvalService:
             spec.with_overrides(horizon=config.tmax), defender,
             episodes=request.fitness_episodes, seed=request.seed,
             max_steps=request.max_steps,
-            backend=request.backend or self.default_backend,
         )
         generation = 0
 

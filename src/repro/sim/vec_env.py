@@ -6,15 +6,17 @@ form :func:`drive_policies`, a plain :class:`~repro.sim.env.InasimEnv`
 as the one lane of ``VectorEnv([env], auto_reset=False)``. The driver
 owns reset order, seeding, each lane's horizon and the episode end.
 
-Two in-process backends implement one contract (:class:`BaseVectorEnv`):
+Two in-process engines implement one contract (:class:`BaseVectorEnv`):
 
-* ``sync`` -- :class:`VectorEnv`, every lane stepped in turn (this
-  module);
-* ``batched`` -- :class:`~repro.sim.batched_engine.BatchedVectorEnv`,
-  every lane stepped on one structure-of-arrays engine.
+* :class:`VectorEnv` -- every lane stepped in turn (this module); the
+  oracle, the base class of the batched engine, and the one-lane
+  wrapper the episode loops put around a plain env;
+* :class:`~repro.sim.batched_engine.BatchedVectorEnv` -- every lane
+  stepped on one structure-of-arrays engine.
 
-:func:`normalize_backend` is the single dispatch gate over the backend
-names: ``"auto"`` resolves to ``"batched"``.
+:func:`lockstep_env` is the one place that picks between them, by lane
+count unless a caller names an engine (``repro.make_vec`` and the CLI
+go through it).
 
 Semantics follow the Gym ``VectorEnv`` contract:
 
@@ -33,7 +35,7 @@ Semantics follow the Gym ``VectorEnv`` contract:
 
 Episodes are deterministic given (config, seed): two vector envs built
 from the same scenario and reset with the same seed produce identical
-batched trajectories **regardless of backend** -- the parity tests in
+batched trajectories **regardless of engine** -- the parity tests in
 ``tests/test_vec_backends.py`` and ``tests/test_batched_engine.py`` pin
 this down.
 """
@@ -49,38 +51,16 @@ from repro.sim.env import InasimEnv
 from repro.sim.observations import Observation
 
 __all__ = [
-    "BACKEND_CHOICES",
     "BaseVectorEnv",
     "VectorEnv",
     "VecStep",
     "drive_policies",
     "drive_vec_episodes",
     "fan_out",
-    "normalize_backend",
+    "lockstep_env",
 ]
 
 _UNSET = object()
-
-#: every backend name a caller may pass
-BACKEND_CHOICES = ("sync", "batched", "auto")
-
-
-def normalize_backend(backend: str) -> str:
-    """Validate a backend name and map it to ``"sync"`` or ``"batched"``.
-
-    The single dispatch gate shared by ``repro.make_vec``,
-    ``repro.make_vec_from_specs``, the CLI and the serve layer, so the
-    accepted names and the error message cannot drift apart.
-    ``"auto"`` is ``"batched"``, which wins every committed throughput
-    cell.
-    """
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
-        )
-    if backend == "auto":
-        return "batched"
-    return backend
 
 
 @dataclass
@@ -109,7 +89,7 @@ def _reset_info(env: InasimEnv) -> dict[str, Any]:
 
 
 class BaseVectorEnv:
-    """The lockstep vector-environment contract all backends satisfy.
+    """The lockstep vector-environment contract both engines satisfy.
 
     Subclasses implement :meth:`reset`, :meth:`reset_env`, :meth:`step`,
     :meth:`action_masks`, and :meth:`close`, and expose ``num_envs``,
@@ -129,7 +109,7 @@ class BaseVectorEnv:
     def lane_config(self, i: int):
         """The :class:`~repro.config.SimConfig` lane ``i`` runs.
 
-        Equal to :attr:`config` for homogeneous vector envs; backends
+        Equal to :attr:`config` for homogeneous vector envs; vector envs
         built from per-lane scenario specs (attacker populations, CEM
         candidate fan-outs) report each lane's own configuration.
         """
@@ -187,7 +167,7 @@ class BaseVectorEnv:
 
     # -- lifecycle ----------------------------------------------------
     def close(self) -> None:
-        """Release backend resources (none for the in-process backends)."""
+        """Release engine resources (none for the in-process engines)."""
 
     def __enter__(self):
         return self
@@ -339,6 +319,28 @@ class VectorEnv(BaseVectorEnv):
     def action_masks(self) -> np.ndarray:
         """Stacked validity masks, shape ``(num_envs, n_actions)``."""
         return np.stack([env.action_mask() for env in self.envs])
+
+
+def lockstep_env(envs: Sequence[InasimEnv], *, auto_reset: bool = True,
+                 base_seed: int | None = None,
+                 backend: str | None = None) -> BaseVectorEnv:
+    """Run ``envs`` as lanes of one lockstep vector env.
+
+    ``backend=None`` lets the lane count choose: one lane runs on the
+    sync :class:`VectorEnv`, two or more on the batched engine, whose
+    array program pays off only across lanes (every timed run is in
+    ``BENCH_engine_choice.json``). ``"sync"`` or ``"batched"`` forces an
+    engine; any other name raises :class:`ValueError`.
+    """
+    if backend is None:
+        backend = "sync" if len(envs) == 1 else "batched"
+    if backend == "sync":
+        return VectorEnv(envs, auto_reset=auto_reset, base_seed=base_seed)
+    if backend != "batched":
+        raise ValueError(f"unknown backend {backend!r}; use 'batched' or 'sync'")
+    from repro.sim.batched_engine import BatchedVectorEnv
+
+    return BatchedVectorEnv(envs, auto_reset=auto_reset, base_seed=base_seed)
 
 
 def fan_out(episodes: int) -> Callable[[int], int | None]:

@@ -273,8 +273,9 @@ def _loop_dqn_per() -> dict:
 
 
 def _loop_dqn_noisy() -> dict:
+    # a network with noisy heads explores through them, not epsilon
     return _training_digest(_attention_trainer(
-        _loop_env(), {"noisy_heads": True}, {"noisy": True}))
+        _loop_env(), {"noisy_heads": True}))
 
 
 def _loop_dqn_uniform() -> dict:

@@ -369,16 +369,25 @@ class TestVectorizedFitness:
         np.testing.assert_array_equal(batch(candidates), sequential)
 
     def test_batched_backend_matches_too(self):
+        """The fan-out runs on the batched engine; the same candidate
+        lanes on the sync oracle score the same utilities."""
+        from repro.eval.runner import evaluate_policy_per_lane
+
         cfg = tiny_network(tmax=30)
         space = AttackerParameterSpace(base=cfg.apt)
         rng = np.random.default_rng(1)
         candidates = [space.sample(rng) for _ in range(2)]
-        sync = make_defender_fitness_vec(cfg, NoopPolicy(), episodes=1,
-                                         seed=2, max_steps=30)
         batched = make_defender_fitness_vec(cfg, NoopPolicy(), episodes=1,
-                                            seed=2, max_steps=30,
-                                            backend="batched")
-        np.testing.assert_array_equal(sync(candidates), batched(candidates))
+                                            seed=2, max_steps=30)
+        base = as_base_spec(cfg)
+        specs = [scenario_for_attacker(base, apt, f"oracle-{i}")
+                 for i, apt in enumerate(candidates)]
+        with repro.make_vec_from_specs(specs, seed=2,
+                                       backend="sync") as venv:
+            per_lane = evaluate_policy_per_lane(venv, NoopPolicy(), 1,
+                                                seed=2, max_steps=30)
+        sync = np.array([attack_utility(agg) for agg, _ in per_lane])
+        np.testing.assert_array_equal(batched(candidates), sync)
 
     def test_evaluate_attackers_vec_returns_per_attacker_aggregates(self):
         cfg = tiny_network(tmax=30)
@@ -507,11 +516,25 @@ class TestSelfPlayLoop:
         finally:
             _unregister_selfplay("t-roundtrip")
 
-    def test_batched_backend_round(self, tiny_tables):
-        """A full oracle round also runs on the batched backend."""
-        loop = _tiny_loop(tiny_tables, "t-batched", backend="batched")
+    def test_batched_backend_round(self, tiny_tables, monkeypatch):
+        """A full oracle round runs its multi-lane vector envs on the
+        batched engine, the ``make_vec_from_specs`` pick for them."""
+        from repro.sim.batched_engine import BatchedVectorEnv
+
+        built = []
+        make = repro.make_vec_from_specs
+
+        def recording(*args, **kwargs):
+            venv = make(*args, **kwargs)
+            built.append((type(venv), venv.num_envs))
+            return venv
+
+        monkeypatch.setattr(repro, "make_vec_from_specs", recording)
+        loop = _tiny_loop(tiny_tables, "t-batched")
         try:
             record = loop.run_round()
+            assert (BatchedVectorEnv, 1) not in built
+            assert {cls for cls, n in built if n > 1} == {BatchedVectorEnv}
             assert np.isfinite(record.best_response_utility)
             assert record.verified_utility == record.best_response_utility
         finally:

@@ -121,7 +121,8 @@ class TestEvaluatePolicyPerLane:
             scenario_id="per-lane-variant",
             apt_overrides={"lateral_threshold": 1, "labor_rate": 3},
         )
-        venv = repro.make_vec_from_specs([base, variant], seed=0)
+        venv = repro.make_vec_from_specs([base, variant], seed=0,
+                                         backend="sync")
         per_lane = evaluate_policy_per_lane(venv, PlaybookPolicy(),
                                             episodes=2, seed=3)
         assert len(per_lane) == 2
@@ -137,7 +138,8 @@ class TestEvaluatePolicyPerLane:
         short = repro.get_scenario("inasim-tiny-v1").with_overrides(horizon=10)
         long = repro.get_scenario("inasim-tiny-v1").with_overrides(
             scenario_id="per-lane-long", horizon=25)
-        venv = repro.make_vec_from_specs([short, long], seed=0)
+        venv = repro.make_vec_from_specs([short, long], seed=0,
+                                         backend="sync")
         per_lane = evaluate_policy_per_lane(venv, NoopPolicy(),
                                             episodes=1, seed=0)
         assert per_lane[0][1][0].steps == 10
@@ -146,7 +148,8 @@ class TestEvaluatePolicyPerLane:
     def test_restores_auto_reset_flag(self):
         from repro.eval import evaluate_policy_per_lane
 
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10)
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
+                              backend="sync")
         assert venv.auto_reset
         evaluate_policy_per_lane(venv, NoopPolicy(), episodes=1, seed=0)
         assert venv.auto_reset
@@ -154,7 +157,8 @@ class TestEvaluatePolicyPerLane:
     def test_rejects_non_policy(self):
         from repro.eval import evaluate_policy_per_lane
 
-        venv = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=5)
+        venv = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=5,
+                              backend="sync")
         with pytest.raises(TypeError):
             evaluate_policy_per_lane(venv, "not-a-policy", episodes=1)
 
@@ -182,7 +186,8 @@ class TestEpisodeTelemetry:
     def test_vec_seeds_and_wall_times(self):
         from repro.eval import evaluate_policy_vec
 
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=8)
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=8,
+                              backend="sync")
         with venv:
             _, records = evaluate_policy_vec(venv, NoopPolicy(), episodes=4,
                                              seed=3)
@@ -192,7 +197,8 @@ class TestEpisodeTelemetry:
     def test_per_lane_seeds_and_wall_times(self):
         from repro.eval import evaluate_policy_per_lane
 
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=8)
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=8,
+                              backend="sync")
         with venv:
             results = evaluate_policy_per_lane(venv, NoopPolicy(),
                                                episodes=2, seed=5)
@@ -219,7 +225,8 @@ class TestEpisodeTelemetry:
     def test_vec_on_episode_callback(self):
         from repro.eval import evaluate_policy_vec
 
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=8)
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=8,
+                              backend="sync")
         seen = []
         with venv:
             evaluate_policy_vec(venv, NoopPolicy(), episodes=4, seed=0,

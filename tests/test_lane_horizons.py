@@ -47,7 +47,8 @@ class TestLaneHorizons:
     def test_trainer_ends_each_lane_at_its_tmax(self, lanes, tiny_tables):
         tiny = repro.scenarios.get_scenario("inasim-tiny-v1")
         venv = repro.make_vec_from_specs(
-            [tiny.with_overrides(horizon=tmax) for tmax, _ in lanes], seed=0)
+            [tiny.with_overrides(horizon=tmax) for tmax, _ in lanes], seed=0,
+            backend="sync")
         trainer = DQNTrainer(
             venv, AttentionQNetwork(QNET, seed=0),
             ACSOFeaturizer(venv.topology, tiny_tables),

@@ -358,11 +358,32 @@ class TestAblationFlags:
     def test_noisy_exploration_episode(self, env, featurizer):
         qcfg = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
                           head_hidden=16, noisy_heads=True)
-        cfg = DQNConfig(batch_size=8, warmup=8, update_every=2, noisy=True)
+        cfg = DQNConfig(batch_size=8, warmup=8, update_every=2)
         net = AttentionQNetwork(qcfg, seed=0)
         trainer = DQNTrainer(env, net, featurizer, cfg)
         stats = trainer.train(1, seed=0, max_steps=20)[-1]
         assert np.isfinite(stats.mean_loss)
+
+    def test_noisy_network_explores_under_default_config(self, env,
+                                                          featurizer):
+        """The network decides the exploration: noisy heads under the
+        default DQNConfig draw no epsilon coin from the trainer's RNG
+        and act greedily under freshly resampled noise, even at
+        epsilon 1."""
+        qcfg = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
+                          head_hidden=16, noisy_heads=True)
+        trainer = DQNTrainer(env, AttentionQNetwork(qcfg, seed=0),
+                             featurizer, DQNConfig())
+        obs = env.reset(seed=0)
+        featurizer.reset()
+        masks = env.action_mask()[None, :]
+        layer = trainer.qnet.host_head.linears[0]
+        noise = layer._eps_w.copy()
+        rng_state = trainer.rng.bit_generator.state
+        trainer.select_actions_vec([featurizer.update(obs)], masks,
+                                   epsilon=1.0)
+        assert trainer.rng.bit_generator.state == rng_state
+        assert not np.array_equal(layer._eps_w, noise)
 
     def test_noisy_heads_have_sigma_parameters(self):
         qcfg = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
@@ -403,7 +424,7 @@ class TestAblationFlags:
                           head_hidden=16, noisy_heads=True)
         net_cls = (DistributionalAttentionQNetwork if trainer_cls is C51Trainer
                    else AttentionQNetwork)
-        cfg = DQNConfig(batch_size=8, warmup=8, update_every=1000, noisy=True)
+        cfg = DQNConfig(batch_size=8, warmup=8, update_every=1000)
         trainer = trainer_cls(env, net_cls(qcfg, seed=0), featurizer, cfg)
         trainer.train(1, seed=0, max_steps=12)
         layers = [trainer.qnet.host_head.linears[0],

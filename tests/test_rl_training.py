@@ -134,7 +134,8 @@ class TestDQNTrainer:
         actions under the busy masks."""
         from repro.nn.tensor import Tensor
 
-        venv = repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=20)
+        venv = repro.make_vec("inasim-tiny-v1", 3, seed=0, horizon=20,
+                              backend="sync")
         trainer = DQNTrainer(venv, AttentionQNetwork(QNetConfig(), seed=1),
                              ACSOFeaturizer(venv.topology, tiny_tables),
                              DQNConfig(seed=0))
@@ -182,7 +183,6 @@ class TestPretraining:
         demos = collect_demonstrations(env, expert, feat, qnet, episodes=1,
                                        seed=0, max_steps=50)
         assert len(demos) == 50
-        assert all(d.expert for d in demos)
         assert all(0 <= d.action < qnet.n_actions for d in demos)
 
     @pytest.mark.slow
@@ -246,7 +246,7 @@ class TestSetEnv:
                                        update_every=4, buffer_size=200))
         trainer.train(1, seed=0, max_steps=5)
         steps_before = trainer.total_steps
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0)
+        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, backend="sync")
         trainer.set_env(venv)
         assert trainer.env is venv
         trainer.train(2, seed=1, max_steps=5)

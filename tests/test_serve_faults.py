@@ -103,6 +103,26 @@ class TestServedChaos:
             assert done["status"] == "done"
             assert done["seed"] == 7
 
+    def test_requeue_skips_payload_naming_an_engine(self, tmp_path):
+        """Jobs no longer name a vector-env engine: a stranded run whose
+        recorded payload carries ``backend`` stays ``interrupted`` and
+        is not resubmitted, like any malformed legacy payload."""
+        path = tmp_path / "runs.sqlite"
+        payload = {"kind": "evaluate", "scenario": TINY, "episodes": 1,
+                   "max_steps": 10, "num_envs": 2, "backend": "sync"}
+        with RunStore(str(path)) as store:
+            stranded_id = store.create_run("evaluate", scenario_id=TINY,
+                                           detail=payload)
+            store.mark_running(stranded_id)
+        with ServerHandle(path, max_queue=8,
+                          requeue_interrupted=True) as server:
+            health = server.client.health()
+            assert health["faults"]["jobs_interrupted"] == 1
+            assert health["faults"]["jobs_requeued"] == 0
+            assert server.client.jobs() == []
+            assert (server.client.run(stranded_id)["status"]
+                    == "interrupted")
+
 
 # ----------------------------------------------------------------------
 # client-side resilience

@@ -52,7 +52,7 @@ class TestParseJob:
         ({"scenario": TINY, "episodes": 0}, "positive integer"),
         ({"scenario": TINY, "episodes": "two"}, "positive integer"),
         ({"scenario": TINY, "num_envs": -1}, "positive integer"),
-        ({"scenario": TINY, "backend": "gpu"}, "unknown backend"),
+        ({"scenario": TINY, "backend": "batched"}, "unknown job fields"),
         ({"scenario": TINY, "tags": "prod"}, "list of strings"),
         ({"scenario": TINY, "frobnicate": 1}, "unknown job fields"),
         ({"spec": {"bogus": True}}, "invalid inline spec"),
@@ -174,23 +174,37 @@ class TestServeEndToEnd:
         single = server.client.wait(
             server.client.submit(argv)["job_id"], timeout=120)
         vec = server.client.wait(
-            server.client.submit({**argv, "num_envs": 2,
-                                  "backend": "sync"})["job_id"], timeout=120)
+            server.client.submit({**argv, "num_envs": 2})["job_id"],
+            timeout=120)
         assert single["metrics"] == vec["metrics"]
 
-    @pytest.mark.parametrize("backend", ["batched"])
-    def test_vectorized_job_backend_matches_sync(self, server, backend):
-        """Batched lanes serve the same metrics as sync lanes."""
-        argv = {"kind": "evaluate", "scenario": TINY, "policy": "playbook",
-                "episodes": 3, "seed": 5, "max_steps": 30, "num_envs": 2}
-        sync = server.client.wait(
-            server.client.submit({**argv, "backend": "sync"})["job_id"],
-            timeout=120)
-        other = server.client.wait(
-            server.client.submit({**argv, "backend": backend})["job_id"],
-            timeout=120)
-        assert other["status"] == "done", other
-        assert other["metrics"] == sync["metrics"]
+    def test_vectorized_job_matches_sync_oracle(self, server):
+        """A served two-lane job (batched engine) reports the metrics
+        of the same evaluation over sync lanes, run in-process."""
+        import dataclasses
+
+        import repro
+        from repro.defenders import PlaybookPolicy
+        from repro.eval import evaluate_policy_vec
+        from repro.scenarios import get_scenario
+
+        done = server.client.wait(server.client.submit({
+            "kind": "evaluate", "scenario": TINY, "policy": "playbook",
+            "episodes": 3, "seed": 5, "max_steps": 30, "num_envs": 2,
+        })["job_id"], timeout=120)
+        assert done["status"] == "done", done
+
+        spec = get_scenario(TINY)
+        horizon = min(spec.build_config().tmax, 30)
+        with repro.make_vec(spec.with_overrides(horizon=horizon), 2, seed=5,
+                            backend="sync") as venv:
+            aggregate, _ = evaluate_policy_vec(venv, PlaybookPolicy(), 3,
+                                               seed=5, max_steps=30)
+        expected = dataclasses.asdict(aggregate)
+        assert done["metrics"] == {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in expected.items()
+        }
 
     def test_selfplay_job(self, server):
         job = server.client.submit({
@@ -317,8 +331,7 @@ class TestJobBurst:
     def test_eight_vectorized_jobs_all_land(self, tmp_path):
         """Eight simultaneous vectorized jobs all complete and land in
         the store, one run per seed."""
-        with ServerHandle(tmp_path / "runs.sqlite", max_queue=16,
-                          default_backend="batched") as server:
+        with ServerHandle(tmp_path / "runs.sqlite", max_queue=16) as server:
             client = server.client
             jobs = [client.submit({
                 "kind": "evaluate", "scenario": TINY, "policy": "playbook",

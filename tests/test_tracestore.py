@@ -373,7 +373,8 @@ QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
 
 class TestVecRecording:
     def _record(self, tmp_path, tiny_tables, num_envs: int, name: str):
-        venv = repro.make_vec("inasim-tiny-v1", num_envs, seed=0, horizon=8)
+        venv = repro.make_vec("inasim-tiny-v1", num_envs, seed=0, horizon=8,
+                              backend="sync")
         qnet = AttentionQNetwork(QNET, seed=1)
         qnet.bind_topology(venv.policy_env(0).topology)
 

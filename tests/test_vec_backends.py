@@ -1,9 +1,9 @@
-"""Backend parity, scenario serialization, and vector-env fixes.
+"""Engine parity, scenario serialization, and vector-env fixes.
 
-The core guarantee of the backend abstraction: the same scenario and
-seed produce bit-identical observation/reward/done trajectories on
-every backend (``sync`` / ``batched``; ``auto`` is ``batched``; the
-retired ``process`` / ``shm`` names are rejected). Plus
+The core guarantee of the two vector engines: the same scenario and
+seed produce bit-identical observation/reward/done trajectories on the
+batched engine (``repro.make_vec``'s pick for two or more lanes) and on
+the sync oracle (``backend="sync"``); every other name is rejected. Plus
 round-trip tests for ScenarioSpec JSON and regression tests for the
 vectorized ``sample_actions`` and the ``reset_env`` episode accounting.
 """
@@ -27,6 +27,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.registry import REGISTRY
 from repro.sim.batched_engine import BatchedVectorEnv
+from repro.sim.vec_env import VectorEnv
 
 
 def _obs_fingerprint(obs):
@@ -62,7 +63,8 @@ class TestBackendParity:
 
     def test_parity_spans_auto_reset_boundaries(self):
         """The seed+i+N*episode schedule survives lane rollover."""
-        sync = repro.make_vec("inasim-tiny-v1", 5, seed=0, horizon=8)
+        sync = repro.make_vec("inasim-tiny-v1", 5, seed=0, horizon=8,
+                              backend="sync")
         _, rew_s, done_s = _rollout(sync, 30, seed=2)
         assert done_s.any()  # episodes rolled over mid-run
         venv = repro.make_vec("inasim-tiny-v1", 5, seed=0, horizon=8,
@@ -72,7 +74,8 @@ class TestBackendParity:
         np.testing.assert_array_equal(done_s, done_b)
 
     def test_action_masks_match(self):
-        sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=20)
+        sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=20,
+                              backend="sync")
         sync.reset(seed=0)
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=20,
                               backend="batched")
@@ -91,7 +94,8 @@ class TestBackendParity:
         )
         repro.register(spec, overwrite=True)
         try:
-            sync = repro.make_vec("test-custom-batched", 2, seed=0)
+            sync = repro.make_vec("test-custom-batched", 2, seed=0,
+                                  backend="sync")
             _, rew_s, _ = _rollout(sync, 12, seed=0)
             venv = repro.make_vec("test-custom-batched", 2, seed=0,
                                   backend="batched")
@@ -106,7 +110,8 @@ class TestBackendLifecycle:
     def test_metadata_and_policy_env(self):
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
                               backend="batched")
-        sync = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=10)
+        sync = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=10,
+                              backend="sync")
         assert venv.n_actions == sync.n_actions
         assert venv.action_list == sync.action_list
         assert venv.config.tmax == 10
@@ -128,7 +133,8 @@ class TestBackendLifecycle:
 
     def test_reset_infos_track_auto_resets(self):
         """Auto-resets refresh reset_infos exactly as on sync."""
-        sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=4)
+        sync = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=4,
+                              backend="sync")
         venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=4,
                               backend="batched")
         sync.reset(seed=0)
@@ -285,20 +291,25 @@ class TestScenarioSpecSerialization:
 
 
 class TestAutoBackend:
-    """``auto`` is ``batched``; the retired worker-pool names are gone."""
+    """The engine is chosen in ``lockstep_env`` alone: by lane count
+    unless a caller names ``sync`` or ``batched``, every other name
+    (``auto`` and the retired worker-pool names included) rejected.
+    Neither the CLI nor a served job can name an engine."""
 
-    @pytest.mark.parametrize("cpus", [1, 8, None])
-    @pytest.mark.parametrize("num_envs", [1, 4])
-    def test_auto_is_batched_whatever_the_cpu_count(self, monkeypatch,
-                                                     num_envs, cpus):
-        import os
+    def test_lane_count_picks_the_engine(self):
+        assert type(repro.make_vec("inasim-tiny-v1", 2)) is BatchedVectorEnv
+        assert type(repro.make_vec("inasim-tiny-v1", 1)) is VectorEnv
+        tiny = ["inasim-tiny-v1"]
+        assert type(repro.make_vec_from_specs(tiny)) is VectorEnv
+        assert type(repro.make_vec_from_specs(tiny * 3)) is BatchedVectorEnv
 
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        venv = repro.make_vec("inasim-tiny-v1", num_envs, seed=0,
-                              backend="auto")
+    def test_named_engine_wins_over_lane_count(self):
+        venv = repro.make_vec("inasim-tiny-v1", 1, backend="batched")
         assert type(venv) is BatchedVectorEnv
+        venv = repro.make_vec("inasim-tiny-v1", 4, backend="sync")
+        assert type(venv) is VectorEnv
 
-    @pytest.mark.parametrize("name", ["process", "shm"])
+    @pytest.mark.parametrize("name", ["process", "shm", "auto"])
     def test_retired_backend_name_rejected(self, name, capsys):
         from repro.cli import main as cli_main
         from repro.serve import parse_job
@@ -306,13 +317,13 @@ class TestAutoBackend:
 
         with pytest.raises(ValueError, match="unknown backend"):
             repro.make_vec("inasim-tiny-v1", 2, seed=0, backend=name)
-        with pytest.raises(JobError, match="unknown backend"):
+        with pytest.raises(JobError, match="unknown job fields"):
             parse_job({"scenario": "inasim-tiny-v1", "backend": name})
         with pytest.raises(SystemExit) as exc:
             cli_main(["simulate", "--scenario", "inasim-tiny-v1",
-                      "--backend", name])
+                      "--backend", "batched"])
         assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 class TestHeterogeneousLanes:
@@ -335,7 +346,8 @@ class TestHeterogeneousLanes:
 
     def test_batched_matches_sync(self):
         """Per-lane attackers run the same on the batched engine."""
-        sync = repro.make_vec_from_specs(self._specs(), seed=0)
+        sync = repro.make_vec_from_specs(self._specs(), seed=0,
+                                         backend="sync")
         trace_s, rew_s, done_s = _rollout(sync, 20, seed=3)
         venv = repro.make_vec_from_specs(self._specs(), seed=0,
                                          backend="batched")

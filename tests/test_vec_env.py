@@ -17,9 +17,10 @@ from repro.sim.orchestrator import DEFENDER_ACTION_SPECS
 from repro.sim.vec_env import VectorEnv
 
 
-def _tiny_vec(num_envs=3, seed=0, horizon=40, **kwargs):
+def _tiny_vec(num_envs=3, seed=0, horizon=40, backend="sync", **kwargs):
+    """The sync oracle (``VectorEnv``) unless a test names the engine."""
     return repro.make_vec("inasim-tiny-v1", num_envs, seed=seed,
-                          horizon=horizon, **kwargs)
+                          horizon=horizon, backend=backend, **kwargs)
 
 
 def _rollout(venv, steps, seed):
