@@ -22,7 +22,7 @@ from repro.adversarial import (
     AttackerParameterSpace,
     CrossEntropySearch,
     format_matrix,
-    make_defender_fitness,
+    make_defender_fitness_vec,
     robustness_matrix,
 )
 from repro.attacker import apt1, apt2
@@ -53,10 +53,10 @@ def test_best_response_search(benchmark):
     space = AttackerParameterSpace(base=cfg.apt)
 
     def run():
-        fitness = make_defender_fitness(
+        fitness = make_defender_fitness_vec(
             cfg, defender, episodes=episodes, seed=3, max_steps=_MAX_STEPS
         )
-        nominal_utility = fitness(cfg.apt)
+        nominal_utility = float(fitness([cfg.apt])[0])
         search = CrossEntropySearch(space, fitness, population=6, seed=0)
         result = search.run(iterations=2, init_mean=space.encode(cfg.apt))
         return nominal_utility, result

@@ -175,7 +175,7 @@ def run_sweep(networks, backends, env_counts, rounds, seed=0) -> dict:
                 )
     return {
         "meta": {
-            "workload": "noop lockstep rounds (repro.make_vec defaults)",
+            "workload": "step(None) lockstep rounds, engine named per cell",
             "rounds_per_cell": rounds,
             "seed": seed,
             "cpu_count": os.cpu_count(),

@@ -22,7 +22,7 @@ from repro.adversarial import (
     AttackerParameterSpace,
     CrossEntropySearch,
     format_matrix,
-    make_defender_fitness,
+    make_defender_fitness_vec,
     robustness_matrix,
 )
 from repro.attacker import apt1, apt2
@@ -54,14 +54,14 @@ def main() -> None:
     space = AttackerParameterSpace(base=config.apt)
 
     print("Searching attacker space against the playbook defender...")
-    fitness = make_defender_fitness(
+    fitness = make_defender_fitness_vec(
         config,
         defender,
         episodes=args.episodes,
         seed=args.seed,
         max_steps=args.max_steps,
     )
-    nominal_utility = fitness(config.apt)
+    nominal_utility = float(fitness([config.apt])[0])
     print(f"  nominal APT1 utility: {nominal_utility:.2f}")
 
     search = CrossEntropySearch(

@@ -66,7 +66,6 @@ def make_env(
     seed: int | None = None,
     attacker=None,
     sample_qualitative: bool = True,
-    record_truth: bool = True,
 ):
     """Build a simulation environment with the paper's FSM attacker.
 
@@ -93,4 +92,4 @@ def make_env(
 
     if attacker is None:
         attacker = FSMAttacker(config.apt, sample_qualitative=sample_qualitative)
-    return InasimEnv(config, attacker, seed=seed, record_truth=record_truth)
+    return InasimEnv(config, attacker, seed=seed)

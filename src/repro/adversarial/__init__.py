@@ -33,7 +33,6 @@ from repro.adversarial.best_response import (
     CrossEntropySearch,
     attack_utility,
     evaluate_attackers_vec,
-    make_defender_fitness,
     make_defender_fitness_vec,
 )
 from repro.adversarial.selfplay import (
@@ -55,7 +54,6 @@ __all__ = [
     "CrossEntropySearch",
     "attack_utility",
     "evaluate_attackers_vec",
-    "make_defender_fitness",
     "make_defender_fitness_vec",
     "AttackerPopulation",
     "SelfPlayConfig",

@@ -12,14 +12,13 @@ is a stochastic episode rollout): maintain a Gaussian over the unit
 box, sample candidates, evaluate, refit to the elite fraction, repeat.
 A noise floor on the standard deviation prevents premature collapse.
 
-Candidate evaluation has two engines sharing one definition of
-fitness: :func:`make_defender_fitness` scores one candidate at a time
-through ``repro.make``, and :func:`make_defender_fitness_vec` fans a
-whole CEM generation over the lanes of a vector environment
+The search scores a whole generation in one call.
+:func:`make_defender_fitness_vec` builds that call for a fixed defender:
+it fans the candidates over the lanes of a vector environment
 (``repro.make_vec_from_specs``, on the engine it picks for the lane
-count), one candidate per lane.
-For deterministic defenders the two are numerically identical — the
-batch is a wall-clock optimization, not a different experiment.
+count), one candidate per lane. For deterministic defenders each lane's
+utility equals a one-candidate evaluation through ``repro.make`` — the
+fan-out is a wall-clock optimization, not a different experiment.
 """
 
 from __future__ import annotations
@@ -36,12 +35,11 @@ from repro.adversarial.space import (
     scenario_for_attacker,
 )
 from repro.config import APTConfig
-from repro.eval.runner import evaluate_policy, evaluate_policy_per_lane
+from repro.eval.runner import evaluate_policy_per_lane
 from repro.utils.rng import ensure_rng
 
 __all__ = [
     "attack_utility",
-    "make_defender_fitness",
     "make_defender_fitness_vec",
     "evaluate_attackers_vec",
     "CrossEntropySearch",
@@ -58,35 +56,6 @@ def attack_utility(aggregate) -> float:
     large negative numbers that grow toward zero as attacks succeed.
     """
     return -aggregate.mean("discounted_return")
-
-
-def make_defender_fitness(
-    scenario,
-    defender,
-    episodes: int = 2,
-    seed: int = 0,
-    max_steps: int | None = None,
-) -> Callable[[APTConfig], float]:
-    """Build a fitness function: APTConfig -> attacker utility.
-
-    ``scenario`` is a registered id, a :class:`ScenarioSpec`, or a
-    preset-derived :class:`~repro.config.SimConfig`. Each call bridges
-    the candidate attacker onto that base
-    (:func:`~repro.adversarial.space.scenario_for_attacker`), builds
-    the environment through ``repro.make`` — so the candidate is a
-    named, reconstructible scenario, not an ad-hoc wiring — and runs
-    ``episodes`` seeded evaluations of the fixed defender.
-    """
-    base = as_base_spec(scenario)
-
-    def fitness(apt: APTConfig) -> float:
-        spec = scenario_for_attacker(base, apt, f"{base.scenario_id}#candidate")
-        env = repro.make(spec)
-        aggregate, _ = evaluate_policy(env, defender, episodes, seed=seed,
-                                       max_steps=max_steps)
-        return attack_utility(aggregate)
-
-    return fitness
 
 
 def evaluate_attackers_vec(
@@ -122,12 +91,16 @@ def make_defender_fitness_vec(
     seed: int = 0,
     max_steps: int | None = None,
 ) -> Callable[[Sequence[APTConfig]], np.ndarray]:
-    """Batched :func:`make_defender_fitness`: list[APTConfig] -> utilities.
+    """Build the fixed-defender fitness: list[APTConfig] -> utilities.
 
-    Feed it to :class:`CrossEntropySearch` as ``batch_fitness_fn`` and
-    every CEM generation is evaluated as one fan-out over a vector
-    environment (one candidate per lane) instead of
-    sequential episode loops.
+    ``scenario`` is a registered id, a :class:`ScenarioSpec`, or a
+    preset-derived :class:`~repro.config.SimConfig`. Each candidate is
+    bridged onto that base
+    (:func:`~repro.adversarial.space.scenario_for_attacker`), so it is a
+    named, reconstructible scenario, not an ad-hoc wiring; every lane
+    runs ``episodes`` seeded evaluations of the fixed defender. Feed it
+    to :class:`CrossEntropySearch` and every CEM generation is one
+    fan-out over a vector environment (one candidate per lane).
     """
 
     def batch_fitness(attackers: Sequence[APTConfig]) -> np.ndarray:
@@ -154,36 +127,28 @@ class BestResponseResult:
 class CrossEntropySearch:
     """Cross-entropy method over the attacker parameter space.
 
-    ``fitness_fn`` maps an :class:`APTConfig` to a scalar payoff to
-    *maximize*; use :func:`make_defender_fitness` for the standard
-    fixed-defender exploitability probe, or inject a synthetic function
-    for testing. Alternatively pass ``batch_fitness_fn`` (e.g. from
-    :func:`make_defender_fitness_vec`) to score each generation's
-    candidates in one vectorized call.
+    ``fitness`` maps a generation's ``K`` :class:`APTConfig` candidates
+    to a ``(K,)`` array of payoffs to *maximize*; use
+    :func:`make_defender_fitness_vec` for the standard fixed-defender
+    exploitability probe, or inject a synthetic function for testing.
     """
 
     def __init__(
         self,
         space: AttackerParameterSpace,
-        fitness_fn: Callable[[APTConfig], float] | None = None,
+        fitness: Callable[[Sequence[APTConfig]], np.ndarray],
         population: int = 12,
         elite_frac: float = 0.25,
         init_std: float = 0.3,
         min_std: float = 0.05,
         seed: int = 0,
-        batch_fitness_fn: Callable[[Sequence[APTConfig]], np.ndarray] | None = None,
     ):
         if population < 2:
             raise ValueError("population must be >= 2")
         if not 0.0 < elite_frac <= 1.0:
             raise ValueError("elite_frac must be in (0, 1]")
-        if (fitness_fn is None) == (batch_fitness_fn is None):
-            raise ValueError(
-                "pass exactly one of fitness_fn / batch_fitness_fn"
-            )
         self.space = space
-        self.fitness_fn = fitness_fn
-        self.batch_fitness_fn = batch_fitness_fn
+        self.fitness = fitness
         self.population = population
         self.n_elite = max(1, int(round(elite_frac * population)))
         self.init_std = init_std
@@ -192,15 +157,13 @@ class CrossEntropySearch:
 
     def _evaluate(self, candidates: np.ndarray) -> np.ndarray:
         configs = [self.space.decode(c) for c in candidates]
-        if self.batch_fitness_fn is not None:
-            fits = np.asarray(self.batch_fitness_fn(configs), dtype=float)
-            if fits.shape != (len(configs),):
-                raise ValueError(
-                    f"batch fitness returned shape {fits.shape}, expected "
-                    f"({len(configs)},)"
-                )
-            return fits
-        return np.array([self.fitness_fn(config) for config in configs])
+        fits = np.asarray(self.fitness(configs), dtype=float)
+        if fits.shape != (len(configs),):
+            raise ValueError(
+                f"fitness returned shape {fits.shape}, expected "
+                f"({len(configs)},)"
+            )
+        return fits
 
     def run(self, iterations: int = 5,
             init_mean: np.ndarray | None = None) -> BestResponseResult:

@@ -257,14 +257,13 @@ class SelfPlayLoop:
 
     def _best_response(self, seed: int) -> BestResponseResult:
         sp = self.selfplay
-        batch_fitness = make_defender_fitness_vec(
+        fitness = make_defender_fitness_vec(
             self.base_spec, self.defender_policy,
             episodes=sp.fitness_episodes, seed=seed,
             max_steps=sp.eval_max_steps,
         )
         search = CrossEntropySearch(
-            self.space, batch_fitness_fn=batch_fitness,
-            population=sp.cem_population, seed=seed,
+            self.space, fitness, population=sp.cem_population, seed=seed,
         )
         # warm-start the Gaussian at the current nominal attacker
         return search.run(

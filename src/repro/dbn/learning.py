@@ -45,11 +45,8 @@ class EpisodeLog:
 
 def collect_episode(env, policy, seed: int | None = None,
                     max_steps: int | None = None) -> EpisodeLog:
-    """Run one episode and log everything the table fitter needs.
-
-    ``env`` must have been built with ``record_truth=True`` so the
-    ground-truth condition matrix is present in the step info.
-    """
+    """Run one episode and log everything the table fitter needs (the
+    ground-truth condition matrix comes from the step info)."""
     n = env.topology.n_nodes
     states: list[np.ndarray] = []
     action_cats, alert_levels = [], []

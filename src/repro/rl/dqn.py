@@ -36,7 +36,6 @@ from repro.sim.orchestrator import (
     action_mask_from_busy,
 )
 from repro.sim.vec_env import (
-    BaseVectorEnv,
     VectorEnv,
     drive_vec_episodes,
     fan_out,
@@ -273,7 +272,7 @@ class DQNTrainer:
         """
         cfg = self.config
         venv = self.env
-        if not isinstance(venv, BaseVectorEnv):
+        if not isinstance(venv, VectorEnv):
             venv = VectorEnv([venv], auto_reset=False)
         n = venv.num_envs
         gammas = {venv.lane_config(i).reward.gamma for i in range(n)}

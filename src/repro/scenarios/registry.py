@@ -118,22 +118,19 @@ def _resolve(scenario: str | ScenarioSpec, overrides: dict) -> ScenarioSpec:
 
 
 def make(scenario: str | ScenarioSpec, *, seed: int | None = None,
-         record_truth: bool = True, **overrides):
+         **overrides):
     """Build an :class:`~repro.sim.env.InasimEnv` from a scenario.
 
     ``scenario`` is a registered id or an (unregistered) spec;
     ``overrides`` replace spec fields for this construction only, e.g.
     ``make("inasim-paper-v1", horizon=500)``.
     """
-    return _resolve(scenario, overrides).build_env(
-        seed=seed, record_truth=record_truth
-    )
+    return _resolve(scenario, overrides).build_env(seed=seed)
 
 
 def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
              seed: int | None = None, auto_reset: bool = True,
-             record_truth: bool = True, backend: str | None = None,
-             **overrides):
+             backend: str | None = None, **overrides):
     """Build a lockstep vector environment of ``num_envs`` independent
     copies of a scenario, seeded ``seed + i`` per lane.
 
@@ -154,12 +151,12 @@ def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
         raise ValueError("num_envs must be >= 1")
     return make_vec_from_specs(
         [_resolve(scenario, overrides)] * num_envs, seed=seed,
-        auto_reset=auto_reset, record_truth=record_truth, backend=backend,
+        auto_reset=auto_reset, backend=backend,
     )
 
 
 def make_vec_from_specs(specs, *, seed: int | None = None,
-                        auto_reset: bool = True, record_truth: bool = True,
+                        auto_reset: bool = True,
                         backend: str | None = None):
     """Build a lockstep vector env whose lane ``i`` runs ``specs[i]``.
 
@@ -177,10 +174,7 @@ def make_vec_from_specs(specs, *, seed: int | None = None,
     from repro.sim.vec_env import lockstep_env
 
     envs = [
-        spec.build_env(
-            seed=None if seed is None else seed + i,
-            record_truth=record_truth,
-        )
+        spec.build_env(seed=None if seed is None else seed + i)
         for i, spec in enumerate(resolved)
     ]
     return lockstep_env(envs, auto_reset=auto_reset, base_seed=seed,

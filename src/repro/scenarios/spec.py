@@ -190,7 +190,7 @@ class ScenarioSpec:
 
         return FSMAttacker(config.apt, sample_qualitative=self.sample_qualitative)
 
-    def build_env(self, seed: int | None = None, record_truth: bool = True,
+    def build_env(self, seed: int | None = None,
                   config: SimConfig | None = None):
         """Construct a ready :class:`~repro.sim.env.InasimEnv`.
 
@@ -201,8 +201,7 @@ class ScenarioSpec:
 
         if config is None:
             config = self.build_config()
-        env = InasimEnv(config, self.build_attacker(config), seed=seed,
-                        record_truth=record_truth)
+        env = InasimEnv(config, self.build_attacker(config), seed=seed)
         env.scenario = self
         return env
 

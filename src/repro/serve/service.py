@@ -424,9 +424,8 @@ class EvalService:
             return fits
 
         search = CrossEntropySearch(
-            AttackerParameterSpace(base=config.apt),
+            AttackerParameterSpace(base=config.apt), fitness,
             population=request.cem_population, seed=request.seed,
-            batch_fitness_fn=fitness,
         )
         result = search.run(iterations=request.cem_iterations)
         return {

@@ -22,7 +22,7 @@ from repro.sim.batched_engine import BatchedVectorEnv
 from repro.sim.reward import RewardModule
 from repro.sim.state import NetworkState
 from repro.sim.trace import EpisodeTrace, TraceStep, record_episode, verify_determinism
-from repro.sim.vec_env import BaseVectorEnv, VecStep, VectorEnv
+from repro.sim.vec_env import VecStep, VectorEnv
 
 __all__ = [
     "APT_ACTION_SPECS",
@@ -51,7 +51,6 @@ __all__ = [
     "record_episode",
     "verify_determinism",
     "VecStep",
-    "BaseVectorEnv",
     "BatchedVectorEnv",
     "VectorEnv",
 ]

@@ -1,7 +1,7 @@
 """Structure-of-arrays batched engine: one array program per lockstep.
 
-:class:`BatchedVectorEnv` is the ``backend="batched"`` implementation of
-the :class:`~repro.sim.vec_env.BaseVectorEnv` contract. Instead of
+:class:`BatchedVectorEnv` is the ``backend="batched"`` engine behind the
+:class:`~repro.sim.vec_env.VectorEnv` lockstep contract. Instead of
 asking each lane's :class:`~repro.sim.engine.Simulation` to assemble its
 own step result, it holds every lane's dynamic state in ``(num_envs,
 ...)`` batch arrays and computes the dense per-step work — IDS
@@ -19,6 +19,17 @@ dynamics — defender launches, the attacker FSM turn, action completions
 :meth:`~Simulation.step_advance`) — still run through the engine's own
 phase methods, so the dynamics live in exactly one place and the batched
 backend cannot drift from sync.
+
+Most simulated hours are quiet, so :meth:`BatchedVectorEnv.step` has a
+fast path for them. Every lane runs phase 1 (the defender launch) first;
+a lane that launched nothing -- no action, ``[]``, a noop, or an action
+rejected on a busy target, none of which writes engine state -- and
+whose next event is not due takes the fast path when its attacker turn
+is provably a no-op: the clock moves, the IDS draws run, and the
+observation reuses the lane's snapshot arrays from its last slow step.
+Those arrays are therefore shared across steps and read-only; a consumer
+that writes one gets a ``ValueError`` instead of corrupting later
+observations.
 
 Bit-exactness with the sync backend is a hard invariant, not a goal:
 
@@ -57,6 +68,13 @@ __all__ = ["BatchedVectorEnv"]
 _FAR_FUTURE = 2**62
 
 
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a snapshot read-only: quiescent steps hand the same array
+    object out again, so a consumer's write must fail, not leak."""
+    array.setflags(write=False)
+    return array
+
+
 class BatchedVectorEnv(VectorEnv):
     """Lockstep vector env advancing all lanes through one array program.
 
@@ -87,12 +105,22 @@ class BatchedVectorEnv(VectorEnv):
         self._n_nodes = n_nodes
         self._n_plcs = n_plcs
         # batch state arrays; lane i's NetworkState attributes are row
-        # views of these after adoption
-        self._C = np.zeros((n, n_nodes, len(Condition)), dtype=bool)
-        self._QUAR = np.zeros((n, n_nodes), dtype=bool)
+        # views of these after adoption. The state that observations and
+        # step infos copy out is one contiguous row of _SNAP_ROWS per
+        # lane (PLC disrupted | PLC destroyed | quarantined | conditions),
+        # so a snapshot refresh takes one copy and freezes one array
+        n_cond = len(Condition)
+        cut_des, cut_quar = n_plcs, 2 * n_plcs
+        cut_cond = cut_quar + n_nodes
+        self._snap_cuts = (cut_des, cut_quar, cut_cond)
+        self._cond_shape = (n_nodes, n_cond)
+        self._SNAP_ROWS = np.zeros((n, cut_cond + n_nodes * n_cond),
+                                   dtype=bool)
+        self._PLC_DIS = self._SNAP_ROWS[:, :cut_des]
+        self._PLC_DES = self._SNAP_ROWS[:, cut_des:cut_quar]
+        self._QUAR = self._SNAP_ROWS[:, cut_quar:cut_cond]
+        self._C = self._SNAP_ROWS[:, cut_cond:].reshape(n, n_nodes, n_cond)
         self._PLC_FW = np.zeros((n, n_plcs), dtype=bool)
-        self._PLC_DIS = np.zeros((n, n_plcs), dtype=bool)
-        self._PLC_DES = np.zeros((n, n_plcs), dtype=bool)
         self._NODE_BUSY = np.zeros((n, n_nodes), dtype=np.int64)
         self._PLC_BUSY = np.zeros((n, n_plcs), dtype=np.int64)
         self._T = np.zeros(n, dtype=np.int64)
@@ -120,9 +148,10 @@ class BatchedVectorEnv(VectorEnv):
         # against _next_event classifies every lane per step
         self._gate_ok = np.zeros(n, dtype=bool)
         # shared list for the per-step collections of quiescent lanes
-        # (alerts swap to a fresh list copy-on-write when an IDS channel
-        # fires); like the snapshot arrays, these are part of the
-        # returned observations and must not be mutated by consumers
+        # and of lanes stepped with no action (alerts swap to a fresh
+        # list copy-on-write when an IDS channel fires); like the
+        # snapshot arrays, these are part of the returned observations
+        # and must not be mutated by consumers
         self._empty: list = []
         # telemetry cache: phase_name only moves when the attacker's
         # act/observe runs, i.e. on slow-path lanes (and resets)
@@ -133,14 +162,13 @@ class BatchedVectorEnv(VectorEnv):
         # a defender completion event, which forces the slow path -- so
         # a snapshot stays value-exact until the lane next goes slow.
         # Consecutive quiescent steps therefore share array objects
-        # (sync hands out fresh copies); observations are snapshots and
-        # must not be mutated by consumers.
+        # (sync hands out fresh copies), so every snapshot is read-only.
         self._snap_plc_dis: list[np.ndarray] = [None] * n  # type: ignore
         self._snap_plc_des: list[np.ndarray] = [None] * n  # type: ignore
         self._snap_quar: list[np.ndarray] = [None] * n  # type: ignore
         self._snap_node_busy: list[np.ndarray] = [None] * n  # type: ignore
         self._snap_plc_busy: list[np.ndarray] = [None] * n  # type: ignore
-        self._snap_cond: list[np.ndarray | None] = [None] * n
+        self._snap_cond: list[np.ndarray] = [None] * n  # type: ignore
         self._n_des = [0] * n
         self._n_off = [0] * n
         # quiescent-step reward/info caches: a fast-path step has zero
@@ -158,9 +186,11 @@ class BatchedVectorEnv(VectorEnv):
         self._n_srv = [0] * n
         self._obs_tmpl: list[dict[str, Any]] = [None] * n  # type: ignore
         self._zero_node_busy = [
-            np.zeros(n_nodes, dtype=bool) for _ in range(n)
+            _frozen(np.zeros(n_nodes, dtype=bool)) for _ in range(n)
         ]
-        self._zero_plc_busy = [np.zeros(n_plcs, dtype=bool) for _ in range(n)]
+        self._zero_plc_busy = [
+            _frozen(np.zeros(n_plcs, dtype=bool)) for _ in range(n)
+        ]
         self._refresh_lane_params()
         for i in range(n):
             self._adopt(i)
@@ -206,9 +236,12 @@ class BatchedVectorEnv(VectorEnv):
         """Re-materialize lane ``i``'s observation snapshot after a
         slow-path step or reset (the only points where state moves)."""
         state = self._states[i]
-        self._snap_plc_dis[i] = state.plc_disrupted.copy()
-        self._snap_plc_des[i] = state.plc_destroyed.copy()
-        self._snap_quar[i] = state.quarantined.copy()
+        snap = _frozen(self._SNAP_ROWS[i].copy())
+        cut_des, cut_quar, cut_cond = self._snap_cuts
+        self._snap_plc_dis[i] = snap[:cut_des]
+        self._snap_plc_des[i] = snap[cut_des:cut_quar]
+        self._snap_quar[i] = snap[cut_quar:cut_cond]
+        self._snap_cond[i] = snap[cut_cond:].reshape(self._cond_shape)
         n_des = int(np.count_nonzero(state.plc_destroyed))
         self._n_des[i] = n_des
         # offline = destroyed + (disrupted and not destroyed)
@@ -219,14 +252,11 @@ class BatchedVectorEnv(VectorEnv):
             ))
         self._n_off[i] = n_des + n_dis
         if self._sims[i]._max_busy > state.t:
-            self._snap_node_busy[i] = state.node_busy_until > state.t
-            self._snap_plc_busy[i] = state.plc_busy_until > state.t
+            self._snap_node_busy[i] = _frozen(state.node_busy_until > state.t)
+            self._snap_plc_busy[i] = _frozen(state.plc_busy_until > state.t)
         else:
             self._snap_node_busy[i] = self._zero_node_busy[i]
             self._snap_plc_busy[i] = self._zero_plc_busy[i]
-        self._snap_cond[i] = (
-            state.conditions.copy() if self._record_truth[i] else None
-        )
         comp = state.compromised_ids()
         self._comp_snap[i] = comp
         self._n_comp[i] = comp.size
@@ -295,17 +325,14 @@ class BatchedVectorEnv(VectorEnv):
             "launched": None,
             "completed": None,
             "apt_phase": self._phase_names[i],
+            "conditions": self._snap_cond[i],
         }
-        if self._record_truth[i]:
-            info["conditions"] = self._snap_cond[i]
         self._fast_info[i] = info
         return info
 
     def _refresh_lane_params(self) -> None:
         """Per-lane scalars hoisted into arrays."""
         sims = self._sims
-        self._record_truth = [sim.record_truth for sim in sims]
-        self._any_truth = any(self._record_truth)
         self._tmax = [int(sim.config.tmax) for sim in sims]
         reward_cfgs = [sim.reward_module.config for sim in sims]
         self._dis_pen_l = [c.disrupted_penalty for c in reward_cfgs]
@@ -380,8 +407,9 @@ class BatchedVectorEnv(VectorEnv):
         """
         n = self.num_envs
         sims = self._sims
+        envs = self.envs
         lanes = range(n) if mask is None else [i for i in range(n) if mask[i]]
-        acts = None if actions is None else self._split_actions(actions)
+        acts = self._split_actions(actions)
 
         # -- phases 1-3 + IDS draws: one pass over the lanes -----------
         # per-lane RNG stream order matches sync exactly: the attacker's
@@ -389,12 +417,14 @@ class BatchedVectorEnv(VectorEnv):
         # compromised nodes, matching IDSModule.passive_alerts's early
         # return), then one false-alert draw; the choice draws for
         # firing false channels follow below in channel order
-        alerts_per: list[list[Alert]] = [None] * n  # type: ignore[list-item]
-        scans_per: list[list] = [None] * n  # type: ignore[list-item]
-        launched_per: list[list] = [None] * n  # type: ignore[list-item]
-        completed_per: list[list] = [None] * n  # type: ignore[list-item]
+        #
+        # per-lane step lists: a fast lane keeps the shared empty list
+        empty = self._empty
+        alerts_per: list[list[Alert]] = [empty] * n
+        scans_per: list[list] = [empty] * n
+        launched_per: list[list] = [empty] * n
+        completed_per: list[list] = [empty] * n
         costs = [0.0] * n
-        fast_lane = [False] * n
         passive_buf = self._passive_buf
         passive_buf.fill(1.0)
         passive_rows = self._passive_rows
@@ -405,19 +435,21 @@ class BatchedVectorEnv(VectorEnv):
         ids_rngs = self._ids_rngs
         comp_arrs: list[np.ndarray | None] = [None] * n
         any_comp = False
-        # quiescent-lane fast path: when a lane has no defender action,
+        # quiescent-lane fast path: when a lane launches nothing, has
         # no event due by t1, live APT access, and an attacker turn
-        # that is provably a no-op, the three engine phases reduce to
-        # ``state.t = t1``: step_launch has nothing to launch, and
-        # step_advance pops nothing and _maybe_reintrude
-        # short-circuits (access implies ``_reintrusion_at is None``
-        # after every slow step). The attacker turn is a no-op either
-        # because the engine would skip a labor-saturated attacker
-        # whose reported phase is fresh, or because the attacker
-        # itself certifies act() does nothing (act_is_noop: e.g. an
-        # FSM campaign in its DONE phase with unchanged inputs). The
-        # IDS draws below still run, so RNG streams and alerts stay
-        # bit-identical to sync.
+        # that is provably a no-op, phases 2-3 reduce to
+        # ``state.t = t1``: step_advance pops nothing and
+        # _maybe_reintrude short-circuits (access implies
+        # ``_reintrusion_at is None`` after every slow step). Phase 1
+        # runs first on every lane: no action, ``[]``, a noop, or a
+        # launch rejected on a busy target all return before any
+        # engine write, so "nothing launched" is the one test. The
+        # attacker turn is a no-op either because the engine would skip
+        # a labor-saturated attacker whose reported phase is fresh, or
+        # because the attacker itself certifies act() does nothing
+        # (act_is_noop: e.g. an FSM campaign in its DONE phase with
+        # unchanged inputs). The IDS draws below still run, so RNG
+        # streams and alerts stay bit-identical to sync.
         next_event = self._next_event
         states = self._states
         queues = self._queues
@@ -428,83 +460,40 @@ class BatchedVectorEnv(VectorEnv):
         # the event-queue mirror finishes the classification for every
         # lane at once
         t1s_arr = self._T + 1
-        fast_ok = (self._gate_ok & (next_event > t1s_arr)).tolist()
+        fast_lane = (self._gate_ok & (next_event > t1s_arr)).tolist()
         t1s = t1s_arr.tolist()
-        empty = self._empty
         n_comp = self._n_comp
         comp_snap = self._comp_snap
-        if acts is None and mask is None:
-            # lean pass for the dominant workload (no actions, no lane
-            # mask): a quiescent lane reduces to one clock write plus
-            # its two per-lane IDS stream draws
-            fast_lane = fast_ok
-            for i in lanes:
-                if fast_ok[i]:
-                    states[i].t = t1s[i]
-                    alerts_per[i] = empty
-                    scans_per[i] = empty
-                    launched_per[i] = empty
-                    completed_per[i] = empty
-                else:
-                    sim = sims[i]
-                    t1 = t1s[i]
-                    alerts_per[i] = alerts = []
-                    scans_per[i] = scans = []
-                    launched_per[i] = []
-                    sim.step_attacker(t1 - 1, t1, alerts)
-                    cost, completed = sim.step_advance(t1, scans)
-                    costs[i] = cost
-                    completed_per[i] = completed
-                    heap = queues[i]._heap
-                    next_event[i] = heap[0].time if heap else _FAR_FUTURE
-                    phase_names[i] = getattr(sim.attacker, "phase_name", None)
-                    refresh_snapshots(i)
-                rng = ids_rngs[i]
-                k = n_comp[i]
-                if k:
-                    rng.random(out=passive_rows[i][:k])
-                    comp_arrs[i] = comp_snap[i]
-                    any_comp = True
-                rng.random(out=false_rows[i])
-        else:
-            for i in lanes:
+        for i in lanes:
+            a_i = acts[i]
+            if a_i is not None:
+                launched = sims[i].step_launch(envs[i]._coerce(a_i),
+                                               t1s[i] - 1)
+                if launched:
+                    launched_per[i] = launched
+                    fast_lane[i] = False
+            if fast_lane[i]:
+                states[i].t = t1s[i]
+            else:
                 sim = sims[i]
                 t1 = t1s[i]
-                t0 = t1 - 1
-                a_i = None if acts is None else acts[i]
-                if a_i is None and fast_ok[i]:
-                    states[i].t = t1
-                    fast_lane[i] = True
-                    alerts_per[i] = empty
-                    scans_per[i] = empty
-                    launched_per[i] = empty
-                    completed_per[i] = empty
-                else:
-                    alerts_per[i] = alerts = []
-                    scans_per[i] = scans = []
-                    if a_i is None:
-                        launched_per[i] = []
-                    else:
-                        defender_actions = self.envs[i]._coerce(a_i)
-                        launched_per[i] = (
-                            sim.step_launch(defender_actions, t0)
-                            if defender_actions else []
-                        )
-                    sim.step_attacker(t0, t1, alerts)
-                    cost, completed = sim.step_advance(t1, scans)
-                    costs[i] = cost
-                    completed_per[i] = completed
-                    heap = queues[i]._heap
-                    next_event[i] = heap[0].time if heap else _FAR_FUTURE
-                    phase_names[i] = getattr(sim.attacker, "phase_name", None)
-                    refresh_snapshots(i)
-                rng = ids_rngs[i]
-                k = n_comp[i]
-                if k:
-                    rng.random(out=passive_rows[i][:k])
-                    comp_arrs[i] = comp_snap[i]
-                    any_comp = True
-                rng.random(out=false_rows[i])
+                alerts_per[i] = alerts = []
+                scans_per[i] = scans = []
+                sim.step_attacker(t1 - 1, t1, alerts)
+                cost, completed = sim.step_advance(t1, scans)
+                costs[i] = cost
+                completed_per[i] = completed
+                heap = queues[i]._heap
+                next_event[i] = heap[0].time if heap else _FAR_FUTURE
+                phase_names[i] = getattr(sim.attacker, "phase_name", None)
+                refresh_snapshots(i)
+            rng = ids_rngs[i]
+            k = n_comp[i]
+            if k:
+                rng.random(out=passive_rows[i][:k])
+                comp_arrs[i] = comp_snap[i]
+                any_comp = True
+            rng.random(out=false_rows[i])
         if mask is None:
             np.add(self._T, 1, out=self._T)
         else:
@@ -556,7 +545,6 @@ class BatchedVectorEnv(VectorEnv):
         dones = [False] * n
         infos: list[dict[str, Any]] = [None] * n  # type: ignore[list-item]
         last_obs = self._last_obs
-        record_truth = self._record_truth
         tmax = self._tmax
         dis_pen = self._dis_pen_l
         des_pen = self._des_pen_l
@@ -633,9 +621,8 @@ class BatchedVectorEnv(VectorEnv):
                 "launched": launched_per[i],
                 "completed": completed_per[i],
                 "apt_phase": phase_names[i],
+                "conditions": snap_cond[i],
             }
-            if record_truth[i]:
-                info["conditions"] = snap_cond[i]
             rewards[i] = total
             if done:
                 dones[i] = True

@@ -62,14 +62,12 @@ class StepResult:
 class Simulation:
     """INASIM core: network state, event queue, IDS, attacker, reward."""
 
-    def __init__(self, config: SimConfig, attacker, seed: int | None = None,
-                 record_truth: bool = True):
+    def __init__(self, config: SimConfig, attacker, seed: int | None = None):
         self.config = config
         self.attacker = attacker
         self.topology: Topology = build_topology(config.topology)
         self.reward_module = RewardModule(config.reward)
         self.actions: list[DefenderAction] = enumerate_actions(self.topology)
-        self.record_truth = record_truth
         self._skip_saturated = bool(getattr(attacker, "skip_when_saturated", False))
         self._attacker_observe = getattr(attacker, "observe", None)
         self._mark_phase_dirty = getattr(attacker, "mark_phase_dirty", None)
@@ -265,9 +263,8 @@ class Simulation:
             "launched": launched,
             "completed": completed_defender,
             "apt_phase": getattr(self.attacker, "phase_name", None),
+            "conditions": state.conditions.copy(),
         }
-        if self.record_truth:
-            info["conditions"] = state.conditions.copy()
         return StepResult(observation, breakdown.total, done, info)
 
     # ------------------------------------------------------------------

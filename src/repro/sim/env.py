@@ -27,10 +27,9 @@ __all__ = ["InasimEnv"]
 
 
 class InasimEnv:
-    def __init__(self, config: SimConfig, attacker, seed: int | None = None,
-                 record_truth: bool = True):
+    def __init__(self, config: SimConfig, attacker, seed: int | None = None):
         self.config = config
-        self.sim = Simulation(config, attacker, seed=seed, record_truth=record_truth)
+        self.sim = Simulation(config, attacker, seed=seed)
         self.action_list: list[DefenderAction] = list(self.sim.actions)
         self.action_index: dict[DefenderAction, int] = {
             a: i for i, a in enumerate(self.action_list)

@@ -6,7 +6,7 @@ form :func:`drive_policies`, a plain :class:`~repro.sim.env.InasimEnv`
 as the one lane of ``VectorEnv([env], auto_reset=False)``. The driver
 owns reset order, seeding, each lane's horizon and the episode end.
 
-Two in-process engines implement one contract (:class:`BaseVectorEnv`):
+Two in-process engines run the one lockstep contract of :class:`VectorEnv`:
 
 * :class:`VectorEnv` -- every lane stepped in turn (this module); the
   oracle, the base class of the batched engine, and the one-lane
@@ -51,7 +51,6 @@ from repro.sim.env import InasimEnv
 from repro.sim.observations import Observation
 
 __all__ = [
-    "BaseVectorEnv",
     "VectorEnv",
     "VecStep",
     "drive_policies",
@@ -88,116 +87,17 @@ def _reset_info(env: InasimEnv) -> dict[str, Any]:
     }
 
 
-class BaseVectorEnv:
-    """The lockstep vector-environment contract both engines satisfy.
-
-    Subclasses implement :meth:`reset`, :meth:`reset_env`, :meth:`step`,
-    :meth:`action_masks`, and :meth:`close`, and expose ``num_envs``,
-    ``config``, ``topology``, ``n_actions``, ``action_list``,
-    ``auto_reset``, and ``reset_infos`` (per-lane ground-truth tallies
-    refreshed by every reset).
-    """
-
-    num_envs: int
-    reset_infos: list[dict[str, Any]]
-
-    # -- construction-time metadata -----------------------------------
-    @property
-    def config(self):
-        raise NotImplementedError
-
-    def lane_config(self, i: int):
-        """The :class:`~repro.config.SimConfig` lane ``i`` runs.
-
-        Equal to :attr:`config` for homogeneous vector envs; vector envs
-        built from per-lane scenario specs (attacker populations, CEM
-        candidate fan-outs) report each lane's own configuration.
-        """
-        return self.config
-
-    @property
-    def topology(self):
-        raise NotImplementedError
-
-    @property
-    def n_actions(self) -> int:
-        raise NotImplementedError
-
-    @property
-    def action_list(self):
-        raise NotImplementedError
-
-    def policy_env(self, i: int):
-        """The environment handed to ``DefenderPolicy.reset`` for lane
-        ``i`` (policies read static structure: topology, action list)."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return self.num_envs
-
-    # -- lockstep interface -------------------------------------------
-    def reset(self, seed=_UNSET) -> list[Observation]:
-        raise NotImplementedError
-
-    def reset_env(self, i: int, seed: int | None = None) -> Observation:
-        raise NotImplementedError
-
-    def step(self, actions=None, mask: Sequence[bool] | None = None) -> VecStep:
-        raise NotImplementedError
-
-    def action_masks(self) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample_actions(self, rng) -> np.ndarray:
-        """Uniform random valid action index per environment.
-
-        One batched draw over the ``(num_envs, n_actions)`` mask: lane
-        ``i`` takes the ``floor(u_i * k_i)``-th of its ``k_i`` valid
-        actions, located with a cumulative-sum scan instead of a
-        per-row ``rng.choice`` loop.
-        """
-        masks = self.action_masks()
-        counts = masks.sum(axis=1)
-        if not counts.all():
-            raise ValueError("an environment has no valid action to sample")
-        picks = (rng.random(masks.shape[0]) * counts).astype(np.int64)
-        np.minimum(picks, counts - 1, out=picks)  # guard u == 1.0 edge
-        cumulative = np.cumsum(masks, axis=1)
-        return np.argmax(cumulative > picks[:, None], axis=1).astype(np.int64)
-
-    # -- lifecycle ----------------------------------------------------
-    def close(self) -> None:
-        """Release engine resources (none for the in-process engines)."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # -- shared helpers -----------------------------------------------
-    def _split_actions(self, actions) -> list:
-        if actions is None:
-            return [None] * self.num_envs
-        if isinstance(actions, np.ndarray):
-            if actions.shape != (self.num_envs,):
-                raise ValueError(
-                    f"action array shape {actions.shape} != ({self.num_envs},)"
-                )
-            return list(actions)
-        actions = list(actions)
-        if len(actions) != self.num_envs:
-            raise ValueError(
-                f"expected {self.num_envs} actions, got {len(actions)}"
-            )
-        return actions
-
-
-class VectorEnv(BaseVectorEnv):
+class VectorEnv:
     """Run ``len(envs)`` independent simulations in lockstep, in-process.
 
-    All environments must share a topology (same action space); build
-    them from one scenario via :func:`repro.make_vec`.
+    The lockstep contract both engines satisfy: :meth:`reset`,
+    :meth:`reset_env`, :meth:`step`, :meth:`action_masks` and
+    :meth:`close`, plus ``num_envs``, ``config``, ``topology``,
+    ``n_actions``, ``action_list``, ``auto_reset`` and ``reset_infos``
+    (per-lane ground-truth tallies refreshed by every reset). This class
+    steps every lane in turn; it is the oracle the batched engine
+    subclasses. All environments must share a topology (same action
+    space); build them from one scenario via :func:`repro.make_vec`.
     """
 
     def __init__(self, envs: Sequence[InasimEnv], *, auto_reset: bool = True,
@@ -227,6 +127,12 @@ class VectorEnv(BaseVectorEnv):
         return self.envs[0].config
 
     def lane_config(self, i: int):
+        """The :class:`~repro.config.SimConfig` lane ``i`` runs.
+
+        Equal to :attr:`config` for homogeneous vector envs; vector envs
+        built from per-lane scenario specs (attacker populations, CEM
+        candidate fan-outs) report each lane's own configuration.
+        """
         return self.envs[i].config
 
     @property
@@ -242,7 +148,12 @@ class VectorEnv(BaseVectorEnv):
         return self.envs[0].action_list
 
     def policy_env(self, i: int):
+        """The environment handed to ``DefenderPolicy.reset`` for lane
+        ``i`` (policies read static structure: topology, action list)."""
         return self.envs[i]
+
+    def __len__(self) -> int:
+        return self.num_envs
 
     # ------------------------------------------------------------------
     def _seed_for(self, i: int) -> int | None:
@@ -320,10 +231,52 @@ class VectorEnv(BaseVectorEnv):
         """Stacked validity masks, shape ``(num_envs, n_actions)``."""
         return np.stack([env.action_mask() for env in self.envs])
 
+    def sample_actions(self, rng) -> np.ndarray:
+        """Uniform random valid action index per environment.
+
+        One batched draw over the ``(num_envs, n_actions)`` mask: lane
+        ``i`` takes the ``floor(u_i * k_i)``-th of its ``k_i`` valid
+        actions, located with a cumulative-sum scan instead of a
+        per-row ``rng.choice`` loop.
+        """
+        masks = self.action_masks()
+        counts = masks.sum(axis=1)
+        if not counts.all():
+            raise ValueError("an environment has no valid action to sample")
+        picks = (rng.random(masks.shape[0]) * counts).astype(np.int64)
+        np.minimum(picks, counts - 1, out=picks)  # guard u == 1.0 edge
+        cumulative = np.cumsum(masks, axis=1)
+        return np.argmax(cumulative > picks[:, None], axis=1).astype(np.int64)
+
+    def close(self) -> None:
+        """Release engine resources (none for the in-process engines)."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def _split_actions(self, actions) -> list:
+        if actions is None:
+            return [None] * self.num_envs
+        if isinstance(actions, np.ndarray):
+            if actions.shape != (self.num_envs,):
+                raise ValueError(
+                    f"action array shape {actions.shape} != ({self.num_envs},)"
+                )
+            return list(actions)
+        actions = list(actions)
+        if len(actions) != self.num_envs:
+            raise ValueError(
+                f"expected {self.num_envs} actions, got {len(actions)}"
+            )
+        return actions
+
 
 def lockstep_env(envs: Sequence[InasimEnv], *, auto_reset: bool = True,
                  base_seed: int | None = None,
-                 backend: str | None = None) -> BaseVectorEnv:
+                 backend: str | None = None) -> VectorEnv:
     """Run ``envs`` as lanes of one lockstep vector env.
 
     ``backend=None`` lets the lane count choose: one lane runs on the
@@ -350,7 +303,7 @@ def fan_out(episodes: int) -> Callable[[int], int | None]:
     return lambda slot: next(pending, None)
 
 
-def drive_vec_episodes(venv: BaseVectorEnv, assign, *,
+def drive_vec_episodes(venv: VectorEnv, assign, *,
                        seed: int | None = 0, max_steps: int | None = None,
                        on_episode_start, act, on_step,
                        on_episode_end=None) -> None:
@@ -425,7 +378,7 @@ def drive_vec_episodes(venv: BaseVectorEnv, assign, *,
         venv.auto_reset = was_auto_reset
 
 
-def drive_policies(venv: BaseVectorEnv, policies, assign, *,
+def drive_policies(venv: VectorEnv, policies, assign, *,
                    seed: int | None = 0, max_steps: int | None = None,
                    on_step, on_episode_start=None,
                    on_episode_end=None) -> None:

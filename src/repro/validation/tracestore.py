@@ -92,9 +92,9 @@ INFO_SCALAR_FIELDS = (
 #: (stored as ``rb_<name>`` doubles)
 BREAKDOWN_FIELDS = ("r_plc", "r_it", "r_term", "total", "it_cost")
 
-#: every key of an engine step info (``conditions`` only with
-#: ``record_truth``); the keys outside ``INFO_SCALAR_FIELDS`` and
-#: ``reward_breakdown`` are not stored in the record
+#: every key of an engine step info; the keys outside
+#: ``INFO_SCALAR_FIELDS`` and ``reward_breakdown`` are not stored in the
+#: record
 ENGINE_INFO_KEYS = frozenset(INFO_SCALAR_FIELDS) | {
     "reward_breakdown",
     "launched",

@@ -21,7 +21,6 @@ from repro.adversarial import (
     evaluate_attackers_vec,
     format_matrix,
     load_population,
-    make_defender_fitness,
     make_defender_fitness_vec,
     robustness_matrix,
     save_population,
@@ -30,7 +29,13 @@ from repro.adversarial import (
 from repro.attacker import apt1, apt2
 from repro.config import APTConfig, tiny_network
 from repro.defenders import NoopPolicy, PlaybookPolicy, SemiRandomPolicy
+from repro.eval.runner import evaluate_policy
 from repro.scenarios.registry import REGISTRY
+
+
+def _per_candidate(score):
+    """A generation fitness scoring each candidate with ``score``."""
+    return lambda apts: np.array([score(apt) for apt in apts])
 
 
 class TestParameterSpec:
@@ -145,7 +150,8 @@ class TestCrossEntropySearch:
         def fitness(apt: APTConfig) -> float:
             return -((apt.cleanup_effectiveness - target) ** 2)
 
-        search = CrossEntropySearch(space, fitness, population=16, seed=0)
+        search = CrossEntropySearch(space, _per_candidate(fitness),
+                                    population=16, seed=0)
         result = search.run(iterations=12)
         assert result.best_config.cleanup_effectiveness == pytest.approx(
             target, abs=0.08
@@ -155,7 +161,8 @@ class TestCrossEntropySearch:
     def test_history_tracks_monotone_best(self):
         space = self._quadratic_space()
         search = CrossEntropySearch(
-            space, lambda apt: -apt.cleanup_effectiveness, population=8, seed=1
+            space, _per_candidate(lambda apt: -apt.cleanup_effectiveness),
+            population=8, seed=1,
         )
         result = search.run(iterations=5)
         best_series = [h[2] for h in result.history]
@@ -164,62 +171,40 @@ class TestCrossEntropySearch:
     def test_rejects_tiny_population(self):
         space = self._quadratic_space()
         with pytest.raises(ValueError):
-            CrossEntropySearch(space, lambda apt: 0.0, population=1)
+            CrossEntropySearch(space, _per_candidate(lambda apt: 0.0),
+                               population=1)
 
     def test_rejects_bad_elite_frac(self):
         space = self._quadratic_space()
         with pytest.raises(ValueError):
-            CrossEntropySearch(space, lambda apt: 0.0, elite_frac=0.0)
-
-    def test_requires_exactly_one_fitness(self):
-        space = self._quadratic_space()
-        with pytest.raises(ValueError):
-            CrossEntropySearch(space)
-        with pytest.raises(ValueError):
-            CrossEntropySearch(space, lambda apt: 0.0,
-                               batch_fitness_fn=lambda apts: np.zeros(1))
-
-    def test_batch_fitness_matches_sequential_search(self):
-        """Same rng seed + numerically identical fitness => the batch
-        and per-candidate engines return identical results."""
-        space = self._quadratic_space()
-        fitness = lambda apt: -((apt.cleanup_effectiveness - 0.6) ** 2)  # noqa: E731
-        seq = CrossEntropySearch(space, fitness, population=8, seed=3)
-        batch = CrossEntropySearch(
-            space, population=8, seed=3,
-            batch_fitness_fn=lambda apts: np.array([fitness(a) for a in apts]),
-        )
-        a = seq.run(iterations=4)
-        b = batch.run(iterations=4)
-        assert a.best_fitness == b.best_fitness
-        assert a.best_config == b.best_config
-        assert a.history == b.history
+            CrossEntropySearch(space, _per_candidate(lambda apt: 0.0),
+                               elite_frac=0.0)
 
     def test_batch_fitness_shape_validated(self):
         space = self._quadratic_space()
         search = CrossEntropySearch(
-            space, population=4, seed=0,
-            batch_fitness_fn=lambda apts: np.zeros(len(apts) + 1),
+            space, lambda apts: np.zeros(len(apts) + 1), population=4, seed=0,
         )
         with pytest.raises(ValueError):
             search.run(iterations=1)
 
     def test_fixed_defender_fitness_runs(self):
         cfg = tiny_network(tmax=40)
-        fitness = make_defender_fitness(cfg, NoopPolicy(), episodes=1,
-                                        max_steps=40)
-        utility = fitness(cfg.apt)
-        assert np.isfinite(utility)
+        fitness = make_defender_fitness_vec(cfg, NoopPolicy(), episodes=1,
+                                            max_steps=40)
+        utilities = fitness([cfg.apt])
+        assert utilities.shape == (1,)
+        assert np.isfinite(utilities).all()
 
     def test_undefended_network_is_more_exploitable(self):
         """The attacker's utility against no defense must beat its
         utility against the playbook on identical seeds."""
         cfg = tiny_network(tmax=120)
         apt = cfg.apt
-        noop = make_defender_fitness(cfg, NoopPolicy(), episodes=2,
-                                     max_steps=120)(apt)
-        playbook = make_defender_fitness(cfg, PlaybookPolicy(), episodes=2,
-                                         max_steps=120)(apt)
+        noop = make_defender_fitness_vec(cfg, NoopPolicy(), episodes=2,
+                                         max_steps=120)([apt])[0]
+        playbook = make_defender_fitness_vec(cfg, PlaybookPolicy(), episodes=2,
+                                             max_steps=120)([apt])[0]
         assert noop >= playbook
 
 
@@ -355,17 +340,22 @@ class TestScenarioBridge:
 class TestVectorizedFitness:
     def test_batch_matches_sequential_utilities(self):
         """The vectorized candidate fan-out is a wall-clock
-        optimization, not a different experiment: utilities equal the
-        sequential fitness exactly."""
+        optimization, not a different experiment: utilities equal a
+        one-candidate evaluation through ``repro.make`` exactly."""
         cfg = tiny_network(tmax=40)
         space = AttackerParameterSpace(base=cfg.apt)
         rng = np.random.default_rng(0)
         candidates = [space.sample(rng) for _ in range(3)]
-        seq = make_defender_fitness(cfg, PlaybookPolicy(), episodes=2,
-                                    seed=5, max_steps=40)
         batch = make_defender_fitness_vec(cfg, PlaybookPolicy(), episodes=2,
                                           seed=5, max_steps=40)
-        sequential = np.array([seq(apt) for apt in candidates])
+        base = as_base_spec(cfg)
+        sequential = np.array([
+            attack_utility(evaluate_policy(
+                repro.make(scenario_for_attacker(base, apt, "one")),
+                PlaybookPolicy(), 2, seed=5, max_steps=40,
+            )[0])
+            for apt in candidates
+        ])
         np.testing.assert_array_equal(batch(candidates), sequential)
 
     def test_batched_backend_matches_too(self):

@@ -5,12 +5,13 @@ The batched backend's core guarantee is that its array programs are an
 entry is bit-identical to the sync backend's, lane for lane, step for
 step — including across auto-reset boundaries, masked lanes, manual
 ``reset_env`` calls, and the quiescent-lane fast path (exercised by
-noop workloads). The committed golden fixtures must replay identically
-through a one-lane batched env.
+every way of launching nothing). The committed golden fixtures must
+replay identically through a one-lane batched env.
 
 Also pinned here: the state-adoption contract the batched engine relies
 on (every simulator mutation is an in-place element write into the
-adopted row views), and the geometry preconditions.
+adopted row views), the geometry preconditions, and the read-only
+snapshot arrays that quiescent steps share.
 """
 
 import importlib.util
@@ -23,8 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.defenders import NoopPolicy
+from repro.eval.runner import evaluate_policy_vec
 from repro.sim.batched_engine import BatchedVectorEnv
-from repro.sim.vec_env import VectorEnv
+from repro.sim.orchestrator import NOOP
 
 _spec = importlib.util.spec_from_file_location(
     "golden_regenerate",
@@ -82,8 +85,9 @@ def _step_fp(step):
 def _rollout_fp(venv, steps, seed, action_seed=None, mask_every=None):
     """Full-visibility fingerprint of a seeded rollout.
 
-    ``action_seed=None`` runs the noop workload (the batched fast
-    path); otherwise random valid actions (the slow path). With
+    ``action_seed=None`` steps with no actions (quiescent lanes take
+    the batched fast path); otherwise random valid actions, which
+    force the slow path on every lane that launches one. With
     ``mask_every=k``, every k-th step masks out half the lanes.
     """
     rng = (None if action_seed is None
@@ -152,23 +156,6 @@ class TestBatchedParity:
         assert _rollout_fp(sync, 30, seed=1234) == \
             _rollout_fp(batched, 30, seed=1234)
 
-    def test_parity_without_record_truth(self):
-        spec = repro.scenarios.get_scenario("inasim-tiny-v1")
-        sync = VectorEnv(
-            [spec.build_env(seed=i, record_truth=False) for i in range(3)],
-            base_seed=0,
-        )
-        batched = BatchedVectorEnv(
-            [spec.build_env(seed=i, record_truth=False) for i in range(3)],
-            base_seed=0,
-        )
-        fp = _rollout_fp(batched, 25, seed=2)
-        assert fp == _rollout_fp(sync, 25, seed=2)
-        for entry in fp[1::2]:
-            if isinstance(entry, tuple) and len(entry) == 4:
-                for info in entry[3]:
-                    assert all(k != "conditions" for k, _ in info)
-
     def test_parity_heterogeneous_configs(self):
         """Same geometry, different reward weights/horizons per lane."""
         specs = ["paper-availability-v1", "paper-cost-sensitive-v1",
@@ -202,35 +189,155 @@ class TestBatchedParityFuzz:
         steps=st.integers(4, 20),
         horizon=st.one_of(st.none(), st.integers(5, 12)),
         auto_reset=st.booleans(),
-        action_mode=st.sampled_from(["noop", "random", "mixed"]),
+        action_mode=st.sampled_from(["none", "random", "mixed", "empty",
+                                     "noop-action", "noop-index", "busy"]),
+        driver_mask=st.booleans(),
     )
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_fuzzed_trajectories_match(self, seed, n, steps, horizon,
-                                       auto_reset, action_mode):
+                                       auto_reset, action_mode, driver_mask):
         """Every observation field, reward, done, and info entry is
         bit-identical between backends under fuzzed workloads — the
         fast-path gate, auto-reset boundaries, and per-lane RNG
-        scheduling all have to agree for this to hold."""
+        scheduling all have to agree for this to hold.
+
+        The modes cover every way of launching nothing: no action,
+        ``[]`` (what rule-based policies send), the noop action and its
+        index 0 (what Q-policies send), and, in ``busy``, an action on
+        a target an earlier step made busy, which the engine rejects.
+        ``driver_mask`` steps like ``drive_vec_episodes``: a lane mask
+        on every step, with no action for the masked-out lanes."""
         sync, batched = _pair("inasim-tiny-v1", n, seed=0, horizon=horizon,
                               auto_reset=auto_reset)
         rng_s = np.random.default_rng(seed)
         rng_b = np.random.default_rng(seed)
 
+        def busy_or_nothing(venv, rng):
+            actions: list = []
+            for lane_mask in venv.action_masks():
+                busy = np.flatnonzero(~lane_mask)
+                actions.append(int(busy[rng.integers(busy.size)])
+                               if busy.size else [])
+            return actions
+
         def drive(venv, rng):
             obs = venv.reset(seed=seed)
             trace = [tuple(_obs_fp(o) for o in obs)]
             for step_idx in range(steps):
-                if action_mode == "noop":
+                if action_mode == "none":
                     actions = None
                 elif action_mode == "random":
                     actions = venv.sample_actions(rng)
-                else:
+                elif action_mode == "mixed":
                     actions = (None if step_idx % 2 else
                                venv.sample_actions(rng))
-                trace.append(_step_fp(venv.step(actions)))
+                elif action_mode == "empty":
+                    actions = [[] for _ in range(n)]
+                elif action_mode == "noop-action":
+                    actions = [NOOP] * n
+                elif action_mode == "noop-index":
+                    actions = np.zeros(n, dtype=np.int64)
+                else:
+                    actions = (busy_or_nothing(venv, rng) if step_idx % 2
+                               else venv.sample_actions(rng))
+                mask = None
+                if driver_mask:
+                    mask = [(step_idx + i) % 3 != 0 for i in range(n)]
+                    actions = [None if not live else
+                               (None if actions is None else actions[i])
+                               for i, live in enumerate(mask)]
+                trace.append(_step_fp(venv.step(actions, mask=mask)))
             return trace
 
         assert drive(sync, rng_s) == drive(batched, rng_b)
+
+
+# ----------------------------------------------------------------------
+# the fast path serves every form of "no defender action"
+# ----------------------------------------------------------------------
+def _count_refreshes(venv, monkeypatch) -> list:
+    """Record every lane snapshot refresh of a batched env."""
+    calls: list[int] = []
+    refresh = venv._refresh_lane_snapshots
+
+    def counting(i):
+        calls.append(i)
+        refresh(i)
+
+    monkeypatch.setattr(venv, "_refresh_lane_snapshots", counting)
+    return calls
+
+
+class TestIdleLaneFastPath:
+    def test_driver_noop_run_skips_most_refreshes(self, monkeypatch):
+        """A noop evaluation steps through ``drive_vec_episodes``, which
+        sends each lane the policy's ``[]`` under a lane mask; quiet
+        lanes must still take the fast path, so snapshots are refreshed
+        on well under half the lane-steps (slow steps and resets)."""
+        venv = repro.make_vec("inasim-small-v1", 4, seed=0,
+                              backend="batched")
+        calls = _count_refreshes(venv, monkeypatch)
+        lane_steps = []
+        step = venv.step
+
+        def counting_step(actions=None, mask=None):
+            lane_steps.append(sum(mask))
+            return step(actions, mask=mask)
+
+        monkeypatch.setattr(venv, "step", counting_step)
+        evaluate_policy_vec(venv, NoopPolicy(), 4, seed=0, max_steps=300)
+        assert sum(lane_steps) == 4 * 300
+        assert len(calls) < sum(lane_steps) / 2
+
+    @pytest.mark.parametrize("form", ["empty", "noop-action", "noop-index",
+                                      "busy"])
+    def test_launching_nothing_steps_like_no_action(self, form,
+                                                    monkeypatch):
+        """Every form of launching nothing refreshes exactly the
+        snapshots ``step(None)`` does, with the same trajectory: the
+        fast path is taken exactly when a lane launches nothing."""
+        n, steps = 4, 7  # the 8 h human analysis keeps node 0 busy
+        analyse_node_0 = 3
+        forms = {
+            "empty": [[] for _ in range(n)],
+            "noop-action": [NOOP] * n,
+            "noop-index": np.zeros(n, dtype=np.int64),
+            "busy": [analyse_node_0] * n,
+        }
+        runs = []
+        for actions in (None, forms[form]):
+            venv = repro.make_vec("inasim-small-v1", n, seed=0,
+                                  backend="batched")
+            venv.reset(seed=5)
+            venv.step([analyse_node_0] * n)
+            assert not venv.action_masks()[:, analyse_node_0].any()
+            calls = _count_refreshes(venv, monkeypatch)
+            results = [venv.step(actions) for _ in range(steps)]
+            assert not any(info["launched"]
+                           for step in results for info in step.infos)
+            runs.append(([_step_fp(step) for step in results], len(calls)))
+        assert runs[1] == runs[0]
+        assert runs[0][1] < n * steps
+
+
+class TestReadOnlySnapshots:
+    def test_writing_a_batched_observation_raises(self):
+        """Quiescent steps hand out the same snapshot arrays again, so
+        every array a batched step returns is read-only: a consumer
+        that writes one fails instead of corrupting later steps."""
+        venv = repro.make_vec("inasim-tiny-v1", 2, backend="batched", seed=0)
+        venv.reset(seed=0)
+        analyse_node_0 = 3
+        steps = [venv.step([analyse_node_0, None]), venv.step(None),
+                 venv.step([[], NOOP])]
+        assert steps[0].observations[0].node_busy.any()
+        for step in steps:
+            for obs, info in zip(step.observations, step.infos):
+                for array in (obs.plc_disrupted, obs.plc_destroyed,
+                              obs.node_busy, obs.plc_busy, obs.quarantined,
+                              info["conditions"]):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[...] = True
 
 
 # ----------------------------------------------------------------------

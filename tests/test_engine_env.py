@@ -119,12 +119,6 @@ class TestInfoChannel:
                     "conditions", "reward_breakdown"):
             assert key in info
 
-    def test_record_truth_toggle(self):
-        env = repro.make_env(tiny_network(tmax=10), seed=0, record_truth=False)
-        env.reset(seed=0)
-        _, _, _, info = env.step(None)
-        assert "conditions" not in info
-
 
 class TestActionCoercion:
     def test_single_action(self, env):

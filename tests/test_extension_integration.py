@@ -84,14 +84,14 @@ class TestAdversarialWithLearnedDefender:
         from repro.adversarial import (
             AttackerParameterSpace,
             CrossEntropySearch,
-            make_defender_fitness,
+            make_defender_fitness_vec,
         )
 
         cfg = tiny_network(tmax=25)
         defender = ACSOPolicy(AttentionQNetwork(SMALL_QNET, seed=0),
                               tiny_tables)
-        fitness = make_defender_fitness(cfg, defender, episodes=1,
-                                        max_steps=25)
+        fitness = make_defender_fitness_vec(cfg, defender, episodes=1,
+                                            max_steps=25)
         space = AttackerParameterSpace(base=cfg.apt)
         result = CrossEntropySearch(space, fitness, population=2,
                                     seed=0).run(iterations=1)
