@@ -7,6 +7,12 @@ structure-of-arrays lanes). The benchmark reports *aggregate*
 environment steps per second (lanes × lockstep rounds / wall time) —
 the number tracked against the repo's perf trajectory.
 
+Every cell times bare ``step(None)`` lockstep rounds of an engine that
+is already built and reset: no construction, no reset, no defender
+policy. Its one-lane cells therefore do not show which engine a whole
+one-lane evaluation should run on; ``bench_engine_choice.py`` times
+whole playbook evaluations on both engines and measures that.
+
 Two entry points:
 
 * pytest-benchmark cells (CI trend lines)::

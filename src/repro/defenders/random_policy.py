@@ -47,7 +47,16 @@ class SemiRandomPolicy(DefenderPolicy):
         probs = dict(DEFAULT_TYPE_PROBS if type_probs is None else type_probs)
         self._types = list(probs)
         weights = np.array([probs[t] for t in self._types], dtype=float)
-        self._probs = weights / weights.sum()
+        if not (np.isfinite(weights).all() and (weights >= 0).all()
+                and weights.sum() > 0):
+            raise ValueError(
+                f"type_probs must be finite, non-negative weights with a "
+                f"positive sum, got {weights.tolist()}")
+        # ``Generator.choice(n, p=)``'s own arithmetic (cumsum, divide by
+        # the last entry, one ``random()`` draw), built once: the same
+        # draws without choice's per-call check of ``p``
+        self._cdf = (weights / weights.sum()).cumsum()
+        self._cdf /= self._cdf[-1]
         self._seed = seed
         self.rng = ensure_rng(seed)
         self._hosts: list[int] = []
@@ -67,7 +76,8 @@ class SemiRandomPolicy(DefenderPolicy):
         taken_nodes: set[int] = set()
         taken_plcs: set[int] = set()
         for _ in range(n_attempts):
-            atype = self._types[int(self.rng.choice(len(self._types), p=self._probs))]
+            atype = self._types[int(self._cdf.searchsorted(self.rng.random(),
+                                                           side="right"))]
             if atype in (_T.RESET_PLC, _T.REPLACE_PLC):
                 if self._n_plcs == 0:
                     continue

@@ -21,11 +21,16 @@ horizons, and the reason the doubly-robust estimator of
 Every estimator takes any *iterable* of logged episodes — an in-memory
 list or a :class:`~repro.validation.datasets.TraceDataset` streaming
 shards off disk — and makes exactly one pass, keeping only three
-scalars per episode (:class:`EpisodeOPEStats`). Target probabilities
-come from one ``target_policy.action_probs_batch(features, masks)``
-call over an episode's columns. Those per-episode
-reductions are shared with :func:`~repro.validation.suite.run_ope_suite`
-so the suite's numbers equal the standalone estimators bit for bit.
+scalars per episode (:class:`EpisodeOPEStats`). Standalone, target
+probabilities come from one ``target_policy.action_probs_batch(features,
+masks)`` call over an episode's columns.
+:func:`~repro.validation.suite.run_ope_suite` runs the same
+per-episode reduction, :func:`episode_ope_stats`, on each episode's
+rows of a prepared chunk's probability block
+(:class:`~repro.validation.fqe.PreparedChunk`), scored once for every
+estimator; target rows are bitwise independent of the batch they are
+scored in, so the suite's numbers equal the standalone estimators bit
+for bit.
 """
 
 from __future__ import annotations
@@ -157,9 +162,18 @@ class EpisodeOPEStats:
 
 def episode_ope_stats(episode: LoggedEpisode, target_policy,
                       clip: float | None = None,
-                      label: int | str | None = None) -> EpisodeOPEStats:
-    """One streaming pass over an episode's steps → its IS scalars."""
-    ratios = step_ratios(episode, target_policy, clip, label=label)
+                      label: int | str | None = None,
+                      probs: np.ndarray | None = None) -> EpisodeOPEStats:
+    """One streaming pass over an episode's steps → its IS scalars.
+
+    ``probs`` are the target's ``(T, A)`` distributions at the
+    episode's states when the caller holds them already (a prepared
+    chunk does); otherwise ``target_policy`` scores them here.
+    """
+    if probs is None:
+        ratios = step_ratios(episode, target_policy, clip, label=label)
+    else:
+        ratios = _ratios_from_probs(episode, probs, clip, label)
     cumulative = np.cumprod(ratios)
     discounts = episode.gamma ** np.arange(len(episode))
     pdis = float(np.sum(discounts * cumulative * episode.rewards))
@@ -182,8 +196,9 @@ def collect_ope_stats(
         yield episode_ope_stats(episode, target_policy, clip, label=index)
 
 
-def _stats_arrays(episodes, target_policy, clip):
-    stats = list(collect_ope_stats(episodes, target_policy, clip))
+def _stats_arrays(stats: Iterable[EpisodeOPEStats]):
+    """Weights, returns and PDIS values of a stream of episode stats."""
+    stats = list(stats)
     if not stats:
         raise ValueError("need at least one logged episode")
     return (
@@ -212,7 +227,8 @@ def ordinary_importance_sampling(
     clip: float | None = None,
 ) -> OPEResult:
     """Unbiased full-trajectory IS estimate of the target value."""
-    weights, returns, _ = _stats_arrays(episodes, target_policy, clip)
+    weights, returns, _ = _stats_arrays(
+        collect_ope_stats(episodes, target_policy, clip))
     estimate, stderr = _mean_stderr(weights * returns)
     return OPEResult(estimate, stderr, effective_sample_size(weights),
                      len(weights), "OIS")
@@ -223,7 +239,8 @@ def weighted_importance_sampling(
     clip: float | None = None,
 ) -> OPEResult:
     """Self-normalized IS: biased, consistent, low variance."""
-    weights, returns, _ = _stats_arrays(episodes, target_policy, clip)
+    weights, returns, _ = _stats_arrays(
+        collect_ope_stats(episodes, target_policy, clip))
     total = weights.sum()
     if total == 0.0:
         estimate = 0.0
@@ -242,7 +259,8 @@ def per_decision_importance_sampling(
     clip: float | None = None,
 ) -> OPEResult:
     """Per-decision IS: each reward weighted by ratios up to its step."""
-    weights, _, values = _stats_arrays(episodes, target_policy, clip)
+    weights, _, values = _stats_arrays(
+        collect_ope_stats(episodes, target_policy, clip))
     estimate, stderr = _mean_stderr(values)
     return OPEResult(estimate, stderr, effective_sample_size(weights),
                      len(weights), "PDIS")

@@ -11,11 +11,26 @@ percentile-bootstrap confidence interval. The resulting
 for the run store, CI artifacts, and the serve layer's promotion rule,
 which compares nothing but these CI lower bounds.
 
+The estimators share one :class:`~repro.validation.fqe.PreparedLog`:
+each chunk's episodes are decoded and joined into one transition
+batch, and the target policy scores every logged and final state of
+the chunk in one ``action_probs_batch`` call. The IS scalars, every
+FQE pass and DR read that chunk instead of scoring the target again
+per episode and per pass. A log of at most ``chunk_episodes`` episodes
+(FQE's chunk size) is decoded, joined and scored once per suite; a
+longer one keeps one chunk in memory and is prepared again on each
+pass, scoring only the rows that pass reads. Memory stays one chunk:
+a kept chunk adds ``rows x A`` floats of target distributions and as
+many of fitted Q, each under half the chunk's feature bytes on the
+paper network.
+
 Every number is produced by the *same* per-episode reductions the
 standalone estimators use (:func:`~repro.validation.ope.episode_ope_stats`,
-:func:`~repro.validation.fqe.episode_dr_value`), so a suite run over
-on-disk shards is bit-identical to calling the individual estimators
-on the equivalent in-memory episodes.
+:func:`~repro.validation.fqe.episode_dr_value`) on rows sliced from the
+chunk's blocks. Q-network and target rows are bitwise independent of
+the batch they are scored in, so a suite run over on-disk shards is
+bit-identical to calling the individual estimators on the equivalent
+in-memory episodes.
 """
 
 from __future__ import annotations
@@ -27,13 +42,18 @@ from typing import Iterable
 import numpy as np
 
 from repro.validation.confidence import bootstrap_ci, bootstrap_ratio_ci
-from repro.validation.fqe import episode_dr_value, fitted_q_evaluation
+from repro.validation.fqe import (
+    CHUNK_EPISODES,
+    PreparedLog,
+    episode_dr_value,
+    fitted_q_evaluation,
+)
 from repro.validation.logging import LoggedEpisode
 from repro.validation.ope import (
     _mean_stderr,
     _stats_arrays,
     effective_sample_size,
-    wis_point_estimate,
+    episode_ope_stats,
 )
 
 __all__ = ["SuiteEstimate", "OPESuiteReport", "run_ope_suite"]
@@ -119,10 +139,10 @@ def run_ope_suite(
     """Every estimator + bootstrap CIs over one logged-episode source.
 
     ``episodes`` must be re-iterable (a list or a
-    :class:`~repro.validation.datasets.TraceDataset`): the suite makes
-    one streaming pass for the IS scalars, the FQE passes, and one DR
-    pass with the fitted network — transitions are never materialized
-    whole. ``eval_qnet`` is a *fresh* evaluation network already bound
+    :class:`~repro.validation.datasets.TraceDataset`): the suite
+    streams it in prepared chunks for the IS scalars, the FQE passes and
+    DR with the fitted network — a log of one chunk is prepared once,
+    and transitions are never materialized whole. ``eval_qnet`` is a *fresh* evaluation network already bound
     to the logging topology; it is trained in place by the FQE fit.
     ``fqe_options`` forwards keyword arguments to
     :func:`~repro.validation.fqe.fitted_q_evaluation` (iterations,
@@ -134,8 +154,13 @@ def run_ope_suite(
     keep the conventional estimator names. Model-based entries carry
     ``ess = NaN`` (no importance weights involved).
     """
-    weights, returns, pdis_values = _stats_arrays(episodes, target_policy,
-                                                  clip)
+    prepared = PreparedLog(episodes, target_policy,
+                           (fqe_options or {}).get("chunk_episodes",
+                                                   CHUNK_EPISODES))
+    weights, returns, pdis_values = _stats_arrays(
+        episode_ope_stats(episode, target_policy, clip, label=index,
+                          probs=probs)
+        for index, episode, probs, _ in prepared.scored_episodes())
     n = len(weights)
     transitions = getattr(episodes, "num_transitions", None)
     if transitions is None:
@@ -169,7 +194,7 @@ def run_ope_suite(
     estimates["PDIS"] = SuiteEstimate("PDIS", pdis_estimate, pdis_lower,
                                       pdis_upper, pdis_stderr, ess, n)
 
-    fit = fitted_q_evaluation(episodes, target_policy, eval_qnet,
+    fit = fitted_q_evaluation(prepared, target_policy, eval_qnet,
                               **(fqe_options or {}))
     _, dm_lower, dm_upper = bootstrap_ci(fit.start_values, alpha, n_boot,
                                          bootstrap_seed)
@@ -180,8 +205,8 @@ def run_ope_suite(
 
     dr_values = np.array([
         episode_dr_value(episode, target_policy, fit.qnet, clip,
-                         fit.reward_scale, label=index)[0]
-        for index, episode in enumerate(episodes)
+                         fit.reward_scale, label=index, probs=probs, q=q)[0]
+        for index, episode, probs, q in prepared.scored_episodes(fit.qnet)
     ])
     dr_estimate, dr_stderr = _mean_stderr(dr_values)
     _, dr_lower, dr_upper = bootstrap_ci(dr_values, alpha, n_boot,

@@ -11,6 +11,7 @@ from repro.defenders import (
     PlaybookPolicy,
     SemiRandomPolicy,
 )
+from repro.defenders.random_policy import DEFAULT_TYPE_PROBS
 from repro.sim.observations import Alert, Observation, ScanResult
 from repro.sim.orchestrator import DefenderAction, DefenderActionType
 
@@ -93,6 +94,36 @@ class TestSemiRandom:
         first = policy.act(obs)
         policy.reset(env)
         assert policy.act(obs) == first
+
+    @pytest.mark.parametrize("type_probs", [
+        None,
+        {_T.SIMPLE_SCAN: 3.0, _T.REBOOT: 0.0, _T.RESET_PLC: 1.0},
+        {_T.REIMAGE: 1.0},
+    ])
+    def test_type_draws_equal_generator_choice(self, type_probs):
+        """The precomputed CDF draws what ``Generator.choice(p=)`` draws
+        from the same stream, and leaves the stream where choice does."""
+        policy = SemiRandomPolicy(type_probs=type_probs, seed=11)
+        probs = dict(DEFAULT_TYPE_PROBS if type_probs is None else type_probs)
+        weights = np.array(list(probs.values()))
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        drawn = [int(policy._cdf.searchsorted(ours.random(), side="right"))
+                 for _ in range(10_000)]
+        expected = [int(theirs.choice(len(weights), p=weights / weights.sum()))
+                    for _ in range(10_000)]
+        assert drawn == expected
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("weight", [-0.1, np.nan, np.inf])
+    def test_bad_type_weight_raises_at_construction(self, weight):
+        with pytest.raises(ValueError, match="type_probs"):
+            SemiRandomPolicy(type_probs={_T.SIMPLE_SCAN: 1.0,
+                                         _T.REBOOT: weight})
+
+    def test_all_zero_type_weights_raise_at_construction(self):
+        with pytest.raises(ValueError, match="positive sum"):
+            SemiRandomPolicy(type_probs={_T.SIMPLE_SCAN: 0.0,
+                                         _T.REBOOT: 0.0})
 
 
 class TestPlaybook:

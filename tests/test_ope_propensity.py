@@ -13,6 +13,7 @@ from repro.nn import Tensor
 from repro.rl import AttentionQNetwork, QNetConfig
 from repro.rl.features import FeatureSet
 from repro.validation import (
+    LoggedEpisode,
     StochasticQPolicy,
     TraceDataset,
     UniformRandomPolicy,
@@ -22,7 +23,7 @@ from repro.validation import (
     weighted_importance_sampling,
     write_episodes,
 )
-from repro.validation.fqe import _policy_values, episode_dr_value, row_dot
+from repro.validation.fqe import PreparedChunk, episode_dr_value, row_dot
 from repro.validation.ope import step_ratios
 
 SMALL_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
@@ -130,14 +131,24 @@ class TestRowDot:
     @pytest.mark.parametrize("n_actions", ACTION_COUNTS)
     def test_policy_values_bitwise_equal_to_oracle(self, monkeypatch,
                                                    n_actions):
-        q = q_block(150, n_actions)
-        masks = mask_block("mixed", 150, n_actions)
-        qnet = TableQNet(q)
+        """A prepared chunk's V(s), read from its kept probability block
+        or scored for the rows alone."""
+        qnet = TableQNet(q_block(150, n_actions))
         target = StochasticQPolicy(qnet, None, temperature=0.25, epsilon=0.05)
-        values = _policy_values(qnet, target, row_states(150), masks)
+        episode = LoggedEpisode(
+            actions=np.zeros(150), behavior_probs=np.ones(150),
+            rewards=np.zeros(150), gamma=1.0, features=row_states(150),
+            masks=mask_block("mixed", 150, n_actions))
+        rows = np.arange(150)
+
+        def values(keep):
+            chunk = PreparedChunk([episode], 0, 1.0, target, keep)
+            return chunk.policy_values(qnet, rows)
+
+        kept, alone = values(True), values(False)
         ope_oracle.install(monkeypatch)
-        assert_bitwise(values,
-                       _policy_values(qnet, target, row_states(150), masks))
+        assert_bitwise(kept, values(True))
+        assert_bitwise(alone, values(False))
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,7 @@ from repro.rl.features import (
 from repro.rl.dqn import DQNConfig, DQNTrainer
 from repro.rl.qnetwork import ConvNetConfig
 from repro.sim.orchestrator import enumerate_actions
+from repro.validation import StochasticQPolicy
 
 
 @pytest.fixture()
@@ -259,6 +260,50 @@ class TestInferenceParity:
         graph = run()
         assert len(fast[0]) == 20
         assert fast == graph
+
+
+class TestRowIndependence:
+    """A no-grad Q row, and a row of ``StochasticQPolicy``'s
+    distributions, depend only on that row's state: scoring it alone,
+    with its episode, with the whole chunk or in a permuted chunk gives
+    the same bits. The OPE suite scores a chunk once and slices that
+    block for every estimator (``repro.validation.fqe.PreparedChunk``),
+    so a BLAS that broke this fails here by name."""
+
+    #: episode lengths of one chunk
+    LENGTHS = (1, 7, 25, 3)
+
+    @pytest.mark.parametrize("network", ["tiny", "paper"])
+    @pytest.mark.parametrize("config", ["compact", "default"])
+    def test_rows_equal_alone_per_episode_whole_and_permuted(
+            self, config, network, tiny_topology, paper_topology):
+        topo = paper_topology if network == "paper" else tiny_topology
+        qnet = AttentionQNetwork(PARITY_CONFIGS[config], seed=5)
+        qnet.bind_topology(topo)
+        policy = StochasticQPolicy(qnet, None, temperature=0.5, epsilon=0.05)
+        rows = sum(self.LENGTHS)
+        feats = _random_features(topo, rows, seed=rows)
+        masks = np.random.default_rng(1).random((rows, qnet.n_actions)) < 0.5
+        masks[:, 0] = True
+
+        def score(index):
+            block = FeatureSet(*(x[index] for x in feats))
+            with no_grad():
+                q = qnet.forward(block.node, block.plc, block.glob).data
+            return q, policy.action_probs_batch(block, masks[index])
+
+        whole = score(np.arange(rows))
+        ends = np.cumsum(self.LENGTHS)
+        episodes = [np.arange(end - n, end)
+                    for n, end in zip(self.LENGTHS, ends)]
+        order = np.random.default_rng(2).permutation(rows)
+        scorings = [(np.array([i]), score([i])) for i in range(rows)]
+        scorings += [(index, score(index)) for index in episodes]
+        scorings.append((order, score(order)))
+        for index, blocks in scorings:
+            for got, want in zip(blocks, whole):
+                for j, row in enumerate(index):
+                    assert _bits(got[j]) == _bits(want[row]), (index, row)
 
 
 #: the attention networks whose forwards and backward steps write in place
