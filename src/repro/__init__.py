@@ -16,8 +16,6 @@ Public entry points:
   Rainbow extensions (dueling, C51, noisy nets) and the DRQN baseline.
 * :mod:`repro.eval` -- the experiment harness for Table 2 / Fig 6 / Fig 10,
   text charts, markdown reports, and SOC trace analytics.
-* :mod:`repro.adversarial` -- attacker best-response search and self-play
-  (the paper's future work, Section 7).
 * :mod:`repro.validation` -- off-policy evaluation and policy certification.
 * :mod:`repro.transfer` -- cross-network pre-train / fine-tune studies.
 * :mod:`repro.cli` -- the ``repro`` command-line entry point.

@@ -7,7 +7,7 @@ Two standing bans ship in the default policy:
   safe to read from any producer and portable across python versions;
 * ``repro.sim`` must never import the layers built on it
   (``repro.serve``, ``eval``, ``rl``, ``dbn``, ``validation``,
-  ``defenders``, ``adversarial``) -- the simulation core and its
+  ``defenders``) -- the simulation core and its
   episode driver are the bottom layer, and every training, evaluation
   and serving loop depends on them, not the other way around.
 

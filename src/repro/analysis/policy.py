@@ -4,12 +4,12 @@ The default policy encodes the repo's actual contracts:
 
 * ``rng-discipline`` has jurisdiction over the simulation core and
   everything that behaves inside it (``sim/``, ``attacker/``,
-  ``defenders/``, ``adversarial/``) -- randomness there must flow in as
-  a ``numpy.random.Generator`` parameter, and ``utils/rng.py`` is the
+  ``defenders/``) -- randomness there must flow in as a
+  ``numpy.random.Generator`` parameter, and ``utils/rng.py`` is the
   only sanctioned generator factory;
 * ``forbidden-import`` bans pickle/dill from the columnar OPE trace
   store, and every layer above the simulation core (serve, eval, rl,
-  dbn, validation, defenders, adversarial) from ``repro.sim``.
+  dbn, validation, defenders) from ``repro.sim``.
 
 The table is keyed by the rule ids that findings carry; the one way to
 accept a finding is an inline ``# repro: allow[rule] -- why``.
@@ -59,7 +59,6 @@ _RNG_JURISDICTION = (
     "sim/**",
     "attacker/**",
     "defenders/**",
-    "adversarial/**",
 )
 
 #: np.random attributes that are types/factories, not module RNG state
@@ -102,7 +101,7 @@ _DEFAULT_RULES: dict[str, RuleConfig] = {
                     "modules": ["sim/**"],
                     "banned": ["repro.serve", "repro.eval", "repro.rl",
                                "repro.dbn", "repro.validation",
-                               "repro.defenders", "repro.adversarial"],
+                               "repro.defenders"],
                     "reason": (
                         "layering: the simulation core and its episode "
                         "driver are the bottom layer; the agent, "

@@ -46,8 +46,8 @@ def apt_diff(apt: APTConfig, base: APTConfig | None = None) -> dict:
     The values are JSON-native (int/float/str), so the diff can ride in
     a :class:`~repro.scenarios.spec.ScenarioSpec`'s ``apt_overrides``
     and ``replace(base, **diff)`` reconstructs ``apt`` exactly — the
-    bridge that lets discovered attacker behaviours (e.g. self-play
-    best responses) become named, registered scenarios.
+    bridge that lets an arbitrary attacker configuration become a
+    named, registered scenario.
     """
     if base is None:
         base = APTConfig()

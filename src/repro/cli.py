@@ -7,17 +7,14 @@ Commands cover the full reproduction workflow without writing Python:
 * ``repro simulate`` -- run one policy and print the paper's metrics;
 * ``repro evaluate`` -- the Table 2 grid over all baseline policies;
 * ``repro fig6`` / ``repro fig10`` -- the perturbation experiments;
-* ``repro selfplay`` -- double-oracle adversarial training; every best
-  response is registered (and optionally persisted) as a ``selfplay/*``
-  scenario;
 * ``repro fit-dbn`` -- learn DBN tables from random-policy episodes;
 * ``repro trace`` -- record an episode trace to JSONL;
 * ``repro config`` -- dump a preset's JSON (edit, then pass anywhere
   via ``--config``);
 * ``repro serve`` -- the long-lived evaluation service (HTTP/JSON jobs,
   SQLite run store);
-* ``repro submit`` -- send an evaluation/simulation/self-play job to a
-  running server (optionally waiting for the result);
+* ``repro submit`` -- send an evaluation/simulation job to a running
+  server (optionally waiting for the result);
 * ``repro runs list`` / ``repro runs show`` -- query the run store
   (works offline, straight from the SQLite file).
 
@@ -25,11 +22,11 @@ Every command accepts ``--scenario <id>`` (a registry entry, see
 ``repro scenarios``), ``--preset {paper,small,tiny}``, or ``--config
 file.json``, plus ``--episodes``, ``--seed``, and ``--max-steps``;
 ``repro simulate --num-envs N`` fans episodes out over a vectorized
-environment. Every vectorized command (``simulate``, ``selfplay``,
-``ope record``, and the jobs ``serve`` runs) lets the lane count pick
-the engine (sync for one lane, batched for more); trajectories do not
-depend on the engine, so there is no option to pick one. Quick
-CPU-budget runs and full paper-scale runs use the same entry points.
+environment. Every vectorized command (``simulate``, ``ope record``,
+and the jobs ``serve`` runs) lets the lane count pick the engine (sync
+for one lane, batched for more); trajectories do not depend on the
+engine, so there is no option to pick one. Quick CPU-budget runs and
+full paper-scale runs use the same entry points.
 """
 
 from __future__ import annotations
@@ -251,101 +248,6 @@ def cmd_config(args) -> int:
     return 0
 
 
-def cmd_selfplay(args) -> int:
-    """Double-oracle self-play: train a defender against an attacker
-    population while a CEM attacker oracle expands it; every best
-    response is registered as a ``selfplay/*`` scenario."""
-    import repro
-    from repro.adversarial import (
-        SelfPlayConfig,
-        SelfPlayLoop,
-        as_base_spec,
-        load_population,
-    )
-    from repro.defenders.acso import ACSOPolicy
-    from repro.rl import (
-        ACSOFeaturizer,
-        AttentionQNetwork,
-        DQNConfig,
-        DQNTrainer,
-        QNetConfig,
-    )
-
-    config = _resolve_config(args)  # folds --max-steps into tmax
-    spec = _resolve_spec(args)
-    if spec is not None:
-        base = spec.with_overrides(horizon=config.tmax)
-    else:
-        base = as_base_spec(config, scenario_id=f"selfplay-{args.preset}-base")
-
-    tables = _load_tables(config, args.dbn, args.seed)
-    env = _build_env(args, config, seed=args.seed)
-    qnet = AttentionQNetwork(QNetConfig(), seed=args.seed)
-    if args.qnet:
-        from repro.nn import load_state
-
-        load_state(qnet, args.qnet)
-    trainer = DQNTrainer(
-        env, qnet, ACSOFeaturizer(env.topology, tables),
-        DQNConfig(batch_size=16, warmup=64, update_every=8,
-                  target_update=200, eps_decay=0.995, buffer_size=20_000,
-                  seed=args.seed),
-    )
-    initial = None
-    if args.load_population:
-        initial = load_population(args.load_population)
-        print(f"loaded {len(initial)}-member population from "
-              f"{args.load_population}")
-    loop = SelfPlayLoop(
-        base, trainer, ACSOPolicy(qnet, tables),
-        selfplay=SelfPlayConfig(
-            rounds=args.rounds,
-            train_episodes=args.train_episodes,
-            train_max_steps=args.max_steps,
-            cem_iterations=args.cem_iterations,
-            cem_population=args.cem_population,
-            fitness_episodes=args.fitness_episodes,
-            eval_episodes=args.episodes,
-            eval_max_steps=args.max_steps,
-            seed=args.seed,
-            run_name=args.run_name,
-        ),
-        initial_population=initial,
-    )
-
-    print(f"self-play on {base.scenario_id} ({args.rounds} round(s))")
-    for _ in range(args.rounds):
-        record = loop.run_round()
-        print(f"round {record.round_index + 1}: "
-              f"population utility {record.population_utility:>10.2f}  "
-              f"best response {record.best_response_utility:>10.2f}  "
-              f"exploitability {record.exploitability:>8.2f}  "
-              f"-> {record.best_response_id}")
-
-    print("\nexploitability report")
-    print(f"{'round':>5} {'population':>12} {'best resp.':>12} "
-          f"{'exploitability':>14}")
-    for record in loop.rounds:
-        print(f"{record.round_index + 1:>5} "
-              f"{record.population_utility:>12.2f} "
-              f"{record.best_response_utility:>12.2f} "
-              f"{record.exploitability:>14.2f}")
-
-    failures = 0
-    for record in loop.rounds:
-        # verified in-round against the then-frozen defender
-        ok = record.verified_utility == record.best_response_utility
-        failures += not ok
-        print(f"verify repro.make({record.best_response_id!r}): "
-              f"{'ok' if ok else f'MISMATCH ({record.verified_utility:.4f})'}")
-    print(f"population size: {len(loop.population)} "
-          f"(ids: {', '.join(m.scenario_id for m in loop.population.members)})")
-    if args.save_population:
-        loop.save(args.save_population)
-        print(f"wrote population to {args.save_population}")
-    return 1 if failures else 0
-
-
 # ----------------------------------------------------------------------
 # serving
 # ----------------------------------------------------------------------
@@ -418,10 +320,6 @@ def _submit_payload(args) -> dict:
         payload["dbn"] = args.dbn
     if args.qnet:
         payload["qnet"] = args.qnet
-    if args.kind == "selfplay":
-        payload["cem_iterations"] = args.cem_iterations
-        payload["cem_population"] = args.cem_population
-        payload["fitness_episodes"] = args.fitness_episodes
     return payload
 
 
@@ -795,35 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser(
-        "selfplay",
-        help="double-oracle self-play; best responses become "
-             "selfplay/* scenarios",
-    )
-    _add_common(p)
-    p.add_argument("--rounds", type=int, default=2,
-                   help="defender/attacker oracle rounds (default: 2)")
-    p.add_argument("--train-episodes", type=int, default=2,
-                   help="defender-oracle training episodes per round, one "
-                        "vector-env lane each (default: 2)")
-    p.add_argument("--cem-iterations", type=int, default=2,
-                   help="CEM generations per attacker oracle (default: 2)")
-    p.add_argument("--cem-population", type=int, default=4,
-                   help="CEM candidates per generation, evaluated as one "
-                        "vectorized fan-out (default: 4)")
-    p.add_argument("--fitness-episodes", type=int, default=1,
-                   help="episodes per CEM fitness evaluation (default: 1)")
-    p.add_argument("--run-name", default=None,
-                   help="name used in emitted selfplay/<run>-rN-brK ids "
-                        "(default: the base scenario id)")
-    p.add_argument("--save-population", default=None, metavar="PATH",
-                   help="write the final population (specs + weights + "
-                        "round records) as JSON")
-    p.add_argument("--load-population", default=None, metavar="PATH",
-                   help="resume from a saved population (members are "
-                        "re-registered)")
-    p.set_defaults(func=cmd_selfplay, max_steps=150)
-
     p = sub.add_parser("fig6", help="cleanup-effectiveness sweep")
     _add_common(p)
     p.set_defaults(func=cmd_fig6)
@@ -871,16 +740,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("submit", help="send a job to a running server")
     _add_common(p, episodes_default=1)
     p.add_argument("--kind", default="evaluate",
-                   choices=("evaluate", "simulate", "selfplay"))
+                   choices=("evaluate", "simulate"))
     p.add_argument("--policy", default="playbook",
                    choices=POLICY_NAMES)
     p.add_argument("--num-envs", type=int, default=1,
                    help="fan the job's episodes over N vector-env lanes")
     p.add_argument("--tag", action="append", default=None, metavar="TAG",
                    help="attach a tag to the recorded run (repeatable)")
-    p.add_argument("--cem-iterations", type=int, default=2)
-    p.add_argument("--cem-population", type=int, default=4)
-    p.add_argument("--fitness-episodes", type=int, default=1)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8642)
     p.add_argument("--wait", action="store_true",
@@ -970,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--status", default=None,
                    choices=("queued", "running", "done", "error", "cancelled"))
     q.add_argument("--kind", default=None,
-                   choices=("evaluate", "simulate", "selfplay", "ope-report"))
+                   choices=("evaluate", "simulate", "ope-report"))
     q.add_argument("--tag", default=None)
     q.add_argument("--limit", type=int, default=50)
     q.set_defaults(func=cmd_runs_list)

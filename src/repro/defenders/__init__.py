@@ -4,9 +4,6 @@ from repro.defenders.base import DefenderPolicy, NoopPolicy
 from repro.defenders.random_policy import SemiRandomPolicy
 from repro.defenders.playbook import PlaybookPolicy
 from repro.defenders.dbn_expert import DBNExpertPolicy
-from repro.defenders.hybrid import GuardedPolicy
-from repro.defenders.scheduled import ScheduledSweepPolicy
-from repro.defenders.threshold import ThresholdPolicy
 from repro.defenders.catalogue import POLICY_NAMES, TABLE_POLICIES, make_policy
 
 __all__ = [
@@ -15,9 +12,6 @@ __all__ = [
     "SemiRandomPolicy",
     "PlaybookPolicy",
     "DBNExpertPolicy",
-    "GuardedPolicy",
-    "ScheduledSweepPolicy",
-    "ThresholdPolicy",
     "ACSOPolicy",
     "POLICY_NAMES",
     "TABLE_POLICIES",

@@ -4,7 +4,6 @@ reproducing Table 2, Fig 6, and Fig 10."""
 from repro.eval.metrics import AggregateResult, EpisodeMetrics, aggregate
 from repro.eval.runner import (
     evaluate_policy,
-    evaluate_policy_per_lane,
     evaluate_policy_vec,
     run_episode,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "aggregate",
     "run_episode",
     "evaluate_policy",
-    "evaluate_policy_per_lane",
     "evaluate_policy_vec",
     "format_aggregate_table",
     "format_sweep_table",

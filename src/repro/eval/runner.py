@@ -5,17 +5,12 @@ Every function here is a set of callbacks on
 loop with one policy per lane. :func:`run_episode` and
 :func:`evaluate_policy` drive a plain environment as a one-lane vector
 env with the caller's policy object itself, so a stochastic policy
-keeps its RNG stream across episodes. :func:`evaluate_policy_vec` fans the same seeded episodes out
-over a :class:`~repro.sim.vec_env.VectorEnv` and produces identical
-metrics for deterministic policies (episode ``i`` always runs with
-seed ``seed + i`` against a freshly reset policy).
-:func:`evaluate_policy_per_lane` is the heterogeneous sibling: every
-lane — typically one attacker variant each, built with
-``repro.make_vec_from_specs`` — runs its *own* ``episodes`` seeded
-episodes, so one lockstep pass scores a whole population or candidate
-batch and each lane's aggregate equals the single-env
-:func:`evaluate_policy` result for deterministic policies. Each lane
-keeps its own horizon and discount (``lane_config(i)``).
+keeps its RNG stream across episodes. :func:`evaluate_policy_vec` fans
+the same seeded episodes out over a
+:class:`~repro.sim.vec_env.VectorEnv` and produces identical metrics
+for deterministic policies (episode ``i`` always runs with seed
+``seed + i`` against a freshly reset policy). Each lane keeps its own
+horizon and discount (``lane_config(i)``).
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ __all__ = [
     "run_episode",
     "evaluate_policy",
     "evaluate_policy_vec",
-    "evaluate_policy_per_lane",
 ]
 
 
@@ -129,42 +123,6 @@ def _lane_policies(policy, n: int) -> list:
     if callable(policy):
         return [policy() for _ in range(n)]
     raise TypeError("policy must be a DefenderPolicy or a factory")
-
-
-def evaluate_policy_per_lane(venv, policy, episodes: int, seed: int = 0,
-                             max_steps: int | None = None, on_episode=None):
-    """Run ``episodes`` seeded episodes on *every* lane of ``venv``.
-
-    Unlike :func:`evaluate_policy_vec` (which fans one environment's
-    episode budget over homogeneous lanes), every lane here is its own
-    evaluation subject: lane ``i`` runs episodes seeded ``seed + e``
-    against a fresh clone of ``policy``, honouring its own
-    ``lane_config(i)`` horizon and discount. Returns a list of
-    ``(aggregate, per-episode metrics)`` pairs, one per lane; for
-    deterministic policies each pair equals what
-    :func:`evaluate_policy` returns on that lane's environment. This is
-    the batched engine behind the adversarial loops: attacker
-    populations and CEM candidate batches are scored in one lockstep
-    pass instead of sequential episode loops.
-
-    Each record carries its episode seed and wall-clock time (lane
-    start to completion under lockstep stepping), so consumers like
-    the run store read them off the record instead of re-deriving
-    them. ``on_episode(lane, index, metrics)`` fires per completion.
-    """
-    n = venv.num_envs
-    results: list[list] = [[None] * episodes for _ in range(n)]
-    counters = [iter(range(episodes)) for _ in range(n)]
-
-    def on_done(slot: int, ep: int, metrics: EpisodeMetrics) -> None:
-        results[slot][ep] = metrics
-        if on_episode is not None:
-            on_episode(slot, ep, metrics)
-
-    _drive_metrics(venv, _lane_policies(policy, n),
-                   lambda slot: next(counters[slot], None), seed, max_steps,
-                   on_done)
-    return [(aggregate(row), row) for row in results]
 
 
 def evaluate_policy_vec(venv, policy, episodes: int, seed: int = 0,

@@ -207,12 +207,10 @@ class DQNTrainer:
         """Rebind the trainer to another environment or vector env.
 
         The replay buffer, schedules, optimizer state, and step counter
-        carry over — this is how curriculum-style loops (the self-play
-        defender oracle rotating attacker populations between rounds)
-        continue one training run across environments. The new env must
-        share the current action space (the Q-network binding is
-        per-topology) and discount (the n-step assemblers and shaper
-        bake it in).
+        carry over — this is how curriculum-style loops continue one
+        training run across environments. The new env must share the
+        current action space (the Q-network binding is per-topology)
+        and discount (the n-step assemblers and shaper bake it in).
         """
         n_actions = len(self.qnet.action_list)
         if env.n_actions != n_actions:

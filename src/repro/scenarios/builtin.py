@@ -9,15 +9,7 @@ scenarios. Tags group scenarios for sweeps:
 * ``eval`` / ``train`` / ``test`` — intended use;
 * ``fig8`` / ``fig10`` / ``fig6`` — the paper experiment they back;
 * ``adversarial`` / ``scripted`` — attacker family;
-* ``reward`` — non-paper reward parameterisation;
-* ``selfplay`` — best responses emitted by the self-play loop. These
-  are *not* built-ins: :class:`~repro.adversarial.selfplay.SelfPlayLoop`
-  registers them at runtime under the ``selfplay/`` id namespace
-  (``selfplay/<run-name>-r<round>-br<n>``), which it owns — re-running
-  a loop with the same run name overwrites them. Persist and restore
-  them across processes with
-  :func:`~repro.adversarial.selfplay.save_population` /
-  :func:`~repro.adversarial.selfplay.load_population`.
+* ``reward`` — non-paper reward parameterisation.
 """
 
 from __future__ import annotations

@@ -136,9 +136,9 @@ def make_vec(scenario: str | ScenarioSpec, num_envs: int, *,
 
     ``backend`` names the execution engine behind the identical
     lockstep API (trajectories do not depend on it). ``None``, the
-    default the CLI, the evaluation service and the self-play loops
-    take, lets :func:`~repro.sim.vec_env.lockstep_env` pick by lane
-    count: the sync :class:`~repro.sim.vec_env.VectorEnv` (the parity
+    default the CLI and the evaluation service take, lets
+    :func:`~repro.sim.vec_env.lockstep_env` pick by lane count: the
+    sync :class:`~repro.sim.vec_env.VectorEnv` (the parity
     oracle) for one lane, the structure-of-arrays
     :class:`~repro.sim.batched_engine.BatchedVectorEnv` for more.
     ``"sync"`` or ``"batched"`` forces one; any other name raises
@@ -165,8 +165,6 @@ def make_vec_from_specs(specs, *, seed: int | None = None,
     (possibly unregistered) :class:`~repro.scenarios.spec.ScenarioSpec`,
     and all entries must share a topology (same action space). Lane
     ``i`` is seeded ``seed + i``; ``backend`` is as in :func:`make_vec`.
-    The adversarial loops use this to fan an attacker population or a
-    CEM candidate batch over one vector environment.
     """
     resolved = [_resolve(s, {}) for s in specs]
     if not resolved:

@@ -71,8 +71,8 @@ class ScenarioSpec:
     ``apt_overrides`` replaces arbitrary quantitative
     :class:`~repro.config.APTConfig` fields (thresholds, labor rate,
     time scale, ...) *after* the profile/objective/stealth steps — the
-    bridge that lets attacker behaviours discovered by search (e.g.
-    self-play best responses) become named, reproducible scenarios.
+    bridge that lets any attacker configuration become a named,
+    reproducible scenario.
     Accepts a mapping at construction; stored as a sorted tuple of
     ``(name, value)`` pairs so specs stay hashable.
     """

@@ -1,10 +1,10 @@
 """``repro serve`` — the long-lived evaluation service.
 
 Turns the one-shot CLI reproduction into a standing service: jobs
-(evaluation, simulation, self-play exploitability probes) arrive over a
-local HTTP/JSON API, fan out over in-process vector environments, and
-every run is recorded in a SQLite-backed
-:class:`~repro.serve.store.RunStore` that outlives the process. Layers:
+(evaluation, simulation) arrive over a local HTTP/JSON API, fan out
+over in-process vector environments, and every run is recorded in a
+SQLite-backed :class:`~repro.serve.store.RunStore` that outlives the
+process. Layers:
 
 * :mod:`repro.serve.store` — the run registry (WAL, schema-versioned,
   append-only ``runs``/``episodes`` tables);

@@ -4,17 +4,12 @@ A job is a JSON object; :func:`parse_job` validates it into a
 :class:`JobRequest` before it is queued, so malformed submissions are
 rejected at the HTTP boundary (400) instead of failing inside a worker.
 
-Three kinds are served:
-
-* ``evaluate`` / ``simulate`` — run one defender policy for
-  ``episodes`` seeded episodes on a scenario (the two names share an
-  executor; ``simulate`` mirrors the CLI verb). Metrics are produced by
-  the exact :mod:`repro.eval.runner` code paths the one-shot CLI uses,
-  so a served evaluation is bit-identical to ``repro simulate`` /
-  ``repro evaluate`` for the same scenario, seed, and policy.
-* ``selfplay`` — a CEM attacker best-response search against the fixed
-  defender; per-generation records land in the episode table and the
-  final exploitability estimate in the run metrics.
+Two kinds are served, ``evaluate`` and ``simulate``: both run one
+defender policy for ``episodes`` seeded episodes on a scenario (the two
+names share an executor; ``simulate`` mirrors the CLI verb). Metrics
+are produced by the exact :mod:`repro.eval.runner` code paths the
+one-shot CLI uses, so a served evaluation is bit-identical to ``repro
+simulate`` / ``repro evaluate`` for the same scenario, seed, and policy.
 
 The scenario is named either by registry id (``{"scenario": "..."}``)
 or shipped inline as a ScenarioSpec dict (``{"spec": {...}}`` — the
@@ -31,14 +26,14 @@ unknown field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.defenders.catalogue import POLICY_NAMES, TABLE_POLICIES, make_policy
 
 __all__ = ["JobRequest", "JobError", "JobCancelled", "parse_job",
            "build_policy", "JOB_KINDS"]
 
-JOB_KINDS = ("evaluate", "simulate", "selfplay")
+JOB_KINDS = ("evaluate", "simulate")
 
 
 class JobError(ValueError):
@@ -64,10 +59,6 @@ class JobRequest:
     tags: list[str] = field(default_factory=list)
     dbn: str | None = None            # DBN tables artifact (expert/acso)
     qnet: str | None = None           # Q-network artifact (acso)
-    # selfplay knobs
-    cem_iterations: int = 2
-    cem_population: int = 4
-    fitness_episodes: int = 1
 
     def resolve_spec(self):
         """The :class:`~repro.scenarios.spec.ScenarioSpec` to run."""
@@ -88,13 +79,10 @@ class JobRequest:
     def to_payload(self) -> dict:
         """The JSON object a client posts (omits default-valued fields)."""
         payload: dict = {"kind": self.kind}
-        for key in ("scenario", "spec", "policy", "episodes", "seed",
-                    "max_steps", "num_envs", "tags", "dbn",
-                    "qnet", "cem_iterations", "cem_population",
-                    "fitness_episodes"):
-            value = getattr(self, key)
-            if value not in (None, [], JobRequest.__dataclass_fields__[key].default):
-                payload[key] = value
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "kind" and value not in (None, [], f.default):
+                payload[f.name] = value
         return payload
 
 
@@ -142,13 +130,6 @@ def parse_job(payload: dict) -> JobRequest:
     _require(isinstance(request.tags, list)
              and all(isinstance(t, str) for t in request.tags),
              "'tags' must be a list of strings")
-    if request.kind == "selfplay":
-        for knob in ("cem_iterations", "cem_population", "fitness_episodes"):
-            _require(isinstance(getattr(request, knob), int)
-                     and getattr(request, knob) >= 1,
-                     f"'{knob}' must be a positive integer")
-        _require(request.cem_population >= 2,
-                 "'cem_population' must be >= 2 (CEM needs an elite set)")
     return request
 
 

@@ -64,10 +64,10 @@ class Job:
     """One accepted job: request, live status, and progress counters."""
 
     __slots__ = ("id", "request", "status", "created_at", "started_at",
-                 "finished_at", "error", "metrics", "completed", "total",
+                 "finished_at", "error", "metrics", "completed",
                  "cancel_event")
 
-    def __init__(self, job_id: str, request: JobRequest, total: int):
+    def __init__(self, job_id: str, request: JobRequest):
         self.id = job_id
         self.request = request
         self.status = "queued"
@@ -77,7 +77,6 @@ class Job:
         self.error: str | None = None
         self.metrics: dict | None = None
         self.completed = 0
-        self.total = total
         self.cancel_event = threading.Event()
 
     def snapshot(self) -> dict:
@@ -92,7 +91,8 @@ class Job:
             "created_at": self.created_at,
             "started_at": self.started_at,
             "finished_at": self.finished_at,
-            "progress": {"completed": self.completed, "total": self.total},
+            "progress": {"completed": self.completed,
+                         "total": self.request.episodes},
             "metrics": self.metrics,
             "error": self.error,
             "tags": list(self.request.tags),
@@ -216,9 +216,7 @@ class EvalService:
         if self._closing or self._queue is None:
             raise ServiceClosedError("service is not accepting jobs")
         request = parse_job(payload)
-        total = (request.cem_iterations if request.kind == "selfplay"
-                 else request.episodes)
-        job = Job(new_run_id(), request, total)
+        job = Job(new_run_id(), request)
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
@@ -233,7 +231,7 @@ class EvalService:
             spec=request.spec,
             policy=request.policy,
             seed=request.seed,
-            episodes=total,
+            episodes=request.episodes,
             tags=request.tags,
             detail=request.to_payload(),
             code_version=repro.__version__,
@@ -308,10 +306,7 @@ class EvalService:
         job.started_at = time.time()
         self.store.mark_running(job.id)
         try:
-            if job.request.kind == "selfplay":
-                metrics = self._execute_selfplay(job)
-            else:
-                metrics = self._execute_evaluation(job)
+            metrics = self._execute_evaluation(job)
         except JobCancelled:
             self.store.cancel_run(job.id)
             status = "cancelled"
@@ -368,70 +363,3 @@ class EvalService:
                 max_steps=request.max_steps, on_episode=on_episode,
             )
         return _aggregate_dict(aggregate)
-
-    def _execute_selfplay(self, job: Job) -> dict:
-        """CEM attacker best-response search against the job's defender.
-
-        The service's standing form of the adversarial loop: the
-        fixed-defender exploitability probe. Each CEM generation is one
-        vectorized fan-out; generation records land in the episode
-        table, the exploitability estimate in the run metrics.
-        """
-        import numpy as np
-
-        from repro.adversarial import (
-            AttackerParameterSpace,
-            CrossEntropySearch,
-        )
-        from repro.adversarial.best_response import (
-            attack_utility,
-            make_defender_fitness_vec,
-        )
-        from repro.eval.runner import evaluate_policy
-
-        request = job.request
-        spec, config = self._resolve_run(request)
-        defender = build_policy(request)
-
-        env = spec.build_env(config=config, seed=request.seed)
-        baseline_agg, _ = evaluate_policy(
-            env, defender, request.fitness_episodes, seed=request.seed,
-            max_steps=request.max_steps,
-        )
-        baseline_utility = attack_utility(baseline_agg)
-
-        base_fitness = make_defender_fitness_vec(
-            spec.with_overrides(horizon=config.tmax), defender,
-            episodes=request.fitness_episodes, seed=request.seed,
-            max_steps=request.max_steps,
-        )
-        generation = 0
-
-        def fitness(attackers):
-            nonlocal generation
-            if job.cancel_event.is_set():
-                raise JobCancelled(job.id)
-            fits = np.asarray(base_fitness(attackers), dtype=float)
-            self.store.record_episode(
-                job.id, generation,
-                {"mean_fitness": float(fits.mean()),
-                 "best_fitness": float(fits.max()),
-                 "candidates": len(attackers)},
-                seed=request.seed,
-            )
-            generation += 1
-            job.completed += 1
-            return fits
-
-        search = CrossEntropySearch(
-            AttackerParameterSpace(base=config.apt), fitness,
-            population=request.cem_population, seed=request.seed,
-        )
-        result = search.run(iterations=request.cem_iterations)
-        return {
-            "baseline_utility": baseline_utility,
-            "best_response_utility": result.best_fitness,
-            "exploitability": result.best_fitness - baseline_utility,
-            "evaluations": result.evaluations,
-            "best_attacker": dataclasses.asdict(result.best_config),
-        }

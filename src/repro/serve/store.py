@@ -2,10 +2,9 @@
 
 Every job the service executes becomes one row in ``runs`` plus one row
 per completed episode in ``episodes`` — scenario, seed, policy
-identifier, per-episode metrics (including wall-time), aggregate
-metrics, and exploitability where applicable — so results survive the
-process and are queryable long after the server restarted
-(``repro runs list`` reads the same file).
+identifier, per-episode metrics (including wall-time) and aggregate
+metrics — so results survive the process and are queryable long after
+the server restarted (``repro runs list`` reads the same file).
 
 Design points:
 
@@ -195,7 +194,7 @@ class RunStore:
     def record_episode(self, run_id: str, episode_index: int, detail: dict, *,
                        lane: int = 0, seed: int | None = None,
                        wall_time: float | None = None) -> None:
-        """Append one completed episode (or self-play round) record.
+        """Append one completed episode record.
 
         ``INSERT OR REPLACE``: re-recording an episode index simply
         supersedes the earlier record."""

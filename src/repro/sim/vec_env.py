@@ -130,8 +130,9 @@ class VectorEnv:
         """The :class:`~repro.config.SimConfig` lane ``i`` runs.
 
         Equal to :attr:`config` for homogeneous vector envs; vector envs
-        built from per-lane scenario specs (attacker populations, CEM
-        candidate fan-outs) report each lane's own configuration.
+        built from per-lane scenario specs
+        (``repro.make_vec_from_specs``) report each lane's own
+        configuration.
         """
         return self.envs[i].config
 
@@ -314,8 +315,7 @@ def drive_vec_episodes(venv: VectorEnv, assign, *,
     all run on it, a plain environment as the one lane of
     ``VectorEnv([env], auto_reset=False)``. ``assign(slot)`` names the next episode
     lane ``slot`` runs, or ``None`` when it is done (:func:`fan_out`
-    shares one counter over the lanes; a counter per lane runs every
-    lane's own episodes). Episode ``ep`` is reset with seed
+    shares one counter over the lanes). Episode ``ep`` is reset with seed
     ``seed + ep``, or unseeded when ``seed`` is ``None``. Lane ``i``'s
     episode ends when the lane reports done or ``info["t"]`` reaches
     ``min(max_steps, lane_config(i).tmax)``. Auto-reset is suspended

@@ -99,12 +99,11 @@ class TestForbiddenImports:
         result = fixture_check("layering_bad")
         assert rule_lines(result) == {
             ("forbidden-import", "sim/vec_env.py", line)
-            for line in range(4, 10)
+            for line in range(4, 9)
         }
         hits = {f.message.split("'")[1] for f in result.findings}
         assert hits == {"repro.eval", "repro.rl", "repro.dbn",
-                        "repro.validation", "repro.defenders",
-                        "repro.adversarial"}
+                        "repro.validation", "repro.defenders"}
 
 
 # ---------------------------------------------------------------------------

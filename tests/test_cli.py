@@ -21,7 +21,7 @@ class TestParser:
         commands = set(sub.choices)
         assert commands == {
             "topology", "simulate", "evaluate", "fig6", "fig10",
-            "fit-dbn", "trace", "config", "scenarios", "selfplay",
+            "fit-dbn", "trace", "config", "scenarios",
             "serve", "submit", "runs", "check", "ope",
         }
 
@@ -227,61 +227,6 @@ class TestExperimentCommands:
         assert "acso" in capsys.readouterr().out
 
 
-class TestSelfplay:
-    def test_round_reports_and_persists_population(self, capsys, dbn_file,
-                                                   tmp_path):
-        from repro.scenarios.registry import REGISTRY
-
-        pop_path = tmp_path / "population.json"
-        code = main([
-            "selfplay", "--preset", "tiny", "--rounds", "1",
-            "--max-steps", "20", "--train-episodes", "1",
-            "--cem-population", "2", "--cem-iterations", "1",
-            "--fitness-episodes", "1", "--episodes", "1",
-            "--dbn", dbn_file, "--run-name", "cli-test",
-            "--save-population", str(pop_path),
-        ])
-        out = capsys.readouterr().out
-        try:
-            assert code == 0
-            assert "exploitability report" in out
-            assert "selfplay/cli-test-r1-br1" in out
-            assert "verify repro.make('selfplay/cli-test-r1-br1'): ok" in out
-            assert pop_path.exists()
-            # the emitted best response is a loadable scenario
-            assert "selfplay/cli-test-r1-br1" in REGISTRY
-            import repro
-
-            assert repro.make("selfplay/cli-test-r1-br1").config is not None
-        finally:
-            REGISTRY.unregister("selfplay/cli-test-base")
-            REGISTRY.unregister("selfplay/cli-test-r1-br1")
-
-    def test_load_population_resumes(self, capsys, dbn_file, tmp_path):
-        from repro.scenarios.registry import REGISTRY
-
-        pop_path = tmp_path / "population.json"
-        common = [
-            "selfplay", "--preset", "tiny", "--max-steps", "15",
-            "--train-episodes", "1", "--cem-population", "2",
-            "--cem-iterations", "1", "--fitness-episodes", "1",
-            "--episodes", "1", "--dbn", dbn_file,
-        ]
-        try:
-            assert main(common + ["--rounds", "1", "--run-name", "cli-a",
-                                  "--save-population", str(pop_path)]) == 0
-            capsys.readouterr()
-            assert main(common + ["--rounds", "1", "--run-name", "cli-b",
-                                  "--load-population", str(pop_path)]) == 0
-            out = capsys.readouterr().out
-            assert "loaded 2-member population" in out
-            assert "selfplay/cli-b-r1-br1" in out
-        finally:
-            for sid in ("selfplay/cli-a-base", "selfplay/cli-a-r1-br1",
-                        "selfplay/cli-b-r1-br1"):
-                REGISTRY.unregister(sid)
-
-
 class TestRunsCli:
     @pytest.fixture()
     def store_path(self, tmp_path):
@@ -297,19 +242,21 @@ class TestRunsCli:
             store.record_episode(rid, 0, {"steps": 5}, seed=7, wall_time=0.1)
             store.record_episode(rid, 1, {"steps": 5}, seed=8, wall_time=0.1)
             store.finish_run(rid, {"discounted_return": [1.0, 0.0]})
-            store.create_run("selfplay", scenario_id="inasim-tiny-v1",
-                             policy="playbook", seed=1)
-        return str(path), rid
+            # a row an older server recorded under a since-removed job kind
+            legacy = store.create_run("selfplay",
+                                      scenario_id="inasim-tiny-v1",
+                                      policy="playbook", seed=1)
+        return str(path), rid, legacy
 
     def test_runs_list(self, capsys, store_path):
-        path, rid = store_path
+        path, rid, legacy = store_path
         assert main(["runs", "list", "--db", path]) == 0
         out = capsys.readouterr().out
         assert rid in out and "cli-test" in out
-        assert "selfplay" in out
+        assert legacy in out and "selfplay" in out
 
     def test_runs_list_filters(self, capsys, store_path):
-        path, rid = store_path
+        path, rid, _ = store_path
         assert main(["runs", "list", "--db", path, "--status", "done"]) == 0
         out = capsys.readouterr().out
         assert rid in out and "queued" not in out
@@ -318,15 +265,18 @@ class TestRunsCli:
                      "--tag", "absent"]) == 1
 
     def test_runs_show(self, capsys, store_path):
-        path, rid = store_path
+        path, rid, legacy = store_path
         assert main(["runs", "show", rid, "--db", path]) == 0
         out = capsys.readouterr().out
         assert rid in out
         assert "episode records (2)" in out
         assert "discounted_return" in out
+        assert main(["runs", "show", legacy, "--db", path]) == 0
+        out = capsys.readouterr().out
+        assert legacy in out and "selfplay" in out
 
     def test_runs_show_unknown_id(self, store_path):
-        path, _ = store_path
+        path, _, _ = store_path
         with pytest.raises(SystemExit):
             main(["runs", "show", "nope", "--db", path])
 

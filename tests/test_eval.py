@@ -110,59 +110,6 @@ class TestExperiments:
         assert derived.lateral_threshold == 1
 
 
-class TestEvaluatePolicyPerLane:
-    def test_each_lane_matches_single_env_evaluation(self):
-        """Per-lane aggregates equal evaluate_policy on each lane's own
-        environment (the contract the adversarial loops rely on)."""
-        from repro.eval import evaluate_policy_per_lane
-
-        base = repro.get_scenario("inasim-tiny-v1").with_overrides(horizon=30)
-        variant = base.with_overrides(
-            scenario_id="per-lane-variant",
-            apt_overrides={"lateral_threshold": 1, "labor_rate": 3},
-        )
-        venv = repro.make_vec_from_specs([base, variant], seed=0,
-                                         backend="sync")
-        per_lane = evaluate_policy_per_lane(venv, PlaybookPolicy(),
-                                            episodes=2, seed=3)
-        assert len(per_lane) == 2
-        for spec, (agg, episodes) in zip([base, variant], per_lane):
-            ref_agg, ref_episodes = evaluate_policy(
-                repro.make(spec), PlaybookPolicy(), 2, seed=3)
-            assert agg == ref_agg
-            assert episodes == ref_episodes
-
-    def test_honours_per_lane_horizons(self):
-        from repro.eval import evaluate_policy_per_lane
-
-        short = repro.get_scenario("inasim-tiny-v1").with_overrides(horizon=10)
-        long = repro.get_scenario("inasim-tiny-v1").with_overrides(
-            scenario_id="per-lane-long", horizon=25)
-        venv = repro.make_vec_from_specs([short, long], seed=0,
-                                         backend="sync")
-        per_lane = evaluate_policy_per_lane(venv, NoopPolicy(),
-                                            episodes=1, seed=0)
-        assert per_lane[0][1][0].steps == 10
-        assert per_lane[1][1][0].steps == 25
-
-    def test_restores_auto_reset_flag(self):
-        from repro.eval import evaluate_policy_per_lane
-
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=10,
-                              backend="sync")
-        assert venv.auto_reset
-        evaluate_policy_per_lane(venv, NoopPolicy(), episodes=1, seed=0)
-        assert venv.auto_reset
-
-    def test_rejects_non_policy(self):
-        from repro.eval import evaluate_policy_per_lane
-
-        venv = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=5,
-                              backend="sync")
-        with pytest.raises(TypeError):
-            evaluate_policy_per_lane(venv, "not-a-policy", episodes=1)
-
-
 class TestEpisodeTelemetry:
     """Every evaluation path surfaces per-episode seed and wall time,
     and the telemetry stays out of metric equality."""
@@ -193,18 +140,6 @@ class TestEpisodeTelemetry:
                                              seed=3)
         assert [r.seed for r in records] == [3, 4, 5, 6]
         assert all(r.wall_time > 0 for r in records)
-
-    def test_per_lane_seeds_and_wall_times(self):
-        from repro.eval import evaluate_policy_per_lane
-
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, horizon=8,
-                              backend="sync")
-        with venv:
-            results = evaluate_policy_per_lane(venv, NoopPolicy(),
-                                               episodes=2, seed=5)
-        for _, records in results:
-            assert [r.seed for r in records] == [5, 6]
-            assert all(r.wall_time > 0 for r in records)
 
     def test_on_episode_callback_order_and_abort(self, env):
         seen = []

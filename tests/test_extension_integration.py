@@ -79,41 +79,6 @@ class TestPretrainedVariantPipelines:
         assert np.isfinite(metrics.discounted_return)
 
 
-class TestAdversarialWithLearnedDefender:
-    def test_best_response_against_acso(self, tiny_tables):
-        from repro.adversarial import (
-            AttackerParameterSpace,
-            CrossEntropySearch,
-            make_defender_fitness_vec,
-        )
-
-        cfg = tiny_network(tmax=25)
-        defender = ACSOPolicy(AttentionQNetwork(SMALL_QNET, seed=0),
-                              tiny_tables)
-        fitness = make_defender_fitness_vec(cfg, defender, episodes=1,
-                                            max_steps=25)
-        space = AttackerParameterSpace(base=cfg.apt)
-        result = CrossEntropySearch(space, fitness, population=2,
-                                    seed=0).run(iterations=1)
-        assert np.isfinite(result.best_fitness)
-
-    def test_robustness_matrix_with_acso_row(self, tiny_tables):
-        from repro.adversarial import robustness_matrix
-        from repro.attacker import apt2
-
-        cfg = tiny_network(tmax=20)
-        matrix = robustness_matrix(
-            cfg,
-            {"ACSO": ACSOPolicy(AttentionQNetwork(SMALL_QNET, seed=0),
-                                tiny_tables)},
-            {"APT2": apt2(time_scale=10.0)},
-            episodes=1, max_steps=20,
-        )
-        assert np.isfinite(
-            matrix["ACSO"]["APT2"].mean("discounted_return")
-        )
-
-
 class TestOPEOfGreedyTarget:
     def test_greedy_target_estimated_from_exploratory_log(self, tiny_tables):
         """The deployment question end to end: estimate the *greedy*

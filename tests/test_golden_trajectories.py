@@ -3,9 +3,9 @@
 Every built-in scenario carries a committed digest of a seeded 32-step
 playbook rollout (``tests/golden/*.json``): per-step rewards, done
 flags, alert counts, action-mask hashes, and observation hashes. The
-engine is load-bearing for the two vector engines (sync and batched)
-and the adversarial search, so an optimization pass that changes the
-dynamics — not just code shape — must fail loudly here, and an intentional
+engine is load-bearing for the two vector engines (sync and batched),
+so an optimization pass that changes the dynamics — not just code
+shape — must fail loudly here, and an intentional
 trajectory-distribution change must regenerate the fixtures
 (``PYTHONPATH=src python tests/golden/regenerate.py``) and say so.
 

@@ -3,8 +3,8 @@
 Every network variant (plain, dueling, distributional, noisy-headed)
 must (a) serialize and reload bit-exactly, (b) plug into the greedy
 ACSO policy unchanged, and (c) keep its parameter count independent of
-the bound topology. These are the contracts the transfer and
-self-play machinery silently rely on.
+the bound topology. These are the contracts the transfer machinery
+silently relies on.
 """
 
 import numpy as np

@@ -1,163 +1,11 @@
-"""Tests for the scheduled-sweep and belief-threshold defenders."""
+"""Tests for the random topology sampler and its config clamping."""
 
 import numpy as np
 import pytest
 
 import repro
 from repro.config import tiny_network
-from repro.defenders import ScheduledSweepPolicy, ThresholdPolicy
 from repro.eval import run_episode
-from repro.sim.observations import Observation, ScanResult
-from repro.sim.orchestrator import DefenderActionType
-
-_T = DefenderActionType
-
-
-def _obs(t, n_nodes=6, n_plcs=4, scan_results=(), disrupted=(), destroyed=()):
-    plc_disrupted = np.zeros(n_plcs, bool)
-    plc_destroyed = np.zeros(n_plcs, bool)
-    for p in disrupted:
-        plc_disrupted[p] = True
-    for p in destroyed:
-        plc_destroyed[p] = True
-    return Observation(
-        t=t,
-        scan_results=list(scan_results),
-        plc_disrupted=plc_disrupted,
-        plc_destroyed=plc_destroyed,
-        node_busy=np.zeros(n_nodes, bool),
-        plc_busy=np.zeros(n_plcs, bool),
-        quarantined=np.zeros(n_nodes, bool),
-    )
-
-
-@pytest.fixture()
-def sweep_policy(tiny_env):
-    policy = ScheduledSweepPolicy(period=10, batch=2)
-    policy.reset(tiny_env)
-    return policy
-
-
-class TestScheduledSweep:
-    def test_scans_on_schedule(self, sweep_policy):
-        actions = sweep_policy.act(_obs(t=10))
-        scans = [a for a in actions if a.atype is _T.SIMPLE_SCAN]
-        assert len(scans) == 2
-        assert [a.target for a in scans] == [0, 1]
-
-    def test_idle_off_schedule(self, sweep_policy):
-        assert sweep_policy.act(_obs(t=7)) == []
-
-    def test_round_robin_covers_all_nodes(self, sweep_policy):
-        targets = []
-        for k in range(1, 4):
-            actions = sweep_policy.act(_obs(t=10 * k))
-            targets.extend(a.target for a in actions)
-        assert targets == [0, 1, 2, 3, 4, 5]
-
-    def test_detection_triggers_ladder(self, sweep_policy):
-        hit = ScanResult(t=10, node_id=3, detected=True,
-                         action_type=_T.SIMPLE_SCAN)
-        first = sweep_policy.act(_obs(t=11, scan_results=[hit]))
-        assert any(a.atype is _T.REBOOT and a.target == 3 for a in first)
-        second = sweep_policy.act(
-            _obs(t=20, scan_results=[ScanResult(20, 3, True, _T.SIMPLE_SCAN)])
-        )
-        assert any(a.atype is _T.RESET_PASSWORD and a.target == 3
-                   for a in second)
-        third = sweep_policy.act(
-            _obs(t=31, scan_results=[ScanResult(31, 3, True, _T.SIMPLE_SCAN)])
-        )
-        assert any(a.atype is _T.REIMAGE and a.target == 3 for a in third)
-
-    def test_escalation_decays_after_memory_window(self, tiny_env):
-        policy = ScheduledSweepPolicy(period=1000, escalation_memory=50)
-        policy.reset(tiny_env)
-        policy.act(_obs(t=5, scan_results=[ScanResult(5, 2, True,
-                                                      _T.SIMPLE_SCAN)]))
-        # well past the memory window: the ladder restarts at reboot
-        later = policy.act(_obs(t=200, scan_results=[
-            ScanResult(200, 2, True, _T.SIMPLE_SCAN)
-        ]))
-        assert any(a.atype is _T.REBOOT and a.target == 2 for a in later)
-
-    def test_negative_scans_do_not_escalate(self, sweep_policy):
-        miss = ScanResult(t=11, node_id=3, detected=False,
-                          action_type=_T.SIMPLE_SCAN)
-        actions = sweep_policy.act(_obs(t=11, scan_results=[miss]))
-        assert all(a.atype not in (_T.REBOOT, _T.RESET_PASSWORD, _T.REIMAGE)
-                   for a in actions)
-
-    def test_repairs_plcs_immediately(self, sweep_policy):
-        actions = sweep_policy.act(_obs(t=3, disrupted=[1], destroyed=[2]))
-        assert any(a.atype is _T.RESET_PLC and a.target == 1 for a in actions)
-        assert any(a.atype is _T.REPLACE_PLC and a.target == 2
-                   for a in actions)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            ScheduledSweepPolicy(period=0)
-        with pytest.raises(ValueError):
-            ScheduledSweepPolicy(batch=0)
-        with pytest.raises(ValueError):
-            ScheduledSweepPolicy(scan=_T.REBOOT)
-
-    def test_full_episode_runs(self, tiny_env):
-        metrics = run_episode(tiny_env, ScheduledSweepPolicy(period=8),
-                              seed=0, max_steps=100)
-        assert np.isfinite(metrics.discounted_return)
-        assert metrics.avg_it_cost > 0  # the sweep does cost something
-
-
-class TestThresholdPolicy:
-    def test_quiet_network_no_actions(self, tiny_env, tiny_tables):
-        policy = ThresholdPolicy(tiny_tables)
-        policy.reset(tiny_env)
-        actions = policy.act(_obs(t=1))
-        # fresh beliefs are all-clean; nothing crosses any threshold
-        assert all(
-            a.atype in (_T.RESET_PLC, _T.REPLACE_PLC) for a in actions
-        ) and not actions
-
-    def test_repairs_plcs(self, tiny_env, tiny_tables):
-        policy = ThresholdPolicy(tiny_tables)
-        policy.reset(tiny_env)
-        actions = policy.act(_obs(t=1, destroyed=[0]))
-        assert any(a.atype is _T.REPLACE_PLC and a.target == 0
-                   for a in actions)
-
-    def test_threshold_ordering_enforced(self, tiny_tables):
-        with pytest.raises(ValueError):
-            ThresholdPolicy(tiny_tables, investigate_threshold=0.8,
-                            mitigate_threshold=0.5)
-        with pytest.raises(ValueError):
-            ThresholdPolicy(tiny_tables, investigate_threshold=-0.1)
-
-    def test_max_actions_caps_output(self, tiny_env, tiny_tables):
-        policy = ThresholdPolicy(tiny_tables, investigate_threshold=0.0,
-                                 max_actions=1)
-        policy.reset(tiny_env)
-        # threshold 0 makes every node a candidate (p > 0 after update)
-        actions = policy.act(_obs(t=1, disrupted=[0], destroyed=[1]))
-        assert len(actions) <= 1
-
-    def test_lower_threshold_spends_more(self, tiny_env, tiny_tables):
-        """The cost-vs-coverage knob: a paranoid threshold must cost at
-        least as much IT disruption as a lax one on the same episodes."""
-        paranoid = ThresholdPolicy(tiny_tables, investigate_threshold=0.01,
-                                   mitigate_threshold=0.05)
-        lax = ThresholdPolicy(tiny_tables, investigate_threshold=0.45,
-                              mitigate_threshold=0.9)
-        cost_paranoid = run_episode(tiny_env, paranoid, seed=4,
-                                    max_steps=120).avg_it_cost
-        cost_lax = run_episode(tiny_env, lax, seed=4,
-                               max_steps=120).avg_it_cost
-        assert cost_paranoid >= cost_lax
-
-    def test_full_episode_runs(self, tiny_env, tiny_tables):
-        metrics = run_episode(tiny_env, ThresholdPolicy(tiny_tables),
-                              seed=0, max_steps=100)
-        assert np.isfinite(metrics.discounted_return)
 
 
 class TestTopologySampler:
@@ -223,68 +71,3 @@ class TestTopologySampler:
             env = repro.make_env(config, seed=0)
             metrics = run_episode(env, PlaybookPolicy(), seed=0, max_steps=30)
             assert np.isfinite(metrics.discounted_return)
-
-
-class TestGuardedPolicy:
-    def test_name_reflects_inner(self):
-        from repro.defenders import GuardedPolicy, NoopPolicy
-
-        assert GuardedPolicy(NoopPolicy()).name == "guarded-noop"
-
-    def test_repairs_plcs_even_when_inner_is_idle(self, tiny_env):
-        from repro.defenders import GuardedPolicy, NoopPolicy
-
-        policy = GuardedPolicy(NoopPolicy())
-        policy.reset(tiny_env)
-        actions = policy.act(_obs(t=1, disrupted=[0], destroyed=[1]))
-        assert DefenderActionType.RESET_PLC in {a.atype for a in actions}
-        assert DefenderActionType.REPLACE_PLC in {a.atype for a in actions}
-
-    def test_inner_actions_pass_through(self, tiny_env):
-        from repro.defenders import GuardedPolicy, ScheduledSweepPolicy
-
-        policy = GuardedPolicy(ScheduledSweepPolicy(period=10, batch=2))
-        policy.reset(tiny_env)
-        actions = policy.act(_obs(t=10))
-        assert sum(a.atype is DefenderActionType.SIMPLE_SCAN
-                   for a in actions) == 2
-
-    def test_duplicate_repairs_deduplicated(self, tiny_env):
-        from repro.defenders import GuardedPolicy, ScheduledSweepPolicy
-
-        # the sweep also repairs PLCs; the guard must not double-launch
-        policy = GuardedPolicy(ScheduledSweepPolicy(period=10))
-        policy.reset(tiny_env)
-        actions = policy.act(_obs(t=3, destroyed=[2]))
-        replacements = [a for a in actions
-                        if a.atype is DefenderActionType.REPLACE_PLC]
-        assert len(replacements) == 1
-
-    def test_busy_plcs_skipped(self, tiny_env):
-        from repro.defenders import GuardedPolicy, NoopPolicy
-
-        policy = GuardedPolicy(NoopPolicy())
-        policy.reset(tiny_env)
-        obs = _obs(t=1, destroyed=[0])
-        obs.plc_busy[0] = True
-        assert policy.act(obs) == []
-
-    def test_guarded_acso_full_episode(self, tiny_env, tiny_tables):
-        import numpy as np
-
-        from repro.defenders import GuardedPolicy
-        from repro.defenders.acso import ACSOPolicy
-        from repro.eval import run_episode
-        from repro.rl import AttentionQNetwork, QNetConfig
-
-        inner = ACSOPolicy(
-            AttentionQNetwork(
-                QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
-                           head_hidden=16),
-                seed=0,
-            ),
-            tiny_tables,
-        )
-        metrics = run_episode(tiny_env, GuardedPolicy(inner), seed=0,
-                              max_steps=40)
-        assert np.isfinite(metrics.discounted_return)

@@ -238,8 +238,8 @@ class TestACSOPolicy:
 
 class TestSetEnv:
     def test_rebinds_to_vector_env_and_trains(self, setup):
-        """The self-play defender oracle path: one trainer carries its
-        replay/optimizer state across environment rebinds."""
+        """One trainer carries its replay/optimizer state across
+        environment rebinds."""
         env, qnet, feat = setup
         trainer = DQNTrainer(env, qnet, feat,
                              DQNConfig(batch_size=8, warmup=8,

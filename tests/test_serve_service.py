@@ -56,18 +56,24 @@ class TestParseJob:
         ({"scenario": TINY, "tags": "prod"}, "list of strings"),
         ({"scenario": TINY, "frobnicate": 1}, "unknown job fields"),
         ({"spec": {"bogus": True}}, "invalid inline spec"),
-        ({"scenario": TINY, "kind": "selfplay", "cem_population": 1},
-         "cem_population"),
+        ({"scenario": TINY, "kind": "selfplay"},
+         "unknown job kind 'selfplay'"),
     ])
     def test_rejections(self, payload, match):
         with pytest.raises(JobError, match=match):
             parse_job(payload)
 
     def test_to_payload_round_trip(self):
-        payload = {"kind": "selfplay", "scenario": TINY, "seed": 9,
-                   "cem_population": 6, "tags": ["t"]}
-        assert parse_job(parse_job(payload).to_payload()).to_payload() \
-            == parse_job(payload).to_payload()
+        from repro.scenarios import get_scenario
+        from repro.scenarios.serialization import spec_to_dict
+
+        common = {"kind": "evaluate", "policy": "acso", "episodes": 3,
+                  "seed": 9, "max_steps": 40, "num_envs": 2, "tags": ["t"],
+                  "dbn": "tables.npz", "qnet": "qnet.npz"}
+        for target in ({"scenario": TINY},
+                       {"spec": spec_to_dict(get_scenario(TINY))}):
+            payload = {**common, **target}
+            assert parse_job(payload).to_payload() == payload
 
 
 # ----------------------------------------------------------------------
@@ -206,26 +212,15 @@ class TestServeEndToEnd:
             for key, value in expected.items()
         }
 
-    def test_selfplay_job(self, server):
-        job = server.client.submit({
-            "kind": "selfplay", "scenario": TINY, "policy": "playbook",
-            "seed": 1, "cem_iterations": 1, "cem_population": 2,
-            "fitness_episodes": 1, "max_steps": 15,
-        })
-        done = server.client.wait(job["job_id"], timeout=300)
-        metrics = done["metrics"]
-        assert metrics["evaluations"] == 2
-        assert metrics["exploitability"] == pytest.approx(
-            metrics["best_response_utility"] - metrics["baseline_utility"])
-        run = server.client.run(job["job_id"])
-        assert len(run["episode_records"]) == 1  # one CEM generation
-        assert run["episode_records"][0]["detail"]["candidates"] == 2
-
     def test_bad_payload_is_400(self, server):
         with pytest.raises(ServeRequestError):
             server.client.submit({"scenario": TINY, "policy": "magic"})
         with pytest.raises(ServeRequestError):
             server.client.submit({})
+        with pytest.raises(ServeRequestError,
+                           match="unknown job kind 'selfplay'") as exc:
+            server.client.submit({"kind": "selfplay", "scenario": TINY})
+        assert exc.value.status == 400
 
     def test_unknown_ids_are_404(self, server):
         with pytest.raises(ServeNotFoundError):

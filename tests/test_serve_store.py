@@ -110,7 +110,7 @@ class TestListing:
     def _seed_runs(self, store):
         a = store.create_run("evaluate", scenario_id="s1", tags=["x"])
         b = store.create_run("evaluate", scenario_id="s2", tags=["x", "y"])
-        c = store.create_run("selfplay", scenario_id="s1")
+        c = store.create_run("ope-report", scenario_id="s1")
         store.mark_running(c)
         store.finish_run(c, {})
         return a, b, c
@@ -124,7 +124,7 @@ class TestListing:
     def test_filters(self, store):
         a, b, c = self._seed_runs(store)
         assert {r["run_id"] for r in store.list_runs(scenario="s1")} == {a, c}
-        assert {r["run_id"] for r in store.list_runs(kind="selfplay")} == {c}
+        assert {r["run_id"] for r in store.list_runs(kind="ope-report")} == {c}
         assert {r["run_id"] for r in store.list_runs(status="done")} == {c}
         assert {r["run_id"] for r in store.list_runs(tag="y")} == {b}
         assert store.list_runs(tag="absent") == []
