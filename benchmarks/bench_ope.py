@@ -6,9 +6,10 @@ policy's true value from logged behaviour episodes, without running the
 target in the environment.
 
 Protocol: log episodes under an exploratory behaviour policy (softmax-Q
-with epsilon floor), estimate the value of a greedier target policy via
-OIS / WIS / PDIS / FQE / DR, and compare against an on-policy Monte
-Carlo ground truth of the same horizon. Expected shape: the weighted
+with epsilon floor), estimate the value of a greedier target policy with
+``run_ope_suite`` (OIS / WIS / PDIS / FQE / DR, importance ratios
+clipped at 10), and compare against an on-policy Monte Carlo ground
+truth of the same horizon. Expected shape: the weighted
 and doubly-robust estimators sit closest to the ground truth, while
 ordinary IS shows the worst effective sample size -- the textbook
 ordering, and the reason DR exists.
@@ -63,18 +64,15 @@ from repro.rl.features import (
 from repro.sim.orchestrator import enumerate_actions
 from repro.validation import (
     LoggedEpisode,
+    PreparedLog,
     StochasticQPolicy,
     TraceDataset,
     TraceDims,
     TraceWriter,
     collect_logged_episodes,
-    doubly_robust,
     episode_ope_stats,
-    fitted_q_evaluation,
-    ordinary_importance_sampling,
-    per_decision_importance_sampling,
+    run_ope_suite,
     trace_record_dtype,
-    weighted_importance_sampling,
 )
 
 _HORIZON = 25
@@ -113,48 +111,47 @@ def test_ope_estimator_accuracy(benchmark):
         )
         truth = float(np.mean([ep.discounted_return() for ep in truth_eps]))
 
-        ois = ordinary_importance_sampling(logged, target)
-        wis = weighted_importance_sampling(logged, target)
-        pdis = per_decision_importance_sampling(logged, target, clip=10.0)
         eval_net = AttentionQNetwork(_QNET, seed=11)
         eval_net.bind_topology(env.topology)
-        fqe = fitted_q_evaluation(
+        report = run_ope_suite(
             logged,
             target,
             eval_net,
-            iterations=4,
-            epochs_per_iteration=1,
-            batch_size=32,
-            lr=3e-3,
-            mc_epochs=4,
+            clip=10.0,
+            fqe_options=dict(
+                iterations=4,
+                epochs_per_iteration=1,
+                batch_size=32,
+                lr=3e-3,
+                mc_epochs=4,
+            ),
         )
-        dr = doubly_robust(
-            logged, target, eval_net, clip=10.0, reward_scale=fqe.reward_scale
-        )
-        return truth, ois, wis, pdis, fqe, dr
+        return truth, report
 
-    truth, ois, wis, pdis, fqe, dr = benchmark.pedantic(run, rounds=1, iterations=1)
+    truth, report = benchmark.pedantic(run, rounds=1, iterations=1)
+    weighted = [report[method] for method in ("OIS", "WIS", "PDIS", "DR")]
+    fqe = report["FQE"]
     lines = [
         f"OPE accuracy ({n_logged} logged episodes, {_HORIZON}-step "
         "horizon, tiny network)",
         f"on-policy MC ground truth: {truth:.2f}",
         f"{'estimator':<8} {'estimate':>10} {'|error|':>9} {'ESS':>6}",
     ]
-    for result in (ois, wis, pdis, dr):
+    for result in weighted:
         lines.append(
             f"{result.method:<8} {result.estimate:>10.2f} "
             f"{abs(result.estimate - truth):>9.2f} {result.ess:>6.1f}"
         )
     lines.append(
-        f"{'FQE':<8} {fqe.value:>10.2f} {abs(fqe.value - truth):>9.2f}"
+        f"{'FQE':<8} {fqe.estimate:>10.2f} {abs(fqe.estimate - truth):>9.2f}"
         "      - (model-based; no weights)"
     )
     write_result("ope_accuracy.txt", "\n".join(lines))
 
-    for result in (ois, wis, pdis, dr):
+    for result in weighted:
         assert np.isfinite(result.estimate), result.method
-    assert wis.ess <= n_logged + 1e-9
-    assert np.isfinite(fqe.value)
+    assert report["WIS"].ess <= n_logged + 1e-9
+    assert np.isfinite(fqe.estimate)
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +168,7 @@ class _LinearSoftmaxPolicy:
     """Masked linear-softmax propensities over flattened features.
 
     A stand-in target policy for the throughput sweep: one matmul per
-    episode via ``action_probs_batch`` — the same batched-propensity
+    prepared chunk via ``action_probs_batch`` — the same batched-propensity
     path the real :class:`StochasticQPolicy` exercises, without
     attention-network inference swamping the trace-store measurement.
     """
@@ -276,10 +273,11 @@ def _bench_read(trace_dir, expected_transitions):
 def _bench_estimate(trace_dir, dims, seed):
     target = _LinearSoftmaxPolicy(dims, seed=seed + 2)
     start = time.perf_counter()
-    dataset = TraceDataset(trace_dir)
-    stats = [episode_ope_stats(episode, target) for episode in dataset]
+    scored = PreparedLog(TraceDataset(trace_dir), target).scored_episodes()
+    weights = np.array(
+        [episode_ope_stats(ep, probs, label=i).weight for i, ep, probs, _ in scored]
+    )
     elapsed = time.perf_counter() - start
-    weights = np.array([s.weight for s in stats])
     if not np.all(np.isfinite(weights)):
         raise RuntimeError("synthetic trace produced non-finite IS weights")
     return elapsed

@@ -6,7 +6,8 @@ value must be estimated from data logged under the *current* (known,
 trusted) policy -- the data-efficient validation the paper's future
 work calls for. This example logs episodes under an exploratory
 behaviour policy, then estimates a greedier target policy's value five
-ways (OIS / WIS / PDIS / FQE / doubly-robust) and compares against an
+ways in one ``run_ope_suite`` call (OIS / WIS / PDIS / FQE /
+doubly-robust, importance ratios clipped at 10) and compares against an
 on-policy Monte-Carlo ground truth it would normally not have. It ends
 with the number an operator actually signs off on: a high-confidence
 lower bound.
@@ -30,21 +31,17 @@ from repro.validation import (
     StochasticQPolicy,
     bootstrap_ci,
     collect_logged_episodes,
-    doubly_robust,
     empirical_bernstein_lower_bound,
-    fitted_q_evaluation,
-    ordinary_importance_sampling,
-    per_decision_importance_sampling,
-    weighted_importance_sampling,
+    run_ope_suite,
 )
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--episodes", type=int, default=6)
     parser.add_argument("--horizon", type=int, default=25)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     config = tiny_network(tmax=args.horizon)
     print("Fitting DBN tables (the featurizer both policies share)...")
@@ -83,34 +80,30 @@ def main() -> None:
     print(f"  (hidden) on-policy target value: {truth:.2f}\n")
 
     print("Estimating the target's value from the behaviour log only:")
-    ois = ordinary_importance_sampling(logged, target)
-    wis = weighted_importance_sampling(logged, target)
-    pdis = per_decision_importance_sampling(logged, target, clip=10.0)
     eval_net = AttentionQNetwork(qnet.config, seed=11)
     eval_net.bind_topology(env.topology)
-    fqe = fitted_q_evaluation(
+    report = run_ope_suite(
         logged,
         target,
         eval_net,
-        iterations=4,
-        epochs_per_iteration=1,
-        batch_size=32,
-        lr=3e-3,
-        mc_epochs=4,
+        clip=10.0,
+        fqe_options=dict(
+            iterations=4,
+            epochs_per_iteration=1,
+            batch_size=32,
+            lr=3e-3,
+            mc_epochs=4,
+        ),
     )
-    dr = doubly_robust(
-        logged, target, eval_net, clip=10.0, reward_scale=fqe.reward_scale
-    )
-    for result in (ois, wis, pdis, dr):
+    for method in ("OIS", "WIS", "PDIS", "DR"):
+        result = report[method]
         print(
             f"  {result.method:<5} {result.estimate:>10.2f}  "
             f"|err| {abs(result.estimate - truth):>8.2f}  "
             f"ESS {result.ess:.1f}/{len(logged)}"
         )
-    print(
-        f"  FQE   {fqe.value:>10.2f}  |err| {abs(fqe.value - truth):>8.2f}  "
-        "(model-based)"
-    )
+    fqe = report["FQE"].estimate
+    print(f"  FQE   {fqe:>10.2f}  |err| {abs(fqe - truth):>8.2f}  (model-based)")
 
     print("\nCertification numbers (on the behaviour log's returns):")
     mean, lower, upper = bootstrap_ci(behavior_returns, alpha=0.05)

@@ -203,31 +203,6 @@ class DQNTrainer:
         self.history: list[EpisodeStats] = []
 
     # ------------------------------------------------------------------
-    def set_env(self, env) -> None:
-        """Rebind the trainer to another environment or vector env.
-
-        The replay buffer, schedules, optimizer state, and step counter
-        carry over — this is how curriculum-style loops continue one
-        training run across environments. The new env must share the
-        current action space (the Q-network binding is per-topology)
-        and discount (the n-step assemblers and shaper bake it in).
-        """
-        n_actions = len(self.qnet.action_list)
-        if env.n_actions != n_actions:
-            raise ValueError(
-                f"env has {env.n_actions} actions but the Q-network is bound "
-                f"to {n_actions}; build envs from one topology"
-            )
-        if env.config.reward.gamma != self.gamma:
-            raise ValueError(
-                f"env gamma {env.config.reward.gamma} != trainer gamma "
-                f"{self.gamma}"
-            )
-        self.env = env
-        # lane featurizers are per-lane-count; rebuilt lazily by train()
-        self._featurizers = None
-
-    # ------------------------------------------------------------------
     def select_actions_vec(self, features: list, masks: np.ndarray,
                            epsilon: float) -> np.ndarray:
         """One action index per lane; one forward pass for the greedy ones.

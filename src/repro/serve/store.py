@@ -192,18 +192,19 @@ class RunStore:
             )
 
     def record_episode(self, run_id: str, episode_index: int, detail: dict, *,
-                       lane: int = 0, seed: int | None = None,
+                       seed: int | None = None,
                        wall_time: float | None = None) -> None:
         """Append one completed episode record.
 
         ``INSERT OR REPLACE``: re-recording an episode index simply
-        supersedes the earlier record."""
+        supersedes the earlier record. The schema's ``lane`` column keeps
+        its default 0."""
         with self._lock, self._conn:
             self._conn.execute(
-                "INSERT OR REPLACE INTO episodes (run_id, lane,"
+                "INSERT OR REPLACE INTO episodes (run_id,"
                 " episode_index, seed, wall_time, recorded_at, detail)"
-                " VALUES (?,?,?,?,?,?,?)",
-                (run_id, lane, episode_index, seed, wall_time, time.time(),
+                " VALUES (?,?,?,?,?,?)",
+                (run_id, episode_index, seed, wall_time, time.time(),
                  json.dumps(detail, sort_keys=True)),
             )
 

@@ -10,11 +10,12 @@ INASIM episodes:
   action probabilities, and logged-episode recording into
   :class:`LoggedEpisode` column batches, the one shape every estimator
   reads;
-* :mod:`repro.validation.ope` -- ordinary, weighted, and per-decision
-  importance sampling estimators with effective-sample-size
-  diagnostics;
-* :mod:`repro.validation.fqe` -- fitted Q evaluation (model-based
-  value regression) and the doubly-robust combination;
+* :mod:`repro.validation.ope` -- the per-episode importance-sampling
+  reduction (ratios, trajectory weight, per-decision value) and
+  effective-sample-size diagnostics;
+* :mod:`repro.validation.fqe` -- the prepared log every estimator
+  reads, fitted Q evaluation (model-based value regression) and the
+  per-episode doubly-robust value;
 * :mod:`repro.validation.confidence` -- bootstrap confidence intervals
   and an empirical-Bernstein high-confidence lower bound (the
   "certify before deployment" number);
@@ -22,8 +23,9 @@ INASIM episodes:
   :mod:`repro.validation.datasets` -- the columnar on-disk episode
   log: streaming recorder over vectorized rollouts, chunked reader,
   crash-tolerant manifest;
-* :mod:`repro.validation.suite` -- :func:`run_ope_suite`, every
-  estimator with bootstrap CIs in one report (the promotion gate's
+* :mod:`repro.validation.suite` -- :func:`run_ope_suite`, the one
+  entry point that estimates a target's value: OIS / WIS / PDIS, DM /
+  FQE and DR with bootstrap CIs in one report (the promotion gate's
   input).
 """
 
@@ -36,14 +38,10 @@ from repro.validation.logging import (
 from repro.validation.ope import (
     BehaviorSupportError,
     EpisodeOPEStats,
-    OPEResult,
     effective_sample_size,
     episode_ope_stats,
-    ordinary_importance_sampling,
-    per_decision_importance_sampling,
-    weighted_importance_sampling,
 )
-from repro.validation.fqe import FQEResult, doubly_robust, fitted_q_evaluation
+from repro.validation.fqe import FQEResult, PreparedLog, fitted_q_evaluation
 from repro.validation.confidence import (
     bootstrap_ci,
     bootstrap_ratio_ci,
@@ -69,15 +67,11 @@ __all__ = [
     "collect_logged_episodes",
     "BehaviorSupportError",
     "EpisodeOPEStats",
-    "OPEResult",
     "effective_sample_size",
     "episode_ope_stats",
-    "ordinary_importance_sampling",
-    "weighted_importance_sampling",
-    "per_decision_importance_sampling",
     "FQEResult",
+    "PreparedLog",
     "fitted_q_evaluation",
-    "doubly_robust",
     "bootstrap_ci",
     "bootstrap_ratio_ci",
     "empirical_bernstein_lower_bound",

@@ -35,8 +35,10 @@ target's ``(rows, A)`` distributions come from one
 over the same rows comes from one forward. The IS scalars, every
 Bellman iteration's successor values, the start values and DR all
 slice those blocks (:func:`~repro.validation.suite.run_ope_suite`
-shares one prepared log among them). A longer log is prepared again on
-every pass and scores only the rows that pass reads.
+shares one prepared log among them); :func:`episode_dr_value` takes
+an episode's slices as arguments and scores nothing itself. A longer
+log is prepared again on every pass and scores only the rows that
+pass reads.
 
 Memory holds one chunk, never the log: the decoded episodes and the
 joined block, plus, for a kept chunk, ``rows x A`` floats of target
@@ -67,14 +69,10 @@ from repro.validation.logging import (
     q_batch,
     take_rows,
 )
-from repro.validation.ope import (
-    OPEResult,
-    _ratios_from_probs,
-    effective_sample_size,
-)
+from repro.validation.ope import step_ratios
 
 __all__ = ["FQEResult", "PreparedChunk", "PreparedLog",
-           "fitted_q_evaluation", "doubly_robust", "episode_dr_value"]
+           "fitted_q_evaluation", "episode_dr_value"]
 
 #: episodes per chunk when streaming a log (FQE's default)
 CHUNK_EPISODES = 64
@@ -417,33 +415,26 @@ def fitted_q_evaluation(
 
 def episode_dr_value(
     episode: LoggedEpisode,
-    target_policy,
-    qnet,
+    probs: np.ndarray,
+    q: np.ndarray,
     clip: float | None = None,
     reward_scale: float = 1.0,
     label: int | str | None = None,
-    probs: np.ndarray | None = None,
-    q: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """One episode's doubly-robust value and its trajectory weight.
 
-    ``probs`` (the target's ``(T, A)`` distributions) and ``q``
-    (``qnet``'s ``(T, A)`` Q-values) at the episode's logged states are
-    scored here unless the caller holds them already, as
-    :meth:`PreparedLog.scored_episodes` does.
+    ``probs`` (the target's ``(T, A)`` distributions) and ``q`` (the
+    fitted network's ``(T, A)`` Q-values, on the fit's
+    ``reward_scale``) are blocks at the episode's logged states, as
+    :meth:`PreparedLog.scored_episodes` yields them.
     """
     n = len(episode)
-    if q is None:
-        q = q_batch(qnet, episode.features)
-    if probs is None:
-        probs = target_policy.action_probs_batch(episode.features,
-                                                 episode.masks)
     q_all = q / reward_scale
     q_taken = q_all[np.arange(n), episode.actions]
     state_values = row_dot(probs, q_all)
     next_values = np.append(state_values[1:], 0.0)  # terminal V = 0
 
-    ratios = _ratios_from_probs(episode, probs, clip, label=label)
+    ratios = step_ratios(episode, probs, clip, label=label)
     cumulative = np.cumprod(ratios)
     discounts = episode.gamma ** np.arange(n)
     corrections = cumulative * (
@@ -452,41 +443,3 @@ def episode_dr_value(
     value = state_values[0] + float(np.sum(discounts * corrections))
     weight = float(cumulative[-1]) if len(cumulative) else 1.0
     return value, weight
-
-
-def doubly_robust(
-    episodes: Iterable[LoggedEpisode],
-    target_policy,
-    qnet,
-    clip: float | None = None,
-    reward_scale: float = 1.0,
-) -> OPEResult:
-    """Doubly-robust estimate using a fitted Q model.
-
-    ``qnet`` is the (already fitted) evaluation network, e.g. the
-    output of :func:`fitted_q_evaluation`; pass that fit's
-    ``reward_scale`` so the model's normalized values are compared with
-    raw rewards on a single scale. Streams the episode source one
-    episode at a time.
-    """
-    if reward_scale <= 0:
-        raise ValueError("reward_scale must be positive")
-    values_list: list[float] = []
-    weights_list: list[float] = []
-    for index, episode in enumerate(episodes):
-        value, weight = episode_dr_value(episode, target_policy, qnet,
-                                         clip, reward_scale, label=index)
-        values_list.append(value)
-        weights_list.append(weight)
-    if not values_list:
-        raise ValueError("need at least one logged episode")
-    values = np.array(values_list)
-    final_weights = np.array(weights_list)
-
-    if values.size > 1:
-        stderr = float(values.std(ddof=1) / np.sqrt(values.size))
-    else:
-        stderr = 0.0
-    return OPEResult(float(values.mean()), stderr,
-                     effective_sample_size(final_weights), len(values),
-                     "DR")

@@ -12,9 +12,10 @@ states stacked into ``(T, N, d)`` / ``(T, M, d)`` / ``(T, G)`` blocks,
 the valid-action masks ``(T, A)`` and the state after the final step.
 The same shape runs from the recorder through the on-disk trace store
 (:mod:`repro.validation.tracestore`, whose record columns it mirrors)
-to every estimator, which index the columns directly: target-policy
-probabilities (one masked softmax per ``(T, A)`` block), FQE regressions
-and doubly-robust corrections are all computed offline from it.
+to the OPE suite's prepared log, which indexes the columns directly:
+target-policy probabilities (one masked softmax per ``(B, A)`` block),
+FQE regressions and doubly-robust corrections are all computed offline
+from it.
 Recording runs on :func:`~repro.sim.vec_env.drive_vec_episodes`;
 :func:`recorder` builds its callbacks, and :func:`collect_logged_episodes`
 is the one-lane call of them that keeps the episodes in a list.
@@ -74,8 +75,7 @@ class LoggedEpisode:
     """A trajectory logged under a known behaviour policy, as columns.
 
     ``features`` holds the states stacked along a leading step axis and
-    ``masks`` the ``(T, A)`` valid-action masks; both may be ``None``
-    for hand-built logs scored by policies that ignore the state.
+    ``masks`` the ``(T, A)`` valid-action masks.
     ``final_features``/``final_mask`` are the single state after the
     final step (FQE's bootstrap anchor), ``None`` when not logged.
     """
@@ -84,8 +84,8 @@ class LoggedEpisode:
     behavior_probs: np.ndarray
     rewards: np.ndarray
     gamma: float
-    features: FeatureSet | None = None
-    masks: np.ndarray | None = None
+    features: FeatureSet
+    masks: np.ndarray
     final_features: FeatureSet | None = None
     final_mask: np.ndarray | None = None
     seed: int | None = None

@@ -24,13 +24,14 @@ a kept chunk adds ``rows x A`` floats of target distributions and as
 many of fitted Q, each under half the chunk's feature bytes on the
 paper network.
 
-Every number is produced by the *same* per-episode reductions the
-standalone estimators use (:func:`~repro.validation.ope.episode_ope_stats`,
-:func:`~repro.validation.fqe.episode_dr_value`) on rows sliced from the
-chunk's blocks. Q-network and target rows are bitwise independent of
-the batch they are scored in, so a suite run over on-disk shards is
-bit-identical to calling the individual estimators on the equivalent
-in-memory episodes.
+This is the package's one estimation path: the per-episode reductions
+(:func:`~repro.validation.ope.episode_ope_stats`,
+:func:`~repro.validation.fqe.episode_dr_value`) read rows sliced from
+the chunk's blocks and never score the target themselves. Q-network
+and target rows are bitwise independent of the batch they are scored
+in, so a suite run over on-disk shards is bit-identical to the same
+suite over the equivalent in-memory episodes, and to scoring each
+episode alone.
 """
 
 from __future__ import annotations
@@ -158,8 +159,7 @@ def run_ope_suite(
                            (fqe_options or {}).get("chunk_episodes",
                                                    CHUNK_EPISODES))
     weights, returns, pdis_values = _stats_arrays(
-        episode_ope_stats(episode, target_policy, clip, label=index,
-                          probs=probs)
+        episode_ope_stats(episode, probs, clip, label=index)
         for index, episode, probs, _ in prepared.scored_episodes())
     n = len(weights)
     transitions = getattr(episodes, "num_transitions", None)
@@ -204,8 +204,8 @@ def run_ope_suite(
                                         dm_stderr, float("nan"), n)
 
     dr_values = np.array([
-        episode_dr_value(episode, target_policy, fit.qnet, clip,
-                         fit.reward_scale, label=index, probs=probs, q=q)[0]
+        episode_dr_value(episode, probs, q, clip, fit.reward_scale,
+                         label=index)[0]
         for index, episode, probs, q in prepared.scored_episodes(fit.qnet)
     ])
     dr_estimate, dr_stderr = _mean_stderr(dr_values)

@@ -83,10 +83,11 @@ class TestOPEOfGreedyTarget:
     def test_greedy_target_estimated_from_exploratory_log(self, tiny_tables):
         """The deployment question end to end: estimate the *greedy*
         policy's value from data logged by its epsilon-soft version."""
+        from ope_hand_logs import NO_FIT
         from repro.validation import (
             StochasticQPolicy,
             collect_logged_episodes,
-            weighted_importance_sampling,
+            run_ope_suite,
         )
 
         cfg = tiny_network(tmax=20)
@@ -101,7 +102,10 @@ class TestOPEOfGreedyTarget:
                                    epsilon=0.05)
         logged = collect_logged_episodes(env, behavior, episodes=3,
                                          seed=0, max_steps=20)
-        wis = weighted_importance_sampling(logged, target)
+        eval_net = AttentionQNetwork(SMALL_QNET, seed=9)
+        eval_net.bind_topology(env.topology)
+        wis = run_ope_suite(logged, target, eval_net, n_boot=100,
+                            fqe_options=NO_FIT)["WIS"]
         returns = [ep.discounted_return() for ep in logged]
         # WIS is a convex combination of logged returns
         assert min(returns) - 1e-9 <= wis.estimate <= max(returns) + 1e-9

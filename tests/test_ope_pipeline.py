@@ -4,8 +4,9 @@ confidence intervals, the checkpoint-promotion gate (store, service,
 HTTP), and the ``repro ope`` CLI verbs.
 
 The pinned property throughout: estimates computed from an on-disk
-trace are **bit-identical** to the legacy in-memory path — same
-floats, not approximately equal floats.
+trace are **bit-identical** to the same suite over the in-memory
+episodes, and to scoring each episode alone — same floats, not
+approximately equal floats.
 """
 
 import json
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro
+from ope_hand_logs import NO_FIT, FixedPolicy, bandit_episode, hand_suite
 from repro.cli import main as cli_main
 from repro.config import tiny_network
 from repro.rl import AttentionQNetwork, QNetConfig
@@ -23,23 +25,20 @@ from repro.serve import (
     promote_checkpoint,
 )
 from repro.serve.promotion import report_lower_bound
-from repro.rl.features import FeatureSet
 from repro.validation import (
     BehaviorSupportError,
-    LoggedEpisode,
     StochasticQPolicy,
     TraceDataset,
     bootstrap_ratio_ci,
     collect_logged_episodes,
-    doubly_robust,
     effective_sample_size,
+    episode_ope_stats,
     fitted_q_evaluation,
-    ordinary_importance_sampling,
-    per_decision_importance_sampling,
     run_ope_suite,
-    weighted_importance_sampling,
     write_episodes,
 )
+from repro.validation.fqe import episode_dr_value
+from repro.validation.logging import q_batch
 from repro.validation.suite import SUITE_METHODS
 
 SMALL_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
@@ -77,17 +76,15 @@ def pipeline(tiny_tables, tmp_path):
 # ----------------------------------------------------------------------
 class TestEstimatorEquivalence:
     def test_is_estimators_bit_identical_over_trace(self, pipeline):
-        episodes, dataset, target, _ = pipeline
-        for estimator in (ordinary_importance_sampling,
-                          weighted_importance_sampling):
-            memory = estimator(episodes, target)
-            disk = estimator(dataset, target)
-            assert disk.estimate == memory.estimate  # exact, not approx
-            assert disk.stderr == memory.stderr
-            assert disk.ess == memory.ess
-        memory = per_decision_importance_sampling(episodes, target, clip=10.0)
-        disk = per_decision_importance_sampling(dataset, target, clip=10.0)
-        assert disk.estimate == memory.estimate
+        episodes, dataset, target, fresh_eval_net = pipeline
+        for clip in (None, 10.0):
+            memory, disk = (
+                run_ope_suite(source, target, fresh_eval_net(), clip=clip,
+                              n_boot=100, fqe_options=NO_FIT)
+                for source in (episodes, dataset))
+            for method in ("OIS", "WIS", "PDIS"):
+                # exact, not approx: every field of the estimate
+                assert disk[method] == memory[method]
 
     def test_fqe_and_dr_bit_identical_over_trace(self, pipeline):
         episodes, dataset, target, fresh_eval_net = pipeline
@@ -98,30 +95,39 @@ class TestEstimatorEquivalence:
         assert fit_disk.value == fit_memory.value
         assert np.array_equal(fit_disk.start_values, fit_memory.start_values)
         assert fit_disk.losses == fit_memory.losses
-        dr_memory = doubly_robust(episodes, target, fit_memory.qnet,
-                                  clip=10.0,
-                                  reward_scale=fit_memory.reward_scale)
-        dr_disk = doubly_robust(dataset, target, fit_disk.qnet, clip=10.0,
-                                reward_scale=fit_disk.reward_scale)
-        assert dr_disk.estimate == dr_memory.estimate
+        memory, disk = (
+            run_ope_suite(source, target, fresh_eval_net(), clip=10.0,
+                          n_boot=100, fqe_options=FQE_OPTS)
+            for source in (episodes, dataset))
+        assert disk["DR"] == memory["DR"]
+        assert disk.to_json() == memory.to_json()
 
     def test_suite_over_trace_matches_standalone(self, pipeline):
+        """The suite's prepared blocks against scoring each in-memory
+        episode alone, with the reductions' own arithmetic."""
         episodes, dataset, target, fresh_eval_net = pipeline
         report = run_ope_suite(dataset, target, fresh_eval_net(), clip=10.0,
                                n_boot=100, fqe_options=FQE_OPTS)
-        ois = ordinary_importance_sampling(episodes, target)
-        wis = weighted_importance_sampling(episodes, target)
-        pdis = per_decision_importance_sampling(episodes, target, clip=10.0)
         fqe = fitted_q_evaluation(episodes, target, fresh_eval_net(),
                                   **FQE_OPTS)
-        assert report["OIS"].estimate == ois.estimate
-        assert report["WIS"].estimate == wis.estimate
-        assert report["PDIS"].estimate == pdis.estimate
+        probs = [target.action_probs_batch(ep.features, ep.masks)
+                 for ep in episodes]
+        stats = [episode_ope_stats(ep, p, clip=10.0)
+                 for ep, p in zip(episodes, probs)]
+        weights = np.array([s.weight for s in stats])
+        returns = np.array([s.ret for s in stats])
+        dr = np.array([
+            episode_dr_value(ep, p, q_batch(fqe.qnet, ep.features), 10.0,
+                             fqe.reward_scale)[0]
+            for ep, p in zip(episodes, probs)])
+        assert report["OIS"].estimate == float((weights * returns).mean())
+        assert report["WIS"].estimate \
+            == float((weights / weights.sum()) @ returns)
+        assert report["PDIS"].estimate \
+            == float(np.array([s.pdis for s in stats]).mean())
         assert report["FQE"].estimate == fqe.value
         assert report["DM"].estimate == fqe.value
-        dr = doubly_robust(episodes, target, fqe.qnet, clip=10.0,
-                           reward_scale=fqe.reward_scale)
-        assert report["DR"].estimate == dr.estimate
+        assert report["DR"].estimate == float(dr.mean())
 
     def test_chunk_size_is_pinned_but_source_is_not(self, pipeline):
         """``chunk_episodes`` is part of FQE's numerical recipe (the
@@ -153,25 +159,12 @@ class TestEstimatorEquivalence:
 # ----------------------------------------------------------------------
 # behaviour-support diagnostics
 # ----------------------------------------------------------------------
-def bandit_episode(action, behavior_prob, reward, seed=None):
-    features = FeatureSet(node=np.zeros((1, 1, 1)), plc=np.zeros((1, 1, 1)),
-                          glob=np.zeros((1, 1)))
-    return LoggedEpisode(actions=[action], behavior_probs=[behavior_prob],
-                         rewards=[reward], gamma=1.0, features=features,
-                         masks=np.ones((1, 2), dtype=bool), seed=seed)
-
-
-class UniformTarget:
-    def action_probs_batch(self, features, masks):
-        return np.full((len(masks), 2), 0.5)
-
-
 class TestSupportDiagnostics:
     def test_zero_behavior_prob_names_episode_and_step(self):
         episodes = [bandit_episode(0, 0.5, 1.0, seed=7),
                     bandit_episode(1, 0.0, 1.0, seed=8)]
         with pytest.raises(BehaviorSupportError) as excinfo:
-            ordinary_importance_sampling(episodes, UniformTarget())
+            hand_suite(episodes, FixedPolicy([0.5, 0.5]))
         message = str(excinfo.value)
         assert "episode 1" in message and "step 0" in message
         assert "behaviour probability is zero" in message

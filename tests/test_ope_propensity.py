@@ -8,19 +8,17 @@ import pytest
 
 import ope_oracle
 import repro
+from ope_hand_logs import NO_FIT, TableQNet, row_states
 from repro.config import tiny_network
-from repro.nn import Tensor
 from repro.rl import AttentionQNetwork, QNetConfig
-from repro.rl.features import FeatureSet
 from repro.validation import (
     LoggedEpisode,
+    PreparedLog,
     StochasticQPolicy,
     TraceDataset,
     UniformRandomPolicy,
     collect_logged_episodes,
-    ordinary_importance_sampling,
-    per_decision_importance_sampling,
-    weighted_importance_sampling,
+    run_ope_suite,
     write_episodes,
 )
 from repro.validation.fqe import PreparedChunk, episode_dr_value, row_dot
@@ -37,21 +35,6 @@ def assert_bitwise(actual, expected) -> None:
     assert actual.shape == expected.shape
     assert actual.dtype == expected.dtype
     assert actual.tobytes() == expected.tobytes()
-
-
-class TableQNet:
-    """Fixed Q rows; each state's ``node`` feature is its row index."""
-
-    def __init__(self, q: np.ndarray):
-        self.q = q
-
-    def forward(self, node, plc, glob):
-        return Tensor(self.q[node])
-
-
-def row_states(batch: int) -> FeatureSet:
-    return FeatureSet(node=np.arange(batch), plc=np.zeros(batch),
-                      glob=np.zeros(batch))
 
 
 def q_block(batch: int, n_actions: int) -> np.ndarray:
@@ -179,12 +162,17 @@ class TestDoublyRobustStateValues:
         eval_net.bind_topology(repro.make_env(tiny_network(tmax=30)).topology)
         target = StochasticQPolicy(qnet, tables, temperature=0.25,
                                    epsilon=0.05)
-        block = [episode_dr_value(ep, target, eval_net, clip=10.0,
-                                  reward_scale=0.05) for ep in episodes]
+
+        def dr_values():
+            prepared = PreparedLog(episodes, target)
+            return [episode_dr_value(episode, probs, q, clip=10.0,
+                                     reward_scale=0.05)
+                    for _, episode, probs, q
+                    in prepared.scored_episodes(eval_net)]
+
+        block = dr_values()
         ope_oracle.install(monkeypatch)
-        rows = [episode_dr_value(ep, target, eval_net, clip=10.0,
-                                 reward_scale=0.05) for ep in episodes]
-        assert_bitwise(block, rows)
+        assert_bitwise(block, dr_values())
 
 
 class TestOnPolicyGroundTruth:
@@ -196,8 +184,9 @@ class TestOnPolicyGroundTruth:
         qnet, tables, _ = tiny_log
         target = StochasticQPolicy(qnet, tables, temperature=1.0,
                                    epsilon=0.3, seed=11)
-        for episode in episode_source:
-            ratios = step_ratios(episode, target)
+        for _, episode, probs, _ in PreparedLog(episode_source,
+                                                target).scored_episodes():
+            ratios = step_ratios(episode, probs)
             assert len(ratios) == 30
             assert (ratios == 1.0).all()
 
@@ -208,9 +197,11 @@ class TestOnPolicyGroundTruth:
                                    epsilon=0.3, seed=11)
         mean_return = float(np.mean([ep.discounted_return()
                                      for ep in episode_source]))
-        ois = ordinary_importance_sampling(episode_source, target)
-        wis = weighted_importance_sampling(episode_source, target)
-        pdis = per_decision_importance_sampling(episode_source, target)
+        eval_net = AttentionQNetwork(SMALL_QNET, seed=9)
+        eval_net.bind_topology(repro.make_env(tiny_network(tmax=30)).topology)
+        report = run_ope_suite(episode_source, target, eval_net, n_boot=100,
+                               fqe_options=NO_FIT)
+        ois, wis, pdis = report["OIS"], report["WIS"], report["PDIS"]
         assert ois.estimate == mean_return
         # WIS sums r_i / 3 where OIS divides the sum by 3: equal up to
         # rounding, not bit for bit

@@ -234,46 +234,3 @@ class TestACSOPolicy:
         reference = ACSOPolicy(qnet, tiny_tables)
         reference.reset(env)
         assert policy.act(obs) == reference.act(obs)
-
-
-class TestSetEnv:
-    def test_rebinds_to_vector_env_and_trains(self, setup):
-        """One trainer carries its replay/optimizer state across
-        environment rebinds."""
-        env, qnet, feat = setup
-        trainer = DQNTrainer(env, qnet, feat,
-                             DQNConfig(batch_size=8, warmup=8,
-                                       update_every=4, buffer_size=200))
-        trainer.train(1, seed=0, max_steps=5)
-        steps_before = trainer.total_steps
-        venv = repro.make_vec("inasim-tiny-v1", 2, seed=0, backend="sync")
-        trainer.set_env(venv)
-        assert trainer.env is venv
-        trainer.train(2, seed=1, max_steps=5)
-        assert trainer.total_steps == steps_before + 10
-        assert len(trainer._featurizers) == 2
-        # and back to a single env
-        trainer.set_env(env)
-        assert trainer.env is env
-        trainer.train(1, seed=2, max_steps=5)
-        assert trainer.total_steps == steps_before + 15
-        assert trainer._featurizers == [feat]
-
-    def test_rejects_mismatched_action_space(self, setup):
-        env, qnet, feat = setup
-        trainer = DQNTrainer(env, qnet, feat, DQNConfig())
-        other = repro.make("inasim-small-v1")
-        with pytest.raises(ValueError, match="actions"):
-            trainer.set_env(other)
-
-    def test_rejects_mismatched_gamma(self, setup):
-        import dataclasses
-
-        env, qnet, feat = setup
-        trainer = DQNTrainer(env, qnet, feat, DQNConfig())
-        cfg = tiny_network(tmax=30)
-        cfg = dataclasses.replace(
-            cfg, reward=dataclasses.replace(cfg.reward, gamma=0.9))
-        other = repro.make_env(cfg, seed=0)
-        with pytest.raises(ValueError, match="gamma"):
-            trainer.set_env(other)

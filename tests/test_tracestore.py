@@ -209,7 +209,8 @@ class TestRoundTrip:
 
     def test_unfeaturized_log_is_rejected(self, tmp_path):
         episode = LoggedEpisode(actions=[0], behavior_probs=[0.5],
-                                rewards=[1.0], gamma=1.0)
+                                rewards=[1.0], gamma=1.0, features=None,
+                                masks=None)
         with pytest.raises(TraceError, match="no features"):
             write_episodes([episode], tmp_path / "trace")
 

@@ -1,8 +1,9 @@
 """Tests for off-policy evaluation: logging, IS estimators, FQE,
 doubly-robust, and confidence bounds.
 
-Estimator math is verified on hand-built logs with known probabilities
-(exact arithmetic), then integration-tested on the tiny network.
+Estimator math is verified through :func:`run_ope_suite` on hand-built
+logs with known probabilities (exact arithmetic, see
+``ope_hand_logs.py``), then integration-tested on the tiny network.
 """
 
 import numpy as np
@@ -11,67 +12,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from ope_hand_logs import (
+    NO_FIT,
+    FixedPolicy,
+    bandit_episode,
+    hand_log,
+    hand_suite,
+)
 from repro.config import tiny_network
 from repro.rl import AttentionQNetwork, QNetConfig
 from repro.rl.features import FeatureSet
 from repro.validation import (
+    BehaviorSupportError,
     LoggedEpisode,
     StochasticQPolicy,
     UniformRandomPolicy,
     bootstrap_ci,
     collect_logged_episodes,
-    doubly_robust,
     effective_sample_size,
     empirical_bernstein_lower_bound,
     fitted_q_evaluation,
-    ordinary_importance_sampling,
-    per_decision_importance_sampling,
-    weighted_importance_sampling,
+    run_ope_suite,
 )
-from repro.validation.ope import step_ratios
 
 SMALL_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
                         encoder_layers=2, head_hidden=16)
 
 
-class FixedPolicy:
-    """Test double: a constant action distribution."""
-
-    def __init__(self, probs):
-        self.probs = np.asarray(probs, dtype=float)
-
-    def action_probs_batch(self, features, masks):
-        return np.tile(self.probs, (len(masks), 1))
-
-
-def hand_log(actions, behavior_probs, rewards, gamma: float = 1.0,
-             features=None) -> LoggedEpisode:
-    """A hand-built log over two actions, both always valid."""
-    return LoggedEpisode(actions=actions, behavior_probs=behavior_probs,
-                         rewards=rewards, gamma=gamma, features=features,
-                         masks=np.ones((len(actions), 2), dtype=bool))
-
-
-def bandit_episode(action: int, behavior_prob: float, reward: float,
-                   gamma: float = 1.0) -> LoggedEpisode:
-    return hand_log([action], [behavior_prob], [reward], gamma)
-
-
 class TestStepRatios:
+    """A one-step episode's OIS value is its ratio times its reward."""
+
     def test_ratio_values(self):
         episode = bandit_episode(action=0, behavior_prob=0.5, reward=1.0)
-        target = FixedPolicy([1.0, 0.0])
-        assert step_ratios(episode, target) == pytest.approx([2.0])
+        report = hand_suite([episode], FixedPolicy([1.0, 0.0]))
+        assert report["OIS"].estimate == 2.0
 
     def test_zero_behavior_prob_raises(self):
         episode = bandit_episode(action=0, behavior_prob=0.0, reward=1.0)
-        with pytest.raises(ValueError):
-            step_ratios(episode, FixedPolicy([1.0, 0.0]))
+        with pytest.raises(BehaviorSupportError):
+            hand_suite([episode], FixedPolicy([1.0, 0.0]))
 
     def test_clipping(self):
         episode = bandit_episode(action=0, behavior_prob=0.01, reward=1.0)
-        target = FixedPolicy([1.0, 0.0])
-        assert step_ratios(episode, target, clip=5.0) == pytest.approx([5.0])
+        report = hand_suite([episode], FixedPolicy([1.0, 0.0]), clip=5.0)
+        assert report["OIS"].estimate == 5.0
+        assert report.clip == 5.0
 
 
 class TestOrdinaryIS:
@@ -82,7 +67,7 @@ class TestOrdinaryIS:
             bandit_episode(0, 0.5, 1.0),
             bandit_episode(1, 0.5, 0.0),
         ]
-        result = ordinary_importance_sampling(episodes, FixedPolicy([1.0, 0.0]))
+        result = hand_suite(episodes, FixedPolicy([1.0, 0.0]))["OIS"]
         assert result.estimate == pytest.approx(1.0)
         assert result.method == "OIS"
 
@@ -92,15 +77,13 @@ class TestOrdinaryIS:
             bandit_episode(0, 0.5, 2.0),
             bandit_episode(1, 0.5, 4.0),
         ]
-        result = ordinary_importance_sampling(
-            episodes, FixedPolicy([0.5, 0.5])
-        )
+        result = hand_suite(episodes, FixedPolicy([0.5, 0.5]))["OIS"]
         assert result.estimate == pytest.approx(3.0)
         assert result.ess == pytest.approx(2.0)
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            ordinary_importance_sampling([], FixedPolicy([1.0]))
+            hand_suite([], FixedPolicy([1.0]))
 
 
 class TestWeightedIS:
@@ -111,12 +94,13 @@ class TestWeightedIS:
             bandit_episode(1, 0.5, 0.0),
             bandit_episode(0, 0.5, 1.0),
         ]
-        result = weighted_importance_sampling(episodes, FixedPolicy([1.0, 0.0]))
+        result = hand_suite(episodes, FixedPolicy([1.0, 0.0]))["WIS"]
         assert result.estimate == pytest.approx(1.0)
+        assert result.ess == pytest.approx(2.0)
 
     def test_all_zero_weights_gives_zero(self):
         episodes = [bandit_episode(1, 0.5, 5.0)]
-        result = weighted_importance_sampling(episodes, FixedPolicy([1.0, 0.0]))
+        result = hand_suite(episodes, FixedPolicy([1.0, 0.0]))["WIS"]
         assert result.estimate == 0.0
         assert result.ess == 0.0
 
@@ -127,8 +111,7 @@ class TestWeightedIS:
             bandit_episode(int(rng.integers(2)), 0.5, float(rng.normal()))
             for _ in range(20)
         ]
-        result = weighted_importance_sampling(episodes,
-                                              FixedPolicy([0.7, 0.3]))
+        result = hand_suite(episodes, FixedPolicy([0.7, 0.3]))["WIS"]
         returns = [ep.discounted_return() for ep in episodes]
         assert min(returns) - 1e-9 <= result.estimate <= max(returns) + 1e-9
 
@@ -140,15 +123,13 @@ class TestPerDecisionIS:
         episode = hand_log(actions=[0, 1], behavior_probs=[0.5, 0.8],
                            rewards=[1.0, 4.0], gamma=0.5)
         target = FixedPolicy([1.0, 0.4])
-        result = per_decision_importance_sampling([episode], target)
+        result = hand_suite([episode], target)["PDIS"]
         assert result.estimate == pytest.approx(4.0)
 
     def test_matches_ois_for_single_step(self):
         episodes = [bandit_episode(0, 0.25, 3.0)]
-        target = FixedPolicy([0.5, 0.5])
-        ois = ordinary_importance_sampling(episodes, target)
-        pdis = per_decision_importance_sampling(episodes, target)
-        assert pdis.estimate == pytest.approx(ois.estimate)
+        report = hand_suite(episodes, FixedPolicy([0.5, 0.5]))
+        assert report["PDIS"].estimate == pytest.approx(report["OIS"].estimate)
 
     def test_later_ratio_does_not_affect_early_reward(self):
         """Unlike OIS, PDIS does not punish reward at t=0 with the
@@ -157,8 +138,8 @@ class TestPerDecisionIS:
             return hand_log([0, 1], [0.5, behavior_second], [10.0, 0.0])
 
         target = FixedPolicy([0.5, 0.5])
-        a = per_decision_importance_sampling([make(0.9)], target)
-        b = per_decision_importance_sampling([make(0.1)], target)
+        a = hand_suite([make(0.9)], target)["PDIS"]
+        b = hand_suite([make(0.1)], target)["PDIS"]
         assert a.estimate == pytest.approx(b.estimate)
 
 
@@ -316,25 +297,32 @@ class TestLogging:
 
 
 class TestOPEIntegration:
+    @staticmethod
+    def suite(logged_setup, target):
+        env, _, _, episodes, _ = logged_setup
+        eval_net = AttentionQNetwork(SMALL_QNET, seed=9)
+        eval_net.bind_topology(env.topology)
+        return run_ope_suite(episodes, target, eval_net, n_boot=100,
+                             fqe_options=NO_FIT)
+
     def test_on_policy_is_recovers_behavior_value(self, logged_setup):
         """Evaluating the behaviour policy itself: all ratios are 1, so
         OIS equals the empirical mean return exactly."""
         _, _, behavior, episodes, _ = logged_setup
-        result = ordinary_importance_sampling(episodes, behavior)
+        result = self.suite(logged_setup, behavior)["OIS"]
         returns = np.array([ep.discounted_return() for ep in episodes])
         assert result.estimate == pytest.approx(float(returns.mean()))
         assert result.ess == pytest.approx(len(episodes))
 
     def test_wis_equals_ois_on_policy(self, logged_setup):
-        _, _, behavior, episodes, _ = logged_setup
-        ois = ordinary_importance_sampling(episodes, behavior)
-        wis = weighted_importance_sampling(episodes, behavior)
-        assert wis.estimate == pytest.approx(ois.estimate)
+        _, _, behavior, _, _ = logged_setup
+        report = self.suite(logged_setup, behavior)
+        assert report["WIS"].estimate == pytest.approx(report["OIS"].estimate)
 
     def test_off_policy_target_changes_weights(self, logged_setup):
-        env, qnet, behavior, episodes, tables = logged_setup
+        _, qnet, _, episodes, tables = logged_setup
         target = StochasticQPolicy(qnet, tables, temperature=0.1, epsilon=0.05)
-        result = ordinary_importance_sampling(episodes, target)
+        result = self.suite(logged_setup, target)["OIS"]
         assert np.isfinite(result.estimate)
         assert result.ess < len(episodes)  # weights are no longer flat
 
@@ -365,37 +353,27 @@ class TestFQE:
         with pytest.raises(ValueError):
             fitted_q_evaluation([], behavior, qnet)
 
-    def test_doubly_robust_runs(self, logged_setup):
+    def test_dr_estimate_runs(self, logged_setup):
         env, qnet, behavior, episodes, tables = logged_setup
         eval_net = AttentionQNetwork(SMALL_QNET, seed=9)
         eval_net.bind_topology(env.topology)
-        fit = fitted_q_evaluation(episodes, behavior, eval_net, iterations=1,
-                                  epochs_per_iteration=1)
-        result = doubly_robust(episodes, behavior, eval_net,
-                               reward_scale=fit.reward_scale)
+        report = run_ope_suite(episodes, behavior, eval_net, n_boot=100,
+                               fqe_options={"iterations": 1,
+                                            "epochs_per_iteration": 1})
+        result = report["DR"]
         assert np.isfinite(result.estimate)
         assert result.method == "DR"
 
     def test_dr_with_perfect_q_has_zero_correction(self):
         """If Q(s,a) = r + gamma V(s') exactly on-policy, the DR
-        corrections cancel and DR equals V(s_0)."""
+        corrections cancel and DR equals V(s_0).
 
-        class PerfectQNet:
-            """Two-state chain: reward 1 then terminal, gamma = 0.5."""
-
-            def forward(self, node, plc, glob):
-                from repro.nn import Tensor
-
-                # Q(s0, a) = 1 + 0.5 * 0 = 1 for both actions; Q(s1,.) = 0
-                batch = node.shape[0] if hasattr(node, "shape") else 2
-                return Tensor(np.array([[1.0, 1.0], [0.0, 0.0]][:batch]))
-
-        target = FixedPolicy([0.5, 0.5])
-        episode = hand_log([0, 1], [0.5, 0.5], [1.0, 0.0], gamma=0.5,
-                           features=FeatureSet(
-                               node=np.arange(2.0).reshape(2, 1, 1),
-                               plc=np.zeros((2, 1, 1)), glob=np.zeros((2, 1))))
-        result = doubly_robust([episode], target, PerfectQNet())
+        Two-state chain, gamma = 0.5: reward 1 then terminal, so
+        Q(s0, .) = 1 + 0.5 * 0 = 1 and Q(s1, .) = 0."""
+        episode = hand_log([0, 1], [0.5, 0.5], [1.0, 0.0], gamma=0.5)
+        report = hand_suite([episode], FixedPolicy([0.5, 0.5]),
+                            q=[[1.0, 1.0], [0.0, 0.0]])
+        assert report["DM"].estimate == pytest.approx(1.0)
         # V(s0) = 1, corrections: t=0: 1*(1 + 0.5*0 - 1) = 0;
         # t=1: 1*(0 + 0 - 0) = 0
-        assert result.estimate == pytest.approx(1.0)
+        assert report["DR"].estimate == pytest.approx(1.0)
