@@ -47,12 +47,15 @@ class Conv1d(Module):
         weight = self.weight.data
         out = windows @ weight + self.bias.data  # (B, L_out, C_out)
         if tape is not None:
+            grads, want_x = tape.grads, tape.wants_input_grad()
 
             def backward(grad):
                 grad = grad.transpose(0, 2, 1)
-                tape.accumulate(self.bias, grad.sum(axis=(0, 1)))
-                tape.accumulate(self.weight,
-                                (np.swapaxes(windows, -1, -2) @ grad).sum(axis=0))
+                grads.add(self.bias, grad.sum(axis=(0, 1)))
+                grads.add(self.weight,
+                          (np.swapaxes(windows, -1, -2) @ grad).sum(axis=0))
+                if not want_x:
+                    return None
                 grad_windows = (grad @ weight.T).reshape(
                     batch, l_out, channels, kernel).transpose(0, 2, 1, 3)
                 grad_x = np.zeros_like(x)

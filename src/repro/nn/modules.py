@@ -205,12 +205,14 @@ def _sum_leading(grad: np.ndarray, width: int) -> np.ndarray:
     return grad.reshape(-1, width).sum(axis=0)
 
 
-def affine_grads(x: np.ndarray, weight: np.ndarray, grad: np.ndarray):
-    """Gradients of ``x @ weight + bias`` w.r.t. weight, bias and x."""
+def affine_grads(x: np.ndarray, weight: np.ndarray, grad: np.ndarray,
+                 want_x: bool = True):
+    """Gradients of ``x @ weight + bias`` w.r.t. weight, bias and x (the
+    last None unless ``want_x``)."""
     in_features, out_features = weight.shape
     flat = grad.reshape(-1, out_features)
     return (x.reshape(-1, in_features).T @ flat, flat.sum(axis=0),
-            grad @ weight.T)
+            grad @ weight.T if want_x else None)
 
 
 class Linear(Module):
@@ -231,12 +233,13 @@ class Linear(Module):
         if self.bias is not None:
             out += self.bias.data
         if tape is not None:
+            grads, want_x = tape.grads, tape.wants_input_grad()
 
             def backward(grad):
-                grad_w, grad_b, grad_x = affine_grads(x, weight, grad)
-                tape.accumulate(self.weight, grad_w)
+                grad_w, grad_b, grad_x = affine_grads(x, weight, grad, want_x)
+                grads.add(self.weight, grad_w)
                 if self.bias is not None:
-                    tape.accumulate(self.bias, grad_b)
+                    grads.add(self.bias, grad_b)
                 return grad_x
 
             tape.record(backward)
@@ -286,11 +289,12 @@ class LayerNorm(Module):
         normed /= std
         gamma = self.gamma.data
         if tape is not None:
+            grads = tape.grads
 
             def backward(grad):
                 product = grad * normed
-                tape.accumulate(self.gamma, _sum_leading(product, width))
-                tape.accumulate(self.beta, _sum_leading(grad, width))
+                grads.add(self.gamma, _sum_leading(product, width))
+                grads.add(self.beta, _sum_leading(grad, width))
                 g = grad * gamma
                 mean_g = g.sum(axis=-1, keepdims=True) * scale
                 mean_gn = np.multiply(g, normed, out=product).sum(

@@ -75,14 +75,15 @@ class NoisyLinear(Module):
         else:
             weight, bias = self.weight_mu.data, self.bias_mu.data
         if tape is not None:
+            grads, want_x = tape.grads, tape.wants_input_grad()
 
             def backward(grad):
-                grad_w, grad_b, grad_x = affine_grads(x, weight, grad)
-                tape.accumulate(self.weight_mu, grad_w)
-                tape.accumulate(self.bias_mu, grad_b)
+                grad_w, grad_b, grad_x = affine_grads(x, weight, grad, want_x)
+                grads.add(self.weight_mu, grad_w)
+                grads.add(self.bias_mu, grad_b)
                 if noisy:
-                    tape.accumulate(self.weight_sigma, grad_w * eps_w)
-                    tape.accumulate(self.bias_sigma, grad_b * eps_b)
+                    grads.add(self.weight_sigma, grad_w * eps_w)
+                    grads.add(self.bias_sigma, grad_b * eps_b)
                 return grad_x
 
             tape.record(backward)

@@ -59,12 +59,13 @@ class GRUCell(Module):
         """(B, input_dim), (B, hidden_dim) -> (B, hidden_dim), one node."""
         return array_node(self.forward_array, (x, h), self)
 
-    def _gate(self, gate: Linear, x: np.ndarray, tape, grad: np.ndarray):
+    @staticmethod
+    def _gate(gate: Linear, x: np.ndarray, grads, grad: np.ndarray):
         """Backward of ``gate``'s affine map: parameter gradients into
-        ``tape``; returns the input gradient."""
+        the table ``grads``; returns the input gradient."""
         grad_w, grad_b, grad_x = affine_grads(x, gate.weight.data, grad)
-        tape.accumulate(gate.weight, grad_w)
-        tape.accumulate(gate.bias, grad_b)
+        grads.add(gate.weight, grad_w)
+        grads.add(gate.bias, grad_b)
         return grad_x
 
     def forward_array(self, x: np.ndarray, h: np.ndarray, tape=None) -> np.ndarray:
@@ -78,18 +79,19 @@ class GRUCell(Module):
         n = np.tanh(self.candidate.forward_array(joint_reset))
         keep = 1.0 - z
         if tape is not None:
+            grads = tape.grads
 
             def backward(grad):
                 grad_keep = grad * n
                 grad_z = -grad_keep + grad * h
                 grad_n = grad * keep * (1.0 - n ** 2)
-                grad_joint_reset = self._gate(self.candidate, joint_reset, tape,
+                grad_joint_reset = self._gate(self.candidate, joint_reset, grads,
                                               grad_n)
                 grad_reset = grad_joint_reset[..., width:]
                 grad_r = grad_reset * h * r * (1.0 - r)
                 grad_joint = (
-                    self._gate(self.reset_gate, joint, tape, grad_r)
-                    + self._gate(self.update_gate, joint, tape,
+                    self._gate(self.reset_gate, joint, grads, grad_r)
+                    + self._gate(self.update_gate, joint, grads,
                                  grad_z * z * (1.0 - z)))
                 grad_x = grad_joint_reset[..., :width] + grad_joint[..., :width]
                 grad_h = grad_reset * r + grad * z + grad_joint[..., width:]
@@ -124,8 +126,9 @@ class GRU(Module):
                 # backward through time; each step's input gradient
                 # lands in its own slice
                 grad_x = np.zeros_like(x)
+                cell_steps = cell_tape.release()
                 for t in reversed(range(steps)):
-                    grad_step, grad = cell_tape.steps[t](grad)
+                    grad_step, grad = cell_steps.pop()(grad)
                     grad_x[:, t, :] += grad_step
                 return grad_x
 

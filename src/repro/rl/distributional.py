@@ -24,7 +24,7 @@ import numpy as np
 from repro.nn import Tensor, categorical_cross_entropy, no_grad
 from repro.nn.tape import array_node
 from repro.rl.dqn import DQNTrainer
-from repro.rl.qnetwork import AttentionQNetwork, QNetConfig
+from repro.rl.qnetwork import AttentionQNetwork, QNetConfig, in_row_blocks
 
 __all__ = [
     "C51Config",
@@ -141,6 +141,7 @@ class DistributionalAttentionQNetwork(AttentionQNetwork):
             tape.record(backward)
         return log_p
 
+    @in_row_blocks
     def _expected_array(self, node, plc, glob, tape=None) -> np.ndarray:
         """Distribution mean per action: (B, n_actions)."""
         probs = np.exp(self._forward_array(node, plc, glob, tape))

@@ -48,11 +48,16 @@ class FeatureSet:
 
 
 def stack_features(features: list[FeatureSet]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch FeatureSets into (B,N,F), (B,M,F), (B,G) arrays."""
+    """Batch FeatureSets into (B,N,F), (B,M,F), (B,G) arrays (each one
+    ``concatenate`` of the rows, reshaped; the bytes of ``np.stack``)."""
+    batch, first = len(features), features[0]
     return (
-        np.stack([f.node for f in features]),
-        np.stack([f.plc for f in features]),
-        np.stack([f.glob for f in features]),
+        np.concatenate([f.node for f in features]).reshape(
+            batch, *first.node.shape),
+        np.concatenate([f.plc for f in features]).reshape(
+            batch, *first.plc.shape),
+        np.concatenate([f.glob for f in features]).reshape(
+            batch, *first.glob.shape),
     )
 
 

@@ -15,8 +15,15 @@ network -- encoders, attention, heads, the dueling combination, the soft
 clip -- is a single graph node: the forward records a hand-written
 backward step per module on a :class:`~repro.nn.tape.Tape`, and the
 node's backward replays it into per-parameter (and, if they require
-grad, per-feature) gradients. Under :func:`repro.nn.no_grad` nothing is
-recorded. Forward values are bitwise equal to the per-op autograd graph
+grad, per-feature) gradients; when no feature requires grad, the
+encoders' first layers and the heads skip the feature gradients. The
+backward steps hold the tape's gradient table, not the tape, so the
+graph is freed by reference counting once its backward has run or its
+output is dropped. Under :func:`repro.nn.no_grad` nothing is recorded,
+and a batch of more than ``BLOCK_TOKENS // tokens`` rows runs as
+consecutive row blocks (:func:`in_row_blocks`), which bounds a
+forward's temporaries at one block and returns the one-piece forward's
+bits. Forward values are bitwise equal to the per-op autograd graph
 of the same computation, and gradients agree with it to rounding; the
 test suite keeps that graph as the differential oracle. The dueling and
 C51 variants reuse the same node (extra value head; a log-softmax over
@@ -101,6 +108,40 @@ class QNetConfig:
         )
 
 
+#: token rows (batch rows x tokens per row) that one no-grad forward
+#: block holds: a larger batch runs as consecutive blocks of
+#: ``BLOCK_TOKENS // tokens`` rows, so a forward's transient memory is
+#: one block's, not the batch's, and its working set stays small.
+#: Chosen from the sweep in ``benchmarks/bench_qnet_batch.py``
+#: (``BENCH_qnet_batch.json``) and perfbench's ``ope-report``.
+BLOCK_TOKENS = 512
+
+
+def in_row_blocks(forward):
+    """Run an array forward ``(node, plc, glob, tape=None)`` without a
+    tape on more than ``_block_rows`` rows as consecutive row blocks,
+    written in order into one output array. Rows are bitwise independent
+    of the batch they are scored in
+    (``tests/test_rl_qnet.py::TestRowIndependence``), so the result is
+    the one-piece forward's, bit for bit."""
+
+    @functools.wraps(forward)
+    def run(self, node, plc, glob, tape=None):
+        self._check_bound()
+        rows = self._block_rows
+        if tape is not None or len(node) <= rows:
+            return forward(self, node, plc, glob, tape)
+        first = forward(self, node[:rows], plc[:rows], glob[:rows])
+        out = np.empty((len(node), *first.shape[1:]), dtype=first.dtype)
+        out[:rows] = first
+        for i in range(rows, len(node), rows):
+            out[i:i + rows] = forward(self, node[i:i + rows], plc[i:i + rows],
+                                      glob[i:i + rows])
+        return out
+
+    return run
+
+
 def _encoder_dims(in_dim: int, hidden: int, out: int, layers: int) -> list[int]:
     return [in_dim] + [hidden] * max(0, layers - 1) + [out]
 
@@ -138,6 +179,7 @@ class AttentionQNetwork(Module):
         self._server_ids: np.ndarray = np.zeros(0, np.int64)
         self._n_nodes = 0
         self._n_plcs = 0
+        self._block_rows = 1
         self.action_list: list[DefenderAction] = []
 
     # ------------------------------------------------------------------
@@ -155,6 +197,8 @@ class AttentionQNetwork(Module):
         )
         self._n_nodes = topology.n_nodes
         self._n_plcs = topology.n_plcs
+        tokens = self._n_nodes + self._n_plcs + 1
+        self._block_rows = max(1, BLOCK_TOKENS // tokens)
         actions: list[DefenderAction] = [DefenderAction(DefenderActionType.NOOP)]
         for node_id in self._host_ids:
             actions.extend(DefenderAction(a, int(node_id)) for a in HOST_ACTIONS)
@@ -207,10 +251,13 @@ class AttentionQNetwork(Module):
     # ------------------------------------------------------------------
     # the one numeric forward (and, given a tape, its backward)
     # ------------------------------------------------------------------
+    @in_row_blocks
     def _forward_array(self, node, plc, glob, tape=None) -> np.ndarray:
-        self._check_bound()
         batch, n, m = node.shape[0], node.shape[1], plc.shape[1]
-        node_tape, plc_tape, trunk, heads = (branch(tape) for _ in range(4))
+        # the features' gradients are computed only when one is wanted
+        wanted = tape is not None and tape.input_grad
+        node_tape, plc_tape = branch(tape, wanted), branch(tape, wanted)
+        trunk, heads = branch(tape), branch(tape)
         # [node tokens | PLC tokens | noop seed] filled in place: the
         # concat of a ones-product with the seed, value for value
         tokens = np.empty((batch, n + m + 1, self.config.d_model))
@@ -219,13 +266,15 @@ class AttentionQNetwork(Module):
         tokens[:, n + m] = self.noop_seed.data
         for block in self.blocks:
             tokens = block.forward_array(tokens, trunk)
-        out = self._output_array(self._heads_array(tokens, glob, heads), heads)
+        out = self._output_array(
+            self._heads_array(tokens, glob, heads, wanted), heads)
         if tape is not None:
+            grads = tape.grads
 
             def backward(grad):
                 grad_tokens, grad_glob = heads.backward(grad)
                 grad_tokens = trunk.backward(grad_tokens)
-                tape.accumulate(self.noop_seed, grad_tokens[:, n + m].sum(axis=0))
+                grads.add(self.noop_seed, grad_tokens[:, n + m].sum(axis=0))
                 return (node_tape.backward(grad_tokens[:, :n]),
                         plc_tape.backward(grad_tokens[:, n:n + m]), grad_glob)
 
@@ -245,10 +294,11 @@ class AttentionQNetwork(Module):
         return groups
 
     def _heads_array(self, tokens: np.ndarray, glob: np.ndarray,
-                     tape) -> np.ndarray:
+                     tape, glob_grad: bool) -> np.ndarray:
         """Each head on its tokens with the global features appended,
         flattened and concatenated: (B, sum of head widths). Its
-        backward returns (token gradient, global-feature gradient)."""
+        backward returns (token gradient, global-feature gradient), the
+        latter None unless ``glob_grad``."""
         batch, n_tokens, d = tokens.shape
         groups = self._head_groups()
         head_tapes = [branch(tape) for _ in groups]
@@ -269,13 +319,14 @@ class AttentionQNetwork(Module):
 
             def backward(grad):
                 grad_tokens = np.zeros_like(tokens)
-                grad_glob = np.zeros_like(glob)
+                grad_glob = np.zeros_like(glob) if glob_grad else None
                 parts = np.split(grad, splits, axis=1)
                 for (_, index), head_tape, part, out in zip(
                         groups, head_tapes, parts, outputs):
                     grad_x = head_tape.backward(part.reshape(out.shape))
                     grad_tokens[:, index] += grad_x[..., :d]
-                    grad_glob += grad_x[..., d:].sum(axis=1)
+                    if glob_grad:
+                        grad_glob += grad_x[..., d:].sum(axis=1)
                 return grad_tokens, grad_glob
 
             tape.record(backward)

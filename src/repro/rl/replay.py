@@ -20,18 +20,23 @@ __all__ = [
 
 
 class SumTree:
-    """Array-backed binary tree holding priorities; O(log n) ops."""
+    """Binary tree of priorities in one flat list; O(log n) ops.
+
+    The nodes are Python floats: a walk of a few dozen scalar reads and
+    writes costs less on a list than on an ndarray, and float and
+    float64 arithmetic round alike, so the sums are the same bits.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.tree = np.zeros(2 * capacity)
+        self.tree = [0.0] * (2 * capacity)
         self.size = 0
 
     @property
     def total(self) -> float:
-        return float(self.tree[1])
+        return self.tree[1]
 
     def set(self, index: int, priority: float) -> None:
         if priority < 0:
@@ -42,14 +47,15 @@ class SumTree:
         # floating-point residue in internal nodes after overwrites
         # (e.g. a tree of all-zero leaves with total ~1e-14), which
         # lets find() land on a zero-mass leaf
-        self.tree[i] = priority
+        tree = self.tree
+        tree[i] = float(priority)
         i //= 2
         while i >= 1:
-            self.tree[i] = self.tree[2 * i] + self.tree[2 * i + 1]
+            tree[i] = tree[2 * i] + tree[2 * i + 1]
             i //= 2
 
     def get(self, index: int) -> float:
-        return float(self.tree[index + self.capacity])
+        return self.tree[index + self.capacity]
 
     def find(self, value: float) -> int:
         """Index of the leaf where the prefix sum crosses ``value``.
@@ -61,6 +67,7 @@ class SumTree:
         the node's total, which would otherwise end on a zero-mass leaf.
         """
         tree = self.tree
+        value = float(value)
         i = 1
         while i < self.capacity:
             left = 2 * i

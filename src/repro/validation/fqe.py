@@ -38,14 +38,19 @@ slice those blocks (:func:`~repro.validation.suite.run_ope_suite`
 shares one prepared log among them); :func:`episode_dr_value` takes
 an episode's slices as arguments and scores nothing itself. A longer
 log is prepared again on every pass and scores only the rows that
-pass reads.
+pass reads, gathering them ``SCORE_ROWS`` at a time; its IS passes
+never build the columns only the regression reads.
 
 Memory holds one chunk, never the log: the decoded episodes and the
 joined block, plus, for a kept chunk, ``rows x A`` floats of target
 distributions and as many of fitted Q. On the paper network that is
 329 floats a block against 780 feature floats a state, so each block
-is under half the chunk's feature bytes. Slicing a block equals
-scoring the rows alone because Q-network rows and target rows are
+is under half the chunk's feature bytes. A forward over the chunk adds
+only one row block of transient memory, never a copy of the chunk:
+the Q-network scores a long batch in row blocks
+(:data:`repro.rl.qnetwork.BLOCK_TOKENS`), and a chunk that is not kept
+gathers its rows one ``SCORE_ROWS`` block at a time. Slicing a block
+equals scoring the rows alone because Q-network rows and target rows are
 bitwise independent of the batch they are scored in
 (``tests/test_rl_qnet.py::TestRowIndependence``). Chunk boundaries
 depend only on episode count — never on shard layout — which makes
@@ -55,6 +60,7 @@ episodes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -76,6 +82,9 @@ __all__ = ["FQEResult", "PreparedChunk", "PreparedLog",
 
 #: episodes per chunk when streaming a log (FQE's default)
 CHUNK_EPISODES = 64
+
+#: state rows a chunk that is not kept gathers and scores at a time
+SCORE_ROWS = 1024
 
 
 @dataclass
@@ -100,76 +109,88 @@ class FQEResult:
     start_values: np.ndarray = field(default=None, repr=False)
 
 
-@dataclass
 class _TransitionBatch:
     """One chunk's episodes joined into a batch of transitions.
 
     ``states`` stacks every state of the chunk once: each episode's
     logged states, then its final state when one was logged.
-    Transitions read their states and successors by row.
+    Transitions read their states and successors by row. The columns
+    only FQE's regression reads (successor rows, dones, returns-to-go)
+    are built on first read, so an importance-sampling pass never pays
+    for them.
     """
 
-    states: FeatureSet  # (rows, ...) blocks
-    masks: np.ndarray  # (rows, A)
-    #: row of each transition's state, of its successor, and of each
-    #: episode's first state
-    state_rows: np.ndarray
-    next_rows: np.ndarray
-    start_rows: np.ndarray
-    actions: np.ndarray
-    rewards: np.ndarray
-    dones: np.ndarray
-    returns_to_go: np.ndarray
+    def __init__(self, episodes: list[LoggedEpisode], gamma: float):
+        blocks, masks, state_rows = [], [], []
+        #: whether each episode logged a final state
+        self._finals = np.empty(len(episodes), dtype=bool)
+        row = 0  # the episode's first row in ``states``
+        for i, episode in enumerate(episodes):
+            if episode.gamma != gamma:
+                raise ValueError(
+                    f"FQE fits one discount: episode gamma {episode.gamma} "
+                    f"!= first episode gamma {gamma}"
+                )
+            n = len(episode)
+            state_rows.append(np.arange(row, row + n))
+            blocks.append(episode.features)
+            masks.append(episode.masks)
+            self._finals[i] = episode.final_features is not None
+            if self._finals[i]:
+                blocks.append(take_rows(episode.final_features, np.newaxis))
+                masks.append(episode.final_mask[np.newaxis])
+                row += n + 1
+            else:
+                row += n
+        self.gamma = gamma
+        self.states: FeatureSet = concat_rows(blocks)  # (rows, ...) blocks
+        self.masks: np.ndarray = np.concatenate(masks)  # (rows, A)
+        #: row of each transition's state and of each episode's first
+        self.state_rows = np.concatenate(state_rows)
+        self.start_rows = np.array([rows[0] for rows in state_rows],
+                                   dtype=np.int64)
+        #: each episode's transitions end here (exclusive)
+        self._ends = np.cumsum([len(rows) for rows in state_rows])
+        self.actions = np.concatenate([ep.actions for ep in episodes])
+        self.rewards = np.concatenate([ep.rewards for ep in episodes])
+
+    @functools.cached_property
+    def next_rows(self) -> np.ndarray:
+        """Row of each transition's successor: the next logged state, and
+        for an episode's last step its final state (itself when none was
+        logged)."""
+        rows = self.state_rows + 1
+        rows[self._ends[~self._finals] - 1] -= 1
+        return rows
+
+    @functools.cached_property
+    def dones(self) -> np.ndarray:
+        """1.0 at each episode's last transition, else 0.0."""
+        dones = np.zeros(len(self.actions))
+        dones[self._ends - 1] = 1.0
+        return dones
+
+    @functools.cached_property
+    def returns_to_go(self) -> np.ndarray:
+        """Discounted return from each transition to its episode's end."""
+        # Python floats round as float64 does: the same sums, faster
+        gamma, rewards = float(self.gamma), self.rewards.tolist()
+        out = np.empty(len(rewards))
+        start = 0
+        for end in self._ends.tolist():
+            tail = 0.0
+            for t in range(end - 1, start - 1, -1):
+                tail = rewards[t] + gamma * tail
+                out[t] = tail
+            start = end
+        return out
 
 
 def _transition_batch(episodes: list[LoggedEpisode],
                       gamma: float) -> _TransitionBatch:
     """Join a chunk's columns; each episode's last step bootstraps from
     its final state (itself when none was logged)."""
-    blocks, masks, state_rows, next_rows = [], [], [], []
-    dones, returns_to_go = [], []
-    row = 0  # the episode's first row in ``states``
-    for episode in episodes:
-        if episode.gamma != gamma:
-            raise ValueError(
-                f"FQE fits one discount: episode gamma {episode.gamma} != "
-                f"first episode gamma {gamma}"
-            )
-        n = len(episode)
-        tail = 0.0
-        rtg = np.empty(n)
-        for t in reversed(range(n)):
-            tail = episode.rewards[t] + gamma * tail
-            rtg[t] = tail
-        returns_to_go.append(rtg)
-        rows = np.arange(row, row + n)
-        state_rows.append(rows)
-        blocks.append(episode.features)
-        masks.append(episode.masks)
-        successors = rows + 1
-        if episode.final_features is not None:
-            blocks.append(take_rows(episode.final_features, np.newaxis))
-            masks.append(episode.final_mask[np.newaxis])
-            row += n + 1
-        else:
-            successors[-1] = rows[-1]
-            row += n
-        next_rows.append(successors)
-        done = np.zeros(n)
-        done[-1] = 1.0
-        dones.append(done)
-    return _TransitionBatch(
-        states=concat_rows(blocks),
-        masks=np.concatenate(masks),
-        state_rows=np.concatenate(state_rows),
-        next_rows=np.concatenate(next_rows),
-        start_rows=np.array([rows[0] for rows in state_rows],
-                            dtype=np.int64),
-        actions=np.concatenate([episode.actions for episode in episodes]),
-        rewards=np.concatenate([episode.rewards for episode in episodes]),
-        dones=np.concatenate(dones),
-        returns_to_go=np.concatenate(returns_to_go),
-    )
+    return _TransitionBatch(episodes, gamma)
 
 
 def row_dot(probs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -207,17 +228,31 @@ class PreparedChunk:
         self.q = None
         self._q_net = None
 
+    def _row_blocks(self, rows: np.ndarray, score) -> np.ndarray:
+        """``score(features, masks)`` over state ``rows``, gathered and
+        scored ``SCORE_ROWS`` rows at a time and concatenated in order,
+        so no second copy of the chunk's feature block is made."""
+        states, masks = self.batch.states, self.batch.masks
+        return np.concatenate([
+            score(take_rows(states, block), masks[block])
+            for block in np.split(rows, range(SCORE_ROWS, len(rows),
+                                              SCORE_ROWS))])
+
     def target_probs(self, rows: np.ndarray) -> np.ndarray:
         """The target's ``(len(rows), A)`` distributions at state rows."""
         if self.probs is not None:
             return self.probs[rows]
-        return self.target_policy.action_probs_batch(
-            take_rows(self.batch.states, rows), self.batch.masks[rows])
+        return self._row_blocks(rows, self.target_policy.action_probs_batch)
 
     def policy_values(self, qnet, rows: np.ndarray) -> np.ndarray:
         """V(s) = sum_a pi(a|s) Q(s, a) of ``qnet`` at state rows."""
-        q = q_batch(qnet, take_rows(self.batch.states, rows))
-        return row_dot(self.target_probs(rows), q)
+        if self.probs is not None:
+            return row_dot(self.probs[rows],
+                           q_batch(qnet, take_rows(self.batch.states, rows)))
+        score = self.target_policy.action_probs_batch
+        return self._row_blocks(
+            rows, lambda features, masks: row_dot(score(features, masks),
+                                                  q_batch(qnet, features)))
 
     def start_values(self, qnet) -> np.ndarray:
         """V of the fitted ``qnet`` at each episode's first state; a kept
@@ -239,7 +274,7 @@ class PreparedChunk:
         elif qnet is self._q_net:
             q = self.q[rows]
         else:
-            q = q_batch(qnet, take_rows(self.batch.states, rows))
+            q = self._row_blocks(rows, lambda feats, _: q_batch(qnet, feats))
         offset = 0
         for index, episode in enumerate(self.episodes, self.first):
             span = slice(offset, offset + len(episode))

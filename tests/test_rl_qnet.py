@@ -42,7 +42,7 @@ from repro.rl.features import (
     FeatureSet,
 )
 from repro.rl.dqn import DQNConfig, DQNTrainer
-from repro.rl.qnetwork import ConvNetConfig
+from repro.rl.qnetwork import BLOCK_TOKENS, ConvNetConfig
 from repro.sim.orchestrator import enumerate_actions
 from repro.validation import StochasticQPolicy
 
@@ -304,6 +304,38 @@ class TestRowIndependence:
             for got, want in zip(blocks, whole):
                 for j, row in enumerate(index):
                     assert _bits(got[j]) == _bits(want[row]), (index, row)
+
+    @pytest.mark.parametrize("kind", ["plain", "dueling", "c51"])
+    @pytest.mark.parametrize("network", ["tiny", "paper"])
+    @pytest.mark.parametrize("config", ["compact", "default"])
+    def test_row_blocks_equal_one_piece_at_block_boundaries(
+            self, config, network, kind, tiny_topology, paper_topology):
+        """A no-grad forward of more than ``k`` rows runs as blocks of
+        ``k`` (``repro.rl.qnetwork.BLOCK_TOKENS`` over the tokens per
+        row); around each boundary its outputs equal the one-piece
+        forward's bit for bit."""
+        topo = paper_topology if network == "paper" else tiny_topology
+        cls = {"plain": AttentionQNetwork, "dueling": DuelingAttentionQNetwork,
+               "c51": DistributionalAttentionQNetwork}[kind]
+        net = cls(PARITY_CONFIGS[config], seed=6).bind_topology(topo)
+        k = net._block_rows
+        assert k == max(1, BLOCK_TOKENS // (topo.n_nodes + topo.n_plcs + 1))
+
+        def outputs(feats):
+            with no_grad():
+                out = [net.forward(*feats).data]
+                if kind == "c51":
+                    out.append(net.log_probs(*feats).data)
+            return out
+
+        for batch in sorted({max(1, k - 1), k, k + 1, 2 * k + 1}):
+            feats = _random_features(topo, batch, seed=batch)
+            blocked = outputs(feats)
+            net._block_rows = batch  # the same forward in one piece
+            whole = outputs(feats)
+            net._block_rows = k
+            assert [_bits(x) for x in blocked] == [_bits(x) for x in whole], \
+                batch
 
 
 #: the attention networks whose forwards and backward steps write in place
