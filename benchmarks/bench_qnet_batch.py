@@ -11,6 +11,16 @@ glibc gives the top of the heap back when a free leaves more than its
 trim threshold there, and raises that threshold when it frees a large
 mapped chunk.
 
+A second cell, ``recorded``, times one-state forwards over recorded
+inputs, where the rows repeat as they do in use: every decision of one
+seeded ACSO evaluation on ``inasim-paper-v1`` (400 steps, under the
+default config and ``QNetConfig.paper()``), and every one-lane action
+selection of a two-episode tiny-network training run shaped like
+perfbench's ``dqn-train``. Its variants are ``distinct-rows`` (the
+forward on each state's distinct node and PLC rows, forced on),
+``all-rows`` (forced off) and ``baseline``; the first two are the
+evidence for ``repro.rl.qnetwork.DISTINCT_MIN_TOKENS``.
+
 Each variant runs in a fresh interpreter (``--worker``), so no variant
 inherits another's heap, and the order of the variants alternates
 between repeats. ``--baseline-src`` adds a variant, ``baseline``, that
@@ -31,6 +41,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,6 +52,18 @@ BUDGETS = (128, 256, 512, 1024, 2048)
 NETWORKS = ("tiny-compact", "paper-default", "paper-paper")
 #: seconds of forwards timed per (variant, batch) cell, after warm-up
 CELL_SECONDS = 0.4
+#: the recorded-state cell's networks and the scenario of their states
+#: (``dqn-train`` for the tiny network's training episodes)
+RECORDED = {
+    "tiny-compact": "dqn-train",
+    "small-default": "inasim-small-v1",
+    "paper-default": "inasim-paper-v1",
+    "paper-paper": "inasim-paper-v1",
+}
+#: variants of the recorded-state cell (plus ``baseline``)
+RECORDED_VARIANTS = ("distinct-rows", "all-rows")
+#: seconds of passes over the recorded states timed per variant
+RECORDED_SECONDS = 1.5
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,12 +71,13 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def _network(name: str):
     """The bound network and its topology."""
     import repro
-    from repro.config import paper_network, tiny_network
+    from repro.config import paper_network, small_network, tiny_network
     from repro.rl import AttentionQNetwork, QNetConfig
 
     compact = QNetConfig(d_model=16, n_heads=2, encoder_hidden=32, head_hidden=32)
     topology, config = {
         "tiny-compact": (tiny_network, compact),
+        "small-default": (small_network, QNetConfig()),
         "paper-default": (paper_network, QNetConfig()),
         "paper-paper": (paper_network, QNetConfig.paper()),
     }[name]
@@ -63,6 +87,138 @@ def _network(name: str):
 
 def _tokens(topo) -> int:
     return topo.n_nodes + topo.n_plcs + 1
+
+
+def _record_acso(config, scenario: str) -> list[tuple]:
+    """The Q-network inputs of one seeded 400-step ACSO evaluation of
+    ``scenario``, as perfbench ``acso-eval`` runs one on the paper
+    network."""
+    import repro
+    from repro.dbn import fit_dbn
+    from repro.defenders import SemiRandomPolicy
+    from repro.defenders.acso import ACSOPolicy
+    from repro.eval import evaluate_policy
+    from repro.rl import AttentionQNetwork
+
+    env = repro.make(scenario, horizon=400)
+    tables = fit_dbn(
+        lambda: repro.make_env(env.config),
+        lambda: SemiRandomPolicy(rate=5.0),
+        episodes=4,
+        seed=1,
+    )
+    qnet = AttentionQNetwork(config, seed=3)
+    states = []
+    q_values = qnet.q_values
+
+    def recording(features):
+        states.append(
+            (features.node.copy(), features.plc.copy(), features.glob.copy())
+        )
+        return q_values(features)
+
+    qnet.q_values = recording
+    evaluate_policy(env, ACSOPolicy(qnet, tables), 1, seed=5, max_steps=400)
+    return states
+
+
+def _record_dqn(config, scenario: str) -> list[tuple]:
+    """The one-state no-grad forwards of two 120-step training episodes
+    in perfbench ``dqn-train``'s configuration (tiny network, 10x
+    attacker, compact Q-network)."""
+    import dataclasses
+
+    import repro
+    from repro.config import tiny_network
+    from repro.dbn import fit_dbn
+    from repro.defenders import SemiRandomPolicy
+    from repro.nn import is_grad_enabled
+    from repro.rl import ACSOFeaturizer, AttentionQNetwork
+    from repro.rl.dqn import DQNConfig, DQNTrainer
+
+    network = tiny_network(tmax=150)
+    tables = fit_dbn(
+        lambda: repro.make_env(network),
+        lambda: SemiRandomPolicy(rate=3.0),
+        episodes=4,
+        seed=1,
+        max_steps=150,
+    )
+    apt = dataclasses.replace(network.apt, time_scale=10.0)
+    env = repro.make_env(network.with_apt(apt), seed=1)
+    qnet = AttentionQNetwork(config, seed=3)
+    dqn = DQNConfig(
+        batch_size=16,
+        warmup=32,
+        update_every=4,
+        target_update=100,
+        eps_decay=0.995,
+        buffer_size=5_000,
+        n_step=8,
+        seed=1,
+    )
+    trainer = DQNTrainer(env, qnet, ACSOFeaturizer(env.topology, tables), dqn)
+    states = []
+    forward = qnet.forward
+
+    def recording(node, plc, glob):
+        if len(node) == 1 and not is_grad_enabled():
+            states.append((node[0].copy(), plc[0].copy(), glob[0].copy()))
+        return forward(node, plc, glob)
+
+    qnet.forward = recording
+    trainer.train(2, seed=11, max_steps=120)
+    return states
+
+
+def record(path: Path) -> None:
+    """Record every recorded-cell network's states into ``path`` (npz)."""
+    arrays = {}
+    for name, scenario in RECORDED.items():
+        config = _network(name)[0].config
+        record_states = _record_dqn if scenario == "dqn-train" else _record_acso
+        states = record_states(config, scenario)
+        for i, part in enumerate(("node", "plc", "glob")):
+            arrays[f"{name}/{part}"] = np.stack([state[i] for state in states])
+    np.savez(path, **arrays)
+
+
+def recorded_worker(name: str, variant: str, path: str) -> dict:
+    """Median ms per one-state no-grad forward over the recorded states,
+    by pass, in this process."""
+    from repro.nn import no_grad
+
+    net, _ = _network(name)
+    if variant != "baseline":
+        net._distinct_rows = variant == "distinct-rows"
+    with np.load(path) as data:
+        parts = [data[f"{name}/{part}"][:, None] for part in ("node", "plc", "glob")]
+    states = list(zip(*parts))
+    times = []
+    with no_grad():
+        for state in states:
+            net.forward(*state)
+        began = time.perf_counter()
+        while time.perf_counter() - began < RECORDED_SECONDS or len(times) < 3:
+            start = time.perf_counter()
+            for state in states:
+                net.forward(*state)
+            times.append(time.perf_counter() - start)
+    return {
+        "states": len(states),
+        "ms_per_forward": statistics.median(times) * 1e3 / len(states),
+    }
+
+
+def _distinct_counts(path: Path, name: str) -> dict:
+    """Mean distinct node and PLC rows per recorded state."""
+    counts = {}
+    with np.load(path) as data:
+        for part in ("node", "plc"):
+            states = data[f"{name}/{part}"]
+            distinct = [len({row.tobytes() for row in state}) for state in states]
+            counts[f"distinct_{part}_rows"] = round(float(np.mean(distinct)), 2)
+    return counts
 
 
 def worker(name: str, variant: str) -> list[dict]:
@@ -107,9 +263,9 @@ def worker(name: str, variant: str) -> list[dict]:
     return rows
 
 
-def _run_worker(name: str, variant: str, src: Path) -> list[dict]:
+def _run_worker(name: str, variant: str, src: Path, *extra: str):
     done = subprocess.run(
-        [sys.executable, __file__, "--worker", name, variant],
+        [sys.executable, __file__, "--worker", name, variant, *extra],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
@@ -155,7 +311,7 @@ def sweep(repeats: int, baseline_src: Path | None) -> dict:
     return {
         "meta": {
             "bench": "qnet_batch",
-            "metric": "median ms per sample and minor faults per forward",
+            "metric": "ms per sample, faults per forward; recorded: ms per forward",
             "batches": list(BATCHES),
             "repeats": repeats,
             "cell_seconds": CELL_SECONDS,
@@ -166,14 +322,50 @@ def sweep(repeats: int, baseline_src: Path | None) -> dict:
             "numpy": np.__version__,
         },
         "rows": rows,
+        "recorded": recorded_sweep(repeats, baseline_src),
     }
+
+
+def recorded_sweep(repeats: int, baseline_src: Path | None) -> list[dict]:
+    """The recorded-state cell: each network's variants in fresh
+    interpreters, alternating their order between repeats."""
+    variants = list(RECORDED_VARIANTS)
+    if baseline_src is not None:
+        variants.append("baseline")
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        path = Path(tmp_dir) / "states.npz"
+        record(path)
+        for name in RECORDED:
+            runs: dict[str, list[float]] = {v: [] for v in variants}
+            for repeat in range(repeats):
+                for variant in variants if repeat % 2 == 0 else variants[::-1]:
+                    src = baseline_src if variant == "baseline" else SRC
+                    result = _run_worker(name, variant, src, str(path))
+                    runs[variant].append(result["ms_per_forward"])
+            counts = _distinct_counts(path, name)
+            for variant in variants:
+                rows.append(
+                    {
+                        "network": name,
+                        "states_of": RECORDED[name],
+                        "tokens": _tokens(_network(name)[1]),
+                        "variant": variant,
+                        "states": result["states"],
+                        **counts,
+                        "ms_per_forward": round(statistics.median(runs[variant]), 4),
+                        "ms_per_forward_runs": [round(m, 4) for m in runs[variant]],
+                    }
+                )
+                print(name, variant, runs[variant], file=sys.stderr, flush=True)
+    return rows
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--worker", nargs=2, help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs="+", help=argparse.SUPPRESS)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
         "--baseline-src",
@@ -184,7 +376,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="bench_qnet_batch.json")
     args = parser.parse_args(argv)
     if args.worker:
-        print(json.dumps(worker(*args.worker)))
+        run = recorded_worker if len(args.worker) == 3 else worker
+        print(json.dumps(run(*args.worker)))
         return 0
     report = sweep(args.repeats, args.baseline_src)
     with open(args.out, "w") as handle:

@@ -93,18 +93,33 @@ def fit_tables(logs: list[EpisodeLog], smoothing: float = 0.5) -> DBNTables:
     alert = np.full((N_STATES, 4), smoothing)
     scan = np.full((N_SCAN_TYPES, N_STATES, 2), smoothing)
 
+    # every (step, node) of every log as flat index columns, counted with
+    # one np.add.at per table: the counts are sums of 1.0 onto 0.5 and
+    # 5.5, exact in any order
+    mu, cats, s_prev, s_next, levels = [], [], [], [], []
+    scan_keys = []
     for log in logs:
         steps = log.action_cats.shape[0]
-        for t in range(steps):
-            s_prev = log.states[t]
-            s_next = log.states[t + 1]
-            mu = mu_bucket(int((s_prev >= 2).sum()))
-            cats = log.action_cats[t]
-            np.add.at(trans, (mu, cats, s_prev, s_next), 1.0)
-            np.add.at(alert, (s_next, log.alert_levels[t]), 1.0)
-        for t, node, scan_idx, detected in log.scans:
-            state = log.states[t][node]
-            scan[scan_idx, state, int(detected)] += 1.0
+        if steps:
+            prev = log.states[:steps]
+            # mu bucket of each step, looked up by its compromised count
+            buckets = np.array([mu_bucket(c) for c in range(prev.shape[1] + 1)])
+            mu.append(np.repeat(buckets[(prev >= 2).sum(axis=1)], prev.shape[1]))
+            cats.append(log.action_cats.ravel())
+            s_prev.append(prev.ravel())
+            s_next.append(log.states[1:steps + 1].ravel())
+            levels.append(log.alert_levels.ravel())
+        if log.scans:
+            t, node, scan_idx, detected = np.array(log.scans, np.int64).T
+            scan_keys.append((scan_idx, log.states[t, node], detected))
+    if mu:
+        s_next = np.concatenate(s_next)
+        np.add.at(trans, (np.concatenate(mu), np.concatenate(cats),
+                          np.concatenate(s_prev), s_next), 1.0)
+        np.add.at(alert, (s_next, np.concatenate(levels)), 1.0)
+    if scan_keys:
+        np.add.at(scan, tuple(np.concatenate(column)
+                              for column in zip(*scan_keys)), 1.0)
 
     trans /= trans.sum(axis=-1, keepdims=True)
     alert /= alert.sum(axis=-1, keepdims=True)

@@ -27,8 +27,16 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.out = Linear(d_model, d_model, rng=rng)
 
-    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
-        """x: (T, D) or (B, T, D) -> same shape."""
+    def forward_array(self, x: np.ndarray, tape=None,
+                      keys: np.ndarray | None = None) -> np.ndarray:
+        """x: (T, D) or (B, T, D) -> same shape.
+
+        Without a tape, ``keys`` gives each of the T tokens its row of
+        ``x``: ``x`` then holds only distinct token rows, each of which
+        attends over all T tokens ``x[:, keys]`` in token order, and
+        each output row equals that row of the forward of
+        ``x[:, keys]``.
+        """
         squeeze = x.ndim == 2
         if squeeze:
             x = x.reshape(1, *x.shape)
@@ -36,10 +44,15 @@ class MultiHeadSelfAttention(Module):
                 tape.record(lambda grad: grad.reshape(grad.shape[1:]))
         batch, tokens, _ = x.shape
         heads, d_head = self.n_heads, self.d_head
-        qkv = self.qkv.forward_array(x, tape)
-        qkv = qkv.reshape(batch, tokens, 3, heads, d_head)
+        projected = self.qkv.forward_array(x, tape)
+        qkv = projected.reshape(batch, tokens, 3, heads, d_head)
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, T, dh)
         q, k, v = qkv[0], qkv[1], qkv[2]
+        if keys is not None:
+            # keys and values of every token, gathered from the distinct rows
+            kv = projected[:, keys].reshape(batch, len(keys), 3, heads, d_head)
+            kv = kv.transpose(2, 0, 3, 1, 4)
+            k, v = kv[1], kv[2]
         scale = 1.0 / math.sqrt(d_head)
         # softmax(q k^T * scale) on the one score buffer
         weights = q @ k.swapaxes(-1, -2)
@@ -90,9 +103,13 @@ class AttentionBlock(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = MLP([d_model, ff_hidden, d_model], rng=rng)
 
-    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+    def forward_array(self, x: np.ndarray, tape=None,
+                      keys: np.ndarray | None = None) -> np.ndarray:
+        """x: (B, T, D) -> same shape; ``keys`` as in
+        :meth:`MultiHeadSelfAttention.forward_array`."""
         attn, ff = branch(tape), branch(tape)
-        x = x + self.attn.forward_array(self.ln1.forward_array(x, attn), attn)
+        x = x + self.attn.forward_array(self.ln1.forward_array(x, attn), attn,
+                                        keys)
         out = x + self.ff.forward_array(self.ln2.forward_array(x, ff), ff)
         if tape is not None:
 

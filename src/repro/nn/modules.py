@@ -260,9 +260,15 @@ class MLP(Module):
         self._act = array_activation(act)
         self._final_act = array_activation(final_act)
 
-    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+    def forward_array(self, x: np.ndarray, tape=None,
+                      rows: np.ndarray | None = None) -> np.ndarray:
+        """(..., R, in) -> (..., R, out). Without a tape, ``rows``
+        gathers the rows of the last hidden activations that the output
+        layer runs on: (..., R, in) -> (..., len(rows), out)."""
         last = len(self.linears) - 1
         for i, linear in enumerate(self.linears):
+            if i == last and rows is not None:
+                x = x[..., rows, :]
             pre = linear.forward_array(x, tape)
             act, act_backward = self._act if i < last else self._final_act
             x = act(pre)

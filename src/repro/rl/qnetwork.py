@@ -23,7 +23,10 @@ output is dropped. Under :func:`repro.nn.no_grad` nothing is recorded,
 and a batch of more than ``BLOCK_TOKENS // tokens`` rows runs as
 consecutive row blocks (:func:`in_row_blocks`), which bounds a
 forward's temporaries at one block and returns the one-piece forward's
-bits. Forward values are bitwise equal to the per-op autograd graph
+bits; a single state runs on one row per group of byte-identical node
+or PLC rows (:class:`_RowPartition`, on networks of at least
+``DISTINCT_MIN_TOKENS`` tokens), bitwise equal to the full forward.
+Forward values are bitwise equal to the per-op autograd graph
 of the same computation, and gradients agree with it to rounding; the
 test suite keeps that graph as the differential oracle. The dueling and
 C51 variants reuse the same node (extra value head; a log-softmax over
@@ -116,6 +119,16 @@ class QNetConfig:
 #: (``BENCH_qnet_batch.json``) and perfbench's ``ope-report``.
 BLOCK_TOKENS = 512
 
+#: tokens (nodes + PLCs + 1) from which a no-grad forward of one state
+#: runs on its distinct node and PLC rows (:class:`_RowPartition`).
+#: Below it, grouping the rows costs more than the rows it saves. From
+#: the recorded-state cell of ``benchmarks/bench_qnet_batch.py``
+#: (``BENCH_qnet_batch.json``, ``recorded``; ms per one-state forward,
+#: path on vs off): tiny network, 11 tokens, 0.238 vs 0.174;
+#: inasim-small, 47 tokens, 0.307 vs 0.353; paper, 84 tokens, 0.355 vs
+#: 0.506.
+DISTINCT_MIN_TOKENS = 32
+
 
 def in_row_blocks(forward):
     """Run an array forward ``(node, plc, glob, tape=None)`` without a
@@ -140,6 +153,91 @@ def in_row_blocks(forward):
         return out
 
     return run
+
+
+def _at_least_two(rows: np.ndarray, full: int) -> np.ndarray:
+    """The ``rows`` a matmul runs on where the full forward runs ``full``:
+    one row only if ``full`` is one, since a one-row matmul goes through
+    gemv and rounds otherwise."""
+    return np.repeat(rows, 2) if len(rows) == 1 and full > 1 else rows
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of ``rows`` (R, F)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))) \
+        .reshape(len(rows)).tolist()
+
+
+class _Groups:
+    """One entity type's rows (R, F) in byte-identical groups."""
+
+    __slots__ = ("first", "group", "rep_of", "rows")
+
+    def __init__(self, rows: np.ndarray):
+        keys = _row_keys(rows)
+        # each distinct row's first index: the reversed walk writes it last
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        number = dict(zip(first, range(len(first))))
+        #: the first row of each group, and the group of each row
+        self.first = np.fromiter(first.values(), np.int64, len(first))
+        self.group = np.fromiter(map(number.__getitem__, keys), np.int64,
+                                 len(keys))
+        self.rep_of = self.first[self.group]
+        #: the rows the forward runs on
+        self.rows = _at_least_two(self.first, len(rows))
+
+    def holds(self, rows: np.ndarray) -> bool:
+        """Are these the groups of ``rows``: every row byte-equal to its
+        group's first row, and no two first rows equal?"""
+        if len(rows) != len(self.group) \
+                or rows.take(self.rep_of, axis=0).tobytes() != rows.tobytes():
+            return False
+        if len(self.first) < 2:
+            return True
+        keys = _row_keys(rows.take(self.first, axis=0))
+        return len(set(keys)) == len(keys)
+
+
+def _head_rows(index: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """A head's (distinct rows, gather back to its tokens) from its
+    tokens' rows ``index`` among ``n_rows``."""
+    present = np.zeros(n_rows, bool)
+    present[index] = True
+    gather = np.cumsum(present)[index] - 1
+    return _at_least_two(np.flatnonzero(present), len(index)), gather
+
+
+class _RowPartition:
+    """One state's node and PLC rows in byte-identical groups.
+
+    Rows in one group give bit-identical tokens at every layer, since
+    the network shares its parameters across the entities of a type and
+    BLAS computes each row of a matmul independently of the others. So a
+    no-grad forward of one state runs the encoders, the attention
+    blocks' row-wise work and each head's hidden layer on one row per
+    group (``nodes.rows``, ``plcs.rows``, the noop seed last). Each
+    attention layer gathers its keys and values back to every token
+    (``keys``), so every softmax still sums over all tokens in order,
+    and each head's output layer runs on all of its tokens (``heads``),
+    as in the full forward: an output of width <= 2 rounds otherwise.
+
+    A network keeps the partition of its last state and reuses it while
+    it is still the partition of the state (``holds``). It is immutable
+    and swapped as one object, so a concurrent caller never reads half
+    of one.
+    """
+
+    __slots__ = ("nodes", "plcs", "keys", "heads")
+
+    def __init__(self, net: "AttentionQNetwork", nodes: _Groups,
+                 plcs: _Groups):
+        self.nodes, self.plcs = nodes, plcs
+        gn, gm = len(nodes.rows), len(plcs.rows)
+        #: the distinct row of every token: nodes, PLCs, noop seed
+        self.keys = np.concatenate([nodes.group, gn + plcs.group, [gn + gm]])
+        self.heads = [_head_rows(self.keys[index], gn + gm + 1)
+                      for _, index in net._head_groups()]
 
 
 def _encoder_dims(in_dim: int, hidden: int, out: int, layers: int) -> list[int]:
@@ -180,6 +278,8 @@ class AttentionQNetwork(Module):
         self._n_nodes = 0
         self._n_plcs = 0
         self._block_rows = 1
+        self._distinct_rows = False
+        self._partition: _RowPartition | None = None
         self.action_list: list[DefenderAction] = []
 
     # ------------------------------------------------------------------
@@ -199,6 +299,8 @@ class AttentionQNetwork(Module):
         self._n_plcs = topology.n_plcs
         tokens = self._n_nodes + self._n_plcs + 1
         self._block_rows = max(1, BLOCK_TOKENS // tokens)
+        self._distinct_rows = tokens >= DISTINCT_MIN_TOKENS
+        self._partition = None
         actions: list[DefenderAction] = [DefenderAction(DefenderActionType.NOOP)]
         for node_id in self._host_ids:
             actions.extend(DefenderAction(a, int(node_id)) for a in HOST_ACTIONS)
@@ -253,6 +355,11 @@ class AttentionQNetwork(Module):
     # ------------------------------------------------------------------
     @in_row_blocks
     def _forward_array(self, node, plc, glob, tape=None) -> np.ndarray:
+        partition = None
+        if tape is None and len(node) == 1 and self._distinct_rows:
+            # one state: the encoders and the trunk run on its distinct rows
+            partition = self._partition_of(node[0], plc[0])
+            node, plc = node[:, partition.nodes.rows], plc[:, partition.plcs.rows]
         batch, n, m = node.shape[0], node.shape[1], plc.shape[1]
         # the features' gradients are computed only when one is wanted
         wanted = tape is not None and tape.input_grad
@@ -264,10 +371,11 @@ class AttentionQNetwork(Module):
         tokens[:, :n] = self.node_encoder.forward_array(node, node_tape)
         tokens[:, n:n + m] = self.plc_encoder.forward_array(plc, plc_tape)
         tokens[:, n + m] = self.noop_seed.data
+        keys = None if partition is None else partition.keys
         for block in self.blocks:
-            tokens = block.forward_array(tokens, trunk)
+            tokens = block.forward_array(tokens, trunk, keys)
         out = self._output_array(
-            self._heads_array(tokens, glob, heads, wanted), heads)
+            self._heads_array(tokens, glob, heads, wanted, partition), heads)
         if tape is not None:
             grads = tape.grads
 
@@ -293,22 +401,43 @@ class AttentionQNetwork(Module):
             groups.append((self.plc_head, slice(n, n + m)))
         return groups
 
+    def _partition_of(self, node: np.ndarray, plc: np.ndarray) -> _RowPartition:
+        """The row partition of one state's (N, Fn) and (M, Fp) features:
+        the last state's if it still holds, else a new one."""
+        last = self._partition
+        if last is None:
+            nodes, plcs = _Groups(node), _Groups(plc)
+        else:
+            nodes_hold, plcs_hold = last.nodes.holds(node), last.plcs.holds(plc)
+            if nodes_hold and plcs_hold:
+                return last
+            nodes = last.nodes if nodes_hold else _Groups(node)
+            plcs = last.plcs if plcs_hold else _Groups(plc)
+        partition = self._partition = _RowPartition(self, nodes, plcs)
+        return partition
+
     def _heads_array(self, tokens: np.ndarray, glob: np.ndarray,
-                     tape, glob_grad: bool) -> np.ndarray:
+                     tape, glob_grad: bool,
+                     partition: _RowPartition | None = None) -> np.ndarray:
         """Each head on its tokens with the global features appended,
-        flattened and concatenated: (B, sum of head widths). Its
+        flattened and concatenated: (B, sum of head widths). With a
+        ``partition``, ``tokens`` holds its distinct rows, and each
+        head's output layer runs on the gather of its tokens. Its
         backward returns (token gradient, global-feature gradient), the
         latter None unless ``glob_grad``."""
         batch, n_tokens, d = tokens.shape
         groups = self._head_groups()
         head_tapes = [branch(tape) for _ in groups]
+        picks = ([(index, None) for _, index in groups] if partition is None
+                 else partition.heads)
         # every token with the global features appended, filled once;
         # each head reads its rows of it
         x_all = np.empty((batch, n_tokens, d + GLOBAL_FEATURE_DIM))
         x_all[..., :d] = tokens
         x_all[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
-        outputs = [head.forward_array(x_all[:, index], head_tape)
-                   for (head, index), head_tape in zip(groups, head_tapes)]
+        outputs = [head.forward_array(x_all[:, index], head_tape, rows)
+                   for (head, _), head_tape, (index, rows)
+                   in zip(groups, head_tapes, picks)]
         flat = np.concatenate(
             [out.reshape(batch, out.shape[1] * out.shape[2]) for out in outputs],
             axis=1,

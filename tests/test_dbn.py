@@ -16,9 +16,11 @@ from repro.dbn import (
     action_category,
     canonical_states,
     collect_episode,
+    fit_tables,
     mu_bucket,
     validate_dbn,
 )
+from repro.dbn.learning import EpisodeLog
 from repro.dbn.states import N_ACTION_CATEGORIES, N_SCAN_TYPES
 from repro.defenders import SemiRandomPolicy
 from repro.net.nodes import Condition
@@ -234,6 +236,52 @@ class TestLearning:
         assert log.states.shape == (steps + 1, env.topology.n_nodes)
         assert log.alert_levels.shape == (steps, env.topology.n_nodes)
         assert steps == 40
+
+    @staticmethod
+    def _loop_tables(logs, smoothing=0.5):
+        """``fit_tables`` as a per-step loop: the reference its one
+        ``np.add.at`` per table must match bit for bit."""
+        trans = np.full((N_MU_BUCKETS, N_ACTION_CATEGORIES, N_STATES,
+                         N_STATES), smoothing)
+        trans += 10.0 * smoothing * np.eye(N_STATES)
+        alert = np.full((N_STATES, 4), smoothing)
+        scan = np.full((N_SCAN_TYPES, N_STATES, 2), smoothing)
+        for log in logs:
+            for t in range(log.action_cats.shape[0]):
+                s_prev, s_next = log.states[t], log.states[t + 1]
+                mu = mu_bucket(int((s_prev >= 2).sum()))
+                np.add.at(trans, (mu, log.action_cats[t], s_prev, s_next), 1.0)
+                np.add.at(alert, (s_next, log.alert_levels[t]), 1.0)
+            for t, node, scan_idx, detected in log.scans:
+                scan[scan_idx, log.states[t][node], int(detected)] += 1.0
+        return [table / table.sum(axis=-1, keepdims=True)
+                for table in (trans, alert, scan)]
+
+    def test_fit_tables_equals_the_per_step_loop(self):
+        cfg = tiny_network(tmax=60)
+        logs = [collect_episode(repro.make_env(cfg, seed=0),
+                                SemiRandomPolicy(rate=rate), seed=seed)
+                for seed, rate in ((0, 2.0), (1, 5.0), (2, 0.0))]
+        # every mu bucket, and a log without steps or scans
+        rng = np.random.default_rng(0)
+        # fewer nodes at states >= 2 early on, more later
+        states = rng.integers(0, N_STATES, size=(41, 12)) \
+            * (rng.random((41, 12)) < np.linspace(0.0, 1.0, 41)[:, None])
+        assert {mu_bucket(int((row >= 2).sum())) for row in states[:-1]} \
+            == set(range(N_MU_BUCKETS))
+        logs.append(EpisodeLog(
+            states=states,
+            action_cats=rng.integers(0, N_ACTION_CATEGORIES, size=(40, 12)),
+            alert_levels=rng.integers(0, 4, size=(40, 12)),
+            scans=[(t, t % 12, t % N_SCAN_TYPES, bool(t % 2))
+                   for t in range(0, 40, 3)]))
+        logs.append(EpisodeLog(states=states[:1], action_cats=np.zeros((0, 12)),
+                               alert_levels=np.zeros((0, 12)), scans=[]))
+        assert any(log.scans for log in logs[:3])
+        tables = fit_tables(logs)
+        got = [tables.transition, tables.alert_lik, tables.scan_lik]
+        for table, want in zip(got, self._loop_tables(logs)):
+            assert table.tobytes() == want.tobytes()
 
     def test_fit_tables_are_distributions(self, tiny_tables):
         assert np.allclose(tiny_tables.transition.sum(axis=-1), 1.0)

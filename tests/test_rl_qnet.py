@@ -1,6 +1,8 @@
 """Tests for Q-networks, features, shaping, and schedules."""
 
 import copy
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -42,7 +44,12 @@ from repro.rl.features import (
     FeatureSet,
 )
 from repro.rl.dqn import DQNConfig, DQNTrainer
-from repro.rl.qnetwork import BLOCK_TOKENS, ConvNetConfig
+from repro.rl.qnetwork import (
+    BLOCK_TOKENS,
+    DISTINCT_MIN_TOKENS,
+    ConvNetConfig,
+    _RowPartition,
+)
 from repro.sim.orchestrator import enumerate_actions
 from repro.validation import StochasticQPolicy
 
@@ -336,6 +343,236 @@ class TestRowIndependence:
             net._block_rows = k
             assert [_bits(x) for x in blocked] == [_bits(x) for x in whole], \
                 batch
+
+
+
+def _duplicated_states(topo, seed):
+    """One state per duplicate pattern, by name: (N, Fn), (M, Fp), (G,)."""
+    n, m = topo.n_nodes, topo.n_plcs
+    rng = np.random.default_rng(seed)
+
+    def fresh():
+        return [x[0] for x in _random_features(topo, 1, rng.integers(1 << 30))]
+
+    states = {"no duplicates": fresh()}
+    node, plc, glob = fresh()
+    states["every PLC row equal"] = (node, np.repeat(plc[:1], m, axis=0), glob)
+    node, plc, glob = fresh()
+    states["every node row equal"] = (np.repeat(node[:1], n, axis=0), plc, glob)
+    node, plc, glob = fresh()
+    states["every row equal"] = (np.repeat(node[:1], n, axis=0),
+                                 np.repeat(plc[:1], m, axis=0), glob)
+    node, plc, glob = fresh()
+    node[1:] = node[1]  # node 0 alone, the rest one group
+    states["a one-token group"] = (node, np.repeat(plc[:1], m, axis=0), glob)
+    node, plc, glob = fresh()
+    states["a few groups"] = (node[rng.integers(0, 3, n)],
+                              plc[rng.integers(0, 2, m)], glob)
+    return states
+
+
+def _distinct_net(kind, config, topo):
+    cls = {"plain": AttentionQNetwork, "dueling": DuelingAttentionQNetwork,
+           "c51": DistributionalAttentionQNetwork}[kind]
+    net = cls(PARITY_CONFIGS[config], seed=8).bind_topology(topo)
+    # the tiny topology is below DISTINCT_MIN_TOKENS: check its
+    # arithmetic all the same
+    net._distinct_rows = True
+    return net
+
+
+def _single_and_stacked(net, node, plc, glob):
+    """Every output of one state alone (the distinct-row path) and as
+    the first row of the same state stacked twice (the full forward)."""
+    one = (node[None], plc[None], glob[None])
+    two = (np.stack([node, node]), np.stack([plc, plc]), np.stack([glob, glob]))
+    with no_grad():
+        alone = [net.forward(*one).data[0]]
+        stacked = [net.forward(*two).data[0]]
+        if isinstance(net, DistributionalAttentionQNetwork):
+            alone.append(net.log_probs(*one).data[0])
+            stacked.append(net.log_probs(*two).data[0])
+    return [_bits(x) for x in alone], [_bits(x) for x in stacked]
+
+
+class TestDistinctRows:
+    """A no-grad forward of one state runs the encoders, the attention
+    blocks' row-wise work and the heads' hidden layers on one row per
+    group of byte-identical node or PLC rows
+    (``repro.rl.qnetwork._RowPartition``). Every output must equal the
+    full forward's (the same state stacked at B=2) bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["plain", "dueling", "c51"])
+    @pytest.mark.parametrize("network", ["tiny", "paper"])
+    @pytest.mark.parametrize("config", ["compact", "default", "paper",
+                                        "noisy-on"])
+    def test_outputs_equal_the_full_forward(self, config, network, kind,
+                                            tiny_topology, paper_topology):
+        topo = paper_topology if network == "paper" else tiny_topology
+        net = _distinct_net(kind, config, topo)
+        for name, (node, plc, glob) in _duplicated_states(topo, 3).items():
+            alone, stacked = _single_and_stacked(net, node, plc, glob)
+            assert alone == stacked, name
+            partition = net._partition
+            assert partition.nodes.holds(node) and partition.plcs.holds(plc), \
+                name
+
+    def test_groups_keep_two_rows_and_heads_gather_their_tokens(
+            self, paper_topology):
+        """A one-group type still runs two rows (no one-row matmul where
+        the full forward runs several); the noop token, one row in the
+        full forward too, stays one row."""
+        net = _distinct_net("dueling", "compact", paper_topology)
+        node, plc, glob = _duplicated_states(paper_topology, 3)["every row equal"]
+        with no_grad():
+            net.forward(node[None], plc[None], glob[None])
+        partition = net._partition
+        assert list(partition.nodes.rows) == [0, 0]
+        assert list(partition.plcs.rows) == [0, 0]
+        assert len(partition.keys) == paper_topology.n_nodes \
+            + paper_topology.n_plcs + 1
+        for (_, index), (rows, gather) in zip(net._head_groups(),
+                                              partition.heads):
+            tokens = len(partition.keys[index])
+            assert len(gather) == tokens
+            assert len(rows) == (1 if tokens == 1 else 2)
+
+    def test_recorded_episode_states(self, paper_topology, tiny_tables):
+        """Featurized states of a paper-network episode, whose node rows
+        repeat by type and role."""
+        env = repro.make_env(paper_network(tmax=40), seed=0)
+        featurizer = ACSOFeaturizer(env.topology, tiny_tables)
+        net = AttentionQNetwork(QNetConfig(), seed=8).bind_topology(env.topology)
+        assert net._distinct_rows
+        features = featurizer.update(env.reset(seed=4))
+        rng = np.random.default_rng(0)
+        for step in range(30):
+            alone, stacked = _single_and_stacked(
+                net, features.node, features.plc, features.glob)
+            assert alone == stacked, step
+            action = int(rng.integers(len(net.action_list)))
+            obs, _, done, _ = env.step(net.action_list[action])
+            if done:
+                break
+            features = featurizer.update(obs)
+
+    @pytest.mark.parametrize("change", ["moved belief", "signed zero", "nan"])
+    @pytest.mark.parametrize("kind", ["plain", "c51"])
+    def test_changed_rows_are_regrouped(self, change, kind, tiny_topology,
+                                        paper_topology):
+        """The partition of the last state is reused only while every
+        row is byte-equal to its group's row: a row that changed since,
+        even to a float-equal value, is regrouped."""
+        for topo in (tiny_topology, paper_topology):
+            net = _distinct_net(kind, "compact", topo)
+            node, plc, glob = _duplicated_states(topo, 5)["every row equal"]
+            node[:, 0] = 0.0
+            plc[:, 0] = 0.0
+            _single_and_stacked(net, node, plc, glob)
+            kept = net._partition
+            node, plc = node.copy(), plc.copy()
+            if change == "moved belief":
+                node[2, :3] = node[2, :3] + np.array([1e-12, -1e-12, 0.0])
+                plc[1, 0] = np.nextafter(plc[1, 0], np.inf)
+            elif change == "signed zero":  # float-equal, not byte-equal
+                node[2, 0] = -0.0
+                plc[1, 0] = -0.0
+            else:
+                node[2, 1] = np.nan
+                plc[1, 2] = np.nan
+            alone, stacked = _single_and_stacked(net, node, plc, glob)
+            assert alone == stacked
+            partition = net._partition
+            assert partition is not kept
+            assert partition.nodes.holds(node) and partition.plcs.holds(plc)
+            # node 2 and PLC 1 now sit in groups of their own
+            assert list(partition.nodes.rep_of).count(2) == 1
+            assert list(partition.plcs.rep_of).count(1) == 1
+
+    @pytest.mark.parametrize("network", ["tiny", "paper"])
+    def test_rows_that_became_equal_are_regrouped(self, network,
+                                                  tiny_topology,
+                                                  paper_topology):
+        """Rows of groups of one that become byte-equal merge: a
+        partition whose rows all still equal their groups' rows is not
+        reused once two of its groups are equal."""
+        topo = paper_topology if network == "paper" else tiny_topology
+        net = _distinct_net("dueling", "compact", topo)
+        node, plc, glob = _duplicated_states(topo, 7)["no duplicates"]
+        _single_and_stacked(net, node, plc, glob)
+        node, plc = node.copy(), plc.copy()
+        node[2] = node[0]
+        plc[1:] = plc[0]
+        alone, stacked = _single_and_stacked(net, node, plc, glob)
+        assert alone == stacked
+        partition = net._partition
+        assert partition.nodes.rep_of[2] == 0
+        assert list(partition.plcs.rows) == [0, 0]
+        assert len(partition.nodes.first) == topo.n_nodes - 1
+
+    def test_threads_sharing_a_network(self, paper_topology):
+        """Threads scoring their own states on one network get the full
+        forward's bits: each reads the shared partition once and checks
+        it against its own rows before using it."""
+        net = _distinct_net("dueling", "compact", paper_topology)
+        states = [list(_duplicated_states(paper_topology, seed).values())
+                  for seed in range(4)]
+        want = [[_single_and_stacked(net, *state)[1][0] for state in mine]
+                for mine in states]
+        failures = []
+
+        def work(mine, expected):
+            for _ in range(50):
+                for (node, plc, glob), bits in zip(mine, expected):
+                    # the no-grad forward itself: ``no_grad`` is one
+                    # process-wide switch
+                    got = net._forward_array(node[None], plc[None], glob[None])
+                    if _bits(got[0]) != bits:
+                        failures.append(bits)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=pair)
+                       for pair in zip(states, want)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+
+    def test_partition_reused_while_rows_hold(self, paper_topology):
+        net = _distinct_net("plain", "compact", paper_topology)
+        node, plc, glob = _duplicated_states(paper_topology, 6)["a few groups"]
+        _single_and_stacked(net, node, plc, glob)
+        kept = net._partition
+        glob = glob + 1.0  # the global features are not grouped
+        alone, stacked = _single_and_stacked(net, node.copy(), plc.copy(), glob)
+        assert alone == stacked
+        assert net._partition is kept
+        assert isinstance(kept, _RowPartition)
+
+    def test_rule_and_full_forward_paths(self, tiny_topology, paper_topology):
+        """The distinct-row path runs only on a no-grad forward of one
+        state of a network of at least DISTINCT_MIN_TOKENS tokens."""
+        for topo in (tiny_topology, paper_topology):
+            net = AttentionQNetwork(QNetConfig(), seed=1).bind_topology(topo)
+            tokens = topo.n_nodes + topo.n_plcs + 1
+            assert net._distinct_rows == (tokens >= DISTINCT_MIN_TOKENS)
+            feats = _random_features(topo, 2, seed=0)
+            with no_grad():
+                net.forward(*feats)
+            net.forward(*(x[:1] for x in feats))  # taped
+            assert net._partition is None
+            with no_grad():
+                net.forward(*(x[:1] for x in feats))
+            assert (net._partition is not None) == net._distinct_rows
+        assert tiny_topology.n_nodes + tiny_topology.n_plcs + 1 \
+            < DISTINCT_MIN_TOKENS <= paper_topology.n_nodes \
+            + paper_topology.n_plcs + 1
 
 
 #: the attention networks whose forwards and backward steps write in place
