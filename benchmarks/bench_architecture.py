@@ -16,13 +16,7 @@ from benchmarks.conftest import write_result
 from repro.config import paper_network, small_network, tiny_network
 from repro.net import build_topology
 from repro.nn import no_grad
-from repro.rl import (
-    AttentionQNetwork,
-    ConvQNetwork,
-    DRQNConfig,
-    QNetConfig,
-    RecurrentQNetwork,
-)
+from repro.rl import AttentionQNetwork, ConvQNetwork, QNetConfig
 from repro.rl.features import (
     GLOBAL_FEATURE_DIM,
     NODE_FEATURE_DIM,
@@ -34,10 +28,7 @@ from repro.sim.orchestrator import enumerate_actions
 
 def test_parameter_scaling(benchmark):
     def build_table() -> list[str]:
-        rows = [
-            "network     nodes  plcs  actions  attention-params  "
-            "conv-params  drqn-params"
-        ]
+        rows = ["network     nodes  plcs  actions  attention-params  conv-params"]
         attention = AttentionQNetwork(QNetConfig(), seed=0)
         for name, preset in (
             ("tiny", tiny_network),
@@ -49,13 +40,10 @@ def test_parameter_scaling(benchmark):
             encoder = RawHistoryEncoder(topo, window=64)
             n_actions = len(enumerate_actions(topo))
             conv = ConvQNetwork(encoder.step_dim, n_actions, seed=0)
-            drqn = RecurrentQNetwork(
-                encoder.step_dim, n_actions, DRQNConfig(window=64), seed=0
-            )
             rows.append(
                 f"{name:10s}  {topo.n_nodes:5d}  {topo.n_plcs:4d}  "
                 f"{attention.n_actions:7d}  {attention.n_parameters():16d}  "
-                f"{conv.n_parameters():11d}  {drqn.n_parameters():11d}"
+                f"{conv.n_parameters():11d}"
             )
         return rows
 

@@ -3,14 +3,15 @@
 The paper adopts double DQN, prioritized replay, and n-step TD (Section
 4.2) without ablating them individually, and leaves the remaining
 Rainbow components (dueling heads, noisy-net exploration, distributional
-learning) untried. This bench trains each variant for a short budget on
-the tiny network with a time-scaled attacker and reports training-signal
-statistics: final-episode shaped return, mean TD loss, and wall time.
+learning) untried. This bench trains the paper's configuration, one
+variant without each of its components, and the dueling and noisy-net
+variants for a short budget on the tiny network with a time-scaled
+attacker, and reports training-signal statistics: final-episode shaped
+return, mean TD loss, and steps taken.
 
 With CI budgets these runs are far too short for policy-quality claims;
-the bench verifies every variant *trains* (finite, decreasing loss) and
-records the relative step cost of each component. Set REPRO_EPISODES
-higher and extend max_steps for a real comparison.
+the bench verifies every variant *trains* (finite loss, full budget).
+Set REPRO_EPISODES higher and extend max_steps for a real comparison.
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from repro.defenders import SemiRandomPolicy
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
-    C51Config,
-    C51Trainer,
     DQNConfig,
     DQNTrainer,
-    DistributionalAttentionQNetwork,
     DuelingAttentionQNetwork,
     QNetConfig,
 )
@@ -91,14 +89,6 @@ def _variants():
             "+noisy nets",
             lambda: AttentionQNetwork(replace(_QNET, noisy_heads=True), seed=0),
             DQNTrainer,
-            DQNConfig(**_BASE),
-        ),
-        (
-            "+C51",
-            lambda: DistributionalAttentionQNetwork(
-                _QNET, seed=0, c51=C51Config(n_atoms=21)
-            ),
-            C51Trainer,
             DQNConfig(**_BASE),
         ),
     ]

@@ -3,15 +3,19 @@
 The paper's scaling argument (Section 4.4) is that attention-network
 parameters never grow with node count, so one policy can protect
 networks of different sizes; its future work asks for pre-train /
-fine-tune deployment. This bench measures that pipeline with the
-shipped artifacts: the packaged ACSO Q-network was trained on the
-paper's *grid-search* network (10 workstations / 3 HMIs / 30 PLCs), and
-is here evaluated zero-shot on the full evaluation network (25/5/50,
-329 actions) against an untrained network of identical architecture.
+fine-tune deployment. This bench runs that pipeline's evaluation half:
+one set of weights is evaluated on the *grid-search* network (10
+workstations / 3 HMIs / 30 PLCs) and zero-shot on the full evaluation
+network (25/5/50, 329 actions), next to a second network of identical
+architecture.
 
-Expected shape: identical parameter counts on both networks, and the
-pre-trained policy dominating the untrained one on the target network
--- transfer moves real decision knowledge, not just shapes.
+No trained checkpoint is committed yet (``benchmarks/data/acso_qnet.npz``
+does not exist), so the ``acso_qnet`` fixture is the untrained seed-0
+network and the bench compares two untrained seeds, 0 and 99. What it
+checks today is the shape claim: identical parameter counts on both
+networks, and finite returns everywhere. With a committed checkpoint,
+the seed-0 rows become the trained policy, and it should then dominate
+the untrained seed-99 network on the target.
 """
 
 from __future__ import annotations
@@ -34,18 +38,18 @@ def test_zero_shot_transfer(benchmark, eval_tables, acso_qnet):
     def run():
         rows = {}
         untrained = AttentionQNetwork(QNetConfig(), seed=99)
-        rows["pretrained on source"] = evaluate_greedy_policy(
+        rows["untrained seed 0, source"] = evaluate_greedy_policy(
             source_cfg, acso_qnet, eval_tables, episodes, seed=50, max_steps=_MAX_STEPS
         )
-        rows["zero-shot on target"] = evaluate_greedy_policy(
+        rows["untrained seed 0, target"] = evaluate_greedy_policy(
             target_cfg, acso_qnet, eval_tables, episodes, seed=50, max_steps=_MAX_STEPS
         )
-        rows["untrained on target"] = evaluate_greedy_policy(
+        rows["untrained seed 99, target"] = evaluate_greedy_policy(
             target_cfg, untrained, eval_tables, episodes, seed=50, max_steps=_MAX_STEPS
         )
         params = {
-            "pretrained": acso_qnet.n_parameters(),
-            "untrained": untrained.n_parameters(),
+            "seed 0": acso_qnet.n_parameters(),
+            "seed 99": untrained.n_parameters(),
         }
         return rows, params
 
@@ -53,19 +57,19 @@ def test_zero_shot_transfer(benchmark, eval_tables, acso_qnet):
     lines = [
         f"Zero-shot transfer, small -> paper network ({episodes} episodes, "
         f"{_MAX_STEPS}-step horizon)",
-        f"parameters: {params['pretrained']} (identical on both networks)",
-        f"{'policy':<24} {'return':>10} {'PLCs off':>9} {'IT cost':>9} "
+        f"parameters: {params['seed 0']} (identical on both networks)",
+        f"{'network, evaluated on':<26} {'return':>10} {'PLCs off':>9} {'IT cost':>9} "
         f"{'compromised':>12}",
     ]
     for name, agg in rows.items():
         lines.append(
-            f"{name:<24} {agg.mean('discounted_return'):>10.1f} "
+            f"{name:<26} {agg.mean('discounted_return'):>10.1f} "
             f"{agg.mean('final_plcs_offline'):>9.2f} "
             f"{agg.mean('avg_it_cost'):>9.3f} "
             f"{agg.mean('avg_nodes_compromised'):>12.2f}"
         )
     write_result("transfer.txt", "\n".join(lines))
 
-    assert params["pretrained"] == params["untrained"]
+    assert params["seed 0"] == params["seed 99"]
     for agg in rows.values():
         assert np.isfinite(agg.mean("discounted_return"))

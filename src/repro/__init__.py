@@ -12,8 +12,10 @@ Public entry points:
   compatibility shim over the scenario machinery.
 * :mod:`repro.config` -- network presets (`paper_network`, `small_network`).
 * :mod:`repro.defenders` -- baseline and learned defender policies.
-* :mod:`repro.rl` -- the DQN training stack for the ACSO agent, plus the
-  Rainbow extensions (dueling, C51, noisy nets) and the DRQN baseline.
+* :mod:`repro.rl` -- the DQN training stack for the ACSO agent: the
+  attention Q-network under double DQN, prioritized replay and n-step
+  TD, the convolutional baseline of Table 7, and the dueling and
+  noisy-net ablations.
 * :mod:`repro.eval` -- the experiment harness for Table 2 / Fig 6 / Fig 10,
   text charts, markdown reports, and SOC trace analytics.
 * :mod:`repro.validation` -- off-policy evaluation and policy certification.

@@ -3,8 +3,8 @@
 This substrate replaces PyTorch (unavailable in the reproduction
 environment). It provides exactly what the paper's models need:
 linear/MLP blocks, layer normalization, multi-head self-attention,
-temporal 1-D convolution, a GRU, noisy linear layers, Adam, and the
-Huber, large-margin and categorical cross-entropy losses.
+temporal 1-D convolution, noisy linear layers, Adam, and the Huber and
+large-margin losses.
 
 There is one way to compute a gradient. Every module has one numeric
 forward on ndarrays that, given a :class:`~repro.nn.tape.Tape`,
@@ -29,10 +29,9 @@ from repro.nn.modules import (
 from repro.nn.tape import Tape, array_node
 from repro.nn.attention import AttentionBlock, MultiHeadSelfAttention
 from repro.nn.conv import Conv1d
-from repro.nn.recurrent import GRU, GRUCell
 from repro.nn.noisy import NoisyLinear, NoisyMLP
 from repro.nn.optim import Adam
-from repro.nn.losses import categorical_cross_entropy, huber_loss, margin_loss
+from repro.nn.losses import huber_loss, margin_loss
 from repro.nn.serialization import load_state, save_state
 
 __all__ = [
@@ -50,12 +49,9 @@ __all__ = [
     "MultiHeadSelfAttention",
     "AttentionBlock",
     "Conv1d",
-    "GRU",
-    "GRUCell",
     "NoisyLinear",
     "NoisyMLP",
     "Adam",
-    "categorical_cross_entropy",
     "huber_loss",
     "margin_loss",
     "save_state",

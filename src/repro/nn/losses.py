@@ -1,8 +1,7 @@
 """Loss functions: Huber (TD loss norm, eq 5), the DQfD-style
 demonstration loss used for pretraining (Huber value regression plus
 the large-margin classification term; appendix: target margin
-delta = 0.05, margin weighting lambda = 0.1), and the categorical
-cross-entropy used by the distributional (C51) trainer.
+delta = 0.05, margin weighting lambda = 0.1).
 
 Each loss reads its rows out of a network's output and is one graph
 node over that output, with a hand-written backward. The backward
@@ -17,7 +16,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["huber_loss", "margin_loss", "categorical_cross_entropy"]
+__all__ = ["huber_loss", "margin_loss"]
 
 
 def _mean(values: np.ndarray, weights):
@@ -108,33 +107,3 @@ def margin_loss(q: Tensor, expert_actions, returns, margin: float = 0.05,
                 + _scatter_rows(q.shape, rows, expert_actions, -grad_gap),)
 
     return Tensor._make(value + gap * margin_weight, (q,), backward)
-
-
-def categorical_cross_entropy(log_probs: Tensor, actions, target_probs,
-                              weights=None) -> tuple[Tensor, np.ndarray]:
-    """Cross-entropy -sum_z m(z) log p(z) between a projected target
-    distribution and the taken actions' predicted atom log-probabilities.
-
-    ``log_probs`` is (B, n_actions, n_atoms), ``target_probs`` the
-    (B, n_atoms) Bellman-projected distribution (no gradient). Returns
-    the (weighted) batch mean and the per-row cross-entropy, which the
-    C51 trainer uses as priorities.
-    """
-    rows = np.arange(log_probs.shape[0])
-    actions = np.asarray(actions, dtype=np.int64)
-    chosen = log_probs.data[rows, actions]
-    target = np.asarray(target_probs, dtype=np.float64)
-    if target.shape != chosen.shape:
-        raise ValueError(
-            f"shape mismatch: target {target.shape} vs log_probs {chosen.shape}"
-        )
-    per_row = -(chosen * target).sum(axis=-1)
-    total, mean_backward = _mean(per_row, weights)
-
-    def backward(grad):
-        grad_rows = -mean_backward(grad)
-        grad_chosen = np.broadcast_to(grad_rows[:, None], chosen.shape).copy()
-        return (_scatter_rows(log_probs.shape, rows, actions,
-                              grad_chosen * target),)
-
-    return Tensor._make(total, (log_probs,), backward), per_row

@@ -13,29 +13,33 @@ accumulating gradients into the leaves.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 
 import numpy as np
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+#: grad mode of the running thread (or asyncio task): each thread starts
+#: with it on, and a :func:`no_grad` block turns it off for its own
+#: thread only, so a training step on one thread builds its graph while
+#: another thread runs inference.
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction (inference / target computations)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction (inference / target computations) in
+    the running thread."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def is_grad_enabled() -> bool:
     """False inside :func:`no_grad` (inference-only fast paths key on it)."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 class Tensor:
@@ -68,7 +72,7 @@ class Tensor:
         gradient per parent. Outside grad mode, or when no parent
         requires grad, a plain Tensor."""
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

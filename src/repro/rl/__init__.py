@@ -19,13 +19,6 @@ from repro.rl.schedules import ExponentialDecay, LinearSchedule
 from repro.rl.shaping import PotentialShaper
 from repro.rl.dqn import DQNConfig, DQNTrainer
 from repro.rl.dueling import DuelingAttentionQNetwork
-from repro.rl.distributional import (
-    C51Config,
-    C51Trainer,
-    DistributionalAttentionQNetwork,
-    project_distribution,
-)
-from repro.rl.drqn import DRQNConfig, RecurrentQNetwork
 from repro.rl.pretrain import collect_demonstrations, pretrain
 
 __all__ = [
@@ -47,12 +40,6 @@ __all__ = [
     "DQNConfig",
     "DQNTrainer",
     "DuelingAttentionQNetwork",
-    "C51Config",
-    "C51Trainer",
-    "DistributionalAttentionQNetwork",
-    "project_distribution",
-    "DRQNConfig",
-    "RecurrentQNetwork",
     "collect_demonstrations",
     "pretrain",
 ]

@@ -6,9 +6,9 @@ importance-weighted by prioritized-replay probabilities. A potential-
 based shaping reward (eq 6) is added during training only; rewards are
 normalized by (1 - gamma) so the tanh value heads regress O(1) returns.
 
-One trainer serves every Q-network: the attention network over DBN
-features and the conv and DRQN baselines over raw observation windows
-(Table 7). Collection runs on the library's one episode loop,
+One trainer serves every Q-network: the attention networks over DBN
+features and the conv baseline over raw observation windows (Table 7).
+Collection runs on the library's one episode loop,
 :func:`~repro.sim.vec_env.drive_vec_episodes`, with a plain
 environment as one lane; action selection is one batched forward pass
 per lockstep round (:meth:`DQNTrainer.select_actions_vec`).
@@ -154,7 +154,7 @@ class DQNTrainer:
     ``featurizer`` turns observations into the states ``qnet`` reads:
     an :class:`~repro.rl.features.ACSOFeaturizer` for the attention
     networks, a :class:`~repro.rl.features.RawHistoryEncoder` for the
-    conv and DRQN baselines. The network owns the rest of the contract:
+    conv baseline. The network owns the rest of the contract:
     ``bind_topology`` (its action list), ``clone`` (the target net) and
     ``stack_states`` (a batch of states as ``forward`` arguments).
 
@@ -325,38 +325,26 @@ class DQNTrainer:
         return self.history
 
     # ------------------------------------------------------------------
-    def _sample_batch(self) -> tuple:
-        """One replay batch: (indices, importance weights, states,
-        actions, rewards, done, discount, next states), with states
-        stacked as ``forward`` arguments.
-
-        Under parameter-noise exploration the online and target noise
-        is resampled after the draw, so every update (DQN or C51) sees
-        fresh noise.
-        """
-        beta = self.beta_schedule(self.total_steps)
-        indices, transitions, weights = self.replay.sample(
-            self.config.batch_size, beta)
-        if self.noisy:
-            self.qnet.reset_noise()
-            self.target.reset_noise()
-        stack = self.qnet.stack_states
-        return (indices, weights, stack([tr.state for tr in transitions]),
-                np.array([tr.action for tr in transitions], np.int64),
-                np.array([tr.reward for tr in transitions]),
-                np.array([tr.done for tr in transitions], float),
-                np.array([tr.discount for tr in transitions]),
-                stack([tr.next_state for tr in transitions]))
-
     def update(self) -> float:
         """One gradient step on a prioritized batch; returns the loss."""
         cfg = self.config
-        (indices, weights, states, actions, rewards, done, discount,
-         next_states) = self._sample_batch()
+        beta = self.beta_schedule(self.total_steps)
+        indices, transitions, weights = self.replay.sample(cfg.batch_size, beta)
+        if self.noisy:
+            # every update sees fresh online and target noise
+            self.qnet.reset_noise()
+            self.target.reset_noise()
+        stack = self.qnet.stack_states
+        states = stack([tr.state for tr in transitions])
+        actions = np.array([tr.action for tr in transitions], np.int64)
+        rewards = np.array([tr.reward for tr in transitions])
+        done = np.array([tr.done for tr in transitions], float)
+        discount = np.array([tr.discount for tr in transitions])
+        next_states = stack([tr.next_state for tr in transitions])
 
         with no_grad():
             target_next = self.target.forward(*next_states).data
-            if self.config.double_dqn:
+            if cfg.double_dqn:
                 online_next = self.qnet.forward(*next_states).data
                 best_next = online_next.argmax(axis=1)
             else:

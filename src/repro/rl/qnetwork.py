@@ -28,16 +28,14 @@ or PLC rows (:class:`_RowPartition`, on networks of at least
 ``DISTINCT_MIN_TOKENS`` tokens), bitwise equal to the full forward.
 Forward values are bitwise equal to the per-op autograd graph
 of the same computation, and gradients agree with it to rounding; the
-test suite keeps that graph as the differential oracle. The dueling and
-C51 variants reuse the same node (extra value head; a log-softmax over
-atom logits).
+test suite keeps that graph as the differential oracle. The dueling
+variant reuses the same node (an extra value head).
 
 The convolutional baseline flattens the whole network into one vector
 per time step and strides over the history window; its output layer is
 one unit per action, so its size grows linearly with the network (329
-outputs on the paper topology). It is one graph node too, as is the
-DRQN baseline (:mod:`repro.rl.drqn`); their backwards are bitwise equal
-to the per-op graph of the same computation.
+outputs on the paper topology). It is one graph node too; its backward
+is bitwise equal to the per-op graph of the same computation.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ from repro.sim.orchestrator import (
     enumerate_actions,
 )
 
-__all__ = ["QNetConfig", "AttentionQNetwork", "ConvQNetwork", "WindowedQNetwork"]
+__all__ = ["QNetConfig", "AttentionQNetwork", "ConvQNetwork"]
 
 
 @dataclass(frozen=True)
@@ -503,70 +501,16 @@ class ConvNetConfig:
         return ConvNetConfig(window=64, channels=(256, 128, 64), mlp_hidden=256)
 
 
-class WindowedQNetwork(Module):
-    """A flat-output network over raw observation windows.
-
-    The conv baseline and the DRQN read the
-    :class:`~repro.rl.features.RawHistoryEncoder`'s ``(step_dim,
-    window)`` history and output one value per entry of
-    :func:`~repro.sim.orchestrator.enumerate_actions` -- the
-    environment's own action order, not the attention network's.
-    Subclasses take ``(step_dim, n_actions, config=..., seed=...)``.
-    """
-
-    step_dim: int
-    n_actions: int
-
-    def bind_topology(self, topology: Topology) -> "WindowedQNetwork":
-        """Check the network fits ``topology`` and take its action list."""
-        step_dim = RawHistoryEncoder.step_dim_for(topology)
-        if self.step_dim != step_dim:
-            raise ValueError(
-                f"network step_dim {self.step_dim} != encoder step_dim "
-                f"{step_dim} of this topology"
-            )
-        actions = enumerate_actions(topology)
-        if self.n_actions != len(actions):
-            raise ValueError(
-                f"network n_actions {self.n_actions} != env {len(actions)}"
-            )
-        self.action_list = actions
-        return self
-
-    def clone(self, seed: int = 0) -> "WindowedQNetwork":
-        """Fresh network of the same class, shape and config."""
-        return type(self)(self.step_dim, self.n_actions, config=self.config,
-                          seed=seed)
-
-    @staticmethod
-    def stack_states(states: list[np.ndarray]) -> tuple:
-        """Batch ``(step_dim, window)`` histories for :meth:`forward`."""
-        return (np.stack(states),)
-
-    def _soft_clip_array(self, q: np.ndarray, tape) -> np.ndarray:
-        """``tanh(q / q_scale) * q_scale`` when ``config.final_tanh``.
-
-        The backward scales by ``q_scale`` and ``1 / q_scale`` in turn,
-        as the per-op chain of the three ops does (the attention
-        network's clip folds them away, which differs by rounding).
-        """
-        cfg = self.config
-        if not cfg.final_tanh:
-            return q
-        inv_scale = 1.0 / cfg.q_scale
-        t = np.tanh(q * inv_scale)
-        if tape is not None:
-            tape.record(
-                lambda grad: grad * cfg.q_scale * (1.0 - t ** 2) * inv_scale)
-        return t * cfg.q_scale
-
-
-class ConvQNetwork(WindowedQNetwork):
+class ConvQNetwork(Module):
     """Baseline temporal convolution network (Table 7).
 
-    The output layer enumerates every action, so parameters grow with
-    the protected network -- the scaling failure the attention
-    architecture avoids.
+    It reads the :class:`~repro.rl.features.RawHistoryEncoder`'s
+    ``(step_dim, window)`` history and outputs one value per entry of
+    :func:`~repro.sim.orchestrator.enumerate_actions` -- the
+    environment's own action order, not the attention network's. The
+    output layer enumerates every action, so parameters grow with the
+    protected network -- the scaling failure the attention architecture
+    avoids.
     """
 
     def __init__(self, step_dim: int, n_actions: int,
@@ -588,6 +532,53 @@ class ConvQNetwork(WindowedQNetwork):
         self.mlp = MLP([self.flat_dim, cfg.mlp_hidden, n_actions], rng=rng)
         self.n_actions = n_actions
         self.step_dim = step_dim
+
+    def bind_topology(self, topology: Topology) -> "ConvQNetwork":
+        """Check the network fits ``topology`` and take its action list."""
+        step_dim = RawHistoryEncoder.step_dim_for(topology)
+        if self.step_dim != step_dim:
+            raise ValueError(
+                f"network step_dim {self.step_dim} != encoder step_dim "
+                f"{step_dim} of this topology"
+            )
+        actions = enumerate_actions(topology)
+        if self.n_actions != len(actions):
+            raise ValueError(
+                f"network n_actions {self.n_actions} != env {len(actions)}"
+            )
+        self.action_list = actions
+        return self
+
+    def clone(self, seed: int = 0) -> "ConvQNetwork":
+        """Fresh network of the same class, shape and config."""
+        return type(self)(self.step_dim, self.n_actions, config=self.config,
+                          seed=seed)
+
+    @staticmethod
+    def stack_states(states: list[np.ndarray]) -> tuple:
+        """Batch ``(step_dim, window)`` histories for :meth:`forward`."""
+        return (np.stack(states),)
+
+    def _output_array(self, flat: np.ndarray, tape) -> np.ndarray:
+        """Head outputs -> Q-values (subclasses combine them otherwise)."""
+        return self._soft_clip_array(flat, tape)
+
+    def _soft_clip_array(self, q: np.ndarray, tape) -> np.ndarray:
+        """``tanh(q / q_scale) * q_scale`` when ``config.final_tanh``.
+
+        The backward scales by ``q_scale`` and ``1 / q_scale`` in turn,
+        as the per-op chain of the three ops does (the attention
+        network's clip folds them away, which differs by rounding).
+        """
+        cfg = self.config
+        if not cfg.final_tanh:
+            return q
+        inv_scale = 1.0 / cfg.q_scale
+        t = np.tanh(q * inv_scale)
+        if tape is not None:
+            tape.record(
+                lambda grad: grad * cfg.q_scale * (1.0 - t ** 2) * inv_scale)
+        return t * cfg.q_scale
 
     def forward_array(self, history: np.ndarray, tape=None) -> np.ndarray:
         """(B, step_dim, window) -> (B, n_actions)."""

@@ -9,7 +9,7 @@ from repro.sim.apt_actions import (
 )
 from repro.sim.engine import Simulation, StepResult
 from repro.sim.env import InasimEnv
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.ids import IDSModule
 from repro.sim.observations import Alert, AlertSource, Observation, ScanResult
 from repro.sim.orchestrator import (
@@ -33,7 +33,6 @@ __all__ = [
     "Simulation",
     "StepResult",
     "InasimEnv",
-    "Event",
     "EventQueue",
     "IDSModule",
     "Alert",

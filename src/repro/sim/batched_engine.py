@@ -222,8 +222,8 @@ class BatchedVectorEnv(VectorEnv):
         self._in_flights[i] = sim.in_flight
         self._comp_sets[i] = state._comp_set
         self._quar_sets[i] = state._quar_set
-        heap = sim.queue._heap
-        self._next_event[i] = heap[0].time if heap else _FAR_FUTURE
+        due = sim.queue.peek_time()
+        self._next_event[i] = _FAR_FUTURE if due is None else due
         self._phase_names[i] = getattr(sim.attacker, "phase_name", None)
         for batch_name, attr in self._ADOPTED:
             row = getattr(self, batch_name)[i]
@@ -483,8 +483,8 @@ class BatchedVectorEnv(VectorEnv):
                 cost, completed = sim.step_advance(t1, scans)
                 costs[i] = cost
                 completed_per[i] = completed
-                heap = queues[i]._heap
-                next_event[i] = heap[0].time if heap else _FAR_FUTURE
+                due = queues[i].peek_time()
+                next_event[i] = _FAR_FUTURE if due is None else due
                 phase_names[i] = getattr(sim.attacker, "phase_name", None)
                 refresh_snapshots(i)
             rng = ids_rngs[i]

@@ -10,42 +10,36 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["Event", "EventQueue"]
-
-
-@dataclass(order=True)
-class Event:
-    time: int
-    seq: int
-    payload: Any = field(compare=False)
+__all__ = ["EventQueue"]
 
 
 class EventQueue:
+    """A heap of ``(time, seq, payload)`` entries. ``seq`` is unique,
+    so the heap never compares two payloads."""
+
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[int, int, Any]] = []
         self._counter = itertools.count()
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: int, payload: Any) -> Event:
-        if self._heap and time < self._heap[0].time - 10_000_000:
+    def push(self, time: int, payload: Any) -> None:
+        if self._heap and time < self._heap[0][0] - 10_000_000:
             raise ValueError("event scheduled unreasonably far in the past")
-        event = Event(time, next(self._counter), payload)
-        heapq.heappush(self._heap, event)
-        return event
+        heapq.heappush(self._heap, (time, next(self._counter), payload))
 
     def peek_time(self) -> int | None:
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop_due(self, now: int) -> list[Any]:
         """Remove and return payloads of all events with time <= now."""
+        heap = self._heap
         due: list[Any] = []
-        while self._heap and self._heap[0].time <= now:
-            due.append(heapq.heappop(self._heap).payload)
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap)[2])
         return due
 
     def clear(self) -> None:

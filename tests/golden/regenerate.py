@@ -33,9 +33,9 @@ on one machine by ``tests/test_rl_qnet.py``.
 A third family, ``tests/golden/loops/*.json``, pins every episode loop
 of the library on the tiny network: the DQN trainer on a plain
 environment (epsilon-greedy with prioritized replay, noisy heads,
-uniform replay) and on a two-lane vector environment, the C51 trainer,
-the conv and DRQN baselines, seeded evaluation, logged-episode
-collection for OPE, trace recording, DBN fitting and validation, and
+uniform replay) and on a two-lane vector environment, the conv
+baseline, seeded evaluation, logged-episode collection for OPE, trace
+recording, DBN fitting and validation, and
 demonstration collection. Training cells digest every episode's
 statistics and the final weights; the others digest what the loop
 returns. Two OPE cells pin the offline-scoring path: ``ope-trace``
@@ -261,13 +261,6 @@ def _attention_trainer(env, qnet_overrides=None, dqn_overrides=None):
                       _loop_dqn_config(**(dqn_overrides or {})))
 
 
-def _windowed_trainer(env, qnet):
-    from repro.rl import DQNTrainer, RawHistoryEncoder
-
-    encoder = RawHistoryEncoder(env.topology, window=qnet.config.window)
-    return DQNTrainer(env, qnet, encoder, _loop_dqn_config())
-
-
 def _loop_dqn_per() -> dict:
     return _training_digest(_attention_trainer(_loop_env()))
 
@@ -291,24 +284,8 @@ def _loop_dqn_vec2() -> dict:
     return _training_digest(_attention_trainer(venv), max_steps=None)
 
 
-def _loop_c51() -> dict:
-    from repro.rl import (
-        ACSOFeaturizer,
-        C51Config,
-        C51Trainer,
-        DistributionalAttentionQNetwork,
-    )
-
-    env = _loop_env()
-    qnet = DistributionalAttentionQNetwork(
-        _compact_qnet_config(), seed=SEED, c51=C51Config(n_atoms=11))
-    return _training_digest(C51Trainer(
-        env, qnet, ACSOFeaturizer(env.topology, _loop_tables()),
-        _loop_dqn_config()))
-
-
 def _loop_conv() -> dict:
-    from repro.rl import ConvQNetwork, RawHistoryEncoder
+    from repro.rl import ConvQNetwork, DQNTrainer, RawHistoryEncoder
     from repro.rl.qnetwork import ConvNetConfig
 
     env = _loop_env()
@@ -316,19 +293,8 @@ def _loop_conv() -> dict:
     qnet = ConvQNetwork(step_dim, env.n_actions,
                         ConvNetConfig(window=8, channels=(8,), kernel=4,
                                       stride=4, mlp_hidden=16), seed=SEED)
-    return _training_digest(_windowed_trainer(env, qnet))
-
-
-def _loop_drqn() -> dict:
-    from repro.rl import DRQNConfig, RawHistoryEncoder, RecurrentQNetwork
-
-    env = _loop_env()
-    step_dim = RawHistoryEncoder(env.topology).step_dim
-    qnet = RecurrentQNetwork(step_dim, env.n_actions,
-                             DRQNConfig(window=6, encoder_hidden=8,
-                                        gru_hidden=8, head_hidden=16),
-                             seed=SEED)
-    return _training_digest(_windowed_trainer(env, qnet))
+    encoder = RawHistoryEncoder(env.topology, window=qnet.config.window)
+    return _training_digest(DQNTrainer(env, qnet, encoder, _loop_dqn_config()))
 
 
 def _metrics_digest(metrics) -> dict:
@@ -537,9 +503,7 @@ LOOP_CELLS = {
     "dqn-noisy": _loop_dqn_noisy,
     "dqn-uniform": _loop_dqn_uniform,
     "dqn-vec2": _loop_dqn_vec2,
-    "c51": _loop_c51,
     "conv": _loop_conv,
-    "drqn": _loop_drqn,
     "evaluate-policy": _loop_evaluate,
     "logged-episodes": _loop_logged,
     "record-episode": _loop_trace,

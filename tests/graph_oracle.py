@@ -5,17 +5,16 @@ network's, or a loss's) array forward records hand-written backward
 steps, and the computation is one graph node
 (:func:`repro.nn.tape.array_node`). This file keeps an independent
 way: :class:`OpTensor` is a :class:`Tensor` with an operator per numpy
-op (``+``, ``@``, ``[...]``, ``tanh``, ``log_softmax``, ...), each
+op (``+``, ``@``, ``[...]``, ``tanh``, ``softmax``, ...), each
 recording its own backward, so autograd derives the gradient of a
 composition op by op.
 
 On top of it sit per-op forwards of every module, network and loss:
 
-* the fused modules and the attention Q-network (and its dueling / C51
-  variants): forward values bitwise equal, gradients allclose;
-* the GRU, the 1-D convolution, the conv and recurrent Q-networks, C51's
-  log-softmax and expected value read-out, the Huber, margin and
-  cross-entropy losses: forward values *and* gradients bitwise equal,
+* the fused modules and the attention Q-network (and its dueling
+  variant): forward values bitwise equal, gradients allclose;
+* the 1-D convolution, the conv Q-network, the Huber and margin
+  losses: forward values *and* gradients bitwise equal,
   because each hand-written backward copies the graph's expression
   order (this is what keeps the seeded training goldens unchanged).
 
@@ -44,17 +43,10 @@ from repro.nn import (
 )
 from repro.nn.conv import Conv1d
 from repro.nn.modules import _ARRAY_ACTIVATIONS
-from repro.nn.recurrent import GRU, GRUCell
-from repro.rl.distributional import DistributionalAttentionQNetwork
-from repro.rl.drqn import RecurrentQNetwork
 from repro.rl.dueling import DuelingAttentionQNetwork
 from repro.rl.features import GLOBAL_FEATURE_DIM
 from repro.rl.qnetwork import AttentionQNetwork, ConvQNetwork
 from repro.sim.orchestrator import HOST_ACTIONS, PLC_ACTIONS, SERVER_ACTIONS
-
-#: the library's one-node Q forward, kept for oracles that start from it
-_FUSED_Q_FORWARD = AttentionQNetwork.forward
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
@@ -219,18 +211,6 @@ class OpTensor(Tensor):
         def backward(grad):
             dot = (grad * out).sum(axis=axis, keepdims=True)
             return (out * (grad - dot),)
-
-        return self._make(out, (self,), backward)
-
-    def log_softmax(self, axis: int = -1):
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        out = shifted - log_z
-        probs = np.exp(out)
-
-        def backward(grad):
-            total = grad.sum(axis=axis, keepdims=True)
-            return (grad - probs * total,)
 
         return self._make(out, (self,), backward)
 
@@ -465,28 +445,6 @@ def conv1d(module: Conv1d, x) -> OpTensor:
     return out.swapaxes(1, 2)
 
 
-def gru_cell(module: GRUCell, x, h) -> OpTensor:
-    """One GRU step; the gates are the library's Linear nodes."""
-    x, h = op(x), op(h)
-    joint = concat([x, h], axis=-1)
-    z = op(module.update_gate(joint)).sigmoid()
-    r = op(module.reset_gate(joint)).sigmoid()
-    joint_reset = concat([x, r * h], axis=-1)
-    n = op(module.candidate(joint_reset)).tanh()
-    return (1.0 - z) * n + z * h
-
-
-def gru(module: GRU, x) -> OpTensor:
-    """The cell over a (B, T, F) sequence from a zero state; the final
-    state."""
-    x = op(x)
-    batch, steps, _ = x.shape
-    h = OpTensor(np.zeros((batch, module.hidden_dim)))
-    for t in range(steps):
-        h = gru_cell(module.cell, x[:, t, :], h)
-    return h
-
-
 _MODULES = {
     Linear: linear,
     NoisyLinear: noisy_linear,
@@ -494,7 +452,6 @@ _MODULES = {
     MultiHeadSelfAttention: self_attention,
     AttentionBlock: attention_block,
     Conv1d: conv1d,
-    GRU: gru,
 }
 
 
@@ -506,7 +463,7 @@ def forward(module: Module, x) -> OpTensor:
 
 
 # ----------------------------------------------------------------------
-# the attention Q-network and its dueling / C51 variants
+# the attention Q-network and its dueling variant
 # ----------------------------------------------------------------------
 def contextualize(net: AttentionQNetwork, node_feats, plc_feats, glob_feats):
     """Encoders + attention; returns (tokens, glob tensor, batch)."""
@@ -538,23 +495,21 @@ def split_contexts(net: AttentionQNetwork, tokens: OpTensor):
     return host_ctx, server_ctx, tokens[:, n:n + m, :], tokens[:, n + m:, :]
 
 
-def head_outputs(net: AttentionQNetwork, tokens, glob_feats, batch,
-                 per_action: int = 1) -> OpTensor:
-    """(B, n_actions * per_action) head outputs in action-list order."""
+def head_outputs(net: AttentionQNetwork, tokens, glob_feats, batch) -> OpTensor:
+    """(B, n_actions) head outputs in action-list order."""
     host_ctx, server_ctx, plc_ctx, noop_ctx = split_contexts(net, tokens)
     parts = [mlp(net.noop_head, with_global(noop_ctx, glob_feats, batch))
-             .reshape(batch, per_action)]
+             .reshape(batch, 1)]
     host_q = mlp(net.host_head, with_global(host_ctx, glob_feats, batch))
     parts.append(host_q.reshape(
-        batch, len(net._host_ids) * len(HOST_ACTIONS) * per_action))
+        batch, len(net._host_ids) * len(HOST_ACTIONS)))
     if server_ctx is not None:
         server_q = mlp(net.server_head, with_global(server_ctx, glob_feats, batch))
         parts.append(server_q.reshape(
-            batch, len(net._server_ids) * len(SERVER_ACTIONS) * per_action))
+            batch, len(net._server_ids) * len(SERVER_ACTIONS)))
     if net._n_plcs:
         plc_q = mlp(net.plc_head, with_global(plc_ctx, glob_feats, batch))
-        parts.append(plc_q.reshape(
-            batch, net._n_plcs * len(PLC_ACTIONS) * per_action))
+        parts.append(plc_q.reshape(batch, net._n_plcs * len(PLC_ACTIONS)))
     return concat(parts, axis=1)
 
 
@@ -566,9 +521,7 @@ def soft_clip(config, q: OpTensor) -> OpTensor:
 
 
 def q_forward(net: AttentionQNetwork, node_feats, plc_feats, glob_feats) -> OpTensor:
-    """Per-op Q-values of a plain, dueling or C51 attention network."""
-    if isinstance(net, DistributionalAttentionQNetwork):
-        return expected_q(net, log_probs(net, node_feats, plc_feats, glob_feats))
+    """Per-op Q-values of a plain or dueling attention network."""
     tokens, glob, batch = contextualize(net, node_feats, plc_feats, glob_feats)
     q = head_outputs(net, tokens, glob, batch)
     if isinstance(net, DuelingAttentionQNetwork):
@@ -579,52 +532,8 @@ def q_forward(net: AttentionQNetwork, node_feats, plc_feats, glob_feats) -> OpTe
     return soft_clip(net.config, q)
 
 
-def log_probs(net: DistributionalAttentionQNetwork, node_feats, plc_feats,
-              glob_feats) -> OpTensor:
-    """Per-op C51 log-probabilities, trunk included."""
-    tokens, glob, batch = contextualize(net, node_feats, plc_feats, glob_feats)
-    flat = head_outputs(net, tokens, glob, batch, per_action=net.c51.n_atoms)
-    return _atom_log_probs(net, flat)
-
-
-def c51_logits_node(net: DistributionalAttentionQNetwork, node_feats,
-                    plc_feats, glob_feats) -> OpTensor:
-    """The attention network's one node with raw atom logits out: the
-    first node of the per-op C51 graph."""
-    net._output_array = lambda flat, tape: flat
-    try:
-        return op(_FUSED_Q_FORWARD(net, node_feats, plc_feats, glob_feats))
-    finally:
-        del net._output_array
-
-
-def c51_log_probs(net: DistributionalAttentionQNetwork, node_feats, plc_feats,
-                  glob_feats) -> OpTensor:
-    """C51 log-probabilities on the fused trunk node (bitwise oracle of
-    the log-softmax tape step)."""
-    return _atom_log_probs(
-        net, c51_logits_node(net, node_feats, plc_feats, glob_feats))
-
-
-def c51_forward(net: DistributionalAttentionQNetwork, node_feats, plc_feats,
-                glob_feats) -> OpTensor:
-    """C51 expected Q-values on the fused trunk node."""
-    return expected_q(net, c51_log_probs(net, node_feats, plc_feats, glob_feats))
-
-
-def _atom_log_probs(net, flat: OpTensor) -> OpTensor:
-    logits = flat.reshape(flat.shape[0], net.n_actions, net.c51.n_atoms)
-    return logits.log_softmax(axis=-1)
-
-
-def expected_q(net: DistributionalAttentionQNetwork, log_p: OpTensor) -> OpTensor:
-    """Distribution mean per action."""
-    support = OpTensor(net.c51.support.reshape(1, 1, net.c51.n_atoms))
-    return (log_p.exp() * support).sum(axis=-1)
-
-
 # ----------------------------------------------------------------------
-# the windowed baselines (Table 7 conv, DRQN)
+# the Table 7 conv baseline
 # ----------------------------------------------------------------------
 def conv_q_forward(net: ConvQNetwork, history) -> OpTensor:
     x = op(history)
@@ -632,12 +541,6 @@ def conv_q_forward(net: ConvQNetwork, history) -> OpTensor:
         x = conv1d(conv, x).leaky_relu()
     x = x.reshape(x.shape[0], net.flat_dim)
     return soft_clip(net.config, op(net.mlp(x)))
-
-
-def drqn_q_forward(net: RecurrentQNetwork, history) -> OpTensor:
-    encoded = op(net.encoder(op(history)))
-    final = gru(net.gru, encoded)
-    return soft_clip(net.config, op(net.head(final)))
 
 
 # ----------------------------------------------------------------------
@@ -685,25 +588,12 @@ def margin_loss(q, expert_actions, returns, margin: float = 0.05,
     return value + _margin(q, expert_actions, margin) * margin_weight
 
 
-def categorical_cross_entropy(log_probs, actions, target_probs, weights=None):
-    """(loss, per-row cross-entropy) of the taken actions' atom
-    log-probabilities against the projected target distribution."""
-    log_probs = op(log_probs)
-    chosen = log_probs[np.arange(log_probs.shape[0]), np.asarray(actions)]
-    per_row = -(chosen * OpTensor(target_probs)).sum(axis=-1)
-    return _weighted_mean(per_row, weights), per_row.data
-
-
 def install(monkeypatch, networks: bool = True, losses: bool = True) -> None:
     """Route the library's forwards (``networks``) and training losses
     (``losses``) through the oracle."""
     if networks:
         monkeypatch.setattr(AttentionQNetwork, "forward", q_forward)
-        monkeypatch.setattr(DistributionalAttentionQNetwork, "forward", q_forward)
-        monkeypatch.setattr(DistributionalAttentionQNetwork, "log_probs",
-                            log_probs)
         monkeypatch.setattr(ConvQNetwork, "forward", conv_q_forward)
-        monkeypatch.setattr(RecurrentQNetwork, "forward", drqn_q_forward)
     if losses:
         def module(name):
             return importlib.import_module(f"repro.{name}")
@@ -711,9 +601,6 @@ def install(monkeypatch, networks: bool = True, losses: bool = True) -> None:
         for name in ("rl.dqn", "validation.fqe"):
             monkeypatch.setattr(module(name), "huber_loss", huber_loss)
         monkeypatch.setattr(module("rl.pretrain"), "margin_loss", margin_loss)
-        monkeypatch.setattr(module("rl.distributional"),
-                            "categorical_cross_entropy",
-                            categorical_cross_entropy)
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,18 @@ class TestEventQueue:
             q.push(2, name)
         assert q.pop_due(2) == ["a", "b", "c"]
 
+    def test_same_hour_payloads_pop_in_push_order_uncompared(self):
+        """Dicts cannot be ordered: the queue must never compare two
+        payloads, and same-hour events pop in push order."""
+        q = EventQueue()
+        payloads = [{"launch": i} for i in range(5)]
+        for payload in payloads:
+            q.push(3, payload)
+        q.push(1, {"launch": "first"})
+        due = q.pop_due(3)
+        assert due == [{"launch": "first"}, *payloads]
+        assert all(got is want for got, want in zip(due[1:], payloads))
+
     def test_empty_pop(self):
         q = EventQueue()
         assert q.pop_due(100) == []

@@ -10,15 +10,10 @@ import numpy as np
 import repro
 from repro.config import tiny_network
 from repro.defenders.acso import ACSOPolicy
-from repro.eval import run_table2
 from repro.eval.analysis import action_counts, dwell_time
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
-    C51Config,
-    C51Trainer,
-    DQNConfig,
-    DistributionalAttentionQNetwork,
     DuelingAttentionQNetwork,
     QNetConfig,
     collect_demonstrations,
@@ -29,8 +24,6 @@ from repro.sim.trace import record_episode
 
 SMALL_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
                         encoder_layers=2, head_hidden=16)
-FAST_DQN = DQNConfig(batch_size=8, warmup=8, update_every=4,
-                     target_update=40, buffer_size=400, n_step=3)
 
 
 class TestPretrainedVariantPipelines:
@@ -50,33 +43,6 @@ class TestPretrainedVariantPipelines:
                           PretrainConfig(iterations=5, batch_size=8, seed=0))
         assert len(losses) == 5
         assert all(np.isfinite(loss) for loss in losses)
-
-    def test_c51_policy_through_table2_driver(self, tiny_tables):
-        """A distributional network drives the paper's experiment
-        harness unchanged (forward() returns expected Q)."""
-        cfg = tiny_network(tmax=20)
-        net = DistributionalAttentionQNetwork(
-            SMALL_QNET, seed=0, c51=C51Config(n_atoms=7))
-        results = run_table2(
-            cfg, {"C51 ACSO": ACSOPolicy(net, tiny_tables)},
-            episodes=1, seed=0, max_steps=20,
-        )
-        assert np.isfinite(results["C51 ACSO"].mean("discounted_return"))
-
-    def test_c51_trainer_then_greedy_eval(self, tiny_tables):
-        cfg = tiny_network(tmax=25)
-        env = repro.make_env(cfg, seed=0)
-        net = DistributionalAttentionQNetwork(
-            SMALL_QNET, seed=0, c51=C51Config(n_atoms=11))
-        trainer = C51Trainer(env, net,
-                             ACSOFeaturizer(env.topology, tiny_tables),
-                             FAST_DQN)
-        trainer.train(1, seed=0, max_steps=20)
-        from repro.eval import run_episode
-
-        metrics = run_episode(env, ACSOPolicy(net, tiny_tables), seed=1,
-                              max_steps=20)
-        assert np.isfinite(metrics.discounted_return)
 
 
 class TestOPEOfGreedyTarget:

@@ -7,11 +7,9 @@ Three kinds of check:
 * differential tests against the per-op autograd oracle in
   ``graph_oracle.py``. For the attention networks, forward values and
   losses are bitwise equal and parameter gradients and seeded training
-  runs allclose. For the GRU, the 1-D convolution, the conv and
-  recurrent Q-networks, C51's log-softmax and expected-value steps and
-  the Huber, margin and cross-entropy losses, gradients are bitwise
-  equal too, and so are seeded pretraining, FQE and windowed-network
-  training runs;
+  runs allclose. For the 1-D convolution, the conv Q-network and the
+  Huber and margin losses, gradients are bitwise equal too, and so are
+  seeded pretraining, FQE and conv-network training runs;
 * the flat Adam bitwise equal to a per-parameter reference Adam, and
   refusing non-finite gradients.
 """
@@ -27,11 +25,9 @@ from repro.config import paper_network, tiny_network
 from repro.defenders import DBNExpertPolicy
 from repro.net import build_topology
 from repro.nn import (
-    GRU,
     Adam,
     AttentionBlock,
     Conv1d,
-    GRUCell,
     LayerNorm,
     Linear,
     MLP,
@@ -40,7 +36,6 @@ from repro.nn import (
     NoisyMLP,
     Parameter,
     Tensor,
-    categorical_cross_entropy,
     huber_loss,
     margin_loss,
     no_grad,
@@ -48,17 +43,12 @@ from repro.nn import (
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
-    C51Config,
-    C51Trainer,
     ConvQNetwork,
-    DistributionalAttentionQNetwork,
     DQNConfig,
     DQNTrainer,
-    DRQNConfig,
     DuelingAttentionQNetwork,
     QNetConfig,
     RawHistoryEncoder,
-    RecurrentQNetwork,
 )
 from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
 from repro.rl.pretrain import PretrainConfig, collect_demonstrations, pretrain
@@ -71,8 +61,6 @@ COMPACT = QNetConfig(d_model=16, n_heads=2, encoder_hidden=32, head_hidden=32)
 NETWORKS = {
     "plain": AttentionQNetwork,
     "dueling": DuelingAttentionQNetwork,
-    "c51": lambda config, seed: DistributionalAttentionQNetwork(
-        config, seed=seed, c51=C51Config(n_atoms=5, v_min=-4.0, v_max=4.0)),
 }
 
 
@@ -205,30 +193,6 @@ class TestGradcheck:
         feats = [Tensor(f, requires_grad=True) for f in _features(topo, 2, seed=6)]
         gradcheck(lambda: net.forward(*feats), feats, seed=7)
 
-    def test_gru_cell_inputs_require_grad(self):
-        """A GRU cell composes Linear nodes over Tensor inputs that
-        require grad: the input and hidden state gradients flow back."""
-        cell = GRUCell(3, 4, rng=np.random.default_rng(8))
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        h = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-        gradcheck(lambda: cell(x, h), [x, h] + cell.parameters(), seed=10)
-
-    def test_gru_over_encoded_sequence(self):
-        """An MLP node's output feeds a GRU, as in the DRQN."""
-        encoder = MLP([3, 5, 4], rng=np.random.default_rng(11))
-        gru = GRU(4, 3, rng=np.random.default_rng(12))
-        x = Tensor(np.random.default_rng(13).normal(size=(2, 3, 3)),
-                   requires_grad=True)
-        gradcheck(lambda: gru(encoder(x)),
-                  [x] + encoder.parameters() + gru.parameters(), seed=14)
-
-    def test_drqn(self):
-        net = RecurrentQNetwork(5, 4, DRQNConfig(encoder_hidden=6, gru_hidden=5,
-                                                 head_hidden=6), seed=15)
-        history = np.random.default_rng(16).normal(size=(2, 3, 5))
-        gradcheck(lambda: net.forward(history), net.parameters(), seed=17)
-
     @pytest.mark.parametrize("kernel, stride", [(4, 4), (3, 1), (3, 2)])
     def test_conv1d(self, kernel, stride):
         conv = Conv1d(3, 4, kernel, stride, rng=np.random.default_rng(18))
@@ -241,13 +205,6 @@ class TestGradcheck:
                            seed=20)
         history = np.random.default_rng(21).normal(size=(2, 5, 16))
         gradcheck(lambda: net.forward(history), net.parameters(), seed=22)
-
-    def test_c51_log_probs(self):
-        topo = _topology("tiny")
-        net = NETWORKS["c51"](COMPACT, seed=3).bind_topology(topo)
-        feats = [Tensor(f) for f in _features(topo, 2, seed=23)]
-        gradcheck(lambda: net.log_probs(*feats), net.parameters(), seed=24,
-                  entries=4)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("delta", [1.0, 0.5])
@@ -269,16 +226,6 @@ class TestGradcheck:
                                       margin_weight=0.5),
                   [q], seed=28, entries=q.data.size)
 
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_categorical_cross_entropy(self, weighted):
-        rng = np.random.default_rng(29)
-        log_p = Tensor(rng.normal(size=(4, 3, 5)), requires_grad=True)
-        actions = rng.integers(0, 3, size=4)
-        target = rng.dirichlet(np.ones(5), size=4)
-        weights = rng.uniform(0.5, 1.5, size=4) if weighted else None
-        gradcheck(lambda: categorical_cross_entropy(log_p, actions, target,
-                                                    weights)[0],
-                  [log_p], seed=30, entries=log_p.data.size)
 
 
 # ----------------------------------------------------------------------
@@ -300,24 +247,17 @@ def assert_grads_close(fused: dict, oracle: dict) -> None:
 
 
 def _loss(net, q, batch, seed):
-    """A training loss on ``q``: Huber on taken actions, or C51's
-    cross-entropy on the taken actions' atom log-probabilities."""
+    """A training loss on ``q``: Huber on taken actions."""
     rng = np.random.default_rng(seed)
     actions = rng.integers(0, net.n_actions, size=batch)
     weights = rng.uniform(0.5, 1.5, size=batch)
-    if isinstance(net, DistributionalAttentionQNetwork):
-        target = rng.dirichlet(np.ones(net.c51.n_atoms), size=batch)
-        return categorical_cross_entropy(q, actions, target, weights=weights)[0]
     return huber_loss(q, actions, rng.normal(size=batch) * 2.0, weights=weights)
 
 
 def _run(net, feats, seed):
     """(output, loss, {name: grad}) of one forward + backward."""
     net.zero_grad()
-    if isinstance(net, DistributionalAttentionQNetwork):
-        out = net.log_probs(*feats)
-    else:
-        out = net.forward(*feats)
+    out = net.forward(*feats)
     loss = _loss(net, out, feats[0].shape[0], seed)
     loss.backward()
     grads = {name: p.grad for name, p in net.named_parameters()}
@@ -353,19 +293,12 @@ class TestDifferential:
         assert len(q._parents) == len(net.parameters())
         assert all(isinstance(p, Parameter) for p in q._parents)
 
-    @pytest.mark.parametrize("kind", ["c51", "c51-log-probs", "conv", "drqn"])
-    def test_c51_and_windowed_networks_are_one_graph_node(self, kind):
-        topo = _topology("tiny")
-        if kind in ("conv", "drqn"):
-            step_dim = RawHistoryEncoder.step_dim_for(topo)
-            net = _windowed_net(kind, step_dim, 9)
-            history = net.stack_states(
-                [np.ones((step_dim, net.config.window))] * 4)[0]
-            q = net.forward(history)
-        else:
-            net = NETWORKS["c51"](COMPACT, seed=0).bind_topology(topo)
-            forward = net.log_probs if kind == "c51-log-probs" else net.forward
-            q = forward(*_features(topo, 4, seed=0))
+    def test_conv_network_is_one_graph_node(self):
+        step_dim = RawHistoryEncoder.step_dim_for(_topology("tiny"))
+        net = _conv_net(step_dim, 9)
+        history = net.stack_states(
+            [np.ones((step_dim, net.config.window))] * 4)[0]
+        q = net.forward(history)
         assert len(q._parents) == len(net.parameters())
         assert all(isinstance(p, Parameter) for p in q._parents)
 
@@ -400,15 +333,11 @@ class TestDifferential:
         assert_grads_close(results[0][1], results[1][1])
 
 
-def _windowed_net(kind, step_dim, n_actions, **overrides):
-    """The loop goldens' conv (overlapping windows here) or DRQN net."""
-    if kind == "conv":
-        config = dict(window=8, channels=(8,), kernel=4, stride=2, mlp_hidden=16)
-        config.update(overrides)
-        return ConvQNetwork(step_dim, n_actions, ConvNetConfig(**config), seed=1)
-    config = dict(window=6, encoder_hidden=8, gru_hidden=8, head_hidden=16)
+def _conv_net(step_dim, n_actions, **overrides):
+    """The loop golden's conv net, with overlapping windows here."""
+    config = dict(window=8, channels=(8,), kernel=4, stride=2, mlp_hidden=16)
     config.update(overrides)
-    return RecurrentQNetwork(step_dim, n_actions, DRQNConfig(**config), seed=1)
+    return ConvQNetwork(step_dim, n_actions, ConvNetConfig(**config), seed=1)
 
 
 def assert_bitwise(fused, oracle, params, inputs=(), seed=0):
@@ -439,21 +368,6 @@ class TestBitwiseOracle:
     those graphs bit for bit, at batch sizes 1 and 16."""
 
     @pytest.mark.parametrize("batch", BATCHES)
-    def test_gru(self, batch):
-        gru = GRU(4, 5, rng=np.random.default_rng(30))
-        x = np.random.default_rng(batch).normal(size=(batch, 6, 4))
-        assert_bitwise(gru, lambda t: graph_oracle.gru(gru, t),
-                       gru.parameters(), [x], seed=batch)
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_gru_cell(self, batch):
-        cell = GRUCell(3, 4, rng=np.random.default_rng(31))
-        rng = np.random.default_rng(batch)
-        x, h = rng.normal(size=(batch, 3)), rng.normal(size=(batch, 4))
-        assert_bitwise(cell, lambda a, b: graph_oracle.gru_cell(cell, a, b),
-                       cell.parameters(), [x, h], seed=batch)
-
-    @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("kernel, stride", [(4, 4), (3, 1), (3, 2)])
     def test_conv1d(self, batch, kernel, stride):
         conv = Conv1d(3, 5, kernel, stride, rng=np.random.default_rng(32))
@@ -467,35 +381,12 @@ class TestBitwiseOracle:
         {}, dict(window=16, channels=(6, 5), kernel=3, stride=2, mlp_hidden=7),
         dict(kernel=4, stride=4, final_tanh=False)])
     def test_conv_q_network(self, batch, overrides):
-        net = _windowed_net("conv", 7, 9, **overrides)
+        net = _conv_net(7, 9, **overrides)
         history = np.random.default_rng(batch).normal(
             size=(batch, 7, net.config.window))
         assert_bitwise(lambda: net.forward(history),
                        lambda: graph_oracle.conv_q_forward(net, history),
                        net.parameters(), seed=batch)
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("final_tanh", [True, False])
-    def test_drqn(self, batch, final_tanh):
-        net = _windowed_net("drqn", 7, 9, final_tanh=final_tanh)
-        history = np.random.default_rng(batch).normal(size=(batch, 6, 7))
-        assert_bitwise(lambda: net.forward(history),
-                       lambda: graph_oracle.drqn_q_forward(net, history),
-                       net.parameters(), seed=batch)
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("output", ["log_probs", "forward"])
-    def test_c51(self, batch, output):
-        """The log-softmax and expected-value tape steps against the
-        per-op ops on the same fused trunk node."""
-        topo = _topology("tiny")
-        net = NETWORKS["c51"](COMPACT, seed=11).bind_topology(topo)
-        feats = _features(topo, batch, seed=batch)
-        oracle = (graph_oracle.c51_log_probs if output == "log_probs"
-                  else graph_oracle.c51_forward)
-        assert_bitwise(lambda: getattr(net, output)(*feats),
-                       lambda: oracle(net, *feats), net.parameters(),
-                       seed=batch)
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("weighted", [False, True])
@@ -539,27 +430,6 @@ class TestBitwiseOracle:
             lambda t: graph_oracle.margin_loss(t, actions, returns, 0.5, 0.1),
             [], [q], seed=batch)
 
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("weighted", [False, True])
-    def test_categorical_cross_entropy(self, batch, weighted):
-        rng = np.random.default_rng(batch)
-        log_p = rng.normal(size=(batch, 4, 5))
-        actions = rng.integers(0, 4, size=batch)
-        target = rng.dirichlet(np.ones(5), size=batch)
-        weights = rng.uniform(0.5, 1.5, size=batch) if weighted else None
-        per_rows = []
-
-        def run(loss):
-            def forward(t):
-                total, per_row = loss(t, actions, target, weights)
-                per_rows.append(per_row)
-                return total
-            return forward
-
-        assert_bitwise(run(categorical_cross_entropy),
-                       run(graph_oracle.categorical_cross_entropy),
-                       [], [log_p], seed=batch)
-        assert _bits(per_rows[0]) == _bits(per_rows[1])
 
 
 def _train_dqn(tables):
@@ -700,23 +570,15 @@ class TestBitwiseTraining:
         graph_oracle.install(monkeypatch, networks=False)
         self._assert_runs_equal(fused, run())
 
-    @pytest.mark.parametrize("kind", ["conv", "drqn", "c51"])
-    def test_trainer(self, kind, tiny_tables, monkeypatch):
-        """DQN training of the windowed baselines (conv with overlapping
-        windows) and C51 training on the fused attention trunk."""
+    def test_conv_trainer(self, monkeypatch):
+        """DQN training of the conv baseline, with overlapping windows."""
 
         def run():
             env = repro.make_env(tiny_network(tmax=60), seed=0)
-            if kind == "c51":
-                net = NETWORKS["c51"](COMPACT, seed=1)
-                encoder = ACSOFeaturizer(env.topology, tiny_tables)
-                trainer_cls = C51Trainer
-            else:
-                net = _windowed_net(kind, RawHistoryEncoder.step_dim_for(
-                    env.topology), env.n_actions)
-                encoder = RawHistoryEncoder(env.topology, net.config.window)
-                trainer_cls = DQNTrainer
-            trainer = trainer_cls(env, net, encoder, DQNConfig(
+            net = _conv_net(RawHistoryEncoder.step_dim_for(env.topology),
+                            env.n_actions)
+            encoder = RawHistoryEncoder(env.topology, net.config.window)
+            trainer = DQNTrainer(env, net, encoder, DQNConfig(
                 batch_size=8, warmup=8, update_every=1, target_update=10,
                 eps_start=0.3, seed=0))
             losses = []
@@ -726,14 +588,7 @@ class TestBitwiseTraining:
             return losses, [p.data for p in net.parameters()]
 
         fused = run()
-        if kind == "c51":
-            graph_oracle.install(monkeypatch, networks=False)
-            monkeypatch.setattr(DistributionalAttentionQNetwork, "forward",
-                                graph_oracle.c51_forward)
-            monkeypatch.setattr(DistributionalAttentionQNetwork, "log_probs",
-                                graph_oracle.c51_log_probs)
-        else:
-            graph_oracle.install(monkeypatch)
+        graph_oracle.install(monkeypatch)
         self._assert_runs_equal(fused, run())
 
 

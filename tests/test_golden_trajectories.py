@@ -13,9 +13,10 @@ trajectory-distribution change must regenerate the fixtures
 seeded rollout under an untrained seeded ACSO policy, digesting the
 chosen actions, rewards and Q-vectors (see ``regenerate.py``).
 
-``tests/golden/loops/*.json`` pins the library's episode loops: DQN,
-C51, conv and DRQN training, evaluation, OPE logging, trace recording,
-DBN fitting and validation, and demonstration collection.
+``tests/golden/loops/*.json`` pins the library's episode loops: DQN
+(epsilon-greedy or noisy-head exploration) and conv training,
+evaluation, OPE logging, trace recording, DBN fitting and validation,
+and demonstration collection.
 """
 
 import importlib.util

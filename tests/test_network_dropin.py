@@ -1,6 +1,6 @@
 """Drop-in and serialization contracts for the Q-network family.
 
-Every network variant (plain, dueling, distributional, noisy-headed)
+Every network variant (plain, dueling, noisy-headed)
 must (a) serialize and reload bit-exactly, (b) plug into the greedy
 ACSO policy unchanged, and (c) keep its parameter count independent of
 the bound topology. These are the contracts the transfer machinery
@@ -18,8 +18,6 @@ from repro.net.topology import build_topology
 from repro.nn import load_state, save_state
 from repro.rl import (
     AttentionQNetwork,
-    C51Config,
-    DistributionalAttentionQNetwork,
     DuelingAttentionQNetwork,
     QNetConfig,
 )
@@ -34,8 +32,6 @@ def _variants():
     return [
         ("plain", AttentionQNetwork(SMALL_QNET, seed=0)),
         ("dueling", DuelingAttentionQNetwork(SMALL_QNET, seed=0)),
-        ("distributional", DistributionalAttentionQNetwork(
-            SMALL_QNET, seed=0, c51=C51Config(n_atoms=7))),
         ("noisy", AttentionQNetwork(NOISY_QNET, seed=0)),
     ]
 

@@ -20,19 +20,14 @@ from repro.nn import (
     Adam,
     Tensor,
     Tape,
-    categorical_cross_entropy,
     huber_loss,
     margin_loss,
 )
 from repro.rl import (
     AttentionQNetwork,
-    C51Config,
     ConvQNetwork,
-    DistributionalAttentionQNetwork,
-    DRQNConfig,
     DuelingAttentionQNetwork,
     QNetConfig,
-    RecurrentQNetwork,
 )
 from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
 from repro.rl.qnetwork import ConvNetConfig
@@ -44,15 +39,9 @@ NETWORKS = {
     "plain": lambda topo: AttentionQNetwork(COMPACT, seed=1).bind_topology(topo),
     "dueling": lambda topo: DuelingAttentionQNetwork(
         COMPACT, seed=1).bind_topology(topo),
-    "c51": lambda topo: DistributionalAttentionQNetwork(
-        COMPACT, seed=1,
-        c51=C51Config(n_atoms=5, v_min=-4.0, v_max=4.0)).bind_topology(topo),
     "conv": lambda topo: ConvQNetwork(
         5, 6, ConvNetConfig(window=16, channels=(6, 3), kernel=3, stride=2,
                             mlp_hidden=7), seed=1),
-    "drqn": lambda topo: RecurrentQNetwork(
-        5, 6, DRQNConfig(encoder_hidden=6, gru_hidden=5, head_hidden=6),
-        seed=1),
 }
 
 
@@ -65,26 +54,13 @@ def _inputs(kind, net, topo, seed):
     rng = np.random.default_rng(seed)
     if kind == "conv":
         return (rng.normal(size=(BATCH, 5, 16)),)
-    if kind == "drqn":
-        return (rng.normal(size=(BATCH, 3, 5)),)
     return (rng.normal(size=(BATCH, topo.n_nodes, NODE_FEATURE_DIM)),
             rng.normal(size=(BATCH, topo.n_plcs, PLC_FEATURE_DIM)),
             rng.normal(size=(BATCH, GLOBAL_FEATURE_DIM)))
 
 
-def _output(kind, net, inputs):
-    """The graph node a loss reads: C51 trains on its log-probabilities."""
-    if kind == "c51":
-        return net.log_probs(*inputs)
-    return net.forward(*inputs)
-
-
-def _loss(kind, loss_name, out, seed):
+def _loss(loss_name, out, seed):
     rng = np.random.default_rng(seed)
-    if kind == "c51":
-        target = rng.dirichlet(np.ones(out.shape[-1]), size=BATCH)
-        return categorical_cross_entropy(
-            out, rng.integers(out.shape[1], size=BATCH), target)[0]
     actions = rng.integers(out.shape[1], size=BATCH)
     if loss_name == "margin":
         return margin_loss(out, actions, rng.normal(size=BATCH))
@@ -103,7 +79,7 @@ def no_collector():
 
 
 CASES = [("plain", "huber"), ("plain", "margin"), ("dueling", "huber"),
-         ("c51", "cross-entropy"), ("conv", "huber"), ("drqn", "huber")]
+         ("conv", "huber")]
 
 
 class TestNoCycles:
@@ -114,8 +90,8 @@ class TestNoCycles:
         optimizer = Adam(net.named_parameters(), lr=1e-3)
         for seed in range(2):
             optimizer.zero_grad()
-            out = _output(kind, net, _inputs(kind, net, topo, seed))
-            _loss(kind, loss_name, out, seed).backward()
+            out = net.forward(*_inputs(kind, net, topo, seed))
+            _loss(loss_name, out, seed).backward()
             optimizer.step()
         del out
         assert gc.collect() == 0
@@ -126,7 +102,7 @@ class TestNoCycles:
         net = NETWORKS[kind](topo)
         inputs = [Tensor(x, requires_grad=True)
                   for x in _inputs(kind, net, topo, 0)]
-        _output(kind, net, inputs)
+        net.forward(*inputs)
         assert gc.collect() == 0
 
 
@@ -134,8 +110,7 @@ class TestFreedGraph:
     @pytest.mark.parametrize("kind", sorted(NETWORKS))
     def test_second_backward_raises(self, kind, topo):
         net = NETWORKS[kind](topo)
-        loss = _loss(kind, "huber",
-                     _output(kind, net, _inputs(kind, net, topo, 0)), 0)
+        loss = _loss("huber", net.forward(*_inputs(kind, net, topo, 0)), 0)
         loss.backward()
         with pytest.raises(RuntimeError, match="already freed"):
             loss.backward()
@@ -156,7 +131,7 @@ def _param_grads(kind, net, topo, wanted):
     inputs = [Tensor(x, requires_grad=want) for x, want in
               zip(_inputs(kind, net, topo, 3), wanted)]
     net.zero_grad()
-    _loss(kind, "huber", _output(kind, net, inputs), 3).backward()
+    _loss("huber", net.forward(*inputs), 3).backward()
     grads = [p.grad.copy() for p in net.parameters()]
     net.zero_grad()
     return grads, [x.grad for x in inputs]

@@ -1,11 +1,9 @@
-"""Tests for the RL extensions: dueling heads, distributional (C51)
-learning, the DRQN baseline, windowed networks under the DQN trainer,
-uniform replay, and the trainer ablation flags."""
+"""Tests for the RL extensions: dueling heads, the conv baseline under
+the DQN trainer, uniform replay, and the trainer ablation flags (noisy
+heads among them)."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import graph_oracle
 import repro
@@ -13,27 +11,23 @@ from repro.config import tiny_network
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
-    C51Config,
-    C51Trainer,
     ConvQNetwork,
     DQNConfig,
-    DRQNConfig,
-    DistributionalAttentionQNetwork,
     DuelingAttentionQNetwork,
     DQNTrainer,
     QNetConfig,
-    RecurrentQNetwork,
     UniformReplay,
-    project_distribution,
     stack_features,
 )
 from repro.rl.features import RawHistoryEncoder
+from repro.rl.qnetwork import ConvNetConfig
 from repro.rl.replay import Transition
 
 SMALL_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
                         encoder_layers=2, head_hidden=16)
 FAST_DQN = DQNConfig(batch_size=8, warmup=8, update_every=2,
                      target_update=20, buffer_size=500, n_step=3)
+SMALL_CONV = ConvNetConfig(window=16, channels=(8, 8), mlp_hidden=16)
 
 
 @pytest.fixture()
@@ -112,209 +106,38 @@ class TestDuelingNetwork:
         assert np.isfinite(stats.mean_loss)
 
 
-class TestC51Projection:
-    def test_identity_when_reward_zero_discount_one(self):
-        c51 = C51Config(n_atoms=11, v_min=-5.0, v_max=5.0)
-        probs = np.zeros((1, 11))
-        probs[0, 3] = 1.0
-        out = project_distribution(
-            probs, np.zeros(1), np.ones(1), c51
-        )
-        assert np.allclose(out, probs)
-
-    def test_terminal_collapses_to_reward_atom(self):
-        c51 = C51Config(n_atoms=11, v_min=-5.0, v_max=5.0)
-        probs = np.full((1, 11), 1.0 / 11)
-        out = project_distribution(
-            probs, np.array([2.0]), np.zeros(1), c51
-        )
-        # support spacing is 1.0; reward 2.0 sits exactly on atom 7
-        assert out[0, 7] == pytest.approx(1.0)
-
-    def test_mass_is_conserved(self):
-        c51 = C51Config(n_atoms=21, v_min=-3.0, v_max=3.0)
-        rng = np.random.default_rng(0)
-        probs = rng.dirichlet(np.ones(21), size=16)
-        out = project_distribution(
-            probs, rng.normal(size=16), rng.uniform(0, 1, 16) ** 2, c51
-        )
-        assert np.allclose(out.sum(axis=1), 1.0)
-        assert (out >= 0).all()
-
-    def test_rewards_beyond_support_clip_to_edges(self):
-        c51 = C51Config(n_atoms=5, v_min=-1.0, v_max=1.0)
-        probs = np.full((2, 5), 0.2)
-        out = project_distribution(
-            probs, np.array([100.0, -100.0]), np.zeros(2), c51
-        )
-        assert out[0, -1] == pytest.approx(1.0)
-        assert out[1, 0] == pytest.approx(1.0)
-
-    def test_mean_shifts_by_reward(self):
-        """E[projected] ~ r + gamma E[next] inside the support."""
-        c51 = C51Config(n_atoms=51, v_min=-10.0, v_max=10.0)
-        probs = np.zeros((1, 51))
-        probs[0, 25] = 1.0  # point mass at 0
-        out = project_distribution(probs, np.array([1.5]), np.array([0.9]), c51)
-        assert float((out @ c51.support)[0]) == pytest.approx(1.5, abs=1e-9)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_projection_always_simplex(self, seed):
-        rng = np.random.default_rng(seed)
-        c51 = C51Config(n_atoms=31, v_min=-8.0, v_max=8.0)
-        probs = rng.dirichlet(np.ones(31), size=4)
-        out = project_distribution(
-            probs, rng.normal(scale=5, size=4),
-            rng.uniform(0, 1, size=4), c51,
-        )
-        assert np.allclose(out.sum(axis=1), 1.0)
-        assert (out >= -1e-12).all()
-
-
-class TestC51Config:
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            C51Config(v_min=1.0, v_max=-1.0)
-
-    def test_rejects_single_atom(self):
-        with pytest.raises(ValueError):
-            C51Config(n_atoms=1)
-
-    def test_support_endpoints(self):
-        c51 = C51Config(n_atoms=5, v_min=-2.0, v_max=2.0)
-        assert c51.support[0] == -2.0
-        assert c51.support[-1] == 2.0
-        assert c51.delta_z == pytest.approx(1.0)
-
-
-class TestDistributionalNetwork:
-    def test_log_probs_shape_and_normalization(self, env, featurizer):
-        c51 = C51Config(n_atoms=7, v_min=-3, v_max=3)
-        net = DistributionalAttentionQNetwork(SMALL_QNET, seed=0, c51=c51)
-        net.bind_topology(env.topology)
-        node, plc, glob = _features_batch(env, featurizer)
-        log_p = net.log_probs(node, plc, glob)
-        assert log_p.shape == (2, env.n_actions, 7)
-        assert np.allclose(np.exp(log_p.data).sum(axis=-1), 1.0)
-
-    def test_forward_is_distribution_mean(self, env, featurizer):
-        c51 = C51Config(n_atoms=7, v_min=-3, v_max=3)
-        net = DistributionalAttentionQNetwork(SMALL_QNET, seed=0, c51=c51)
-        net.bind_topology(env.topology)
-        node, plc, glob = _features_batch(env, featurizer)
-        q = net.forward(node, plc, glob).data
-        probs = net.probs(node, plc, glob)
-        assert np.allclose(q, (probs * c51.support).sum(axis=-1))
-        assert (q >= c51.v_min - 1e-9).all() and (q <= c51.v_max + 1e-9).all()
-
-    def test_clone_preserves_c51_config(self):
-        c51 = C51Config(n_atoms=9, v_min=-1, v_max=1)
-        net = DistributionalAttentionQNetwork(SMALL_QNET, seed=0, c51=c51)
-        clone = net.clone(seed=5)
-        assert clone.c51 == c51
-        assert type(clone) is DistributionalAttentionQNetwork
-
-    def test_trainer_rejects_scalar_network(self, env, featurizer):
-        with pytest.raises(TypeError):
-            C51Trainer(env, AttentionQNetwork(SMALL_QNET), featurizer, FAST_DQN)
-
-    def test_c51_training_episode(self, env, featurizer):
-        c51 = C51Config(n_atoms=11, v_min=-24, v_max=24)
-        net = DistributionalAttentionQNetwork(SMALL_QNET, seed=0, c51=c51)
-        trainer = C51Trainer(env, net, featurizer, FAST_DQN)
-        stats = trainer.train(1, seed=0, max_steps=30)[-1]
-        assert stats.steps == 30
-        assert np.isfinite(stats.mean_loss)
-        assert stats.mean_loss > 0  # cross-entropy is positive
-
-
-class TestRecurrentQNetwork:
-    def test_forward_shape(self):
-        net = RecurrentQNetwork(10, 13, DRQNConfig(window=4, encoder_hidden=8,
-                                                   gru_hidden=8, head_hidden=8))
-        out = net.forward(np.zeros((3, 4, 10)))
-        assert out.shape == (3, 13)
-
-    def test_rejects_flat_input(self):
-        net = RecurrentQNetwork(10, 13, DRQNConfig())
-        with pytest.raises(ValueError):
-            net.forward(np.zeros((3, 10)))
-
-    def test_q_values_bounded_by_scale(self):
-        cfg = DRQNConfig(window=4, encoder_hidden=8, gru_hidden=8,
-                         head_hidden=8, q_scale=2.0)
-        net = RecurrentQNetwork(6, 5, cfg)
-        out = net.forward(np.random.default_rng(0).normal(size=(2, 4, 6)) * 50)
-        assert (np.abs(out.data) <= 2.0).all()
-
-    def test_history_order_matters(self):
-        net = RecurrentQNetwork(6, 5, DRQNConfig(window=4, encoder_hidden=8,
-                                                 gru_hidden=8, head_hidden=8))
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 4, 6))
-        assert not np.allclose(
-            net.forward(x).data, net.forward(x[:, ::-1, :].copy()).data
-        )
-
-
 class TestWindowedTrainer:
-    """The conv and DRQN baselines train under ``DQNTrainer`` with a
+    """The conv baseline trains under ``DQNTrainer`` with a
     ``RawHistoryEncoder`` featurizer."""
 
-    def _drqn(self, env, window=4):
-        encoder = RawHistoryEncoder(env.topology, window=window)
-        cfg = DRQNConfig(window=window, encoder_hidden=8, gru_hidden=8,
-                         head_hidden=16)
-        return RecurrentQNetwork(encoder.step_dim, env.n_actions, cfg)
+    def _conv(self, env, step_dim=None, n_actions=None):
+        encoder = RawHistoryEncoder(env.topology, window=SMALL_CONV.window)
+        return ConvQNetwork(step_dim or encoder.step_dim,
+                            n_actions or env.n_actions, SMALL_CONV)
 
-    def _trainer(self, env, net, window=4):
-        return DQNTrainer(env, net, RawHistoryEncoder(env.topology, window),
+    def _trainer(self, env, net):
+        return DQNTrainer(env, net,
+                          RawHistoryEncoder(env.topology, SMALL_CONV.window),
                           FAST_DQN)
 
-    def test_drqn_episode_runs(self, env):
-        trainer = self._trainer(env, self._drqn(env))
-        stats = trainer.train(1, seed=0, max_steps=25)[-1]
-        assert stats.steps == 25
-        assert np.isfinite(stats.mean_loss)
-
     def test_conv_episode_runs(self, env):
-        from repro.rl.qnetwork import ConvNetConfig
-
-        encoder = RawHistoryEncoder(env.topology, window=16)
-        net = ConvQNetwork(
-            encoder.step_dim, env.n_actions,
-            ConvNetConfig(window=16, channels=(8, 8), mlp_hidden=16),
-        )
-        trainer = self._trainer(env, net, window=16)
+        trainer = self._trainer(env, self._conv(env))
         stats = trainer.train(1, seed=0, max_steps=25)[-1]
         assert stats.steps == 25
         assert np.isfinite(stats.mean_loss)
 
     def test_rejects_step_dim_mismatch(self, env):
-        net = RecurrentQNetwork(3, env.n_actions, DRQNConfig(window=4))
         with pytest.raises(ValueError, match="step_dim"):
-            self._trainer(env, net)
+            self._trainer(env, self._conv(env, step_dim=3))
 
     def test_rejects_action_count_mismatch(self, env):
-        encoder = RawHistoryEncoder(env.topology, window=4)
-        net = RecurrentQNetwork(encoder.step_dim, 3,
-                                DRQNConfig(window=4))
         with pytest.raises(ValueError, match="n_actions"):
-            self._trainer(env, net)
+            self._trainer(env, self._conv(env, n_actions=3))
 
     def test_windowed_nets_use_the_env_action_order(self, env):
-        trainer = self._trainer(env, self._drqn(env))
+        trainer = self._trainer(env, self._conv(env))
         assert trainer.qnet.action_list == env.action_list
         assert trainer.target.action_list == env.action_list
-
-    def test_drqn_batches_time_first(self, env):
-        net = self._drqn(env)
-        windows = [np.arange(net.step_dim * 4, dtype=float).reshape(
-            net.step_dim, 4) + k for k in range(2)]
-        (batch,) = net.stack_states(windows)
-        assert batch.shape == (2, 4, net.step_dim)
-        assert np.array_equal(batch[1], windows[1].T)
 
 
 class TestUniformReplay:
@@ -415,17 +238,13 @@ class TestAblationFlags:
         q2 = net.forward(node, plc, glob).data.copy()
         assert np.allclose(q1, q2)
 
-    @pytest.mark.parametrize("trainer_cls", [DQNTrainer, C51Trainer])
-    def test_update_resamples_online_and_target_noise(self, trainer_cls, env,
-                                                      featurizer):
-        """Every update draws fresh parameter noise for both networks,
-        in the C51 trainer as in the DQN trainer."""
+    def test_update_resamples_online_and_target_noise(self, env, featurizer):
+        """Every update draws fresh parameter noise for both networks."""
         qcfg = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
                           head_hidden=16, noisy_heads=True)
-        net_cls = (DistributionalAttentionQNetwork if trainer_cls is C51Trainer
-                   else AttentionQNetwork)
         cfg = DQNConfig(batch_size=8, warmup=8, update_every=1000)
-        trainer = trainer_cls(env, net_cls(qcfg, seed=0), featurizer, cfg)
+        trainer = DQNTrainer(env, AttentionQNetwork(qcfg, seed=0), featurizer,
+                             cfg)
         trainer.train(1, seed=0, max_steps=12)
         layers = [trainer.qnet.host_head.linears[0],
                   trainer.target.host_head.linears[0]]

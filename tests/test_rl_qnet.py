@@ -26,9 +26,7 @@ from repro.nn import (
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
-    C51Config,
     ConvQNetwork,
-    DistributionalAttentionQNetwork,
     DuelingAttentionQNetwork,
     PotentialShaper,
     QNetConfig,
@@ -312,7 +310,7 @@ class TestRowIndependence:
                 for j, row in enumerate(index):
                     assert _bits(got[j]) == _bits(want[row]), (index, row)
 
-    @pytest.mark.parametrize("kind", ["plain", "dueling", "c51"])
+    @pytest.mark.parametrize("kind", ["plain", "dueling"])
     @pytest.mark.parametrize("network", ["tiny", "paper"])
     @pytest.mark.parametrize("config", ["compact", "default"])
     def test_row_blocks_equal_one_piece_at_block_boundaries(
@@ -322,27 +320,23 @@ class TestRowIndependence:
         row); around each boundary its outputs equal the one-piece
         forward's bit for bit."""
         topo = paper_topology if network == "paper" else tiny_topology
-        cls = {"plain": AttentionQNetwork, "dueling": DuelingAttentionQNetwork,
-               "c51": DistributionalAttentionQNetwork}[kind]
+        cls = {"plain": AttentionQNetwork,
+               "dueling": DuelingAttentionQNetwork}[kind]
         net = cls(PARITY_CONFIGS[config], seed=6).bind_topology(topo)
         k = net._block_rows
         assert k == max(1, BLOCK_TOKENS // (topo.n_nodes + topo.n_plcs + 1))
 
-        def outputs(feats):
+        def output(feats):
             with no_grad():
-                out = [net.forward(*feats).data]
-                if kind == "c51":
-                    out.append(net.log_probs(*feats).data)
-            return out
+                return _bits(net.forward(*feats).data)
 
         for batch in sorted({max(1, k - 1), k, k + 1, 2 * k + 1}):
             feats = _random_features(topo, batch, seed=batch)
-            blocked = outputs(feats)
+            blocked = output(feats)
             net._block_rows = batch  # the same forward in one piece
-            whole = outputs(feats)
+            whole = output(feats)
             net._block_rows = k
-            assert [_bits(x) for x in blocked] == [_bits(x) for x in whole], \
-                batch
+            assert blocked == whole, batch
 
 
 
@@ -372,8 +366,8 @@ def _duplicated_states(topo, seed):
 
 
 def _distinct_net(kind, config, topo):
-    cls = {"plain": AttentionQNetwork, "dueling": DuelingAttentionQNetwork,
-           "c51": DistributionalAttentionQNetwork}[kind]
+    cls = {"plain": AttentionQNetwork,
+           "dueling": DuelingAttentionQNetwork}[kind]
     net = cls(PARITY_CONFIGS[config], seed=8).bind_topology(topo)
     # the tiny topology is below DISTINCT_MIN_TOKENS: check its
     # arithmetic all the same
@@ -382,17 +376,13 @@ def _distinct_net(kind, config, topo):
 
 
 def _single_and_stacked(net, node, plc, glob):
-    """Every output of one state alone (the distinct-row path) and as
+    """The Q-values of one state alone (the distinct-row path) and as
     the first row of the same state stacked twice (the full forward)."""
     one = (node[None], plc[None], glob[None])
     two = (np.stack([node, node]), np.stack([plc, plc]), np.stack([glob, glob]))
     with no_grad():
-        alone = [net.forward(*one).data[0]]
-        stacked = [net.forward(*two).data[0]]
-        if isinstance(net, DistributionalAttentionQNetwork):
-            alone.append(net.log_probs(*one).data[0])
-            stacked.append(net.log_probs(*two).data[0])
-    return [_bits(x) for x in alone], [_bits(x) for x in stacked]
+        return (_bits(net.forward(*one).data[0]),
+                _bits(net.forward(*two).data[0]))
 
 
 class TestDistinctRows:
@@ -402,7 +392,7 @@ class TestDistinctRows:
     (``repro.rl.qnetwork._RowPartition``). Every output must equal the
     full forward's (the same state stacked at B=2) bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["plain", "dueling", "c51"])
+    @pytest.mark.parametrize("kind", ["plain", "dueling"])
     @pytest.mark.parametrize("network", ["tiny", "paper"])
     @pytest.mark.parametrize("config", ["compact", "default", "paper",
                                         "noisy-on"])
@@ -457,7 +447,7 @@ class TestDistinctRows:
             features = featurizer.update(obs)
 
     @pytest.mark.parametrize("change", ["moved belief", "signed zero", "nan"])
-    @pytest.mark.parametrize("kind", ["plain", "c51"])
+    @pytest.mark.parametrize("kind", ["plain", "dueling"])
     def test_changed_rows_are_regrouped(self, change, kind, tiny_topology,
                                         paper_topology):
         """The partition of the last state is reused only while every
@@ -517,17 +507,18 @@ class TestDistinctRows:
         net = _distinct_net("dueling", "compact", paper_topology)
         states = [list(_duplicated_states(paper_topology, seed).values())
                   for seed in range(4)]
-        want = [[_single_and_stacked(net, *state)[1][0] for state in mine]
+        want = [[_single_and_stacked(net, *state)[1] for state in mine]
                 for mine in states]
         failures = []
 
         def work(mine, expected):
             for _ in range(50):
                 for (node, plc, glob), bits in zip(mine, expected):
-                    # the no-grad forward itself: ``no_grad`` is one
-                    # process-wide switch
-                    got = net._forward_array(node[None], plc[None], glob[None])
-                    if _bits(got[0]) != bits:
+                    # grad mode is per thread, so each thread's block
+                    # leaves the others' alone
+                    with no_grad():
+                        got = net.forward(node[None], plc[None], glob[None])
+                    if _bits(got.data[0]) != bits:
                         failures.append(bits)
 
         interval = sys.getswitchinterval()
@@ -583,9 +574,6 @@ IN_PLACE_NETWORKS = {
     "noisy": lambda: AttentionQNetwork(
         QNetConfig(d_model=16, encoder_hidden=32, head_hidden=32,
                    noisy_heads=True), seed=4),
-    "c51": lambda: DistributionalAttentionQNetwork(
-        PARITY_CONFIGS["compact"], seed=4,
-        c51=C51Config(n_atoms=5, v_min=-4.0, v_max=4.0)),
 }
 
 
