@@ -10,6 +10,10 @@ step, o_i is the node's observation (max alert severity and any scan
 result), and mu is a bucketed summary of the expected network-wide
 compromise count -- the paper's tractable surrogate for conditioning on
 the full joint state.
+
+Each step runs the no-action transition as one matmul over all rows,
+then re-runs only the rows of nodes whose defender action completed, by
+category: the bytes of one masked matmul per category.
 """
 
 from __future__ import annotations
@@ -85,18 +89,26 @@ class DBNFilter:
         self.n_nodes = topology.n_nodes
         #: P(alert level | state) as contiguous rows, one per level
         self._alert_lik_rows = np.ascontiguousarray(tables.alert_lik.T)
-        self.beliefs = np.zeros((self.n_nodes, N_STATES))
+        #: (beliefs, expected_compromised of them), computed once
+        self._expected: tuple[np.ndarray, float] | None = None
         self.reset()
 
     def reset(self) -> None:
-        self.beliefs[:] = 0.0
-        self.beliefs[:, CanonicalState.CLEAN] = 1.0
+        beliefs = np.zeros((self.n_nodes, N_STATES))
+        beliefs[:, CanonicalState.CLEAN] = 1.0
+        #: the belief matrix; each update and reset replaces it, and
+        #: none writes into a matrix it has returned
+        self.beliefs = beliefs
 
     # ------------------------------------------------------------------
     @property
     def expected_compromised(self) -> float:
         """Expected number of compromised nodes under the current belief."""
-        return float(self.beliefs[:, CanonicalState.COMP:].sum())
+        beliefs, cached = self.beliefs, self._expected
+        if cached is None or cached[0] is not beliefs:
+            cached = self._expected = (
+                beliefs, float(beliefs[:, CanonicalState.COMP:].sum()))
+        return cached[1]
 
     def prob_compromised(self) -> np.ndarray:
         """Per-node probability of APT command and control."""
@@ -113,20 +125,32 @@ class DBNFilter:
         ``obs.alert_severity_per_node(n_nodes)`` if the caller has it.
         Returns the belief matrix.
         """
-        mu = mu_bucket(self.expected_compromised)
+        transition = self.tables.transition[mu_bucket(self.expected_compromised)]
 
-        # transition: group nodes by completing action category
-        categories = np.zeros(self.n_nodes, dtype=np.int64)
+        # transition: every node by the category of the defender action
+        # completing on it (the last one listed), NONE for the rest
+        completing: dict[int, ActionCategory] = {}
         for action in obs.completed_actions:
             cat = action_category(action.atype)
             if cat is not ActionCategory.NONE and action.target is not None \
                     and action.target < self.n_nodes:
-                categories[action.target] = int(cat)
-
-        new_beliefs = np.empty_like(self.beliefs)
-        for cat in np.unique(categories):
-            mask = categories == cat
-            new_beliefs[mask] = self.beliefs[mask] @ self.tables.transition[mu, cat]
+                completing[action.target] = cat
+        # one matmul over every row gives the idle rows the bytes of the
+        # matmul over the idle rows alone (BLAS rows do not depend on
+        # the row count), unless one idle row would run as a one-row
+        # matmul, which rounds otherwise; each category's rows, in node
+        # order, then run as the matmul of those rows alone
+        new_beliefs = self.beliefs @ transition[ActionCategory.NONE]
+        if completing:
+            groups: dict[ActionCategory, list[int]] = {}
+            for node in sorted(completing):
+                groups.setdefault(completing[node], []).append(node)
+            if self.n_nodes - len(completing) == 1:
+                groups[ActionCategory.NONE] = [
+                    next(i for i in range(self.n_nodes) if i not in completing)]
+            for cat, nodes in groups.items():
+                rows = np.array(nodes)
+                new_beliefs[rows] = self.beliefs[rows] @ transition[cat]
 
         # likelihood: max alert severity per node (0 = no alert)
         if severities is None:
@@ -145,10 +169,12 @@ class DBNFilter:
         # quarantined nodes are isolated: freeze their belief dynamics is
         # unnecessary -- the learned QUARANTINE transition covers them.
 
-        sums = new_beliefs.sum(axis=1, keepdims=True)
-        degenerate = (sums <= _EPS).ravel()
+        sums = np.add.reduce(new_beliefs, axis=1, keepdims=True)
+        degenerate = sums <= _EPS
         if degenerate.any():
-            new_beliefs[degenerate] = 1.0 / N_STATES
-            sums = new_beliefs.sum(axis=1, keepdims=True)
-        self.beliefs = new_beliefs / sums
+            # a row no state explains restarts from the uniform belief
+            new_beliefs[degenerate.ravel()] = 1.0 / N_STATES
+            sums = np.add.reduce(new_beliefs, axis=1, keepdims=True)
+        new_beliefs /= sums
+        self.beliefs = new_beliefs
         return self.beliefs

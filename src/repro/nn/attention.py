@@ -1,6 +1,12 @@
 """Scaled dot-product self-attention (Vaswani et al.), the core of the
 paper's node-exchangeable Q-network: every node token attends to every
 other, so the parameter count is independent of the network size.
+
+These modules' ``forward_array`` is the taped (training) forward. The
+Q-network's no-grad inference program runs the same arithmetic straight
+over their parameter arrays (``repro.rl.qnetwork._attention_rows``),
+including the one-state path whose queries run on distinct token rows;
+the test suite holds the two bitwise equal.
 """
 
 from __future__ import annotations
@@ -27,16 +33,8 @@ class MultiHeadSelfAttention(Module):
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.out = Linear(d_model, d_model, rng=rng)
 
-    def forward_array(self, x: np.ndarray, tape=None,
-                      keys: np.ndarray | None = None) -> np.ndarray:
-        """x: (T, D) or (B, T, D) -> same shape.
-
-        Without a tape, ``keys`` gives each of the T tokens its row of
-        ``x``: ``x`` then holds only distinct token rows, each of which
-        attends over all T tokens ``x[:, keys]`` in token order, and
-        each output row equals that row of the forward of
-        ``x[:, keys]``.
-        """
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+        """x: (T, D) or (B, T, D) -> same shape."""
         squeeze = x.ndim == 2
         if squeeze:
             x = x.reshape(1, *x.shape)
@@ -48,11 +46,6 @@ class MultiHeadSelfAttention(Module):
         qkv = projected.reshape(batch, tokens, 3, heads, d_head)
         qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, T, dh)
         q, k, v = qkv[0], qkv[1], qkv[2]
-        if keys is not None:
-            # keys and values of every token, gathered from the distinct rows
-            kv = projected[:, keys].reshape(batch, len(keys), 3, heads, d_head)
-            kv = kv.transpose(2, 0, 3, 1, 4)
-            k, v = kv[1], kv[2]
         scale = 1.0 / math.sqrt(d_head)
         # softmax(q k^T * scale) on the one score buffer
         weights = q @ k.swapaxes(-1, -2)
@@ -103,13 +96,10 @@ class AttentionBlock(Module):
         self.ln2 = LayerNorm(d_model)
         self.ff = MLP([d_model, ff_hidden, d_model], rng=rng)
 
-    def forward_array(self, x: np.ndarray, tape=None,
-                      keys: np.ndarray | None = None) -> np.ndarray:
-        """x: (B, T, D) -> same shape; ``keys`` as in
-        :meth:`MultiHeadSelfAttention.forward_array`."""
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+        """x: (B, T, D) -> same shape."""
         attn, ff = branch(tape), branch(tape)
-        x = x + self.attn.forward_array(self.ln1.forward_array(x, attn), attn,
-                                        keys)
+        x = x + self.attn.forward_array(self.ln1.forward_array(x, attn), attn)
         out = x + self.ff.forward_array(self.ln2.forward_array(x, ff), ff)
         if tape is not None:
 

@@ -105,7 +105,7 @@ def branch(tape: Tape | None, input_grad: bool = True) -> Tape | None:
     return None if tape is None else tape.branch(input_grad)
 
 
-def array_node(forward, inputs, module) -> Tensor:
+def array_node(forward, inputs, module, inference=None) -> Tensor:
     """``forward(*arrays, tape=...)`` as one differentiable graph node.
 
     ``inputs`` are Tensors or array-likes; ``module`` owns the
@@ -114,12 +114,13 @@ def array_node(forward, inputs, module) -> Tensor:
     them, in order (``None`` for an input whose gradient was skipped).
     When no input requires grad the tape is made with
     ``input_grad=False``. Under :func:`~repro.nn.no_grad` no tape is
-    recorded and the result is a plain Tensor.
+    recorded and the result is a plain Tensor of ``inference(*arrays)``
+    (``forward(*arrays)`` when no inference program is given).
     """
     arrays = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
               for x in inputs]
     if not is_grad_enabled():
-        return Tensor(forward(*arrays))
+        return Tensor((forward if inference is None else inference)(*arrays))
     wanted = [isinstance(x, Tensor) and x.requires_grad for x in inputs]
     tape = Tape(input_grad=any(wanted))
     data = forward(*arrays, tape=tape)

@@ -7,6 +7,11 @@ the contextualized node vectors -- Fig 5).
 
 The convolutional baseline consumes a raw observation history window
 (paper appendix, Table 7): no DBN, just stacked per-step encodings.
+
+:meth:`ACSOFeaturizer.update` runs once per decision: it advances the
+DBN filter and fills one fresh (N, F) node array and one (M, 3) PLC
+array column block by column block, the values the concatenation of
+the blocks would give, byte for byte.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ _ROLES = (
 #: per-node feature layout: belief + type one-hot + role one-hot +
 #: quarantined + busy + normalized alert severity
 NODE_FEATURE_DIM = N_STATES + len(_NODE_TYPES) + len(_ROLES) + 3
+#: end of the static type and role columns of a node row
+_STATIC_END = N_STATES + len(_NODE_TYPES) + len(_ROLES)
 PLC_FEATURE_DIM = 3  # disrupted, destroyed, busy
 GLOBAL_FEATURE_DIM = 3  # frac disrupted, frac destroyed, frac believed comp.
 
@@ -79,33 +86,26 @@ class ACSOFeaturizer:
         self.dbn.reset()
 
     def update(self, obs: Observation) -> FeatureSet:
-        """Advance the DBN with ``obs`` and return model features."""
+        """Advance the DBN with ``obs`` and return model features, each
+        array filled in place column block by column block."""
         n = self.topology.n_nodes
         severities = obs.alert_severity_per_node(n)
         beliefs = self.dbn.update(obs, severities)
-        node = np.concatenate(
-            [
-                beliefs,
-                self._static,
-                obs.quarantined[:, None].astype(float),
-                obs.node_busy[:, None].astype(float),
-                (severities / 3.0)[:, None],
-            ],
-            axis=1,
-        )
-        plc = np.stack(
-            [
-                obs.plc_disrupted.astype(float),
-                obs.plc_destroyed.astype(float),
-                obs.plc_busy.astype(float),
-            ],
-            axis=1,
-        )
+        node = np.empty((n, NODE_FEATURE_DIM))
+        node[:, :N_STATES] = beliefs
+        node[:, N_STATES:_STATIC_END] = self._static
+        node[:, _STATIC_END] = obs.quarantined
+        node[:, _STATIC_END + 1] = obs.node_busy
+        np.divide(severities, 3.0, out=node[:, _STATIC_END + 2])
+        plc = np.empty((len(obs.plc_disrupted), PLC_FEATURE_DIM))
+        plc[:, 0] = obs.plc_disrupted
+        plc[:, 1] = obs.plc_destroyed
+        plc[:, 2] = obs.plc_busy
         m = max(1, self.topology.n_plcs)
         glob = np.array(
             [
-                obs.plc_disrupted.sum() / m,
-                obs.plc_destroyed.sum() / m,
+                np.count_nonzero(obs.plc_disrupted) / m,
+                np.count_nonzero(obs.plc_destroyed) / m,
                 self.dbn.expected_compromised / max(1, n),
             ]
         )

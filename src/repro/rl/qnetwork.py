@@ -9,27 +9,31 @@ heads. All sub-graphs of a node type share parameters, so the
 parameter count does not grow with the number of nodes -- the paper's
 central scaling argument.
 
-The attention network has one numeric forward, on plain ndarrays
-through the modules' ``forward_array`` methods. Under autograd the whole
-network -- encoders, attention, heads, the dueling combination, the soft
-clip -- is a single graph node: the forward records a hand-written
-backward step per module on a :class:`~repro.nn.tape.Tape`, and the
-node's backward replays it into per-parameter (and, if they require
-grad, per-feature) gradients; when no feature requires grad, the
-encoders' first layers and the heads skip the feature gradients. The
-backward steps hold the tape's gradient table, not the tape, so the
-graph is freed by reference counting once its backward has run or its
-output is dropped. Under :func:`repro.nn.no_grad` nothing is recorded,
-and a batch of more than ``BLOCK_TOKENS // tokens`` rows runs as
-consecutive row blocks (:func:`in_row_blocks`), which bounds a
-forward's temporaries at one block and returns the one-piece forward's
-bits; a single state runs on one row per group of byte-identical node
-or PLC rows (:class:`_RowPartition`, on networks of at least
-``DISTINCT_MIN_TOKENS`` tokens), bitwise equal to the full forward.
-Forward values are bitwise equal to the per-op autograd graph
-of the same computation, and gradients agree with it to rounding; the
-test suite keeps that graph as the differential oracle. The dueling
-variant reuses the same node (an extra value head).
+The attention network has two numeric forwards on plain ndarrays. The
+taped forward (``_forward_array``) composes the modules'
+``forward_array`` methods: under autograd the whole network --
+encoders, attention, heads, the dueling combination, the soft clip --
+is a single graph node whose forward records a hand-written backward
+step per module on a :class:`~repro.nn.tape.Tape`, and whose backward
+replays it into per-parameter (and, if they require grad, per-feature)
+gradients; when no feature requires grad, the encoders' first layers
+and the heads skip the feature gradients. The backward steps hold the
+tape's gradient table, not the tape, so the graph is freed by
+reference counting once its backward has run or its output is dropped.
+Under :func:`repro.nn.no_grad` nothing is recorded and the inference
+program runs instead (``_infer``): straight-line array code over the
+layers' parameter arrays, bitwise equal to the taped forward (its
+differential oracle in the test suite). A batch of more than
+``BLOCK_TOKENS // tokens`` rows runs as consecutive row blocks
+(:func:`in_row_blocks`), which bounds a forward's temporaries at one
+block and returns the one-piece forward's bits; a single state runs as
+2-D rows, on one row per group of byte-identical node or PLC rows
+(:class:`_RowPartition`, on networks of at least
+``DISTINCT_MIN_TOKENS`` tokens). Forward values are bitwise equal to
+the per-op autograd graph of the same computation, and gradients agree
+with it to rounding; the test suite keeps that graph as the
+differential oracle too. The dueling variant reuses the same node (an
+extra value head).
 
 The convolutional baseline flattens the whole network into one vector
 per time step and strides over the history window; its output layer is
@@ -41,6 +45,7 @@ is bitwise equal to the per-op graph of the same computation.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +54,14 @@ from repro.net.topology import Topology
 from repro.nn import (
     AttentionBlock,
     Conv1d,
+    LayerNorm,
     MLP,
     Module,
+    MultiHeadSelfAttention,
     Parameter,
     Tensor,
     array_activation,
+    no_grad,
 )
 from repro.nn.tape import array_node, branch
 from repro.rl.features import (
@@ -119,45 +127,134 @@ BLOCK_TOKENS = 512
 
 #: tokens (nodes + PLCs + 1) from which a no-grad forward of one state
 #: runs on its distinct node and PLC rows (:class:`_RowPartition`).
-#: Below it, grouping the rows costs more than the rows it saves. From
-#: the recorded-state cell of ``benchmarks/bench_qnet_batch.py``
-#: (``BENCH_qnet_batch.json``, ``recorded``; ms per one-state forward,
-#: path on vs off): tiny network, 11 tokens, 0.238 vs 0.174;
-#: inasim-small, 47 tokens, 0.307 vs 0.353; paper, 84 tokens, 0.355 vs
-#: 0.506.
+#: Below it, grouping the rows saves little or nothing. From the
+#: recorded-state cell of ``benchmarks/bench_qnet_batch.py``
+#: (``BENCH_qnet_batch.json``, ``recorded``; median ms per one-state
+#: forward, path on vs off): tiny network, 11 tokens, 0.151 vs 0.194
+#: (3 of 5 repeats; 0.238 vs 0.174 with the module forward the rule was
+#: set on); inasim-small, 47 tokens, 0.278 vs 0.313; paper, 84 tokens,
+#: 0.439 vs 0.597.
 DISTINCT_MIN_TOKENS = 32
 
 
-def in_row_blocks(forward):
-    """Run an array forward ``(node, plc, glob, tape=None)`` without a
-    tape on more than ``_block_rows`` rows as consecutive row blocks,
-    written in order into one output array. Rows are bitwise independent
-    of the batch they are scored in
-    (``tests/test_rl_qnet.py::TestRowIndependence``), so the result is
-    the one-piece forward's, bit for bit."""
+def in_row_blocks(program):
+    """Run the inference program ``(node, plc, glob)`` on more than
+    ``_block_rows`` rows as consecutive row blocks, written in order
+    into one output array. Rows are bitwise independent of the batch
+    they are scored in (``tests/test_rl_qnet.py::TestRowIndependence``),
+    so the result is the one-piece program's, bit for bit."""
 
-    @functools.wraps(forward)
-    def run(self, node, plc, glob, tape=None):
-        self._check_bound()
+    @functools.wraps(program)
+    def run(self, node, plc, glob):
         rows = self._block_rows
-        if tape is not None or len(node) <= rows:
-            return forward(self, node, plc, glob, tape)
-        first = forward(self, node[:rows], plc[:rows], glob[:rows])
+        if len(node) <= rows:
+            return program(self, node, plc, glob)
+        first = program(self, node[:rows], plc[:rows], glob[:rows])
         out = np.empty((len(node), *first.shape[1:]), dtype=first.dtype)
         out[:rows] = first
         for i in range(rows, len(node), rows):
-            out[i:i + rows] = forward(self, node[i:i + rows], plc[i:i + rows],
+            out[i:i + rows] = program(self, node[i:i + rows], plc[i:i + rows],
                                       glob[i:i + rows])
         return out
 
     return run
 
 
-def _at_least_two(rows: np.ndarray, full: int) -> np.ndarray:
+def _dot(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``x @ weight``: ``np.dot`` on one state's 2-D rows, the same BLAS
+    call with less dispatch (``np.dot`` contracts a batch's 3-D rows
+    otherwise, so batches keep ``@``)."""
+    return np.dot(x, weight) if x.ndim == 2 else x @ weight
+
+
+def _mlp_rows(mlp: MLP, x: np.ndarray,
+              rows: np.ndarray | None = None) -> np.ndarray:
+    """``MLP.forward_array(x, None, rows)`` of a leaky-ReLU MLP with a
+    linear output layer (the network's own MLPs), straight over the
+    layers' arrays."""
+    *hidden, last = mlp.linears
+    for linear in hidden:
+        x = _dot(x, linear.weight.data)
+        x += linear.bias.data
+        np.maximum(x, x * 0.01, out=x)
+    if rows is not None:
+        x = x[..., rows, :]
+    out = _dot(x, last.weight.data)
+    out += last.bias.data
+    return out
+
+
+def _layer_norm_rows(norm: LayerNorm, x: np.ndarray) -> np.ndarray:
+    """``LayerNorm.forward_array(x)``, straight over its arrays."""
+    scale = 1.0 / float(x.shape[-1])
+    mu = np.add.reduce(x, axis=-1, keepdims=True) * scale
+    normed = x - mu
+    out = normed * normed
+    var = np.add.reduce(out, axis=-1, keepdims=True) * scale
+    var += norm.eps
+    normed /= np.sqrt(var, out=var)
+    np.multiply(normed, norm.gamma.data, out=out)
+    out += norm.beta.data
+    return out
+
+
+def _self_attention_rows(attn: MultiHeadSelfAttention, x: np.ndarray,
+                         keys: np.ndarray | None) -> np.ndarray:
+    """``MultiHeadSelfAttention.forward_array(x)`` on (..., R, D) rows,
+    straight over its arrays; ``keys`` as in :func:`_attention_rows`.
+    Its temporaries die when it returns, before the feed-forward runs."""
+    d, heads, d_head = attn.d_model, attn.n_heads, attn.d_head
+    projected = _dot(x, attn.qkv.weight.data)
+    projected += attn.qkv.bias.data
+    per_head = projected.shape[:-1] + (heads, d_head)
+    q = projected[..., :d].reshape(per_head).swapaxes(-2, -3)
+    if keys is not None:
+        projected = projected[..., keys, :]
+    kv_head = projected.shape[:-1] + (heads, d_head)
+    k = projected[..., d:2 * d].reshape(kv_head).swapaxes(-2, -3)
+    v = projected[..., 2 * d:].reshape(kv_head).swapaxes(-2, -3)
+    # softmax(q k^T * scale) on the one score buffer
+    weights = q @ k.swapaxes(-1, -2)
+    weights *= 1.0 / math.sqrt(d_head)
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    merged = (weights @ v).swapaxes(-2, -3).reshape(x.shape)
+    out = _dot(merged, attn.out.weight.data)
+    out += attn.out.bias.data
+    return out
+
+
+def _attention_rows(block: AttentionBlock, x: np.ndarray,
+                    keys: np.ndarray | None) -> np.ndarray:
+    """``AttentionBlock.forward_array(x)`` on (..., R, D) token rows,
+    straight over the block's arrays. With ``keys`` (the distinct row
+    of each of the T tokens), ``x`` holds distinct token rows, each of
+    which attends over the keys and values of all T tokens in token
+    order, so each output row equals that row of the forward of
+    ``x[..., keys, :]``."""
+    attended = _self_attention_rows(block.attn,
+                                    _layer_norm_rows(block.ln1, x), keys)
+    attended += x  # the residual, x + attended
+    out = _mlp_rows(block.ff, _layer_norm_rows(block.ln2, attended))
+    out += attended
+    return out
+
+
+def _at_least_two(rows: list[int], full: int) -> list[int]:
     """The ``rows`` a matmul runs on where the full forward runs ``full``:
     one row only if ``full`` is one, since a one-row matmul goes through
     gemv and rounds otherwise."""
-    return np.repeat(rows, 2) if len(rows) == 1 and full > 1 else rows
+    return rows * 2 if len(rows) == 1 and full > 1 else rows
+
+
+def _index(rows: list[int]) -> slice | np.ndarray:
+    """``rows`` as the slice they span when they run consecutively (a
+    view, where an index array gathers a copy of the same rows), else
+    as an index array."""
+    if rows and rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows, dtype=np.int64)
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
@@ -170,40 +267,48 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
 class _Groups:
     """One entity type's rows (R, F) in byte-identical groups."""
 
-    __slots__ = ("first", "group", "rep_of", "rows")
+    __slots__ = ("data", "first", "group", "rep_of", "rows", "_spans")
 
     def __init__(self, rows: np.ndarray):
         keys = _row_keys(rows)
         # each distinct row's first index: the reversed walk writes it last
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         number = dict(zip(first, range(len(first))))
+        starts = list(first.values())
         #: the first row of each group, and the group of each row
-        self.first = np.fromiter(first.values(), np.int64, len(first))
+        self.first = np.array(starts, dtype=np.int64)
         self.group = np.fromiter(map(number.__getitem__, keys), np.int64,
                                  len(keys))
         self.rep_of = self.first[self.group]
         #: the rows the forward runs on
-        self.rows = _at_least_two(self.first, len(rows))
+        self.rows = np.array(_at_least_two(starts, len(keys)), dtype=np.int64)
+        #: the bytes of the rows, and of each group's first row in them
+        self.data = rows.tobytes()
+        width = rows.shape[1] * rows.itemsize
+        self._spans = [(i * width, (i + 1) * width) for i in starts]
 
     def holds(self, rows: np.ndarray) -> bool:
         """Are these the groups of ``rows``: every row byte-equal to its
         group's first row, and no two first rows equal?"""
-        if len(rows) != len(self.group) \
-                or rows.take(self.rep_of, axis=0).tobytes() != rows.tobytes():
-            return False
-        if len(self.first) < 2:
+        data = rows.tobytes()
+        if data == self.data:
             return True
-        keys = _row_keys(rows.take(self.first, axis=0))
-        return len(set(keys)) == len(keys)
+        if len(rows) != len(self.group) \
+                or rows.take(self.rep_of, axis=0).tobytes() != data:
+            return False
+        return len({data[a:b] for a, b in self._spans}) == len(self._spans)
 
 
-def _head_rows(index: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """A head's (distinct rows, gather back to its tokens) from its
-    tokens' rows ``index`` among ``n_rows``."""
-    present = np.zeros(n_rows, bool)
-    present[index] = True
-    gather = np.cumsum(present)[index] - 1
-    return _at_least_two(np.flatnonzero(present), len(index)), gather
+def _head_rows(keys: list[int]):
+    """A head's (distinct rows, gather back to its tokens) from the
+    distinct row of each of its tokens; the gather is None where it is
+    the identity."""
+    rows = sorted(set(keys))
+    if rows == keys:
+        return _index(rows), None
+    position = {row: i for i, row in enumerate(rows)}
+    return (_index(_at_least_two(rows, len(keys))),
+            np.array([position[row] for row in keys], dtype=np.int64))
 
 
 class _RowPartition:
@@ -217,8 +322,9 @@ class _RowPartition:
     group (``nodes.rows``, ``plcs.rows``, the noop seed last). Each
     attention layer gathers its keys and values back to every token
     (``keys``), so every softmax still sums over all tokens in order,
-    and each head's output layer runs on all of its tokens (``heads``),
-    as in the full forward: an output of width <= 2 rounds otherwise.
+    and each head's output layer runs on all of its tokens (``heads``:
+    head, distinct rows, gather), as in the full forward: an output of
+    width <= 2 rounds otherwise.
 
     A network keeps the partition of its last state and reuses it while
     it is still the partition of the state (``holds``). It is immutable
@@ -234,8 +340,8 @@ class _RowPartition:
         gn, gm = len(nodes.rows), len(plcs.rows)
         #: the distinct row of every token: nodes, PLCs, noop seed
         self.keys = np.concatenate([nodes.group, gn + plcs.group, [gn + gm]])
-        self.heads = [_head_rows(self.keys[index], gn + gm + 1)
-                      for _, index in net._head_groups()]
+        self.heads = [(head, *_head_rows(self.keys[index].tolist()))
+                      for head, index, _ in net._heads]
 
 
 def _encoder_dims(in_dim: int, hidden: int, out: int, layers: int) -> list[int]:
@@ -278,6 +384,9 @@ class AttentionQNetwork(Module):
         self._block_rows = 1
         self._distinct_rows = False
         self._partition: _RowPartition | None = None
+        #: (head, token index, None) in output order, the program's
+        #: head rows without a partition
+        self._heads: tuple = ()
         self.action_list: list[DefenderAction] = []
 
     # ------------------------------------------------------------------
@@ -299,6 +408,10 @@ class AttentionQNetwork(Module):
         self._block_rows = max(1, BLOCK_TOKENS // tokens)
         self._distinct_rows = tokens >= DISTINCT_MIN_TOKENS
         self._partition = None
+        self._heads = tuple(
+            (head, index if isinstance(index, slice) else _index(index.tolist()),
+             None)
+            for head, index in self._head_groups())
         actions: list[DefenderAction] = [DefenderAction(DefenderActionType.NOOP)]
         for node_id in self._host_ids:
             actions.extend(DefenderAction(a, int(node_id)) for a in HOST_ACTIONS)
@@ -343,21 +456,66 @@ class AttentionQNetwork(Module):
         Action layout: [noop, host menus (host order), server menus,
         PLC menus], matching :attr:`action_list`. The whole network is
         one graph node with a hand-written backward; under ``no_grad``
-        the result is a plain Tensor and nothing is recorded.
+        nothing is recorded, the inference program runs
+        (:meth:`_infer`) and the result is a plain Tensor.
         """
+        self._check_bound()
         return array_node(self._forward_array,
-                          (node_feats, plc_feats, glob_feats), self)
+                          (node_feats, plc_feats, glob_feats), self,
+                          self._infer)
 
     # ------------------------------------------------------------------
-    # the one numeric forward (and, given a tape, its backward)
+    # the inference program (no tape)
     # ------------------------------------------------------------------
     @in_row_blocks
+    def _infer(self, node, plc, glob) -> np.ndarray:
+        """The no-grad forward, bitwise equal to :meth:`_forward_array`.
+
+        Straight-line array code over the parameter arrays for the
+        encoders, the attention trunk and the plain heads (a noisy head
+        runs its own ``forward_array``). One state runs as 2-D rows, on
+        one row per group of byte-identical node or PLC rows on
+        networks of at least ``DISTINCT_MIN_TOKENS`` tokens
+        (:class:`_RowPartition`); a batch runs as (B, T, D) rows, in
+        row blocks (:func:`in_row_blocks`).
+        """
+        keys, heads = None, self._heads
+        if len(node) == 1:
+            node, plc, glob = node[0], plc[0], glob[0]
+            if self._distinct_rows:
+                partition = self._partition_of(node, plc)
+                node = node.take(partition.nodes.rows, axis=0)
+                plc = plc.take(partition.plcs.rows, axis=0)
+                keys, heads = partition.keys, partition.heads
+        n, m = node.shape[-2], plc.shape[-2]
+        d = self.config.d_model
+        # [node tokens | PLC tokens | noop seed] filled in place
+        tokens = np.empty(node.shape[:-2] + (n + m + 1, d))
+        tokens[..., :n, :] = _mlp_rows(self.node_encoder, node)
+        tokens[..., n:n + m, :] = _mlp_rows(self.plc_encoder, plc)
+        tokens[..., n + m, :] = self.noop_seed.data
+        for block in self.blocks:
+            tokens = _attention_rows(block, tokens, keys)
+        # every token with the global features appended; each head
+        # reads its rows of it (with a partition: its distinct rows,
+        # and its output layer runs on the gather of its tokens)
+        x_all = np.empty(tokens.shape[:-1] + (d + GLOBAL_FEATURE_DIM,))
+        x_all[..., :d] = tokens
+        x_all[..., d:] = glob[..., None, :]
+        lead = tokens.shape[:-2] + (-1,)
+        parts = []
+        for head, index, rows in heads:
+            x = x_all[..., index, :]
+            out = (_mlp_rows(head, x, rows) if type(head) is MLP
+                   else head.forward_array(x, None, rows))  # a noisy head
+            parts.append(out.reshape(lead))
+        flat = np.concatenate(parts, axis=-1)
+        return self._output_array(flat.reshape(-1, flat.shape[-1]), None)
+
+    # ------------------------------------------------------------------
+    # the taped forward (training), and the program's differential oracle
+    # ------------------------------------------------------------------
     def _forward_array(self, node, plc, glob, tape=None) -> np.ndarray:
-        partition = None
-        if tape is None and len(node) == 1 and self._distinct_rows:
-            # one state: the encoders and the trunk run on its distinct rows
-            partition = self._partition_of(node[0], plc[0])
-            node, plc = node[:, partition.nodes.rows], plc[:, partition.plcs.rows]
         batch, n, m = node.shape[0], node.shape[1], plc.shape[1]
         # the features' gradients are computed only when one is wanted
         wanted = tape is not None and tape.input_grad
@@ -369,11 +527,10 @@ class AttentionQNetwork(Module):
         tokens[:, :n] = self.node_encoder.forward_array(node, node_tape)
         tokens[:, n:n + m] = self.plc_encoder.forward_array(plc, plc_tape)
         tokens[:, n + m] = self.noop_seed.data
-        keys = None if partition is None else partition.keys
         for block in self.blocks:
-            tokens = block.forward_array(tokens, trunk, keys)
+            tokens = block.forward_array(tokens, trunk)
         out = self._output_array(
-            self._heads_array(tokens, glob, heads, wanted, partition), heads)
+            self._heads_array(tokens, glob, heads, wanted), heads)
         if tape is not None:
             grads = tape.grads
 
@@ -415,27 +572,21 @@ class AttentionQNetwork(Module):
         return partition
 
     def _heads_array(self, tokens: np.ndarray, glob: np.ndarray,
-                     tape, glob_grad: bool,
-                     partition: _RowPartition | None = None) -> np.ndarray:
+                     tape, glob_grad: bool) -> np.ndarray:
         """Each head on its tokens with the global features appended,
-        flattened and concatenated: (B, sum of head widths). With a
-        ``partition``, ``tokens`` holds its distinct rows, and each
-        head's output layer runs on the gather of its tokens. Its
+        flattened and concatenated: (B, sum of head widths). Its
         backward returns (token gradient, global-feature gradient), the
         latter None unless ``glob_grad``."""
         batch, n_tokens, d = tokens.shape
         groups = self._head_groups()
         head_tapes = [branch(tape) for _ in groups]
-        picks = ([(index, None) for _, index in groups] if partition is None
-                 else partition.heads)
         # every token with the global features appended, filled once;
         # each head reads its rows of it
         x_all = np.empty((batch, n_tokens, d + GLOBAL_FEATURE_DIM))
         x_all[..., :d] = tokens
         x_all[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
-        outputs = [head.forward_array(x_all[:, index], head_tape, rows)
-                   for (head, _), head_tape, (index, rows)
-                   in zip(groups, head_tapes, picks)]
+        outputs = [head.forward_array(x_all[:, index], head_tape)
+                   for (head, index), head_tape in zip(groups, head_tapes)]
         flat = np.concatenate(
             [out.reshape(batch, out.shape[1] * out.shape[2]) for out in outputs],
             axis=1,
@@ -478,8 +629,6 @@ class AttentionQNetwork(Module):
     def q_values(self, features: FeatureSet) -> np.ndarray:
         """Inference helper for a single step (a batch of one, as views
         of ``features``' arrays)."""
-        from repro.nn import no_grad
-
         with no_grad():
             return self.forward(features.node[None], features.plc[None],
                                 features.glob[None]).data[0]

@@ -21,7 +21,7 @@ from repro.dbn import (
     validate_dbn,
 )
 from repro.dbn.learning import EpisodeLog
-from repro.dbn.states import N_ACTION_CATEGORIES, N_SCAN_TYPES
+from repro.dbn.states import N_ACTION_CATEGORIES, N_SCAN_TYPES, SCAN_TYPE_INDEX
 from repro.defenders import SemiRandomPolicy
 from repro.net.nodes import Condition
 from repro.sim.observations import Alert, Observation, ScanResult
@@ -312,3 +312,177 @@ class TestLearning:
         assert result.accuracy > 0.45
         assert result.mean_kl < 2.5
         assert np.isfinite(result.max_kl)
+
+
+# ----------------------------------------------------------------------
+# the filter and featurizer against their earlier form, byte for byte
+# ----------------------------------------------------------------------
+_EPS = 1e-12
+
+
+def _oracle_update(tables: DBNTables, beliefs: np.ndarray, obs: Observation,
+                   severities: np.ndarray):
+    """``DBNFilter.update`` as it was before the no-action fast path: one
+    masked matmul per completing category (no action included), then a
+    normalization into a new array. Returns (beliefs, degenerate rows)."""
+    n = len(beliefs)
+    mu = mu_bucket(float(beliefs[:, _S.COMP:].sum()))
+    categories = np.zeros(n, dtype=np.int64)
+    for action in obs.completed_actions:
+        cat = action_category(action.atype)
+        if cat is not ActionCategory.NONE and action.target is not None \
+                and action.target < n:
+            categories[action.target] = int(cat)
+    new_beliefs = np.empty_like(beliefs)
+    for cat in np.unique(categories):
+        mask = categories == cat
+        new_beliefs[mask] = beliefs[mask] @ tables.transition[mu, cat]
+    new_beliefs *= np.ascontiguousarray(tables.alert_lik.T)[severities]
+    for result in obs.scan_results:
+        scan_idx = SCAN_TYPE_INDEX.get(result.action_type)
+        if scan_idx is None or result.node_id >= n:
+            continue
+        new_beliefs[result.node_id] *= tables.scan_lik[
+            scan_idx, :, int(result.detected)]
+    sums = new_beliefs.sum(axis=1, keepdims=True)
+    degenerate = (sums <= _EPS).ravel()
+    if degenerate.any():
+        new_beliefs[degenerate] = 1.0 / N_STATES
+        sums = new_beliefs.sum(axis=1, keepdims=True)
+    return new_beliefs / sums, int(degenerate.sum())
+
+
+def _oracle_features(static: np.ndarray, n_plcs: int, beliefs: np.ndarray,
+                     obs: Observation, severities: np.ndarray):
+    """``ACSOFeaturizer.update``'s arrays as it built them before filling
+    them in place: five concatenated temporaries, a stacked PLC array."""
+    n = len(beliefs)
+    node = np.concatenate([
+        beliefs,
+        static,
+        obs.quarantined[:, None].astype(float),
+        obs.node_busy[:, None].astype(float),
+        (severities / 3.0)[:, None],
+    ], axis=1)
+    plc = np.stack([obs.plc_disrupted.astype(float),
+                    obs.plc_destroyed.astype(float),
+                    obs.plc_busy.astype(float)], axis=1)
+    m = max(1, n_plcs)
+    glob = np.array([obs.plc_disrupted.sum() / m, obs.plc_destroyed.sum() / m,
+                     float(beliefs[:, _S.COMP:].sum()) / max(1, n)])
+    return node, plc, glob
+
+
+def _recorded_episode(config, steps: int, seed: int):
+    """A semi-random defender's observations on ``config``, with events
+    added at fixed steps so every update branch runs: a reboot and a
+    re-image completing on node 1 together, a password reset and a
+    quarantine elsewhere, mixed completions on every node but the last
+    and on every node, and a detected human analysis of node 0 (zero
+    likelihood under ``_zero_analysis_tables``)."""
+    env = repro.make_env(config, seed=seed)
+    policy = SemiRandomPolicy(rate=4.0, seed=seed)
+    obs = env.reset(seed=seed)
+    policy.reset(env)
+    episode = []
+    for _ in range(steps):
+        episode.append(obs)
+        obs, _, done, _ = env.step(policy.act(obs))
+        if done:
+            break
+    mixed = (_T.REBOOT, _T.RESET_PASSWORD, _T.REIMAGE, _T.QUARANTINE,
+             _T.SIMPLE_SCAN)
+    n = env.topology.n_nodes
+    extra = {
+        3: [DefenderAction(_T.REBOOT, 1), DefenderAction(_T.REIMAGE, 1)],
+        7: [DefenderAction(_T.RESET_PASSWORD, 2),
+            DefenderAction(_T.QUARANTINE, 0)],
+        11: [DefenderAction(mixed[i % 5], i) for i in range(n - 1)],
+        13: [DefenderAction(mixed[i % 5], i) for i in range(n)],
+    }
+    for step, actions in extra.items():
+        episode[step].completed_actions = \
+            list(episode[step].completed_actions) + actions
+    episode[9].scan_results = list(episode[9].scan_results) + [
+        ScanResult(9, 0, True, _T.HUMAN_ANALYSIS),
+        ScanResult(9, 1, False, _T.SIMPLE_SCAN)]
+    return env.topology, episode
+
+
+def _zero_analysis_tables(tables: DBNTables) -> DBNTables:
+    """``tables`` under which a detected human analysis is impossible in
+    every state: its node's likelihood product is zero."""
+    scan = tables.scan_lik.copy()
+    scan[SCAN_TYPE_INDEX[_T.HUMAN_ANALYSIS], :, 1] = 0.0
+    return DBNTables(tables.transition.copy(), tables.alert_lik.copy(), scan)
+
+
+class TestUpdateOracle:
+    """``DBNFilter.update`` (one matmul over every row when no action
+    completes, normalization in place) and ``ACSOFeaturizer.update``
+    (arrays filled in place) give their earlier form's bytes."""
+
+    @pytest.mark.parametrize("network, steps", [("tiny", 120), ("paper", 40)])
+    def test_beliefs_and_features_equal_the_oracle(self, network, steps,
+                                                   tiny_tables):
+        from repro.config import paper_network
+        from repro.rl import ACSOFeaturizer
+
+        config = {"tiny": tiny_network, "paper": paper_network}[network](
+            tmax=steps + 10)
+        topology, episode = _recorded_episode(config, steps, seed=3)
+        tables = _zero_analysis_tables(tiny_tables)
+        featurizer = ACSOFeaturizer(topology, tables)
+        dbn = DBNFilter(tables, topology)
+        beliefs = DBNFilter(tables, topology).beliefs
+        n = topology.n_nodes
+        seen = {"categories": set(), "two on one node": 0, "scans": 0,
+                "degenerate": 0, "no action": 0, "one idle node": 0,
+                "no idle node": 0}
+        for step, obs in enumerate(episode):
+            severities = obs.alert_severity_per_node(n)
+            beliefs, degenerate = _oracle_update(tables, beliefs, obs,
+                                                 severities)
+            features = featurizer.update(obs)
+            assert dbn.update(obs).tobytes() == beliefs.tobytes(), step
+            assert featurizer.dbn.beliefs.tobytes() == beliefs.tobytes(), step
+            want = _oracle_features(featurizer._static, topology.n_plcs,
+                                    beliefs, obs, severities)
+            for got, expected in zip((features.node, features.plc,
+                                      features.glob), want):
+                assert got.shape == expected.shape, step
+                assert got.tobytes() == expected.tobytes(), step
+            categories = [action_category(a.atype)
+                          for a in obs.completed_actions]
+            targets = [a.target for a in obs.completed_actions
+                       if action_category(a.atype) is not ActionCategory.NONE]
+            seen["categories"].update(categories)
+            seen["two on one node"] += len(targets) > len(set(targets))
+            seen["scans"] += len(obs.scan_results)
+            seen["degenerate"] += degenerate
+            seen["no action"] += not targets
+            seen["one idle node"] += len(set(targets)) == n - 1
+            seen["no idle node"] += len(set(targets)) == n
+        assert len(seen["categories"] - {ActionCategory.NONE}) >= 3, seen
+        assert seen["two on one node"] and seen["scans"], seen
+        assert seen["degenerate"] and seen["no action"], seen
+        assert seen["one idle node"] and seen["no idle node"], seen
+
+    def test_reset_replaces_the_returned_beliefs(self, tiny_tables):
+        """A reset leaves the matrix an update returned untouched, and
+        the expected count follows the new matrix."""
+        from repro.net import build_topology
+
+        topology = build_topology(tiny_network().topology)
+        dbn = DBNFilter(tiny_tables, topology)
+        obs = Observation(t=1, alerts=[Alert(1, 3, 0), Alert(1, 2, 2)],
+                          node_busy=np.zeros(topology.n_nodes, bool),
+                          quarantined=np.zeros(topology.n_nodes, bool))
+        returned = dbn.update(obs)
+        kept = returned.copy()
+        assert dbn.expected_compromised \
+            == float(returned[:, _S.COMP:].sum()) > 0.0
+        dbn.reset()
+        assert returned.tobytes() == kept.tobytes()
+        assert dbn.beliefs is not returned
+        assert dbn.expected_compromised == 0.0

@@ -59,3 +59,39 @@ def test_q_forward_and_training_backward_are_hooked():
     hooked = {(owner, attr): name for owner, attr, name in recorder.hooks}
     assert hooked[(AttentionQNetwork, "forward")] == "qnet.forward"
     assert hooked[(Tensor, "backward")] == "qnet.backward"
+
+
+def test_one_acso_decision_enters_each_hooked_layer_once(monkeypatch,
+                                                         tiny_tables):
+    """One ``ACSOPolicy.act`` on the paper network makes exactly one call
+    to each entry point the per-layer trace wraps for ``acso-eval``, so
+    the Q forward, featurizer, DBN filter and action mask layers keep
+    measuring the code they name."""
+    import repro
+    import repro.defenders.acso as acso_module
+    from repro.config import paper_network
+    from repro.dbn.filter import DBNFilter
+    from repro.rl import ACSOFeaturizer, QNetConfig
+
+    hooks = {"AttentionQNetwork.forward": (AttentionQNetwork, "forward"),
+             "ACSOFeaturizer.update": (ACSOFeaturizer, "update"),
+             "DBNFilter.update": (DBNFilter, "update"),
+             "acso.valid_action_mask": (acso_module, "valid_action_mask")}
+    calls = dict.fromkeys(hooks, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    env = repro.make_env(paper_network(tmax=20), seed=0)
+    policy = acso_module.ACSOPolicy(AttentionQNetwork(QNetConfig(), seed=1),
+                                    tiny_tables)
+    obs = env.reset(seed=2)
+    policy.reset(env)
+    for name, (owner, attr) in hooks.items():
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    policy.act(obs)
+    assert calls == dict.fromkeys(hooks, 1)

@@ -23,6 +23,7 @@ from repro.nn import (
     is_grad_enabled,
     no_grad,
 )
+from repro.nn.tape import Tape
 from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
@@ -47,6 +48,9 @@ from repro.rl.qnetwork import (
     DISTINCT_MIN_TOKENS,
     ConvNetConfig,
     _RowPartition,
+    _attention_rows,
+    _layer_norm_rows,
+    _mlp_rows,
 )
 from repro.sim.orchestrator import enumerate_actions
 from repro.validation import StochasticQPolicy
@@ -421,11 +425,15 @@ class TestDistinctRows:
         assert list(partition.plcs.rows) == [0, 0]
         assert len(partition.keys) == paper_topology.n_nodes \
             + paper_topology.n_plcs + 1
-        for (_, index), (rows, gather) in zip(net._head_groups(),
-                                              partition.heads):
+        distinct = np.arange(len(partition.nodes.rows)
+                             + len(partition.plcs.rows) + 1)
+        for (head, index), (own, rows, gather) in zip(net._head_groups(),
+                                                      partition.heads):
+            assert own is head
             tokens = len(partition.keys[index])
-            assert len(gather) == tokens
-            assert len(rows) == (1 if tokens == 1 else 2)
+            # one token reads its row as it is, no gather
+            assert (gather is None) if tokens == 1 else len(gather) == tokens
+            assert len(distinct[rows]) == (1 if tokens == 1 else 2)
 
     def test_recorded_episode_states(self, paper_topology, tiny_tables):
         """Featurized states of a paper-network episode, whose node rows
@@ -564,6 +572,124 @@ class TestDistinctRows:
         assert tiny_topology.n_nodes + tiny_topology.n_plcs + 1 \
             < DISTINCT_MIN_TOKENS <= paper_topology.n_nodes \
             + paper_topology.n_plcs + 1
+
+
+#: the networks the inference program must reproduce, by name
+PROGRAM_NETWORKS = {
+    **{config: (AttentionQNetwork, PARITY_CONFIGS[config])
+       for config in PARITY_CONFIGS},
+    "dueling": (DuelingAttentionQNetwork, QNetConfig()),
+}
+
+
+def _program_net(name, topo):
+    cls, config = PROGRAM_NETWORKS[name]
+    net = cls(config, seed=9).bind_topology(topo)
+    if name == "noisy-off":
+        net.set_noise_enabled(False)
+    return net
+
+
+def _taped(net, node, plc, glob) -> bytes:
+    """The taped forward's output: the training path, which records a
+    backward step per module."""
+    return _bits(net._forward_array(node, plc, glob,
+                                    tape=Tape(input_grad=False)))
+
+
+def _program(net, node, plc, glob) -> bytes:
+    return _bits(net._infer(node, plc, glob))
+
+
+class TestInferenceProgram:
+    """The no-grad forward is one straight-line program
+    (``AttentionQNetwork._infer``); the taped ``_forward_array`` is its
+    differential oracle. Every output must match it byte for byte."""
+
+    @pytest.mark.parametrize("network", ["tiny", "small", "paper"])
+    @pytest.mark.parametrize("name", sorted(PROGRAM_NETWORKS))
+    def test_batches_equal_the_taped_forward(self, name, network,
+                                             tiny_topology, paper_topology):
+        topo = {"tiny": tiny_topology, "paper": paper_topology,
+                "small": build_topology(small_network().topology)}[network]
+        net = _program_net(name, topo)
+        k = net._block_rows
+        for batch in sorted({1, 2, 3, k, k + 1, 156}):
+            feats = _random_features(topo, batch, seed=batch)
+            assert _program(net, *feats) == _taped(net, *feats), batch
+        with no_grad():  # the entry point runs the program
+            assert _bits(net.forward(*feats).data) == _taped(net, *feats)
+
+    @pytest.mark.parametrize("distinct", [True, False])
+    @pytest.mark.parametrize("network", ["tiny", "small", "paper"])
+    @pytest.mark.parametrize("name", sorted(PROGRAM_NETWORKS))
+    def test_one_state_equals_the_taped_forward(self, name, network, distinct,
+                                                tiny_topology, paper_topology):
+        """One state runs as 2-D rows, on its distinct rows or on all."""
+        topo = {"tiny": tiny_topology, "paper": paper_topology,
+                "small": build_topology(small_network().topology)}[network]
+        net = _program_net(name, topo)
+        net._distinct_rows = distinct
+        for pattern, state in _duplicated_states(topo, 11).items():
+            one = tuple(x[None] for x in state)
+            assert _program(net, *one) == _taped(net, *one), pattern
+            assert (net._partition is not None) == distinct
+
+    def test_recorded_paper_episode(self, paper_topology, tiny_tables):
+        """The featurized states of a 30-step paper-network episode, one
+        by one (the distinct-row path) and as one batch."""
+        env = repro.make_env(paper_network(tmax=40), seed=0)
+        featurizer = ACSOFeaturizer(env.topology, tiny_tables)
+        net = AttentionQNetwork(QNetConfig(), seed=8).bind_topology(env.topology)
+        assert net._distinct_rows
+        states = [featurizer.update(env.reset(seed=4))]
+        rng = np.random.default_rng(0)
+        for _ in range(29):
+            action = int(rng.integers(len(net.action_list)))
+            obs, _, done, _ = env.step(net.action_list[action])
+            assert not done
+            states.append(featurizer.update(obs))
+        for step, state in enumerate(states):
+            one = (state.node[None], state.plc[None], state.glob[None])
+            assert _program(net, *one) == _taped(net, *one), step
+        stacked = stack_features(states)
+        assert _program(net, *stacked) == _taped(net, *stacked)
+
+    def test_distinct_token_rows_attend_over_all_tokens(self):
+        """With ``keys`` (each token's row), an attention block run on the
+        distinct token rows gives each token's row of the block run on
+        every token: queries on the distinct rows, keys and values
+        gathered back to all tokens in token order."""
+        block = AttentionBlock(8, 2, ff_hidden=16, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(3)
+        for rows, tokens in [(2, 9), (3, 3), (5, 17)]:
+            distinct = _module_input((rows, 8), seed=rows)
+            keys = np.concatenate([np.arange(rows),
+                                   rng.integers(0, rows, tokens - rows)])
+            rng.shuffle(keys)
+            full = block.forward_array(distinct[keys])
+            mine = _attention_rows(block, distinct, keys)
+            for token, row in enumerate(keys):
+                assert _bits(mine[row]) == _bits(full[token]), (rows, token)
+        batch = _module_input((3, 6, 8), seed=4)
+        assert _bits(_attention_rows(block, batch, None)) \
+            == _bits(block.forward_array(batch))
+
+    @pytest.mark.parametrize("shape", [(5, 6), (2, 5, 6)])
+    def test_row_helpers_equal_the_module_forwards(self, shape):
+        """The program's straight-line MLP and layer norm equal the
+        modules' ``forward_array`` (edge-case inputs included); the MLP's
+        output layer runs on ``rows`` when given."""
+        mlp = MLP([6, 9, 9, 4], rng=np.random.default_rng(2))
+        norm = LayerNorm(6)
+        norm.gamma.data = np.random.default_rng(3).normal(size=6)
+        norm.beta.data = np.random.default_rng(4).normal(size=6)
+        x = _module_input(shape, seed=len(shape))
+        assert _bits(_mlp_rows(mlp, x)) == _bits(mlp.forward_array(x))
+        rows = np.array([4, 0, 0, 2])
+        assert _bits(_mlp_rows(mlp, x, rows)) \
+            == _bits(mlp.forward_array(x, None, rows))
+        assert _bits(_layer_norm_rows(norm, x)) == _bits(norm.forward_array(x))
 
 
 #: the attention networks whose forwards and backward steps write in place

@@ -234,3 +234,33 @@ class TestACSOPolicy:
         reference = ACSOPolicy(qnet, tiny_tables)
         reference.reset(env)
         assert policy.act(obs) == reference.act(obs)
+
+    def test_episodes_on_one_env_keep_the_binding(self, tiny_tables):
+        """Episodes on the env already bound reuse its action list and
+        featurizer (only the DBN restarts) and score as a fresh policy
+        per episode does; another topology, or a network rebound
+        elsewhere, binds afresh."""
+        from repro.eval import evaluate_policy
+
+        env = repro.make_env(tiny_network(tmax=40), seed=0)
+        policy = ACSOPolicy(AttentionQNetwork(QNetConfig(), seed=1),
+                            tiny_tables)
+        _, reused = evaluate_policy(env, policy, 1, seed=3)
+        actions, featurizer = policy.qnet.action_list, policy.featurizer
+        _, second = evaluate_policy(env, policy, 1, seed=4)
+        assert policy.qnet.action_list is actions
+        assert policy.featurizer is featurizer
+        fresh = [evaluate_policy(env, ACSOPolicy(
+            AttentionQNetwork(QNetConfig(), seed=1), tiny_tables), 1,
+            seed=seed)[1][0] for seed in (3, 4)]
+        assert reused + second == fresh
+
+        policy.qnet.bind_topology(env.topology)  # rebound elsewhere
+        policy.reset(env)
+        assert policy.qnet.action_list is not actions
+        assert policy.featurizer is not featurizer
+        other = repro.make_env(tiny_network(tmax=40), seed=0)
+        kept = policy.featurizer
+        policy.reset(other)
+        assert policy.featurizer is not kept
+        assert policy.featurizer.topology is other.topology
