@@ -3,11 +3,10 @@
 The paper adopts double DQN, prioritized replay, and n-step TD (Section
 4.2) without ablating them individually, and leaves the remaining
 Rainbow components (dueling heads, noisy-net exploration, distributional
-learning) untried. This bench trains the paper's configuration, one
-variant without each of its components, and the dueling and noisy-net
-variants for a short budget on the tiny network with a time-scaled
-attacker, and reports training-signal statistics: final-episode shaped
-return, mean TD loss, and steps taken.
+learning) untried. This bench trains the paper's configuration and one
+variant without each of its components for a short budget on the tiny
+network with a time-scaled attacker, and reports training-signal
+statistics: final-episode shaped return, mean TD loss, and steps taken.
 
 With CI budgets these runs are far too short for policy-quality claims;
 the bench verifies every variant *trains* (finite loss, full budget).
@@ -31,7 +30,6 @@ from repro.rl import (
     AttentionQNetwork,
     DQNConfig,
     DQNTrainer,
-    DuelingAttentionQNetwork,
     QNetConfig,
 )
 
@@ -53,43 +51,27 @@ def _env(seed=0):
 
 
 def _variants():
-    """(name, qnet factory, trainer factory, DQNConfig) per ablation."""
+    """(name, qnet factory, DQNConfig) per ablation."""
     return [
         (
             "paper (double+PER+n8)",
             lambda: AttentionQNetwork(_QNET, seed=0),
-            DQNTrainer,
             DQNConfig(**_BASE),
         ),
         (
             "no double DQN",
             lambda: AttentionQNetwork(_QNET, seed=0),
-            DQNTrainer,
             DQNConfig(**{**_BASE, "double_dqn": False}),
         ),
         (
             "uniform replay",
             lambda: AttentionQNetwork(_QNET, seed=0),
-            DQNTrainer,
             DQNConfig(**{**_BASE, "prioritized": False}),
         ),
         (
             "1-step TD",
             lambda: AttentionQNetwork(_QNET, seed=0),
-            DQNTrainer,
             DQNConfig(**{**_BASE, "n_step": 1}),
-        ),
-        (
-            "+dueling",
-            lambda: DuelingAttentionQNetwork(_QNET, seed=0),
-            DQNTrainer,
-            DQNConfig(**_BASE),
-        ),
-        (
-            "+noisy nets",
-            lambda: AttentionQNetwork(replace(_QNET, noisy_heads=True), seed=0),
-            DQNTrainer,
-            DQNConfig(**_BASE),
         ),
     ]
 
@@ -112,10 +94,10 @@ def test_rainbow_component_ablation(benchmark, ablation_tables):
 
     def run():
         rows = []
-        for name, qnet_factory, trainer_cls, cfg in _variants():
+        for name, qnet_factory, cfg in _variants():
             env = _env(seed=3)
             featurizer = ACSOFeaturizer(env.topology, ablation_tables)
-            trainer = trainer_cls(env, qnet_factory(), featurizer, cfg)
+            trainer = DQNTrainer(env, qnet_factory(), featurizer, cfg)
             history = trainer.train(episodes=episodes, seed=20, max_steps=max_steps)
             losses = [h.mean_loss for h in history if h.mean_loss > 0]
             rows.append((

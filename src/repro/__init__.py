@@ -14,8 +14,7 @@ Public entry points:
 * :mod:`repro.defenders` -- baseline and learned defender policies.
 * :mod:`repro.rl` -- the DQN training stack for the ACSO agent: the
   attention Q-network under double DQN, prioritized replay and n-step
-  TD, the convolutional baseline of Table 7, and the dueling and
-  noisy-net ablations.
+  TD, and the convolutional baseline of Table 7.
 * :mod:`repro.eval` -- the experiment harness for Table 2 / Fig 6 / Fig 10,
   text charts, markdown reports, and SOC trace analytics.
 * :mod:`repro.validation` -- off-policy evaluation and policy certification.

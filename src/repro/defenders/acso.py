@@ -30,8 +30,6 @@ class ACSOPolicy(DefenderPolicy):
         self.qnet = qnet
         self.tables = tables
         self.featurizer: ACSOFeaturizer | None = None
-        #: the network's action list when this policy last bound it
-        self._action_list: list[DefenderAction] | None = None
 
     @classmethod
     def from_file(cls, path, tables: DBNTables,
@@ -43,15 +41,13 @@ class ACSOPolicy(DefenderPolicy):
 
     def reset(self, env) -> None:
         """Bind the network and a featurizer to ``env.topology``; on the
-        topology already bound (and a network nobody rebound since) only
-        the DBN restarts, so the action list, and with it its cached
-        busy-flag positions, lives across episodes."""
+        topology already bound only the DBN restarts, so the action list,
+        and with it its cached busy-flag positions, lives across
+        episodes."""
+        self.qnet.bind_topology(env.topology)
         featurizer = self.featurizer
         if featurizer is None or featurizer.topology is not env.topology \
-                or featurizer.dbn.tables is not self.tables \
-                or self.qnet.action_list is not self._action_list:
-            self.qnet.bind_topology(env.topology)
-            self._action_list = self.qnet.action_list
+                or featurizer.dbn.tables is not self.tables:
             featurizer = self.featurizer = ACSOFeaturizer(env.topology,
                                                           self.tables)
         featurizer.reset()

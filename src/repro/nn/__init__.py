@@ -3,8 +3,7 @@
 This substrate replaces PyTorch (unavailable in the reproduction
 environment). It provides exactly what the paper's models need:
 linear/MLP blocks, layer normalization, multi-head self-attention,
-temporal 1-D convolution, noisy linear layers, Adam, and the Huber and
-large-margin losses.
+temporal 1-D convolution, Adam, and the Huber and large-margin losses.
 
 There is one way to compute a gradient. Every module has one numeric
 forward on ndarrays that, given a :class:`~repro.nn.tape.Tape`,
@@ -29,7 +28,6 @@ from repro.nn.modules import (
 from repro.nn.tape import Tape, array_node
 from repro.nn.attention import AttentionBlock, MultiHeadSelfAttention
 from repro.nn.conv import Conv1d
-from repro.nn.noisy import NoisyLinear, NoisyMLP
 from repro.nn.optim import Adam
 from repro.nn.losses import huber_loss, margin_loss
 from repro.nn.serialization import load_state, save_state
@@ -49,8 +47,6 @@ __all__ = [
     "MultiHeadSelfAttention",
     "AttentionBlock",
     "Conv1d",
-    "NoisyLinear",
-    "NoisyMLP",
     "Adam",
     "huber_loss",
     "margin_loss",

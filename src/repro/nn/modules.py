@@ -115,32 +115,6 @@ class Module:
             self._parameter_cache = cache
         return list(cache.params)
 
-    def child_modules(self):
-        """Yield direct sub-modules (attributes, list/dict elements)."""
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield item
-            elif isinstance(value, dict):
-                for item in value.values():
-                    if isinstance(item, Module):
-                        yield item
-
-    def reset_noise(self) -> None:
-        """Resample noise in any noisy sub-layers (no-op otherwise)."""
-        for module in self.child_modules():
-            module.reset_noise()
-
-    def set_noise_enabled(self, enabled: bool) -> None:
-        """Toggle parameter noise everywhere (evaluation uses means)."""
-        if hasattr(self, "noise_enabled"):
-            self.noise_enabled = enabled
-        for module in self.child_modules():
-            module.set_noise_enabled(enabled)
-
     def n_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
@@ -260,15 +234,10 @@ class MLP(Module):
         self._act = array_activation(act)
         self._final_act = array_activation(final_act)
 
-    def forward_array(self, x: np.ndarray, tape=None,
-                      rows: np.ndarray | None = None) -> np.ndarray:
-        """(..., R, in) -> (..., R, out). Without a tape, ``rows``
-        gathers the rows of the last hidden activations that the output
-        layer runs on: (..., R, in) -> (..., len(rows), out)."""
+    def forward_array(self, x: np.ndarray, tape=None) -> np.ndarray:
+        """(..., R, in) -> (..., R, out)."""
         last = len(self.linears) - 1
         for i, linear in enumerate(self.linears):
-            if i == last and rows is not None:
-                x = x[..., rows, :]
             pre = linear.forward_array(x, tape)
             act, act_backward = self._act if i < last else self._final_act
             x = act(pre)

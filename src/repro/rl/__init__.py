@@ -18,7 +18,6 @@ from repro.rl.replay import (
 from repro.rl.schedules import ExponentialDecay, LinearSchedule
 from repro.rl.shaping import PotentialShaper
 from repro.rl.dqn import DQNConfig, DQNTrainer
-from repro.rl.dueling import DuelingAttentionQNetwork
 from repro.rl.pretrain import collect_demonstrations, pretrain
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "PotentialShaper",
     "DQNConfig",
     "DQNTrainer",
-    "DuelingAttentionQNetwork",
     "collect_demonstrations",
     "pretrain",
 ]

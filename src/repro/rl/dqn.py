@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn import Adam, NoisyLinear, huber_loss, no_grad
+from repro.nn import Adam, huber_loss, no_grad
 from repro.rl.replay import (
     NStepAssembler,
     PrioritizedReplay,
@@ -82,7 +82,7 @@ class DQNConfig:
     normalize_rewards: bool = True
     seed: int = 0
     #: ablation switches (paper defaults: double DQN + PER); exploration
-    #: is epsilon-greedy unless the Q-network has noisy heads
+    #: is epsilon-greedy
     double_dqn: bool = True
     prioritized: bool = True
 
@@ -100,13 +100,6 @@ class DQNConfig:
                   else 1.0 / (1.0 - gamma))
         scale = (1.0 - gamma) if self.normalize_rewards else 1.0
         return weight, scale
-
-
-def _holds_noisy_layer(module) -> bool:
-    """True if ``module`` or any of its sub-modules is a NoisyLinear."""
-    return isinstance(module, NoisyLinear) or any(
-        _holds_noisy_layer(child) for child in module.child_modules()
-    )
 
 
 @dataclass
@@ -197,9 +190,6 @@ class DQNTrainer:
         self.rng = np.random.default_rng(cfg.seed)
         self.total_steps = 0
         self.shaping_weight, self.reward_scale = cfg.reward_terms(self.gamma)
-        #: a network with NoisyLinear layers explores through parameter
-        #: noise (Rainbow) instead of epsilon-greedy
-        self.noisy = _holds_noisy_layer(self.qnet)
         self.history: list[EpisodeStats] = []
 
     # ------------------------------------------------------------------
@@ -217,15 +207,11 @@ class DQNTrainer:
         out = np.empty(n, dtype=np.int64)
         greedy = []
         for i in range(n):
-            if not self.noisy and self.rng.random() < epsilon:
+            if self.rng.random() < epsilon:
                 out[i] = int(self.rng.choice(np.flatnonzero(masks[i])))
             else:
                 greedy.append(i)
         if greedy:
-            if self.noisy:
-                # parameter noise supplies the exploration; act greedily
-                # under a fresh noise draw
-                self.qnet.reset_noise()
             with no_grad():
                 q = self.qnet.forward(*self.qnet.stack_states(features)).data
             best = np.where(masks, q, -np.inf).argmax(axis=1)
@@ -330,10 +316,6 @@ class DQNTrainer:
         cfg = self.config
         beta = self.beta_schedule(self.total_steps)
         indices, transitions, weights = self.replay.sample(cfg.batch_size, beta)
-        if self.noisy:
-            # every update sees fresh online and target noise
-            self.qnet.reset_noise()
-            self.target.reset_noise()
         stack = self.qnet.stack_states
         states = stack([tr.state for tr in transitions])
         actions = np.array([tr.action for tr in transitions], np.int64)

@@ -12,12 +12,12 @@ central scaling argument.
 The attention network has two numeric forwards on plain ndarrays. The
 taped forward (``_forward_array``) composes the modules'
 ``forward_array`` methods: under autograd the whole network --
-encoders, attention, heads, the dueling combination, the soft clip --
-is a single graph node whose forward records a hand-written backward
-step per module on a :class:`~repro.nn.tape.Tape`, and whose backward
-replays it into per-parameter (and, if they require grad, per-feature)
-gradients; when no feature requires grad, the encoders' first layers
-and the heads skip the feature gradients. The backward steps hold the
+encoders, attention, heads, the soft clip -- is a single graph node
+whose forward records a hand-written backward step per module on a
+:class:`~repro.nn.tape.Tape`, and whose backward replays it into
+per-parameter (and, if they require grad, per-feature) gradients; when
+no feature requires grad, the encoders' first layers and the heads skip
+the feature gradients. The backward steps hold the
 tape's gradient table, not the tape, so the graph is freed by
 reference counting once its backward has run or its output is dropped.
 Under :func:`repro.nn.no_grad` nothing is recorded and the inference
@@ -32,8 +32,7 @@ block and returns the one-piece forward's bits; a single state runs as
 ``DISTINCT_MIN_TOKENS`` tokens). Forward values are bitwise equal to
 the per-op autograd graph of the same computation, and gradients agree
 with it to rounding; the test suite keeps that graph as the
-differential oracle too. The dueling variant reuses the same node (an
-extra value head).
+differential oracle too.
 
 The convolutional baseline flattens the whole network into one vector
 per time step and strides over the history window; its output layer is
@@ -98,11 +97,6 @@ class QNetConfig:
     #: but shaped returns can reach +/- (A*nW + B*nS) on a fully
     #: compromised network -- the scale must cover that envelope
     q_scale: float = 24.0
-    #: replace the output heads with NoisyLinear stacks (Rainbow's
-    #: learned-exploration component; see benchmarks/bench_rl_ablation)
-    noisy_heads: bool = False
-    #: sigma0 initialization for noisy heads
-    noisy_sigma0: float = 0.5
 
     @staticmethod
     def paper() -> "QNetConfig":
@@ -169,9 +163,10 @@ def _dot(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 def _mlp_rows(mlp: MLP, x: np.ndarray,
               rows: np.ndarray | None = None) -> np.ndarray:
-    """``MLP.forward_array(x, None, rows)`` of a leaky-ReLU MLP with a
-    linear output layer (the network's own MLPs), straight over the
-    layers' arrays."""
+    """``MLP.forward_array(x)`` of a leaky-ReLU MLP with a linear output
+    layer (the network's own MLPs), straight over the layers' arrays.
+    With ``rows``, the output layer runs on those rows of the last
+    hidden activations: (..., R, in) -> (..., len(rows), out)."""
     *hidden, last = mlp.linears
     for linear in hidden:
         x = _dot(x, linear.weight.data)
@@ -372,11 +367,15 @@ class AttentionQNetwork(Module):
             for _ in range(cfg.n_attention_layers)
         ]
         head_in = cfg.d_model + GLOBAL_FEATURE_DIM
-        self.host_head = self._make_head(head_in, len(HOST_ACTIONS), rng)
-        self.server_head = self._make_head(head_in, len(SERVER_ACTIONS), rng)
-        self.plc_head = self._make_head(head_in, len(PLC_ACTIONS), rng)
-        self.noop_head = self._make_head(head_in, 1, rng)
+        self.host_head = MLP([head_in, cfg.head_hidden, len(HOST_ACTIONS)],
+                             rng=rng)
+        self.server_head = MLP([head_in, cfg.head_hidden, len(SERVER_ACTIONS)],
+                               rng=rng)
+        self.plc_head = MLP([head_in, cfg.head_hidden, len(PLC_ACTIONS)],
+                            rng=rng)
+        self.noop_head = MLP([head_in, cfg.head_hidden, 1], rng=rng)
         # topology binding (not parameters; re-computed per network size)
+        self._topology: Topology | None = None
         self._host_ids: np.ndarray = np.zeros(0, np.int64)
         self._server_ids: np.ndarray = np.zeros(0, np.int64)
         self._n_nodes = 0
@@ -384,8 +383,8 @@ class AttentionQNetwork(Module):
         self._block_rows = 1
         self._distinct_rows = False
         self._partition: _RowPartition | None = None
-        #: (head, token index, None) in output order, the program's
-        #: head rows without a partition
+        #: (head, token index, None) in output order: the head rows of
+        #: the taped forward, and of the program without a partition
         self._heads: tuple = ()
         self.action_list: list[DefenderAction] = []
 
@@ -394,8 +393,13 @@ class AttentionQNetwork(Module):
         """Attach a network topology; parameters are unchanged.
 
         The same trained weights can therefore be evaluated on networks
-        of different size (Section 4.4).
+        of different size (Section 4.4). Binding the topology the
+        network is already bound to keeps the binding, action list
+        included.
         """
+        if topology is self._topology:
+            return self
+        self._topology = topology
         self._host_ids = np.array(
             [n.node_id for n in topology.nodes if not n.is_server], np.int64
         )
@@ -408,10 +412,14 @@ class AttentionQNetwork(Module):
         self._block_rows = max(1, BLOCK_TOKENS // tokens)
         self._distinct_rows = tokens >= DISTINCT_MIN_TOKENS
         self._partition = None
-        self._heads = tuple(
-            (head, index if isinstance(index, slice) else _index(index.tolist()),
-             None)
-            for head, index in self._head_groups())
+        n, m = self._n_nodes, self._n_plcs
+        heads = [(self.noop_head, slice(n + m, None)),
+                 (self.host_head, _index(self._host_ids.tolist()))]
+        if len(self._server_ids):
+            heads.append((self.server_head, _index(self._server_ids.tolist())))
+        if m:
+            heads.append((self.plc_head, slice(n, n + m)))
+        self._heads = tuple((head, index, None) for head, index in heads)
         actions: list[DefenderAction] = [DefenderAction(DefenderActionType.NOOP)]
         for node_id in self._host_ids:
             actions.extend(DefenderAction(a, int(node_id)) for a in HOST_ACTIONS)
@@ -436,16 +444,6 @@ class AttentionQNetwork(Module):
         return stack_features(states)
 
     # ------------------------------------------------------------------
-    def _make_head(self, head_in: int, out_dim: int, rng) -> Module:
-        """Build one per-type output head (plain or noisy MLP)."""
-        cfg = self.config
-        dims = [head_in, cfg.head_hidden, out_dim]
-        if cfg.noisy_heads:
-            from repro.nn import NoisyMLP
-
-            return NoisyMLP(dims, sigma0=cfg.noisy_sigma0, rng=rng)
-        return MLP(dims, rng=rng)
-
     def _check_bound(self) -> None:
         if self._n_nodes == 0:
             raise RuntimeError("bind_topology() must be called before forward()")
@@ -471,11 +469,10 @@ class AttentionQNetwork(Module):
     def _infer(self, node, plc, glob) -> np.ndarray:
         """The no-grad forward, bitwise equal to :meth:`_forward_array`.
 
-        Straight-line array code over the parameter arrays for the
-        encoders, the attention trunk and the plain heads (a noisy head
-        runs its own ``forward_array``). One state runs as 2-D rows, on
-        one row per group of byte-identical node or PLC rows on
-        networks of at least ``DISTINCT_MIN_TOKENS`` tokens
+        Straight-line array code over the parameter arrays of the
+        encoders, the attention trunk and the heads. One state runs as
+        2-D rows, on one row per group of byte-identical node or PLC
+        rows on networks of at least ``DISTINCT_MIN_TOKENS`` tokens
         (:class:`_RowPartition`); a batch runs as (B, T, D) rows, in
         row blocks (:func:`in_row_blocks`).
         """
@@ -503,14 +500,10 @@ class AttentionQNetwork(Module):
         x_all[..., :d] = tokens
         x_all[..., d:] = glob[..., None, :]
         lead = tokens.shape[:-2] + (-1,)
-        parts = []
-        for head, index, rows in heads:
-            x = x_all[..., index, :]
-            out = (_mlp_rows(head, x, rows) if type(head) is MLP
-                   else head.forward_array(x, None, rows))  # a noisy head
-            parts.append(out.reshape(lead))
+        parts = [_mlp_rows(head, x_all[..., index, :], rows).reshape(lead)
+                 for head, index, rows in heads]
         flat = np.concatenate(parts, axis=-1)
-        return self._output_array(flat.reshape(-1, flat.shape[-1]), None)
+        return self._soft_clip_array(flat.reshape(-1, flat.shape[-1]), None)
 
     # ------------------------------------------------------------------
     # the taped forward (training), and the program's differential oracle
@@ -529,7 +522,7 @@ class AttentionQNetwork(Module):
         tokens[:, n + m] = self.noop_seed.data
         for block in self.blocks:
             tokens = block.forward_array(tokens, trunk)
-        out = self._output_array(
+        out = self._soft_clip_array(
             self._heads_array(tokens, glob, heads, wanted), heads)
         if tape is not None:
             grads = tape.grads
@@ -543,18 +536,6 @@ class AttentionQNetwork(Module):
 
             tape.record(backward)
         return out
-
-    def _head_groups(self) -> list[tuple[Module, object]]:
-        """(head, token index) pairs in output order; an index is a
-        slice or an array of node ids."""
-        n, m = self._n_nodes, self._n_plcs
-        groups = [(self.noop_head, slice(n + m, None)),
-                  (self.host_head, self._host_ids)]
-        if len(self._server_ids):
-            groups.append((self.server_head, self._server_ids))
-        if m:
-            groups.append((self.plc_head, slice(n, n + m)))
-        return groups
 
     def _partition_of(self, node: np.ndarray, plc: np.ndarray) -> _RowPartition:
         """The row partition of one state's (N, Fn) and (M, Fp) features:
@@ -578,7 +559,7 @@ class AttentionQNetwork(Module):
         backward returns (token gradient, global-feature gradient), the
         latter None unless ``glob_grad``."""
         batch, n_tokens, d = tokens.shape
-        groups = self._head_groups()
+        groups = self._heads
         head_tapes = [branch(tape) for _ in groups]
         # every token with the global features appended, filled once;
         # each head reads its rows of it
@@ -586,7 +567,7 @@ class AttentionQNetwork(Module):
         x_all[..., :d] = tokens
         x_all[..., d:] = glob.reshape(batch, 1, GLOBAL_FEATURE_DIM)
         outputs = [head.forward_array(x_all[:, index], head_tape)
-                   for (head, index), head_tape in zip(groups, head_tapes)]
+                   for (head, index, _), head_tape in zip(groups, head_tapes)]
         flat = np.concatenate(
             [out.reshape(batch, out.shape[1] * out.shape[2]) for out in outputs],
             axis=1,
@@ -599,7 +580,7 @@ class AttentionQNetwork(Module):
                 grad_tokens = np.zeros_like(tokens)
                 grad_glob = np.zeros_like(glob) if glob_grad else None
                 parts = np.split(grad, splits, axis=1)
-                for (_, index), head_tape, part, out in zip(
+                for (_, index, _), head_tape, part, out in zip(
                         groups, head_tapes, parts, outputs):
                     grad_x = head_tape.backward(part.reshape(out.shape))
                     grad_tokens[:, index] += grad_x[..., :d]
@@ -609,10 +590,6 @@ class AttentionQNetwork(Module):
 
             tape.record(backward)
         return flat
-
-    def _output_array(self, flat: np.ndarray, tape) -> np.ndarray:
-        """Head outputs -> Q-values (subclasses combine them otherwise)."""
-        return self._soft_clip_array(flat, tape)
 
     def _soft_clip_array(self, q: np.ndarray, tape) -> np.ndarray:
         """Near-identity for |q| << q_scale, bounded at +/- q_scale
@@ -707,10 +684,6 @@ class ConvQNetwork(Module):
     def stack_states(states: list[np.ndarray]) -> tuple:
         """Batch ``(step_dim, window)`` histories for :meth:`forward`."""
         return (np.stack(states),)
-
-    def _output_array(self, flat: np.ndarray, tape) -> np.ndarray:
-        """Head outputs -> Q-values (subclasses combine them otherwise)."""
-        return self._soft_clip_array(flat, tape)
 
     def _soft_clip_array(self, q: np.ndarray, tape) -> np.ndarray:
         """``tanh(q / q_scale) * q_scale`` when ``config.final_tanh``.

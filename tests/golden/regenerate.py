@@ -32,8 +32,8 @@ on one machine by ``tests/test_rl_qnet.py``.
 
 A third family, ``tests/golden/loops/*.json``, pins every episode loop
 of the library on the tiny network: the DQN trainer on a plain
-environment (epsilon-greedy with prioritized replay, noisy heads,
-uniform replay) and on a two-lane vector environment, the conv
+environment (epsilon-greedy with prioritized or uniform replay) and on
+a two-lane vector environment, the conv
 baseline, seeded evaluation, logged-episode collection for OPE, trace
 recording, DBN fitting and validation, and
 demonstration collection. Training cells digest every episode's
@@ -265,12 +265,6 @@ def _loop_dqn_per() -> dict:
     return _training_digest(_attention_trainer(_loop_env()))
 
 
-def _loop_dqn_noisy() -> dict:
-    # a network with noisy heads explores through them, not epsilon
-    return _training_digest(_attention_trainer(
-        _loop_env(), {"noisy_heads": True}))
-
-
 def _loop_dqn_uniform() -> dict:
     return _training_digest(_attention_trainer(
         _loop_env(), dqn_overrides={"prioritized": False}))
@@ -500,7 +494,6 @@ def _loop_demonstrations() -> dict:
 #: loop cell name -> its digest function (one fixture each)
 LOOP_CELLS = {
     "dqn-egreedy-per": _loop_dqn_per,
-    "dqn-noisy": _loop_dqn_noisy,
     "dqn-uniform": _loop_dqn_uniform,
     "dqn-vec2": _loop_dqn_vec2,
     "conv": _loop_conv,

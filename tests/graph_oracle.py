@@ -11,8 +11,8 @@ composition op by op.
 
 On top of it sit per-op forwards of every module, network and loss:
 
-* the fused modules and the attention Q-network (and its dueling
-  variant): forward values bitwise equal, gradients allclose;
+* the fused modules and the attention Q-network: forward values
+  bitwise equal, gradients allclose;
 * the 1-D convolution, the conv Q-network, the Huber and margin
   losses: forward values *and* gradients bitwise equal,
   because each hand-written backward copies the graph's expression
@@ -38,12 +38,10 @@ from repro.nn import (
     MLP,
     Module,
     MultiHeadSelfAttention,
-    NoisyLinear,
     Tensor,
 )
 from repro.nn.conv import Conv1d
 from repro.nn.modules import _ARRAY_ACTIVATIONS
-from repro.rl.dueling import DuelingAttentionQNetwork
 from repro.rl.features import GLOBAL_FEATURE_DIM
 from repro.rl.qnetwork import AttentionQNetwork, ConvQNetwork
 from repro.sim.orchestrator import HOST_ACTIONS, PLC_ACTIONS, SERVER_ACTIONS
@@ -347,16 +345,6 @@ def linear(module: Linear, x) -> OpTensor:
     return out
 
 
-def noisy_linear(module: NoisyLinear, x) -> OpTensor:
-    x = op(x)
-    if module.noise_enabled:
-        weight = op(module.weight_mu) + op(module.weight_sigma) * module._eps_w
-        bias = op(module.bias_mu) + op(module.bias_sigma) * module._eps_b
-    else:
-        weight, bias = module.weight_mu, module.bias_mu
-    return x @ weight + bias
-
-
 _ACTIVATIONS = {
     "relu": lambda x: x.relu(),
     "leaky_relu": lambda x: x.leaky_relu(),
@@ -447,7 +435,6 @@ def conv1d(module: Conv1d, x) -> OpTensor:
 
 _MODULES = {
     Linear: linear,
-    NoisyLinear: noisy_linear,
     LayerNorm: layer_norm,
     MultiHeadSelfAttention: self_attention,
     AttentionBlock: attention_block,
@@ -463,7 +450,7 @@ def forward(module: Module, x) -> OpTensor:
 
 
 # ----------------------------------------------------------------------
-# the attention Q-network and its dueling variant
+# the attention Q-network
 # ----------------------------------------------------------------------
 def contextualize(net: AttentionQNetwork, node_feats, plc_feats, glob_feats):
     """Encoders + attention; returns (tokens, glob tensor, batch)."""
@@ -521,15 +508,9 @@ def soft_clip(config, q: OpTensor) -> OpTensor:
 
 
 def q_forward(net: AttentionQNetwork, node_feats, plc_feats, glob_feats) -> OpTensor:
-    """Per-op Q-values of a plain or dueling attention network."""
+    """Per-op Q-values of the attention network."""
     tokens, glob, batch = contextualize(net, node_feats, plc_feats, glob_feats)
-    q = head_outputs(net, tokens, glob, batch)
-    if isinstance(net, DuelingAttentionQNetwork):
-        noop_ctx = split_contexts(net, tokens)[3]
-        value = mlp(net.value_head, with_global(noop_ctx, glob, batch))
-        centered = q - q.mean(axis=1, keepdims=True)
-        q = value.reshape(batch, 1) + centered
-    return soft_clip(net.config, q)
+    return soft_clip(net.config, head_outputs(net, tokens, glob, batch))
 
 
 # ----------------------------------------------------------------------

@@ -11,38 +11,11 @@ import repro
 from repro.config import tiny_network
 from repro.defenders.acso import ACSOPolicy
 from repro.eval.analysis import action_counts, dwell_time
-from repro.rl import (
-    ACSOFeaturizer,
-    AttentionQNetwork,
-    DuelingAttentionQNetwork,
-    QNetConfig,
-    collect_demonstrations,
-    pretrain,
-)
-from repro.rl.pretrain import PretrainConfig
+from repro.rl import AttentionQNetwork, QNetConfig
 from repro.sim.trace import record_episode
 
 SMALL_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
                         encoder_layers=2, head_hidden=16)
-
-
-class TestPretrainedVariantPipelines:
-    def test_dueling_net_pretrains_from_demonstrations(self, tiny_tables):
-        """DQfD margin pretraining works for the dueling head too."""
-        from repro.defenders import DBNExpertPolicy
-
-        cfg = tiny_network(tmax=30)
-        env = repro.make_env(cfg, seed=0)
-        qnet = DuelingAttentionQNetwork(SMALL_QNET, seed=0)
-        qnet.bind_topology(env.topology)
-        featurizer = ACSOFeaturizer(env.topology, tiny_tables)
-        expert = DBNExpertPolicy(tiny_tables, seed=0, max_actions=1)
-        demos = collect_demonstrations(env, expert, featurizer, qnet,
-                                       episodes=1, seed=0, max_steps=20)
-        losses = pretrain(qnet, demos,
-                          PretrainConfig(iterations=5, batch_size=8, seed=0))
-        assert len(losses) == 5
-        assert all(np.isfinite(loss) for loss in losses)
 
 
 class TestOPEOfGreedyTarget:

@@ -32,8 +32,6 @@ from repro.nn import (
     Linear,
     MLP,
     MultiHeadSelfAttention,
-    NoisyLinear,
-    NoisyMLP,
     Parameter,
     Tensor,
     huber_loss,
@@ -46,7 +44,6 @@ from repro.rl import (
     ConvQNetwork,
     DQNConfig,
     DQNTrainer,
-    DuelingAttentionQNetwork,
     QNetConfig,
     RawHistoryEncoder,
 )
@@ -58,10 +55,7 @@ from repro.validation.fqe import fitted_q_evaluation
 
 ACTIVATIONS = ["relu", "leaky_relu", "tanh", "sigmoid", "identity"]
 COMPACT = QNetConfig(d_model=16, n_heads=2, encoder_hidden=32, head_hidden=32)
-NETWORKS = {
-    "plain": AttentionQNetwork,
-    "dueling": DuelingAttentionQNetwork,
-}
+NETWORKS = {"plain": AttentionQNetwork}
 
 
 def _bits(array) -> bytes:
@@ -161,18 +155,6 @@ class TestGradcheck:
             ln.beta.data = 0.3 * rng.normal(size=8)
         check_module(block, shape)
 
-    @pytest.mark.parametrize("noise", [True, False])
-    def test_noisy_linear(self, noise):
-        layer = NoisyLinear(5, 3, rng=np.random.default_rng(6))
-        layer.set_noise_enabled(noise)
-        check_module(layer, (2, 4, 5))
-
-    @pytest.mark.parametrize("noise", [True, False])
-    def test_noisy_mlp(self, noise):
-        mlp = NoisyMLP([5, 7, 3], final_act="tanh", rng=np.random.default_rng(7))
-        mlp.set_noise_enabled(noise)
-        check_module(mlp, (2, 4, 5))
-
     @pytest.mark.parametrize("kind", sorted(NETWORKS))
     @pytest.mark.parametrize("config", ["compact", "paper"])
     @pytest.mark.parametrize("topology", ["tiny", "paper"])
@@ -189,7 +171,7 @@ class TestGradcheck:
     def test_q_network_feature_gradients(self):
         """Features that require grad get theirs from the same node."""
         topo = _topology("tiny")
-        net = DuelingAttentionQNetwork(COMPACT, seed=3).bind_topology(topo)
+        net = AttentionQNetwork(COMPACT, seed=3).bind_topology(topo)
         feats = [Tensor(f, requires_grad=True) for f in _features(topo, 2, seed=6)]
         gradcheck(lambda: net.forward(*feats), feats, seed=7)
 
@@ -268,12 +250,11 @@ def _run(net, feats, seed):
 class TestDifferential:
     @pytest.mark.parametrize("batch", [1, 16, 32])
     @pytest.mark.parametrize("kind", sorted(NETWORKS))
-    @pytest.mark.parametrize("config", ["compact", "paper", "noisy", "no-tanh"])
+    @pytest.mark.parametrize("config", ["compact", "paper", "no-tanh"])
     @pytest.mark.parametrize("topology", ["tiny", "paper"])
     def test_network_matches_oracle(self, topology, config, kind, batch,
                                     monkeypatch):
         cfg = {"compact": COMPACT, "paper": QNetConfig.paper(),
-               "noisy": QNetConfig(noisy_heads=True),
                "no-tanh": QNetConfig(final_tanh=False)}[config]
         topo = _topology(topology)
         net = NETWORKS[kind](cfg, seed=11).bind_topology(topo)
@@ -314,8 +295,6 @@ class TestDifferential:
         (MultiHeadSelfAttention(8, 4, rng=np.random.default_rng(6)), (6, 8)),
         (AttentionBlock(8, 2, ff_hidden=16, rng=np.random.default_rng(7)),
          (3, 6, 8)),
-        (NoisyLinear(7, 5, rng=np.random.default_rng(8)), (3, 4, 7)),
-        (NoisyMLP([6, 9, 4], rng=np.random.default_rng(9)), (2, 5, 6)),
     ], ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else None)
     def test_module_matches_oracle(self, module, shape):
         x = np.random.default_rng(len(shape)).normal(size=shape)

@@ -14,7 +14,7 @@ seeded rollout under an untrained seeded ACSO policy, digesting the
 chosen actions, rewards and Q-vectors (see ``regenerate.py``).
 
 ``tests/golden/loops/*.json`` pins the library's episode loops: DQN
-(epsilon-greedy or noisy-head exploration) and conv training,
+(epsilon-greedy, prioritized or uniform replay) and conv training,
 evaluation, OPE logging, trace recording, DBN fitting and validation,
 and demonstration collection.
 """

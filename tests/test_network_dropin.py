@@ -1,10 +1,9 @@
-"""Drop-in and serialization contracts for the Q-network family.
+"""Drop-in and serialization contracts for the attention Q-network.
 
-Every network variant (plain, dueling, noisy-headed)
-must (a) serialize and reload bit-exactly, (b) plug into the greedy
-ACSO policy unchanged, and (c) keep its parameter count independent of
-the bound topology. These are the contracts the transfer machinery
-silently relies on.
+The network must (a) serialize and reload bit-exactly, (b) plug into
+the greedy ACSO policy unchanged, and (c) keep its parameter count
+independent of the bound topology. These are the contracts the transfer
+machinery silently relies on.
 """
 
 import numpy as np
@@ -16,23 +15,15 @@ from repro.defenders.acso import ACSOPolicy
 from repro.eval import run_episode
 from repro.net.topology import build_topology
 from repro.nn import load_state, save_state
-from repro.rl import (
-    AttentionQNetwork,
-    DuelingAttentionQNetwork,
-    QNetConfig,
-)
+from repro.rl import AttentionQNetwork, QNetConfig
 
 SMALL_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
                         encoder_layers=2, head_hidden=16)
-NOISY_QNET = QNetConfig(d_model=8, n_heads=2, encoder_hidden=16,
-                        encoder_layers=2, head_hidden=16, noisy_heads=True)
 
 
 def _variants():
     return [
         ("plain", AttentionQNetwork(SMALL_QNET, seed=0)),
-        ("dueling", DuelingAttentionQNetwork(SMALL_QNET, seed=0)),
-        ("noisy", AttentionQNetwork(NOISY_QNET, seed=0)),
     ]
 
 
@@ -57,9 +48,6 @@ class TestSerialization:
         fresh = net.clone(seed=99)
         load_state(fresh, path)
         fresh.bind_topology(topo)
-        if hasattr(net, "set_noise_enabled"):
-            net.set_noise_enabled(False)
-            fresh.set_noise_enabled(False)
         rng = np.random.default_rng(0)
         from repro.rl.features import (
             GLOBAL_FEATURE_DIM,

@@ -26,7 +26,6 @@ from repro.nn import (
 from repro.rl import (
     AttentionQNetwork,
     ConvQNetwork,
-    DuelingAttentionQNetwork,
     QNetConfig,
 )
 from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
@@ -37,8 +36,6 @@ BATCH = 4
 
 NETWORKS = {
     "plain": lambda topo: AttentionQNetwork(COMPACT, seed=1).bind_topology(topo),
-    "dueling": lambda topo: DuelingAttentionQNetwork(
-        COMPACT, seed=1).bind_topology(topo),
     "conv": lambda topo: ConvQNetwork(
         5, 6, ConvNetConfig(window=16, channels=(6, 3), kernel=3, stride=2,
                             mlp_hidden=7), seed=1),
@@ -78,8 +75,7 @@ def no_collector():
         gc.enable()
 
 
-CASES = [("plain", "huber"), ("plain", "margin"), ("dueling", "huber"),
-         ("conv", "huber")]
+CASES = [("plain", "huber"), ("plain", "margin"), ("conv", "huber")]
 
 
 class TestNoCycles:

@@ -17,9 +17,8 @@ from repro.nn import (
     Linear,
     MLP,
     MultiHeadSelfAttention,
-    NoisyLinear,
-    NoisyMLP,
     Tensor,
+    array_activation,
     is_grad_enabled,
     no_grad,
 )
@@ -28,7 +27,6 @@ from repro.rl import (
     ACSOFeaturizer,
     AttentionQNetwork,
     ConvQNetwork,
-    DuelingAttentionQNetwork,
     PotentialShaper,
     QNetConfig,
     RawHistoryEncoder,
@@ -155,8 +153,6 @@ PARITY_CONFIGS = {
     "compact": QNetConfig(d_model=16, n_heads=2, encoder_hidden=32,
                           head_hidden=32),
     "no-tanh": QNetConfig(final_tanh=False),
-    "noisy-on": QNetConfig(noisy_heads=True),
-    "noisy-off": QNetConfig(noisy_heads=True),
 }
 
 
@@ -186,8 +182,6 @@ class TestInferenceParity:
                 else build_topology(tiny_network().topology))
         qnet = AttentionQNetwork(PARITY_CONFIGS[config], seed=5)
         qnet.bind_topology(topo)
-        if config == "noisy-off":
-            qnet.set_noise_enabled(False)
         feats = _random_features(topo, batch, seed=batch)
 
         graph = graph_oracle.q_forward(qnet, *feats)
@@ -314,19 +308,17 @@ class TestRowIndependence:
                 for j, row in enumerate(index):
                     assert _bits(got[j]) == _bits(want[row]), (index, row)
 
-    @pytest.mark.parametrize("kind", ["plain", "dueling"])
     @pytest.mark.parametrize("network", ["tiny", "paper"])
     @pytest.mark.parametrize("config", ["compact", "default"])
     def test_row_blocks_equal_one_piece_at_block_boundaries(
-            self, config, network, kind, tiny_topology, paper_topology):
+            self, config, network, tiny_topology, paper_topology):
         """A no-grad forward of more than ``k`` rows runs as blocks of
         ``k`` (``repro.rl.qnetwork.BLOCK_TOKENS`` over the tokens per
         row); around each boundary its outputs equal the one-piece
         forward's bit for bit."""
         topo = paper_topology if network == "paper" else tiny_topology
-        cls = {"plain": AttentionQNetwork,
-               "dueling": DuelingAttentionQNetwork}[kind]
-        net = cls(PARITY_CONFIGS[config], seed=6).bind_topology(topo)
+        net = AttentionQNetwork(PARITY_CONFIGS[config], seed=6) \
+            .bind_topology(topo)
         k = net._block_rows
         assert k == max(1, BLOCK_TOKENS // (topo.n_nodes + topo.n_plcs + 1))
 
@@ -369,10 +361,14 @@ def _duplicated_states(topo, seed):
     return states
 
 
+#: the Q-networks that score exchangeable node and PLC rows, by name
+DISTINCT_ROW_NETWORKS = {"plain": AttentionQNetwork}
+NETWORK_KINDS = sorted(DISTINCT_ROW_NETWORKS)
+
+
 def _distinct_net(kind, config, topo):
-    cls = {"plain": AttentionQNetwork,
-           "dueling": DuelingAttentionQNetwork}[kind]
-    net = cls(PARITY_CONFIGS[config], seed=8).bind_topology(topo)
+    net = DISTINCT_ROW_NETWORKS[kind](PARITY_CONFIGS[config], seed=8) \
+        .bind_topology(topo)
     # the tiny topology is below DISTINCT_MIN_TOKENS: check its
     # arithmetic all the same
     net._distinct_rows = True
@@ -396,10 +392,9 @@ class TestDistinctRows:
     (``repro.rl.qnetwork._RowPartition``). Every output must equal the
     full forward's (the same state stacked at B=2) bit for bit."""
 
-    @pytest.mark.parametrize("kind", ["plain", "dueling"])
+    @pytest.mark.parametrize("kind", NETWORK_KINDS)
     @pytest.mark.parametrize("network", ["tiny", "paper"])
-    @pytest.mark.parametrize("config", ["compact", "default", "paper",
-                                        "noisy-on"])
+    @pytest.mark.parametrize("config", ["compact", "default", "paper"])
     def test_outputs_equal_the_full_forward(self, config, network, kind,
                                             tiny_topology, paper_topology):
         topo = paper_topology if network == "paper" else tiny_topology
@@ -416,7 +411,7 @@ class TestDistinctRows:
         """A one-group type still runs two rows (no one-row matmul where
         the full forward runs several); the noop token, one row in the
         full forward too, stays one row."""
-        net = _distinct_net("dueling", "compact", paper_topology)
+        net = _distinct_net("plain", "compact", paper_topology)
         node, plc, glob = _duplicated_states(paper_topology, 3)["every row equal"]
         with no_grad():
             net.forward(node[None], plc[None], glob[None])
@@ -427,8 +422,8 @@ class TestDistinctRows:
             + paper_topology.n_plcs + 1
         distinct = np.arange(len(partition.nodes.rows)
                              + len(partition.plcs.rows) + 1)
-        for (head, index), (own, rows, gather) in zip(net._head_groups(),
-                                                      partition.heads):
+        for (head, index, _), (own, rows, gather) in zip(net._heads,
+                                                         partition.heads):
             assert own is head
             tokens = len(partition.keys[index])
             # one token reads its row as it is, no gather
@@ -455,7 +450,7 @@ class TestDistinctRows:
             features = featurizer.update(obs)
 
     @pytest.mark.parametrize("change", ["moved belief", "signed zero", "nan"])
-    @pytest.mark.parametrize("kind", ["plain", "dueling"])
+    @pytest.mark.parametrize("kind", NETWORK_KINDS)
     def test_changed_rows_are_regrouped(self, change, kind, tiny_topology,
                                         paper_topology):
         """The partition of the last state is reused only while every
@@ -495,7 +490,7 @@ class TestDistinctRows:
         partition whose rows all still equal their groups' rows is not
         reused once two of its groups are equal."""
         topo = paper_topology if network == "paper" else tiny_topology
-        net = _distinct_net("dueling", "compact", topo)
+        net = _distinct_net("plain", "compact", topo)
         node, plc, glob = _duplicated_states(topo, 7)["no duplicates"]
         _single_and_stacked(net, node, plc, glob)
         node, plc = node.copy(), plc.copy()
@@ -512,7 +507,7 @@ class TestDistinctRows:
         """Threads scoring their own states on one network get the full
         forward's bits: each reads the shared partition once and checks
         it against its own rows before using it."""
-        net = _distinct_net("dueling", "compact", paper_topology)
+        net = _distinct_net("plain", "compact", paper_topology)
         states = [list(_duplicated_states(paper_topology, seed).values())
                   for seed in range(4)]
         want = [[_single_and_stacked(net, *state)[1] for state in mine]
@@ -574,20 +569,8 @@ class TestDistinctRows:
             + paper_topology.n_plcs + 1
 
 
-#: the networks the inference program must reproduce, by name
-PROGRAM_NETWORKS = {
-    **{config: (AttentionQNetwork, PARITY_CONFIGS[config])
-       for config in PARITY_CONFIGS},
-    "dueling": (DuelingAttentionQNetwork, QNetConfig()),
-}
-
-
 def _program_net(name, topo):
-    cls, config = PROGRAM_NETWORKS[name]
-    net = cls(config, seed=9).bind_topology(topo)
-    if name == "noisy-off":
-        net.set_noise_enabled(False)
-    return net
+    return AttentionQNetwork(PARITY_CONFIGS[name], seed=9).bind_topology(topo)
 
 
 def _taped(net, node, plc, glob) -> bytes:
@@ -607,7 +590,7 @@ class TestInferenceProgram:
     differential oracle. Every output must match it byte for byte."""
 
     @pytest.mark.parametrize("network", ["tiny", "small", "paper"])
-    @pytest.mark.parametrize("name", sorted(PROGRAM_NETWORKS))
+    @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     def test_batches_equal_the_taped_forward(self, name, network,
                                              tiny_topology, paper_topology):
         topo = {"tiny": tiny_topology, "paper": paper_topology,
@@ -622,7 +605,7 @@ class TestInferenceProgram:
 
     @pytest.mark.parametrize("distinct", [True, False])
     @pytest.mark.parametrize("network", ["tiny", "small", "paper"])
-    @pytest.mark.parametrize("name", sorted(PROGRAM_NETWORKS))
+    @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     def test_one_state_equals_the_taped_forward(self, name, network, distinct,
                                                 tiny_topology, paper_topology):
         """One state runs as 2-D rows, on its distinct rows or on all."""
@@ -678,8 +661,9 @@ class TestInferenceProgram:
     @pytest.mark.parametrize("shape", [(5, 6), (2, 5, 6)])
     def test_row_helpers_equal_the_module_forwards(self, shape):
         """The program's straight-line MLP and layer norm equal the
-        modules' ``forward_array`` (edge-case inputs included); the MLP's
-        output layer runs on ``rows`` when given."""
+        modules' ``forward_array`` (edge-case inputs included); with
+        ``rows`` the MLP equals its hidden layers' forwards, then the
+        gather of ``rows``, then the output layer's forward."""
         mlp = MLP([6, 9, 9, 4], rng=np.random.default_rng(2))
         norm = LayerNorm(6)
         norm.gamma.data = np.random.default_rng(3).normal(size=6)
@@ -687,19 +671,19 @@ class TestInferenceProgram:
         x = _module_input(shape, seed=len(shape))
         assert _bits(_mlp_rows(mlp, x)) == _bits(mlp.forward_array(x))
         rows = np.array([4, 0, 0, 2])
+        leaky_relu = array_activation("leaky_relu")[0]
+        *hidden, last = mlp.linears
+        h = x
+        for linear in hidden:
+            h = leaky_relu(linear.forward_array(h))
         assert _bits(_mlp_rows(mlp, x, rows)) \
-            == _bits(mlp.forward_array(x, None, rows))
+            == _bits(last.forward_array(h[..., rows, :]))
         assert _bits(_layer_norm_rows(norm, x)) == _bits(norm.forward_array(x))
 
 
 #: the attention networks whose forwards and backward steps write in place
 IN_PLACE_NETWORKS = {
     "plain": lambda: AttentionQNetwork(PARITY_CONFIGS["compact"], seed=4),
-    "dueling": lambda: DuelingAttentionQNetwork(PARITY_CONFIGS["compact"],
-                                                seed=4),
-    "noisy": lambda: AttentionQNetwork(
-        QNetConfig(d_model=16, encoder_hidden=32, head_hidden=32,
-                   noisy_heads=True), seed=4),
 }
 
 
@@ -858,15 +842,16 @@ class TestModuleArrayForward:
         (MultiHeadSelfAttention(8, 4, rng=np.random.default_rng(6)), (6, 8)),
         (AttentionBlock(8, 2, ff_hidden=16, rng=np.random.default_rng(7)),
          (3, 6, 8)),
-        (NoisyLinear(7, 5, rng=np.random.default_rng(8)), (3, 4, 7)),
-        (NoisyMLP([6, 9, 4], rng=np.random.default_rng(9)), (2, 5, 6)),
     ], ids=lambda v: type(v).__name__ if not isinstance(v, tuple) else None)
-    @pytest.mark.parametrize("noise", [True, False])
-    def test_forward_array_equals_forward(self, module, shape, noise):
-        module.set_noise_enabled(noise)
+    @pytest.mark.parametrize("taped", [True, False])
+    def test_forward_array_equals_forward(self, module, shape, taped):
+        """Recording the backward steps on a tape leaves the output's
+        bits as they are without one."""
         x = _module_input(shape, seed=len(shape))
         graph = graph_oracle.forward(module, Tensor(x)).data
-        assert _bits(module.forward_array(x)) == _bits(graph)
+        tape = Tape() if taped else None
+        assert _bits(module.forward_array(x, tape)) == _bits(graph)
+        assert bool(tape is not None and tape.steps) == taped
 
 
 class TestConvQNetwork:

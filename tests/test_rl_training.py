@@ -238,8 +238,9 @@ class TestACSOPolicy:
     def test_episodes_on_one_env_keep_the_binding(self, tiny_tables):
         """Episodes on the env already bound reuse its action list and
         featurizer (only the DBN restarts) and score as a fresh policy
-        per episode does; another topology, or a network rebound
-        elsewhere, binds afresh."""
+        per episode does; binding the bound topology again keeps the
+        binding, a network rebound to another topology elsewhere is
+        bound back, and another topology binds afresh."""
         from repro.eval import evaluate_policy
 
         env = repro.make_env(tiny_network(tmax=40), seed=0)
@@ -255,12 +256,14 @@ class TestACSOPolicy:
             seed=seed)[1][0] for seed in (3, 4)]
         assert reused + second == fresh
 
-        policy.qnet.bind_topology(env.topology)  # rebound elsewhere
+        policy.qnet.bind_topology(env.topology)
+        assert policy.qnet.action_list is actions
+        other = repro.make_env(tiny_network(tmax=40), seed=0)
+        policy.qnet.bind_topology(other.topology)  # rebound elsewhere
         policy.reset(env)
         assert policy.qnet.action_list is not actions
-        assert policy.featurizer is not featurizer
-        other = repro.make_env(tiny_network(tmax=40), seed=0)
-        kept = policy.featurizer
+        assert policy.qnet.action_list == actions
+        assert policy.featurizer is featurizer
         policy.reset(other)
-        assert policy.featurizer is not kept
+        assert policy.featurizer is not featurizer
         assert policy.featurizer.topology is other.topology

@@ -1,8 +1,9 @@
 """Tests for the evaluation service: job validation, the HTTP surface,
-backpressure, cancellation, terminal-status ordering, and graceful
-shutdown."""
+backpressure, cancellation, terminal-status ordering, graceful
+shutdown, and overlapping ACSO jobs."""
 
 import asyncio
+import json
 import queue
 import threading
 import time
@@ -441,3 +442,65 @@ class TestServeSmoke:
             assert run["status"] == "done"
             assert run["metrics"]["discounted_return"][0] != 0
         assert time.monotonic() < deadline
+
+
+class TestOverlappingACSOJobs:
+    """Two ACSO evaluation jobs served at once (``workers=2``) score
+    bit for bit what the same jobs score one after another: each job
+    builds its own network, and one thread's no-grad inference leaves
+    the other's alone. The jobs pass a barrier after every episode, so
+    each episode of one runs while the same episode of the other does."""
+
+    @staticmethod
+    def _serve(db_path, payloads, *, workers, barrier=None):
+        """Run ``payloads`` on a fresh service; returns per job its
+        status, run metrics and episode records (wall time dropped)."""
+
+        async def main():
+            service = EvalService(str(db_path), workers=workers)
+            await service.start()
+            if barrier is not None:
+                on_episode = service._on_episode
+
+                def in_lockstep(job):
+                    inner = on_episode(job)
+
+                    def step(ep, metrics):
+                        inner(ep, metrics)
+                        barrier.wait(timeout=60)
+
+                    return step
+
+                service._on_episode = in_lockstep
+            jobs = [service.submit(payload) for payload in payloads]
+
+            async def finished():
+                while any(job.status not in TERMINAL for job in jobs):
+                    await asyncio.sleep(0.01)
+
+            await asyncio.wait_for(finished(), timeout=300)
+            results = []
+            for job in jobs:
+                episodes = [{k: v for k, v in row["detail"].items()
+                             if k != "wall_time"}
+                            for row in service.store.episodes_of(job.id)]
+                results.append((job.status, json.dumps(job.metrics),
+                                json.dumps(episodes, sort_keys=True)))
+            await service.shutdown()
+            return results
+
+        return asyncio.run(main())
+
+    def test_overlapping_jobs_score_as_sequential_ones(self, tmp_path,
+                                                       tiny_tables):
+        tables = tmp_path / "tables.npz"
+        tiny_tables.save(tables)
+        payloads = [{"kind": "evaluate", "scenario": "inasim-paper-v1",
+                     "policy": "acso", "dbn": str(tables), "episodes": 2,
+                     "seed": seed, "max_steps": 20} for seed in (1, 2)]
+        sequential = self._serve(tmp_path / "one.sqlite", payloads, workers=1)
+        overlapping = self._serve(tmp_path / "two.sqlite", payloads,
+                                  workers=2, barrier=threading.Barrier(2))
+        assert [status for status, *_ in sequential] == ["done", "done"]
+        assert overlapping == sequential
+        assert sequential[0] != sequential[1]  # the seeds differ

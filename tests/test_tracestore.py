@@ -403,6 +403,32 @@ class TestVecRecording:
             # lanes differ, so compare decoded content, not raw bytes
             assert_episodes_identical(a, b)
 
+    def test_episodes_on_one_network_keep_its_binding(self, tmp_path,
+                                                      tiny_tables):
+        """A fresh behaviour policy per episode around one network binds
+        it once: every episode reuses the network's action list, so the
+        busy-position cache holds one entry for it, not one per
+        episode."""
+        from repro.sim import orchestrator
+
+        venv = repro.make_vec("inasim-tiny-v1", 1, seed=0, horizon=4,
+                              backend="sync")
+        qnet = AttentionQNetwork(QNET, seed=1)
+        qnet.bind_topology(venv.policy_env(0).topology)
+        actions = qnet.action_list
+        orchestrator._POSITIONS_CACHE.clear()
+
+        def behavior_factory(ep: int):
+            return StochasticQPolicy(qnet, tiny_tables, temperature=1.0,
+                                     epsilon=0.3, seed=ep)
+
+        with TraceWriter(tmp_path / "trace", shard_rows=32) as writer:
+            record_episodes_vec(venv, behavior_factory, 10, writer, seed=0,
+                                max_steps=4)
+        venv.close()
+        assert qnet.action_list is actions
+        assert len(orchestrator._POSITIONS_CACHE) <= 2
+
     def test_recorder_captures_engine_info(self, tmp_path, tiny_tables):
         path, transitions = self._record(tmp_path, tiny_tables, 2, "info")
         dataset = TraceDataset(path)
