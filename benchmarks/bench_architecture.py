@@ -15,7 +15,6 @@ import numpy as np
 from benchmarks.conftest import write_result
 from repro.config import paper_network, small_network, tiny_network
 from repro.net import build_topology
-from repro.nn import no_grad
 from repro.rl import AttentionQNetwork, ConvQNetwork, QNetConfig
 from repro.rl.features import (
     GLOBAL_FEATURE_DIM,
@@ -78,8 +77,7 @@ def test_attention_forward_latency(benchmark):
     glob = rng.random((1, GLOBAL_FEATURE_DIM))
 
     def forward():
-        with no_grad():
-            return qnet.forward(node, plc, glob).data
+        return qnet.forward(node, plc, glob).data
 
     out = benchmark(forward)
     assert out.shape == (1, qnet.n_actions)
@@ -92,8 +90,7 @@ def test_conv_forward_latency(benchmark):
     history = np.random.default_rng(0).random((1, encoder.step_dim, 64))
 
     def forward():
-        with no_grad():
-            return conv.forward(history).data
+        return conv.forward(history).data
 
     out = benchmark(forward)
     assert out.shape == (1, 329)

@@ -1,4 +1,4 @@
-"""No-grad Q-network forward cost per sample by batch size and row block.
+"""Untaped Q-network forward cost per sample by batch size and row block.
 
 Without a tape, ``AttentionQNetwork`` runs a batch of more than
 ``BLOCK_TOKENS // tokens`` rows as consecutive row blocks
@@ -24,8 +24,9 @@ evidence for ``repro.rl.qnetwork.DISTINCT_MIN_TOKENS``.
 Each variant runs in a fresh interpreter (``--worker``), so no variant
 inherits another's heap, and the order of the variants alternates
 between repeats. ``--baseline-src`` adds a variant, ``baseline``, that
-imports another checkout's ``src/`` (e.g. the parent commit's) and runs
-its forward as it is::
+imports another checkout's ``src/`` (e.g. the parent commit's; one whose
+``forward`` takes the ``grad`` argument, so its default pass is the
+untaped one) and runs its forward as it is::
 
     PYTHONPATH=src python benchmarks/bench_qnet_batch.py --repeats 3 \\
         --baseline-src ../parent/src --out BENCH_qnet_batch.json
@@ -132,7 +133,6 @@ def _record_dqn(config, scenario: str) -> list[tuple]:
     from repro.config import tiny_network
     from repro.dbn import fit_dbn
     from repro.defenders import SemiRandomPolicy
-    from repro.nn import is_grad_enabled
     from repro.rl import ACSOFeaturizer, AttentionQNetwork
     from repro.rl.dqn import DQNConfig, DQNTrainer
 
@@ -161,10 +161,10 @@ def _record_dqn(config, scenario: str) -> list[tuple]:
     states = []
     forward = qnet.forward
 
-    def recording(node, plc, glob):
-        if len(node) == 1 and not is_grad_enabled():
+    def recording(node, plc, glob, grad=False):
+        if len(node) == 1 and not grad:
             states.append((node[0].copy(), plc[0].copy(), glob[0].copy()))
-        return forward(node, plc, glob)
+        return forward(node, plc, glob, grad=grad)
 
     qnet.forward = recording
     trainer.train(2, seed=11, max_steps=120)
@@ -186,8 +186,6 @@ def record(path: Path) -> None:
 def recorded_worker(name: str, variant: str, path: str) -> dict:
     """Median ms per one-state no-grad forward over the recorded states,
     by pass, in this process."""
-    from repro.nn import no_grad
-
     net, _ = _network(name)
     if variant != "baseline":
         net._distinct_rows = variant == "distinct-rows"
@@ -195,15 +193,14 @@ def recorded_worker(name: str, variant: str, path: str) -> dict:
         parts = [data[f"{name}/{part}"][:, None] for part in ("node", "plc", "glob")]
     states = list(zip(*parts))
     times = []
-    with no_grad():
+    for state in states:
+        net.forward(*state)
+    began = time.perf_counter()
+    while time.perf_counter() - began < RECORDED_SECONDS or len(times) < 3:
+        start = time.perf_counter()
         for state in states:
             net.forward(*state)
-        began = time.perf_counter()
-        while time.perf_counter() - began < RECORDED_SECONDS or len(times) < 3:
-            start = time.perf_counter()
-            for state in states:
-                net.forward(*state)
-            times.append(time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
     return {
         "states": len(states),
         "ms_per_forward": statistics.median(times) * 1e3 / len(states),
@@ -226,7 +223,6 @@ def worker(name: str, variant: str) -> list[dict]:
 
     ``variant`` is a token budget, ``one-piece`` (no blocks) or
     ``baseline`` (the imported checkout's forward, untouched)."""
-    from repro.nn import no_grad
     from repro.rl.features import GLOBAL_FEATURE_DIM, NODE_FEATURE_DIM, PLC_FEATURE_DIM
 
     net, topo = _network(name)
@@ -242,17 +238,16 @@ def worker(name: str, variant: str) -> list[dict]:
             rng.normal(size=(batch, topo.n_plcs, PLC_FEATURE_DIM)),
             rng.normal(size=(batch, GLOBAL_FEATURE_DIM)),
         )
-        with no_grad():
-            for _ in range(2):
-                net.forward(*feats)
-            times = []
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            began = time.perf_counter()
-            while time.perf_counter() - began < CELL_SECONDS or len(times) < 5:
-                start = time.perf_counter()
-                net.forward(*feats)
-                times.append(time.perf_counter() - start)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        for _ in range(2):
+            net.forward(*feats)
+        times = []
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        began = time.perf_counter()
+        while time.perf_counter() - began < CELL_SECONDS or len(times) < 5:
+            start = time.perf_counter()
+            net.forward(*feats)
+            times.append(time.perf_counter() - start)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         rows.append(
             {
                 "batch": batch,

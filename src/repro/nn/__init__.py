@@ -7,16 +7,19 @@ temporal 1-D convolution, Adam, and the Huber and large-margin losses.
 
 There is one way to compute a gradient. Every module has one numeric
 forward on ndarrays that, given a :class:`~repro.nn.tape.Tape`,
-records a hand-written backward step; a module call, a whole
-Q-network or a loss is then one graph node
-(:func:`~repro.nn.tape.array_node`), and :meth:`Tensor.backward` runs
-the nodes. Adam updates all parameters in one pass over flat buffers
-and refuses non-finite gradients. Gradients are verified against
-finite differences and against a per-op autograd graph kept in the
-test suite as the differential oracle.
+records a hand-written backward step. The caller picks the pass with
+one argument, not a grad mode: a module's ``forward(..., grad=False)``,
+the default, runs without a tape and returns a Tensor without a graph
+(inference); with ``grad=True`` a module call or a whole Q-network is
+one graph node (:func:`~repro.nn.tape.array_node`), as is a loss over
+it, and :meth:`Tensor.backward` runs the nodes (training). Adam updates
+all parameters in one pass over flat buffers and refuses non-finite
+gradients. Gradients are verified against finite differences and
+against a per-op autograd graph kept in the test suite as the
+differential oracle.
 """
 
-from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
+from repro.nn.tensor import Tensor
 from repro.nn.modules import (
     LayerNorm,
     Linear,
@@ -34,8 +37,6 @@ from repro.nn.serialization import load_state, save_state
 
 __all__ = [
     "Tensor",
-    "no_grad",
-    "is_grad_enabled",
     "Tape",
     "array_node",
     "Module",

@@ -2,8 +2,9 @@
 paper's node-exchangeable Q-network: every node token attends to every
 other, so the parameter count is independent of the network size.
 
-These modules' ``forward_array`` is the taped (training) forward. The
-Q-network's no-grad inference program runs the same arithmetic straight
+These modules' ``forward_array`` is the taped forward of the Q-network's
+``forward(..., grad=True)`` (training). Its default ``grad=False``
+pass, the inference program, runs the same arithmetic straight
 over their parameter arrays (``repro.rl.qnetwork._attention_rows``),
 including the one-state path whose queries run on distinct token rows;
 the test suite holds the two bitwise equal.

@@ -3,7 +3,8 @@
 Each module has one numeric forward, ``forward_array(x, tape=None)``,
 on plain ndarrays. Given a :class:`~repro.nn.tape.Tape` it also records
 a hand-written backward step (input gradient out, parameter gradients
-into the tape). :meth:`Module.forward` wraps it as a single graph node
+into the tape). :meth:`Module.forward` runs it without a tape, or with
+``grad=True`` wraps it as a single graph node
 (:func:`~repro.nn.tape.array_node`); a network composes its modules'
 array forwards on one tape and is one node too.
 
@@ -32,7 +33,7 @@ import math
 
 import numpy as np
 
-from repro.nn.tape import array_node
+from repro.nn.tape import array_node, as_array
 from repro.nn.tensor import Tensor
 
 __all__ = [
@@ -75,10 +76,13 @@ class Module:
             vars(self).pop("_parameter_cache", None)
         object.__setattr__(self, name, value)
 
-    def forward(self, x) -> Tensor:
-        """Graph forward of a one-input module: its ``forward_array`` as
-        one node whose backward replays the recorded steps."""
-        return array_node(self.forward_array, (x,), self)
+    def forward(self, x, grad: bool = False) -> Tensor:
+        """A one-input module's ``forward_array`` on ``x``: without a
+        tape, as a Tensor without a graph; with ``grad``, as one graph
+        node whose backward replays the recorded steps."""
+        if grad:
+            return array_node(self.forward_array, (x,), self)
+        return Tensor(self.forward_array(as_array(x)))
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

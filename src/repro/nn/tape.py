@@ -23,16 +23,18 @@ tape's input) may skip the input gradient and return ``None``
 graph node whose parents are the inputs that require grad plus the
 parameters, so a whole network costs one node. This is the library's
 only way to build a differentiable computation; the losses are single
-nodes of the same kind (:meth:`Tensor._make`).
+nodes of the same kind (:meth:`Tensor._make`). A module's
+``forward(x, grad=True)`` calls it; its default ``grad=False`` pass
+runs the forward without a tape instead and records nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, is_grad_enabled
+from repro.nn.tensor import Tensor
 
-__all__ = ["Gradients", "Tape", "array_node", "branch"]
+__all__ = ["Gradients", "Tape", "array_node", "as_array", "branch"]
 
 
 class Gradients(dict):
@@ -105,7 +107,12 @@ def branch(tape: Tape | None, input_grad: bool = True) -> Tape | None:
     return None if tape is None else tape.branch(input_grad)
 
 
-def array_node(forward, inputs, module, inference=None) -> Tensor:
+def as_array(x) -> np.ndarray:
+    """The float64 array of a Tensor or array-like input."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def array_node(forward, inputs, module) -> Tensor:
     """``forward(*arrays, tape=...)`` as one differentiable graph node.
 
     ``inputs`` are Tensors or array-likes; ``module`` owns the
@@ -113,14 +120,9 @@ def array_node(forward, inputs, module, inference=None) -> Tensor:
     returns that input's gradient; with several it returns a tuple of
     them, in order (``None`` for an input whose gradient was skipped).
     When no input requires grad the tape is made with
-    ``input_grad=False``. Under :func:`~repro.nn.no_grad` no tape is
-    recorded and the result is a plain Tensor of ``inference(*arrays)``
-    (``forward(*arrays)`` when no inference program is given).
+    ``input_grad=False``.
     """
-    arrays = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-              for x in inputs]
-    if not is_grad_enabled():
-        return Tensor((forward if inference is None else inference)(*arrays))
+    arrays = [as_array(x) for x in inputs]
     wanted = [isinstance(x, Tensor) and x.requires_grad for x in inputs]
     tape = Tape(input_grad=any(wanted))
     data = forward(*arrays, tape=tape)

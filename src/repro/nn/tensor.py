@@ -5,41 +5,19 @@ either a leaf (a parameter, or an input whose gradient is wanted) or
 the output of one graph node: a whole module, network or loss whose
 forward recorded a hand-written backward
 (:func:`~repro.nn.tape.array_node`, :meth:`Tensor._make`). There are
-no per-op nodes: arithmetic happens on the ``data`` arrays.
+no per-op nodes: arithmetic happens on the ``data`` arrays. There is no
+grad mode either: a node is built only where a caller asks for one,
+with a module's ``forward(..., grad=True)``; its default pass returns
+a Tensor without a graph, so :meth:`backward` through it raises.
 :meth:`Tensor.backward` walks the nodes in reverse topological order,
 accumulating gradients into the leaves.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-
 import numpy as np
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
-
-#: grad mode of the running thread (or asyncio task): each thread starts
-#: with it on, and a :func:`no_grad` block turns it off for its own
-#: thread only, so a training step on one thread builds its graph while
-#: another thread runs inference.
-_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Disable graph construction (inference / target computations) in
-    the running thread."""
-    token = _GRAD_ENABLED.set(False)
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED.reset(token)
-
-
-def is_grad_enabled() -> bool:
-    """False inside :func:`no_grad` (inference-only fast paths key on it)."""
-    return _GRAD_ENABLED.get()
+__all__ = ["Tensor"]
 
 
 class Tensor:
@@ -69,10 +47,10 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         """A graph node over ``parents``: ``backward(grad)`` returns one
-        gradient per parent. Outside grad mode, or when no parent
-        requires grad, a plain Tensor."""
+        gradient per parent. When no parent requires grad, a plain
+        Tensor."""
         out = Tensor(data)
-        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
+        if any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.nn import Adam, huber_loss, no_grad
+from repro.nn import Adam, huber_loss
 from repro.rl.replay import (
     NStepAssembler,
     PrioritizedReplay,
@@ -179,9 +179,11 @@ class DQNTrainer:
 
         self.optimizer = Adam(self.qnet.named_parameters(), lr=cfg.lr,
                               grad_clip=cfg.grad_clip)
-        replay_cls = PrioritizedReplay if cfg.prioritized else UniformReplay
-        self.replay = replay_cls(cfg.buffer_size, alpha=cfg.per_alpha,
-                                 seed=cfg.seed)
+        if cfg.prioritized:
+            self.replay = PrioritizedReplay(cfg.buffer_size, alpha=cfg.per_alpha,
+                                            seed=cfg.seed)
+        else:
+            self.replay = UniformReplay(cfg.buffer_size, seed=cfg.seed)
         self.eps_schedule = ExponentialDecay(cfg.eps_start, cfg.eps_end,
                                              cfg.eps_decay)
         self.beta_schedule = LinearSchedule(cfg.per_beta_start, 1.0,
@@ -212,8 +214,7 @@ class DQNTrainer:
             else:
                 greedy.append(i)
         if greedy:
-            with no_grad():
-                q = self.qnet.forward(*self.qnet.stack_states(features)).data
+            q = self.qnet.forward(*self.qnet.stack_states(features)).data
             best = np.where(masks, q, -np.inf).argmax(axis=1)
             out[greedy] = best[greedy]
         return out
@@ -324,18 +325,17 @@ class DQNTrainer:
         discount = np.array([tr.discount for tr in transitions])
         next_states = stack([tr.next_state for tr in transitions])
 
-        with no_grad():
-            target_next = self.target.forward(*next_states).data
-            if cfg.double_dqn:
-                online_next = self.qnet.forward(*next_states).data
-                best_next = online_next.argmax(axis=1)
-            else:
-                best_next = target_next.argmax(axis=1)
-            bootstrap = target_next[np.arange(len(actions)), best_next]
+        target_next = self.target.forward(*next_states).data
+        if cfg.double_dqn:
+            online_next = self.qnet.forward(*next_states).data
+            best_next = online_next.argmax(axis=1)
+        else:
+            best_next = target_next.argmax(axis=1)
+        bootstrap = target_next[np.arange(len(actions)), best_next]
         targets = rewards + discount * (1.0 - done) * bootstrap
 
         self.optimizer.zero_grad()
-        q = self.qnet.forward(*states)
+        q = self.qnet.forward(*states, grad=True)
         loss = huber_loss(q, actions, targets, delta=cfg.huber_delta,
                           weights=weights)
         loss.backward()

@@ -133,7 +133,7 @@ def pretrain(
         returns = np.array([tr.mc_return for tr in batch])
 
         optimizer.zero_grad()
-        loss = margin_loss(qnet.forward(*states), actions, returns,
+        loss = margin_loss(qnet.forward(*states, grad=True), actions, returns,
                            margin=cfg.margin, margin_weight=cfg.margin_weight)
         loss.backward()
         optimizer.step()

@@ -9,9 +9,10 @@ heads. All sub-graphs of a node type share parameters, so the
 parameter count does not grow with the number of nodes -- the paper's
 central scaling argument.
 
-The attention network has two numeric forwards on plain ndarrays. The
-taped forward (``_forward_array``) composes the modules'
-``forward_array`` methods: under autograd the whole network --
+The attention network has two numeric forwards on plain ndarrays, and
+the caller picks one with ``forward``'s ``grad`` argument. The taped
+forward (``_forward_array``, ``grad=True``) composes the modules'
+``forward_array`` methods: the whole network --
 encoders, attention, heads, the soft clip -- is a single graph node
 whose forward records a hand-written backward step per module on a
 :class:`~repro.nn.tape.Tape`, and whose backward replays it into
@@ -20,7 +21,7 @@ no feature requires grad, the encoders' first layers and the heads skip
 the feature gradients. The backward steps hold the
 tape's gradient table, not the tape, so the graph is freed by
 reference counting once its backward has run or its output is dropped.
-Under :func:`repro.nn.no_grad` nothing is recorded and the inference
+By default (``grad=False``) nothing is recorded and the inference
 program runs instead (``_infer``): straight-line array code over the
 layers' parameter arrays, bitwise equal to the taped forward (its
 differential oracle in the test suite). A batch of more than
@@ -60,9 +61,8 @@ from repro.nn import (
     Parameter,
     Tensor,
     array_activation,
-    no_grad,
 )
-from repro.nn.tape import array_node, branch
+from repro.nn.tape import array_node, as_array, branch
 from repro.rl.features import (
     GLOBAL_FEATURE_DIM,
     NODE_FEATURE_DIM,
@@ -119,15 +119,15 @@ class QNetConfig:
 #: (``BENCH_qnet_batch.json``) and perfbench's ``ope-report``.
 BLOCK_TOKENS = 512
 
-#: tokens (nodes + PLCs + 1) from which a no-grad forward of one state
+#: tokens (nodes + PLCs + 1) from which an untaped forward of one state
 #: runs on its distinct node and PLC rows (:class:`_RowPartition`).
-#: Below it, grouping the rows saves little or nothing. From the
-#: recorded-state cell of ``benchmarks/bench_qnet_batch.py``
-#: (``BENCH_qnet_batch.json``, ``recorded``; median ms per one-state
-#: forward, path on vs off): tiny network, 11 tokens, 0.151 vs 0.194
-#: (3 of 5 repeats; 0.238 vs 0.174 with the module forward the rule was
-#: set on); inasim-small, 47 tokens, 0.278 vs 0.313; paper, 84 tokens,
-#: 0.439 vs 0.597.
+#: Below it, grouping the rows costs more than it saves. Median ms per
+#: one-state forward over recorded states, distinct rows vs all rows,
+#: 30 alternated pairs in one process (2-CPU Intel Xeon, OpenBLAS;
+#: bitwise-equal outputs): tiny network, 11 tokens, 94
+#: ``dqn-train`` states, 0.227 vs 0.192 (all rows faster in 30 of 30);
+#: inasim-small, 47 tokens, 0.260 vs 0.285 (distinct faster in 24);
+#: paper, 84 tokens, 0.263 vs 0.436 (distinct faster in 28).
 DISTINCT_MIN_TOKENS = 32
 
 
@@ -448,19 +448,23 @@ class AttentionQNetwork(Module):
         if self._n_nodes == 0:
             raise RuntimeError("bind_topology() must be called before forward()")
 
-    def forward(self, node_feats, plc_feats, glob_feats) -> Tensor:
+    def forward(self, node_feats, plc_feats, glob_feats,
+                grad: bool = False) -> Tensor:
         """(B,N,Fn), (B,M,Fp), (B,G) -> (B, n_actions) Q-values.
 
         Action layout: [noop, host menus (host order), server menus,
-        PLC menus], matching :attr:`action_list`. The whole network is
-        one graph node with a hand-written backward; under ``no_grad``
-        nothing is recorded, the inference program runs
-        (:meth:`_infer`) and the result is a plain Tensor.
+        PLC menus], matching :attr:`action_list`. By default nothing is
+        recorded: the inference program runs (:meth:`_infer`) and the
+        result is a Tensor without a graph. With ``grad`` the whole
+        network is one graph node with a hand-written backward (the
+        training pass).
         """
         self._check_bound()
-        return array_node(self._forward_array,
-                          (node_feats, plc_feats, glob_feats), self,
-                          self._infer)
+        if grad:
+            return array_node(self._forward_array,
+                              (node_feats, plc_feats, glob_feats), self)
+        return Tensor(self._infer(as_array(node_feats), as_array(plc_feats),
+                                  as_array(glob_feats)))
 
     # ------------------------------------------------------------------
     # the inference program (no tape)
@@ -606,9 +610,8 @@ class AttentionQNetwork(Module):
     def q_values(self, features: FeatureSet) -> np.ndarray:
         """Inference helper for a single step (a batch of one, as views
         of ``features``' arrays)."""
-        with no_grad():
-            return self.forward(features.node[None], features.plc[None],
-                                features.glob[None]).data[0]
+        return self.forward(features.node[None], features.plc[None],
+                            features.glob[None]).data[0]
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ class UniformReplay:
     the PER-vs-uniform ablation flips one config flag.
     """
 
-    def __init__(self, capacity: int, seed: int = 0, **_ignored):
+    def __init__(self, capacity: int, seed: int = 0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

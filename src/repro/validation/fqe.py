@@ -415,7 +415,8 @@ def fitted_q_evaluation(
                 states = take_rows(batch.states, batch.state_rows[rows])
                 optimizer.zero_grad()
                 loss = huber_loss(
-                    qnet.forward(states.node, states.plc, states.glob),
+                    qnet.forward(states.node, states.plc, states.glob,
+                                 grad=True),
                     batch.actions[rows], targets_all[rows])
                 loss.backward()
                 optimizer.step()

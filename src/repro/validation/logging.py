@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dbn.filter import DBNTables
-from repro.nn import no_grad
 from repro.rl.dqn import valid_action_mask
 from repro.rl.features import ACSOFeaturizer, FeatureSet
 from repro.sim.vec_env import VectorEnv, drive_vec_episodes, fan_out
@@ -66,8 +65,7 @@ def valid_rows(masks) -> np.ndarray:
 
 def q_batch(qnet, features: FeatureSet) -> np.ndarray:
     """Q-values ``(B, A)`` of a stacked feature batch, without a graph."""
-    with no_grad():
-        return qnet.forward(features.node, features.plc, features.glob).data
+    return qnet.forward(features.node, features.plc, features.glob).data
 
 
 @dataclass

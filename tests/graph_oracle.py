@@ -507,8 +507,10 @@ def soft_clip(config, q: OpTensor) -> OpTensor:
     return (q * (1.0 / config.q_scale)).tanh() * config.q_scale
 
 
-def q_forward(net: AttentionQNetwork, node_feats, plc_feats, glob_feats) -> OpTensor:
-    """Per-op Q-values of the attention network."""
+def q_forward(net: AttentionQNetwork, node_feats, plc_feats, glob_feats,
+              grad: bool = False) -> OpTensor:
+    """Per-op Q-values of the attention network. The graph is built
+    whatever ``grad`` (the library forward's argument) says."""
     tokens, glob, batch = contextualize(net, node_feats, plc_feats, glob_feats)
     return soft_clip(net.config, head_outputs(net, tokens, glob, batch))
 
@@ -516,12 +518,14 @@ def q_forward(net: AttentionQNetwork, node_feats, plc_feats, glob_feats) -> OpTe
 # ----------------------------------------------------------------------
 # the Table 7 conv baseline
 # ----------------------------------------------------------------------
-def conv_q_forward(net: ConvQNetwork, history) -> OpTensor:
+def conv_q_forward(net: ConvQNetwork, history, grad: bool = False) -> OpTensor:
+    """Per-op Q-values of the conv baseline (a graph whatever ``grad``
+    says)."""
     x = op(history)
     for conv in net.convs:
         x = conv1d(conv, x).leaky_relu()
     x = x.reshape(x.shape[0], net.flat_dim)
-    return soft_clip(net.config, op(net.mlp(x)))
+    return soft_clip(net.config, op(net.mlp(x, grad=True)))
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ from repro.nn import (
     Tensor,
     huber_loss,
     margin_loss,
-    no_grad,
 )
 from repro.rl import (
     ACSOFeaturizer,
@@ -90,8 +89,7 @@ def gradcheck(forward, leaves, seed=0, entries=6, eps=1e-6):
     out.backward(weights)  # d/d(leaf) of sum(weights * out)
 
     def objective() -> float:
-        with no_grad():
-            return float((forward().data * weights).sum())
+        return float((forward().data * weights).sum())
 
     for index, leaf in enumerate(leaves):
         analytic = (np.zeros_like(leaf.data) if leaf.grad is None
@@ -116,7 +114,7 @@ def check_module(module, shape, seed=0, input_grad=True):
     x = Tensor(np.random.default_rng(seed + 1).normal(size=shape),
                requires_grad=input_grad)
     leaves = module.parameters() + ([x] if input_grad else [])
-    gradcheck(lambda: module(x), leaves, seed=seed)
+    gradcheck(lambda: module(x, grad=True), leaves, seed=seed)
 
 
 class TestGradcheck:
@@ -165,7 +163,7 @@ class TestGradcheck:
         net.bind_topology(topo)
         feats = [Tensor(f) for f in _features(topo, 2, seed=4)]
         entries = 2 if config == "paper" else 4
-        gradcheck(lambda: net.forward(*feats), net.parameters(), seed=5,
+        gradcheck(lambda: net.forward(*feats, grad=True), net.parameters(), seed=5,
                   entries=entries)
 
     def test_q_network_feature_gradients(self):
@@ -173,7 +171,7 @@ class TestGradcheck:
         topo = _topology("tiny")
         net = AttentionQNetwork(COMPACT, seed=3).bind_topology(topo)
         feats = [Tensor(f, requires_grad=True) for f in _features(topo, 2, seed=6)]
-        gradcheck(lambda: net.forward(*feats), feats, seed=7)
+        gradcheck(lambda: net.forward(*feats, grad=True), feats, seed=7)
 
     @pytest.mark.parametrize("kernel, stride", [(4, 4), (3, 1), (3, 2)])
     def test_conv1d(self, kernel, stride):
@@ -186,7 +184,8 @@ class TestGradcheck:
                                                kernel=3, stride=2, mlp_hidden=7),
                            seed=20)
         history = np.random.default_rng(21).normal(size=(2, 5, 16))
-        gradcheck(lambda: net.forward(history), net.parameters(), seed=22)
+        gradcheck(lambda: net.forward(history, grad=True), net.parameters(),
+                  seed=22)
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("delta", [1.0, 0.5])
@@ -239,7 +238,7 @@ def _loss(net, q, batch, seed):
 def _run(net, feats, seed):
     """(output, loss, {name: grad}) of one forward + backward."""
     net.zero_grad()
-    out = net.forward(*feats)
+    out = net.forward(*feats, grad=True)
     loss = _loss(net, out, feats[0].shape[0], seed)
     loss.backward()
     grads = {name: p.grad for name, p in net.named_parameters()}
@@ -270,7 +269,7 @@ class TestDifferential:
     def test_network_is_one_graph_node(self):
         topo = _topology("tiny")
         net = AttentionQNetwork(COMPACT, seed=0).bind_topology(topo)
-        q = net.forward(*_features(topo, 4, seed=0))
+        q = net.forward(*_features(topo, 4, seed=0), grad=True)
         assert len(q._parents) == len(net.parameters())
         assert all(isinstance(p, Parameter) for p in q._parents)
 
@@ -279,7 +278,7 @@ class TestDifferential:
         net = _conv_net(step_dim, 9)
         history = net.stack_states(
             [np.ones((step_dim, net.config.window))] * 4)[0]
-        q = net.forward(history)
+        q = net.forward(history, grad=True)
         assert len(q._parents) == len(net.parameters())
         assert all(isinstance(p, Parameter) for p in q._parents)
 
@@ -299,7 +298,8 @@ class TestDifferential:
     def test_module_matches_oracle(self, module, shape):
         x = np.random.default_rng(len(shape)).normal(size=shape)
         results = []
-        for forward in (module.forward, lambda t: graph_oracle.forward(module, t)):
+        for forward in (lambda t: module.forward(t, grad=True),
+                        lambda t: graph_oracle.forward(module, t)):
             xt = Tensor(x, requires_grad=True)
             out = forward(xt)
             weights = np.random.default_rng(0).normal(size=out.shape)
@@ -352,7 +352,8 @@ class TestBitwiseOracle:
         conv = Conv1d(3, 5, kernel, stride, rng=np.random.default_rng(32))
         conv.bias.data = np.random.default_rng(33).normal(size=5)
         x = np.random.default_rng(batch).normal(size=(batch, 3, 12))
-        assert_bitwise(conv, lambda t: graph_oracle.conv1d(conv, t),
+        assert_bitwise(lambda t: conv(t, grad=True),
+                       lambda t: graph_oracle.conv1d(conv, t),
                        conv.parameters(), [x], seed=batch)
 
     @pytest.mark.parametrize("batch", BATCHES)
@@ -363,7 +364,7 @@ class TestBitwiseOracle:
         net = _conv_net(7, 9, **overrides)
         history = np.random.default_rng(batch).normal(
             size=(batch, 7, net.config.window))
-        assert_bitwise(lambda: net.forward(history),
+        assert_bitwise(lambda: net.forward(history, grad=True),
                        lambda: graph_oracle.conv_q_forward(net, history),
                        net.parameters(), seed=batch)
 

@@ -58,13 +58,10 @@ class TestSerialization:
         node = rng.random((1, topo.n_nodes, NODE_FEATURE_DIM))
         plc = rng.random((1, topo.n_plcs, PLC_FEATURE_DIM))
         glob = rng.random((1, GLOBAL_FEATURE_DIM))
-        from repro.nn import no_grad
-
-        with no_grad():
-            assert np.allclose(
-                net.forward(node, plc, glob).data,
-                fresh.forward(node, plc, glob).data,
-            )
+        assert np.allclose(
+            net.forward(node, plc, glob).data,
+            fresh.forward(node, plc, glob).data,
+        )
 
 
 class TestDropInPolicy:

@@ -86,7 +86,7 @@ class TestNoCycles:
         optimizer = Adam(net.named_parameters(), lr=1e-3)
         for seed in range(2):
             optimizer.zero_grad()
-            out = net.forward(*_inputs(kind, net, topo, seed))
+            out = net.forward(*_inputs(kind, net, topo, seed), grad=True)
             _loss(loss_name, out, seed).backward()
             optimizer.step()
         del out
@@ -98,7 +98,7 @@ class TestNoCycles:
         net = NETWORKS[kind](topo)
         inputs = [Tensor(x, requires_grad=True)
                   for x in _inputs(kind, net, topo, 0)]
-        net.forward(*inputs)
+        net.forward(*inputs, grad=True)
         assert gc.collect() == 0
 
 
@@ -106,7 +106,8 @@ class TestFreedGraph:
     @pytest.mark.parametrize("kind", sorted(NETWORKS))
     def test_second_backward_raises(self, kind, topo):
         net = NETWORKS[kind](topo)
-        loss = _loss("huber", net.forward(*_inputs(kind, net, topo, 0)), 0)
+        loss = _loss("huber",
+                     net.forward(*_inputs(kind, net, topo, 0), grad=True), 0)
         loss.backward()
         with pytest.raises(RuntimeError, match="already freed"):
             loss.backward()
@@ -127,7 +128,7 @@ def _param_grads(kind, net, topo, wanted):
     inputs = [Tensor(x, requires_grad=want) for x, want in
               zip(_inputs(kind, net, topo, 3), wanted)]
     net.zero_grad()
-    _loss("huber", net.forward(*inputs), 3).backward()
+    _loss("huber", net.forward(*inputs, grad=True), 3).backward()
     grads = [p.grad.copy() for p in net.parameters()]
     net.zero_grad()
     return grads, [x.grad for x in inputs]
@@ -151,7 +152,7 @@ class TestSkippedInputGradients:
         node, plc, glob = _inputs("plain", net, topo, 5)
         glob = Tensor(glob, requires_grad=True)
         weights = np.random.default_rng(6).normal(size=(BATCH, net.n_actions))
-        net.forward(node, plc, glob).backward(weights)
+        net.forward(node, plc, glob, grad=True).backward(weights)
         eps = 1e-6
         for pos in [(0, 0), (1, 2), (3, 1)]:
             original = glob.data[pos]

@@ -7,7 +7,7 @@ import pytest
 
 from graph_oracle import OpTensor as Tensor
 from graph_oracle import concat, stack
-from repro.nn import no_grad
+from repro.nn import MLP, huber_loss
 from repro.nn import Tensor as LibraryTensor
 
 rng = np.random.default_rng(12)
@@ -81,13 +81,21 @@ class TestForwardSemantics:
         y = x.detach() * 2
         assert not y.requires_grad
 
-    def test_no_grad_context(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        with no_grad():
-            y = x * 2
-        assert not y.requires_grad
-        z = x * 2
-        assert z.requires_grad
+    def test_forward_without_grad_builds_no_graph(self):
+        """A module's default forward records nothing, so a loss over it
+        has no graph and its ``backward()`` raises; ``grad=True`` on the
+        same input is one graph node with the same values."""
+        mlp = MLP([4, 5, 3], rng=np.random.default_rng(0))
+        x = LibraryTensor(rng.normal(size=(2, 4)), requires_grad=True)
+        plain, taped = mlp.forward(x), mlp.forward(x, grad=True)
+        assert not plain.requires_grad and not plain._parents
+        assert taped.requires_grad and taped._parents
+        assert plain.data.tobytes() == taped.data.tobytes()
+        loss = huber_loss(plain, np.array([0, 2]), np.zeros(2))
+        with pytest.raises(RuntimeError, match="without grad"):
+            loss.backward()
+        huber_loss(taped, np.array([0, 2]), np.zeros(2)).backward()
+        assert x.grad is not None
 
 
 class TestBackward:

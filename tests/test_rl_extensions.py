@@ -97,6 +97,13 @@ class TestUniformReplay:
         with pytest.raises(ValueError):
             UniformReplay(0)
 
+    @pytest.mark.parametrize("kwargs", [{"alpha": 0.6}, {"sead": 1}])
+    def test_rejects_unknown_keywords(self, kwargs):
+        """A keyword it does not take (a prioritized-replay one, or a
+        misspelling) is an error, not silently dropped."""
+        with pytest.raises(TypeError):
+            UniformReplay(4, **kwargs)
+
 
 class TestAblationFlags:
     def test_vanilla_dqn_flags(self, env, featurizer):

@@ -19,8 +19,6 @@ from repro.nn import (
     MultiHeadSelfAttention,
     Tensor,
     array_activation,
-    is_grad_enabled,
-    no_grad,
 )
 from repro.nn.tape import Tape
 from repro.rl import (
@@ -51,7 +49,9 @@ from repro.rl.qnetwork import (
     _mlp_rows,
 )
 from repro.sim.orchestrator import enumerate_actions
-from repro.validation import StochasticQPolicy
+from repro.defenders import ACSOPolicy
+from repro.validation import StochasticQPolicy, collect_logged_episodes
+from repro.validation.fqe import PreparedChunk
 
 
 @pytest.fixture()
@@ -169,7 +169,7 @@ def _bits(array) -> bytes:
 
 
 class TestInferenceParity:
-    """Under ``no_grad`` the Q-network runs on plain ndarrays; its
+    """Without ``grad`` the Q-network runs on plain ndarrays; its
     output must equal the per-op autograd graph (the oracle in
     ``graph_oracle.py``) bit for bit."""
 
@@ -185,8 +185,7 @@ class TestInferenceParity:
         feats = _random_features(topo, batch, seed=batch)
 
         graph = graph_oracle.q_forward(qnet, *feats)
-        with no_grad():
-            fast = qnet.forward(*feats)
+        fast = qnet.forward(*feats)
         assert graph.requires_grad and graph._parents  # the graph path ran
         assert not fast.requires_grad and not fast._parents
         assert _bits(fast.data) == _bits(graph.data)
@@ -205,8 +204,7 @@ class TestInferenceParity:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(Tensor, "__init__", counting)
-        with no_grad():
-            qnet.forward(*feats)
+        qnet.forward(*feats)
         assert len(created) == 1
 
     def test_q_values_equal_graph_forward(self, tiny_tables):
@@ -220,14 +218,14 @@ class TestInferenceParity:
 
     def test_unbound_network_raises_without_grad(self):
         qnet = AttentionQNetwork(QNetConfig(), seed=0)
-        with no_grad(), pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError):
             qnet.forward(np.zeros((1, 2, NODE_FEATURE_DIM)),
                          np.zeros((1, 1, PLC_FEATURE_DIM)),
                          np.zeros((1, GLOBAL_FEATURE_DIM)))
 
     def test_dqn_loss_sequence_unchanged(self, tiny_tables, monkeypatch):
         """A seeded 20-update training run takes the same actions and
-        losses whether its no-grad passes (action selection, double-DQN
+        losses whether its untaped passes (action selection, double-DQN
         targets) run graph-free or through the per-op graph."""
 
         def run():
@@ -254,15 +252,96 @@ class TestInferenceParity:
         fast = run()
         fused = AttentionQNetwork.forward
 
-        def oracle_without_grad(net, *feats):
-            if is_grad_enabled():
-                return fused(net, *feats)
+        def oracle_without_grad(net, *feats, grad=False):
+            if grad:
+                return fused(net, *feats, grad=True)
             return graph_oracle.q_forward(net, *feats)
 
         monkeypatch.setattr(AttentionQNetwork, "forward", oracle_without_grad)
         graph = run()
         assert len(fast[0]) == 20
         assert fast == graph
+
+
+class _Taped(AssertionError):
+    """Raised by the patched taped forward."""
+
+
+class TestInferenceCallSites:
+    """Every inference caller runs the untaped pass and enters it
+    through ``AttentionQNetwork.forward``, where perfbench's
+    ``qnet.forward`` span attributes it. The taped forward is patched
+    to raise, so a caller that asks for a tape fails here."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """The ``grad`` argument of every ``forward`` call, in order."""
+        calls = []
+        forward = AttentionQNetwork.forward
+
+        def counted(net, *feats, grad=False):
+            calls.append(grad)
+            return forward(net, *feats, grad=grad)
+
+        def taped(*args, **kwargs):
+            raise _Taped("the taped forward ran")
+
+        monkeypatch.setattr(AttentionQNetwork, "forward", counted)
+        monkeypatch.setattr(AttentionQNetwork, "_forward_array", taped)
+        return calls
+
+    def test_acso_decision(self, calls, tiny_tables):
+        env = repro.make_env(tiny_network(tmax=20), seed=0)
+        policy = ACSOPolicy(AttentionQNetwork(PARITY_CONFIGS["compact"], seed=2),
+                            tiny_tables)
+        policy.reset(env)
+        policy.act(env.reset(seed=0))
+        assert calls == [False]
+
+    def test_dqn_action_selection_and_targets(self, calls, tiny_tables):
+        """Greedy collection runs one untaped forward per step; an update
+        runs the target and online networks' untaped forwards, then
+        the one taped forward of the loss."""
+        env = repro.make_env(tiny_network(tmax=60), seed=0)
+        trainer = DQNTrainer(
+            env, AttentionQNetwork(PARITY_CONFIGS["compact"], seed=3),
+            ACSOFeaturizer(env.topology, tiny_tables),
+            DQNConfig(batch_size=4, warmup=10**6, n_step=2, eps_start=0.0,
+                      eps_end=0.0, seed=0),
+        )
+        trainer.train(episodes=1, seed=4, max_steps=12)
+        assert calls == [False] * 12
+        assert len(trainer.replay) >= 4
+        calls.clear()
+        with pytest.raises(_Taped):
+            trainer.update()
+        assert calls == [False, False, True]
+
+    @pytest.fixture()
+    def logged(self, tiny_tables):
+        """A target policy and one logged tiny-network episode."""
+        env = repro.make_env(tiny_network(tmax=30), seed=0)
+        qnet = AttentionQNetwork(PARITY_CONFIGS["compact"], seed=1) \
+            .bind_topology(env.topology)
+        target = StochasticQPolicy(qnet, tiny_tables, temperature=0.5,
+                                   epsilon=0.05, seed=5)
+        episode, = collect_logged_episodes(env, target, episodes=1, seed=0,
+                                           max_steps=30)
+        return qnet, target, episode
+
+    def test_target_policy_scoring(self, logged, calls):
+        _, target, episode = logged
+        calls.clear()
+        target.action_probs_batch(episode.features, episode.masks)
+        assert calls == [False]
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_prepared_chunk_policy_values(self, logged, calls, keep):
+        qnet, target, episode = logged
+        chunk = PreparedChunk([episode], 0, episode.gamma, target, keep)
+        calls.clear()
+        chunk.policy_values(qnet, np.arange(len(episode)))
+        assert calls and not any(calls)
 
 
 class TestRowIndependence:
@@ -291,8 +370,7 @@ class TestRowIndependence:
 
         def score(index):
             block = FeatureSet(*(x[index] for x in feats))
-            with no_grad():
-                q = qnet.forward(block.node, block.plc, block.glob).data
+            q = qnet.forward(block.node, block.plc, block.glob).data
             return q, policy.action_probs_batch(block, masks[index])
 
         whole = score(np.arange(rows))
@@ -323,8 +401,7 @@ class TestRowIndependence:
         assert k == max(1, BLOCK_TOKENS // (topo.n_nodes + topo.n_plcs + 1))
 
         def output(feats):
-            with no_grad():
-                return _bits(net.forward(*feats).data)
+            return _bits(net.forward(*feats).data)
 
         for batch in sorted({max(1, k - 1), k, k + 1, 2 * k + 1}):
             feats = _random_features(topo, batch, seed=batch)
@@ -380,9 +457,8 @@ def _single_and_stacked(net, node, plc, glob):
     the first row of the same state stacked twice (the full forward)."""
     one = (node[None], plc[None], glob[None])
     two = (np.stack([node, node]), np.stack([plc, plc]), np.stack([glob, glob]))
-    with no_grad():
-        return (_bits(net.forward(*one).data[0]),
-                _bits(net.forward(*two).data[0]))
+    return (_bits(net.forward(*one).data[0]),
+            _bits(net.forward(*two).data[0]))
 
 
 class TestDistinctRows:
@@ -413,8 +489,7 @@ class TestDistinctRows:
         full forward too, stays one row."""
         net = _distinct_net("plain", "compact", paper_topology)
         node, plc, glob = _duplicated_states(paper_topology, 3)["every row equal"]
-        with no_grad():
-            net.forward(node[None], plc[None], glob[None])
+        net.forward(node[None], plc[None], glob[None])
         partition = net._partition
         assert list(partition.nodes.rows) == [0, 0]
         assert list(partition.plcs.rows) == [0, 0]
@@ -517,10 +592,7 @@ class TestDistinctRows:
         def work(mine, expected):
             for _ in range(50):
                 for (node, plc, glob), bits in zip(mine, expected):
-                    # grad mode is per thread, so each thread's block
-                    # leaves the others' alone
-                    with no_grad():
-                        got = net.forward(node[None], plc[None], glob[None])
+                    got = net.forward(node[None], plc[None], glob[None])
                     if _bits(got.data[0]) != bits:
                         failures.append(bits)
 
@@ -557,12 +629,10 @@ class TestDistinctRows:
             tokens = topo.n_nodes + topo.n_plcs + 1
             assert net._distinct_rows == (tokens >= DISTINCT_MIN_TOKENS)
             feats = _random_features(topo, 2, seed=0)
-            with no_grad():
-                net.forward(*feats)
-            net.forward(*(x[:1] for x in feats))  # taped
+            net.forward(*feats)
+            net.forward(*(x[:1] for x in feats), grad=True)
             assert net._partition is None
-            with no_grad():
-                net.forward(*(x[:1] for x in feats))
+            net.forward(*(x[:1] for x in feats))
             assert (net._partition is not None) == net._distinct_rows
         assert tiny_topology.n_nodes + tiny_topology.n_plcs + 1 \
             < DISTINCT_MIN_TOKENS <= paper_topology.n_nodes \
@@ -600,8 +670,8 @@ class TestInferenceProgram:
         for batch in sorted({1, 2, 3, k, k + 1, 156}):
             feats = _random_features(topo, batch, seed=batch)
             assert _program(net, *feats) == _taped(net, *feats), batch
-        with no_grad():  # the entry point runs the program
-            assert _bits(net.forward(*feats).data) == _taped(net, *feats)
+        # the entry point runs the program
+        assert _bits(net.forward(*feats).data) == _taped(net, *feats)
 
     @pytest.mark.parametrize("distinct", [True, False])
     @pytest.mark.parametrize("network", ["tiny", "small", "paper"])
@@ -692,7 +762,7 @@ def _backward(net, feats, seed):
     backward of sum(w * q); returns every gradient, parameters first."""
     inputs = [Tensor(x, requires_grad=True) for x in feats]
     net.zero_grad()
-    q = net.forward(*inputs)
+    q = net.forward(*inputs, grad=True)
     q.backward(np.random.default_rng(seed).normal(size=q.shape))
     grads = [p.grad for p in net.parameters()] + [x.grad for x in inputs]
     net.zero_grad()
@@ -714,12 +784,11 @@ class TestInPlaceSafety:
         before = [_bits(x) for x in (*feats, one.node, one.plc, one.glob)]
         params = [_bits(p.data) for p in net.parameters()]
         inputs = [Tensor(x, requires_grad=True) for x in feats]
-        q = net.forward(*inputs)
+        q = net.forward(*inputs, grad=True)
         grad_out = np.random.default_rng(0).normal(size=q.shape)
         grad_bits = _bits(grad_out)
         q.backward(grad_out)
-        with no_grad():
-            net.forward(*feats)
+        net.forward(*feats)
         net.q_values(one)
         assert [_bits(x) for x in (*feats, one.node, one.plc, one.glob)] \
             == before
@@ -730,12 +799,11 @@ class TestInPlaceSafety:
     def test_repeated_no_grad_calls_agree(self, net, tiny_topology, batch):
         feats = _random_features(tiny_topology, batch, seed=batch)
         other = _random_features(tiny_topology, batch, seed=batch + 100)
-        with no_grad():
-            first = net.forward(*feats).data
-            kept = _bits(first)
-            net.forward(*other)
-            assert _bits(first) == kept
-            second = net.forward(*feats).data
+        first = net.forward(*feats).data
+        kept = _bits(first)
+        net.forward(*other)
+        assert _bits(first) == kept
+        second = net.forward(*feats).data
         assert _bits(second) == kept
         one = FeatureSet(*(x[0] for x in feats))
         assert _bits(net.q_values(one)) == _bits(net.q_values(one)) \
@@ -749,11 +817,10 @@ class TestInPlaceSafety:
 
         inputs = [Tensor(x, requires_grad=True) for x in feats]
         net.zero_grad()
-        q = net.forward(*inputs)
+        q = net.forward(*inputs, grad=True)
         other = _random_features(tiny_topology, batch, seed=batch + 100)
-        net.forward(*other)  # a second taped call
-        with no_grad():
-            net.forward(*other)
+        net.forward(*other, grad=True)  # a second taped call
+        net.forward(*other)
         q.backward(np.random.default_rng(batch).normal(size=q.shape))
         interleaved = ([p.grad for p in net.parameters()]
                        + [x.grad for x in inputs])
@@ -804,7 +871,8 @@ class TestParameterCache:
             assert not {id(p) for p in params} & {id(p) for p in net.parameters()}
             got = _backward(other, feats, seed=0)
             assert [_bits(g) for g in got] == [_bits(g) for g in want]
-            other.forward(*feats).backward(np.ones((4, other.n_actions)))
+            other.forward(*feats, grad=True).backward(
+                np.ones((4, other.n_actions)))
             assert all(p.grad is not None for p in params)
             assert all(p.grad is None for p in net.parameters())
             other.zero_grad()

@@ -197,11 +197,9 @@ class TestPretraining:
         losses = pretrain(qnet, demos, cfg)
         assert len(losses) == 300
         from repro.rl import stack_features
-        from repro.nn import no_grad
 
         states = stack_features([d.state for d in demos])
-        with no_grad():
-            greedy = qnet.forward(*states).data.argmax(axis=1)
+        greedy = qnet.forward(*states).data.argmax(axis=1)
         actions = np.array([d.action for d in demos])
         agreement = (greedy == actions).mean()
         assert agreement > 0.5
